@@ -90,7 +90,6 @@ def tolerance(inputs: ToleranceInputs) -> float:
 class AttackConfig:
     tick: str
     target: str
-    attacker: str
     fraction: float
     attempts: int
     tolerance_s: float

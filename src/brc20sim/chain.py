@@ -171,6 +171,18 @@ class Utxo:
     def first_ordinal(self) -> int:
         return self.ordinals[0].start
 
+    def holds(self, ordinal: int) -> bool:
+        return any(rng.contains(ordinal) for rng in self.ordinals)
+
+
+@dataclass(frozen=True, slots=True)
+class Receipt:
+    """What one applied transaction did to the UTXO set."""
+
+    spent: tuple[Utxo, ...]  # input order
+    created: tuple[Utxo, ...]  # output order; zero-value outputs create nothing
+    envelope: InscriptionEnvelope | None  # bound to created[0]'s first satoshi
+
 
 @dataclass(slots=True)
 class Block:
@@ -228,7 +240,6 @@ class UtxoSet:
 
     def __init__(self) -> None:
         self.utxos: dict[tuple[str, int], Utxo] = {}
-        self.burned: list[OrdinalRange] = []
         self.inscribed: dict[int, str] = {}  # bound ordinal -> raw payload
         self._next_ordinal = 0
         self._grant_count = 0
@@ -236,7 +247,6 @@ class UtxoSet:
     def copy(self) -> UtxoSet:
         dup = UtxoSet()
         dup.utxos = dict(self.utxos)
-        dup.burned = list(self.burned)
         dup.inscribed = dict(self.inscribed)
         dup._next_ordinal = self._next_ordinal
         dup._grant_count = self._grant_count
@@ -276,16 +286,14 @@ class UtxoSet:
         return fee
 
     def carries_inscription(self, utxo: Utxo) -> bool:
-        return any(
-            rng.start <= ordinal < rng.end
-            for ordinal in self.inscribed
-            for rng in utxo.ordinals
-        )
+        return any(utxo.holds(ordinal) for ordinal in self.inscribed)
 
-    def apply_transaction(self, tx: Transaction) -> list[InscriptionEnvelope]:
+    def apply_transaction(self, tx: Transaction) -> Receipt:
         """Spend the inputs, create the outputs, burn the fee slice.
 
-        Returns the envelopes newly bound by this transaction (at most one).
+        The fee slice is whatever the outputs leave of the spent satoshis; it
+        sits in no UTXO afterwards, which is how ``locate_ordinal`` knows it
+        was burned.
         """
         spent: list[Utxo] = []
         seen: set[tuple[str, int]] = set()
@@ -303,47 +311,45 @@ class UtxoSet:
         if fee < 0:
             raise NegativeFee(f"tx {tx.txid} outputs exceed inputs")
 
-        input_ranges = [list(u.ordinals) for u in spent]
-        values = [o.value for o in tx.outputs]
-        assigned = assign_ordinals(input_ranges, values, fee)
+        assigned = assign_ordinals(
+            [list(u.ordinals) for u in spent], [o.value for o in tx.outputs], fee
+        )
 
         for inp in tx.inputs:
             del self.utxos[inp.outpoint]
+        created: list[Utxo] = []
         for index, out in enumerate(tx.outputs):
             if out.value == 0:
                 continue
             serial = (tx.txid, index)
-            self.utxos[serial] = Utxo(serial, out.value, out.owner, tuple(assigned[index]))
-        if fee:
-            flat = [r for ranges in input_ranges for r in ranges]
-            total_in = sum(r.length for r in flat)
-            burned = assign_ordinals([flat], [total_in - fee, fee], 0)[1]
-            self.burned.extend(burned)
+            utxo = Utxo(serial, out.value, out.owner, tuple(assigned[index]))
+            self.utxos[serial] = utxo
+            created.append(utxo)
 
-        envelopes: list[InscriptionEnvelope] = []
-        if tx.outputs and tx.outputs[0].inscription is not None and tx.outputs[0].value > 0:
-            bound = assigned[0][0].start
-            env = InscriptionEnvelope(tx.outputs[0].inscription, bound)
-            self.inscribed[bound] = env.raw
-            envelopes.append(env)
-        return envelopes
+        envelope = None
+        if tx.outputs and tx.outputs[0].inscription is not None:
+            # Transaction guarantees an envelope sits on a funded output 0
+            envelope = InscriptionEnvelope(tx.outputs[0].inscription, created[0].first_ordinal())
+            self.inscribed[envelope.bound_ordinal] = envelope.raw
+        return Receipt(tuple(spent), tuple(created), envelope)
 
     def locate_ordinal(self, ordinal: int) -> Utxo:
-        """Find the unspent UTXO holding an ordinal."""
+        """Find the unspent UTXO holding an ordinal.
+
+        Every allocated satoshi sits in exactly one UTXO until a fee slice
+        burns it, so an allocated ordinal found in no UTXO was burned.
+        """
         for utxo in self.utxos.values():
-            for rng in utxo.ordinals:
-                if rng.contains(ordinal):
-                    return utxo
-        for rng in self.burned:
-            if rng.contains(ordinal):
-                raise OrdinalBurned(f"ordinal {ordinal} was burned as fee")
-        raise OrdinalUnknown(f"ordinal {ordinal} never allocated or still unassigned")
+            if utxo.holds(ordinal):
+                return utxo
+        if 0 <= ordinal < self._next_ordinal:
+            raise OrdinalBurned(f"ordinal {ordinal} was burned as fee")
+        raise OrdinalUnknown(f"ordinal {ordinal} never allocated")
 
     def to_dict(self) -> dict:
         return {
             "next_ordinal": self._next_ordinal,
             "grant_count": self._grant_count,
-            "burned": [[r.start, r.length] for r in self.burned],
             "inscribed": {str(k): v for k, v in sorted(self.inscribed.items())},
             "utxos": {
                 f"{serial[0]}:{serial[1]}": {
@@ -363,7 +369,6 @@ class UtxoSet:
         out = cls()
         out._next_ordinal = data["next_ordinal"]
         out._grant_count = data["grant_count"]
-        out.burned = [OrdinalRange(s, n) for s, n in data["burned"]]
         out.inscribed = {int(k): v for k, v in data["inscribed"].items()}
         for key, entry in data["utxos"].items():
             txid, _, index = key.rpartition(":")
@@ -377,18 +382,6 @@ class UtxoSet:
         return out
 
 
-def apply_transaction(state: UtxoSet, tx: Transaction) -> UtxoSet:
-    """Functional wrapper over UtxoSet.apply_transaction: returns a new set."""
-    updated = state.copy()
-    updated.apply_transaction(tx)
-    return updated
-
-
-def locate_inscription(state: UtxoSet, ordinal: int) -> str:
-    """Owner address of the UTXO currently holding an ordinal."""
-    return state.locate_ordinal(ordinal).owner
-
-
 class Chain:
     """Confirmed blocks plus the UTXO set they produce."""
 
@@ -397,16 +390,21 @@ class Chain:
         self.utxo_set = UtxoSet()
         self.block_interval = block_interval
         self._tx_index: dict[str, tuple[int, float]] = {}  # txid -> (height, time)
+        self.tip_receipts: list[Receipt] = []  # the last appended block's, in tx order
 
     @property
     def height(self) -> int:
         return len(self.blocks) - 1
 
-    def append_block(self, block: Block) -> None:
+    def append_block(self, block: Block) -> list[Receipt]:
+        """Apply the block's transactions in order and return their receipts."""
+        receipts = []
         for tx in block.transactions:
-            self.utxo_set.apply_transaction(tx)
+            receipts.append(self.utxo_set.apply_transaction(tx))
             self._tx_index[tx.txid] = (block.height, block.timestamp)
         self.blocks.append(block)
+        self.tip_receipts = receipts
+        return receipts
 
     def confirmed(self, txid: str) -> bool:
         return txid in self._tx_index

@@ -52,11 +52,15 @@ def _levels(text: str, cast) -> tuple:
     return tuple(cast(part) for part in text.split(",") if part)
 
 
-def _load_config(path: str | None) -> dict:
+def _load_sim_overrides(path: str | None) -> dict:
+    """The ``"sim"`` object of a JSON config file ({} without a file)."""
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get("sim", {}), dict):
+        raise ValueError('config must be a JSON object whose "sim" entry is an object')
+    return data.get("sim", {})
 
 
 def _sim_config(overrides: dict) -> SimConfig:
@@ -68,11 +72,14 @@ def _sim_config(overrides: dict) -> SimConfig:
     unknown = set(overrides) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"config key {key!r} must be a number, got {value!r}")
     return SimConfig(**overrides)
 
 
 def cmd_sim(args) -> int:
-    sim_cfg = _sim_config(_load_config(args.config).get("sim", {}))
+    sim_cfg = _sim_config(_load_sim_overrides(args.config))
     config = ScenarioConfig(
         fraction=args.fraction,
         fee_rate=args.fee,
@@ -97,7 +104,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    sim_cfg = _sim_config(_load_config(args.config).get("sim", {}))
+    sim_cfg = _sim_config(_load_sim_overrides(args.config))
     grid = [
         ScenarioConfig(fraction=f, fee_rate=fee, congestion=c, attempts=n, sim=sim_cfg)
         for f in (args.fractions or FRACTION_LEVELS)
@@ -139,10 +146,15 @@ def cmd_replay_log(args) -> int:
     """Re-run a recorded event log and verify decisions and blocks match."""
     with open(args.log, encoding="utf-8") as fh:
         events = [json.loads(line) for line in fh if line.strip()]
-    if not events or events[0].get("event") != "header":
-        print("error: log has no header line", file=sys.stderr)
+    header = events[0] if events else None
+    if (
+        not isinstance(header, dict)
+        or header.get("event") != "header"
+        or not isinstance(header.get("config"), dict)
+    ):
+        print("error: log has no header line with a config object", file=sys.stderr)
         return USAGE_ERROR
-    cfg = events[0]["config"]
+    cfg = header["config"]
     chain = Chain(cfg["block_interval"])
     pool = Mempool(
         MempoolConfig(

@@ -22,7 +22,6 @@ from .wallet import TransferRequest, build_recovery, build_transfer, submit_bund
 
 TICK = "ordi"
 TARGET = "hot-wallet"
-ATTACKER = "attacker"
 
 FRACTION_LEVELS = (0.10, 0.50, 1.00)
 FEE_LEVELS = (100, 200, 500)
@@ -146,7 +145,6 @@ def run_scenario(
     attack = AttackConfig(
         tick=TICK,
         target=TARGET,
-        attacker=ATTACKER,
         fraction=config.fraction,
         attempts=config.attempts,
         tolerance_s=config.tolerance_s,

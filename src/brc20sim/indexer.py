@@ -6,8 +6,11 @@ split into *available* (spendable) and *transferable* (inscribed for transfer
 but not yet moved).  Invalid operations are silently void; the chain never
 halts on bad token data.
 
-The indexer keeps its own shadow UTXO set so the whole token state can be
-reconstructed from blocks alone.
+The indexer holds no UTXO set.  It reads each confirmed transaction's
+``Receipt`` from the chain: the spent UTXOs show which pending transfer
+satoshis moved, the created UTXOs where they went, and the envelope which
+operation was inscribed.  ``replay`` rebuilds token state from blocks alone
+by re-appending them to a fresh chain on the genesis grants.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .chain import Block, UtxoSet
+from .chain import Block, Chain, Receipt, UtxoSet
 
 PROTOCOL_NAMES = ("brc20", "brc-20")
 
@@ -220,84 +223,50 @@ class Brc20State:
 class Indexer:
     """Single-writer block consumer deriving token balances."""
 
-    def __init__(self, genesis: UtxoSet, log_diffs: bool = False) -> None:
+    def __init__(self) -> None:
         self.state = Brc20State()
-        self.shadow = genesis.copy()
-        self.log_diffs = log_diffs
-        self.block_diffs: list[list[tuple]] = []
         # Instrumentation (derived, not part of state equality): which ordinal
         # a confirmed tx bound its envelope to, and every ordinal that ever
         # carried a pending transfer (consumed ones included).
         self.bound_by_tx: dict[str, int] = {}
         self.pending_created: set[int] = set()
 
-    # -- balance mutation helpers, all deltas flow through here -------------
+    def apply_block(self, block: Block, receipts: list[Receipt]) -> None:
+        """Consume a confirmed block with the receipts its chain append returned."""
+        for tx, receipt in zip(block.transactions, receipts, strict=True):
+            for pending in self._pending_in_inputs(receipt):
+                self._consume_pending(pending, receipt)
+            envelope = receipt.envelope
+            if envelope is not None:
+                self.bound_by_tx[tx.txid] = envelope.bound_ordinal
+                op = parse_envelope(envelope.raw)
+                if op is not None:
+                    self._apply_op(op, receipt.created[0].owner, envelope.bound_ordinal)
 
-    def _bump(self, diffs: list, tick: str, addr: str, field: str, delta: int) -> None:
-        entry = self.state.entry(tick, addr)
-        if field == "available":
-            entry.available += delta
-        else:
-            entry.transferable += delta
-        if self.log_diffs:
-            diffs.append((tick, addr, field, delta))
+    def _pending_in_inputs(self, receipt: Receipt) -> list[PendingTransfer]:
+        return [
+            self.state.pending[ordinal]
+            for ordinal in sorted(self.state.pending)
+            if any(utxo.holds(ordinal) for utxo in receipt.spent)
+        ]
 
-    def apply_block(self, block: Block) -> None:
-        diffs: list[tuple] = []
-        for tx in block.transactions:
-            self._apply_tx(tx, diffs)
-        if self.log_diffs:
-            self.block_diffs.append(diffs)
-
-    def _apply_tx(self, tx, diffs: list) -> None:
-        moved = self._pending_in_inputs(tx)
-        envelopes = self.shadow.apply_transaction(tx)
-
-        for pending in moved:
-            self._consume_pending(pending, tx, diffs)
-
-        if envelopes:
-            self.bound_by_tx[tx.txid] = envelopes[0].bound_ordinal
-            op = parse_envelope(envelopes[0].raw)
-            if op is not None:
-                self._apply_op(op, tx.outputs[0].owner, envelopes[0].bound_ordinal, diffs)
-
-    def _pending_in_inputs(self, tx) -> list[PendingTransfer]:
-        hits: list[PendingTransfer] = []
-        if not self.state.pending:
-            return hits
-        for ordinal in sorted(self.state.pending):
-            for inp in tx.inputs:
-                utxo = self.shadow.utxos.get(inp.outpoint)
-                if utxo is None:
-                    continue
-                if any(r.contains(ordinal) for r in utxo.ordinals):
-                    hits.append(self.state.pending[ordinal])
-                    break
-        return hits
-
-    def _consume_pending(self, pending, tx, diffs: list) -> None:
+    def _consume_pending(self, pending: PendingTransfer, receipt: Receipt) -> None:
         """The inscribed satoshi moved: settle the transfer to wherever it went.
 
         A satoshi burned as fee returns the tokens to the inscriber so that
         supply is conserved; a satoshi arriving back at the inscriber restores
         its available balance.
         """
-        destination: str | None = None
-        for index, out in enumerate(tx.outputs):
-            utxo = self.shadow.utxos.get((tx.txid, index))
-            if utxo is not None and any(
-                r.contains(pending.inscription_ordinal) for r in utxo.ordinals
-            ):
-                destination = out.owner
-                break
-        if destination is None:
-            destination = pending.inscriber  # fee slice: return to sender
-        self._bump(diffs, pending.tick, pending.inscriber, "transferable", -pending.amount)
-        self._bump(diffs, pending.tick, destination, "available", pending.amount)
-        del self.state.pending[pending.inscription_ordinal]
+        ordinal = pending.inscription_ordinal
+        destination = next(
+            (utxo.owner for utxo in receipt.created if utxo.holds(ordinal)),
+            pending.inscriber,  # fee slice: return to sender
+        )
+        self.state.entry(pending.tick, pending.inscriber).transferable -= pending.amount
+        self.state.entry(pending.tick, destination).available += pending.amount
+        del self.state.pending[ordinal]
 
-    def _apply_op(self, op: Brc20Op, owner: str, bound_ordinal: int, diffs: list) -> None:
+    def _apply_op(self, op: Brc20Op, owner: str, bound_ordinal: int) -> None:
         state = self.state
         if isinstance(op, Deploy):
             if op.tick in state.ticks:
@@ -313,15 +282,15 @@ class Indexer:
             if op.amt > info.lim or info.minted + op.amt > info.max:
                 return  # whole mint is void, no partial credit
             info.minted += op.amt
-            self._bump(diffs, op.tick, owner, "available", op.amt)
+            state.entry(op.tick, owner).available += op.amt
             return
         # InscribeTransfer: void when the inscriber cannot cover the amount,
         # which is exactly what voids falsified transfer inscriptions.
         entry = state.entry(op.tick, owner)
         if entry.available < op.amt or bound_ordinal in state.pending:
             return
-        self._bump(diffs, op.tick, owner, "available", -op.amt)
-        self._bump(diffs, op.tick, owner, "transferable", op.amt)
+        entry.available -= op.amt
+        entry.transferable += op.amt
         state.pending[bound_ordinal] = PendingTransfer(bound_ordinal, op.tick, op.amt, owner)
         self.pending_created.add(bound_ordinal)
 
@@ -334,8 +303,13 @@ class Indexer:
 
 
 def replay(blocks: list[Block], genesis: UtxoSet) -> Brc20State:
-    """Reconstruct token state by folding blocks over an empty state."""
-    indexer = Indexer(genesis)
+    """Reconstruct token state by re-appending blocks to a fresh chain.
+
+    The chain starts on a copy of ``genesis``, which is left unchanged.
+    """
+    chain = Chain()
+    chain.utxo_set = genesis.copy()
+    indexer = Indexer()
     for block in blocks:
-        indexer.apply_block(block)
+        indexer.apply_block(block, chain.append_block(block))
     return indexer.state

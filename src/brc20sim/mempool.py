@@ -291,11 +291,3 @@ class Mempool:
         with open(path, "w", encoding="utf-8") as fh:
             for event in self.events:
                 fh.write(json.dumps(event, sort_keys=True) + "\n")
-
-
-def confirmation_delay(chain: Chain, txid: str, submit_time: float) -> float | None:
-    """Seconds from submission to inclusion, or None while still pending."""
-    confirmed_at = chain.confirmation_time(txid)
-    if confirmed_at is None:
-        return None
-    return confirmed_at - submit_time

@@ -3,11 +3,13 @@
 Owns the chain, the mempool, the indexer and (optionally) a background load,
 and advances them in lockstep: foreground submissions and background arrivals
 are processed in timestamp order, a block is mined every ``block_interval``
-simulated seconds, and every mined block is fed to the indexer.
+simulated seconds, and every mined block is fed to the indexer together with
+the receipts its chain append returned.
 
-Genesis satoshis enter through ``grant``, which mirrors the allocation into
-the indexer's shadow UTXO set so token state stays reconstructable from the
-grant ledger plus the block list alone (see ``replay_state``).
+Genesis satoshis enter through ``grant``, which funds the chain's UTXO set and
+records the allocation in the grant ledger, so token state stays
+reconstructable from the grant ledger plus the block list alone (see
+``replay_state``).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class Simulation:
         self.config = config
         self.chain = Chain(config.block_interval)
         self.pool = Mempool(config.mempool_config(), self.chain, config.log_events)
-        self.indexer = Indexer(self.chain.utxo_set)
+        self.indexer = Indexer()
         self.now = 0.0
         self.next_block_time = config.block_interval
         self._scheduled: list[tuple[float, int, Transaction]] = []
@@ -76,10 +78,8 @@ class Simulation:
     # -- funding -------------------------------------------------------------
 
     def grant(self, owner: str, value: int) -> Utxo:
-        """Genesis allocation, mirrored into the indexer's shadow set."""
+        """Genesis allocation, recorded in the grant ledger for replay."""
         utxo = self.chain.utxo_set.grant(owner, value)
-        shadow = self.indexer.shadow.grant(owner, value)
-        assert shadow.serial == utxo.serial
         self.grants_log.append((owner, value))
         if self.config.log_events:
             self.event_log.append(
@@ -148,7 +148,7 @@ class Simulation:
             self.pool.tick_expiry(self.now)
             self.congestion_samples.append(self.pool.congestion())
             block = self.pool.mine_block(self.chain, self.now)
-            self.indexer.apply_block(block)
+            self.indexer.apply_block(block, self.chain.tip_receipts)
             if self._watch is not None:
                 avail, trans, _ = self.indexer.balance(*self._watch)
                 self.balance_samples.append((self.now, avail, trans))
@@ -222,8 +222,3 @@ class Simulation:
             }}, sort_keys=True) + "\n")
             for event in self.event_log:
                 fh.write(json.dumps(event, sort_keys=True) + "\n")
-
-
-def run_background_load(sim: Simulation, duration: float) -> None:
-    """Advance a simulation under background traffic only."""
-    sim.run_until(sim.now + duration)

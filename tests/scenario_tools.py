@@ -14,22 +14,20 @@ from brc20sim.indexer import (
 class Scenario:
     """Block builder with an incremental indexer and a grants ledger.
 
-    Grants mirror into the indexer's shadow set (the same contract the
-    simulation keeps), and ``genesis()`` rebuilds an equivalent starting set
-    for pure block replay.
+    Each block is applied to ``work`` and the indexer consumes the receipts
+    (the same contract the simulation keeps); ``genesis()`` rebuilds the
+    starting set from the grants ledger for pure block replay.
     """
 
     def __init__(self):
-        self.indexer = Indexer(UtxoSet())
+        self.indexer = Indexer()
         self.blocks: list[Block] = []
         self.work = UtxoSet()
         self.grants: list[tuple[str, int]] = []
 
     def grant(self, owner: str, value: int):
-        utxo = self.work.grant(owner, value)
-        self.indexer.shadow.grant(owner, value)
         self.grants.append((owner, value))
-        return utxo
+        return self.work.grant(owner, value)
 
     def genesis(self) -> UtxoSet:
         rebuilt = UtxoSet()
@@ -40,10 +38,9 @@ class Scenario:
     def apply(self, *txs: Transaction) -> Block:
         height = len(self.blocks)
         block = Block(height=height, timestamp=600.0 * (height + 1), transactions=list(txs))
-        for tx in txs:
-            self.work.apply_transaction(tx)
+        receipts = [self.work.apply_transaction(tx) for tx in txs]
         self.blocks.append(block)
-        self.indexer.apply_block(block)
+        self.indexer.apply_block(block, receipts)
         return block
 
 

@@ -117,7 +117,7 @@ def pinned_sim(seed=0, minted=1_000_000):
 
 def attack_config(band, fee=None, fraction=1.0, attempts=2, t_bar=3600.0, horizon=12_000.0):
     return AttackConfig(
-        tick=TICK, target=TARGET, attacker="mallory",
+        tick=TICK, target=TARGET,
         fraction=fraction, attempts=attempts, tolerance_s=t_bar,
         horizon_s=horizon, band=band, fee_rate=fee,
     )
@@ -151,7 +151,7 @@ class TestExecute:
     def test_target_empty_raises(self):
         sim, band = pinned_sim()
         config = AttackConfig(
-            tick=TICK, target="penniless", attacker="m", fraction=1.0,
+            tick=TICK, target="penniless", fraction=1.0,
             attempts=1, tolerance_s=3600.0, horizon_s=6000.0, band=band, fee_rate=14,
         )
         sim.grant("penniless", 10_000_000)

@@ -1,13 +1,13 @@
 """Background load calibration and determinism."""
 
 from brc20sim.background import BackgroundLoad, CongestionProfile
-from brc20sim.sim import SimConfig, Simulation, run_background_load
+from brc20sim.sim import SimConfig, Simulation
 
 
 def test_steady_state_congestion_tracks_target():
     for level in (0.25, 0.50, 0.75):
         sim = Simulation(SimConfig(seed=1), CongestionProfile.for_level(level, seed=1))
-        run_background_load(sim, 20 * 600.0)
+        sim.run_until(sim.now + 20 * 600.0)
         assert abs(sim.mean_congestion() - level) < 0.05
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,9 +19,7 @@ from brc20sim.chain import (
     TxInput,
     TxOutput,
     UtxoSet,
-    apply_transaction,
     assign_ordinals,
-    locate_inscription,
     make_txid,
 )
 
@@ -164,6 +163,7 @@ class TestApplyTransaction:
         rng = random.Random(7)
         state = UtxoSet()
         live = [state.grant("w", rng.randint(1, 12)) for _ in range(6)]
+        burned: set[int] = set()
         for i in range(200):
             take = rng.sample(live, rng.randint(1, min(3, len(live))))
             total = sum(u.value for u in take)
@@ -180,7 +180,7 @@ class TestApplyTransaction:
                 [TxInput(u.serial) for u in take],
                 [TxOutput(v, "w") for v in values],
             )
-            state.apply_transaction(spend)
+            receipt = state.apply_transaction(spend)
             live = [u for u in live if u not in take]
             created = [
                 state.utxos[(f"t{i}", j)] for j in range(len(values)) if values[j] > 0
@@ -188,16 +188,29 @@ class TestApplyTransaction:
             after = [s for u in created for s in flatten(u.ordinals)]
             # satoshi stream preserved in order, minus the burned tail
             assert after == stream[: len(stream) - fee]
+            burned.update(stream[len(stream) - fee :])
+            # the receipt reports exactly what the set spent and created
+            assert list(receipt.spent) == take
+            assert list(receipt.created) == created
+            assert sum(u.value for u in receipt.spent) == (
+                sum(u.value for u in receipt.created) + fee
+            )
+            assert receipt.envelope is None
             live.extend(created)
             if not live:
                 live = [state.grant("w", rng.randint(1, 12))]
-
-    def test_functional_wrapper_leaves_original(self):
-        funding = self.state.grant("a", 4)
-        spend = tx("t1", [TxInput(funding.serial)], [TxOutput(4, "b")])
-        updated = apply_transaction(self.state, spend)
-        assert funding.serial in self.state.utxos
-        assert funding.serial not in updated.utxos
+        # every allocated satoshi sits in exactly one UTXO unless a fee burned it
+        held = Counter(s for u in state.utxos.values() for s in flatten(u.ordinals))
+        assert burned and set(held.values()) == {1}
+        for ordinal in range(state._next_ordinal):
+            if ordinal in burned:
+                assert ordinal not in held
+                with pytest.raises(OrdinalBurned):
+                    state.locate_ordinal(ordinal)
+            else:
+                assert state.locate_ordinal(ordinal).holds(ordinal)
+        with pytest.raises(OrdinalUnknown):
+            state.locate_ordinal(state._next_ordinal)
 
 
 class TestInscriptions:
@@ -209,10 +222,10 @@ class TestInscriptions:
             [TxInput(funding.serial)],
             [TxOutput(546, "alice", inscription="{}"), TxOutput(400, "alice")],
         )
-        envelopes = state.apply_transaction(spend)
-        assert len(envelopes) == 1
-        assert envelopes[0].bound_ordinal == funding.first_ordinal()
-        assert locate_inscription(state, envelopes[0].bound_ordinal) == "alice"
+        envelope = state.apply_transaction(spend).envelope
+        assert envelope is not None
+        assert envelope.bound_ordinal == funding.first_ordinal()
+        assert state.locate_ordinal(envelope.bound_ordinal).owner == "alice"
 
     def test_envelope_rejected_off_first_output(self):
         with pytest.raises(ValueError):

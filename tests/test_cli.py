@@ -1,9 +1,14 @@
 """CLI surface: subcommands, exit codes, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brc20sim
 from brc20sim.cli import main
 
 
@@ -120,3 +125,31 @@ class TestSweepCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("sim", {"sim": {"expiry": "x"}}),
+            ("sim", {"sim": {"block_capacity_vbytes": "10"}}),
+            ("sim", {"sim": {"expiry": True}}),
+            ("sim", {"sim": [1]}),
+            ("sim", [1]),
+            ("replay", [1]),
+            ("replay", {"event": "header", "config": [1]}),
+        ],
+    )
+    def test_bad_config_or_log_exits_one_without_traceback(self, tmp_path, command, content):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content) + "\n")
+        argv = ["sim", "--config", str(path)] if command == "sim" else ["replay", str(path)]
+        src = str(Path(brc20sim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "brc20sim.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr

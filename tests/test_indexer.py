@@ -157,17 +157,19 @@ class TestStateMachine:
     def test_balance_defaults_to_zero(self):
         assert Brc20State().balance("none", "nobody") == (0, 0, 0)
 
-    def test_diff_log(self):
-        sc = Scenario()
-        sc.indexer.log_diffs = True
-        sc.apply(inscribed_tx(sc, "m", deploy_inscription("t", 100, 100), "d"))
-        sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 10), "m1"))
-        assert sc.indexer.block_diffs[1] == [("t", "m", "available", 10)]
-
 
 class TestReplay:
     def test_empty_chain(self):
         assert replay([], UtxoSet()) == Brc20State()
+
+    def test_replay_leaves_genesis_unchanged(self):
+        sc = random_scenario(3, blocks=10)
+        genesis = sc.genesis()
+        before = genesis.to_json()
+        assert replay(sc.blocks, genesis) == sc.indexer.state
+        assert genesis.to_json() == before
+        # a second replay from the same genesis starts from the same set
+        assert replay(sc.blocks, genesis) == sc.indexer.state
 
     def test_replay_equals_incremental_and_conserves(self):
         for seed in range(20):

@@ -13,7 +13,6 @@ from brc20sim.mempool import (
     ORPHAN_INPUT,
     Mempool,
     MempoolConfig,
-    confirmation_delay,
 )
 
 RBF_ON = 0xFFFFFFFD
@@ -366,7 +365,7 @@ class TestDelays:
         tx = spend(chain, 500, fee=50_000, tag="d")
         pool.submit(tx, 0.0)
         pool.mine_block(chain, 600.0)
-        assert confirmation_delay(chain, tx.txid, 0.0) == 600.0
+        assert chain.confirmation_time(tx.txid) == 600.0
 
     def test_third_block_delay(self):
         pool, chain = make_pool(block_capacity_vbytes=100)
@@ -375,13 +374,13 @@ class TestDelays:
             pool.submit(tx, 0.0)
         for k in range(3):
             pool.mine_block(chain, 600.0 * (k + 1))
-        assert confirmation_delay(chain, txs[2].txid, 0.0) == 1800.0
+        assert chain.confirmation_time(txs[2].txid) == 1800.0
 
     def test_pending_is_none(self):
         pool, chain = make_pool()
         tx = spend(chain, 500, fee=50_000, tag="p")
         pool.submit(tx, 0.0)
-        assert confirmation_delay(chain, tx.txid, 0.0) is None
+        assert chain.confirmation_time(tx.txid) is None
 
 
 class TestEventLog:

@@ -263,27 +263,8 @@ class UtxoSet:
         self.utxos[serial] = utxo
         return utxo
 
-    def balance(self, owner: str) -> int:
-        return sum(u.value for u in self.utxos.values() if u.owner == owner)
-
     def owned_by(self, owner: str) -> list[Utxo]:
         return [u for u in self.utxos.values() if u.owner == owner]
-
-    def input_value(self, tx: Transaction) -> int:
-        """Sum of the transaction's input values; raises MissingInput."""
-        total = 0
-        for inp in tx.inputs:
-            utxo = self.utxos.get(inp.outpoint)
-            if utxo is None:
-                raise MissingInput(f"{inp.outpoint} unknown or spent")
-            total += utxo.value
-        return total
-
-    def fee_of(self, tx: Transaction) -> int:
-        fee = self.input_value(tx) - tx.output_total
-        if fee < 0:
-            raise NegativeFee(f"tx {tx.txid} outputs exceed inputs")
-        return fee
 
     def carries_inscription(self, utxo: Utxo) -> bool:
         return any(utxo.holds(ordinal) for ordinal in self.inscribed)
@@ -385,10 +366,9 @@ class UtxoSet:
 class Chain:
     """Confirmed blocks plus the UTXO set they produce."""
 
-    def __init__(self, block_interval: float = 600.0) -> None:
+    def __init__(self) -> None:
         self.blocks: list[Block] = []
         self.utxo_set = UtxoSet()
-        self.block_interval = block_interval
         self._tx_index: dict[str, tuple[int, float]] = {}  # txid -> (height, time)
         self.tip_receipts: list[Receipt] = []  # the last appended block's, in tx order
 

@@ -27,8 +27,8 @@ from .harness import (
     run_sweep,
     sweep_csv,
 )
-from .mempool import Mempool, MempoolConfig
-from .sim import SimConfig
+from .mempool import Mempool
+from .sim import SETTINGS, SimConfig
 
 USAGE_ERROR = 1
 MODEL_ERROR = 2
@@ -64,12 +64,7 @@ def _load_sim_overrides(path: str | None) -> dict:
 
 
 def _sim_config(overrides: dict) -> SimConfig:
-    allowed = {
-        "seed", "block_interval", "block_capacity_vbytes",
-        "mempool_capacity_vbytes", "min_relay_fee_rate", "expiry",
-        "congestion_normal_count",
-    }
-    unknown = set(overrides) - allowed
+    unknown = set(overrides) - set(SETTINGS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in overrides.items():
@@ -142,6 +137,24 @@ def cmd_tolerance(args) -> int:
     return 0
 
 
+# the fields replay reads from each kind of event; other kinds are skipped
+REPLAY_FIELDS = {
+    "grant": ("owner", "value"),
+    "submit": ("t", "tx", "accepted", "reason"),
+    "mine": ("t", "height", "txids"),
+}
+
+
+def _replay_kind(event, number: int) -> str:
+    """The event's kind, once it is known to carry every field replay reads."""
+    if not isinstance(event, dict) or "event" not in event:
+        raise ValueError(f"log line {number} is not an event object")
+    missing = [k for k in REPLAY_FIELDS.get(event["event"], ()) if k not in event]
+    if missing:
+        raise ValueError(f"log line {number}: {event['event']} event lacks {missing}")
+    return event["event"]
+
+
 def cmd_replay_log(args) -> int:
     """Re-run a recorded event log and verify decisions and blocks match."""
     with open(args.log, encoding="utf-8") as fh:
@@ -152,32 +165,27 @@ def cmd_replay_log(args) -> int:
         or header.get("event") != "header"
         or not isinstance(header.get("config"), dict)
     ):
-        print("error: log has no header line with a config object", file=sys.stderr)
-        return USAGE_ERROR
-    cfg = header["config"]
-    chain = Chain(cfg["block_interval"])
-    pool = Mempool(
-        MempoolConfig(
-            capacity_vbytes=cfg["mempool_capacity_vbytes"],
-            block_capacity_vbytes=cfg["block_capacity_vbytes"],
-            block_interval=cfg["block_interval"],
-            expiry=cfg["expiry"],
-            min_relay_fee_rate=cfg["min_relay_fee_rate"],
-            congestion_normal_count=cfg["congestion_normal_count"],
-        ),
-        chain,
-    )
+        raise ValueError("log has no header line with a config object")
+    missing = [name for name in SETTINGS if name not in header["config"]]
+    if missing:
+        raise ValueError(f"log header lacks config keys: {missing}")
+    chain = Chain()
+    pool = Mempool(_sim_config(header["config"]), chain)
     blocks = submits = 0
-    for event in events[1:]:
-        kind = event["event"]
+    for number, event in enumerate(events[1:], start=2):
+        kind = _replay_kind(event, number)
         if kind == "grant":
             chain.utxo_set.grant(event["owner"], event["value"])
         elif kind == "submit":
-            result = pool.submit(Transaction.from_dict(event["tx"]), event["t"])
+            try:
+                tx = Transaction.from_dict(event["tx"])
+            except (KeyError, TypeError, IndexError) as exc:
+                raise ValueError(f"log line {number}: malformed tx ({exc!r})") from None
+            result = pool.submit(tx, event["t"])
             submits += 1
             if result.accepted != event["accepted"] or result.reason != event["reason"]:
                 print(
-                    f"divergence at t={event['t']}: tx {event['tx']['txid']} "
+                    f"divergence at t={event['t']}: tx {tx.txid} "
                     f"got {result}, log has accepted={event['accepted']} "
                     f"reason={event['reason']}",
                     file=sys.stderr,
@@ -185,7 +193,7 @@ def cmd_replay_log(args) -> int:
                 return MODEL_ERROR
         elif kind == "mine":
             pool.tick_expiry(event["t"])
-            block = pool.mine_block(chain, event["t"])
+            block = pool.mine_block(event["t"])
             blocks += 1
             got = [tx.txid for tx in block.transactions]
             if got != event["txids"]:

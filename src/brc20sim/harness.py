@@ -133,7 +133,7 @@ def run_scenario(
     config: ScenarioConfig, seed: int, log_path: str | None = None
 ) -> ScenarioResult:
     """One seeded trial of the attack under the scenario's conditions."""
-    sim_config = replace(config.sim, seed=seed, log_events=log_path is not None)
+    sim_config = replace(config.sim, log_events=log_path is not None)
     profile = CongestionProfile.for_level(config.congestion, seed)
     sim = Simulation(sim_config, profile)
 
@@ -281,9 +281,10 @@ def _expect(check: bool, label: str, transcript: list[dict], **details) -> None:
         raise ReplayDivergence(f"{label}: {details}")
 
 
-def _attack_bundle(sim: Simulation, amount: int, fee_rate: int):
+def _bundle(sim: Simulation, sender: str, recipient: str, amount: int, fee_rate: int):
+    """Build and submit one transfer bundle; both halves must be accepted."""
     req = TransferRequest(
-        TICK, amount, sender=TARGET, recipient=TARGET, fee_rate=fee_rate, rbf=True
+        TICK, amount, sender=sender, recipient=recipient, fee_rate=fee_rate, rbf=True
     )
     bundle = build_transfer(
         req, sim.chain.utxo_set, sim.config.wallet, exclude=set(sim.pool.spends)
@@ -292,22 +293,9 @@ def _attack_bundle(sim: Simulation, amount: int, fee_rate: int):
     sim.note_submitted(bundle.tx1, bundle.tx1_submit, r1)
     sim.note_submitted(bundle.tx2, bundle.tx2_submit, r2)
     if not (r1.accepted and r2.accepted):
-        raise ReplayDivergence(f"attack bundle rejected: {r1.reason}, {r2.reason}")
-    return bundle
-
-
-def _user_bundle(sim: Simulation, sender: str, recipient: str, amount: int):
-    req = TransferRequest(
-        TICK, amount, sender=sender, recipient=recipient, fee_rate=SETUP_FEE_RATE, rbf=True
-    )
-    bundle = build_transfer(
-        req, sim.chain.utxo_set, sim.config.wallet, exclude=set(sim.pool.spends)
-    )
-    r1, r2 = submit_bundle(bundle, sim.pool, sim.now, sim.config.wallet)
-    sim.note_submitted(bundle.tx1, bundle.tx1_submit, r1)
-    sim.note_submitted(bundle.tx2, bundle.tx2_submit, r2)
-    if not (r1.accepted and r2.accepted):
-        raise ReplayDivergence(f"user bundle rejected: {r1.reason}, {r2.reason}")
+        raise ReplayDivergence(
+            f"bundle {sender} -> {recipient} rejected: {r1.reason}, {r2.reason}"
+        )
     return bundle
 
 
@@ -319,7 +307,7 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
     """
     q = REPLAY
     transcript: list[dict] = []
-    sim = Simulation(SimConfig(seed=seed), _replay_profile(seed))
+    sim = Simulation(SimConfig(), _replay_profile(seed))
     sim.watch_balance(TICK, TARGET)
 
     for _ in range(12):
@@ -348,8 +336,8 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
 
     # Attempt 1 races a legitimate withdrawal confirmed in the same block:
     # the inscribed amount exceeds what is left, so the indexer voids it.
-    withdrawal = _user_bundle(sim, TARGET, WITHDRAWER, q["withdrawal"])
-    attack1 = _attack_bundle(sim, q["attempt_amounts"][0], q["attack_fees"][0])
+    withdrawal = _bundle(sim, TARGET, WITHDRAWER, q["withdrawal"], SETUP_FEE_RATE)
+    attack1 = _bundle(sim, TARGET, TARGET, q["attempt_amounts"][0], q["attack_fees"][0])
     sim.run_blocks(1)
     _expect(
         sim.chain.confirmed(attack1.tx1.txid)
@@ -363,7 +351,7 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
     )
 
     # An ordinary deposit lands in the interval before the second attempt.
-    _user_bundle(sim, DEPOSITORS[0], TARGET, q["interval_deposit"])
+    _bundle(sim, DEPOSITORS[0], TARGET, q["interval_deposit"], SETUP_FEE_RATE)
     sim.run_blocks(1)
     _expect(
         sim.balance(TICK, TARGET)[0] == q["attempt_amounts"][1],
@@ -371,7 +359,7 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
     )
 
     # Attempt 2 pins nearly the whole wallet; withdrawals become inoperative.
-    attack2 = _attack_bundle(sim, q["attempt_amounts"][1], q["attack_fees"][1])
+    attack2 = _bundle(sim, TARGET, TARGET, q["attempt_amounts"][1], q["attack_fees"][1])
     sim.run_blocks(1)
     _expect(
         sim.balance(TICK, TARGET) == (0, q["attempt_amounts"][1], q["attempt_amounts"][1]),
@@ -384,14 +372,14 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
     )
 
     # Two replenishment deposits, then attempt 3 pins exactly their sum.
-    _user_bundle(sim, DEPOSITORS[1], TARGET, q["deposits_2_3"][0])
-    _user_bundle(sim, DEPOSITORS[2], TARGET, q["deposits_2_3"][1])
+    _bundle(sim, DEPOSITORS[1], TARGET, q["deposits_2_3"][0], SETUP_FEE_RATE)
+    _bundle(sim, DEPOSITORS[2], TARGET, q["deposits_2_3"][1], SETUP_FEE_RATE)
     sim.run_blocks(1)
     _expect(
         sim.balance(TICK, TARGET)[0] == q["attempt_amounts"][2],
         "replenishment-deposits", transcript, balance=sim.balance(TICK, TARGET),
     )
-    attack3 = _attack_bundle(sim, q["attempt_amounts"][2], q["attack_fees"][2])
+    attack3 = _bundle(sim, TARGET, TARGET, q["attempt_amounts"][2], q["attack_fees"][2])
     sim.run_blocks(1)
     _expect(
         sim.balance(TICK, TARGET)[0] == 0,
@@ -399,9 +387,9 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
     )
 
     # One more deposit, matched by attempt 4.
-    _user_bundle(sim, DEPOSITORS[3], TARGET, q["deposit_4"])
+    _bundle(sim, DEPOSITORS[3], TARGET, q["deposit_4"], SETUP_FEE_RATE)
     sim.run_blocks(1)
-    attack4 = _attack_bundle(sim, q["attempt_amounts"][3], q["attack_fees"][3])
+    attack4 = _bundle(sim, TARGET, TARGET, q["attempt_amounts"][3], q["attack_fees"][3])
     sim.run_blocks(1)
     total_pinned = sum(q["attempt_amounts"][1:])
     _expect(

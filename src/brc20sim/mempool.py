@@ -10,11 +10,13 @@ the usual node behavior.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .chain import Block, Chain, Transaction
+
+if TYPE_CHECKING:
+    from .sim import SimConfig
 
 DAY = 86_400.0
 
@@ -37,38 +39,14 @@ DUPLICATE = "duplicate"
 DUPLICATE_INPUT = "duplicate-input"
 
 
-@dataclass(frozen=True, slots=True)
-class MempoolConfig:
-    capacity_vbytes: int = 50_000_000
-    block_capacity_vbytes: int = 10_400
-    block_interval: float = 600.0
-    expiry: float = 14 * DAY
-    min_relay_fee_rate: int = 1
-    congestion_normal_count: int = 400
-
-    def __post_init__(self) -> None:
-        for name in (
-            "capacity_vbytes",
-            "block_capacity_vbytes",
-            "block_interval",
-            "expiry",
-            "min_relay_fee_rate",
-            "congestion_normal_count",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
 @dataclass(slots=True)
 class MempoolEntry:
     tx: Transaction
     arrival: float
     fee: int
-    fee_rate: Fraction
     rbf_enabled: bool
     depends_on: set[str]
-    # float mirror of fee_rate, used only as a sort key
-    rate_key: float = field(init=False)
+    rate_key: float = field(init=False)  # fee / vsize, the sort key
 
     def __post_init__(self) -> None:
         self.rate_key = self.fee / self.tx.vsize
@@ -91,20 +69,14 @@ def _sort_key(entry: MempoolEntry) -> tuple:
 class Mempool:
     """Unconfirmed transaction pool bound to a chain's confirmed UTXO set."""
 
-    def __init__(self, config: MempoolConfig, chain: Chain, log_events: bool = False):
+    def __init__(self, config: SimConfig, chain: Chain):
         self.config = config
         self.chain = chain
         self.entries: dict[str, MempoolEntry] = {}
         self.spends: dict[tuple[str, int], str] = {}  # outpoint -> spender txid
         self.total_vsize = 0
-        self.log_events = log_events
-        self.events: list[dict] = []
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _log(self, now: float, event: str, **fields) -> None:
-        if self.log_events:
-            self.events.append({"t": now, "event": event, **fields})
 
     def __contains__(self, txid: str) -> bool:
         return txid in self.entries
@@ -126,7 +98,7 @@ class Mempool:
             return value if value > 0 else None  # zero outputs never materialize
         return None
 
-    def _remove(self, txid: str, now: float, event: str | None = None) -> list[MempoolEntry]:
+    def _remove(self, txid: str) -> list[MempoolEntry]:
         """Remove an entry and, recursively, any in-pool descendants."""
         entry = self.entries.pop(txid, None)
         if entry is None:
@@ -136,8 +108,6 @@ class Mempool:
         for inp in entry.tx.inputs:
             if self.spends.get(inp.outpoint) == txid:
                 del self.spends[inp.outpoint]
-        if event:
-            self._log(now, event, txid=txid)
         # children spend this entry's outputs and are orphaned by its removal
         children = [
             self.spends[op]
@@ -147,7 +117,7 @@ class Mempool:
             if op in self.spends
         ]
         for child in children:
-            removed.extend(self._remove(child, now, event))
+            removed.extend(self._remove(child))
         return removed
 
     # -- spec operations ----------------------------------------------------
@@ -163,7 +133,6 @@ class Mempool:
         for inp in tx.inputs:
             value = self._resolve_input_value(inp.outpoint)
             if value is None:
-                self._log(now, "reject", txid=tx.txid, reason=ORPHAN_INPUT)
                 return SubmitResult(False, ORPHAN_INPUT)
             spender = self.spends.get(inp.outpoint)
             if spender is not None:
@@ -172,10 +141,8 @@ class Mempool:
 
         fee = input_total - tx.output_total
         if fee < 0:
-            self._log(now, "reject", txid=tx.txid, reason=NEGATIVE_FEE)
             return SubmitResult(False, NEGATIVE_FEE)
         if fee < self.config.min_relay_fee_rate * tx.vsize:
-            self._log(now, "reject", txid=tx.txid, reason=BELOW_MIN_RELAY_FEE)
             return SubmitResult(False, BELOW_MIN_RELAY_FEE)
 
         replaced: list[str] = []
@@ -183,10 +150,9 @@ class Mempool:
             conflict_fee = sum(self.entries[c].fee for c in conflicts)
             replaceable = all(self.entries[c].rbf_enabled for c in conflicts)
             if not replaceable or fee <= conflict_fee:
-                self._log(now, "reject", txid=tx.txid, reason=CONFLICT_NOT_REPLACEABLE)
                 return SubmitResult(False, CONFLICT_NOT_REPLACEABLE)
             for conflict in sorted(conflicts):
-                replaced.extend(e.tx.txid for e in self._remove(conflict, now, "replace"))
+                replaced.extend(e.tx.txid for e in self._remove(conflict))
 
         depends_on = {
             inp.outpoint[0] for inp in tx.inputs if inp.outpoint[0] in self.entries
@@ -195,7 +161,6 @@ class Mempool:
             tx=tx,
             arrival=now,
             fee=fee,
-            fee_rate=Fraction(fee, tx.vsize),
             rbf_enabled=tx.rbf_enabled,
             depends_on=depends_on,
         )
@@ -204,22 +169,19 @@ class Mempool:
         for inp in tx.inputs:
             self.spends[inp.outpoint] = tx.txid
 
-        evicted = self._enforce_capacity(now)
+        self._enforce_capacity()
         if tx.txid not in self.entries:
-            self._log(now, "reject", txid=tx.txid, reason=MEMPOOL_FULL)
             return SubmitResult(False, MEMPOOL_FULL)
-        self._log(now, "accept", txid=tx.txid, fee=fee, vsize=tx.vsize,
-                  evicted=len(evicted), replaced=len(replaced))
         return SubmitResult(True, replaced=tuple(replaced))
 
-    def _enforce_capacity(self, now: float) -> list[str]:
+    def _enforce_capacity(self) -> list[str]:
         evicted: list[str] = []
-        while self.total_vsize > self.config.capacity_vbytes:
+        while self.total_vsize > self.config.mempool_capacity_vbytes:
             victim = min(
                 self.entries.values(),
                 key=lambda e: (e.rate_key, -e.arrival, e.tx.txid),
             )
-            evicted.extend(x.tx.txid for x in self._remove(victim.tx.txid, now, "evict"))
+            evicted.extend(x.tx.txid for x in self._remove(victim.tx.txid))
         return evicted
 
     def tick_expiry(self, now: float) -> list[Transaction]:
@@ -231,10 +193,10 @@ class Mempool:
         ]
         dropped: list[Transaction] = []
         for txid in stale:
-            dropped.extend(e.tx for e in self._remove(txid, now, "expire"))
+            dropped.extend(e.tx for e in self._remove(txid))
         return dropped
 
-    def mine_block(self, chain: Chain, now: float) -> Block:
+    def mine_block(self, now: float) -> Block:
         """Greedy fee-rate block template; selected entries leave the pool."""
         missing: dict[str, set[str]] = {}
         ready: list[tuple] = []
@@ -268,7 +230,7 @@ class Mempool:
                 if not pending:
                     heapq.heappush(ready, (_sort_key(self.entries[child]), child))
 
-        block = Block(height=chain.height + 1, timestamp=now)
+        block = Block(height=self.chain.height + 1, timestamp=now)
         for txid in selected:
             entry = self.entries.pop(txid)
             self.total_vsize -= entry.tx.vsize
@@ -276,18 +238,9 @@ class Mempool:
                 if self.spends.get(inp.outpoint) == txid:
                     del self.spends[inp.outpoint]
             block.transactions.append(entry.tx)
-        chain.append_block(block)
+        self.chain.append_block(block)
 
         mined = set(selected)
         for entry in self.entries.values():
             entry.depends_on -= mined
-        self._log(now, "mine", height=block.height, txs=len(block.transactions),
-                  vsize=self.config.block_capacity_vbytes - remaining)
         return block
-
-    # -- event log export ----------------------------------------------------
-
-    def export_events(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in self.events:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")

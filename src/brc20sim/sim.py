@@ -16,18 +16,19 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .background import BackgroundLoad, CongestionProfile
 from .chain import Chain, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
-from .mempool import DAY, Mempool, MempoolConfig, SubmitResult, UnknownTx
+from .mempool import DAY, Mempool, SubmitResult, UnknownTx
 from .wallet import WalletConfig
 
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
-    seed: int = 0
+    """Every simulation setting; the pool reads its policy from here too."""
+
     block_interval: float = 600.0
     block_capacity_vbytes: int = 10_150
     mempool_capacity_vbytes: int = 50_000_000
@@ -37,22 +38,22 @@ class SimConfig:
     wallet: WalletConfig = field(default_factory=WalletConfig)
     log_events: bool = False
 
-    def mempool_config(self) -> MempoolConfig:
-        return MempoolConfig(
-            capacity_vbytes=self.mempool_capacity_vbytes,
-            block_capacity_vbytes=self.block_capacity_vbytes,
-            block_interval=self.block_interval,
-            expiry=self.expiry,
-            min_relay_fee_rate=self.min_relay_fee_rate,
-            congestion_normal_count=self.congestion_normal_count,
-        )
+    def __post_init__(self) -> None:
+        for name in SETTINGS:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
+
+# The numeric settings, as written to the event-log header, accepted as CLI
+# config keys and required by replay.
+SETTINGS = tuple(f.name for f in fields(SimConfig) if f.name not in ("wallet", "log_events"))
 
 
 class Simulation:
     def __init__(self, config: SimConfig, profile: CongestionProfile | None = None):
         self.config = config
-        self.chain = Chain(config.block_interval)
-        self.pool = Mempool(config.mempool_config(), self.chain, config.log_events)
+        self.chain = Chain()
+        self.pool = Mempool(config, self.chain)
         self.indexer = Indexer()
         self.now = 0.0
         self.next_block_time = config.block_interval
@@ -61,7 +62,6 @@ class Simulation:
         self._window_generated = -1
         self.submit_times: dict[str, float] = {}
         self.submit_heights: dict[str, int] = {}
-        self.submit_results: dict[str, SubmitResult] = {}
         self.congestion_samples: list[float] = []
         self.grants_log: list[tuple[str, int]] = []
         self._watch: tuple[str, str] | None = None
@@ -107,7 +107,6 @@ class Simulation:
         """Record a submission done directly against the pool (wallet bundles)."""
         self.submit_times.setdefault(tx.txid, at)
         self.submit_heights.setdefault(tx.txid, self.chain.height)
-        self.submit_results[tx.txid] = result
         if self.config.log_events:
             self.event_log.append(
                 {
@@ -147,7 +146,7 @@ class Simulation:
                 return
             self.pool.tick_expiry(self.now)
             self.congestion_samples.append(self.pool.congestion())
-            block = self.pool.mine_block(self.chain, self.now)
+            block = self.pool.mine_block(self.now)
             self.indexer.apply_block(block, self.chain.tip_receipts)
             if self._watch is not None:
                 avail, trans, _ = self.indexer.balance(*self._watch)
@@ -212,13 +211,7 @@ class Simulation:
 
     def export_event_log(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"event": "header", "config": {
-                "block_interval": self.config.block_interval,
-                "block_capacity_vbytes": self.config.block_capacity_vbytes,
-                "mempool_capacity_vbytes": self.config.mempool_capacity_vbytes,
-                "min_relay_fee_rate": self.config.min_relay_fee_rate,
-                "expiry": self.config.expiry,
-                "congestion_normal_count": self.config.congestion_normal_count,
-            }}, sort_keys=True) + "\n")
+            config = {name: getattr(self.config, name) for name in SETTINGS}
+            fh.write(json.dumps({"event": "header", "config": config}, sort_keys=True) + "\n")
             for event in self.event_log:
                 fh.write(json.dumps(event, sort_keys=True) + "\n")

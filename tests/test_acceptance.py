@@ -143,7 +143,7 @@ def test_criterion_5_exchange_incident_replay():
 
 def _pinning_sim(seed: int, band: FeeBand) -> Simulation:
     profile = CongestionProfile.for_band(band.f_min, band.f_sf, 0.75, seed=seed)
-    sim = Simulation(SimConfig(seed=seed), profile)
+    sim = Simulation(SimConfig(), profile)
     for _ in range(4):
         sim.grant(TARGET, 50_000_000)
     sim.submit(inscription_tx(sim, TARGET, deploy_inscription(TICK, 21_000_000, 21_000_000), 500, "d"))
@@ -255,7 +255,7 @@ def test_criterion_8_mining_oracle_equivalence():
                 if pool.submit(tx, float(i)).accepted:
                     made.append(tx)
             expected = oracle_greedy(dict(pool.entries), chain, capacity)
-            block = pool.mine_block(chain, 600.0)
+            block = pool.mine_block(600.0)
             assert [t.txid for t in block.transactions] == expected
 
 

@@ -104,7 +104,7 @@ def pinned_sim(seed=0, minted=1_000_000):
     """Simulation under a band-aligned congested market, token funded."""
     band = FeeBand.from_floor(10)
     profile = CongestionProfile.for_band(band.f_min, band.f_sf, 0.75, seed=seed)
-    sim = Simulation(SimConfig(seed=seed), profile)
+    sim = Simulation(SimConfig(), profile)
     for _ in range(10):
         sim.grant(TARGET, 100_000_000)
     sim.submit(inscription_tx(sim, TARGET, deploy_inscription(TICK, 21_000_000, 21_000_000), 500, "d"))

@@ -6,13 +6,13 @@ from brc20sim.sim import SimConfig, Simulation
 
 def test_steady_state_congestion_tracks_target():
     for level in (0.25, 0.50, 0.75):
-        sim = Simulation(SimConfig(seed=1), CongestionProfile.for_level(level, seed=1))
+        sim = Simulation(SimConfig(), CongestionProfile.for_level(level, seed=1))
         sim.run_until(sim.now + 20 * 600.0)
         assert abs(sim.mean_congestion() - level) < 0.05
 
 
 def test_zero_target_leaves_pool_to_foreground():
-    sim = Simulation(SimConfig(seed=1), CongestionProfile.for_level(0.0, seed=1))
+    sim = Simulation(SimConfig(), CongestionProfile.for_level(0.0, seed=1))
     sim.run_blocks(5)
     assert len(sim.pool) == 0
     assert sim.mean_congestion() == 0.0
@@ -20,7 +20,7 @@ def test_zero_target_leaves_pool_to_foreground():
 
 def test_same_seed_identical_trajectories():
     def trace(seed):
-        sim = Simulation(SimConfig(seed=seed), CongestionProfile.for_level(0.5, seed))
+        sim = Simulation(SimConfig(), CongestionProfile.for_level(0.5, seed))
         sim.run_blocks(10)
         return [
             [tx.txid for tx in block.transactions] for block in sim.chain.blocks
@@ -63,7 +63,7 @@ def test_higher_fee_never_confirms_later():
     from brc20sim.chain import Transaction, TxInput, TxOutput, make_txid
 
     def probe_delay(rate: int, seed: int) -> float:
-        sim = Simulation(SimConfig(seed=seed), CongestionProfile.for_level(0.75, seed))
+        sim = Simulation(SimConfig(), CongestionProfile.for_level(0.75, seed))
         sim.run_blocks(2)
         fund = sim.grant("probe", 546 + rate * 600)
         inputs = (TxInput(fund.serial),)

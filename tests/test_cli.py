@@ -10,6 +10,9 @@ import pytest
 
 import brc20sim
 from brc20sim.cli import main
+from brc20sim.sim import SETTINGS, SimConfig
+
+HEADER = {"event": "header", "config": {name: getattr(SimConfig(), name) for name in SETTINGS}}
 
 
 def run_cli(capsys, *argv):
@@ -131,18 +134,25 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "command, content",
         [
-            ("sim", {"sim": {"expiry": "x"}}),
-            ("sim", {"sim": {"block_capacity_vbytes": "10"}}),
-            ("sim", {"sim": {"expiry": True}}),
-            ("sim", {"sim": [1]}),
-            ("sim", [1]),
-            ("replay", [1]),
-            ("replay", {"event": "header", "config": [1]}),
+            ("sim", [{"sim": {"expiry": "x"}}]),
+            ("sim", [{"sim": {"block_capacity_vbytes": "10"}}]),
+            ("sim", [{"sim": {"expiry": True}}]),
+            ("sim", [{"sim": [1]}]),
+            ("sim", [[1]]),
+            ("replay", [[1]]),
+            ("replay", [{"event": "header", "config": [1]}]),
+            ("replay", [{"event": "header", "config": {}}]),
+            ("replay", [HEADER, [1]]),
+            ("replay", [HEADER, {"event": "submit", "t": 0.0}]),
+            ("replay", [HEADER, {"event": "submit", "t": 0.0, "tx": {},
+                                 "accepted": True, "reason": None}]),
+            ("sim", [{"sim": {"block_interval": 0}}]),
+            ("sim", [{"sim": {"seed": 5}}]),
         ],
     )
     def test_bad_config_or_log_exits_one_without_traceback(self, tmp_path, command, content):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(content) + "\n")
+        path.write_text("".join(json.dumps(line) + "\n" for line in content))
         argv = ["sim", "--config", str(path)] if command == "sim" else ["replay", str(path)]
         src = str(Path(brc20sim.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

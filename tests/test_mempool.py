@@ -12,8 +12,8 @@ from brc20sim.mempool import (
     NEGATIVE_FEE,
     ORPHAN_INPUT,
     Mempool,
-    MempoolConfig,
 )
+from brc20sim.sim import SimConfig
 
 RBF_ON = 0xFFFFFFFD
 RBF_OFF = 0xFFFFFFFF
@@ -21,15 +21,14 @@ RBF_OFF = 0xFFFFFFFF
 
 def make_pool(**overrides) -> tuple[Mempool, Chain]:
     defaults = dict(
-        capacity_vbytes=1_000_000,
+        mempool_capacity_vbytes=1_000_000,
         block_capacity_vbytes=2_000,
-        block_interval=600.0,
         min_relay_fee_rate=1,
         congestion_normal_count=1000,
     )
     defaults.update(overrides)
-    chain = Chain(defaults["block_interval"])
-    return Mempool(MempoolConfig(**defaults), chain), chain
+    chain = Chain()
+    return Mempool(SimConfig(**defaults), chain), chain
 
 
 def spend(chain, owner_value, fee, vsize=100, sequence=RBF_ON, tag="", to="dest"):
@@ -86,7 +85,8 @@ class TestSubmit:
         pool, chain = make_pool()
         tx = spend(chain, 500, fee=333, vsize=100, tag="r")
         pool.submit(tx, 0.0)
-        assert pool.entries[tx.txid].fee_rate == Fraction(333, 100)
+        entry = pool.entries[tx.txid]
+        assert Fraction(entry.fee, entry.tx.vsize) == Fraction(333, 100)
 
     def test_in_pool_parent_resolves(self):
         pool, chain = make_pool()
@@ -180,7 +180,7 @@ class TestRbf:
 
 class TestEviction:
     def test_capacity_evicts_lowest_rate(self):
-        pool, chain = make_pool(capacity_vbytes=300)
+        pool, chain = make_pool(mempool_capacity_vbytes=300)
         txs = [
             spend(chain, 500, fee=rate * 100, vsize=100, tag=f"t{rate}")
             for rate in (150, 200, 300)
@@ -193,7 +193,7 @@ class TestEviction:
         assert pool.total_vsize <= 300
 
     def test_below_floor_rejected_immediately(self):
-        pool, chain = make_pool(capacity_vbytes=300)
+        pool, chain = make_pool(mempool_capacity_vbytes=300)
         for i, rate in enumerate((150, 200, 300)):
             pool.submit(spend(chain, 500, fee=rate * 100, vsize=100, tag=f"t{i}"), float(i))
         low = spend(chain, 500, fee=100 * 100, vsize=100, tag="low")
@@ -203,7 +203,7 @@ class TestEviction:
 
     def test_vsize_never_exceeds_capacity(self):
         rng = random.Random(5)
-        pool, chain = make_pool(capacity_vbytes=1_000)
+        pool, chain = make_pool(mempool_capacity_vbytes=1_000)
         for i in range(200):
             vsize = rng.choice((100, 250, 400))
             rate = rng.randint(1, 500)
@@ -241,13 +241,13 @@ class TestCongestion:
         assert pool.congestion() == 0.0
 
     def test_ratio(self):
-        pool, chain = make_pool(congestion_normal_count=1000, capacity_vbytes=10**9)
+        pool, chain = make_pool(congestion_normal_count=1000, mempool_capacity_vbytes=10**9)
         for i in range(750):
             pool.submit(spend(chain, 500, fee=1_000, tag=f"c{i}"), 0.0)
         assert pool.congestion() == 0.75
 
     def test_uncapped_above_normal(self):
-        pool, chain = make_pool(congestion_normal_count=10_000, capacity_vbytes=10**9)
+        pool, chain = make_pool(congestion_normal_count=10_000, mempool_capacity_vbytes=10**9)
         for i in range(14_948):
             pool.submit(spend(chain, 5, fee=100, tag=f"c{i}"), 0.0)
         assert pool.congestion() == 1.4948  # congestion can exceed 100%
@@ -288,7 +288,7 @@ class TestMining:
         b = spend(chain, 500, fee=100 * 100, vsize=100, tag="B")
         pool.submit(a, 0.0)
         pool.submit(b, 1.0)
-        block = pool.mine_block(chain, 600.0)
+        block = pool.mine_block(600.0)
         assert [t.txid for t in block.transactions] == [a.txid]
         assert b.txid in pool
 
@@ -298,7 +298,7 @@ class TestMining:
         pool.submit(parent, 0.0)
         child = child_of(parent, 0, 100_000, fee=900 * 100, vsize=100)
         pool.submit(child, 1.0)
-        block = pool.mine_block(chain, 600.0)
+        block = pool.mine_block(600.0)
         assert [t.txid for t in block.transactions] == [parent.txid, child.txid]
 
     def test_child_only_after_parent_selected(self):
@@ -307,11 +307,11 @@ class TestMining:
         pool.submit(parent, 0.0)
         child = child_of(parent, 0, 100_000, fee=900 * 100, vsize=100)
         pool.submit(child, 1.0)
-        block = pool.mine_block(chain, 600.0)
+        block = pool.mine_block(600.0)
         # capacity fits one: the parent goes first, the child must wait
         assert [t.txid for t in block.transactions] == [parent.txid]
         assert pool.entries[child.txid].depends_on == set()
-        nxt = pool.mine_block(chain, 1200.0)
+        nxt = pool.mine_block(1200.0)
         assert [t.txid for t in nxt.transactions] == [child.txid]
 
     def test_matches_greedy_oracle_on_random_pools(self):
@@ -336,7 +336,7 @@ class TestMining:
                 if pool.submit(tx, float(i)).accepted:
                     made.append(tx)
             expected = oracle_greedy(dict(pool.entries), chain, capacity)
-            block = pool.mine_block(chain, 600.0)
+            block = pool.mine_block(600.0)
             assert [t.txid for t in block.transactions] == expected
 
     def test_deterministic_block_sequence(self):
@@ -352,7 +352,7 @@ class TestMining:
                     float(i),
                 )
                 if i % 20 == 19:
-                    block = pool.mine_block(chain, 600.0 * (i // 20 + 1))
+                    block = pool.mine_block(600.0 * (i // 20 + 1))
                     heights.append([t.txid for t in block.transactions])
             return heights
 
@@ -364,7 +364,7 @@ class TestDelays:
         pool, chain = make_pool()
         tx = spend(chain, 500, fee=50_000, tag="d")
         pool.submit(tx, 0.0)
-        pool.mine_block(chain, 600.0)
+        pool.mine_block(600.0)
         assert chain.confirmation_time(tx.txid) == 600.0
 
     def test_third_block_delay(self):
@@ -373,7 +373,7 @@ class TestDelays:
         for i, tx in enumerate(txs):
             pool.submit(tx, 0.0)
         for k in range(3):
-            pool.mine_block(chain, 600.0 * (k + 1))
+            pool.mine_block(600.0 * (k + 1))
         assert chain.confirmation_time(txs[2].txid) == 1800.0
 
     def test_pending_is_none(self):
@@ -381,17 +381,3 @@ class TestDelays:
         tx = spend(chain, 500, fee=50_000, tag="p")
         pool.submit(tx, 0.0)
         assert chain.confirmation_time(tx.txid) is None
-
-
-class TestEventLog:
-    def test_events_recorded(self, tmp_path):
-        pool, chain = make_pool()
-        pool.log_events = True
-        tx = spend(chain, 500, fee=50_000, tag="e")
-        pool.submit(tx, 0.0)
-        pool.mine_block(chain, 600.0)
-        kinds = [e["event"] for e in pool.events]
-        assert kinds == ["accept", "mine"]
-        path = tmp_path / "events.jsonl"
-        pool.export_events(str(path))
-        assert len(path.read_text().splitlines()) == 2

@@ -6,7 +6,7 @@ from brc20sim.attack import FeeBand
 from brc20sim.background import CongestionProfile
 from brc20sim.chain import Chain, RBF_SEQUENCE, MAX_SEQUENCE
 from brc20sim.indexer import parse_envelope, InscribeTransfer
-from brc20sim.mempool import Mempool, MempoolConfig
+from brc20sim.mempool import Mempool
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import (
     ConflictNotReplaceable,
@@ -28,7 +28,7 @@ CFG = WalletConfig()
 def fresh_wallet(balance=10_000_000, owner="alice"):
     chain = Chain()
     chain.utxo_set.grant(owner, balance)
-    pool = Mempool(MempoolConfig(), chain)
+    pool = Mempool(SimConfig(block_capacity_vbytes=10_400), chain)
     return chain, pool
 
 
@@ -99,7 +99,7 @@ class TestBuildTransfer:
         chain, pool = fresh_wallet(balance=300_000)
         first = build_transfer(request(), chain.utxo_set, CFG)
         submit_bundle(first, pool, 0.0, CFG)
-        pool.mine_block(chain, 600.0)  # both legs confirm; inscription at bob
+        pool.mine_block(600.0)  # both legs confirm; inscription at bob
         # bob now owns the inscribed dust; a transfer from bob must not use it
         chain.utxo_set.grant("bob", 200_000)
         bundle = build_transfer(request(sender="bob", recipient="alice"),
@@ -120,13 +120,13 @@ class TestSubmitBundle:
         assert r1.accepted and r2.accepted
         assert bundle.tx2_submit == 5.0 + CFG.bundle_gap
         assert pool.entries[bundle.tx2.txid].depends_on == {bundle.tx1.txid}
-        pool.mine_block(chain, 600.0)
+        pool.mine_block(600.0)
         assert chain.confirmed(bundle.tx1.txid)
 
     def test_tx2_below_min_relay_is_retriable(self):
         chain = Chain()
         chain.utxo_set.grant("alice", 10_000_000)
-        pool = Mempool(MempoolConfig(min_relay_fee_rate=100), chain)
+        pool = Mempool(SimConfig(block_capacity_vbytes=10_400, min_relay_fee_rate=100), chain)
         bundle = build_transfer(request(fee_rate=50), chain.utxo_set, CFG)
         r1, r2 = submit_bundle(bundle, pool, 0.0, CFG)
         assert not r1.accepted and not r2.accepted
@@ -170,7 +170,7 @@ class TestRecovery:
         """Sim with one in-band bundle pinned under a congested market."""
         band = FeeBand.from_floor(100)  # (100, 225)
         profile = CongestionProfile.for_band(band.f_min, band.f_sf, 0.75, seed=3)
-        sim = Simulation(SimConfig(seed=3), profile)
+        sim = Simulation(SimConfig(), profile)
         for _ in range(4):
             sim.grant("alice", 10_000_000)
         req = request(fee_rate=201, recipient="bob")

@@ -4,12 +4,38 @@ Entries are prioritized by fee rate (sat/vB).  Block template construction is
 a dependency-respecting greedy: repeatedly take the highest-rate entry whose
 in-pool parents are all already selected and which still fits the remaining
 block capacity.  Replace-by-fee, capacity eviction and 14-day expiry follow
-the usual node behavior.
+the usual node behavior.  A replacement first removes its conflicts and then
+faces capacity eviction like any newcomer, which is Bitcoin Core's order
+before cluster mempool (replace, then trim); when the replacement itself is
+trimmed, the rejection still lists the conflicts it removed.
+
+The pool maintains its orderings on every submit and removal instead of
+rebuilding them per block.  With n entries, s entries selected for a block
+and k distinct vsizes among the ready entries:
+
+- ``spends`` maps every outpoint an entry spends to that entry, so an
+  entry's in-pool children are the spenders of its outputs, and
+  ``depends_on`` holds each entry's in-pool parents (a mined parent is
+  pruned from its children only).
+- The ready entries, those with no in-pool parent, sit in one best-rate-first
+  heap per vsize.  ``mine_block`` repeatedly takes the best top among the
+  heaps whose vsize still fits, in O(s * (k + log n)): it touches the
+  selected entries and their children, never the unmined rest.
+- Every entry sits in a low-rate-first eviction heap, so each capacity
+  eviction costs O(log n) instead of an O(n) scan.
+- Both heaps delete lazily.  A removal leaves the entry's items behind; an
+  item counts only while its txid is in the pool with the item's arrival
+  time, so a txid evicted and resubmitted is not mistaken for its old item.
+  Once removals since the last rebuild outnumber the entries, both heaps are
+  rebuilt from ``entries`` in O(n), which is O(1) per removal amortized.
+- ``tick_expiry`` is O(1) while a lower bound on the oldest arrival cannot
+  expire; only then does it scan the pool in insertion order.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -75,6 +101,11 @@ class Mempool:
         self.entries: dict[str, MempoolEntry] = {}
         self.spends: dict[tuple[str, int], str] = {}  # outpoint -> spender txid
         self.total_vsize = 0
+        # lazily deleted indexes (see the module docstring)
+        self._ready: dict[int, list[tuple]] = {}  # vsize -> heap of _sort_key
+        self._by_rate: list[tuple] = []  # heap of (rate_key, -arrival, txid)
+        self._removed = 0  # entries removed or mined since the last rebuild
+        self._oldest = math.inf  # at most the earliest arrival in the pool
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -98,12 +129,36 @@ class Mempool:
             return value if value > 0 else None  # zero outputs never materialize
         return None
 
+    def _live(self, txid: str, arrival: float) -> bool:
+        """Whether a heap item for (txid, arrival) still stands for an entry."""
+        entry = self.entries.get(txid)
+        return entry is not None and entry.arrival == arrival
+
+    def _push_ready(self, entry: MempoolEntry) -> None:
+        heapq.heappush(self._ready.setdefault(entry.tx.vsize, []), _sort_key(entry))
+
+    def _forget(self, count: int) -> None:
+        """Count removals; rebuild the heaps once stale items may dominate."""
+        self._removed += count
+        if self._removed <= len(self.entries):
+            return
+        self._removed = 0
+        self._by_rate = [(e.rate_key, -e.arrival, t) for t, e in self.entries.items()]
+        heapq.heapify(self._by_rate)
+        self._ready = {}
+        for entry in self.entries.values():
+            if not entry.depends_on:
+                self._ready.setdefault(entry.tx.vsize, []).append(_sort_key(entry))
+        for heap in self._ready.values():
+            heapq.heapify(heap)
+
     def _remove(self, txid: str) -> list[MempoolEntry]:
         """Remove an entry and, recursively, any in-pool descendants."""
         entry = self.entries.pop(txid, None)
         if entry is None:
             return []
         self.total_vsize -= entry.tx.vsize
+        self._forget(1)
         removed = [entry]
         for inp in entry.tx.inputs:
             if self.spends.get(inp.outpoint) == txid:
@@ -168,24 +223,29 @@ class Mempool:
         self.total_vsize += tx.vsize
         for inp in tx.inputs:
             self.spends[inp.outpoint] = tx.txid
+        heapq.heappush(self._by_rate, (entry.rate_key, -now, tx.txid))
+        if not depends_on:
+            self._push_ready(entry)
+        self._oldest = min(self._oldest, now)
 
         self._enforce_capacity()
         if tx.txid not in self.entries:
-            return SubmitResult(False, MEMPOOL_FULL)
+            return SubmitResult(False, MEMPOOL_FULL, replaced=tuple(replaced))
         return SubmitResult(True, replaced=tuple(replaced))
 
     def _enforce_capacity(self) -> list[str]:
+        """Evict lowest-rate entries, latest arrival first, until the pool fits."""
         evicted: list[str] = []
         while self.total_vsize > self.config.mempool_capacity_vbytes:
-            victim = min(
-                self.entries.values(),
-                key=lambda e: (e.rate_key, -e.arrival, e.tx.txid),
-            )
-            evicted.extend(x.tx.txid for x in self._remove(victim.tx.txid))
+            _, neg_arrival, txid = heapq.heappop(self._by_rate)
+            if self._live(txid, -neg_arrival):
+                evicted.extend(x.tx.txid for x in self._remove(txid))
         return evicted
 
     def tick_expiry(self, now: float) -> list[Transaction]:
         """Drop entries older than the expiry window (strictly older)."""
+        if now - self._oldest <= self.config.expiry:
+            return []
         stale = [
             txid
             for txid, entry in self.entries.items()
@@ -194,53 +254,39 @@ class Mempool:
         dropped: list[Transaction] = []
         for txid in stale:
             dropped.extend(e.tx for e in self._remove(txid))
+        self._oldest = min((e.arrival for e in self.entries.values()), default=math.inf)
         return dropped
 
     def mine_block(self, now: float) -> Block:
         """Greedy fee-rate block template; selected entries leave the pool."""
-        missing: dict[str, set[str]] = {}
-        ready: list[tuple] = []
-        min_vsize = self.config.block_capacity_vbytes
-        for txid, entry in self.entries.items():
-            min_vsize = min(min_vsize, entry.tx.vsize)
-            parents = {p for p in entry.depends_on if p in self.entries}
-            if parents:
-                missing[txid] = parents
-            else:
-                ready.append((_sort_key(entry), txid))
-        heapq.heapify(ready)
-
-        children: dict[str, list[str]] = {}
-        for txid, parents in missing.items():
-            for parent in sorted(parents):
-                children.setdefault(parent, []).append(txid)
-
-        remaining = self.config.block_capacity_vbytes
-        selected: list[str] = []
-        while ready and remaining >= min_vsize:
-            txid = heapq.heappop(ready)[1]
-            entry = self.entries[txid]
-            if entry.tx.vsize > remaining:
-                continue  # capacity only shrinks; drop from consideration
-            selected.append(txid)
-            remaining -= entry.tx.vsize
-            for child in children.get(txid, ()):
-                pending = missing[child]
-                pending.discard(txid)
-                if not pending:
-                    heapq.heappush(ready, (_sort_key(self.entries[child]), child))
-
         block = Block(height=self.chain.height + 1, timestamp=now)
-        for txid in selected:
+        remaining = self.config.block_capacity_vbytes
+        while True:
+            # the best ready entry that fits tops one of the fitting heaps
+            best: list[tuple] | None = None
+            for vsize, heap in self._ready.items():
+                if vsize > remaining:
+                    continue
+                while heap and not self._live(heap[0][2], heap[0][1]):
+                    heapq.heappop(heap)
+                if heap and (best is None or heap[0] < best[0]):
+                    best = heap
+            if best is None:
+                break
+            txid = heapq.heappop(best)[2]
             entry = self.entries.pop(txid)
+            remaining -= entry.tx.vsize
             self.total_vsize -= entry.tx.vsize
             for inp in entry.tx.inputs:
                 if self.spends.get(inp.outpoint) == txid:
                     del self.spends[inp.outpoint]
+            for i in range(len(entry.tx.outputs)):
+                child = self.entries.get(self.spends.get((txid, i)))
+                if child is not None and txid in child.depends_on:
+                    child.depends_on.remove(txid)
+                    if not child.depends_on:
+                        self._push_ready(child)
             block.transactions.append(entry.tx)
         self.chain.append_block(block)
-
-        mined = set(selected)
-        for entry in self.entries.values():
-            entry.depends_on -= mined
+        self._forget(len(block.transactions))
         return block

@@ -1,6 +1,7 @@
 """Mempool behavior: priority mining, RBF, eviction, expiry, congestion."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from brc20sim.chain import Chain, Transaction, TxInput, TxOutput, make_txid
@@ -177,6 +178,26 @@ class TestRbf:
             ]
             assert len(spenders) <= 1
 
+    def test_trimmed_replacement_still_reports_replaced(self):
+        pool, chain = make_pool(mempool_capacity_vbytes=300)
+        coin = chain.utxo_set.grant("funder", 100_000)
+        orig = Transaction(
+            "orig", (TxInput(coin.serial, RBF_ON),), (TxOutput(100_000 - 5_000, "a"),), 100
+        )
+        assert pool.submit(orig, 0.0).accepted
+        for rate in (300, 400):
+            assert pool.submit(spend(chain, 500, fee=rate * 100, tag=f"h{rate}"), 1.0)
+        late = Transaction(
+            "late", (TxInput(coin.serial, RBF_ON),), (TxOutput(100_000 - 12_000, "a"),), 200
+        )
+        result = pool.submit(late, 2.0)
+        # replace first, then trim: the replacement is the lowest-rate entry
+        assert not result.accepted and result.reason == MEMPOOL_FULL
+        assert result.replaced == ("orig",)
+        assert "orig" not in pool and "late" not in pool
+        assert coin.serial not in pool.spends
+        assert pool.total_vsize == 200
+
 
 class TestEviction:
     def test_capacity_evicts_lowest_rate(self):
@@ -210,6 +231,40 @@ class TestEviction:
             pool.submit(spend(chain, 500, fee=rate * vsize, vsize=vsize, tag=f"s{i}"), float(i))
             assert pool.total_vsize <= 1_000
 
+    def test_parent_eviction_cascades_to_children(self):
+        pool, chain = make_pool()
+        parent = spend(chain, 100_000, fee=2 * 100, tag="p")
+        child = child_of(parent, 0, 100_000, fee=100 * 100)
+        keeper = spend(chain, 500, fee=50 * 100, tag="k")
+        for i, tx in enumerate((parent, child, keeper)):
+            assert pool.submit(tx, float(i)).accepted
+        pool.config = replace(pool.config, mempool_capacity_vbytes=100)
+        assert pool._enforce_capacity() == [parent.txid, child.txid]
+        assert list(pool.entries) == [keeper.txid]
+        assert set(pool.spends) == {keeper.inputs[0].outpoint}
+        assert pool.total_vsize == 100
+        assert [t.txid for t in pool.mine_block(600.0).transactions] == [keeper.txid]
+
+    def test_resubmitted_txid_is_not_its_stale_item(self):
+        # the huge entries never fit a block and outrank `a`, so `a` is the
+        # one evicted; its ready item (arrival 1) outlives it
+        pool, chain = make_pool(mempool_capacity_vbytes=5_200, block_capacity_vbytes=100)
+        for i in range(5):
+            pool.submit(spend(chain, 500, fee=30 * 1_000, vsize=1_000, tag=f"f{i}"), 0.0)
+        a = spend(chain, 500, fee=10 * 100, tag="a")
+        b = spend(chain, 500, fee=10 * 100, tag="b")
+        assert pool.submit(a, 1.0).accepted
+        pool.submit(spend(chain, 500, fee=50 * 100, tag="h1"), 2.0)
+        assert pool.submit(spend(chain, 500, fee=50 * 100, tag="h2"), 3.0).accepted
+        assert a.txid not in pool
+        pool.mine_block(600.0)  # h1
+        assert pool.submit(b, 601.0).accepted
+        pool.mine_block(1200.0)  # h2
+        assert pool.submit(a, 1201.0).accepted
+        # equal rates: the earlier arrival wins, and `a` now arrived last
+        assert [t.txid for t in pool.mine_block(1800.0).transactions] == [b.txid]
+        assert [t.txid for t in pool.mine_block(2400.0).transactions] == [a.txid]
+
 
 class TestExpiry:
     def test_expiry_boundaries(self):
@@ -233,6 +288,36 @@ class TestExpiry:
         pool.submit(child, 13 * 86400.0)
         dropped = pool.tick_expiry(14 * 86400.0 + 1.0)
         assert {t.txid for t in dropped} == {parent.txid, child.txid}
+
+    def test_out_of_order_arrivals_expire_in_pool_order(self):
+        pool, chain = make_pool(expiry=100.0)
+        txs = {at: spend(chain, 500, fee=10_000, tag=f"e{at}") for at in (50, 10, 40, 5, 60)}
+        for at, tx in txs.items():
+            pool.submit(tx, float(at))
+        assert pool.tick_expiry(105.0) == []  # the oldest is aged exactly 100
+        dropped = pool.tick_expiry(145.0)
+        assert [t.txid for t in dropped] == [txs[10].txid, txs[40].txid, txs[5].txid]
+        assert list(pool.entries) == [txs[50].txid, txs[60].txid]
+
+    def test_expiry_after_oldest_entry_left(self):
+        pool, chain = make_pool(
+            expiry=100.0, block_capacity_vbytes=100, mempool_capacity_vbytes=200
+        )
+        mined = spend(chain, 500, fee=90 * 100, tag="mined")
+        evicted = spend(chain, 500, fee=1 * 100, tag="evicted")
+        young = spend(chain, 500, fee=5 * 100, tag="young")
+        pool.submit(mined, 0.0)
+        pool.submit(evicted, 1.0)
+        pool.mine_block(2.0)
+        assert pool.submit(young, 20.0).accepted
+        later = spend(chain, 500, fee=9 * 100, tag="later")
+        assert pool.submit(later, 30.0).accepted
+        assert evicted.txid not in pool
+        assert pool.tick_expiry(115.0) == []
+        assert [t.txid for t in pool.tick_expiry(121.0)] == [young.txid]
+        assert pool.tick_expiry(125.0) == []
+        assert [t.txid for t in pool.tick_expiry(131.0)] == [later.txid]
+        assert len(pool) == 0
 
 
 class TestCongestion:
@@ -279,6 +364,92 @@ def oracle_greedy(entries, confirmed, capacity):
         chosen.append(best)
         remaining -= left[best].tx.vsize
         del left[best]
+
+
+def check_pool_invariants(pool):
+    entries = pool.entries
+    assert pool.total_vsize == sum(e.tx.vsize for e in entries.values())
+    assert pool.spends == {
+        inp.outpoint: txid for txid, e in entries.items() for inp in e.tx.inputs
+    }
+    for entry in entries.values():
+        parents = {inp.outpoint[0] for inp in entry.tx.inputs}
+        assert entry.depends_on == parents & entries.keys()
+
+
+def random_pool_history(seed, blocks=12):
+    """Submit, bump, resubmit and mine at random; each block must match the oracle.
+
+    Returns how often each path was taken, so callers can check coverage.
+    """
+    rng = random.Random(seed)
+    block_capacity = rng.randint(400, 1_200)
+    pool, chain = make_pool(
+        mempool_capacity_vbytes=rng.randint(1_500, 3_000),
+        block_capacity_vbytes=block_capacity,
+        expiry=1_800.0,
+    )
+    seen = dict(evicted=0, replaced=0, expired=0, resubmitted=0, children_mined=0)
+    gone: list[Transaction] = []  # left the pool unmined
+    now = 0.0
+
+    def make(outpoints, total, vsize, rate, sequence=RBF_ON):
+        fee = rate * vsize  # at most 80 * 400, below every input's value
+        half = (total - fee) // 2
+        inputs = tuple(TxInput(op, sequence) for op in outpoints)
+        outputs = (TxOutput(half, "x"), TxOutput(total - fee - half, "y"))
+        txid = make_txid(inputs, outputs, vsize, tag=f"{seed}-{rng.random()}")
+        return Transaction(txid, inputs, outputs, vsize)
+
+    for height in range(1, blocks + 1):
+        for _ in range(rng.randint(4, 14)):
+            now += rng.uniform(0.0, 40.0)
+            vsize = rng.choice((100, 150, 250, 400))
+            rate = rng.randint(1, 60)
+            roll = rng.random()
+            free = [
+                ((txid, i), out.value)
+                for txid, e in pool.entries.items()
+                for i, out in enumerate(e.tx.outputs)
+                if (txid, i) not in pool.spends and out.value > 40_000
+            ]
+            if roll < 0.3 and free:  # a child of one or two in-pool outputs
+                picks = rng.sample(free, min(len(free), rng.choice((1, 2))))
+                tx = make([op for op, _ in picks], sum(v for _, v in picks), vsize, rate)
+            elif roll < 0.45 and pool.entries:  # a fee bump of a one-input entry
+                target = pool.entries[rng.choice(list(pool.entries))].tx
+                if len(target.inputs) != 1:
+                    continue
+                outpoint = target.inputs[0].outpoint
+                tx = make([outpoint], pool._resolve_input_value(outpoint), vsize, rate + 20)
+            elif roll < 0.55 and gone:  # an evicted, replaced or expired tx again
+                tx = gone.pop(rng.randrange(len(gone)))
+                seen["resubmitted"] += 1
+            else:
+                coin = chain.utxo_set.grant("funder", 100_000)
+                tx = make([coin.serial], coin.value, vsize, rate,
+                          rng.choice((RBF_ON, RBF_ON, RBF_OFF)))
+            before = dict(pool.entries)
+            result = pool.submit(tx, now)
+            check_pool_invariants(pool)
+            removed = [e.tx for txid, e in before.items() if txid not in pool.entries]
+            gone.extend(removed)
+            if result.reason == MEMPOOL_FULL:
+                gone.append(tx)
+            seen["replaced"] += len(result.replaced)
+            seen["evicted"] += len(removed) - len(result.replaced)
+        now = 600.0 * height
+        dropped = pool.tick_expiry(now)
+        check_pool_invariants(pool)
+        gone.extend(dropped)
+        seen["expired"] += len(dropped)
+        with_parents = {txid for txid, e in pool.entries.items() if e.depends_on}
+        expected = oracle_greedy(dict(pool.entries), chain, block_capacity)
+        block = pool.mine_block(now)
+        assert [t.txid for t in block.transactions] == expected, (seed, height)
+        check_pool_invariants(pool)
+        seen["children_mined"] += len(with_parents & set(expected))
+    return seen
 
 
 class TestMining:
@@ -338,6 +509,13 @@ class TestMining:
             expected = oracle_greedy(dict(pool.entries), chain, capacity)
             block = pool.mine_block(600.0)
             assert [t.txid for t in block.transactions] == expected
+
+    def test_multi_block_histories_match_greedy_oracle(self):
+        totals: dict[str, int] = {}
+        for seed in range(40):
+            for key, count in random_pool_history(seed).items():
+                totals[key] = totals.get(key, 0) + count
+        assert all(totals.values()), totals  # every path was exercised
 
     def test_deterministic_block_sequence(self):
         def build():

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 from .sim import Simulation
-from .wallet import TransferRequest, build_transfer, submit_bundle
+# unused here, but bench/tracing.py wraps the build_transfer name in this module
+from .wallet import TransferRequest, build_transfer
 
 
 class AttackError(Exception):
@@ -80,8 +81,6 @@ def tolerance(inputs: ToleranceInputs) -> float:
     Surplus liquidity divided by the consumption rate (volume over its
     measurement period).
     """
-    if inputs.volume_per_period == 0:
-        raise ZeroDivisionError("volume is zero")
     surplus = inputs.available_liquidity - inputs.required_liquidity
     return surplus * inputs.period_seconds / inputs.volume_per_period
 
@@ -148,13 +147,9 @@ class AttackOutcome:
         return [r.row() for r in self.per_attempt]
 
 
-def evaluate_success(per_attempt, t_bar: float) -> bool:
+def evaluate_success(delays: list[float], t_bar: float) -> bool:
     """True iff any attempt's effective delay strictly exceeds the tolerance."""
-    for item in per_attempt:
-        delay = item if isinstance(item, (int, float)) else item.effective_delay
-        if delay > t_bar:
-            return True
-    return False
+    return any(delay > t_bar for delay in delays)
 
 
 def _zero_attempt(index: int, fee: int, now: float) -> AttemptRecord:
@@ -209,14 +204,13 @@ def execute(config: AttackConfig, sim: Simulation, stop_on_success: bool = True)
         for record in outcome.per_attempt:
             if record.tx2 is not None:
                 _finalize_record(sim, record)
-        outcome.success = evaluate_success(outcome.per_attempt, config.tolerance_s)
+        delays = [r.effective_delay for r in outcome.per_attempt]
+        outcome.success = evaluate_success(delays, config.tolerance_s)
 
     avail, trans, _ = sim.balance(config.tick, config.target)
     outcome.total_pinned = trans
     outcome.target_available_at_end = avail
-    outcome.peak_pinned = max(
-        (s[2] for s in sim.balance_samples), default=trans
-    )
+    outcome.peak_pinned = max((s[2] for s in sim.balance_samples), default=trans)
     return outcome
 
 
@@ -229,15 +223,7 @@ def _launch_attempt(config, sim, index: int, amount: int, fee: int) -> AttemptRe
         fee_rate=fee,
         rbf=config.rbf,
     )
-    bundle = build_transfer(
-        req,
-        sim.chain.utxo_set,
-        sim.config.wallet,
-        exclude=set(sim.pool.spends),  # never double-spend pool-encumbered coins
-    )
-    r1, r2 = submit_bundle(bundle, sim.pool, sim.now, sim.config.wallet)
-    sim.note_submitted(bundle.tx1, bundle.tx1_submit, r1)
-    sim.note_submitted(bundle.tx2, bundle.tx2_submit, r2)
+    bundle, _, _ = sim.send_transfer(req)
     return AttemptRecord(
         index=index,
         amount=amount,

@@ -18,7 +18,8 @@ from .background import CongestionProfile
 from .chain import Transaction, TxInput, TxOutput, make_txid
 from .indexer import deploy_inscription, mint_inscription
 from .sim import SimConfig, Simulation
-from .wallet import TransferRequest, build_recovery, build_transfer, submit_bundle
+# unused here, but bench/tracing.py wraps the build_transfer name in this module
+from .wallet import TransferRequest, build_recovery, build_transfer
 
 TICK = "ordi"
 TARGET = "hot-wallet"
@@ -214,6 +215,8 @@ def run_sweep(
     workers: int = 1,
 ) -> list[SweepRow]:
     grid = default_grid() if grid is None else grid
+    if not seeds:
+        raise ValueError("the sweep needs at least one seed")
     tasks = [(config, tuple(seeds)) for config in grid]
     if workers > 1:
         import multiprocessing
@@ -283,15 +286,8 @@ def _expect(check: bool, label: str, transcript: list[dict], **details) -> None:
 
 def _bundle(sim: Simulation, sender: str, recipient: str, amount: int, fee_rate: int):
     """Build and submit one transfer bundle; both halves must be accepted."""
-    req = TransferRequest(
-        TICK, amount, sender=sender, recipient=recipient, fee_rate=fee_rate, rbf=True
-    )
-    bundle = build_transfer(
-        req, sim.chain.utxo_set, sim.config.wallet, exclude=set(sim.pool.spends)
-    )
-    r1, r2 = submit_bundle(bundle, sim.pool, sim.now, sim.config.wallet)
-    sim.note_submitted(bundle.tx1, bundle.tx1_submit, r1)
-    sim.note_submitted(bundle.tx2, bundle.tx2_submit, r2)
+    req = TransferRequest(TICK, amount, sender=sender, recipient=recipient, fee_rate=fee_rate)
+    bundle, r1, r2 = sim.send_transfer(req)
     if not (r1.accepted and r2.accepted):
         raise ReplayDivergence(
             f"bundle {sender} -> {recipient} rejected: {r1.reason}, {r2.reason}"

@@ -63,6 +63,7 @@ NEGATIVE_FEE = "negative-fee"
 MEMPOOL_FULL = "mempool-full"
 DUPLICATE = "duplicate"
 DUPLICATE_INPUT = "duplicate-input"
+SPENDS_CONFLICTING_TX = "spends-conflicting-tx"
 
 
 @dataclass(slots=True)
@@ -152,6 +153,16 @@ class Mempool:
         for heap in self._ready.values():
             heapq.heapify(heap)
 
+    def _ancestors(self, parents: set[str]) -> set[str]:
+        """The given in-pool entries and all their in-pool ancestors."""
+        seen, stack = set(), list(parents)
+        while stack:
+            txid = stack.pop()
+            if txid not in seen:
+                seen.add(txid)
+                stack.extend(self.entries[txid].depends_on)
+        return seen
+
     def _remove(self, txid: str) -> list[MempoolEntry]:
         """Remove an entry and, recursively, any in-pool descendants."""
         entry = self.entries.pop(txid, None)
@@ -200,18 +211,20 @@ class Mempool:
         if fee < self.config.min_relay_fee_rate * tx.vsize:
             return SubmitResult(False, BELOW_MIN_RELAY_FEE)
 
+        depends_on = {
+            inp.outpoint[0] for inp in tx.inputs if inp.outpoint[0] in self.entries
+        }
         replaced: list[str] = []
         if conflicts:
             conflict_fee = sum(self.entries[c].fee for c in conflicts)
             replaceable = all(self.entries[c].rbf_enabled for c in conflicts)
             if not replaceable or fee <= conflict_fee:
                 return SubmitResult(False, CONFLICT_NOT_REPLACEABLE)
+            # an input from a conflict or its descendant would leave the pool with it
+            if not conflicts.isdisjoint(self._ancestors(depends_on)):
+                return SubmitResult(False, SPENDS_CONFLICTING_TX)
             for conflict in sorted(conflicts):
                 replaced.extend(e.tx.txid for e in self._remove(conflict))
-
-        depends_on = {
-            inp.outpoint[0] for inp in tx.inputs if inp.outpoint[0] in self.entries
-        }
         entry = MempoolEntry(
             tx=tx,
             arrival=now,

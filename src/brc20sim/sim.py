@@ -18,11 +18,12 @@ import heapq
 import json
 from dataclasses import dataclass, field, fields
 
+from . import wallet
 from .background import BackgroundLoad, CongestionProfile
 from .chain import Chain, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
 from .mempool import DAY, Mempool, SubmitResult, UnknownTx
-from .wallet import WalletConfig
+from .wallet import TransferBundle, TransferRequest, WalletConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +74,7 @@ class Simulation:
                 profile, config.congestion_normal_count, config.block_capacity_vbytes
             )
             for tx in self.background.sediment(self.grant):
-                self._do_submit(tx, self.now)
+                self.submit(tx)
 
     # -- funding -------------------------------------------------------------
 
@@ -89,34 +90,31 @@ class Simulation:
 
     # -- submissions -----------------------------------------------------------
 
-    def _do_submit(self, tx: Transaction, at: float) -> SubmitResult:
+    def submit(self, tx: Transaction, at: float | None = None) -> SubmitResult:
+        """Pool submission at ``at`` (default now), timed and logged; the only path to the pool."""
+        at = self.now if at is None else at
         result = self.pool.submit(tx, at)
-        self.note_submitted(tx, at, result)
-        return result
-
-    def submit(self, tx: Transaction) -> SubmitResult:
-        return self._do_submit(tx, self.now)
-
-    def schedule(self, at: float, tx: Transaction) -> None:
-        if at < self.now:
-            raise ValueError("cannot schedule in the past")
-        self._seq += 1
-        heapq.heappush(self._scheduled, (at, self._seq, tx))
-
-    def note_submitted(self, tx: Transaction, at: float, result: SubmitResult) -> None:
-        """Record a submission done directly against the pool (wallet bundles)."""
         self.submit_times.setdefault(tx.txid, at)
         self.submit_heights.setdefault(tx.txid, self.chain.height)
         if self.config.log_events:
             self.event_log.append(
-                {
-                    "event": "submit",
-                    "t": at,
-                    "tx": tx.to_dict(),
-                    "accepted": result.accepted,
-                    "reason": result.reason,
-                }
+                {"event": "submit", "t": at, "tx": tx.to_dict(),
+                 "accepted": result.accepted, "reason": result.reason}
             )
+        return result
+
+    def send_transfer(
+        self, request: TransferRequest
+    ) -> tuple[TransferBundle, SubmitResult, SubmitResult]:
+        """Build a bundle from coins no pool entry spends; send Tx1 now, Tx2 bundle_gap later."""
+        bundle = wallet.build_transfer(  # looked up per call: bench/tracing.py wraps it
+            request, self.chain.utxo_set, self.config.wallet, exclude=set(self.pool.spends)
+        )
+        bundle.tx1_submit = self.now
+        bundle.tx2_submit = self.now + self.config.wallet.bundle_gap
+        r1 = self.submit(bundle.tx1)
+        r2 = self.submit(bundle.tx2, bundle.tx2_submit)
+        return bundle, r1, r2
 
     # -- time ------------------------------------------------------------------
 
@@ -131,7 +129,8 @@ class Simulation:
         for at, tx in self.background.market_batch(
             self.grant, start, self.config.block_interval
         ):
-            self.schedule(max(at, self.now), tx)
+            self._seq += 1
+            heapq.heappush(self._scheduled, (max(at, self.now), self._seq, tx))
 
     def run_until(self, target: float) -> None:
         while True:
@@ -140,7 +139,7 @@ class Simulation:
             while self._scheduled and self._scheduled[0][0] <= horizon:
                 at, _, tx = heapq.heappop(self._scheduled)
                 self.now = max(self.now, at)
-                self._do_submit(tx, self.now)
+                self.submit(tx)
             self.now = max(self.now, horizon)
             if self.next_block_time > target:
                 return

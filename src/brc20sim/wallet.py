@@ -8,12 +8,14 @@ the second transaction pays 4x the absolute fee of the first.
 
 Token balance sufficiency is deliberately NOT checked here: the indexer voids
 underfunded inscriptions, and falsified inscriptions are exactly the point of
-the attack engine built on top.
+the attack engine built on top.  This module only builds transactions;
+``Simulation.send_transfer`` and ``Simulation.submit`` send them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from .chain import (
     MAX_SEQUENCE,
@@ -26,7 +28,10 @@ from .chain import (
     make_txid,
 )
 from .indexer import PendingTransfer, transfer_inscription
-from .mempool import CONFLICT_NOT_REPLACEABLE, Mempool, SubmitResult
+from .mempool import CONFLICT_NOT_REPLACEABLE
+
+if TYPE_CHECKING:
+    from .sim import Simulation
 
 
 class WalletError(Exception):
@@ -187,50 +192,22 @@ def _build_execution(
     )
 
 
-def submit_bundle(
-    bundle: TransferBundle,
-    pool: Mempool,
-    now: float,
-    cfg: WalletConfig = DEFAULT_WALLET_CONFIG,
-) -> tuple[SubmitResult, SubmitResult]:
-    """Send both halves, the execution one bundle_gap later."""
-    r1 = pool.submit(bundle.tx1, now)
-    r2 = pool.submit(bundle.tx2, now + cfg.bundle_gap)
-    bundle.tx1_submit = now
-    bundle.tx2_submit = now + cfg.bundle_gap
-    return r1, r2
-
-
 def bumped_rate(rate: int, cfg: WalletConfig = DEFAULT_WALLET_CONFIG) -> int:
     num = rate * cfg.bump_factor_num
     return -(-num // cfg.bump_factor_den)  # ceiling division
 
 
-def retry_with_fee_bump(
-    bundle: TransferBundle,
-    pool: Mempool,
-    now: float,
-    cfg: WalletConfig = DEFAULT_WALLET_CONFIG,
-) -> TransferBundle:
-    """Replace the pending execution transaction at a higher fee rate."""
-    if bundle.retries >= bundle.request.max_retries:
-        raise RetriesExhausted(
-            f"aborting after {bundle.request.max_retries} fee bumps"
-        )
+def retry_with_fee_bump(bundle: TransferBundle, sim: Simulation) -> TransferBundle:
+    """Replace the pending execution transaction at a higher fee rate, now."""
+    cfg, req = sim.config.wallet, bundle.request
+    if bundle.retries >= req.max_retries:
+        raise RetriesExhausted(f"aborting after {req.max_retries} fee bumps")
     new_rate = bumped_rate(bundle.fee_rate, cfg)
     new_fee = new_rate * cfg.tx2_vsize
     change = sum(o.value for o in bundle.tx1.outputs[1:])
     sequence = bundle.tx2.inputs[0].sequence
-    tx2 = _build_execution(
-        bundle.tx1,
-        change,
-        bundle.request.recipient,
-        bundle.request.sender,
-        new_fee,
-        sequence,
-        cfg,
-    )
-    result = pool.submit(tx2, now)
+    tx2 = _build_execution(bundle.tx1, change, req.recipient, req.sender, new_fee, sequence, cfg)
+    result = sim.submit(tx2)
     if not result and result.reason == CONFLICT_NOT_REPLACEABLE:
         raise ConflictNotReplaceable(f"tx2 {bundle.tx2.txid} cannot be replaced")
     if not result:
@@ -241,7 +218,7 @@ def retry_with_fee_bump(
         tx2_fee=new_fee,
         fee_rate=new_rate,
         retries=bundle.retries + 1,
-        tx2_submit=now,
+        tx2_submit=sim.now,
     )
 
 

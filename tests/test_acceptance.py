@@ -31,7 +31,7 @@ from brc20sim.harness import (
 from brc20sim.indexer import deploy_inscription, mint_inscription, replay, transfer_inscription
 from brc20sim.mempool import CONFLICT_NOT_REPLACEABLE
 from brc20sim.sim import SimConfig, Simulation
-from brc20sim.wallet import TransferRequest, build_transfer, submit_bundle
+from brc20sim.wallet import TransferRequest
 
 SEEDS = 50
 HOUR = 3600.0
@@ -155,12 +155,8 @@ def _pinning_sim(seed: int, band: FeeBand) -> Simulation:
 
 def _bundle_at(sim: Simulation, fee: int):
     req = TransferRequest(TICK, 100_000, sender=TARGET, recipient=TARGET, fee_rate=fee)
-    bundle = build_transfer(req, sim.chain.utxo_set, sim.config.wallet,
-                            exclude=set(sim.pool.spends))
-    r1, r2 = submit_bundle(bundle, sim.pool, sim.now, sim.config.wallet)
+    bundle, r1, r2 = sim.send_transfer(req)
     assert r1.accepted and r2.accepted
-    sim.note_submitted(bundle.tx1, bundle.tx1_submit, r1)
-    sim.note_submitted(bundle.tx2, bundle.tx2_submit, r2)
     return bundle
 
 

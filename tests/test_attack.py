@@ -16,7 +16,7 @@ from brc20sim.background import CongestionProfile
 from brc20sim.harness import ScenarioConfig, TARGET, TICK, inscription_tx, run_scenario
 from brc20sim.indexer import deploy_inscription, mint_inscription
 from brc20sim.sim import SimConfig, Simulation
-from brc20sim.wallet import TransferRequest, build_transfer, submit_bundle
+from brc20sim.wallet import TransferRequest
 
 HOUR = 3600.0
 
@@ -169,9 +169,7 @@ class TestExecute:
         sim, band = pinned_sim()
         # a user withdrawal lands in the same block as the attack inscription
         wd = TransferRequest(TICK, 600_000, sender=TARGET, recipient="user", fee_rate=500)
-        bundle = build_transfer(wd, sim.chain.utxo_set, sim.config.wallet,
-                                exclude=set(sim.pool.spends))
-        submit_bundle(bundle, sim.pool, sim.now, sim.config.wallet)
+        sim.send_transfer(wd)
         outcome = execute(attack_config(band, fee=14, attempts=1), sim)
         record = outcome.per_attempt[0]
         assert record.voided

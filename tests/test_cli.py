@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, artifacts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -128,6 +129,35 @@ class TestSweepCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_no_seeds_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--seeds", "0", "--fees", "100")
+        assert code == 1 and "at least one seed" in err
+
+
+class TestPinnedOutputs:
+    """sha256 of fixed-seed outputs: a change to any of them is a behaviour change."""
+
+    def sha(self, path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_sweep_csv(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--seeds", "1", "--fees", "100,500", "--out", str(out)]) == 0
+        assert self.sha(out) == "f3adf9b739fa1aa2ec536564dd38c0f7c35f831729c8f40f51906ffff7f13bf2"
+
+    def test_sim_log_and_report(self, tmp_path):
+        log, out = tmp_path / "events.jsonl", tmp_path / "report.json"
+        argv = ["sim", "--seed", "4", "--attempts", "3", "--log", str(log), "--out", str(out)]
+        assert main(argv) == 0
+        assert self.sha(log) == "0fff7dcad58a18ea4dd54ffe052d14840fb3f0394dda92292aa7526e1b128d43"
+        assert self.sha(out) == "88fcf2c45b0b643e48223f7cdce131469fc62d08741131fd845fc5ede2a8c246"
+
+    def test_replay_binance_transcript(self, tmp_path):
+        out = tmp_path / "transcript.jsonl"
+        assert main(["replay-binance", "--out", str(out)]) == 0
+        assert self.sha(out) == "4a7b98bf164664da771669e9ee8b64471b7a41d2ccb4dc9b1ad49c09d6ed613b"
 
 
 class TestBadInput:

@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from brc20sim.chain import Chain, Transaction, TxInput, TxOutput, make_txid
 from brc20sim.mempool import (
     BELOW_MIN_RELAY_FEE,
@@ -12,6 +14,7 @@ from brc20sim.mempool import (
     MEMPOOL_FULL,
     NEGATIVE_FEE,
     ORPHAN_INPUT,
+    SPENDS_CONFLICTING_TX,
     Mempool,
 )
 from brc20sim.sim import SimConfig
@@ -158,6 +161,29 @@ class TestRbf:
         result = pool.submit(better, 3.0)
         assert result.accepted and len(result.replaced) == 3
         assert list(pool.entries) == ["better"]
+
+    @pytest.mark.parametrize("through_child", [False, True])
+    def test_replacement_spending_what_it_would_remove_rejected(self, through_child):
+        pool, chain = make_pool()
+        coin = chain.utxo_set.grant("funder", 100_000)
+        outputs = (TxOutput(40_000, "a"), TxOutput(50_000, "a"))
+        a = Transaction("A", (TxInput(coin.serial, RBF_ON),), outputs, 100)
+        assert pool.submit(a, 0.0).accepted
+        spent = ("A", 1)
+        if through_child:  # a descendant of the conflict leaves with it too
+            child = child_of(a, 1, 50_000, fee=1_000)
+            assert pool.submit(child, 1.0).accepted
+            spent = (child.txid, 0)
+        before = dict(pool.entries)
+        inputs = (TxInput(coin.serial, RBF_ON), TxInput(spent, RBF_ON))
+        r = Transaction("R", inputs, (TxOutput(10_000, "a"),), 100)
+        result = pool.submit(r, 2.0)
+        assert not result.accepted and result.reason == SPENDS_CONFLICTING_TX
+        assert result.replaced == ()
+        assert pool.entries == before
+        check_pool_invariants(pool)
+        block = pool.mine_block(600.0)
+        assert [tx.txid for tx in block.transactions] == list(before)
 
     def test_pool_never_holds_conflicting_pair(self):
         rng = random.Random(11)

@@ -1,12 +1,12 @@
-"""Transfer bundle construction, fee bumping, recovery."""
+"""Transfer bundle construction, sending, fee bumping, recovery."""
 
 import pytest
 
 from brc20sim.attack import FeeBand
 from brc20sim.background import CongestionProfile
-from brc20sim.chain import Chain, RBF_SEQUENCE, MAX_SEQUENCE
+from brc20sim.chain import RBF_SEQUENCE, MAX_SEQUENCE
+from brc20sim.cli import main
 from brc20sim.indexer import parse_envelope, InscribeTransfer
-from brc20sim.mempool import Mempool
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import (
     ConflictNotReplaceable,
@@ -19,17 +19,16 @@ from brc20sim.wallet import (
     build_transfer,
     bumped_rate,
     retry_with_fee_bump,
-    submit_bundle,
 )
 
 CFG = WalletConfig()
 
 
-def fresh_wallet(balance=10_000_000, owner="alice"):
-    chain = Chain()
-    chain.utxo_set.grant(owner, balance)
-    pool = Mempool(SimConfig(block_capacity_vbytes=10_400), chain)
-    return chain, pool
+def fresh_sim(balance=10_000_000, owner="alice", **settings):
+    """A simulation without background load, one address funded."""
+    sim = Simulation(SimConfig(block_capacity_vbytes=10_400, **settings))
+    sim.grant(owner, balance)
+    return sim
 
 
 def request(**overrides):
@@ -40,7 +39,7 @@ def request(**overrides):
 
 class TestBuildTransfer:
     def test_fee_split_matches_vsizes(self):
-        chain, _ = fresh_wallet()
+        chain = fresh_sim().chain
         bundle = build_transfer(request(), chain.utxo_set, CFG)
         assert bundle.tx1_fee == 30_000
         assert bundle.tx2_fee == 120_000
@@ -48,27 +47,27 @@ class TestBuildTransfer:
         assert bundle.tx1.vsize == 150 and bundle.tx2.vsize == 600
 
     def test_ratio_inside_observed_band_for_any_rate(self):
-        chain, _ = fresh_wallet()
+        chain = fresh_sim().chain
         for rate in (1, 7, 100, 201, 404, 999):
             bundle = build_transfer(request(fee_rate=rate), chain.utxo_set, CFG)
             if bundle.tx1_fee:
                 assert 3 <= bundle.tx2_fee / bundle.tx1_fee <= 5
 
     def test_envelope_on_first_output_to_sender(self):
-        chain, _ = fresh_wallet()
+        chain = fresh_sim().chain
         bundle = build_transfer(request(), chain.utxo_set, CFG)
         out0 = bundle.tx1.outputs[0]
         assert out0.owner == "alice"
         assert parse_envelope(out0.inscription) == InscribeTransfer("ordi", 100)
 
     def test_tx2_spends_tx1_first_output_to_recipient(self):
-        chain, _ = fresh_wallet()
+        chain = fresh_sim().chain
         bundle = build_transfer(request(), chain.utxo_set, CFG)
         assert bundle.tx2.inputs[0].outpoint == (bundle.tx1.txid, 0)
         assert bundle.tx2.outputs[0].owner == "bob"
 
     def test_self_transfer_is_valid(self):
-        chain, _ = fresh_wallet()
+        chain = fresh_sim().chain
         bundle = build_transfer(request(recipient="alice"), chain.utxo_set, CFG)
         assert bundle.tx2.outputs[0].owner == "alice"
 
@@ -77,18 +76,18 @@ class TestBuildTransfer:
             request(amount=0)
 
     def test_insufficient_funds(self):
-        chain, _ = fresh_wallet(balance=1_000)
+        chain = fresh_sim(balance=1_000).chain
         with pytest.raises(InsufficientFunds):
             build_transfer(request(), chain.utxo_set, CFG)
 
     def test_pure_construction(self):
-        chain, _ = fresh_wallet()
+        chain = fresh_sim().chain
         a = build_transfer(request(), chain.utxo_set, CFG)
         b = build_transfer(request(), chain.utxo_set, CFG)
         assert a.tx1 == b.tx1 and a.tx2 == b.tx2
 
     def test_rbf_flag_sets_sequences(self):
-        chain, _ = fresh_wallet()
+        chain = fresh_sim().chain
         on = build_transfer(request(rbf=True), chain.utxo_set, CFG)
         off = build_transfer(request(rbf=False), chain.utxo_set, CFG)
         assert all(i.sequence == RBF_SEQUENCE for i in on.tx2.inputs)
@@ -96,17 +95,16 @@ class TestBuildTransfer:
         assert on.tx2.rbf_enabled and not off.tx2.rbf_enabled
 
     def test_never_funds_with_inscribed_coins(self):
-        chain, pool = fresh_wallet(balance=300_000)
-        first = build_transfer(request(), chain.utxo_set, CFG)
-        submit_bundle(first, pool, 0.0, CFG)
-        pool.mine_block(600.0)  # both legs confirm; inscription at bob
+        sim = fresh_sim(balance=300_000)
+        first, r1, r2 = sim.send_transfer(request())
+        assert r1.accepted and r2.accepted
+        sim.run_blocks(1)  # both legs confirm; inscription at bob
         # bob now owns the inscribed dust; a transfer from bob must not use it
-        chain.utxo_set.grant("bob", 200_000)
-        bundle = build_transfer(request(sender="bob", recipient="alice"),
-                                chain.utxo_set, CFG)
+        sim.grant("bob", 200_000)
+        bundle, _, _ = sim.send_transfer(request(sender="bob", recipient="alice"))
         inscribed = {
-            u.serial for u in chain.utxo_set.owned_by("bob")
-            if chain.utxo_set.carries_inscription(u)
+            u.serial for u in sim.chain.utxo_set.owned_by("bob")
+            if sim.chain.utxo_set.carries_inscription(u)
         }
         assert inscribed
         assert all(i.outpoint not in inscribed for i in bundle.tx1.inputs)
@@ -114,22 +112,31 @@ class TestBuildTransfer:
 
 class TestSubmitBundle:
     def test_both_accepted_and_dependency_tracked(self):
-        chain, pool = fresh_wallet()
-        bundle = build_transfer(request(), chain.utxo_set, CFG)
-        r1, r2 = submit_bundle(bundle, pool, 5.0, CFG)
+        sim = fresh_sim()
+        sim.run_until(5.0)
+        bundle, r1, r2 = sim.send_transfer(request())
         assert r1.accepted and r2.accepted
+        assert bundle.tx1_submit == 5.0
         assert bundle.tx2_submit == 5.0 + CFG.bundle_gap
-        assert pool.entries[bundle.tx2.txid].depends_on == {bundle.tx1.txid}
-        pool.mine_block(600.0)
-        assert chain.confirmed(bundle.tx1.txid)
+        assert sim.submit_times[bundle.tx2.txid] == bundle.tx2_submit
+        assert sim.pool.entries[bundle.tx2.txid].depends_on == {bundle.tx1.txid}
+        sim.run_blocks(1)
+        assert sim.chain.confirmed(bundle.tx1.txid)
 
     def test_tx2_below_min_relay_is_retriable(self):
-        chain = Chain()
-        chain.utxo_set.grant("alice", 10_000_000)
-        pool = Mempool(SimConfig(block_capacity_vbytes=10_400, min_relay_fee_rate=100), chain)
-        bundle = build_transfer(request(fee_rate=50), chain.utxo_set, CFG)
-        r1, r2 = submit_bundle(bundle, pool, 0.0, CFG)
+        sim = fresh_sim(min_relay_fee_rate=100)
+        bundle, r1, r2 = sim.send_transfer(request(fee_rate=50))
         assert not r1.accepted and not r2.accepted
+
+    def test_skips_coins_the_pool_already_spends(self):
+        sim = fresh_sim()
+        sim.grant("alice", 10_000_000)
+        first, _, _ = sim.send_transfer(request())
+        second, r1, r2 = sim.send_transfer(request())
+        assert r1.accepted and r2.accepted
+        assert not {i.outpoint for i in first.tx1.inputs} & {
+            i.outpoint for i in second.tx1.inputs
+        }
 
 
 class TestFeeBump:
@@ -139,30 +146,45 @@ class TestFeeBump:
         assert bumped_rate(1) == 2
 
     def test_replacement_accepted(self):
-        chain, pool = fresh_wallet()
-        bundle = build_transfer(request(max_retries=3), chain.utxo_set, CFG)
-        submit_bundle(bundle, pool, 0.0, CFG)
-        bumped = retry_with_fee_bump(bundle, pool, 10.0, CFG)
+        sim = fresh_sim()
+        bundle, _, _ = sim.send_transfer(request(max_retries=3))
+        sim.run_until(10.0)
+        bumped = retry_with_fee_bump(bundle, sim)
         assert bumped.fee_rate == 250
         assert bumped.retries == 1
-        assert bumped.tx2.txid in pool and bundle.tx2.txid not in pool
-        assert pool.entries[bumped.tx2.txid].fee == 250 * 600
+        assert bumped.tx2_submit == 10.0
+        assert bumped.tx2.txid in sim.pool and bundle.tx2.txid not in sim.pool
+        assert sim.pool.entries[bumped.tx2.txid].fee == 250 * 600
 
     def test_retries_exhausted_aborts(self):
-        chain, pool = fresh_wallet()
-        bundle = build_transfer(request(max_retries=2), chain.utxo_set, CFG)
-        submit_bundle(bundle, pool, 0.0, CFG)
-        bundle = retry_with_fee_bump(bundle, pool, 10.0, CFG)
-        bundle = retry_with_fee_bump(bundle, pool, 20.0, CFG)
+        sim = fresh_sim()
+        bundle, _, _ = sim.send_transfer(request(max_retries=2))
+        for at in (10.0, 20.0):
+            sim.run_until(at)
+            bundle = retry_with_fee_bump(bundle, sim)
+        sim.run_until(30.0)
         with pytest.raises(RetriesExhausted):
-            retry_with_fee_bump(bundle, pool, 30.0, CFG)
+            retry_with_fee_bump(bundle, sim)
 
     def test_non_replaceable_tx2(self):
-        chain, pool = fresh_wallet()
-        bundle = build_transfer(request(rbf=False), chain.utxo_set, CFG)
-        submit_bundle(bundle, pool, 0.0, CFG)
+        sim = fresh_sim()
+        bundle, _, _ = sim.send_transfer(request(rbf=False))
+        sim.run_until(10.0)
         with pytest.raises(ConflictNotReplaceable):
-            retry_with_fee_bump(bundle, pool, 10.0, CFG)
+            retry_with_fee_bump(bundle, sim)
+
+    def test_logged_bump_is_timed_and_replays(self, tmp_path, capsys):
+        sim = fresh_sim(log_events=True)
+        bundle, _, _ = sim.send_transfer(request())
+        sim.run_until(10.0)
+        bumped = retry_with_fee_bump(bundle, sim)
+        sim.run_blocks(1)
+        assert sim.chain.confirmed(bumped.tx2.txid)
+        assert sim.effective_delay(bumped.tx2.txid) == 600.0 - 10.0
+        log = tmp_path / "bump.jsonl"
+        sim.export_event_log(str(log))
+        assert main(["replay", str(log)]) == 0
+        assert "3 submissions, 1 blocks verified" in capsys.readouterr().out
 
 
 class TestRecovery:
@@ -173,9 +195,7 @@ class TestRecovery:
         sim = Simulation(SimConfig(), profile)
         for _ in range(4):
             sim.grant("alice", 10_000_000)
-        req = request(fee_rate=201, recipient="bob")
-        bundle = build_transfer(req, sim.chain.utxo_set, CFG)
-        r1, r2 = submit_bundle(bundle, sim.pool, sim.now, CFG)
+        bundle, r1, r2 = sim.send_transfer(request(fee_rate=201, recipient="bob"))
         assert r1.accepted and r2.accepted
         sim.run_blocks(3)
         assert sim.chain.confirmed(bundle.tx1.txid)

@@ -9,7 +9,6 @@ scripts and signatures are out of scope.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 MAX_SEQUENCE = 0xFFFFFFFF
@@ -327,41 +326,6 @@ class UtxoSet:
             raise OrdinalBurned(f"ordinal {ordinal} was burned as fee")
         raise OrdinalUnknown(f"ordinal {ordinal} never allocated")
 
-    def to_dict(self) -> dict:
-        return {
-            "next_ordinal": self._next_ordinal,
-            "grant_count": self._grant_count,
-            "inscribed": {str(k): v for k, v in sorted(self.inscribed.items())},
-            "utxos": {
-                f"{serial[0]}:{serial[1]}": {
-                    "value": u.value,
-                    "owner": u.owner,
-                    "ordinals": [[r.start, r.length] for r in u.ordinals],
-                }
-                for serial, u in sorted(self.utxos.items())
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> UtxoSet:
-        out = cls()
-        out._next_ordinal = data["next_ordinal"]
-        out._grant_count = data["grant_count"]
-        out.inscribed = {int(k): v for k, v in data["inscribed"].items()}
-        for key, entry in data["utxos"].items():
-            txid, _, index = key.rpartition(":")
-            serial = (txid, int(index))
-            out.utxos[serial] = Utxo(
-                serial,
-                entry["value"],
-                entry["owner"],
-                tuple(OrdinalRange(s, n) for s, n in entry["ordinals"]),
-            )
-        return out
-
 
 class Chain:
     """Confirmed blocks plus the UTXO set they produce."""
@@ -369,7 +333,7 @@ class Chain:
     def __init__(self) -> None:
         self.blocks: list[Block] = []
         self.utxo_set = UtxoSet()
-        self._tx_index: dict[str, tuple[int, float]] = {}  # txid -> (height, time)
+        self._tx_index: dict[str, float] = {}  # txid -> confirmation time
         self.tip_receipts: list[Receipt] = []  # the last appended block's, in tx order
 
     @property
@@ -381,7 +345,7 @@ class Chain:
         receipts = []
         for tx in block.transactions:
             receipts.append(self.utxo_set.apply_transaction(tx))
-            self._tx_index[tx.txid] = (block.height, block.timestamp)
+            self._tx_index[tx.txid] = block.timestamp
         self.blocks.append(block)
         self.tip_receipts = receipts
         return receipts
@@ -390,9 +354,4 @@ class Chain:
         return txid in self._tx_index
 
     def confirmation_time(self, txid: str) -> float | None:
-        entry = self._tx_index.get(txid)
-        return entry[1] if entry else None
-
-    def confirmation_height(self, txid: str) -> int | None:
-        entry = self._tx_index.get(txid)
-        return entry[0] if entry else None
+        return self._tx_index.get(txid)

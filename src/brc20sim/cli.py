@@ -2,7 +2,9 @@
 
 Subcommands: ``sim`` (one scenario), ``sweep`` (full parameter grid),
 ``replay-binance`` (scripted incident), ``tolerance`` (operational-tolerance
-calculator) and ``replay`` (re-run an exported event log and verify it).
+calculator) and ``replay`` (verify an exported event log).  ``replay``
+re-runs the log through a ``Simulation``, the same block step that wrote it,
+and checks every submission decision and each block's height, time and txids.
 
 Exit codes: 0 success, 1 usage error, 2 assertion/model divergence.
 """
@@ -14,7 +16,7 @@ import json
 import sys
 
 from .attack import ToleranceInputs, tolerance
-from .chain import Chain, Transaction
+from .chain import Transaction
 from .harness import (
     ATTEMPT_LEVELS,
     CONGESTION_LEVELS,
@@ -27,8 +29,7 @@ from .harness import (
     run_sweep,
     sweep_csv,
 )
-from .mempool import Mempool
-from .sim import SETTINGS, SimConfig
+from .sim import SETTINGS, SimConfig, Simulation
 
 USAGE_ERROR = 1
 MODEL_ERROR = 2
@@ -137,26 +138,31 @@ def cmd_tolerance(args) -> int:
     return 0
 
 
-# the fields replay reads from each kind of event; other kinds are skipped
+# the fields replay reads from each kind of event, with the exact types JSON
+# gives them (so a bool is no count); other kinds are skipped
 REPLAY_FIELDS = {
-    "grant": ("owner", "value"),
-    "submit": ("t", "tx", "accepted", "reason"),
-    "mine": ("t", "height", "txids"),
+    "grant": {"owner": (str,), "value": (int,)},
+    "submit": {"t": (int, float), "tx": (dict,), "accepted": (bool,), "reason": (str, type(None))},
+    "mine": {"t": (int, float), "height": (int,), "txids": (list,)},
 }
 
 
 def _replay_kind(event, number: int) -> str:
-    """The event's kind, once it is known to carry every field replay reads."""
-    if not isinstance(event, dict) or "event" not in event:
+    """The event's kind, once every field replay reads is there with its type."""
+    if not isinstance(event, dict) or not isinstance(event.get("event"), str):
         raise ValueError(f"log line {number} is not an event object")
-    missing = [k for k in REPLAY_FIELDS.get(event["event"], ()) if k not in event]
-    if missing:
-        raise ValueError(f"log line {number}: {event['event']} event lacks {missing}")
-    return event["event"]
+    kind = event["event"]
+    for key, types in REPLAY_FIELDS.get(kind, {}).items():
+        if key not in event:
+            raise ValueError(f"log line {number}: {kind} event lacks {key!r}")
+        if type(event[key]) not in types:
+            raise ValueError(f"log line {number}: {kind} {key} has the wrong type: {event[key]!r}")
+    return kind
 
 
 def cmd_replay_log(args) -> int:
-    """Re-run a recorded event log and verify decisions and blocks match."""
+    """Re-run a recorded event log through a Simulation and verify every
+    submission decision and every block's height, time and txids."""
     with open(args.log, encoding="utf-8") as fh:
         events = [json.loads(line) for line in fh if line.strip()]
     header = events[0] if events else None
@@ -169,19 +175,18 @@ def cmd_replay_log(args) -> int:
     missing = [name for name in SETTINGS if name not in header["config"]]
     if missing:
         raise ValueError(f"log header lacks config keys: {missing}")
-    chain = Chain()
-    pool = Mempool(_sim_config(header["config"]), chain)
+    sim = Simulation(_sim_config(header["config"]))
     blocks = submits = 0
     for number, event in enumerate(events[1:], start=2):
         kind = _replay_kind(event, number)
         if kind == "grant":
-            chain.utxo_set.grant(event["owner"], event["value"])
+            sim.grant(event["owner"], event["value"])
         elif kind == "submit":
             try:
                 tx = Transaction.from_dict(event["tx"])
             except (KeyError, TypeError, IndexError) as exc:
                 raise ValueError(f"log line {number}: malformed tx ({exc!r})") from None
-            result = pool.submit(tx, event["t"])
+            result = sim.submit(tx, event["t"])
             submits += 1
             if result.accepted != event["accepted"] or result.reason != event["reason"]:
                 print(
@@ -192,12 +197,19 @@ def cmd_replay_log(args) -> int:
                 )
                 return MODEL_ERROR
         elif kind == "mine":
-            pool.tick_expiry(event["t"])
-            block = pool.mine_block(event["t"])
+            # only the next block time can come next; a later log time would
+            # have replay mine every block up to it
+            if event["t"] != sim.next_block_time:
+                print(f"divergence at t={event['t']}: the next block is at t={sim.next_block_time}",
+                      file=sys.stderr)
+                return MODEL_ERROR
+            sim.run_until(event["t"])
             blocks += 1
-            got = [tx.txid for tx in block.transactions]
-            if got != event["txids"]:
-                print(f"divergence in block {event['height']}", file=sys.stderr)
+            tip = sim.chain.blocks[-1]
+            got = (tip.height, [tx.txid for tx in tip.transactions])
+            if got != (event["height"], event["txids"]):
+                print(f"divergence in block {event['height']}: replay mined block {tip.height}",
+                      file=sys.stderr)
                 return MODEL_ERROR
     print(f"replay OK: {submits} submissions, {blocks} blocks verified")
     return 0

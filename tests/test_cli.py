@@ -14,6 +14,9 @@ from brc20sim.cli import main
 from brc20sim.sim import SETTINGS, SimConfig
 
 HEADER = {"event": "header", "config": {name: getattr(SimConfig(), name) for name in SETTINGS}}
+# spends the first grant's coin at a fee the pool accepts
+FUNDED_TX = {"txid": "t", "inputs": [{"outpoint": ["genesis-0", 0], "sequence": 0}],
+             "outputs": [{"value": 500, "owner": "b"}], "vsize": 100}
 
 
 def run_cli(capsys, *argv):
@@ -88,7 +91,8 @@ class TestSimCommand:
         code, out, _ = run_cli(capsys, "replay", str(log))
         assert code == 0 and "replay OK" in out
 
-    def test_tampered_log_detected(self, capsys, tmp_path):
+    def replay_tampered(self, capsys, tmp_path, change):
+        """Replay a scenario's log after ``change`` edits its first non-empty mine event."""
         log = tmp_path / "events.jsonl"
         run_cli(
             capsys, "sim", "--fee", "100", "--congestion", "0.5",
@@ -98,12 +102,32 @@ class TestSimCommand:
         for i, line in enumerate(lines):
             event = json.loads(line)
             if event["event"] == "mine" and event["txids"]:
-                event["txids"] = event["txids"][::-1] if len(event["txids"]) > 1 else []
+                change(event)
                 lines[i] = json.dumps(event, sort_keys=True)
                 break
         log.write_text("\n".join(lines) + "\n")
-        code, _, err = run_cli(capsys, "replay", str(log))
+        return run_cli(capsys, "replay", str(log))
+
+    def test_tampered_log_detected(self, capsys, tmp_path):
+        def reorder(event):
+            event["txids"] = event["txids"][::-1] if len(event["txids"]) > 1 else []
+
+        code, _, err = self.replay_tampered(capsys, tmp_path, reorder)
         assert code == 2 and "divergence" in err
+
+    def test_wrong_block_height_detected(self, capsys, tmp_path):
+        def renumber(event):
+            event["height"] += 1
+
+        code, out, err = self.replay_tampered(capsys, tmp_path, renumber)
+        assert code == 2 and "divergence" in err and "replay OK" not in out
+
+    def test_off_grid_block_time_detected(self, capsys, tmp_path):
+        def shift(event):
+            event["t"] += 1.0
+
+        code, out, err = self.replay_tampered(capsys, tmp_path, shift)
+        assert code == 2 and "divergence" in err and "replay OK" not in out
 
 
 class TestSweepCommand:
@@ -178,6 +202,12 @@ class TestBadInput:
                                  "accepted": True, "reason": None}]),
             ("sim", [{"sim": {"block_interval": 0}}]),
             ("sim", [{"sim": {"seed": 5}}]),
+            ("replay", [HEADER, {"event": [1]}]),
+            ("replay", [HEADER, {"event": "mine", "t": "x", "height": 0, "txids": []}]),
+            ("replay", [HEADER, {"event": "grant", "owner": "a", "value": "x"}]),
+            ("replay", [HEADER, {"event": "grant", "owner": "a", "value": 1_000},
+                        {"event": "submit", "t": "x", "tx": FUNDED_TX,
+                         "accepted": True, "reason": None}]),
         ],
     )
     def test_bad_config_or_log_exits_one_without_traceback(self, tmp_path, command, content):

@@ -165,9 +165,9 @@ class TestReplay:
     def test_replay_leaves_genesis_unchanged(self):
         sc = random_scenario(3, blocks=10)
         genesis = sc.genesis()
-        before = genesis.to_json()
+        before = vars(genesis.copy())
         assert replay(sc.blocks, genesis) == sc.indexer.state
-        assert genesis.to_json() == before
+        assert vars(genesis) == before
         # a second replay from the same genesis starts from the same set
         assert replay(sc.blocks, genesis) == sc.indexer.state
 
@@ -187,25 +187,3 @@ class TestReplay:
             amt = rng.randint(1, 500)
             sc.apply(inscribed_tx(sc, addr, mint_inscription("t", amt), f"m{i}"))
             assert sc.indexer.state.supply_is_conserved()
-
-
-class TestSnapshot:
-    def test_round_trip(self):
-        sc = Scenario()
-        sc.apply(inscribed_tx(sc, "m", deploy_inscription("t", 100, 100), "d"))
-        sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 42), "m1"))
-        tx1 = inscribed_tx(sc, "m", transfer_inscription("t", 7), "t1")
-        sc.apply(tx1)
-        snap = sc.indexer.state.snapshot_json()
-        restored = Brc20State.from_snapshot(json.loads(snap))
-        assert restored == sc.indexer.state
-        assert restored.snapshot_json() == snap
-
-    def test_sorted_keys_stable(self):
-        sc = Scenario()
-        sc.apply(
-            inscribed_tx(sc, "zeta", deploy_inscription("zz", 10, 10), "d1"),
-            inscribed_tx(sc, "alpha", deploy_inscription("aa", 10, 10), "d2"),
-        )
-        snap = json.loads(sc.indexer.state.snapshot_json())
-        assert list(snap["ticks"]) == ["aa", "zz"]

@@ -16,6 +16,7 @@ from brc20sim.mempool import (
     ORPHAN_INPUT,
     SPENDS_CONFLICTING_TX,
     Mempool,
+    MempoolEntry,
 )
 from brc20sim.sim import SimConfig
 
@@ -91,6 +92,21 @@ class TestSubmit:
         pool.submit(tx, 0.0)
         entry = pool.entries[tx.txid]
         assert Fraction(entry.fee, entry.tx.vsize) == Fraction(333, 100)
+
+    def test_rate_key_orders_closest_ratios_at_the_extremes(self):
+        # fee1 = 1 (mod V) puts fee1/V and fee2/(V-1) next to each other in the
+        # Farey sequence: the closest distinct ratios with vsizes <= V, at a
+        # rate just under 10**4 sat/vB
+        v = 10_000
+        fee1 = 9_999 * v + 1
+        fee2 = (fee1 * (v - 1) + 1) // v
+        gap = Fraction(fee2, v - 1) - Fraction(fee1, v)
+        assert gap == Fraction(1, v * (v - 1)) and fee2 / (v - 1) < 10**4
+        low, high = (
+            MempoolEntry(Transaction(f"x{fee}", (), (), vsize), 0.0, fee, True, set())
+            for fee, vsize in ((fee1, v), (fee2, v - 1))
+        )
+        assert low.rate_key < high.rate_key
 
     def test_in_pool_parent_resolves(self):
         pool, chain = make_pool()

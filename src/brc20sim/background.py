@@ -18,6 +18,10 @@ raises the floor scale, which is what makes low-fee pinning easier under load.
 Everything is driven by named, seed-derived RNG streams, so two runs with the
 same seed produce identical pools, and runs that differ only in congestion
 level share the same floor path up to a monotone scale factor.
+
+Background transactions spend value-only coins (``Simulation.fund``): the
+model needs only each one's fee, vsize and arrival, so none of them allocates
+ordinals or leaves an ordinal-tracked UTXO on the chain.
 """
 
 from __future__ import annotations
@@ -132,8 +136,8 @@ class BackgroundLoad:
         self._update_floor()
         return self.floor
 
-    def _market_tx(self, grant, fee: int, vsize: int) -> Transaction:
-        inputs = (TxInput(grant.serial),)
+    def _market_tx(self, coin: tuple[str, int], vsize: int) -> Transaction:
+        inputs = (TxInput(coin),)
         outputs = (TxOutput(DUST, MARKET_ADDRESS),)
         return Transaction(
             txid=make_txid(inputs, outputs, vsize, tag=f"bg{self._counter}"),
@@ -142,7 +146,7 @@ class BackgroundLoad:
             vsize=vsize,
         )
 
-    def sediment(self, grant_fn) -> list[Transaction]:
+    def sediment(self, fund_fn) -> list[Transaction]:
         """One-shot low-fee padding; rates far below any realistic foreground."""
         txs = []
         vsize = self.profile.tx_vsize
@@ -150,11 +154,10 @@ class BackgroundLoad:
             rate = self._rng_sediment.randint(1, self.profile.sediment_rate_hi)
             fee = rate * vsize
             self._counter += 1
-            grant = grant_fn(MARKET_ADDRESS, fee + DUST)
-            txs.append(self._market_tx(grant, fee, vsize))
+            txs.append(self._market_tx(fund_fn(fee + DUST), vsize))
         return txs
 
-    def market_batch(self, grant_fn, start: float, interval: float) -> list[tuple[float, Transaction]]:
+    def market_batch(self, fund_fn, start: float, interval: float) -> list[tuple[float, Transaction]]:
         """Fee-bearing arrivals for one block interval, floor advanced once."""
         if not self.flight:
             return []
@@ -166,8 +169,7 @@ class BackgroundLoad:
             rate = self.floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
             fee = math.ceil(rate * p.tx_vsize)
             self._counter += 1
-            grant = grant_fn(MARKET_ADDRESS, fee + DUST)
-            tx = self._market_tx(grant, fee, p.tx_vsize)
+            tx = self._market_tx(fund_fn(fee + DUST), p.tx_vsize)
             at = self._rng_times.uniform(start, start + interval)
             batch.append((at, tx))
         batch.sort(key=lambda item: item[0])

@@ -4,6 +4,11 @@ Satoshis carry serial numbers that survive transactions: input ranges are
 concatenated in input order and sliced into outputs in output order, with the
 trailing slice burned as the miner fee.  Ownership is an opaque address label;
 scripts and signatures are out of scope.
+
+Background traffic never carries or moves an inscription, so its coins are
+value-only: ``UtxoSet.fund`` creates them without ordinals, and a transaction
+spending them is checked like any other but leaves value-only coins behind
+instead of ordinal-tracked UTXOs.
 """
 
 from __future__ import annotations
@@ -37,6 +42,10 @@ class OrdinalBurned(ChainError):
 
 class OrdinalUnknown(ChainError):
     """Ordinal was never allocated in this simulation."""
+
+
+class MixedFunding(ChainError):
+    """Value-only coins spent beside ordinal-tracked ones, or under an inscription."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,18 +131,28 @@ class Transaction:
 
     @classmethod
     def from_dict(cls, data: dict) -> Transaction:
-        return cls(
-            txid=data["txid"],
-            inputs=tuple(
-                TxInput((i["outpoint"][0], i["outpoint"][1]), i["sequence"])
-                for i in data["inputs"]
-            ),
-            outputs=tuple(
-                TxOutput(o["value"], o["owner"], o.get("inscription"))
-                for o in data["outputs"]
-            ),
-            vsize=data["vsize"],
-        )
+        """Inverse of ``to_dict``; a field without its JSON type raises TypeError.
+
+        Types are exact (a bool is no count), so an outpoint decoded from
+        untrusted JSON is always a hashable ``(str, int)``.
+        """
+        inputs = []
+        for i in data["inputs"]:
+            (txid, index), sequence = i["outpoint"], i["sequence"]
+            if type(txid) is not str or type(index) is not int or type(sequence) is not int:
+                raise TypeError(f"malformed input {i!r}")
+            inputs.append(TxInput((txid, index), sequence))
+        outputs = []
+        for o in data["outputs"]:
+            value, owner, inscription = o["value"], o["owner"], o.get("inscription")
+            if (type(value) is not int or type(owner) is not str
+                    or (inscription is not None and type(inscription) is not str)):
+                raise TypeError(f"malformed output {o!r}")
+            outputs.append(TxOutput(value, owner, inscription))
+        txid, vsize = data["txid"], data["vsize"]
+        if type(txid) is not str or type(vsize) is not int:
+            raise TypeError(f"malformed txid or vsize ({txid!r}, {vsize!r})")
+        return cls(txid, tuple(inputs), tuple(outputs), vsize)
 
 
 def make_txid(inputs, outputs, vsize: int, tag: str = "") -> str:
@@ -183,6 +202,10 @@ class Receipt:
     envelope: InscriptionEnvelope | None  # bound to created[0]'s first satoshi
 
 
+# every transaction spending value-only coins gets this one: no ordinal moved
+VALUE_ONLY_RECEIPT = Receipt((), (), None)
+
+
 @dataclass(slots=True)
 class Block:
     height: int
@@ -230,15 +253,18 @@ def assign_ordinals(
 
 
 class UtxoSet:
-    """Mutable UTXO set with ordinal bookkeeping.
+    """Mutable UTXO set with ordinal bookkeeping, plus value-only coins.
 
     One set is owned by one thread at a time; ``copy()`` gives an independent
     snapshot for replay.  Genesis satoshis enter via ``grant`` since there is
-    no coinbase in this model.
+    no coinbase in this model; ``fund`` creates a value-only coin under the
+    next serial of the same count, so serials, and the txids built on them,
+    do not depend on which kind of coin a serial names.
     """
 
     def __init__(self) -> None:
         self.utxos: dict[tuple[str, int], Utxo] = {}
+        self.plain: dict[tuple[str, int], int] = {}  # value-only coins: serial -> value
         self.inscribed: dict[int, str] = {}  # bound ordinal -> raw payload
         self._next_ordinal = 0
         self._grant_count = 0
@@ -246,21 +272,34 @@ class UtxoSet:
     def copy(self) -> UtxoSet:
         dup = UtxoSet()
         dup.utxos = dict(self.utxos)
+        dup.plain = dict(self.plain)
         dup.inscribed = dict(self.inscribed)
         dup._next_ordinal = self._next_ordinal
         dup._grant_count = self._grant_count
         return dup
 
+    def _next_serial(self) -> tuple[str, int]:
+        serial = (f"genesis-{self._grant_count}", 0)
+        self._grant_count += 1
+        return serial
+
     def grant(self, owner: str, value: int) -> Utxo:
         """Allocate fresh satoshis to an address (genesis funding)."""
         if value < 1:
             raise ValueError("grant value must be >= 1")
-        serial = (f"genesis-{self._grant_count}", 0)
-        self._grant_count += 1
+        serial = self._next_serial()
         utxo = Utxo(serial, value, owner, (OrdinalRange(self._next_ordinal, value),))
         self._next_ordinal += value
         self.utxos[serial] = utxo
         return utxo
+
+    def fund(self, value: int) -> tuple[str, int]:
+        """Create a value-only genesis coin and return its serial; no ordinal is allocated."""
+        if value < 1:
+            raise ValueError("fund value must be >= 1")
+        serial = self._next_serial()
+        self.plain[serial] = value
+        return serial
 
     def owned_by(self, owner: str) -> list[Utxo]:
         return [u for u in self.utxos.values() if u.owner == owner]
@@ -273,8 +312,11 @@ class UtxoSet:
 
         The fee slice is whatever the outputs leave of the spent satoshis; it
         sits in no UTXO afterwards, which is how ``locate_ordinal`` knows it
-        was burned.
+        was burned.  A transaction whose first input is a value-only coin
+        takes ``_apply_value_only`` instead.
         """
+        if tx.inputs and tx.inputs[0].outpoint in self.plain:
+            return self._apply_value_only(tx)
         spent: list[Utxo] = []
         seen: set[tuple[str, int]] = set()
         total_in = 0
@@ -284,6 +326,8 @@ class UtxoSet:
             seen.add(inp.outpoint)
             utxo = self.utxos.get(inp.outpoint)
             if utxo is None:
+                if inp.outpoint in self.plain:
+                    raise MixedFunding(f"tx {tx.txid} spends a value-only coin {inp.outpoint}")
                 raise MissingInput(f"{inp.outpoint} unknown or spent")
             spent.append(utxo)
             total_in += utxo.value
@@ -312,6 +356,33 @@ class UtxoSet:
             envelope = InscriptionEnvelope(tx.outputs[0].inscription, created[0].first_ordinal())
             self.inscribed[envelope.bound_ordinal] = envelope.raw
         return Receipt(tuple(spent), tuple(created), envelope)
+
+    def _apply_value_only(self, tx: Transaction) -> Receipt:
+        """Spend value-only coins into value-only coins, with the same checks as above.
+
+        No ordinal moves, so nothing is allocated, sliced or burned; the fee is
+        the value the outputs leave.
+        """
+        total_in = 0
+        for inp in tx.inputs:
+            value = self.plain.get(inp.outpoint)
+            if value is None:
+                if inp.outpoint in self.utxos:
+                    raise MixedFunding(f"tx {tx.txid} spends an ordinal UTXO {inp.outpoint}")
+                raise MissingInput(f"{inp.outpoint} unknown or spent")
+            total_in += value
+        if len(tx.inputs) > 1 and len({inp.outpoint for inp in tx.inputs}) < len(tx.inputs):
+            raise MissingInput(f"tx {tx.txid} spends one outpoint twice")
+        if total_in < tx.output_total:
+            raise NegativeFee(f"tx {tx.txid} outputs exceed inputs")
+        if tx.outputs and tx.outputs[0].inscription is not None:
+            raise MixedFunding(f"tx {tx.txid} inscribes on value-only coins")
+        for inp in tx.inputs:
+            del self.plain[inp.outpoint]
+        for index, out in enumerate(tx.outputs):
+            if out.value:
+                self.plain[(tx.txid, index)] = out.value
+        return VALUE_ONLY_RECEIPT
 
     def locate_ordinal(self, ordinal: int) -> Utxo:
         """Find the unspent UTXO holding an ordinal.

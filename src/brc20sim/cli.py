@@ -3,8 +3,10 @@
 Subcommands: ``sim`` (one scenario), ``sweep`` (full parameter grid),
 ``replay-binance`` (scripted incident), ``tolerance`` (operational-tolerance
 calculator) and ``replay`` (verify an exported event log).  ``replay``
-re-runs the log through a ``Simulation``, the same block step that wrote it,
-and checks every submission decision and each block's height, time and txids.
+re-runs the log through a ``Simulation``, the same block step that wrote it
+(``grant`` and ``fund`` events re-create the genesis coins in order), checks
+every submission decision and each block's height, time and txids, and at
+the end that the replayed token state conserves supply.
 
 Exit codes: 0 success, 1 usage error, 2 assertion/model divergence.
 """
@@ -142,6 +144,7 @@ def cmd_tolerance(args) -> int:
 # gives them (so a bool is no count); other kinds are skipped
 REPLAY_FIELDS = {
     "grant": {"owner": (str,), "value": (int,)},
+    "fund": {"value": (int,)},
     "submit": {"t": (int, float), "tx": (dict,), "accepted": (bool,), "reason": (str, type(None))},
     "mine": {"t": (int, float), "height": (int,), "txids": (list,)},
 }
@@ -162,7 +165,8 @@ def _replay_kind(event, number: int) -> str:
 
 def cmd_replay_log(args) -> int:
     """Re-run a recorded event log through a Simulation and verify every
-    submission decision and every block's height, time and txids."""
+    submission decision, every block's height, time and txids, and the
+    token supply at the end."""
     with open(args.log, encoding="utf-8") as fh:
         events = [json.loads(line) for line in fh if line.strip()]
     header = events[0] if events else None
@@ -181,10 +185,12 @@ def cmd_replay_log(args) -> int:
         kind = _replay_kind(event, number)
         if kind == "grant":
             sim.grant(event["owner"], event["value"])
+        elif kind == "fund":
+            sim.fund(event["value"])
         elif kind == "submit":
             try:
                 tx = Transaction.from_dict(event["tx"])
-            except (KeyError, TypeError, IndexError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"log line {number}: malformed tx ({exc!r})") from None
             result = sim.submit(tx, event["t"])
             submits += 1
@@ -211,6 +217,10 @@ def cmd_replay_log(args) -> int:
                 print(f"divergence in block {event['height']}: replay mined block {tip.height}",
                       file=sys.stderr)
                 return MODEL_ERROR
+    # the indexer followed every replayed block; its token state must balance
+    if not sim.indexer.state.supply_is_conserved():
+        print("divergence: replayed token state does not conserve supply", file=sys.stderr)
+        return MODEL_ERROR
     print(f"replay OK: {submits} submissions, {blocks} blocks verified")
     return 0
 

@@ -30,6 +30,11 @@ and k distinct vsizes among the ready entries:
   rebuilt from ``entries`` in O(n), which is O(1) per removal amortized.
 - ``tick_expiry`` is O(1) while a lower bound on the oldest arrival cannot
   expire; only then does it scan the pool in insertion order.
+
+An entry spending value-only coins (the chain's ``UtxoSet.plain``) or
+outputs of an in-pool value-only entry is itself value-only.  A transaction
+that mixes those inputs with ordinal-tracked ones, or puts an inscription on
+them, is rejected as ``mixed-funding`` and so never reaches the chain.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ MEMPOOL_FULL = "mempool-full"
 DUPLICATE = "duplicate"
 DUPLICATE_INPUT = "duplicate-input"
 SPENDS_CONFLICTING_TX = "spends-conflicting-tx"
+MIXED_FUNDING = "mixed-funding"
 
 
 @dataclass(slots=True)
@@ -73,6 +79,7 @@ class MempoolEntry:
     fee: int
     rbf_enabled: bool
     depends_on: set[str]
+    plain: bool = False  # spends value-only coins, so its outputs are value-only too
     # fee / vsize, the sort key.  The float orders entries exactly: with
     # vsizes at most V and rates below 10**4 sat/vB, distinct ratios a/b and
     # c/d differ by |ad - bc| / bd >= 1 / V**2, at least 1 / (V * 10**4 * V)
@@ -127,7 +134,11 @@ class Mempool:
         return len(self.entries) / self.config.congestion_normal_count
 
     def _resolve_input_value(self, outpoint: tuple[str, int]) -> int | None:
-        utxo = self.chain.utxo_set.utxos.get(outpoint)
+        coins = self.chain.utxo_set
+        value = coins.plain.get(outpoint)
+        if value is not None:
+            return value
+        utxo = coins.utxos.get(outpoint)
         if utxo is not None:
             return utxo.value
         parent = self.entries.get(outpoint[0])
@@ -135,6 +146,13 @@ class Mempool:
             value = parent.tx.outputs[outpoint[1]].value
             return value if value > 0 else None  # zero outputs never materialize
         return None
+
+    def _spends_plain(self, outpoint: tuple[str, int]) -> bool:
+        """Whether an input spends a value-only coin or an output of a value-only entry."""
+        if outpoint in self.chain.utxo_set.plain:
+            return True
+        parent = self.entries.get(outpoint[0])
+        return parent is not None and parent.plain
 
     def _live(self, txid: str, arrival: float) -> bool:
         """Whether a heap item for (txid, arrival) still stands for an entry."""
@@ -201,15 +219,23 @@ class Mempool:
             return SubmitResult(False, DUPLICATE_INPUT)
 
         input_total = 0
+        plain_inputs = 0
         conflicts: set[str] = set()
         for inp in tx.inputs:
             value = self._resolve_input_value(inp.outpoint)
             if value is None:
                 return SubmitResult(False, ORPHAN_INPUT)
+            plain_inputs += self._spends_plain(inp.outpoint)
             spender = self.spends.get(inp.outpoint)
             if spender is not None:
                 conflicts.add(spender)
             input_total += value
+        # value-only coins carry no ordinals, so they neither mix with
+        # ordinal-tracked ones nor take an inscription
+        plain = plain_inputs > 0
+        inscribes = bool(tx.outputs) and tx.outputs[0].inscription is not None
+        if plain and (plain_inputs < len(tx.inputs) or inscribes):
+            return SubmitResult(False, MIXED_FUNDING)
 
         fee = input_total - tx.output_total
         if fee < 0:
@@ -237,6 +263,7 @@ class Mempool:
             fee=fee,
             rbf_enabled=tx.rbf_enabled,
             depends_on=depends_on,
+            plain=plain,
         )
         self.entries[tx.txid] = entry
         self.total_vsize += tx.vsize

@@ -9,7 +9,10 @@ the receipts its chain append returned.
 Genesis satoshis enter through ``grant``, which funds the chain's UTXO set and
 records the allocation in the grant ledger, so token state stays
 reconstructable from the grant ledger plus the block list alone (see
-``replay_state``).
+``replay_state``).  Background traffic is funded through ``fund`` instead:
+value-only coins with no owner and no ordinals, recorded in the same ledger
+(and logged as ``fund`` events) so that replay re-creates every serial in
+order.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class Simulation:
         self._window_generated = -1
         self.submit_times: dict[str, float] = {}
         self.congestion_samples: list[float] = []
-        self.grants_log: list[tuple[str, int]] = []
+        self.grants_log: list[tuple[str | None, int]] = []  # owner None: a fund
         self._watch: tuple[str, str] | None = None
         self.balance_samples: list[tuple[float, int, int]] = []
         self.event_log: list[dict] = []
@@ -72,7 +75,7 @@ class Simulation:
             self.background = BackgroundLoad(
                 profile, config.congestion_normal_count, config.block_capacity_vbytes
             )
-            for tx in self.background.sediment(self.grant):
+            for tx in self.background.sediment(self.fund):
                 self.submit(tx)
 
     # -- funding -------------------------------------------------------------
@@ -86,6 +89,14 @@ class Simulation:
                 {"event": "grant", "t": self.now, "owner": owner, "value": value}
             )
         return utxo
+
+    def fund(self, value: int) -> tuple[str, int]:
+        """Value-only coin for background traffic, recorded in the grant ledger for replay."""
+        serial = self.chain.utxo_set.fund(value)
+        self.grants_log.append((None, value))
+        if self.config.log_events:
+            self.event_log.append({"event": "fund", "t": self.now, "value": value})
+        return serial
 
     # -- submissions -----------------------------------------------------------
 
@@ -125,7 +136,7 @@ class Simulation:
         self._window_generated = window
         start = self.next_block_time - self.config.block_interval
         for at, tx in self.background.market_batch(
-            self.grant, start, self.config.block_interval
+            self.fund, start, self.config.block_interval
         ):
             self._seq += 1
             heapq.heappush(self._scheduled, (max(at, self.now), self._seq, tx))
@@ -197,7 +208,10 @@ class Simulation:
         """Token state rebuilt from the grant ledger and the block list."""
         genesis = UtxoSet()
         for owner, value in self.grants_log:
-            genesis.grant(owner, value)
+            if owner is None:
+                genesis.fund(value)
+            else:
+                genesis.grant(owner, value)
         return replay(self.chain.blocks, genesis)
 
     def export_event_log(self, path: str) -> None:

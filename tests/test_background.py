@@ -1,7 +1,12 @@
-"""Background load calibration and determinism."""
+"""Background load calibration and determinism, and its place off the ordinal ledger."""
 
-from brc20sim.background import BackgroundLoad, CongestionProfile
+import random
+
+from brc20sim.background import MARKET_ADDRESS, BackgroundLoad, CongestionProfile
+from brc20sim.harness import inscription_tx
+from brc20sim.indexer import deploy_inscription, mint_inscription
 from brc20sim.sim import SimConfig, Simulation
+from brc20sim.wallet import InsufficientFunds, TransferRequest
 
 
 def test_steady_state_congestion_tracks_target():
@@ -30,15 +35,11 @@ def test_same_seed_identical_trajectories():
     assert trace(9) != trace(10)
 
 
-class _Grant:
-    serial = ("stub", 0)
-
-
 def test_band_profile_floor_confined():
     profile = CongestionProfile.for_band(10, 22.5, 0.75, seed=4)
     load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
     for _ in range(200):
-        load.market_batch(lambda owner, value: _Grant(), 0.0, 600.0)
+        load.market_batch(lambda value: ("stub", 0), 0.0, 600.0)
         assert 1.15 * 22.5 <= load.floor <= 1.55 * 22.5
 
 
@@ -79,3 +80,99 @@ def test_higher_fee_never_confirms_later():
         assert delays == sorted(delays, reverse=True) or all(
             a >= b for a, b in zip(delays, delays[1:])
         )
+
+
+def congested_run(seed: int, blocks: int, after_block) -> Simulation:
+    """A congested scenario with random transfers; ``after_block(sim)`` follows every block.
+
+    Transfers at random fee rates, some below the market floor, inscribe,
+    move and burn ordinals beside the market traffic.
+    """
+    rng = random.Random(seed)
+    sim = Simulation(SimConfig(), CongestionProfile.for_level(0.75, seed))
+    users = ("alice", "bob", "carol")
+    for user in users:
+        sim.grant(user, 50_000_000)
+    sim.submit(inscription_tx(sim, "alice", deploy_inscription("tk", 10**6, 10**6), 600, "d"))
+    sim.run_blocks(1)
+    after_block(sim)
+    for user in users:
+        sim.submit(inscription_tx(sim, user, mint_inscription("tk", 1_000), 600, f"m-{user}"))
+    for _ in range(blocks):
+        if rng.random() < 0.6:
+            sender, recipient = rng.sample(users, 2)
+            request = TransferRequest("tk", rng.randint(1, 400), sender, recipient,
+                                      fee_rate=rng.choice((2, 40, 150, 600)))
+            try:
+                sim.send_transfer(request)
+            except InsufficientFunds:
+                sim.grant(sender, 50_000_000)
+        sim.run_blocks(1)
+        after_block(sim)
+    return sim
+
+
+class LedgerCheck:
+    """Walks the mined blocks, keeping its own record of every coin's value and kind.
+
+    After every block it checks the two conservation identities:
+    - ordinal ledger: UTXO values plus burned satoshis equal the allocated
+      ordinals, and no ordinal sits in two UTXOs;
+    - value-only coins: the value funded equals the value-only value still
+      unspent plus the fees of mined value-only transactions.
+    """
+
+    def __init__(self) -> None:
+        self.coins: dict[tuple[str, int], tuple[int, bool]] = {}  # serial -> (value, plain)
+        self.seen_grants = 0
+        self.seen_blocks = 0
+        self.burned = 0
+        self.plain_fees = 0
+        self.plain_txs = 0
+
+    def __call__(self, sim: Simulation) -> None:
+        for owner, value in sim.grants_log[self.seen_grants:]:
+            self.coins[(f"genesis-{self.seen_grants}", 0)] = (value, owner is None)
+            self.seen_grants += 1
+        for block in sim.chain.blocks[self.seen_blocks:]:
+            for tx in block.transactions:
+                spent = [self.coins.pop(inp.outpoint) for inp in tx.inputs]
+                plain = spent[0][1]
+                assert all(kind == plain for _, kind in spent)
+                fee = sum(value for value, _ in spent) - tx.output_total
+                assert fee >= 0
+                self.plain_fees += fee if plain else 0
+                self.burned += 0 if plain else fee
+                self.plain_txs += plain
+                for index, out in enumerate(tx.outputs):
+                    if out.value:
+                        self.coins[(tx.txid, index)] = (out.value, plain)
+        self.seen_blocks = len(sim.chain.blocks)
+
+        ledger = sim.chain.utxo_set
+        assert ledger.plain == {s: v for s, (v, plain) in self.coins.items() if plain}
+        assert {s: u.value for s, u in ledger.utxos.items()} == {
+            s: v for s, (v, plain) in self.coins.items() if not plain
+        }
+        held = sum(u.value for u in ledger.utxos.values())
+        assert held + self.burned == ledger._next_ordinal
+        ranges = sorted((r.start, r.end) for u in ledger.utxos.values() for r in u.ordinals)
+        assert all(a_end <= b_start for (_, a_end), (b_start, _) in zip(ranges, ranges[1:]))
+        funded = sum(value for owner, value in sim.grants_log if owner is None)
+        assert funded == sum(ledger.plain.values()) + self.plain_fees
+
+
+def test_conservation_after_every_block_of_a_congested_run():
+    for seed in range(3):
+        check = LedgerCheck()
+        sim = congested_run(seed, blocks=25, after_block=check)
+        assert check.plain_txs > 500 and check.burned > 0
+        assert sim.indexer.state.supply_is_conserved()
+
+
+def test_market_coins_stay_off_the_ordinal_ledger():
+    sim = congested_run(5, blocks=25, after_block=lambda sim: None)
+    ledger = sim.chain.utxo_set
+    assert ledger.plain and ledger.utxos
+    assert not [u for u in ledger.utxos.values() if u.owner == MARKET_ADDRESS]
+    assert sim.replay_state() == sim.indexer.state

@@ -5,11 +5,14 @@ from collections import Counter
 
 import pytest
 
+from brc20sim import chain as chain_module
 from brc20sim.chain import (
+    VALUE_ONLY_RECEIPT,
     Chain,
     Block,
     LengthMismatch,
     MissingInput,
+    MixedFunding,
     NegativeFee,
     OrdinalBurned,
     OrdinalUnknown,
@@ -238,11 +241,115 @@ class TestInscriptions:
             UtxoSet().locate_ordinal(5)
 
 
+class TestValueOnly:
+    """Value-only coins: funded, spent and checked without ordinals."""
+
+    @pytest.fixture(autouse=True)
+    def no_ordinal_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a value-only spend reached assign_ordinals")
+
+        monkeypatch.setattr(chain_module, "assign_ordinals", refuse)
+
+    def test_fund_shares_the_grant_serials_and_allocates_no_ordinal(self):
+        state = UtxoSet()
+        first = state.grant("a", 10)
+        assert state.fund(7) == ("genesis-1", 0)
+        assert state.grant("a", 5).serial == ("genesis-2", 0)
+        assert first.serial == ("genesis-0", 0)
+        assert state.plain == {("genesis-1", 0): 7}
+        assert state._next_ordinal == 15
+        assert ("genesis-1", 0) not in state.utxos
+        with pytest.raises(ValueError):
+            state.fund(0)
+
+    def test_outputs_become_value_only_coins(self):
+        state = UtxoSet()
+        coin = state.fund(1_000)
+        outputs = [TxOutput(600, "mkt"), TxOutput(0, "x"), TxOutput(300, "y")]
+        spend = tx("p", [TxInput(coin)], outputs)
+        assert state.apply_transaction(spend) is VALUE_ONLY_RECEIPT
+        assert state.plain == {("p", 0): 600, ("p", 2): 300}
+        assert state.utxos == {} and state._next_ordinal == 0
+        # and a child spends them the same way
+        child = tx("c", [TxInput(("p", 2)), TxInput(("p", 0))], [TxOutput(850, "z")])
+        assert state.apply_transaction(child) is VALUE_ONLY_RECEIPT
+        assert state.plain == {("c", 0): 850}
+
+    def test_unknown_input(self):
+        state = UtxoSet()
+        coin = state.fund(100)
+        with pytest.raises(MissingInput):
+            state.apply_transaction(
+                tx("t", [TxInput(coin), TxInput(("nope", 0))], [TxOutput(1, "a")])
+            )
+        assert state.plain == {coin: 100}
+
+    def test_spent_twice(self):
+        state = UtxoSet()
+        coin = state.fund(100)
+        with pytest.raises(MissingInput):
+            state.apply_transaction(tx("t", [TxInput(coin), TxInput(coin)], [TxOutput(1, "a")]))
+        state.apply_transaction(tx("t1", [TxInput(coin)], [TxOutput(50, "a")]))
+        with pytest.raises(MissingInput):
+            state.apply_transaction(tx("t2", [TxInput(coin)], [TxOutput(50, "a")]))
+
+    def test_overspent(self):
+        state = UtxoSet()
+        coin = state.fund(100)
+        with pytest.raises(NegativeFee):
+            state.apply_transaction(tx("t", [TxInput(coin)], [TxOutput(101, "a")]))
+        assert state.plain == {coin: 100}
+
+    def test_mixed_funding_and_inscriptions_raise(self):
+        state = UtxoSet()
+        coin = state.fund(1_000)
+        utxo = state.grant("a", 1_000)
+        for inputs in ([coin, utxo.serial], [utxo.serial, coin]):
+            with pytest.raises(MixedFunding):
+                state.apply_transaction(tx("m", [TxInput(o) for o in inputs], [TxOutput(5, "a")]))
+        with pytest.raises(MixedFunding):
+            state.apply_transaction(
+                tx("i", [TxInput(coin)], [TxOutput(546, "a", inscription="{}")])
+            )
+        assert state.plain == {coin: 1_000} and state.utxos == {utxo.serial: utxo}
+
+    def test_copy_is_independent(self):
+        state = UtxoSet()
+        coin = state.fund(100)
+        dup = state.copy()
+        state.apply_transaction(tx("t", [TxInput(coin)], [TxOutput(50, "a")]))
+        assert dup.plain == {coin: 100}
+        assert dup.fund(1) == state.fund(1) == ("genesis-1", 0)
+
+
 class TestSerialization:
     def test_transaction_round_trip(self):
         t = tx("t9", [TxInput(("g", 0), 0xFFFFFFFD)],
                [TxOutput(1, "a", inscription="x")], vsize=150)
         assert Transaction.from_dict(t.to_dict()) == t
+
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            (("inputs", 0, "outpoint"), [["a"], 0]),
+            (("inputs", 0, "outpoint"), ["g", True]),
+            (("inputs", 0, "sequence"), 1.0),
+            (("outputs", 0, "value"), "1"),
+            (("outputs", 0, "owner"), 5),
+            (("outputs", 0, "inscription"), {}),
+            (("txid",), None),
+            (("vsize",), 150.0),
+        ],
+    )
+    def test_from_dict_rejects_wrong_types(self, path, bad):
+        data = tx("t9", [TxInput(("g", 0))], [TxOutput(1, "a", inscription="x")]).to_dict()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        with pytest.raises(TypeError):
+            Transaction.from_dict(data)
 
 
 class TestChain:

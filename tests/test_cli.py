@@ -11,6 +11,7 @@ import pytest
 
 import brc20sim
 from brc20sim.cli import main
+from brc20sim.indexer import Brc20State
 from brc20sim.sim import SETTINGS, SimConfig
 
 HEADER = {"event": "header", "config": {name: getattr(SimConfig(), name) for name in SETTINGS}}
@@ -90,6 +91,14 @@ class TestSimCommand:
 
         code, out, _ = run_cli(capsys, "replay", str(log))
         assert code == 0 and "replay OK" in out
+
+    def test_replay_checks_token_supply(self, capsys, tmp_path, monkeypatch):
+        log = tmp_path / "events.jsonl"
+        run_cli(capsys, "sim", "--attempts", "1", "--seed", "2", "--log", str(log))
+        assert '"event": "fund"' in log.read_text()
+        monkeypatch.setattr(Brc20State, "supply_is_conserved", lambda self: False)
+        code, out, err = run_cli(capsys, "replay", str(log))
+        assert code == 2 and "divergence" in err and "replay OK" not in out
 
     def replay_tampered(self, capsys, tmp_path, change):
         """Replay a scenario's log after ``change`` edits its first non-empty mine event."""
@@ -175,7 +184,7 @@ class TestPinnedOutputs:
         log, out = tmp_path / "events.jsonl", tmp_path / "report.json"
         argv = ["sim", "--seed", "4", "--attempts", "3", "--log", str(log), "--out", str(out)]
         assert main(argv) == 0
-        assert self.sha(log) == "0fff7dcad58a18ea4dd54ffe052d14840fb3f0394dda92292aa7526e1b128d43"
+        assert self.sha(log) == "03988115f024c21523888c95234925beb24769fe7b3db91f8e8aa10907ce3b75"
         assert self.sha(out) == "88fcf2c45b0b643e48223f7cdce131469fc62d08741131fd845fc5ede2a8c246"
 
     def test_replay_binance_transcript(self, tmp_path):
@@ -208,6 +217,10 @@ class TestBadInput:
             ("replay", [HEADER, {"event": "grant", "owner": "a", "value": 1_000},
                         {"event": "submit", "t": "x", "tx": FUNDED_TX,
                          "accepted": True, "reason": None}]),
+            ("replay", [HEADER, {"event": "submit", "t": 0.0, "accepted": True, "reason": None,
+                                 "tx": {**FUNDED_TX,
+                                        "inputs": [{"outpoint": [["a"], 0], "sequence": 0}]}}]),
+            ("replay", [HEADER, {"event": "fund", "t": 0.0, "value": 1.5}]),
         ],
     )
     def test_bad_config_or_log_exits_one_without_traceback(self, tmp_path, command, content):

@@ -12,6 +12,7 @@ from brc20sim.mempool import (
     CONFLICT_NOT_REPLACEABLE,
     DUPLICATE_INPUT,
     MEMPOOL_FULL,
+    MIXED_FUNDING,
     NEGATIVE_FEE,
     ORPHAN_INPUT,
     SPENDS_CONFLICTING_TX,
@@ -116,6 +117,48 @@ class TestSubmit:
         result = pool.submit(child, 1.0)
         assert result.accepted
         assert pool.entries[child.txid].depends_on == {parent.txid}
+
+
+class TestValueOnly:
+    def test_mixed_inputs_rejected(self):
+        pool, chain = make_pool()
+        coin = chain.utxo_set.fund(5_000)
+        utxo = chain.utxo_set.grant("funder", 5_000)
+        parent = spend(chain, 1_000, fee=5_000, tag="p")
+        assert pool.submit(parent, 0.0).accepted
+        for other in (utxo.serial, (parent.txid, 0)):
+            for inputs in ((coin, other), (other, coin)):
+                tx = Transaction("mix", tuple(TxInput(o) for o in inputs),
+                                 (TxOutput(1_000, "a"),), 100)
+                assert pool.submit(tx, 1.0).reason == MIXED_FUNDING
+        assert list(pool.entries) == [parent.txid]
+
+    def test_inscription_on_value_only_coins_rejected(self):
+        pool, chain = make_pool()
+        coin = chain.utxo_set.fund(5_000)
+        tx = Transaction("i", (TxInput(coin),), (TxOutput(546, "a", inscription="{}"),), 100)
+        assert pool.submit(tx, 0.0).reason == MIXED_FUNDING
+        assert len(pool) == 0
+
+    def test_child_of_value_only_parent(self):
+        pool, chain = make_pool()
+        coin = chain.utxo_set.fund(10_000)
+        outputs = (TxOutput(6_000, "mkt"), TxOutput(1_000, "mkt"))
+        parent = Transaction("p", (TxInput(coin),), outputs, 100)
+        assert pool.submit(parent, 0.0).accepted
+        assert pool._resolve_input_value(("p", 0)) == 6_000
+        child = child_of(parent, 0, 6_000, fee=2_500)
+        assert pool.submit(child, 1.0).accepted
+        assert pool.entries["p"].plain and pool.entries[child.txid].plain
+        assert pool.entries[child.txid].fee == 2_500
+        # an ordinal-funded child of a value-only parent mixes funding
+        utxo = chain.utxo_set.grant("funder", 5_000)
+        inputs = (TxInput(("p", 1)), TxInput(utxo.serial))
+        mixed = Transaction("m", inputs, (TxOutput(10, "a"),), 100)
+        assert pool.submit(mixed, 2.0).reason == MIXED_FUNDING
+        block = pool.mine_block(600.0)
+        assert [t.txid for t in block.transactions] == ["p", child.txid]
+        assert chain.utxo_set.plain == {("p", 1): 1_000, (child.txid, 0): 3_500}
 
 
 class TestRbf:

@@ -30,3 +30,19 @@ def test_only_the_simulation_runs_the_pool():
 
 def test_only_the_simulation_and_replay_feed_the_indexer():
     assert callers("apply_block") <= {"sim.py", "indexer.py"}
+
+
+def test_background_traffic_stays_off_the_ordinal_ledger():
+    # market and sediment coins are value-only: the load calls no grant
+    # function, the simulation hands it ``fund``, and only the chain runs
+    # the ordinal pass
+    assert not {name for name in called_names(SRC / "background.py") if name and "grant" in name}
+    tree = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
+    handed = [
+        node.args[0].attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("sediment", "market_batch")
+    ]
+    assert handed == ["fund", "fund"]
+    assert callers("assign_ordinals") == {"chain.py"}

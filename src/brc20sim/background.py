@@ -35,6 +35,7 @@ from .chain import Transaction, TxInput, TxOutput, make_txid
 
 MARKET_ADDRESS = "mkt"
 DUST = 546
+MARKET_OUTPUTS = (TxOutput(DUST, MARKET_ADDRESS),)  # every market and sediment tx pays this
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -138,11 +139,10 @@ class BackgroundLoad:
 
     def _market_tx(self, coin: tuple[str, int], vsize: int) -> Transaction:
         inputs = (TxInput(coin),)
-        outputs = (TxOutput(DUST, MARKET_ADDRESS),)
         return Transaction(
-            txid=make_txid(inputs, outputs, vsize, tag=f"bg{self._counter}"),
+            txid=make_txid(inputs, MARKET_OUTPUTS, vsize, tag=f"bg{self._counter}"),
             inputs=inputs,
-            outputs=outputs,
+            outputs=MARKET_OUTPUTS,
             vsize=vsize,
         )
 

@@ -96,6 +96,9 @@ class Transaction:
     inputs: tuple[TxInput, ...]
     outputs: tuple[TxOutput, ...]
     vsize: int
+    # derived once here, since pool admission and the ledger read them per spend
+    output_total: int = field(init=False, compare=False, repr=False)
+    rbf_enabled: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.vsize < 1:
@@ -103,17 +106,18 @@ class Transaction:
         # The indexer binds an inscription to the first satoshi of the first
         # output, so an envelope anywhere else (or on an empty output, which
         # never materializes) would be unreachable.
+        total = 0
         for i, out in enumerate(self.outputs):
             if out.inscription is not None and (i != 0 or out.value < 1):
                 raise ValueError("inscription envelope must sit on a funded output 0")
-
-    @property
-    def output_total(self) -> int:
-        return sum(o.value for o in self.outputs)
-
-    @property
-    def rbf_enabled(self) -> bool:
-        return any(inp.sequence <= RBF_SEQUENCE for inp in self.inputs)
+            total += out.value
+        rbf = False
+        for inp in self.inputs:
+            if inp.sequence <= RBF_SEQUENCE:
+                rbf = True
+                break
+        object.__setattr__(self, "output_total", total)
+        object.__setattr__(self, "rbf_enabled", rbf)
 
     def to_dict(self) -> dict:
         return {

@@ -4,10 +4,12 @@ Entries are prioritized by fee rate (sat/vB).  Block template construction is
 a dependency-respecting greedy: repeatedly take the highest-rate entry whose
 in-pool parents are all already selected and which still fits the remaining
 block capacity.  Replace-by-fee, capacity eviction and 14-day expiry follow
-the usual node behavior.  A replacement first removes its conflicts and then
-faces capacity eviction like any newcomer, which is Bitcoin Core's order
-before cluster mempool (replace, then trim); when the replacement itself is
-trimmed, the rejection still lists the conflicts it removed.
+the usual node behavior.  A replacement must pay more than the fees of
+everything it evicts, its conflicts' descendants included (BIP125 rule 3).
+It first removes its conflicts and then faces capacity eviction like any
+newcomer, which is Bitcoin Core's order before cluster mempool (replace,
+then trim); when the replacement itself is trimmed, the rejection still
+lists the conflicts it removed.
 
 The pool maintains its orderings on every submit and removal instead of
 rebuilding them per block.  With n entries, s entries selected for a block
@@ -30,6 +32,13 @@ and k distinct vsizes among the ready entries:
   rebuilt from ``entries`` in O(n), which is O(1) per removal amortized.
 - ``tick_expiry`` is O(1) while a lower bound on the oldest arrival cannot
   expire; only then does it scan the pool in insertion order.
+
+Admission takes one pass over the inputs: one lookup per input gives its
+value, whether it is value-only and its in-pool parent, and the same pass
+collects the parents and the conflicts.  A plain accept does no more work:
+the duplicate-input set is built only for several inputs, the descendant
+walk only for a replacement, eviction only over capacity, and the accepted
+result is one shared object.
 
 An entry spending value-only coins (the chain's ``UtxoSet.plain``) or
 outputs of an in-pool value-only entry is itself value-only.  A transaction
@@ -77,7 +86,6 @@ class MempoolEntry:
     tx: Transaction
     arrival: float
     fee: int
-    rbf_enabled: bool
     depends_on: set[str]
     plain: bool = False  # spends value-only coins, so its outputs are value-only too
     # fee / vsize, the sort key.  The float orders entries exactly: with
@@ -100,6 +108,9 @@ class SubmitResult:
 
     def __bool__(self) -> bool:
         return self.accepted
+
+
+ACCEPTED = SubmitResult(True)  # every plain accept shares it: results are immutable
 
 
 def _sort_key(entry: MempoolEntry) -> tuple:
@@ -133,26 +144,21 @@ class Mempool:
         """Unconfirmed count over the configured normal level, uncapped."""
         return len(self.entries) / self.config.congestion_normal_count
 
-    def _resolve_input_value(self, outpoint: tuple[str, int]) -> int | None:
+    def _lookup(self, outpoint: tuple[str, int]) -> tuple[int, bool, MempoolEntry | None] | None:
+        """An input's value, whether it is value-only, and its in-pool parent; None if orphaned."""
         coins = self.chain.utxo_set
         value = coins.plain.get(outpoint)
         if value is not None:
-            return value
+            return value, True, None
         utxo = coins.utxos.get(outpoint)
         if utxo is not None:
-            return utxo.value
+            return utxo.value, False, None
         parent = self.entries.get(outpoint[0])
         if parent is not None and outpoint[1] < len(parent.tx.outputs):
             value = parent.tx.outputs[outpoint[1]].value
-            return value if value > 0 else None  # zero outputs never materialize
+            if value > 0:  # zero outputs never materialize
+                return value, parent.plain, parent
         return None
-
-    def _spends_plain(self, outpoint: tuple[str, int]) -> bool:
-        """Whether an input spends a value-only coin or an output of a value-only entry."""
-        if outpoint in self.chain.utxo_set.plain:
-            return True
-        parent = self.entries.get(outpoint[0])
-        return parent is not None and parent.plain
 
     def _live(self, txid: str, arrival: float) -> bool:
         """Whether a heap item for (txid, arrival) still stands for an entry."""
@@ -177,14 +183,17 @@ class Mempool:
         for heap in self._ready.values():
             heapq.heapify(heap)
 
-    def _ancestors(self, parents: set[str]) -> set[str]:
-        """The given in-pool entries and all their in-pool ancestors."""
-        seen, stack = set(), list(parents)
+    def _descendants(self, txids: set[str]) -> set[str]:
+        """The given in-pool entries and all their in-pool descendants."""
+        seen, stack = set(), list(txids)
         while stack:
             txid = stack.pop()
             if txid not in seen:
                 seen.add(txid)
-                stack.extend(self.entries[txid].depends_on)
+                for i in range(len(self.entries[txid].tx.outputs)):
+                    child = self.spends.get((txid, i))
+                    if child is not None:
+                        stack.append(child)
         return seen
 
     def _remove(self, txid: str) -> list[MempoolEntry]:
@@ -213,28 +222,33 @@ class Mempool:
     # -- spec operations ----------------------------------------------------
 
     def submit(self, tx: Transaction, now: float) -> SubmitResult:
-        if tx.txid in self.entries or self.chain.confirmed(tx.txid):
+        txid, inputs = tx.txid, tx.inputs
+        if txid in self.entries or self.chain.confirmed(txid):
             return SubmitResult(False, DUPLICATE)
-        if len({inp.outpoint for inp in tx.inputs}) != len(tx.inputs):
+        if len(inputs) > 1 and len({inp.outpoint for inp in inputs}) != len(inputs):
             return SubmitResult(False, DUPLICATE_INPUT)
 
         input_total = 0
         plain_inputs = 0
+        depends_on: set[str] = set()
         conflicts: set[str] = set()
-        for inp in tx.inputs:
-            value = self._resolve_input_value(inp.outpoint)
-            if value is None:
+        for inp in inputs:
+            found = self._lookup(inp.outpoint)
+            if found is None:
                 return SubmitResult(False, ORPHAN_INPUT)
-            plain_inputs += self._spends_plain(inp.outpoint)
+            value, plain, parent = found
+            input_total += value
+            plain_inputs += plain
+            if parent is not None:
+                depends_on.add(parent.tx.txid)
             spender = self.spends.get(inp.outpoint)
             if spender is not None:
                 conflicts.add(spender)
-            input_total += value
         # value-only coins carry no ordinals, so they neither mix with
         # ordinal-tracked ones nor take an inscription
-        plain = plain_inputs > 0
-        inscribes = bool(tx.outputs) and tx.outputs[0].inscription is not None
-        if plain and (plain_inputs < len(tx.inputs) or inscribes):
+        if plain_inputs and (
+            plain_inputs < len(inputs) or (tx.outputs and tx.outputs[0].inscription is not None)
+        ):
             return SubmitResult(False, MIXED_FUNDING)
 
         fee = input_total - tx.output_total
@@ -243,41 +257,34 @@ class Mempool:
         if fee < self.config.min_relay_fee_rate * tx.vsize:
             return SubmitResult(False, BELOW_MIN_RELAY_FEE)
 
-        depends_on = {
-            inp.outpoint[0] for inp in tx.inputs if inp.outpoint[0] in self.entries
-        }
         replaced: list[str] = []
         if conflicts:
-            conflict_fee = sum(self.entries[c].fee for c in conflicts)
-            replaceable = all(self.entries[c].rbf_enabled for c in conflicts)
-            if not replaceable or fee <= conflict_fee:
+            # BIP125 rule 3: outbid everything that leaves, descendants included
+            evicted = self._descendants(conflicts)
+            replaceable = all(self.entries[c].tx.rbf_enabled for c in conflicts)
+            if not replaceable or fee <= sum(self.entries[t].fee for t in evicted):
                 return SubmitResult(False, CONFLICT_NOT_REPLACEABLE)
             # an input from a conflict or its descendant would leave the pool with it
-            if not conflicts.isdisjoint(self._ancestors(depends_on)):
+            if not depends_on.isdisjoint(evicted):
                 return SubmitResult(False, SPENDS_CONFLICTING_TX)
             for conflict in sorted(conflicts):
                 replaced.extend(e.tx.txid for e in self._remove(conflict))
-        entry = MempoolEntry(
-            tx=tx,
-            arrival=now,
-            fee=fee,
-            rbf_enabled=tx.rbf_enabled,
-            depends_on=depends_on,
-            plain=plain,
-        )
-        self.entries[tx.txid] = entry
+        entry = MempoolEntry(tx, now, fee, depends_on, plain_inputs > 0)
+        self.entries[txid] = entry
         self.total_vsize += tx.vsize
-        for inp in tx.inputs:
-            self.spends[inp.outpoint] = tx.txid
-        heapq.heappush(self._by_rate, (entry.rate_key, -now, tx.txid))
+        for inp in inputs:
+            self.spends[inp.outpoint] = txid
+        heapq.heappush(self._by_rate, (entry.rate_key, -now, txid))
         if not depends_on:
             self._push_ready(entry)
-        self._oldest = min(self._oldest, now)
+        if now < self._oldest:
+            self._oldest = now
 
-        self._enforce_capacity()
-        if tx.txid not in self.entries:
-            return SubmitResult(False, MEMPOOL_FULL, replaced=tuple(replaced))
-        return SubmitResult(True, replaced=tuple(replaced))
+        if self.total_vsize > self.config.mempool_capacity_vbytes:
+            self._enforce_capacity()
+            if txid not in self.entries:
+                return SubmitResult(False, MEMPOOL_FULL, replaced=tuple(replaced))
+        return SubmitResult(True, replaced=tuple(replaced)) if replaced else ACCEPTED
 
     def _enforce_capacity(self) -> list[str]:
         """Evict lowest-rate entries, latest arrival first, until the pool fits."""

@@ -2,10 +2,12 @@
 
 import random
 from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 
 from brc20sim import chain as chain_module
+from brc20sim.background import BackgroundLoad, CongestionProfile
 from brc20sim.chain import (
     VALUE_ONLY_RECEIPT,
     Chain,
@@ -24,6 +26,7 @@ from brc20sim.chain import (
     assign_ordinals,
     make_txid,
 )
+from brc20sim.wallet import TransferRequest, build_transfer
 
 
 def flatten(ranges):
@@ -367,3 +370,53 @@ class TestChain:
         b = make_txid((TxInput(("x", 0)),), (TxOutput(1, "a"),), 100)
         c = make_txid((TxInput(("x", 0)),), (TxOutput(2, "a"),), 100)
         assert a == b != c
+
+
+class TestIdentity:
+    """Txids and the derived ``output_total``/``rbf_enabled`` fields."""
+
+    def test_txids_pinned(self):
+        coins = UtxoSet()
+        load = BackgroundLoad(CongestionProfile.for_level(0.5, seed=1), 10, 800)
+        market = load.sediment(coins.fund)
+        assert [t.txid for t in market] == ["8d1fb23787c9d8a5", "11a5faeea2912329",
+                                            "9719468ee43503eb"]
+        coins.grant("alice", 100_000)
+        bundle = build_transfer(TransferRequest("ordi", 10, "alice", "bob", fee_rate=20), coins)
+        assert bundle.tx1.txid == "dbabd4390acf8618"
+        assert bundle.tx2.txid == "643d2f085105352e"
+        # the txid is the hash of the content, so the pins also pin make_txid
+        for t, tag in ((market[0], "bg1"), (bundle.tx1, "tx1")):
+            assert make_txid(t.inputs, t.outputs, t.vsize, tag=tag) == t.txid
+
+    @pytest.mark.parametrize("sequences, values", [
+        ((), ()),
+        ((0xFFFFFFFF,), (0, 7)),
+        ((0xFFFFFFFF, 0xFFFFFFFD), (546, 1, 99)),
+        ((0xFFFFFFFE,), (5,)),
+        ((0,), ()),
+    ])
+    def test_derived_fields_match_fresh_values(self, sequences, values):
+        t = tx("d", [TxInput(("g", i), s) for i, s in enumerate(sequences)],
+               [TxOutput(v, "a") for v in values])
+        assert t.output_total == sum(o.value for o in t.outputs)
+        assert t.rbf_enabled == any(i.sequence <= 0xFFFFFFFD for i in t.inputs)
+
+    def test_derived_fields_stay_out_of_identity(self):
+        t = tx("t9", [TxInput(("g", 0), 0xFFFFFFFD)], [TxOutput(5, "a"), TxOutput(6, "b")])
+        assert {f.name for f in fields(Transaction) if f.compare} == {
+            "txid", "inputs", "outputs", "vsize"}
+        assert repr(t) == (
+            "Transaction(txid='t9', inputs=(TxInput(outpoint=('g', 0), sequence=4294967293),),"
+            " outputs=(TxOutput(value=5, owner='a', inscription=None),"
+            " TxOutput(value=6, owner='b', inscription=None)), vsize=100)"
+        )
+        assert set(t.to_dict()) == {"txid", "inputs", "outputs", "vsize"}
+        back = Transaction.from_dict(t.to_dict())
+        assert back == t and hash(back) == hash(t)
+        assert (back.output_total, back.rbf_enabled) == (11, True)
+        # replace() builds a new transaction, so the derived fields follow the content
+        bumped = replace(t, inputs=(TxInput(("g", 0)),), outputs=(TxOutput(2, "a"),))
+        assert (bumped.output_total, bumped.rbf_enabled) == (2, False)
+        with pytest.raises(ValueError):
+            replace(t, output_total=0)

@@ -104,10 +104,44 @@ class TestSubmit:
         gap = Fraction(fee2, v - 1) - Fraction(fee1, v)
         assert gap == Fraction(1, v * (v - 1)) and fee2 / (v - 1) < 10**4
         low, high = (
-            MempoolEntry(Transaction(f"x{fee}", (), (), vsize), 0.0, fee, True, set())
+            MempoolEntry(Transaction(f"x{fee}", (), (), vsize), 0.0, fee, set())
             for fee, vsize in ((fee1, v), (fee2, v - 1))
         )
         assert low.rate_key < high.rate_key
+
+    # one pass over the inputs must keep the order in which reasons are tested
+    def test_duplicate_input_beats_orphan(self):
+        pool, chain = make_pool()
+        utxo = chain.utxo_set.grant("funder", 1000)
+        inputs = (TxInput(("missing", 0)), TxInput(utxo.serial), TxInput(utxo.serial))
+        bad = Transaction("dup", inputs, (TxOutput(10, "a"),), 100)
+        assert pool.submit(bad, 0.0).reason == DUPLICATE_INPUT
+
+    def test_orphan_after_value_only_coin_is_orphan(self):
+        pool, chain = make_pool()
+        coin = chain.utxo_set.fund(5_000)
+        inputs = (TxInput(coin), TxInput(("missing", 0)))
+        tx = Transaction("o", inputs, (TxOutput(10, "a"),), 100)
+        assert pool.submit(tx, 0.0).reason == ORPHAN_INPUT
+
+    def test_zero_value_in_pool_output_is_orphan(self):
+        pool, chain = make_pool()
+        utxo = chain.utxo_set.grant("funder", 10_000)
+        outputs = (TxOutput(0, "a"), TxOutput(5_000, "b"))
+        parent = Transaction("p", (TxInput(utxo.serial),), outputs, 100)
+        assert pool.submit(parent, 0.0).accepted
+        child = Transaction("c", (TxInput(("p", 0)),), (TxOutput(0, "a"),), 100)
+        assert pool.submit(child, 1.0).reason == ORPHAN_INPUT
+        assert pool._lookup(("p", 0)) is None
+
+    def test_negative_fee_beats_conflict(self):
+        pool, chain = make_pool()
+        utxo = chain.utxo_set.grant("funder", 10_000)
+        first = Transaction("one", (TxInput(utxo.serial, RBF_OFF),), (TxOutput(5_000, "a"),), 100)
+        assert pool.submit(first, 0.0).accepted
+        over = Transaction("two", (TxInput(utxo.serial, RBF_ON),), (TxOutput(10_001, "a"),), 100)
+        assert pool.submit(over, 1.0).reason == NEGATIVE_FEE
+        assert list(pool.entries) == ["one"]
 
     def test_in_pool_parent_resolves(self):
         pool, chain = make_pool()
@@ -146,7 +180,7 @@ class TestValueOnly:
         outputs = (TxOutput(6_000, "mkt"), TxOutput(1_000, "mkt"))
         parent = Transaction("p", (TxInput(coin),), outputs, 100)
         assert pool.submit(parent, 0.0).accepted
-        assert pool._resolve_input_value(("p", 0)) == 6_000
+        assert pool._lookup(("p", 0)) == (6_000, True, pool.entries["p"])
         child = child_of(parent, 0, 6_000, fee=2_500)
         assert pool.submit(child, 1.0).accepted
         assert pool.entries["p"].plain and pool.entries[child.txid].plain
@@ -220,6 +254,25 @@ class TestRbf:
         result = pool.submit(better, 3.0)
         assert result.accepted and len(result.replaced) == 3
         assert list(pool.entries) == ["better"]
+
+    def test_replacement_must_outbid_descendants(self):
+        # BIP125 rule 3: the fees of everything evicted count, the child's too
+        pool, chain = make_pool()
+        coin = chain.utxo_set.grant("funder", 200_000)
+        parent = Transaction("p", (TxInput(coin.serial, RBF_ON),), (TxOutput(199_000, "a"),), 100)
+        child = Transaction("c", (TxInput(("p", 0), RBF_ON),), (TxOutput(99_000, "a"),), 100)
+        assert pool.submit(parent, 0.0).accepted and pool.submit(child, 1.0).accepted
+        for fee in (1_001, 101_000):  # outbids the parent only; ties the pair
+            r = Transaction(f"r{fee}", (TxInput(coin.serial, RBF_ON),),
+                            (TxOutput(200_000 - fee, "a"),), 100)
+            result = pool.submit(r, 2.0)
+            assert not result.accepted and result.reason == CONFLICT_NOT_REPLACEABLE
+            assert list(pool.entries) == ["p", "c"]
+        r = Transaction("r", (TxInput(coin.serial, RBF_ON),), (TxOutput(98_999, "a"),), 100)
+        result = pool.submit(r, 3.0)
+        assert result.accepted and result.replaced == ("p", "c")
+        assert list(pool.entries) == ["r"]
+        check_pool_invariants(pool)
 
     @pytest.mark.parametrize("through_child", [False, True])
     def test_replacement_spending_what_it_would_remove_rejected(self, through_child):
@@ -506,7 +559,7 @@ def random_pool_history(seed, blocks=12):
                 if len(target.inputs) != 1:
                     continue
                 outpoint = target.inputs[0].outpoint
-                tx = make([outpoint], pool._resolve_input_value(outpoint), vsize, rate + 20)
+                tx = make([outpoint], pool._lookup(outpoint)[0], vsize, rate + 20)
             elif roll < 0.55 and gone:  # an evicted, replaced or expired tx again
                 tx = gone.pop(rng.randrange(len(gone)))
                 seen["resubmitted"] += 1

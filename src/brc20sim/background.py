@@ -21,7 +21,10 @@ level share the same floor path up to a monotone scale factor.
 
 Background transactions spend value-only coins (``Simulation.fund``): the
 model needs only each one's fee, vsize and arrival, so none of them allocates
-ordinals or leaves an ordinal-tracked UTXO on the chain.
+ordinals or leaves an ordinal-tracked UTXO on the chain.  They all pay
+``MARKET_OUTPUTS`` at the profile's vsize, so a load formats that end of
+their txid hash text (``chain.txid_tail``) once and hashes each txid with
+one sha256 call over its tag, its input and that tail.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .chain import Transaction, TxInput, TxOutput, make_txid
+from .chain import Transaction, TxInput, TxOutput, txid_tail, txid_with_tail
 
 MARKET_ADDRESS = "mkt"
 DUST = 546
@@ -121,6 +124,7 @@ class BackgroundLoad:
         self._rng_times = stream(profile.seed, "times")
         self._rng_sediment = stream(profile.seed, "sediment")
         self._counter = 0
+        self._txid_tail = txid_tail(MARKET_OUTPUTS, profile.tx_vsize)
         sigma_stat = profile.sigma / math.sqrt(1.0 - profile.rho**2)
         self._g = self._rng_floor.gauss(0.0, sigma_stat)
         self.floor = 0.0
@@ -137,13 +141,13 @@ class BackgroundLoad:
         self._update_floor()
         return self.floor
 
-    def _market_tx(self, coin: tuple[str, int], vsize: int) -> Transaction:
+    def _market_tx(self, coin: tuple[str, int]) -> Transaction:
         inputs = (TxInput(coin),)
         return Transaction(
-            txid=make_txid(inputs, MARKET_OUTPUTS, vsize, tag=f"bg{self._counter}"),
+            txid=txid_with_tail(inputs, self._txid_tail, tag=f"bg{self._counter}"),
             inputs=inputs,
             outputs=MARKET_OUTPUTS,
-            vsize=vsize,
+            vsize=self.profile.tx_vsize,
         )
 
     def sediment(self, fund_fn) -> list[Transaction]:
@@ -154,7 +158,7 @@ class BackgroundLoad:
             rate = self._rng_sediment.randint(1, self.profile.sediment_rate_hi)
             fee = rate * vsize
             self._counter += 1
-            txs.append(self._market_tx(fund_fn(fee + DUST), vsize))
+            txs.append(self._market_tx(fund_fn(fee + DUST)))
         return txs
 
     def market_batch(self, fund_fn, start: float, interval: float) -> list[tuple[float, Transaction]]:
@@ -169,7 +173,7 @@ class BackgroundLoad:
             rate = self.floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
             fee = math.ceil(rate * p.tx_vsize)
             self._counter += 1
-            tx = self._market_tx(fund_fn(fee + DUST), p.tx_vsize)
+            tx = self._market_tx(fund_fn(fee + DUST))
             at = self._rng_times.uniform(start, start + interval)
             batch.append((at, tx))
         batch.sort(key=lambda item: item[0])

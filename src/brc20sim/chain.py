@@ -161,14 +161,19 @@ class Transaction:
 
 def make_txid(inputs, outputs, vsize: int, tag: str = "") -> str:
     """Deterministic transaction id derived from content."""
-    h = hashlib.sha256()
-    h.update(tag.encode())
+    return txid_with_tail(inputs, txid_tail(outputs, vsize), tag)
+
+
+def txid_tail(outputs, vsize: int) -> bytes:
+    """The end of a txid's hash text, fixed by the outputs and vsize, so shareable."""
+    return ("".join(f"{o.value}:{o.owner}:{o.inscription}" for o in outputs) + str(vsize)).encode()
+
+
+def txid_with_tail(inputs, tail: bytes, tag: str = "") -> str:
+    """``make_txid`` over a ``txid_tail`` computed once: the tag and inputs lead the hash text."""
     for inp in inputs:
-        h.update(f"{inp.outpoint[0]}:{inp.outpoint[1]}:{inp.sequence}".encode())
-    for out in outputs:
-        h.update(f"{out.value}:{out.owner}:{out.inscription}".encode())
-    h.update(str(vsize).encode())
-    return h.hexdigest()[:16]
+        tag += f"{inp.outpoint[0]}:{inp.outpoint[1]}:{inp.sequence}"
+    return hashlib.sha256(tag.encode() + tail).hexdigest()[:16]
 
 
 @dataclass(frozen=True, slots=True)

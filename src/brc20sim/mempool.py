@@ -20,25 +20,29 @@ and k distinct vsizes among the ready entries:
   ``depends_on`` holds each entry's in-pool parents (a mined parent is
   pruned from its children only).
 - The ready entries, those with no in-pool parent, sit in one best-rate-first
-  heap per vsize.  ``mine_block`` repeatedly takes the best top among the
-  heaps whose vsize still fits, in O(s * (k + log n)): it touches the
-  selected entries and their children, never the unmined rest.
-- Every entry sits in a low-rate-first eviction heap, so each capacity
-  eviction costs O(log n) instead of an O(n) scan.
+  heap per vsize; each entry carries its own heap item, ``MempoolEntry.key``.
+  ``mine_block`` repeatedly takes the best top among the heaps whose vsize
+  still fits, in O(s * (k + log n)): it touches the selected entries and
+  their children, never the unmined rest.
+- Once capacity binds, every entry sits in a low-rate-first eviction heap,
+  so each capacity eviction costs O(log n) instead of an O(n) scan.  The
+  heap is built from ``entries`` when the pool first exceeds its capacity,
+  so a pool that never fills (the sweep's) never pays for it.
 - Both heaps delete lazily.  A removal leaves the entry's items behind; an
   item counts only while its txid is in the pool with the item's arrival
   time, so a txid evicted and resubmitted is not mistaken for its old item.
-  Once removals since the last rebuild outnumber the entries, both heaps are
-  rebuilt from ``entries`` in O(n), which is O(1) per removal amortized.
+  Once removals since the last rebuild outnumber the entries, the ready
+  heaps are rebuilt from ``entries`` in O(n), O(1) per removal amortized,
+  and the eviction heap is dropped, to be rebuilt when capacity next binds.
 - ``tick_expiry`` is O(1) while a lower bound on the oldest arrival cannot
   expire; only then does it scan the pool in insertion order.
 
 Admission takes one pass over the inputs: one lookup per input gives its
 value, whether it is value-only and its in-pool parent, and the same pass
-collects the parents and the conflicts.  A plain accept does no more work:
-the duplicate-input set is built only for several inputs, the descendant
-walk only for a replacement, eviction only over capacity, and the accepted
-result is one shared object.
+collects the parents and the conflicts (a confirmed value-only coin is one
+dict probe).  A plain accept does no more work: the duplicate-input set is
+built only for several inputs, the descendant walk only for a replacement,
+eviction only over capacity, and the accepted result is one shared object.
 
 An entry spending value-only coins (the chain's ``UtxoSet.plain``) or
 outputs of an in-pool value-only entry is itself value-only.  A transaction
@@ -95,9 +99,11 @@ class MempoolEntry:
     # resolution of 2**-52.  Correctly rounded division is monotone, so
     # distinct ratios keep their order and equal ratios tie.
     rate_key: float = field(init=False)
+    key: tuple = field(init=False)  # (-rate_key, arrival, txid), its ready-heap item
 
     def __post_init__(self) -> None:
         self.rate_key = self.fee / self.tx.vsize
+        self.key = (-self.rate_key, self.arrival, self.tx.txid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,10 +119,6 @@ class SubmitResult:
 ACCEPTED = SubmitResult(True)  # every plain accept shares it: results are immutable
 
 
-def _sort_key(entry: MempoolEntry) -> tuple:
-    return (-entry.rate_key, entry.arrival, entry.tx.txid)
-
-
 class Mempool:
     """Unconfirmed transaction pool bound to a chain's confirmed UTXO set."""
 
@@ -127,8 +129,8 @@ class Mempool:
         self.spends: dict[tuple[str, int], str] = {}  # outpoint -> spender txid
         self.total_vsize = 0
         # lazily deleted indexes (see the module docstring)
-        self._ready: dict[int, list[tuple]] = {}  # vsize -> heap of _sort_key
-        self._by_rate: list[tuple] = []  # heap of (rate_key, -arrival, txid)
+        self._ready: dict[int, list[tuple]] = {}  # vsize -> heap of MempoolEntry.key
+        self._by_rate: list[tuple] | None = None  # heap of (rate_key, -arrival, txid)
         self._removed = 0  # entries removed or mined since the last rebuild
         self._oldest = math.inf  # at most the earliest arrival in the pool
 
@@ -145,12 +147,12 @@ class Mempool:
         return len(self.entries) / self.config.congestion_normal_count
 
     def _lookup(self, outpoint: tuple[str, int]) -> tuple[int, bool, MempoolEntry | None] | None:
-        """An input's value, whether it is value-only, and its in-pool parent; None if orphaned."""
-        coins = self.chain.utxo_set
-        value = coins.plain.get(outpoint)
-        if value is not None:
-            return value, True, None
-        utxo = coins.utxos.get(outpoint)
+        """An input's value, whether it is value-only, and its in-pool parent; None if orphaned.
+
+        Confirmed value-only coins are not looked up here: ``submit`` probes
+        ``UtxoSet.plain`` first, inline, because most inputs are such coins.
+        """
+        utxo = self.chain.utxo_set.utxos.get(outpoint)
         if utxo is not None:
             return utxo.value, False, None
         parent = self.entries.get(outpoint[0])
@@ -166,20 +168,19 @@ class Mempool:
         return entry is not None and entry.arrival == arrival
 
     def _push_ready(self, entry: MempoolEntry) -> None:
-        heapq.heappush(self._ready.setdefault(entry.tx.vsize, []), _sort_key(entry))
+        heapq.heappush(self._ready.setdefault(entry.tx.vsize, []), entry.key)
 
     def _forget(self, count: int) -> None:
-        """Count removals; rebuild the heaps once stale items may dominate."""
+        """Count removals; rebuild the indexes once stale items may dominate."""
         self._removed += count
         if self._removed <= len(self.entries):
             return
         self._removed = 0
-        self._by_rate = [(e.rate_key, -e.arrival, t) for t, e in self.entries.items()]
-        heapq.heapify(self._by_rate)
+        self._by_rate = None  # rebuilt when capacity next binds
         self._ready = {}
         for entry in self.entries.values():
             if not entry.depends_on:
-                self._ready.setdefault(entry.tx.vsize, []).append(_sort_key(entry))
+                self._ready.setdefault(entry.tx.vsize, []).append(entry.key)
         for heap in self._ready.values():
             heapq.heapify(heap)
 
@@ -232,11 +233,14 @@ class Mempool:
         plain_inputs = 0
         depends_on: set[str] = set()
         conflicts: set[str] = set()
+        plain_coins = self.chain.utxo_set.plain
         for inp in inputs:
-            found = self._lookup(inp.outpoint)
-            if found is None:
-                return SubmitResult(False, ORPHAN_INPUT)
-            value, plain, parent = found
+            value, plain, parent = plain_coins.get(inp.outpoint), True, None
+            if value is None:
+                found = self._lookup(inp.outpoint)
+                if found is None:
+                    return SubmitResult(False, ORPHAN_INPUT)
+                value, plain, parent = found
             input_total += value
             plain_inputs += plain
             if parent is not None:
@@ -274,7 +278,8 @@ class Mempool:
         self.total_vsize += tx.vsize
         for inp in inputs:
             self.spends[inp.outpoint] = txid
-        heapq.heappush(self._by_rate, (entry.rate_key, -now, txid))
+        if self._by_rate is not None:
+            heapq.heappush(self._by_rate, (entry.rate_key, -now, txid))
         if not depends_on:
             self._push_ready(entry)
         if now < self._oldest:
@@ -290,6 +295,9 @@ class Mempool:
         """Evict lowest-rate entries, latest arrival first, until the pool fits."""
         evicted: list[str] = []
         while self.total_vsize > self.config.mempool_capacity_vbytes:
+            if self._by_rate is None:  # unbuilt, or dropped by a rebuild (_forget)
+                self._by_rate = [(e.rate_key, -e.arrival, t) for t, e in self.entries.items()]
+                heapq.heapify(self._by_rate)
             _, neg_arrival, txid = heapq.heappop(self._by_rate)
             if self._live(txid, -neg_arrival):
                 evicted.extend(x.tx.txid for x in self._remove(txid))
@@ -320,7 +328,10 @@ class Mempool:
             for vsize, heap in self._ready.items():
                 if vsize > remaining:
                     continue
-                while heap and not self._live(heap[0][2], heap[0][1]):
+                while heap:  # drop stale tops, as _live would
+                    live = self.entries.get(heap[0][2])
+                    if live is not None and live.arrival == heap[0][1]:
+                        break
                     heapq.heappop(heap)
                 if heap and (best is None or heap[0] < best[0]):
                     best = heap

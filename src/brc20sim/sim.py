@@ -52,6 +52,9 @@ class SimConfig:
 # config keys and required by replay.
 SETTINGS = tuple(f.name for f in fields(SimConfig) if f.name not in ("wallet", "log_events"))
 
+# one encoder for every event-log line: json.dumps(sort_keys=True) builds a new one per call
+_LOG_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 class Simulation:
     def __init__(self, config: SimConfig, profile: CongestionProfile | None = None):
@@ -217,6 +220,6 @@ class Simulation:
     def export_event_log(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             config = {name: getattr(self.config, name) for name in SETTINGS}
-            fh.write(json.dumps({"event": "header", "config": config}, sort_keys=True) + "\n")
+            fh.write(_LOG_ENCODER.encode({"event": "header", "config": config}) + "\n")
             for event in self.event_log:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+                fh.write(_LOG_ENCODER.encode(event) + "\n")

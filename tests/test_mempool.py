@@ -351,6 +351,16 @@ class TestEviction:
         assert txs[0].txid not in pool  # the 150 sat/vB floor entry was evicted
         assert pool.total_vsize <= 300
 
+    def test_eviction_heap_waits_for_capacity_to_bind(self):
+        pool, chain = make_pool(mempool_capacity_vbytes=300)
+        for rate in (150, 200, 300):
+            assert pool.submit(spend(chain, 500, fee=rate * 100, tag=f"t{rate}"), 0.0)
+        pool.mine_block(600.0)
+        assert pool._by_rate is None  # a pool that never fills never pays for the heap
+        for rate in (150, 200, 300, 250):
+            pool.submit(spend(chain, 500, fee=rate * 100, tag=f"u{rate}"), 601.0)
+        assert pool._by_rate is not None and len(pool) == 3
+
     def test_below_floor_rejected_immediately(self):
         pool, chain = make_pool(mempool_capacity_vbytes=300)
         for i, rate in enumerate((150, 200, 300)):
@@ -515,19 +525,47 @@ def check_pool_invariants(pool):
         assert entry.depends_on == parents & entries.keys()
 
 
-def random_pool_history(seed, blocks=12):
+def oracle_evictions(entries, capacity):
+    """The txids capacity eviction removes from ``entries``, txid -> (fee, arrival, tx).
+
+    Drop the lowest (rate, -arrival, txid) entry with its in-pool descendants
+    until the vsizes fit: exact Fraction rates and linear scans, independent
+    of the implementation's eviction heap.
+    """
+    left = dict(entries)
+    total = sum(tx.vsize for _, _, tx in left.values())
+    evicted: list[str] = []
+    while total > capacity:
+        doomed = [min(left, key=lambda t: (Fraction(left[t][0], left[t][2].vsize), -left[t][1], t))]
+        for txid in doomed:  # grows as descendants are found
+            doomed.extend(
+                child for child, (_, _, tx) in left.items()
+                if child not in doomed and any(i.outpoint[0] == txid for i in tx.inputs)
+            )
+        for txid in doomed:
+            total -= left.pop(txid)[2].vsize
+        evicted.extend(doomed)
+    return evicted
+
+
+def random_pool_history(seed, blocks=12, capacity=(1_500, 3_000)):
     """Submit, bump, resubmit and mine at random; each block must match the oracle.
 
-    Returns how often each path was taken, so callers can check coverage.
+    Every capacity eviction must evict what ``oracle_evictions`` does.
+    Returns how often each path was taken, so callers can check coverage,
+    and the height whose submissions first evicted for capacity (None if
+    capacity never bound).
     """
     rng = random.Random(seed)
     block_capacity = rng.randint(400, 1_200)
+    mempool_capacity = rng.randint(*capacity)
     pool, chain = make_pool(
-        mempool_capacity_vbytes=rng.randint(1_500, 3_000),
+        mempool_capacity_vbytes=mempool_capacity,
         block_capacity_vbytes=block_capacity,
         expiry=1_800.0,
     )
     seen = dict(evicted=0, replaced=0, expired=0, resubmitted=0, children_mined=0)
+    bound_at = None
     gone: list[Transaction] = []  # left the pool unmined
     now = 0.0
 
@@ -568,6 +606,7 @@ def random_pool_history(seed, blocks=12):
                 tx = make([coin.serial], coin.value, vsize, rate,
                           rng.choice((RBF_ON, RBF_ON, RBF_OFF)))
             before = dict(pool.entries)
+            found = [pool._lookup(inp.outpoint) for inp in tx.inputs]
             result = pool.submit(tx, now)
             check_pool_invariants(pool)
             removed = [e.tx for txid, e in before.items() if txid not in pool.entries]
@@ -576,6 +615,17 @@ def random_pool_history(seed, blocks=12):
                 gone.append(tx)
             seen["replaced"] += len(result.replaced)
             seen["evicted"] += len(removed) - len(result.replaced)
+            if result.accepted or result.reason == MEMPOOL_FULL:  # tx entered, then the trim
+                admitted = {t: (e.fee, e.arrival, e.tx) for t, e in before.items()
+                            if t not in result.replaced}
+                admitted[tx.txid] = (sum(f[0] for f in found) - tx.output_total, now, tx)
+                expected = oracle_evictions(admitted, mempool_capacity)
+                actual = [t.txid for t in removed if t.txid not in result.replaced]
+                if result.reason == MEMPOOL_FULL:
+                    actual.append(tx.txid)
+                assert sorted(actual) == sorted(expected), (seed, height)
+                if expected and bound_at is None:
+                    bound_at = height
         now = 600.0 * height
         dropped = pool.tick_expiry(now)
         check_pool_invariants(pool)
@@ -587,7 +637,7 @@ def random_pool_history(seed, blocks=12):
         assert [t.txid for t in block.transactions] == expected, (seed, height)
         check_pool_invariants(pool)
         seen["children_mined"] += len(with_parents & set(expected))
-    return seen
+    return seen, bound_at
 
 
 class TestMining:
@@ -651,9 +701,19 @@ class TestMining:
     def test_multi_block_histories_match_greedy_oracle(self):
         totals: dict[str, int] = {}
         for seed in range(40):
-            for key, count in random_pool_history(seed).items():
+            seen, _ = random_pool_history(seed)
+            for key, count in seen.items():
                 totals[key] = totals.get(key, 0) + count
         assert all(totals.values()), totals  # every path was exercised
+
+    def test_capacity_first_binding_after_mining_matches_eviction_oracle(self):
+        # the eviction heap is built when capacity first binds, so build it
+        # from a pool that blocks and expiry have already thinned
+        late = []
+        for seed in range(40):
+            _, bound_at = random_pool_history(seed, blocks=16, capacity=(3_000, 4_500))
+            late.append(bound_at is not None and bound_at >= 3)
+        assert sum(late) >= 20, late
 
     def test_deterministic_block_sequence(self):
         def build():

@@ -3,9 +3,12 @@
 An attack attempt inscribes a falsified transfer against the target: the
 inscription lands at the target's address (debiting available into
 transferable when it confirms) while the follow-up execution transaction is
-fee-priced inside the pinning band and lingers in the mempool.  An attempt
-succeeds when the tokens stay locked longer than the victim's operational
-tolerance.
+fee-priced inside the pinning band and lingers in the mempool.  One attacker
+fires an attempt every ``ATTEMPT_SPACING_S`` seconds at one fee rate, and
+every attempt is measured at the horizon.  The attack succeeds when some
+attempt's tokens stay locked longer than the victim's operational tolerance.
+
+``FeeBand`` and ``pick_fee`` describe the band a caller picks that rate from.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from .sim import Simulation
 from .wallet import TransferRequest, build_transfer
 
 
-class AttackError(Exception):
-    pass
+ATTEMPT_SPACING_S = 1800.0  # seconds between the starts of two attempts
 
 
-class TargetEmpty(AttackError):
+class TargetEmpty(Exception):
     """Target had no available balance when the first attempt started."""
 
 
@@ -71,8 +73,8 @@ class ToleranceInputs:
             raise ValueError("need available >= required >= 0")
         if self.volume_per_period <= 0:
             raise ValueError("volume must be positive")
-        if self.period_seconds <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period_seconds < math.inf:
+            raise ValueError("period must be positive and finite")
 
 
 def tolerance(inputs: ToleranceInputs) -> float:
@@ -93,20 +95,13 @@ class AttackConfig:
     attempts: int
     tolerance_s: float
     horizon_s: float
-    band: FeeBand
-    fee_rate: int | None = None  # None: engine picks from the band
-    rbf: bool = True
-    attempt_spacing_s: float = 2400.0  # survey-mode submission cadence
+    fee_rate: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if self.fee_rate is not None and not (
-            self.band.f_min <= self.fee_rate <= self.band.f_sf
-        ):
-            raise ValueError("fee_rate outside the configured band")
 
 
 @dataclass(slots=True)
@@ -156,28 +151,19 @@ def _zero_attempt(index: int, fee: int, now: float) -> AttemptRecord:
     return AttemptRecord(index=index, amount=0, fee_rate=fee, submit_time=now)
 
 
-def execute(config: AttackConfig, sim: Simulation, stop_on_success: bool = True) -> AttackOutcome:
-    """Run the attack loop against a live simulation.
+def execute(config: AttackConfig, sim: Simulation) -> AttackOutcome:
+    """Run the attack against a live simulation.
 
-    ``stop_on_success`` selects the live-attacker behavior: wait out each
-    attempt and exit as soon as one pins past the tolerance.  With it off,
-    attempts are fired on a fixed cadence and all of them are measured, which
-    is the survey/experiment mode.
+    Attempts are fired every ``ATTEMPT_SPACING_S`` seconds until the horizon,
+    and all of them are scored once the horizon is reached.
     """
     fee = config.fee_rate
-    if fee is None:
-        fee = pick_fee(config.band, sim.pool.congestion())
-    if not config.band.f_min <= fee <= config.band.f_sf:
-        raise AttackError(f"fee {fee} escaped the band")
-
     outcome = AttackOutcome()
     horizon_time = sim.now + config.horizon_s
     start = sim.now
 
     for index in range(1, config.attempts + 1):
-        if not stop_on_success:
-            submit_at = min(start + (index - 1) * config.attempt_spacing_s, horizon_time)
-            sim.run_until(submit_at)
+        sim.run_until(min(start + (index - 1) * ATTEMPT_SPACING_S, horizon_time))
         if sim.now >= horizon_time:
             outcome.per_attempt.append(_zero_attempt(index, fee, sim.now))
             continue
@@ -189,23 +175,15 @@ def execute(config: AttackConfig, sim: Simulation, stop_on_success: bool = True)
         if amount == 0:
             outcome.per_attempt.append(_zero_attempt(index, fee, sim.now))
             continue
+        outcome.per_attempt.append(_launch_attempt(config, sim, index, amount, fee))
 
-        record = _launch_attempt(config, sim, index, amount, fee)
-        outcome.per_attempt.append(record)
-
-        if stop_on_success:
-            _resolve_attempt(config, sim, record, horizon_time)
-            if not record.voided and record.effective_delay > config.tolerance_s:
-                outcome.success = True
-                break
-
-    if not stop_on_success:
-        sim.run_until(horizon_time)
-        for record in outcome.per_attempt:
-            if record.tx2 is not None:
-                _finalize_record(sim, record)
-        delays = [r.effective_delay for r in outcome.per_attempt]
-        outcome.success = evaluate_success(delays, config.tolerance_s)
+    sim.run_until(horizon_time)
+    for record in outcome.per_attempt:
+        if record.tx2 is not None:
+            _finalize_record(sim, record)
+    outcome.success = evaluate_success(
+        [r.effective_delay for r in outcome.per_attempt], config.tolerance_s
+    )
 
     avail, trans, _ = sim.balance(config.tick, config.target)
     outcome.total_pinned = trans
@@ -221,7 +199,6 @@ def _launch_attempt(config, sim, index: int, amount: int, fee: int) -> AttemptRe
         sender=config.target,  # falsified: inscription lands at the target
         recipient=config.target,
         fee_rate=fee,
-        rbf=config.rbf,
     )
     bundle, _, _ = sim.send_transfer(req)
     return AttemptRecord(
@@ -248,15 +225,3 @@ def _finalize_record(sim: Simulation, record: AttemptRecord) -> None:
     record.pinned = ordinal in sim.indexer.state.pending
     record.effective_delay = 0.0 if record.voided else sim.effective_delay(record.tx2)
 
-
-def _resolve_attempt(config, sim, record: AttemptRecord, horizon_time: float) -> None:
-    """Advance until the execution tx confirms or pends past the tolerance."""
-    while True:
-        if sim.chain.confirmed(record.tx2):
-            break
-        if sim.now - record.submit_time > config.tolerance_s:
-            break
-        if sim.now >= horizon_time:
-            break
-        sim.run_blocks(1)
-    _finalize_record(sim, record)

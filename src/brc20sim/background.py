@@ -19,12 +19,18 @@ Everything is driven by named, seed-derived RNG streams, so two runs with the
 same seed produce identical pools, and runs that differ only in congestion
 level share the same floor path up to a monotone scale factor.
 
+What varies between profiles is the congestion level, the seed, the floor's
+scale and clamps and its innovation ``sigma``.  The rest of the model is
+fixed here as module constants: the floor's AR(1) persistence
+``FLOOR_RHO``, the per-transaction rate spread ``RATE_SPREAD``, the one
+``MARKET_TX_VSIZE`` and the sediment's top rate ``SEDIMENT_RATE_HI``.
+
 Background transactions spend value-only coins (``Simulation.fund``): the
 model needs only each one's fee, vsize and arrival, so none of them allocates
 ordinals or leaves an ordinal-tracked UTXO on the chain.  They all pay
-``MARKET_OUTPUTS`` at the profile's vsize, so a load formats that end of
-their txid hash text (``chain.txid_tail``) once and hashes each txid with
-one sha256 call over its tag, its input and that tail.
+``MARKET_OUTPUTS`` at ``MARKET_TX_VSIZE``, so the end of their txid hash text
+(``chain.txid_tail``) is formatted once, as ``MARKET_TXID_TAIL``, and each
+txid is one sha256 call over its tag, its input and that tail.
 """
 
 from __future__ import annotations
@@ -34,11 +40,15 @@ import math
 import random
 from dataclasses import dataclass
 
-from .chain import Transaction, TxInput, TxOutput, txid_tail, txid_with_tail
+from .chain import DUST, Transaction, TxInput, TxOutput, txid_tail, txid_with_tail
 
 MARKET_ADDRESS = "mkt"
-DUST = 546
 MARKET_OUTPUTS = (TxOutput(DUST, MARKET_ADDRESS),)  # every market and sediment tx pays this
+MARKET_TX_VSIZE = 400  # vsize of every market and sediment tx
+MARKET_TXID_TAIL = txid_tail(MARKET_OUTPUTS, MARKET_TX_VSIZE)
+FLOOR_RHO = 0.9  # AR(1) persistence of the mining floor per block
+RATE_SPREAD = 1.15  # per-tx rate multiplier in [1, RATE_SPREAD]
+SEDIMENT_RATE_HI = 5  # sediment rates are uniform in 1..SEDIMENT_RATE_HI sat/vB
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -59,11 +69,7 @@ class CongestionProfile:
     floor_base: float  # stationary scale of the mining floor, sat/vB
     floor_lo: float  # hard clamps on the floor
     floor_cap: float
-    rho: float = 0.9  # AR(1) persistence per block
     sigma: float = 0.22  # AR(1) innovation std-dev
-    spread: float = 1.15  # per-tx rate multiplier in [1, spread]
-    tx_vsize: int = 400
-    sediment_rate_hi: int = 5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.target_level:
@@ -106,7 +112,6 @@ class CongestionProfile:
             floor_lo=1.15 * f_sf,
             floor_cap=1.55 * f_sf,
             sigma=0.10,
-            spread=1.15,
         )
 
 
@@ -115,7 +120,7 @@ class BackgroundLoad:
 
     def __init__(self, profile: CongestionProfile, normal_count: int, block_capacity: int):
         self.profile = profile
-        self.batch_size = block_capacity // profile.tx_vsize if profile.target_level else 0
+        self.batch_size = block_capacity // MARKET_TX_VSIZE if profile.target_level else 0
         target_count = round(profile.target_level * normal_count)
         self.flight = min(self.batch_size, target_count)
         self.sediment_count = max(0, target_count - self.flight)
@@ -124,8 +129,7 @@ class BackgroundLoad:
         self._rng_times = stream(profile.seed, "times")
         self._rng_sediment = stream(profile.seed, "sediment")
         self._counter = 0
-        self._txid_tail = txid_tail(MARKET_OUTPUTS, profile.tx_vsize)
-        sigma_stat = profile.sigma / math.sqrt(1.0 - profile.rho**2)
+        sigma_stat = profile.sigma / math.sqrt(1.0 - FLOOR_RHO**2)
         self._g = self._rng_floor.gauss(0.0, sigma_stat)
         self.floor = 0.0
         if profile.target_level:
@@ -137,26 +141,25 @@ class BackgroundLoad:
 
     def advance_floor(self) -> float:
         p = self.profile
-        self._g = p.rho * self._g + self._rng_floor.gauss(0.0, p.sigma)
+        self._g = FLOOR_RHO * self._g + self._rng_floor.gauss(0.0, p.sigma)
         self._update_floor()
         return self.floor
 
     def _market_tx(self, coin: tuple[str, int]) -> Transaction:
         inputs = (TxInput(coin),)
         return Transaction(
-            txid=txid_with_tail(inputs, self._txid_tail, tag=f"bg{self._counter}"),
+            txid=txid_with_tail(inputs, MARKET_TXID_TAIL, tag=f"bg{self._counter}"),
             inputs=inputs,
             outputs=MARKET_OUTPUTS,
-            vsize=self.profile.tx_vsize,
+            vsize=MARKET_TX_VSIZE,
         )
 
     def sediment(self, fund_fn) -> list[Transaction]:
         """One-shot low-fee padding; rates far below any realistic foreground."""
         txs = []
-        vsize = self.profile.tx_vsize
         for _ in range(self.sediment_count):
-            rate = self._rng_sediment.randint(1, self.profile.sediment_rate_hi)
-            fee = rate * vsize
+            rate = self._rng_sediment.randint(1, SEDIMENT_RATE_HI)
+            fee = rate * MARKET_TX_VSIZE
             self._counter += 1
             txs.append(self._market_tx(fund_fn(fee + DUST)))
         return txs
@@ -166,12 +169,11 @@ class BackgroundLoad:
         if not self.flight:
             return []
         self.advance_floor()
-        p = self.profile
-        ln_spread = math.log(p.spread)
+        ln_spread = math.log(RATE_SPREAD)
         batch: list[tuple[float, Transaction]] = []
         for _ in range(self.flight):
             rate = self.floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
-            fee = math.ceil(rate * p.tx_vsize)
+            fee = math.ceil(rate * MARKET_TX_VSIZE)
             self._counter += 1
             tx = self._market_tx(fund_fn(fee + DUST))
             at = self._rng_times.uniform(start, start + interval)

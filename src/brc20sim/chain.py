@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 MAX_SEQUENCE = 0xFFFFFFFF
 RBF_SEQUENCE = 0xFFFFFFFD  # highest sequence value that still signals replaceability
+DUST = 546  # value of every inscription, execution and market output
 
 
 class ChainError(Exception):

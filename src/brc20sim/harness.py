@@ -13,13 +13,13 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 
-from .attack import AttackConfig, FeeBand, execute
+from .attack import ATTEMPT_SPACING_S, AttackConfig, execute
 from .background import CongestionProfile
-from .chain import Transaction, TxInput, TxOutput, make_txid
+from .chain import DUST, Transaction, TxInput, TxOutput, make_txid
 from .indexer import deploy_inscription, mint_inscription
 from .sim import SimConfig, Simulation
 # unused here, but bench/tracing.py wraps the build_transfer name in this module
-from .wallet import TransferRequest, build_recovery, build_transfer
+from .wallet import TX1_VSIZE, TransferRequest, build_recovery, build_transfer
 
 TICK = "ordi"
 TARGET = "hot-wallet"
@@ -30,6 +30,8 @@ CONGESTION_LEVELS = (0.25, 0.50, 0.75)
 ATTEMPT_LEVELS = (2, 5, 10)
 
 SETUP_FEE_RATE = 500  # above every background rate: setup confirms next block
+TARGET_INITIAL = 1_000_000  # the target's opening token balance in a scenario
+HORIZON_MARGIN_S = 2400.0  # scored horizon: attempts, then tolerance, then this
 
 CSV_HEADER = (
     "fraction,fee,congestion,attempts,success_rate,mean_delay,p95_delay,"
@@ -47,26 +49,21 @@ class ScenarioConfig:
     fee_rate: int
     congestion: float
     attempts: int
-    target_initial: int = 1_000_000
     tolerance_s: float = 3600.0
-    attempt_spacing_s: float = 1800.0
-    horizon_margin_s: float = 2400.0
     sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self) -> None:
-        if self.fraction < 0 or self.fraction > 1:
+        if not 0 <= self.fraction <= 1:
             raise ValueError("fraction must be in [0, 1]")
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
         if self.fee_rate < self.sim.min_relay_fee_rate:
             raise ValueError("fee below the relay floor")
+        if not 0 <= self.tolerance_s < math.inf:
+            raise ValueError(f"tolerance must be >= 0 and finite, got {self.tolerance_s!r}")
 
     def horizon_s(self) -> float:
-        return (
-            self.attempts * self.attempt_spacing_s
-            + self.tolerance_s
-            + self.horizon_margin_s
-        )
+        return self.attempts * ATTEMPT_SPACING_S + self.tolerance_s + HORIZON_MARGIN_S
 
 
 @dataclass(slots=True)
@@ -106,11 +103,10 @@ def inscription_tx(
     sim: Simulation, owner: str, payload: str, fee_rate: int, tag: str
 ) -> Transaction:
     """Single self-send envelope transaction (deploy/mint setup plumbing)."""
-    vsize = sim.config.wallet.tx1_vsize
-    fund = sim.grant(owner, 546 + fee_rate * vsize)
+    fund = sim.grant(owner, DUST + fee_rate * TX1_VSIZE)
     inputs = (TxInput(fund.serial),)
-    outputs = (TxOutput(546, owner, inscription=payload),)
-    return Transaction(make_txid(inputs, outputs, vsize, tag=tag), inputs, outputs, vsize)
+    outputs = (TxOutput(DUST, owner, inscription=payload),)
+    return Transaction(make_txid(inputs, outputs, TX1_VSIZE, tag=tag), inputs, outputs, TX1_VSIZE)
 
 
 def _fund_and_mint(sim: Simulation, holdings: dict[str, int], max_supply: int) -> None:
@@ -140,7 +136,7 @@ def run_scenario(
 
     for _ in range(10):
         sim.grant(TARGET, 100_000_000)
-    _fund_and_mint(sim, {TARGET: config.target_initial}, max_supply=21_000_000)
+    _fund_and_mint(sim, {TARGET: TARGET_INITIAL}, max_supply=21_000_000)
     sim.watch_balance(TICK, TARGET)
 
     attack = AttackConfig(
@@ -150,11 +146,9 @@ def run_scenario(
         attempts=config.attempts,
         tolerance_s=config.tolerance_s,
         horizon_s=config.horizon_s(),
-        band=FeeBand(sim_config.min_relay_fee_rate, max(config.fee_rate, 2.25)),
         fee_rate=config.fee_rate,
-        attempt_spacing_s=config.attempt_spacing_s,
     )
-    outcome = execute(attack, sim, stop_on_success=False)
+    outcome = execute(attack, sim)
     if log_path is not None:
         sim.export_event_log(log_path)
 
@@ -165,7 +159,7 @@ def run_scenario(
         success=outcome.success,
         delays=[r.effective_delay for r in outcome.per_attempt],
         peak_pinned=outcome.peak_pinned,
-        pinned_pct=100.0 * outcome.peak_pinned / config.target_initial,
+        pinned_pct=100.0 * outcome.peak_pinned / TARGET_INITIAL,
         outage_s=outage,
         congestion_measured=sim.mean_congestion(),
         transcript=outcome.transcript(),
@@ -274,7 +268,6 @@ def _replay_profile(seed: int) -> CongestionProfile:
         floor_lo=230.0,
         floor_cap=330.0,
         sigma=0.08,
-        spread=1.15,
     )
 
 
@@ -411,8 +404,7 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
         ordinal = sim.indexer.inscription_of(bundle.tx1.txid)
         pending = sim.indexer.state.pending[ordinal]
         recovery = build_recovery(
-            pending, sim.chain.utxo_set, TARGET, q["recovery_fee"],
-            sim.config.wallet, exclude=used,
+            pending, sim.chain.utxo_set, TARGET, q["recovery_fee"], exclude=used,
         )
         used.update(inp.outpoint for inp in recovery.inputs)
         result = sim.submit(recovery)

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 
 from . import wallet
 from .background import BackgroundLoad, CongestionProfile
 from .chain import Chain, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
 from .mempool import DAY, Mempool, SubmitResult, UnknownTx
-from .wallet import TransferBundle, TransferRequest, WalletConfig
+from .wallet import BUNDLE_GAP, TransferBundle, TransferRequest
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,18 +40,20 @@ class SimConfig:
     min_relay_fee_rate: int = 1
     expiry: float = 14 * DAY
     congestion_normal_count: int = 400
-    wallet: WalletConfig = field(default_factory=WalletConfig)
     log_events: bool = False
 
     def __post_init__(self) -> None:
-        for name in SETTINGS:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.name in SETTINGS and not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 
 
 # The numeric settings, as written to the event-log header, accepted as CLI
 # config keys and required by replay.
-SETTINGS = tuple(f.name for f in fields(SimConfig) if f.name not in ("wallet", "log_events"))
+SETTINGS = tuple(f.name for f in fields(SimConfig) if f.name != "log_events")
 
 # one encoder for every event-log line: json.dumps(sort_keys=True) builds a new one per call
 _LOG_ENCODER = json.JSONEncoder(sort_keys=True)
@@ -118,14 +121,16 @@ class Simulation:
     def send_transfer(
         self, request: TransferRequest
     ) -> tuple[TransferBundle, SubmitResult, SubmitResult]:
-        """Build a bundle from coins no pool entry spends; send Tx1 now, Tx2 bundle_gap later."""
+        """Build a bundle from coins no pool entry spends; send Tx1 now and Tx2
+        ``BUNDLE_GAP`` later, after mining any block that falls in between."""
         bundle = wallet.build_transfer(  # looked up per call: bench/tracing.py wraps it
-            request, self.chain.utxo_set, self.config.wallet, exclude=set(self.pool.spends)
+            request, self.chain.utxo_set, exclude=set(self.pool.spends)
         )
         bundle.tx1_submit = self.now
-        bundle.tx2_submit = self.now + self.config.wallet.bundle_gap
         r1 = self.submit(bundle.tx1)
-        r2 = self.submit(bundle.tx2, bundle.tx2_submit)
+        self.run_until(self.now + BUNDLE_GAP)
+        bundle.tx2_submit = self.now
+        r2 = self.submit(bundle.tx2)
         return bundle, r1, r2
 
     # -- time ------------------------------------------------------------------

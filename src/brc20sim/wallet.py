@@ -3,8 +3,12 @@
 A transfer is a pair of chained transactions sharing one user-facing fee rate:
 a small inscription transaction whose first output carries the transfer
 payload back to the sender, and a larger execution transaction that spends
-that output to the recipient.  With the default virtual sizes (150 and 600 vB)
-the second transaction pays 4x the absolute fee of the first.
+that output to the recipient.  The model fixes the bundle's shape as module
+constants: ``TX1_VSIZE`` (150 vB) and ``TX2_VSIZE`` (600 vB), so the second
+transaction pays 4x the absolute fee of the first; one ``DUST`` output
+(``chain.DUST``) carries the inscription; Tx2 is sent ``BUNDLE_GAP`` seconds
+after Tx1; and a fee bump raises the rate to ceil(5/4 of it), at most
+``MAX_FEE_BUMPS`` times.
 
 Token balance sufficiency is deliberately NOT checked here: the indexer voids
 underfunded inscriptions, and falsified inscriptions are exactly the point of
@@ -18,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .chain import (
+    DUST,
     MAX_SEQUENCE,
     RBF_SEQUENCE,
     Transaction,
@@ -32,6 +37,11 @@ from .mempool import CONFLICT_NOT_REPLACEABLE
 
 if TYPE_CHECKING:
     from .sim import Simulation
+
+TX1_VSIZE = 150  # inscription transaction, vB
+TX2_VSIZE = 600  # execution (and recovery) transaction, vB
+BUNDLE_GAP = 1.0  # seconds between sending Tx1 and Tx2
+MAX_FEE_BUMPS = 3
 
 
 class WalletError(Exception):
@@ -55,19 +65,6 @@ class NotOwner(WalletError):
 
 
 @dataclass(frozen=True, slots=True)
-class WalletConfig:
-    tx1_vsize: int = 150
-    tx2_vsize: int = 600
-    dust: int = 546
-    bundle_gap: float = 1.0
-    bump_factor_num: int = 5  # fee bump = ceil(rate * 5/4)
-    bump_factor_den: int = 4
-
-
-DEFAULT_WALLET_CONFIG = WalletConfig()
-
-
-@dataclass(frozen=True, slots=True)
 class TransferRequest:
     tick: str
     amount: int
@@ -75,15 +72,12 @@ class TransferRequest:
     recipient: str
     fee_rate: int
     rbf: bool = True
-    max_retries: int = 3
 
     def __post_init__(self) -> None:
         if self.amount <= 0:
             raise ValueError("transfer amount must be positive")
         if self.fee_rate < 0:
             raise ValueError("fee rate must be >= 0")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
 
 
 @dataclass(slots=True)
@@ -130,30 +124,29 @@ def _select_funding(
 def build_transfer(
     req: TransferRequest,
     utxo_set: UtxoSet,
-    cfg: WalletConfig = DEFAULT_WALLET_CONFIG,
     exclude: set[tuple[str, int]] | None = None,
 ) -> TransferBundle:
     """Construct the inscription/execution pair for a transfer request."""
-    tx1_fee = req.fee_rate * cfg.tx1_vsize
-    tx2_fee = req.fee_rate * cfg.tx2_vsize
+    tx1_fee = req.fee_rate * TX1_VSIZE
+    tx2_fee = req.fee_rate * TX2_VSIZE
     sequence = RBF_SEQUENCE if req.rbf else MAX_SEQUENCE
 
-    funding = _select_funding(utxo_set, req.sender, cfg.dust + tx1_fee + tx2_fee, exclude)
+    funding = _select_funding(utxo_set, req.sender, DUST + tx1_fee + tx2_fee, exclude)
     funded = sum(u.value for u in funding)
-    change = funded - cfg.dust - tx1_fee  # >= tx2_fee by selection
+    change = funded - DUST - tx1_fee  # >= tx2_fee by selection
 
     payload = transfer_inscription(req.tick, req.amount)
     tx1_inputs = tuple(TxInput(u.serial, sequence) for u in funding)
-    tx1_outputs = [TxOutput(cfg.dust, req.sender, inscription=payload)]
+    tx1_outputs = [TxOutput(DUST, req.sender, inscription=payload)]
     if change > 0:
         tx1_outputs.append(TxOutput(change, req.sender))
     tx1 = Transaction(
-        txid=make_txid(tx1_inputs, tx1_outputs, cfg.tx1_vsize, tag="tx1"),
+        txid=make_txid(tx1_inputs, tx1_outputs, TX1_VSIZE, tag="tx1"),
         inputs=tx1_inputs,
         outputs=tuple(tx1_outputs),
-        vsize=cfg.tx1_vsize,
+        vsize=TX1_VSIZE,
     )
-    tx2 = _build_execution(tx1, change, req.recipient, req.sender, tx2_fee, sequence, cfg)
+    tx2 = _build_execution(tx1, change, req.recipient, req.sender, tx2_fee, sequence)
     return TransferBundle(
         request=req,
         tx1=tx1,
@@ -171,7 +164,6 @@ def _build_execution(
     sender: str,
     tx2_fee: int,
     sequence: int,
-    cfg: WalletConfig,
 ) -> Transaction:
     if change < tx2_fee:
         raise InsufficientFunds("tx1 change cannot cover the execution fee")
@@ -180,33 +172,32 @@ def _build_execution(
         inputs.append(TxInput((tx1.txid, 1), sequence))
     # Output 0 takes exactly the inscription output's satoshis, so the
     # inscribed ordinal lands with the recipient.
-    outputs = [TxOutput(cfg.dust, recipient)]
+    outputs = [TxOutput(DUST, recipient)]
     remainder = change - tx2_fee
     if remainder > 0:
         outputs.append(TxOutput(remainder, sender))
     return Transaction(
-        txid=make_txid(tuple(inputs), outputs, cfg.tx2_vsize, tag="tx2"),
+        txid=make_txid(tuple(inputs), outputs, TX2_VSIZE, tag="tx2"),
         inputs=tuple(inputs),
         outputs=tuple(outputs),
-        vsize=cfg.tx2_vsize,
+        vsize=TX2_VSIZE,
     )
 
 
-def bumped_rate(rate: int, cfg: WalletConfig = DEFAULT_WALLET_CONFIG) -> int:
-    num = rate * cfg.bump_factor_num
-    return -(-num // cfg.bump_factor_den)  # ceiling division
+def bumped_rate(rate: int) -> int:
+    return -(-rate * 5 // 4)  # ceil(rate * 5/4)
 
 
 def retry_with_fee_bump(bundle: TransferBundle, sim: Simulation) -> TransferBundle:
     """Replace the pending execution transaction at a higher fee rate, now."""
-    cfg, req = sim.config.wallet, bundle.request
-    if bundle.retries >= req.max_retries:
-        raise RetriesExhausted(f"aborting after {req.max_retries} fee bumps")
-    new_rate = bumped_rate(bundle.fee_rate, cfg)
-    new_fee = new_rate * cfg.tx2_vsize
+    req = bundle.request
+    if bundle.retries >= MAX_FEE_BUMPS:
+        raise RetriesExhausted(f"aborting after {MAX_FEE_BUMPS} fee bumps")
+    new_rate = bumped_rate(bundle.fee_rate)
+    new_fee = new_rate * TX2_VSIZE
     change = sum(o.value for o in bundle.tx1.outputs[1:])
     sequence = bundle.tx2.inputs[0].sequence
-    tx2 = _build_execution(bundle.tx1, change, req.recipient, req.sender, new_fee, sequence, cfg)
+    tx2 = _build_execution(bundle.tx1, change, req.recipient, req.sender, new_fee, sequence)
     result = sim.submit(tx2)
     if not result and result.reason == CONFLICT_NOT_REPLACEABLE:
         raise ConflictNotReplaceable(f"tx2 {bundle.tx2.txid} cannot be replaced")
@@ -227,7 +218,6 @@ def build_recovery(
     utxo_set: UtxoSet,
     owner: str,
     fee_rate: int,
-    cfg: WalletConfig = DEFAULT_WALLET_CONFIG,
     exclude: set[tuple[str, int]] | None = None,
 ) -> Transaction:
     """Self-send of a pinned inscription: moves the tokens back to available.
@@ -240,7 +230,7 @@ def build_recovery(
         raise NotOwner(
             f"{owner} does not hold inscription ordinal {pending.inscription_ordinal}"
         )
-    fee = fee_rate * cfg.tx2_vsize
+    fee = fee_rate * TX2_VSIZE
     exclude = set(exclude or ())
     exclude.add(inscription_utxo.serial)
     funding = _select_funding(utxo_set, owner, fee, exclude)
@@ -252,8 +242,8 @@ def build_recovery(
     if funded - fee > 0:
         outputs.append(TxOutput(funded - fee, owner))
     return Transaction(
-        txid=make_txid(tuple(inputs), outputs, cfg.tx2_vsize, tag="recovery"),
+        txid=make_txid(tuple(inputs), outputs, TX2_VSIZE, tag="recovery"),
         inputs=tuple(inputs),
         outputs=tuple(outputs),
-        vsize=cfg.tx2_vsize,
+        vsize=TX2_VSIZE,
     )

@@ -115,28 +115,26 @@ def pinned_sim(seed=0, minted=1_000_000):
     return sim, band
 
 
-def attack_config(band, fee=None, fraction=1.0, attempts=2, t_bar=3600.0, horizon=12_000.0):
+def attack_config(fee, fraction=1.0, attempts=2, t_bar=3600.0, horizon=12_000.0):
     return AttackConfig(
         tick=TICK, target=TARGET,
         fraction=fraction, attempts=attempts, tolerance_s=t_bar,
-        horizon_s=horizon, band=band, fee_rate=fee,
+        horizon_s=horizon, fee_rate=fee,
     )
 
 
 class TestExecute:
     def test_full_drain_pins_and_succeeds(self):
-        sim, band = pinned_sim()
-        outcome = execute(attack_config(band, fee=14), sim, stop_on_success=True)
+        sim, _ = pinned_sim()
+        outcome = execute(attack_config(fee=14), sim)
         assert outcome.success
         assert outcome.target_available_at_end == 0
         assert outcome.total_pinned == 1_000_000
         assert outcome.per_attempt[0].pinned
-        assert len(outcome.per_attempt) == 1  # exited on first success
 
     def test_high_fee_control_confirms_fast(self):
         sim, _ = pinned_sim()
-        control_band = FeeBand(10, 45)  # control probes the top of this band
-        outcome = execute(attack_config(control_band, fee=45), sim, stop_on_success=True)
+        outcome = execute(attack_config(fee=45), sim)  # twice the band's top, 22.5
         assert not outcome.success
         assert all(r.effective_delay <= 1200.0 for r in outcome.per_attempt)
         # tokens returned: confirmed self-transfers restore available balance
@@ -144,33 +142,33 @@ class TestExecute:
 
     def test_fee_picked_from_band_when_unset(self):
         sim, band = pinned_sim()
-        outcome = execute(attack_config(band), sim, stop_on_success=True)
+        outcome = execute(attack_config(fee=pick_fee(band, sim.pool.congestion())), sim)
         assert outcome.success
         assert all(band.f_min <= r.fee_rate <= band.f_sf for r in outcome.per_attempt)
 
     def test_target_empty_raises(self):
-        sim, band = pinned_sim()
+        sim, _ = pinned_sim()
         config = AttackConfig(
             tick=TICK, target="penniless", fraction=1.0,
-            attempts=1, tolerance_s=3600.0, horizon_s=6000.0, band=band, fee_rate=14,
+            attempts=1, tolerance_s=3600.0, horizon_s=6000.0, fee_rate=14,
         )
         sim.grant("penniless", 10_000_000)
         with pytest.raises(TargetEmpty):
             execute(config, sim)
 
     def test_fraction_zero_pins_nothing(self):
-        sim, band = pinned_sim()
-        outcome = execute(attack_config(band, fee=14, fraction=0.0, attempts=1), sim)
+        sim, _ = pinned_sim()
+        outcome = execute(attack_config(fee=14, fraction=0.0, attempts=1), sim)
         assert not outcome.success
         assert outcome.total_pinned == 0
         assert outcome.per_attempt[0].amount == 0
 
     def test_concurrent_withdrawal_voids_attempt(self):
-        sim, band = pinned_sim()
+        sim, _ = pinned_sim()
         # a user withdrawal lands in the same block as the attack inscription
         wd = TransferRequest(TICK, 600_000, sender=TARGET, recipient="user", fee_rate=500)
         sim.send_transfer(wd)
-        outcome = execute(attack_config(band, fee=14, attempts=1), sim)
+        outcome = execute(attack_config(fee=14, attempts=1), sim)
         record = outcome.per_attempt[0]
         assert record.voided
         assert record.effective_delay == 0.0
@@ -178,9 +176,8 @@ class TestExecute:
         assert sim.balance(TICK, "user")[0] == 600_000
 
     def test_survey_mode_runs_every_attempt(self):
-        sim, band = pinned_sim()
-        outcome = execute(attack_config(band, fee=14, attempts=4, fraction=0.25,
-                                        horizon=20_000.0), sim, stop_on_success=False)
+        sim, _ = pinned_sim()
+        outcome = execute(attack_config(fee=14, attempts=4, fraction=0.25, horizon=20_000.0), sim)
         assert len(outcome.per_attempt) == 4
 
     def test_more_attempts_never_pin_less(self):
@@ -193,9 +190,9 @@ class TestExecute:
         assert results[0].peak_pinned <= results[1].peak_pinned
 
     def test_total_balance_invariant_during_pin(self):
-        sim, band = pinned_sim()
+        sim, _ = pinned_sim()
         before = sim.balance(TICK, TARGET)
-        outcome = execute(attack_config(band, fee=14), sim, stop_on_success=True)
+        outcome = execute(attack_config(fee=14), sim)
         after = sim.balance(TICK, TARGET)
         assert outcome.success
         assert after[2] == before[2]  # overall balance unchanged by the pin

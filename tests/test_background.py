@@ -2,9 +2,14 @@
 
 import itertools
 import random
-from dataclasses import replace
 
-from brc20sim.background import MARKET_ADDRESS, BackgroundLoad, CongestionProfile
+from brc20sim.background import (
+    MARKET_ADDRESS,
+    MARKET_TX_VSIZE,
+    RATE_SPREAD,
+    BackgroundLoad,
+    CongestionProfile,
+)
 from brc20sim.chain import make_txid
 from brc20sim.harness import inscription_tx
 from brc20sim.indexer import deploy_inscription, mint_inscription
@@ -39,21 +44,20 @@ def test_same_seed_identical_trajectories():
 
 
 def test_background_txids_hash_their_content():
-    # a load formats its txid tail once, for its vsize: two vsizes check that
-    # the tail follows it
-    for vsize in (400, 250):
-        profile = replace(CongestionProfile.for_level(0.75, seed=3), tx_vsize=vsize)
-        load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-        coins = itertools.count(1)  # coin k funds the k-th transaction, tagged bg{k}
-        fund = lambda value: (f"c{next(coins)}", 0)  # noqa: E731
-        made = load.sediment(fund)
-        for block in range(3):
-            made += [tx for _, tx in load.market_batch(fund, 600.0 * block, 600.0)]
-        assert load.sediment_count and len(made) == load.sediment_count + 3 * load.flight
-        for tx in made:
-            k = int(tx.inputs[0].outpoint[0][1:])
-            assert tx.vsize == vsize
-            assert tx.txid == make_txid(tx.inputs, tx.outputs, tx.vsize, tag=f"bg{k}")
+    # the txid tail is formatted once, for the one market vsize; each txid
+    # must still be the hash of its whole content
+    load = BackgroundLoad(CongestionProfile.for_level(0.75, seed=3), normal_count=400,
+                          block_capacity=10_150)
+    coins = itertools.count(1)  # coin k funds the k-th transaction, tagged bg{k}
+    fund = lambda value: (f"c{next(coins)}", 0)  # noqa: E731
+    made = load.sediment(fund)
+    for block in range(3):
+        made += [tx for _, tx in load.market_batch(fund, 600.0 * block, 600.0)]
+    assert load.sediment_count and len(made) == load.sediment_count + 3 * load.flight
+    for tx in made:
+        k = int(tx.inputs[0].outpoint[0][1:])
+        assert tx.vsize == MARKET_TX_VSIZE
+        assert tx.txid == make_txid(tx.inputs, tx.outputs, tx.vsize, tag=f"bg{k}")
 
 
 def test_band_profile_floor_confined():
@@ -72,7 +76,7 @@ def test_level_profile_respects_hard_cap():
         load.advance_floor()
         assert profile.floor_lo <= load.floor <= profile.floor_cap
     # market never outbids the top sweep fee level
-    assert profile.floor_cap * profile.spread < 500
+    assert profile.floor_cap * RATE_SPREAD < 500
 
 
 def test_level_scale_monotone_in_congestion():

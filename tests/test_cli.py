@@ -221,12 +221,33 @@ class TestBadInput:
                                  "tx": {**FUNDED_TX,
                                         "inputs": [{"outpoint": [["a"], 0], "sequence": 0}]}}]),
             ("replay", [HEADER, {"event": "fund", "t": 0.0, "value": 1.5}]),
+            ("sim", [{"sim": {"expiry": float("nan")}}]),
+            ("sim", [{"sim": {"block_capacity_vbytes": 10150.5}}]),
+            ("sim", [{"sim": {"min_relay_fee_rate": float("nan")}}]),
         ],
     )
     def test_bad_config_or_log_exits_one_without_traceback(self, tmp_path, command, content):
         path = tmp_path / "input.json"
         path.write_text("".join(json.dumps(line) + "\n" for line in content))
         argv = ["sim", "--config", str(path)] if command == "sim" else ["replay", str(path)]
+        self.assert_usage_error(argv)
+
+    # a NaN or infinite tolerance once made the scenario's horizon unreachable
+    # (a hang), and a negative one reported success
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "--t-bar", "nan"],
+            ["sim", "--t-bar", "inf"],
+            ["sim", "--t-bar", "-5"],
+            ["tolerance", "--avail", "2", "--req", "1", "--vol", "1", "--period", "nanh"],
+            ["tolerance", "--avail", "2", "--req", "1", "--vol", "1", "--period", "inf"],
+        ],
+    )
+    def test_bad_number_on_the_command_line_exits_one(self, argv):
+        self.assert_usage_error(argv)
+
+    def assert_usage_error(self, argv):
         src = str(Path(brc20sim.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(

@@ -1,6 +1,7 @@
-"""Module structure: the block step lives in one place."""
+"""Module structure: the block step, and each fixed fact of the model, live in one place."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import brc20sim
@@ -46,3 +47,21 @@ def test_background_traffic_stays_off_the_ordinal_ledger():
     ]
     assert handed == ["fund", "fund"]
     assert callers("assign_ordinals") == {"chain.py"}
+
+
+def test_dust_and_transaction_sizes_are_each_set_once():
+    facts = {"DUST": 546, "TX1_VSIZE": 150, "TX2_VSIZE": 600, "MARKET_TX_VSIZE": 400}
+    assigned, literals = Counter(), Counter()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                assigned.update(
+                    (t.id, getattr(node.value, "value", None))
+                    for t in node.targets
+                    if getattr(t, "id", None) in facts
+                )
+            elif isinstance(node, ast.Constant) and type(node.value) is int:
+                literals[node.value] += 1
+    assert assigned == Counter(facts.items())
+    # 400 is also the default congestion_normal_count, so only the others are counted
+    assert [literals[v] for v in (546, 150, 600)] == [1, 1, 1]

@@ -9,19 +9,20 @@ from brc20sim.cli import main
 from brc20sim.indexer import parse_envelope, InscribeTransfer
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import (
+    BUNDLE_GAP,
+    MAX_FEE_BUMPS,
+    TX1_VSIZE,
+    TX2_VSIZE,
     ConflictNotReplaceable,
     InsufficientFunds,
     NotOwner,
     RetriesExhausted,
     TransferRequest,
-    WalletConfig,
     build_recovery,
     build_transfer,
     bumped_rate,
     retry_with_fee_bump,
 )
-
-CFG = WalletConfig()
 
 
 def fresh_sim(balance=10_000_000, owner="alice", **settings):
@@ -40,35 +41,35 @@ def request(**overrides):
 class TestBuildTransfer:
     def test_fee_split_matches_vsizes(self):
         chain = fresh_sim().chain
-        bundle = build_transfer(request(), chain.utxo_set, CFG)
+        bundle = build_transfer(request(), chain.utxo_set)
         assert bundle.tx1_fee == 30_000
         assert bundle.tx2_fee == 120_000
         assert bundle.tx2_fee / bundle.tx1_fee == 4.0
-        assert bundle.tx1.vsize == 150 and bundle.tx2.vsize == 600
+        assert (bundle.tx1.vsize, bundle.tx2.vsize) == (TX1_VSIZE, TX2_VSIZE) == (150, 600)
 
     def test_ratio_inside_observed_band_for_any_rate(self):
         chain = fresh_sim().chain
         for rate in (1, 7, 100, 201, 404, 999):
-            bundle = build_transfer(request(fee_rate=rate), chain.utxo_set, CFG)
+            bundle = build_transfer(request(fee_rate=rate), chain.utxo_set)
             if bundle.tx1_fee:
                 assert 3 <= bundle.tx2_fee / bundle.tx1_fee <= 5
 
     def test_envelope_on_first_output_to_sender(self):
         chain = fresh_sim().chain
-        bundle = build_transfer(request(), chain.utxo_set, CFG)
+        bundle = build_transfer(request(), chain.utxo_set)
         out0 = bundle.tx1.outputs[0]
         assert out0.owner == "alice"
         assert parse_envelope(out0.inscription) == InscribeTransfer("ordi", 100)
 
     def test_tx2_spends_tx1_first_output_to_recipient(self):
         chain = fresh_sim().chain
-        bundle = build_transfer(request(), chain.utxo_set, CFG)
+        bundle = build_transfer(request(), chain.utxo_set)
         assert bundle.tx2.inputs[0].outpoint == (bundle.tx1.txid, 0)
         assert bundle.tx2.outputs[0].owner == "bob"
 
     def test_self_transfer_is_valid(self):
         chain = fresh_sim().chain
-        bundle = build_transfer(request(recipient="alice"), chain.utxo_set, CFG)
+        bundle = build_transfer(request(recipient="alice"), chain.utxo_set)
         assert bundle.tx2.outputs[0].owner == "alice"
 
     def test_zero_amount_rejected_at_request(self):
@@ -78,18 +79,18 @@ class TestBuildTransfer:
     def test_insufficient_funds(self):
         chain = fresh_sim(balance=1_000).chain
         with pytest.raises(InsufficientFunds):
-            build_transfer(request(), chain.utxo_set, CFG)
+            build_transfer(request(), chain.utxo_set)
 
     def test_pure_construction(self):
         chain = fresh_sim().chain
-        a = build_transfer(request(), chain.utxo_set, CFG)
-        b = build_transfer(request(), chain.utxo_set, CFG)
+        a = build_transfer(request(), chain.utxo_set)
+        b = build_transfer(request(), chain.utxo_set)
         assert a.tx1 == b.tx1 and a.tx2 == b.tx2
 
     def test_rbf_flag_sets_sequences(self):
         chain = fresh_sim().chain
-        on = build_transfer(request(rbf=True), chain.utxo_set, CFG)
-        off = build_transfer(request(rbf=False), chain.utxo_set, CFG)
+        on = build_transfer(request(rbf=True), chain.utxo_set)
+        off = build_transfer(request(rbf=False), chain.utxo_set)
         assert all(i.sequence == RBF_SEQUENCE for i in on.tx2.inputs)
         assert all(i.sequence == MAX_SEQUENCE for i in off.tx2.inputs)
         assert on.tx2.rbf_enabled and not off.tx2.rbf_enabled
@@ -117,11 +118,21 @@ class TestSubmitBundle:
         bundle, r1, r2 = sim.send_transfer(request())
         assert r1.accepted and r2.accepted
         assert bundle.tx1_submit == 5.0
-        assert bundle.tx2_submit == 5.0 + CFG.bundle_gap
+        assert bundle.tx2_submit == 5.0 + BUNDLE_GAP
         assert sim.submit_times[bundle.tx2.txid] == bundle.tx2_submit
         assert sim.pool.entries[bundle.tx2.txid].depends_on == {bundle.tx1.txid}
         sim.run_blocks(1)
         assert sim.chain.confirmed(bundle.tx1.txid)
+
+    def test_tx2_is_sent_after_a_block_that_falls_in_the_gap(self):
+        sim = fresh_sim()
+        sim.run_until(599.5)  # the first block is at 600.0, inside BUNDLE_GAP
+        bundle, r1, r2 = sim.send_transfer(request())
+        assert r1.accepted and r2.accepted
+        assert bundle.tx2_submit == 600.5
+        sim.run_blocks(1)
+        assert sim.confirmation_delay(bundle.tx1.txid) == 0.5
+        assert sim.confirmation_delay(bundle.tx2.txid) == 599.5
 
     def test_tx2_below_min_relay_is_retriable(self):
         sim = fresh_sim(min_relay_fee_rate=100)
@@ -147,22 +158,24 @@ class TestFeeBump:
 
     def test_replacement_accepted(self):
         sim = fresh_sim()
-        bundle, _, _ = sim.send_transfer(request(max_retries=3))
+        bundle, _, _ = sim.send_transfer(request())
         sim.run_until(10.0)
         bumped = retry_with_fee_bump(bundle, sim)
         assert bumped.fee_rate == 250
         assert bumped.retries == 1
         assert bumped.tx2_submit == 10.0
         assert bumped.tx2.txid in sim.pool and bundle.tx2.txid not in sim.pool
-        assert sim.pool.entries[bumped.tx2.txid].fee == 250 * 600
+        assert sim.pool.entries[bumped.tx2.txid].fee == 250 * TX2_VSIZE
 
     def test_retries_exhausted_aborts(self):
         sim = fresh_sim()
-        bundle, _, _ = sim.send_transfer(request(max_retries=2))
-        for at in (10.0, 20.0):
+        bundle, _, _ = sim.send_transfer(request())
+        assert MAX_FEE_BUMPS == 3
+        for at in (10.0, 20.0, 30.0):
             sim.run_until(at)
             bundle = retry_with_fee_bump(bundle, sim)
-        sim.run_until(30.0)
+        assert bundle.retries == MAX_FEE_BUMPS
+        sim.run_until(40.0)
         with pytest.raises(RetriesExhausted):
             retry_with_fee_bump(bundle, sim)
 
@@ -209,8 +222,7 @@ class TestRecovery:
     def test_recovery_outbids_pin(self):
         sim, bundle, pending = self.make_pinned()
         recovery = build_recovery(
-            pending, sim.chain.utxo_set, "alice", fee_rate=404,
-            cfg=CFG, exclude=set(sim.pool.spends),
+            pending, sim.chain.utxo_set, "alice", fee_rate=404, exclude=set(sim.pool.spends),
         )
         result = sim.submit(recovery)
         assert result.accepted and bundle.tx2.txid in result.replaced
@@ -222,8 +234,7 @@ class TestRecovery:
     def test_recovery_at_pinned_rate_stays_pinned(self):
         sim, bundle, pending = self.make_pinned()
         recovery = build_recovery(
-            pending, sim.chain.utxo_set, "alice", fee_rate=202,
-            cfg=CFG, exclude=set(sim.pool.spends),
+            pending, sim.chain.utxo_set, "alice", fee_rate=202, exclude=set(sim.pool.spends),
         )
         result = sim.submit(recovery)
         assert result.accepted  # replaces the 201 pin, but still below market
@@ -233,4 +244,4 @@ class TestRecovery:
     def test_not_owner(self):
         sim, bundle, pending = self.make_pinned()
         with pytest.raises(NotOwner):
-            build_recovery(pending, sim.chain.utxo_set, "mallory", 404, CFG)
+            build_recovery(pending, sim.chain.utxo_set, "mallory", 404)

@@ -1,12 +1,14 @@
 """Pinning attack engine and operational-tolerance calculator.
 
-An attack attempt inscribes a falsified transfer against the target: the
-inscription lands at the target's address (debiting available into
-transferable when it confirms) while the follow-up execution transaction is
-fee-priced inside the pinning band and lingers in the mempool.  One attacker
-fires an attempt every ``ATTEMPT_SPACING_S`` seconds at one fee rate, and
-every attempt is measured at the horizon.  The attack succeeds when some
-attempt's tokens stay locked longer than the victim's operational tolerance.
+An attack attempt inscribes a falsified transfer of ``TICK`` against the
+``TARGET`` wallet: the inscription lands at the target's address (debiting
+available into transferable when it confirms) while the follow-up execution
+transaction is fee-priced inside the pinning band and lingers in the mempool.
+One attacker fires an attempt every ``ATTEMPT_SPACING_S`` seconds at the
+scenario's fee rate, and every attempt is measured at the scenario's horizon.
+The attack succeeds when some attempt's tokens stay locked longer than the
+victim's operational tolerance.  ``execute`` reads all of this from the one
+``harness.ScenarioConfig``.
 
 ``FeeBand`` and ``pick_fee`` describe the band a caller picks that rate from.
 """
@@ -15,12 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .sim import Simulation
 # unused here, but bench/tracing.py wraps the build_transfer name in this module
 from .wallet import TransferRequest, build_transfer
 
+if TYPE_CHECKING:
+    from .harness import ScenarioConfig
 
+TICK = "ordi"  # the attacked token
+TARGET = "hot-wallet"  # the attacked wallet
 ATTEMPT_SPACING_S = 1800.0  # seconds between the starts of two attempts
 
 
@@ -87,23 +94,6 @@ def tolerance(inputs: ToleranceInputs) -> float:
     return surplus * inputs.period_seconds / inputs.volume_per_period
 
 
-@dataclass(frozen=True, slots=True)
-class AttackConfig:
-    tick: str
-    target: str
-    fraction: float
-    attempts: int
-    tolerance_s: float
-    horizon_s: float
-    fee_rate: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-
-
 @dataclass(slots=True)
 class AttemptRecord:
     index: int
@@ -133,9 +123,7 @@ class AttemptRecord:
 @dataclass(slots=True)
 class AttackOutcome:
     per_attempt: list[AttemptRecord] = field(default_factory=list)
-    total_pinned: int = 0
     peak_pinned: int = 0
-    target_available_at_end: int = 0
     success: bool = False
 
     def transcript(self) -> list[dict]:
@@ -151,15 +139,15 @@ def _zero_attempt(index: int, fee: int, now: float) -> AttemptRecord:
     return AttemptRecord(index=index, amount=0, fee_rate=fee, submit_time=now)
 
 
-def execute(config: AttackConfig, sim: Simulation) -> AttackOutcome:
-    """Run the attack against a live simulation.
+def execute(config: ScenarioConfig, sim: Simulation) -> AttackOutcome:
+    """Run the scenario's attack against a live simulation.
 
     Attempts are fired every ``ATTEMPT_SPACING_S`` seconds until the horizon,
     and all of them are scored once the horizon is reached.
     """
     fee = config.fee_rate
     outcome = AttackOutcome()
-    horizon_time = sim.now + config.horizon_s
+    horizon_time = sim.now + config.horizon_s()
     start = sim.now
 
     for index in range(1, config.attempts + 1):
@@ -168,14 +156,14 @@ def execute(config: AttackConfig, sim: Simulation) -> AttackOutcome:
             outcome.per_attempt.append(_zero_attempt(index, fee, sim.now))
             continue
 
-        available = sim.balance(config.tick, config.target)[0]
+        available = sim.balance(TICK, TARGET)[0]
         if available == 0 and index == 1:
-            raise TargetEmpty(f"{config.target} has no available {config.tick}")
+            raise TargetEmpty(f"{TARGET} has no available {TICK}")
         amount = math.floor(config.fraction * available)
         if amount == 0:
             outcome.per_attempt.append(_zero_attempt(index, fee, sim.now))
             continue
-        outcome.per_attempt.append(_launch_attempt(config, sim, index, amount, fee))
+        outcome.per_attempt.append(_launch_attempt(sim, index, amount, fee))
 
     sim.run_until(horizon_time)
     for record in outcome.per_attempt:
@@ -185,19 +173,17 @@ def execute(config: AttackConfig, sim: Simulation) -> AttackOutcome:
         [r.effective_delay for r in outcome.per_attempt], config.tolerance_s
     )
 
-    avail, trans, _ = sim.balance(config.tick, config.target)
-    outcome.total_pinned = trans
-    outcome.target_available_at_end = avail
+    _, trans, _ = sim.balance(TICK, TARGET)
     outcome.peak_pinned = max((s[2] for s in sim.balance_samples), default=trans)
     return outcome
 
 
-def _launch_attempt(config, sim, index: int, amount: int, fee: int) -> AttemptRecord:
+def _launch_attempt(sim: Simulation, index: int, amount: int, fee: int) -> AttemptRecord:
     req = TransferRequest(
-        tick=config.tick,
+        tick=TICK,
         amount=amount,
-        sender=config.target,  # falsified: inscription lands at the target
-        recipient=config.target,
+        sender=TARGET,  # falsified: inscription lands at the target
+        recipient=TARGET,
         fee_rate=fee,
     )
     bundle, _, _ = sim.send_transfer(req)
@@ -205,7 +191,7 @@ def _launch_attempt(config, sim, index: int, amount: int, fee: int) -> AttemptRe
         index=index,
         amount=amount,
         fee_rate=fee,
-        submit_time=bundle.tx2_submit,
+        submit_time=sim.now,  # Tx2's send time
         tx1=bundle.tx1.txid,
         tx2=bundle.tx2.txid,
     )

@@ -13,16 +13,13 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 
-from .attack import ATTEMPT_SPACING_S, AttackConfig, execute
+from .attack import ATTEMPT_SPACING_S, TARGET, TICK, execute
 from .background import CongestionProfile
 from .chain import DUST, Transaction, TxInput, TxOutput, make_txid
 from .indexer import deploy_inscription, mint_inscription
 from .sim import SimConfig, Simulation
 # unused here, but bench/tracing.py wraps the build_transfer name in this module
 from .wallet import TX1_VSIZE, TransferRequest, build_recovery, build_transfer
-
-TICK = "ordi"
-TARGET = "hot-wallet"
 
 FRACTION_LEVELS = (0.10, 0.50, 1.00)
 FEE_LEVELS = (100, 200, 500)
@@ -45,6 +42,8 @@ class ReplayDivergence(AssertionError):
 
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
+    """One scenario: the attack ``attack.execute`` runs and the market it runs in."""
+
     fraction: float
     fee_rate: int
     congestion: float
@@ -139,16 +138,7 @@ def run_scenario(
     _fund_and_mint(sim, {TARGET: TARGET_INITIAL}, max_supply=21_000_000)
     sim.watch_balance(TICK, TARGET)
 
-    attack = AttackConfig(
-        tick=TICK,
-        target=TARGET,
-        fraction=config.fraction,
-        attempts=config.attempts,
-        tolerance_s=config.tolerance_s,
-        horizon_s=config.horizon_s(),
-        fee_rate=config.fee_rate,
-    )
-    outcome = execute(attack, sim)
+    outcome = execute(config, sim)
     if log_path is not None:
         sim.export_event_log(log_path)
 
@@ -211,7 +201,10 @@ def run_sweep(
     grid = default_grid() if grid is None else grid
     if not seeds:
         raise ValueError("the sweep needs at least one seed")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(config, tuple(seeds)) for config in grid]
+    workers = min(workers, len(tasks))  # no idle processes beyond one per cell
     if workers > 1:
         import multiprocessing
 

@@ -126,10 +126,8 @@ class Simulation:
         bundle = wallet.build_transfer(  # looked up per call: bench/tracing.py wraps it
             request, self.chain.utxo_set, exclude=set(self.pool.spends)
         )
-        bundle.tx1_submit = self.now
         r1 = self.submit(bundle.tx1)
         self.run_until(self.now + BUNDLE_GAP)
-        bundle.tx2_submit = self.now
         r2 = self.submit(bundle.tx2)
         return bundle, r1, r2
 

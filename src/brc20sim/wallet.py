@@ -6,9 +6,9 @@ payload back to the sender, and a larger execution transaction that spends
 that output to the recipient.  The model fixes the bundle's shape as module
 constants: ``TX1_VSIZE`` (150 vB) and ``TX2_VSIZE`` (600 vB), so the second
 transaction pays 4x the absolute fee of the first; one ``DUST`` output
-(``chain.DUST``) carries the inscription; Tx2 is sent ``BUNDLE_GAP`` seconds
-after Tx1; and a fee bump raises the rate to ceil(5/4 of it), at most
-``MAX_FEE_BUMPS`` times.
+(``chain.DUST``) carries the inscription; and Tx2 is sent ``BUNDLE_GAP``
+seconds after Tx1.  Every input signals BIP125 replaceability, so a victim's
+``build_recovery`` self-send can replace a pinned execution transaction.
 
 Token balance sufficiency is deliberately NOT checked here: the indexer voids
 underfunded inscriptions, and falsified inscriptions are exactly the point of
@@ -18,12 +18,10 @@ the attack engine built on top.  This module only builds transactions;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from .chain import (
     DUST,
-    MAX_SEQUENCE,
     RBF_SEQUENCE,
     Transaction,
     TxInput,
@@ -33,15 +31,10 @@ from .chain import (
     make_txid,
 )
 from .indexer import PendingTransfer, transfer_inscription
-from .mempool import CONFLICT_NOT_REPLACEABLE
-
-if TYPE_CHECKING:
-    from .sim import Simulation
 
 TX1_VSIZE = 150  # inscription transaction, vB
 TX2_VSIZE = 600  # execution (and recovery) transaction, vB
 BUNDLE_GAP = 1.0  # seconds between sending Tx1 and Tx2
-MAX_FEE_BUMPS = 3
 
 
 class WalletError(Exception):
@@ -50,14 +43,6 @@ class WalletError(Exception):
 
 class InsufficientFunds(WalletError):
     """Sender lacks plain satoshis for fees and dust outputs."""
-
-
-class RetriesExhausted(WalletError):
-    """Fee-bump retry budget spent; the transfer is aborted."""
-
-
-class ConflictNotReplaceable(WalletError):
-    """Replacement rejected: original opted out of RBF or fee not higher."""
 
 
 class NotOwner(WalletError):
@@ -71,7 +56,6 @@ class TransferRequest:
     sender: str
     recipient: str
     fee_rate: int
-    rbf: bool = True
 
     def __post_init__(self) -> None:
         if self.amount <= 0:
@@ -80,17 +64,11 @@ class TransferRequest:
             raise ValueError("fee rate must be >= 0")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TransferBundle:
     request: TransferRequest
     tx1: Transaction
     tx2: Transaction
-    tx1_fee: int
-    tx2_fee: int
-    fee_rate: int  # current rate of tx2 (rises across fee bumps)
-    retries: int = 0
-    tx1_submit: float | None = None
-    tx2_submit: float | None = None
 
 
 def _select_funding(
@@ -129,14 +107,13 @@ def build_transfer(
     """Construct the inscription/execution pair for a transfer request."""
     tx1_fee = req.fee_rate * TX1_VSIZE
     tx2_fee = req.fee_rate * TX2_VSIZE
-    sequence = RBF_SEQUENCE if req.rbf else MAX_SEQUENCE
 
     funding = _select_funding(utxo_set, req.sender, DUST + tx1_fee + tx2_fee, exclude)
     funded = sum(u.value for u in funding)
     change = funded - DUST - tx1_fee  # >= tx2_fee by selection
 
     payload = transfer_inscription(req.tick, req.amount)
-    tx1_inputs = tuple(TxInput(u.serial, sequence) for u in funding)
+    tx1_inputs = tuple(TxInput(u.serial, RBF_SEQUENCE) for u in funding)
     tx1_outputs = [TxOutput(DUST, req.sender, inscription=payload)]
     if change > 0:
         tx1_outputs.append(TxOutput(change, req.sender))
@@ -146,71 +123,22 @@ def build_transfer(
         outputs=tuple(tx1_outputs),
         vsize=TX1_VSIZE,
     )
-    tx2 = _build_execution(tx1, change, req.recipient, req.sender, tx2_fee, sequence)
-    return TransferBundle(
-        request=req,
-        tx1=tx1,
-        tx2=tx2,
-        tx1_fee=tx1_fee,
-        tx2_fee=tx2_fee,
-        fee_rate=req.fee_rate,
-    )
 
-
-def _build_execution(
-    tx1: Transaction,
-    change: int,
-    recipient: str,
-    sender: str,
-    tx2_fee: int,
-    sequence: int,
-) -> Transaction:
-    if change < tx2_fee:
-        raise InsufficientFunds("tx1 change cannot cover the execution fee")
-    inputs = [TxInput((tx1.txid, 0), sequence)]
+    tx2_inputs = [TxInput((tx1.txid, 0), RBF_SEQUENCE)]
     if change > 0:
-        inputs.append(TxInput((tx1.txid, 1), sequence))
+        tx2_inputs.append(TxInput((tx1.txid, 1), RBF_SEQUENCE))
     # Output 0 takes exactly the inscription output's satoshis, so the
     # inscribed ordinal lands with the recipient.
-    outputs = [TxOutput(DUST, recipient)]
-    remainder = change - tx2_fee
-    if remainder > 0:
-        outputs.append(TxOutput(remainder, sender))
-    return Transaction(
-        txid=make_txid(tuple(inputs), outputs, TX2_VSIZE, tag="tx2"),
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
+    tx2_outputs = [TxOutput(DUST, req.recipient)]
+    if change - tx2_fee > 0:
+        tx2_outputs.append(TxOutput(change - tx2_fee, req.sender))
+    tx2 = Transaction(
+        txid=make_txid(tuple(tx2_inputs), tx2_outputs, TX2_VSIZE, tag="tx2"),
+        inputs=tuple(tx2_inputs),
+        outputs=tuple(tx2_outputs),
         vsize=TX2_VSIZE,
     )
-
-
-def bumped_rate(rate: int) -> int:
-    return -(-rate * 5 // 4)  # ceil(rate * 5/4)
-
-
-def retry_with_fee_bump(bundle: TransferBundle, sim: Simulation) -> TransferBundle:
-    """Replace the pending execution transaction at a higher fee rate, now."""
-    req = bundle.request
-    if bundle.retries >= MAX_FEE_BUMPS:
-        raise RetriesExhausted(f"aborting after {MAX_FEE_BUMPS} fee bumps")
-    new_rate = bumped_rate(bundle.fee_rate)
-    new_fee = new_rate * TX2_VSIZE
-    change = sum(o.value for o in bundle.tx1.outputs[1:])
-    sequence = bundle.tx2.inputs[0].sequence
-    tx2 = _build_execution(bundle.tx1, change, req.recipient, req.sender, new_fee, sequence)
-    result = sim.submit(tx2)
-    if not result and result.reason == CONFLICT_NOT_REPLACEABLE:
-        raise ConflictNotReplaceable(f"tx2 {bundle.tx2.txid} cannot be replaced")
-    if not result:
-        raise WalletError(f"fee bump rejected: {result.reason}")
-    return replace(
-        bundle,
-        tx2=tx2,
-        tx2_fee=new_fee,
-        fee_rate=new_rate,
-        retries=bundle.retries + 1,
-        tx2_submit=sim.now,
-    )
+    return TransferBundle(request=req, tx1=tx1, tx2=tx2)
 
 
 def build_recovery(

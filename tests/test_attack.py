@@ -3,7 +3,8 @@
 import pytest
 
 from brc20sim.attack import (
-    AttackConfig,
+    TARGET,
+    TICK,
     FeeBand,
     TargetEmpty,
     ToleranceInputs,
@@ -13,7 +14,7 @@ from brc20sim.attack import (
     tolerance,
 )
 from brc20sim.background import CongestionProfile
-from brc20sim.harness import ScenarioConfig, TARGET, TICK, inscription_tx, run_scenario
+from brc20sim.harness import ScenarioConfig, inscription_tx, run_scenario
 from brc20sim.indexer import deploy_inscription, mint_inscription
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import TransferRequest
@@ -115,11 +116,10 @@ def pinned_sim(seed=0, minted=1_000_000):
     return sim, band
 
 
-def attack_config(fee, fraction=1.0, attempts=2, t_bar=3600.0, horizon=12_000.0):
-    return AttackConfig(
-        tick=TICK, target=TARGET,
-        fraction=fraction, attempts=attempts, tolerance_s=t_bar,
-        horizon_s=horizon, fee_rate=fee,
+def attack_config(fee, fraction=1.0, attempts=2, t_bar=3600.0):
+    """The scenario ``execute`` reads; its horizon is derived from attempts and t_bar."""
+    return ScenarioConfig(
+        fraction=fraction, fee_rate=fee, congestion=0.75, attempts=attempts, tolerance_s=t_bar
     )
 
 
@@ -128,8 +128,7 @@ class TestExecute:
         sim, _ = pinned_sim()
         outcome = execute(attack_config(fee=14), sim)
         assert outcome.success
-        assert outcome.target_available_at_end == 0
-        assert outcome.total_pinned == 1_000_000
+        assert sim.balance(TICK, TARGET)[:2] == (0, 1_000_000)
         assert outcome.per_attempt[0].pinned
 
     def test_high_fee_control_confirms_fast(self):
@@ -138,7 +137,7 @@ class TestExecute:
         assert not outcome.success
         assert all(r.effective_delay <= 1200.0 for r in outcome.per_attempt)
         # tokens returned: confirmed self-transfers restore available balance
-        assert outcome.target_available_at_end == 1_000_000
+        assert sim.balance(TICK, TARGET)[0] == 1_000_000
 
     def test_fee_picked_from_band_when_unset(self):
         sim, band = pinned_sim()
@@ -147,20 +146,16 @@ class TestExecute:
         assert all(band.f_min <= r.fee_rate <= band.f_sf for r in outcome.per_attempt)
 
     def test_target_empty_raises(self):
-        sim, _ = pinned_sim()
-        config = AttackConfig(
-            tick=TICK, target="penniless", fraction=1.0,
-            attempts=1, tolerance_s=3600.0, horizon_s=6000.0, fee_rate=14,
-        )
-        sim.grant("penniless", 10_000_000)
+        sim, _ = pinned_sim(minted=0)  # a mint of 0 is void: the target holds no tokens
+        assert sim.balance(TICK, TARGET) == (0, 0, 0)
         with pytest.raises(TargetEmpty):
-            execute(config, sim)
+            execute(attack_config(fee=14, attempts=1), sim)
 
     def test_fraction_zero_pins_nothing(self):
         sim, _ = pinned_sim()
         outcome = execute(attack_config(fee=14, fraction=0.0, attempts=1), sim)
         assert not outcome.success
-        assert outcome.total_pinned == 0
+        assert sim.balance(TICK, TARGET)[1] == 0
         assert outcome.per_attempt[0].amount == 0
 
     def test_concurrent_withdrawal_voids_attempt(self):
@@ -177,7 +172,7 @@ class TestExecute:
 
     def test_survey_mode_runs_every_attempt(self):
         sim, _ = pinned_sim()
-        outcome = execute(attack_config(fee=14, attempts=4, fraction=0.25, horizon=20_000.0), sim)
+        outcome = execute(attack_config(fee=14, attempts=4, fraction=0.25), sim)
         assert len(outcome.per_attempt) == 4
 
     def test_more_attempts_never_pin_less(self):
@@ -196,4 +191,4 @@ class TestExecute:
         after = sim.balance(TICK, TARGET)
         assert outcome.success
         assert after[2] == before[2]  # overall balance unchanged by the pin
-        assert after[0] + outcome.total_pinned == before[0]
+        assert after[0] + after[1] == before[0]

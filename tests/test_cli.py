@@ -242,6 +242,8 @@ class TestBadInput:
             ["sim", "--t-bar", "-5"],
             ["tolerance", "--avail", "2", "--req", "1", "--vol", "1", "--period", "nanh"],
             ["tolerance", "--avail", "2", "--req", "1", "--vol", "1", "--period", "inf"],
+            # fewer than one worker once ran the sweep serially without a word
+            ["sweep", "--workers", "0", "--seeds", "1"],
         ],
     )
     def test_bad_number_on_the_command_line_exits_one(self, argv):

@@ -1,6 +1,9 @@
 """Module structure: the block step, and each fixed fact of the model, live in one place."""
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
@@ -65,3 +68,17 @@ def test_dust_and_transaction_sizes_are_each_set_once():
     assert assigned == Counter(facts.items())
     # 400 is also the default congestion_normal_count, so only the others are counted
     assert [literals[v] for v in (546, 150, 600)] == [1, 1, 1]
+
+
+def test_settable_values_are_counted():
+    # a new knob has to change this count on purpose
+    classes = {
+        name: obj
+        for info in pkgutil.iter_modules(brc20sim.__path__)
+        for name, obj in vars(importlib.import_module(f"brc20sim.{info.name}")).items()
+        if isinstance(obj, type) and obj.__module__ == f"brc20sim.{info.name}"
+    }
+    assert {name for name in classes if name.endswith("Config")} == {"SimConfig", "ScenarioConfig"}
+    configs = ("SimConfig", "ScenarioConfig", "CongestionProfile", "TransferRequest")
+    counts = {name: len(dataclasses.fields(classes[name])) for name in configs}
+    assert sum(counts.values()) == 24, counts

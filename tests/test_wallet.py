@@ -1,27 +1,22 @@
-"""Transfer bundle construction, sending, fee bumping, recovery."""
+"""Transfer bundle construction, sending, recovery."""
 
 import pytest
 
 from brc20sim.attack import FeeBand
 from brc20sim.background import CongestionProfile
-from brc20sim.chain import RBF_SEQUENCE, MAX_SEQUENCE
+from brc20sim.chain import RBF_SEQUENCE
 from brc20sim.cli import main
 from brc20sim.indexer import parse_envelope, InscribeTransfer
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import (
     BUNDLE_GAP,
-    MAX_FEE_BUMPS,
     TX1_VSIZE,
     TX2_VSIZE,
-    ConflictNotReplaceable,
     InsufficientFunds,
     NotOwner,
-    RetriesExhausted,
     TransferRequest,
     build_recovery,
     build_transfer,
-    bumped_rate,
-    retry_with_fee_bump,
 )
 
 
@@ -38,21 +33,23 @@ def request(**overrides):
     return TransferRequest(**base)
 
 
+def pool_fees(sim, bundle):
+    return sim.pool.entries[bundle.tx1.txid].fee, sim.pool.entries[bundle.tx2.txid].fee
+
+
 class TestBuildTransfer:
     def test_fee_split_matches_vsizes(self):
-        chain = fresh_sim().chain
-        bundle = build_transfer(request(), chain.utxo_set)
-        assert bundle.tx1_fee == 30_000
-        assert bundle.tx2_fee == 120_000
-        assert bundle.tx2_fee / bundle.tx1_fee == 4.0
+        sim = fresh_sim()
+        bundle, _, _ = sim.send_transfer(request())
+        assert pool_fees(sim, bundle) == (30_000, 120_000)
         assert (bundle.tx1.vsize, bundle.tx2.vsize) == (TX1_VSIZE, TX2_VSIZE) == (150, 600)
 
     def test_ratio_inside_observed_band_for_any_rate(self):
-        chain = fresh_sim().chain
         for rate in (1, 7, 100, 201, 404, 999):
-            bundle = build_transfer(request(fee_rate=rate), chain.utxo_set)
-            if bundle.tx1_fee:
-                assert 3 <= bundle.tx2_fee / bundle.tx1_fee <= 5
+            sim = fresh_sim()
+            bundle, _, _ = sim.send_transfer(request(fee_rate=rate))
+            tx1_fee, tx2_fee = pool_fees(sim, bundle)
+            assert 3 <= tx2_fee / tx1_fee <= 5
 
     def test_envelope_on_first_output_to_sender(self):
         chain = fresh_sim().chain
@@ -87,13 +84,14 @@ class TestBuildTransfer:
         b = build_transfer(request(), chain.utxo_set)
         assert a.tx1 == b.tx1 and a.tx2 == b.tx2
 
-    def test_rbf_flag_sets_sequences(self):
+    def test_every_bundle_input_signals_rbf(self):
+        # build_recovery replaces a pinned Tx2, which BIP125 allows only if it signals
         chain = fresh_sim().chain
-        on = build_transfer(request(rbf=True), chain.utxo_set)
-        off = build_transfer(request(rbf=False), chain.utxo_set)
-        assert all(i.sequence == RBF_SEQUENCE for i in on.tx2.inputs)
-        assert all(i.sequence == MAX_SEQUENCE for i in off.tx2.inputs)
-        assert on.tx2.rbf_enabled and not off.tx2.rbf_enabled
+        bundle = build_transfer(request(), chain.utxo_set)
+        assert len(bundle.tx1.inputs) >= 1 and len(bundle.tx2.inputs) == 2
+        for tx in (bundle.tx1, bundle.tx2):
+            assert all(i.sequence == RBF_SEQUENCE for i in tx.inputs)
+            assert tx.rbf_enabled
 
     def test_never_funds_with_inscribed_coins(self):
         sim = fresh_sim(balance=300_000)
@@ -117,9 +115,8 @@ class TestSubmitBundle:
         sim.run_until(5.0)
         bundle, r1, r2 = sim.send_transfer(request())
         assert r1.accepted and r2.accepted
-        assert bundle.tx1_submit == 5.0
-        assert bundle.tx2_submit == 5.0 + BUNDLE_GAP
-        assert sim.submit_times[bundle.tx2.txid] == bundle.tx2_submit
+        assert sim.submit_times[bundle.tx1.txid] == 5.0
+        assert sim.submit_times[bundle.tx2.txid] == 5.0 + BUNDLE_GAP == sim.now
         assert sim.pool.entries[bundle.tx2.txid].depends_on == {bundle.tx1.txid}
         sim.run_blocks(1)
         assert sim.chain.confirmed(bundle.tx1.txid)
@@ -129,7 +126,7 @@ class TestSubmitBundle:
         sim.run_until(599.5)  # the first block is at 600.0, inside BUNDLE_GAP
         bundle, r1, r2 = sim.send_transfer(request())
         assert r1.accepted and r2.accepted
-        assert bundle.tx2_submit == 600.5
+        assert sim.submit_times[bundle.tx2.txid] == 600.5
         sim.run_blocks(1)
         assert sim.confirmation_delay(bundle.tx1.txid) == 0.5
         assert sim.confirmation_delay(bundle.tx2.txid) == 599.5
@@ -150,62 +147,12 @@ class TestSubmitBundle:
         }
 
 
-class TestFeeBump:
-    def test_bump_steps_by_quarter_rounded_up(self):
-        assert bumped_rate(200) == 250
-        assert bumped_rate(201) == 252  # 251.25 rounds up
-        assert bumped_rate(1) == 2
-
-    def test_replacement_accepted(self):
-        sim = fresh_sim()
-        bundle, _, _ = sim.send_transfer(request())
-        sim.run_until(10.0)
-        bumped = retry_with_fee_bump(bundle, sim)
-        assert bumped.fee_rate == 250
-        assert bumped.retries == 1
-        assert bumped.tx2_submit == 10.0
-        assert bumped.tx2.txid in sim.pool and bundle.tx2.txid not in sim.pool
-        assert sim.pool.entries[bumped.tx2.txid].fee == 250 * TX2_VSIZE
-
-    def test_retries_exhausted_aborts(self):
-        sim = fresh_sim()
-        bundle, _, _ = sim.send_transfer(request())
-        assert MAX_FEE_BUMPS == 3
-        for at in (10.0, 20.0, 30.0):
-            sim.run_until(at)
-            bundle = retry_with_fee_bump(bundle, sim)
-        assert bundle.retries == MAX_FEE_BUMPS
-        sim.run_until(40.0)
-        with pytest.raises(RetriesExhausted):
-            retry_with_fee_bump(bundle, sim)
-
-    def test_non_replaceable_tx2(self):
-        sim = fresh_sim()
-        bundle, _, _ = sim.send_transfer(request(rbf=False))
-        sim.run_until(10.0)
-        with pytest.raises(ConflictNotReplaceable):
-            retry_with_fee_bump(bundle, sim)
-
-    def test_logged_bump_is_timed_and_replays(self, tmp_path, capsys):
-        sim = fresh_sim(log_events=True)
-        bundle, _, _ = sim.send_transfer(request())
-        sim.run_until(10.0)
-        bumped = retry_with_fee_bump(bundle, sim)
-        sim.run_blocks(1)
-        assert sim.chain.confirmed(bumped.tx2.txid)
-        assert sim.effective_delay(bumped.tx2.txid) == 600.0 - 10.0
-        log = tmp_path / "bump.jsonl"
-        sim.export_event_log(str(log))
-        assert main(["replay", str(log)]) == 0
-        assert "3 submissions, 1 blocks verified" in capsys.readouterr().out
-
-
 class TestRecovery:
-    def make_pinned(self):
+    def make_pinned(self, log_events=False):
         """Sim with one in-band bundle pinned under a congested market."""
         band = FeeBand.from_floor(100)  # (100, 225)
         profile = CongestionProfile.for_band(band.f_min, band.f_sf, 0.75, seed=3)
-        sim = Simulation(SimConfig(), profile)
+        sim = Simulation(SimConfig(log_events=log_events), profile)
         for _ in range(4):
             sim.grant("alice", 10_000_000)
         bundle, r1, r2 = sim.send_transfer(request(fee_rate=201, recipient="bob"))
@@ -230,6 +177,22 @@ class TestRecovery:
         assert sim.chain.confirmed(recovery.txid)
         # the inscribed satoshi is back with its owner
         assert sim.chain.utxo_set.locate_ordinal(pending.inscription_ordinal).owner == "alice"
+
+    def test_logged_recovery_is_timed_and_replays(self, tmp_path, capsys):
+        sim, bundle, pending = self.make_pinned(log_events=True)
+        sent = sim.now
+        recovery = build_recovery(
+            pending, sim.chain.utxo_set, "alice", fee_rate=404, exclude=set(sim.pool.spends),
+        )
+        result = sim.submit(recovery)
+        assert result.accepted and bundle.tx2.txid in result.replaced
+        sim.run_blocks(1)
+        assert sim.chain.confirmed(recovery.txid)
+        assert sim.confirmation_delay(recovery.txid) == sim.now - sent
+        log = tmp_path / "recovery.jsonl"
+        sim.export_event_log(str(log))
+        assert main(["replay", str(log)]) == 0
+        assert "replay OK" in capsys.readouterr().out
 
     def test_recovery_at_pinned_rate_stays_pinned(self):
         sim, bundle, pending = self.make_pinned()

@@ -31,6 +31,14 @@ ordinals or leaves an ordinal-tracked UTXO on the chain.  They all pay
 ``MARKET_OUTPUTS`` at ``MARKET_TX_VSIZE``, so the end of their txid hash text
 (``chain.txid_tail``) is formatted once, as ``MARKET_TXID_TAIL``, and each
 txid is one sha256 call over its tag, its input and that tail.
+
+The draws depend only on the *market key* (``market_key``: the profile, the
+transactions per window and the sediment count), not on the foreground, so
+loads of one key share them.  The module holds the tape of the last key
+loaded: its draws, extended as later windows are needed, and the
+transactions last built from them.  A load of that key replays the tape,
+reusing a transaction where its coin matches; a load of any other key
+replaces it.  Either way a load returns the same bytes as a fresh draw.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass
 
 from .chain import DUST, Transaction, TxInput, TxOutput, txid_tail, txid_with_tail
@@ -115,68 +124,136 @@ class CongestionProfile:
         )
 
 
-class BackgroundLoad:
-    """Generates sediment and per-interval market batches for a simulation."""
+def market_key(
+    profile: CongestionProfile, normal_count: int, block_capacity: int
+) -> tuple[CongestionProfile, int, int]:
+    """What a load's draws depend on: the profile, the market transactions per
+    window (``flight``) and the one-shot sediment count."""
+    batch_size = block_capacity // MARKET_TX_VSIZE if profile.target_level else 0
+    target_count = round(profile.target_level * normal_count)
+    flight = min(batch_size, target_count)
+    return profile, flight, max(0, target_count - flight)
 
-    def __init__(self, profile: CongestionProfile, normal_count: int, block_capacity: int):
-        self.profile = profile
-        self.batch_size = block_capacity // MARKET_TX_VSIZE if profile.target_level else 0
-        target_count = round(profile.target_level * normal_count)
-        self.flight = min(self.batch_size, target_count)
-        self.sediment_count = max(0, target_count - self.flight)
+
+class _Tape:
+    """One market key's draws, extended on demand, and the transactions last built from them.
+
+    The draws are the floor of each window and, per market transaction, its
+    coin value and its arrival fraction ``u`` in [0, 1); per sediment
+    transaction, its coin value.  ``txs[k - 1]`` is the last transaction built
+    with the tag ``bg{k}``; a load reuses it only for the same coin.
+    """
+
+    __slots__ = ("key", "flight", "floors", "values", "fractions", "sediment", "txs",
+                 "_g", "_rng_floor", "_rng_rates", "_rng_times")
+
+    def __init__(self, key: tuple[CongestionProfile, int, int]):
+        profile, self.flight, sediment_count = self.key = key
         self._rng_floor = stream(profile.seed, "floor")
         self._rng_rates = stream(profile.seed, "rates")
         self._rng_times = stream(profile.seed, "times")
-        self._rng_sediment = stream(profile.seed, "sediment")
-        self._counter = 0
+        rng_sediment = stream(profile.seed, "sediment")
+        self.sediment = array("q", (  # sediment coin values
+            rng_sediment.randint(1, SEDIMENT_RATE_HI) * MARKET_TX_VSIZE + DUST
+            for _ in range(sediment_count)
+        ))
         sigma_stat = profile.sigma / math.sqrt(1.0 - FLOOR_RHO**2)
         self._g = self._rng_floor.gauss(0.0, sigma_stat)
-        self.floor = 0.0
-        if profile.target_level:
-            self._update_floor()
+        self.floors = array("d", [self._floor() if profile.target_level else 0.0])
+        self.values = array("q")  # market coin values, window after window
+        self.fractions = array("d")
+        self.txs: list[Transaction] = []
 
-    def _update_floor(self) -> None:
-        p = self.profile
-        self.floor = min(max(p.floor_base * math.exp(self._g), p.floor_lo), p.floor_cap)
+    def _floor(self) -> float:
+        p = self.key[0]
+        return min(max(p.floor_base * math.exp(self._g), p.floor_lo), p.floor_cap)
 
-    def advance_floor(self) -> float:
-        p = self.profile
-        self._g = FLOOR_RHO * self._g + self._rng_floor.gauss(0.0, p.sigma)
-        self._update_floor()
-        return self.floor
+    def draw_windows(self, count: int) -> None:
+        """Draw the market up to window ``count``, advancing the AR(1) floor once per window."""
+        sigma = self.key[0].sigma
+        ln_spread = math.log(RATE_SPREAD)
+        while len(self.floors) <= count:
+            self._g = FLOOR_RHO * self._g + self._rng_floor.gauss(0.0, sigma)
+            floor = self._floor()
+            self.floors.append(floor)
+            for _ in range(self.flight):
+                rate = floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
+                self.values.append(math.ceil(rate * MARKET_TX_VSIZE) + DUST)
+                self.fractions.append(self._rng_times.random())
+
+
+# The tape of the last market key loaded: later loads of that key replay it.
+_held: _Tape | None = None
+
+
+def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
+    global _held
+    if _held is None or _held.key != key:
+        _held = None  # let the old tape go before the new one allocates
+        _held = _Tape(key)
+    return _held
+
+
+def drop_tape() -> None:
+    """Let the held tape go, as a load of another key would: for a simulation
+    without a market, which has nothing to replay from it."""
+    global _held
+    _held = None
+
+
+class BackgroundLoad:
+    """Generates sediment and per-interval market batches for a simulation.
+
+    Loads of one market key draw the same values, so they share the held
+    ``_Tape``: a load still funds every coin through ``fund_fn``, in the same
+    order, and builds a transaction only when the tape has none for that coin
+    and tag.  What it returns is what a fresh draw would return, bit for bit.
+    """
+
+    def __init__(self, profile: CongestionProfile, normal_count: int, block_capacity: int):
+        key = market_key(profile, normal_count, block_capacity)
+        self.profile, self.flight, self.sediment_count = key
+        self._tape = _tape(key)
+        self._windows = 0  # market batches drawn
+        self._counter = 0  # transactions made: the next one is tagged bg{_counter + 1}
+        self.floor = self._tape.floors[0]
 
     def _market_tx(self, coin: tuple[str, int]) -> Transaction:
+        """The next transaction, ``bg{k}`` spending ``coin``: the tape's if it spends that coin."""
+        self._counter += 1
+        k, txs = self._counter, self._tape.txs
+        if k <= len(txs) and txs[k - 1].inputs[0].outpoint == coin:
+            return txs[k - 1]
         inputs = (TxInput(coin),)
-        return Transaction(
-            txid=txid_with_tail(inputs, MARKET_TXID_TAIL, tag=f"bg{self._counter}"),
+        tx = Transaction(
+            txid=txid_with_tail(inputs, MARKET_TXID_TAIL, tag=f"bg{k}"),
             inputs=inputs,
             outputs=MARKET_OUTPUTS,
             vsize=MARKET_TX_VSIZE,
         )
+        if k <= len(txs):
+            txs[k - 1] = tx
+        else:
+            txs.append(tx)
+        return tx
 
     def sediment(self, fund_fn) -> list[Transaction]:
         """One-shot low-fee padding; rates far below any realistic foreground."""
-        txs = []
-        for _ in range(self.sediment_count):
-            rate = self._rng_sediment.randint(1, SEDIMENT_RATE_HI)
-            fee = rate * MARKET_TX_VSIZE
-            self._counter += 1
-            txs.append(self._market_tx(fund_fn(fee + DUST)))
-        return txs
+        return [self._market_tx(fund_fn(value)) for value in self._tape.sediment]
 
     def market_batch(self, fund_fn, start: float, interval: float) -> list[tuple[float, Transaction]]:
         """Fee-bearing arrivals for one block interval, floor advanced once."""
         if not self.flight:
             return []
-        self.advance_floor()
-        ln_spread = math.log(RATE_SPREAD)
+        tape = self._tape
+        self._windows += 1
+        tape.draw_windows(self._windows)
+        self.floor = tape.floors[self._windows]
+        end = start + interval  # each arrival is random.uniform(start, end) of its fraction
+        first = (self._windows - 1) * self.flight
         batch: list[tuple[float, Transaction]] = []
-        for _ in range(self.flight):
-            rate = self.floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
-            fee = math.ceil(rate * MARKET_TX_VSIZE)
-            self._counter += 1
-            tx = self._market_tx(fund_fn(fee + DUST))
-            at = self._rng_times.uniform(start, start + interval)
-            batch.append((at, tx))
+        for i in range(first, first + self.flight):
+            tx = self._market_tx(fund_fn(tape.values[i]))
+            batch.append((start + (end - start) * tape.fractions[i], tx))
         batch.sort(key=lambda item: item[0])
         return batch

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .attack import ATTEMPT_SPACING_S, TARGET, TICK, execute
-from .background import CongestionProfile
+from .background import CongestionProfile, market_key
 from .chain import DUST, Transaction, TxInput, TxOutput, make_txid
 from .indexer import deploy_inscription, mint_inscription
 from .sim import SimConfig, Simulation
@@ -174,21 +174,29 @@ def _percentile_95(samples: list[float]) -> float:
     return ordered[rank]
 
 
-def _run_cell(args: tuple[ScenarioConfig, tuple[int, ...]]) -> SweepRow:
-    config, seeds = args
-    results = [run_scenario(config, seed) for seed in seeds]
-    delays = [d for r in results for d in r.delays]
-    per_seed_mean = [sum(r.delays) / len(r.delays) for r in results]
+def _run_group(task: tuple[tuple[ScenarioConfig, ...], int]) -> list[tuple]:
+    """One seed's cells of one market key, back to back so that they replay one
+    market tape; per cell, only what its sweep row reads."""
+    cells, seed = task
+    results = [run_scenario(cell, seed) for cell in cells]
+    return [(r.success, r.delays, r.pinned_pct, r.outage_s) for r in results]
+
+
+def _row(config: ScenarioConfig, results: list[tuple]) -> SweepRow:
+    """One cell's row from its per-seed ``_run_group`` results, in seed order."""
+    successes, seed_delays, pinned, outages = zip(*results)
+    delays = [d for per_seed in seed_delays for d in per_seed]
+    per_seed_mean = [sum(per_seed) / len(per_seed) for per_seed in seed_delays]
     return SweepRow(
         fraction=config.fraction,
         fee=config.fee_rate,
         congestion=config.congestion,
         attempts=config.attempts,
-        success_rate=sum(r.success for r in results) / len(results),
+        success_rate=sum(successes) / len(results),
         mean_delay=sum(per_seed_mean) / len(per_seed_mean),
         p95_delay=_percentile_95(delays),
-        pinned_pct=sum(r.pinned_pct for r in results) / len(results),
-        outage_s=sum(r.outage_s for r in results) / len(results),
+        pinned_pct=sum(pinned) / len(results),
+        outage_s=sum(outages) / len(results),
         sample_count=len(delays),
     )
 
@@ -198,20 +206,33 @@ def run_sweep(
     seeds: tuple[int, ...] = tuple(range(50)),
     workers: int = 1,
 ) -> list[SweepRow]:
+    """One row per cell over ``seeds``.  The work is split into (market key, seed)
+    groups, so cells that draw the same background market run back to back."""
     grid = default_grid() if grid is None else grid
     if not seeds:
         raise ValueError("the sweep needs at least one seed")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(config, tuple(seeds)) for config in grid]
-    workers = min(workers, len(tasks))  # no idle processes beyond one per cell
+    groups: dict[tuple, list[int]] = {}  # market key (its profile holds the seed) -> cells
+    for seed in dict.fromkeys(seeds):
+        for i, config in enumerate(grid):
+            profile = CongestionProfile.for_level(config.congestion, seed)
+            key = market_key(profile, config.sim.congestion_normal_count,
+                             config.sim.block_capacity_vbytes)
+            groups.setdefault(key, []).append(i)
+    tasks = [(tuple(grid[i] for i in cells), key[0].seed) for key, cells in groups.items()]
+    workers = min(workers, len(tasks))  # no idle processes beyond one per group
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            rows = pool.map(_run_cell, tasks)
+            done = pool.map(_run_group, tasks)
     else:
-        rows = [_run_cell(task) for task in tasks]
+        done = [_run_group(task) for task in tasks]
+    results: dict[tuple[int, int], tuple] = {}  # (cell index, seed) -> result
+    for (key, cells), group in zip(groups.items(), done):
+        results.update(((i, key[0].seed), result) for i, result in zip(cells, group))
+    rows = [_row(config, [results[i, seed] for seed in seeds]) for i, config in enumerate(grid)]
     rows.sort(key=lambda r: (r.fraction, r.fee, r.congestion, r.attempts))
     return rows
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, fields
 
 from . import wallet
-from .background import BackgroundLoad, CongestionProfile
+from .background import BackgroundLoad, CongestionProfile, drop_tape
 from .chain import Chain, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
 from .mempool import DAY, Mempool, SubmitResult, UnknownTx
@@ -83,6 +83,8 @@ class Simulation:
             )
             for tx in self.background.sediment(self.fund):
                 self.submit(tx)
+        else:
+            drop_tape()
 
     # -- funding -------------------------------------------------------------
 

@@ -3,6 +3,9 @@
 import itertools
 import random
 
+import pytest
+
+from brc20sim import background
 from brc20sim.background import (
     MARKET_ADDRESS,
     MARKET_TX_VSIZE,
@@ -11,7 +14,7 @@ from brc20sim.background import (
     CongestionProfile,
 )
 from brc20sim.chain import make_txid
-from brc20sim.harness import inscription_tx
+from brc20sim.harness import ScenarioConfig, inscription_tx, run_scenario
 from brc20sim.indexer import deploy_inscription, mint_inscription
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import InsufficientFunds, TransferRequest
@@ -60,6 +63,83 @@ def test_background_txids_hash_their_content():
         assert tx.txid == make_txid(tx.inputs, tx.outputs, tx.vsize, tag=f"bg{k}")
 
 
+class TestSharedMarket:
+    """Loads of one market key replay one tape; what they return is what a cold load returns."""
+
+    SEED = 2
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts the market transactions built rather than replayed from the tape."""
+        made = []
+        build = background.txid_with_tail
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(background, "txid_with_tail", counting)
+        return made
+
+    def run(self, congestion, attempts, tmp_path):
+        config = ScenarioConfig(fraction=1.0, fee_rate=100, congestion=congestion,
+                                attempts=attempts)
+        log = tmp_path / "events.jsonl"
+        result = run_scenario(config, self.SEED, log_path=str(log))
+        return log.read_bytes(), repr(result)
+
+    def test_warm_runs_equal_cold_runs(self, builds, monkeypatch, tmp_path):
+        cells = [(0.75, 2), (0.75, 2), (0.75, 10), (0.75, 2), (0.5, 5), (0.75, 5)]
+        cold, cold_builds = {}, {}
+        for cell in dict.fromkeys(cells):
+            monkeypatch.setattr(background, "_held", None)
+            builds.clear()
+            cold[cell] = self.run(*cell, tmp_path)
+            cold_builds[cell] = len(builds)
+        monkeypatch.setattr(background, "_held", None)
+        made = []
+        for cell in cells:
+            builds.clear()
+            assert self.run(*cell, tmp_path) == cold[cell], cell
+            made.append(len(builds))
+        # cold, hit, extension (2 then 10), shorter (10 then 2), eviction, cold after eviction
+        assert made[0] == cold_builds[0.75, 2] and made[1] == 0
+        assert 0 < made[2] < cold_builds[0.75, 10] and made[3] == 0
+        assert made[4] == cold_builds[0.5, 5] and made[5] == cold_builds[0.75, 5]
+
+    def test_other_coins_rebuild_their_transactions(self, monkeypatch):
+        # a sim, a load fed other coins, then a sim again, all of one market key
+        monkeypatch.setattr(background, "_held", None)
+        profile = CongestionProfile.for_level(0.75, seed=3)
+
+        def sim_market():
+            sim = Simulation(SimConfig(), profile)
+            sim.run_blocks(3)
+            return [tx for block in sim.chain.blocks for tx in block.transactions]
+
+        first = sim_market()
+        load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
+        assert load._tape is background._held and len(load._tape.txs) > len(first)
+        coins = itertools.count(1)
+        fund = lambda value: (f"c{next(coins)}", 0)  # noqa: E731
+        made = load.sediment(fund)
+        for block in range(3):
+            made += [tx for _, tx in load.market_batch(fund, 600.0 * block, 600.0)]
+        funded = [(f"c{k}", 0) for k in range(1, len(made) + 1)]
+        assert sorted(tx.inputs[0].outpoint for tx in made) == sorted(funded)
+        for tx in made:
+            k = int(tx.inputs[0].outpoint[0][1:])
+            assert tx.txid == make_txid(tx.inputs, tx.outputs, tx.vsize, tag=f"bg{k}")
+        assert [tx.txid for tx in sim_market()] == [tx.txid for tx in first]
+
+
+    def test_a_simulation_without_a_market_drops_the_tape(self):
+        Simulation(SimConfig(), CongestionProfile.for_level(0.25, seed=1))
+        assert background._held is not None
+        Simulation(SimConfig())  # as `brc20sim replay` builds one
+        assert background._held is None
+
+
 def test_band_profile_floor_confined():
     profile = CongestionProfile.for_band(10, 22.5, 0.75, seed=4)
     load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
@@ -72,8 +152,8 @@ def test_level_profile_respects_hard_cap():
     profile = CongestionProfile.for_level(0.75, seed=2)
     assert profile.floor_cap <= CongestionProfile.HARD_CAP
     load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-    for _ in range(500):
-        load.advance_floor()
+    for block in range(500):
+        load.market_batch(lambda value: ("stub", 0), 600.0 * block, 600.0)
         assert profile.floor_lo <= load.floor <= profile.floor_cap
     # market never outbids the top sweep fee level
     assert profile.floor_cap * RATE_SPREAD < 500

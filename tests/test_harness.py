@@ -1,6 +1,7 @@
 """Scenario runner, sweep aggregation, scripted incident replay."""
 
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -96,6 +97,21 @@ class TestSweep:
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers"):
                 run_sweep([cell], seeds=(0,), workers=workers)
+
+    def test_grouped_sweep_equals_one_call_per_cell(self):
+        # two congestion levels, two attempt counts, and a cell whose market
+        # key differs from its neighbour's only by its SimConfig
+        grid = [
+            ScenarioConfig(fraction=1.0, fee_rate=100, congestion=c, attempts=n)
+            for c in (0.25, 0.75)
+            for n in (2, 5)
+        ]
+        grid.append(replace(grid[-1], sim=SimConfig(congestion_normal_count=600)))
+        seeds = (0, 1, 2)
+        grouped = sweep_csv(run_sweep(grid, seeds=seeds))
+        rows = [row for cell in grid for row in run_sweep([cell], seeds=seeds)]
+        assert grouped == sweep_csv(rows)
+        assert grouped == sweep_csv(run_sweep(grid, seeds=seeds, workers=2))
 
     def test_rows_sorted_by_scenario_key(self):
         grid = [

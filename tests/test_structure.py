@@ -82,3 +82,16 @@ def test_settable_values_are_counted():
     configs = ("SimConfig", "ScenarioConfig", "CongestionProfile", "TransferRequest")
     counts = {name: len(dataclasses.fields(classes[name])) for name in configs}
     assert sum(counts.values()) == 24, counts
+
+
+def test_no_module_reads_the_environment():
+    # behaviour, market sharing included, is fixed by the code and the
+    # config objects, never switched by an environment variable
+    reads = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads.append((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [(path.name, a.name) for a in node.names if a.name in ("environ", "getenv")]
+    assert reads == []

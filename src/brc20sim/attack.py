@@ -209,5 +209,7 @@ def _finalize_record(sim: Simulation, record: AttemptRecord) -> None:
         return
     record.voided = ordinal not in sim.indexer.pending_created
     record.pinned = ordinal in sim.indexer.state.pending
-    record.effective_delay = 0.0 if record.voided else sim.effective_delay(record.tx2)
+    # Tx2's delay runs from its send time to its confirmation, or to now while pending
+    end = sim.now if record.confirm_time is None else record.confirm_time
+    record.effective_delay = 0.0 if record.voided else end - record.submit_time
 

@@ -5,8 +5,8 @@ Subcommands: ``sim`` (one scenario), ``sweep`` (full parameter grid),
 calculator) and ``replay`` (verify an exported event log).  ``replay``
 re-runs the log through a ``Simulation``, the same block step that wrote it
 (``grant`` and ``fund`` events re-create the genesis coins in order), checks
-every submission decision and each block's height, time and txids, and at
-the end that the replayed token state conserves supply.
+every submission's time and decision and each block's height, time and
+txids, and at the end that the replayed token state conserves supply.
 
 Exit codes: 0 success, 1 usage error, 2 assertion/model divergence.
 """
@@ -52,7 +52,10 @@ def _parse_period(text: str) -> float:
 
 
 def _levels(text: str, cast) -> tuple:
-    return tuple(cast(part) for part in text.split(",") if part)
+    levels = tuple(cast(part) for part in text.split(",") if part)
+    if not levels:  # an empty list once ran every default level without a word
+        raise argparse.ArgumentTypeError(f"no levels in {text!r}")
+    return levels
 
 
 def _load_sim_overrides(path: str | None) -> dict:
@@ -165,8 +168,8 @@ def _replay_kind(event, number: int) -> str:
 
 def cmd_replay_log(args) -> int:
     """Re-run a recorded event log through a Simulation and verify every
-    submission decision, every block's height, time and txids, and the
-    token supply at the end."""
+    submission's time and decision, every block's height, time and txids,
+    and the token supply at the end."""
     with open(args.log, encoding="utf-8") as fh:
         events = [json.loads(line) for line in fh if line.strip()]
     header = events[0] if events else None
@@ -181,6 +184,7 @@ def cmd_replay_log(args) -> int:
         raise ValueError(f"log header lacks config keys: {missing}")
     sim = Simulation(_sim_config(header["config"]))
     blocks = submits = 0
+    clock = sim.now  # the time of the last submit or mine event
     for number, event in enumerate(events[1:], start=2):
         kind = _replay_kind(event, number)
         if kind == "grant":
@@ -188,6 +192,12 @@ def cmd_replay_log(args) -> int:
         elif kind == "fund":
             sim.fund(event["value"])
         elif kind == "submit":
+            # a send falls between the previous event and the next block
+            if not clock <= event["t"] <= sim.next_block_time:
+                print(f"divergence at t={event['t']}: a send here must fall in "
+                      f"[{clock}, {sim.next_block_time}]", file=sys.stderr)
+                return MODEL_ERROR
+            clock = event["t"]
             try:
                 tx = Transaction.from_dict(event["tx"])
             except (KeyError, TypeError, ValueError) as exc:
@@ -210,6 +220,7 @@ def cmd_replay_log(args) -> int:
                       file=sys.stderr)
                 return MODEL_ERROR
             sim.run_until(event["t"])
+            clock = event["t"]
             blocks += 1
             tip = sim.chain.blocks[-1]
             got = (tip.height, [tx.txid for tx in tip.transactions])

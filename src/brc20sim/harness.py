@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .attack import ATTEMPT_SPACING_S, TARGET, TICK, execute
 from .background import CongestionProfile, market_key
@@ -129,9 +129,8 @@ def run_scenario(
     config: ScenarioConfig, seed: int, log_path: str | None = None
 ) -> ScenarioResult:
     """One seeded trial of the attack under the scenario's conditions."""
-    sim_config = replace(config.sim, log_events=log_path is not None)
     profile = CongestionProfile.for_level(config.congestion, seed)
-    sim = Simulation(sim_config, profile)
+    sim = Simulation(config.sim, profile)
 
     for _ in range(10):
         sim.grant(TARGET, 100_000_000)
@@ -142,7 +141,7 @@ def run_scenario(
     if log_path is not None:
         sim.export_event_log(log_path)
 
-    interval = sim_config.block_interval
+    interval = config.sim.block_interval
     outage = interval * sum(1 for _, _, trans in sim.balance_samples if trans > 0)
     return ScenarioResult(
         seed=seed,

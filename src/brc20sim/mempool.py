@@ -65,14 +65,6 @@ if TYPE_CHECKING:
 DAY = 86_400.0
 
 
-class MempoolError(Exception):
-    pass
-
-
-class UnknownTx(MempoolError):
-    pass
-
-
 # submit() reject reasons
 BELOW_MIN_RELAY_FEE = "below-min-relay-fee"
 CONFLICT_NOT_REPLACEABLE = "conflict-not-replaceable"

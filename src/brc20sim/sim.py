@@ -6,13 +6,13 @@ are processed in timestamp order, a block is mined every ``block_interval``
 simulated seconds, and every mined block is fed to the indexer together with
 the receipts its chain append returned.
 
-Genesis satoshis enter through ``grant``, which funds the chain's UTXO set and
-records the allocation in the grant ledger, so token state stays
-reconstructable from the grant ledger plus the block list alone (see
-``replay_state``).  Background traffic is funded through ``fund`` instead:
-value-only coins with no owner and no ordinals, recorded in the same ledger
-(and logged as ``fund`` events) so that replay re-creates every serial in
-order.
+Every grant, fund, submission and mined block is recorded once, in order, in
+``event_log``: the run's one record, which ``export_event_log`` writes as JSON
+lines for ``brc20sim replay``.  Genesis satoshis enter through ``grant``;
+background traffic is funded through ``fund`` instead, with value-only coins
+that have no owner and no ordinals.  Both are in the record, so token state
+stays reconstructable from its grants and funds plus the block list alone
+(see ``replay_state``), and replay re-creates every serial in order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import wallet
 from .background import BackgroundLoad, CongestionProfile, drop_tape
 from .chain import Chain, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
-from .mempool import DAY, Mempool, SubmitResult, UnknownTx
+from .mempool import DAY, Mempool, SubmitResult
 from .wallet import BUNDLE_GAP, TransferBundle, TransferRequest
 
 
@@ -40,20 +40,19 @@ class SimConfig:
     min_relay_fee_rate: int = 1
     expiry: float = 14 * DAY
     congestion_normal_count: int = 400
-    log_events: bool = False
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.name in SETTINGS and not 0 < value < math.inf:
+            if not 0 < value < math.inf:
                 raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 
 
 # The numeric settings, as written to the event-log header, accepted as CLI
 # config keys and required by replay.
-SETTINGS = tuple(f.name for f in fields(SimConfig) if f.name != "log_events")
+SETTINGS = tuple(f.name for f in fields(SimConfig))
 
 # one encoder for every event-log line: json.dumps(sort_keys=True) builds a new one per call
 _LOG_ENCODER = json.JSONEncoder(sort_keys=True)
@@ -70,12 +69,12 @@ class Simulation:
         self._scheduled: list[tuple[float, int, Transaction]] = []
         self._seq = 0
         self._window_generated = -1
-        self.submit_times: dict[str, float] = {}
         self.congestion_samples: list[float] = []
-        self.grants_log: list[tuple[str | None, int]] = []  # owner None: a fund
         self._watch: tuple[str, str] | None = None
         self.balance_samples: list[tuple[float, int, int]] = []
-        self.event_log: list[dict] = []
+        # ("grant", t, owner, value), ("fund", t, value), ("submit", t, tx, result)
+        # and ("mine", t, block), in the order they happened
+        self.event_log: list[tuple] = []
         self.background: BackgroundLoad | None = None
         if profile is not None and profile.target_level > 0:
             self.background = BackgroundLoad(
@@ -89,35 +88,24 @@ class Simulation:
     # -- funding -------------------------------------------------------------
 
     def grant(self, owner: str, value: int) -> Utxo:
-        """Genesis allocation, recorded in the grant ledger for replay."""
+        """Genesis allocation, recorded for replay."""
         utxo = self.chain.utxo_set.grant(owner, value)
-        self.grants_log.append((owner, value))
-        if self.config.log_events:
-            self.event_log.append(
-                {"event": "grant", "t": self.now, "owner": owner, "value": value}
-            )
+        self.event_log.append(("grant", self.now, owner, value))
         return utxo
 
     def fund(self, value: int) -> tuple[str, int]:
-        """Value-only coin for background traffic, recorded in the grant ledger for replay."""
+        """Value-only coin for background traffic, recorded for replay."""
         serial = self.chain.utxo_set.fund(value)
-        self.grants_log.append((None, value))
-        if self.config.log_events:
-            self.event_log.append({"event": "fund", "t": self.now, "value": value})
+        self.event_log.append(("fund", self.now, value))
         return serial
 
     # -- submissions -----------------------------------------------------------
 
     def submit(self, tx: Transaction, at: float | None = None) -> SubmitResult:
-        """Pool submission at ``at`` (default now), timed and logged; the only path to the pool."""
+        """Pool submission at ``at`` (default now), recorded; the only path to the pool."""
         at = self.now if at is None else at
         result = self.pool.submit(tx, at)
-        self.submit_times.setdefault(tx.txid, at)
-        if self.config.log_events:
-            self.event_log.append(
-                {"event": "submit", "t": at, "tx": tx.to_dict(),
-                 "accepted": result.accepted, "reason": result.reason}
-            )
+        self.event_log.append(("submit", at, tx, result))
         return result
 
     def send_transfer(
@@ -167,36 +155,13 @@ class Simulation:
             if self._watch is not None:
                 avail, trans, _ = self.indexer.balance(*self._watch)
                 self.balance_samples.append((self.now, avail, trans))
-            if self.config.log_events:
-                self.event_log.append(
-                    {
-                        "event": "mine",
-                        "t": self.now,
-                        "height": block.height,
-                        "txids": [tx.txid for tx in block.transactions],
-                    }
-                )
+            self.event_log.append(("mine", self.now, block))
             self.next_block_time += self.config.block_interval
 
     def run_blocks(self, count: int) -> None:
         self.run_until(self.next_block_time + (count - 1) * self.config.block_interval)
 
     # -- queries -----------------------------------------------------------------
-
-    def confirmation_delay(self, txid: str) -> float | None:
-        if txid not in self.submit_times:
-            raise UnknownTx(txid)
-        confirmed_at = self.chain.confirmation_time(txid)
-        if confirmed_at is None:
-            return None
-        return confirmed_at - self.submit_times[txid]
-
-    def effective_delay(self, txid: str) -> float:
-        """Confirmed delay, or elapsed pending time as of now."""
-        delay = self.confirmation_delay(txid)
-        if delay is None:
-            return self.now - self.submit_times[txid]
-        return delay
 
     def watch_balance(self, tick: str, addr: str) -> None:
         """Sample (available, transferable) for one address at every block."""
@@ -213,18 +178,35 @@ class Simulation:
     # -- replay -------------------------------------------------------------------
 
     def replay_state(self) -> Brc20State:
-        """Token state rebuilt from the grant ledger and the block list."""
+        """Token state rebuilt from the recorded grants and funds and the block list."""
         genesis = UtxoSet()
-        for owner, value in self.grants_log:
-            if owner is None:
-                genesis.fund(value)
-            else:
-                genesis.grant(owner, value)
+        for event in self.event_log:
+            match event:
+                case ("grant", _, owner, value):
+                    genesis.grant(owner, value)
+                case ("fund", _, value):
+                    genesis.fund(value)
         return replay(self.chain.blocks, genesis)
 
     def export_event_log(self, path: str) -> None:
+        """The event log as JSON lines: a config header, then one object per event."""
         with open(path, "w", encoding="utf-8") as fh:
             config = {name: getattr(self.config, name) for name in SETTINGS}
             fh.write(_LOG_ENCODER.encode({"event": "header", "config": config}) + "\n")
             for event in self.event_log:
-                fh.write(_LOG_ENCODER.encode(event) + "\n")
+                fh.write(_LOG_ENCODER.encode(_log_object(event)) + "\n")
+
+
+def _log_object(event: tuple) -> dict:
+    """One recorded event as the JSON object its log line holds."""
+    match event:
+        case ("grant", t, owner, value):
+            return {"event": "grant", "t": t, "owner": owner, "value": value}
+        case ("fund", t, value):
+            return {"event": "fund", "t": t, "value": value}
+        case ("submit", t, tx, result):
+            return {"event": "submit", "t": t, "tx": tx.to_dict(),
+                    "accepted": result.accepted, "reason": result.reason}
+        case ("mine", t, block):
+            return {"event": "mine", "t": t, "height": block.height,
+                    "txids": [tx.txid for tx in block.transactions]}

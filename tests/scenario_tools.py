@@ -1,14 +1,50 @@
-"""Shared builders for indexer-level scenarios (used by unit and acceptance tests)."""
+"""Shared builders for indexer-level scenarios and pinned simulations (used by
+unit, structure and acceptance tests)."""
 
 import random
 
+from brc20sim.attack import FeeBand
+from brc20sim.background import CongestionProfile
 from brc20sim.chain import Block, Transaction, TxInput, TxOutput, UtxoSet, make_txid
 from brc20sim.indexer import (
     Indexer,
+    PendingTransfer,
     deploy_inscription,
     mint_inscription,
     transfer_inscription,
 )
+from brc20sim.sim import SimConfig, Simulation
+from brc20sim.wallet import TransferRequest
+
+
+def send_times(sim: Simulation) -> dict[str, float]:
+    """Each transaction's first send time, read from the simulation's event log."""
+    times: dict[str, float] = {}
+    for event in sim.event_log:
+        if event[0] == "submit":
+            times.setdefault(event[2].txid, event[1])
+    return times
+
+
+def pinned_transfer():
+    """Sim with one in-band bundle pinned under a congested market.
+
+    Returns the simulation, the bundle (Tx1 confirmed, Tx2 pending) and the
+    pending transfer a recovery re-spends.
+    """
+    band = FeeBand.from_floor(100)  # (100, 225)
+    profile = CongestionProfile.for_band(band.f_min, band.f_sf, 0.75, seed=3)
+    sim = Simulation(SimConfig(), profile)
+    for _ in range(4):
+        sim.grant("alice", 10_000_000)
+    bundle, r1, r2 = sim.send_transfer(TransferRequest("ordi", 100, "alice", "bob", fee_rate=201))
+    assert r1.accepted and r2.accepted
+    sim.run_blocks(3)
+    assert sim.chain.confirmed(bundle.tx1.txid)
+    assert not sim.chain.confirmed(bundle.tx2.txid)
+    utxo = sim.chain.utxo_set.utxos[(bundle.tx1.txid, 0)]
+    pending = PendingTransfer(utxo.first_ordinal(), "ordi", 100, "alice")
+    return sim, bundle, pending
 
 
 class Scenario:

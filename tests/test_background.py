@@ -175,10 +175,11 @@ def test_higher_fee_never_confirms_later():
         inputs = (TxInput(fund.serial),)
         outputs = (TxOutput(546, "probe"),)
         tx = Transaction(make_txid(inputs, outputs, 600, tag="probe"), inputs, outputs, 600)
+        sent = sim.now
         assert sim.submit(tx).accepted
         sim.run_blocks(25)
-        delay = sim.confirmation_delay(tx.txid)
-        return delay if delay is not None else float("inf")
+        confirmed_at = sim.chain.confirmation_time(tx.txid)
+        return float("inf") if confirmed_at is None else confirmed_at - sent
 
     for seed in range(5):
         delays = [probe_delay(rate, seed) for rate in (60, 120, 240, 480)]
@@ -229,16 +230,22 @@ class LedgerCheck:
 
     def __init__(self) -> None:
         self.coins: dict[tuple[str, int], tuple[int, bool]] = {}  # serial -> (value, plain)
-        self.seen_grants = 0
+        self.seen_events = 0
+        self.genesis_coins = 0
+        self.funded = 0
         self.seen_blocks = 0
         self.burned = 0
         self.plain_fees = 0
         self.plain_txs = 0
 
     def __call__(self, sim: Simulation) -> None:
-        for owner, value in sim.grants_log[self.seen_grants:]:
-            self.coins[(f"genesis-{self.seen_grants}", 0)] = (value, owner is None)
-            self.seen_grants += 1
+        for kind, _, *payload in sim.event_log[self.seen_events:]:
+            if kind in ("grant", "fund"):
+                value, plain = payload[-1], kind == "fund"
+                self.coins[(f"genesis-{self.genesis_coins}", 0)] = (value, plain)
+                self.genesis_coins += 1
+                self.funded += value if plain else 0
+        self.seen_events = len(sim.event_log)
         for block in sim.chain.blocks[self.seen_blocks:]:
             for tx in block.transactions:
                 spent = [self.coins.pop(inp.outpoint) for inp in tx.inputs]
@@ -263,8 +270,7 @@ class LedgerCheck:
         assert held + self.burned == ledger._next_ordinal
         ranges = sorted((r.start, r.end) for u in ledger.utxos.values() for r in u.ordinals)
         assert all(a_end <= b_start for (_, a_end), (b_start, _) in zip(ranges, ranges[1:]))
-        funded = sum(value for owner, value in sim.grants_log if owner is None)
-        assert funded == sum(ledger.plain.values()) + self.plain_fees
+        assert self.funded == sum(ledger.plain.values()) + self.plain_fees
 
 
 def test_conservation_after_every_block_of_a_congested_run():

@@ -13,6 +13,7 @@ import brc20sim
 from brc20sim.cli import main
 from brc20sim.indexer import Brc20State
 from brc20sim.sim import SETTINGS, SimConfig
+from brc20sim.wallet import TX1_VSIZE
 
 HEADER = {"event": "header", "config": {name: getattr(SimConfig(), name) for name in SETTINGS}}
 # spends the first grant's coin at a fee the pool accepts
@@ -138,6 +139,25 @@ class TestSimCommand:
         code, out, err = self.replay_tampered(capsys, tmp_path, shift)
         assert code == 2 and "divergence" in err and "replay OK" not in out
 
+    # a send after the block that mined it, or before the event that precedes
+    # it, once replayed as OK
+    @pytest.mark.parametrize("sent_at", [2401.0, -100.0])
+    def test_impossible_send_time_detected(self, capsys, tmp_path, sent_at):
+        log = tmp_path / "events.jsonl"
+        run_cli(capsys, "sim", "--seed", "4", "--attempts", "3", "--log", str(log))
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        # the first attempt's Tx1: sent at 1800 and mined in the block at 2400
+        tx1 = next(
+            e for e in events
+            if e["event"] == "submit" and e["t"] == 1800.0 and e["tx"]["vsize"] == TX1_VSIZE
+        )
+        assert any(e["event"] == "mine" and e["t"] == 2400.0 and tx1["tx"]["txid"] in e["txids"]
+                   for e in events)
+        tx1["t"] = sent_at
+        log.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
+        code, out, err = run_cli(capsys, "replay", str(log))
+        assert code == 2 and "divergence" in err and "replay OK" not in out
+
 
 class TestSweepCommand:
     def test_restricted_grid_csv(self, capsys, tmp_path):
@@ -244,6 +264,11 @@ class TestBadInput:
             ["tolerance", "--avail", "2", "--req", "1", "--vol", "1", "--period", "inf"],
             # fewer than one worker once ran the sweep serially without a word
             ["sweep", "--workers", "0", "--seeds", "1"],
+            # an empty level list once ran every default level without a word
+            ["sweep", "--seeds", "1", "--fees", ","],
+            ["sweep", "--seeds", "1", "--fractions", ""],
+            ["sweep", "--seeds", "1", "--congestion", ",,"],
+            ["sweep", "--seeds", "1", "--attempts", ""],
         ],
     )
     def test_bad_number_on_the_command_line_exits_one(self, argv):

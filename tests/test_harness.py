@@ -28,6 +28,14 @@ class TestScenario:
         assert 0.0 <= result.pinned_pct <= 100.0
         assert abs(result.congestion_measured - 0.75) < 0.05
 
+    def test_logging_changes_no_result(self, tmp_path):
+        # the `brc20sim sim` default cell, run with and without an exported log
+        config = ScenarioConfig(fraction=1.0, fee_rate=100, congestion=0.75, attempts=5)
+        for seed in range(3):
+            unlogged = run_scenario(config, seed)
+            logged = run_scenario(config, seed, log_path=str(tmp_path / f"{seed}.jsonl"))
+            assert repr(logged) == repr(unlogged)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ScenarioConfig(fraction=1.5, fee_rate=100, congestion=0.5, attempts=2)

@@ -5,6 +5,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from scenario_tools import send_times  # noqa: E402
+
 from brc20sim.sim import SimConfig, Simulation  # noqa: E402
 from brc20sim.wallet import BUNDLE_GAP, TransferRequest  # noqa: E402
 
@@ -34,6 +36,6 @@ def test_no_confirmed_tx_was_sent_after_its_block(sends):
     sim.run_blocks(2)
     mined = [(tx.txid, block.timestamp) for block in sim.chain.blocks for tx in block.transactions]
     assert len(mined) == 2 * len(sends)
+    sent = send_times(sim)
     for txid, confirmed_at in mined:
-        assert sim.submit_times[txid] <= confirmed_at
-        assert sim.confirmation_delay(txid) >= 0
+        assert sent[txid] <= sim.chain.confirmation_time(txid) == confirmed_at

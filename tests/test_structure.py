@@ -3,11 +3,17 @@
 import ast
 import dataclasses
 import importlib
+import json
 import pkgutil
 from collections import Counter
 from pathlib import Path
 
+from scenario_tools import pinned_transfer
+
 import brc20sim
+from brc20sim.cli import REPLAY_FIELDS
+from brc20sim.sim import SETTINGS
+from brc20sim.wallet import build_recovery
 
 SRC = Path(brc20sim.__file__).resolve().parent
 
@@ -81,7 +87,7 @@ def test_settable_values_are_counted():
     assert {name for name in classes if name.endswith("Config")} == {"SimConfig", "ScenarioConfig"}
     configs = ("SimConfig", "ScenarioConfig", "CongestionProfile", "TransferRequest")
     counts = {name: len(dataclasses.fields(classes[name])) for name in configs}
-    assert sum(counts.values()) == 24, counts
+    assert sum(counts.values()) == 23, counts
 
 
 def test_no_module_reads_the_environment():
@@ -95,3 +101,23 @@ def test_no_module_reads_the_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 reads += [(path.name, a.name) for a in node.names if a.name in ("environ", "getenv")]
     assert reads == []
+
+
+def test_the_log_writer_and_replay_share_one_vocabulary(tmp_path):
+    # the simulation writes the event log and the CLI replays it: every line
+    # is the header or a kind replay reads, with each field it reads, typed
+    sim, bundle, pending = pinned_transfer()
+    recovery = build_recovery(
+        pending, sim.chain.utxo_set, "alice", fee_rate=404, exclude=set(sim.pool.spends),
+    )
+    assert bundle.tx2.txid in sim.submit(recovery).replaced
+    sim.run_blocks(1)
+    log = tmp_path / "recovery.jsonl"
+    sim.export_event_log(str(log))
+    header, *events = [json.loads(line) for line in log.read_text().splitlines()]
+    assert header == {"event": "header", "config": {n: getattr(sim.config, n) for n in SETTINGS}}
+    assert len(events) == len(sim.event_log)
+    assert {event["event"] for event in events} == set(REPLAY_FIELDS)
+    for event in events:
+        for key, types in REPLAY_FIELDS[event["event"]].items():
+            assert type(event[key]) in types, (event, key)

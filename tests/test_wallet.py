@@ -1,9 +1,8 @@
 """Transfer bundle construction, sending, recovery."""
 
 import pytest
+from scenario_tools import pinned_transfer, send_times
 
-from brc20sim.attack import FeeBand
-from brc20sim.background import CongestionProfile
 from brc20sim.chain import RBF_SEQUENCE
 from brc20sim.cli import main
 from brc20sim.indexer import parse_envelope, InscribeTransfer
@@ -115,8 +114,9 @@ class TestSubmitBundle:
         sim.run_until(5.0)
         bundle, r1, r2 = sim.send_transfer(request())
         assert r1.accepted and r2.accepted
-        assert sim.submit_times[bundle.tx1.txid] == 5.0
-        assert sim.submit_times[bundle.tx2.txid] == 5.0 + BUNDLE_GAP == sim.now
+        sent = send_times(sim)
+        assert sent[bundle.tx1.txid] == 5.0
+        assert sent[bundle.tx2.txid] == 5.0 + BUNDLE_GAP == sim.now
         assert sim.pool.entries[bundle.tx2.txid].depends_on == {bundle.tx1.txid}
         sim.run_blocks(1)
         assert sim.chain.confirmed(bundle.tx1.txid)
@@ -126,10 +126,12 @@ class TestSubmitBundle:
         sim.run_until(599.5)  # the first block is at 600.0, inside BUNDLE_GAP
         bundle, r1, r2 = sim.send_transfer(request())
         assert r1.accepted and r2.accepted
-        assert sim.submit_times[bundle.tx2.txid] == 600.5
+        sent = send_times(sim)
+        assert sent[bundle.tx2.txid] == 600.5
         sim.run_blocks(1)
-        assert sim.confirmation_delay(bundle.tx1.txid) == 0.5
-        assert sim.confirmation_delay(bundle.tx2.txid) == 599.5
+        confirmed_at = sim.chain.confirmation_time
+        assert confirmed_at(bundle.tx1.txid) - sent[bundle.tx1.txid] == 0.5
+        assert confirmed_at(bundle.tx2.txid) - sent[bundle.tx2.txid] == 599.5
 
     def test_tx2_below_min_relay_is_retriable(self):
         sim = fresh_sim(min_relay_fee_rate=100)
@@ -148,26 +150,8 @@ class TestSubmitBundle:
 
 
 class TestRecovery:
-    def make_pinned(self, log_events=False):
-        """Sim with one in-band bundle pinned under a congested market."""
-        band = FeeBand.from_floor(100)  # (100, 225)
-        profile = CongestionProfile.for_band(band.f_min, band.f_sf, 0.75, seed=3)
-        sim = Simulation(SimConfig(log_events=log_events), profile)
-        for _ in range(4):
-            sim.grant("alice", 10_000_000)
-        bundle, r1, r2 = sim.send_transfer(request(fee_rate=201, recipient="bob"))
-        assert r1.accepted and r2.accepted
-        sim.run_blocks(3)
-        assert sim.chain.confirmed(bundle.tx1.txid)
-        assert not sim.chain.confirmed(bundle.tx2.txid)
-        utxo = sim.chain.utxo_set.utxos[(bundle.tx1.txid, 0)]
-        from brc20sim.indexer import PendingTransfer
-
-        pending = PendingTransfer(utxo.first_ordinal(), "ordi", 100, "alice")
-        return sim, bundle, pending
-
     def test_recovery_outbids_pin(self):
-        sim, bundle, pending = self.make_pinned()
+        sim, bundle, pending = pinned_transfer()
         recovery = build_recovery(
             pending, sim.chain.utxo_set, "alice", fee_rate=404, exclude=set(sim.pool.spends),
         )
@@ -179,7 +163,7 @@ class TestRecovery:
         assert sim.chain.utxo_set.locate_ordinal(pending.inscription_ordinal).owner == "alice"
 
     def test_logged_recovery_is_timed_and_replays(self, tmp_path, capsys):
-        sim, bundle, pending = self.make_pinned(log_events=True)
+        sim, bundle, pending = pinned_transfer()
         sent = sim.now
         recovery = build_recovery(
             pending, sim.chain.utxo_set, "alice", fee_rate=404, exclude=set(sim.pool.spends),
@@ -188,14 +172,15 @@ class TestRecovery:
         assert result.accepted and bundle.tx2.txid in result.replaced
         sim.run_blocks(1)
         assert sim.chain.confirmed(recovery.txid)
-        assert sim.confirmation_delay(recovery.txid) == sim.now - sent
+        assert send_times(sim)[recovery.txid] == sent
+        assert sim.chain.confirmation_time(recovery.txid) == sim.now
         log = tmp_path / "recovery.jsonl"
         sim.export_event_log(str(log))
         assert main(["replay", str(log)]) == 0
         assert "replay OK" in capsys.readouterr().out
 
     def test_recovery_at_pinned_rate_stays_pinned(self):
-        sim, bundle, pending = self.make_pinned()
+        sim, bundle, pending = pinned_transfer()
         recovery = build_recovery(
             pending, sim.chain.utxo_set, "alice", fee_rate=202, exclude=set(sim.pool.spends),
         )
@@ -205,6 +190,6 @@ class TestRecovery:
         assert not sim.chain.confirmed(recovery.txid)
 
     def test_not_owner(self):
-        sim, bundle, pending = self.make_pinned()
+        sim, bundle, pending = pinned_transfer()
         with pytest.raises(NotOwner):
             build_recovery(pending, sim.chain.utxo_set, "mallory", 404)

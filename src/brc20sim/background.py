@@ -34,11 +34,12 @@ txid is one sha256 call over its tag, its input and that tail.
 
 The draws depend only on the *market key* (``market_key``: the profile, the
 transactions per window and the sediment count), not on the foreground, so
-loads of one key share them.  The module holds the tape of the last key
-loaded: its draws, extended as later windows are needed, and the
-transactions last built from them.  A load of that key replays the tape,
-reusing a transaction where its coin matches; a load of any other key
-replaces it.  Either way a load returns the same bytes as a fresh draw.
+loads of one key share them.  The module holds a tape for each key of the
+current seed: its draws, extended as later windows are needed, and the
+transactions last built from them.  A load of a held key replays its tape,
+reusing a transaction where its coin matches, whatever keys were loaded in
+between; a load of another seed's key drops them all.  Either way a load
+returns the same bytes as a fresh draw.
 """
 
 from __future__ import annotations
@@ -182,32 +183,34 @@ class _Tape:
                 self.fractions.append(self._rng_times.random())
 
 
-# The tape of the last market key loaded: later loads of that key replay it.
-_held: _Tape | None = None
+# The tapes of the current seed, one per market key: a later load of a held
+# key replays its tape, whatever keys were loaded in between.
+_held: dict[tuple[CongestionProfile, int, int], _Tape] = {}
 
 
 def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
-    global _held
-    if _held is None or _held.key != key:
-        _held = None  # let the old tape go before the new one allocates
-        _held = _Tape(key)
-    return _held
+    tape = _held.get(key)
+    if tape is None:
+        if any(held[0].seed != key[0].seed for held in _held):
+            _held.clear()  # let the old seed's tapes go before the new one allocates
+        tape = _held[key] = _Tape(key)
+    return tape
 
 
 def drop_tape() -> None:
-    """Let the held tape go, as a load of another key would: for a simulation
-    without a market, which has nothing to replay from it."""
-    global _held
-    _held = None
+    """Let every held tape go: for a simulation without a market, which has
+    nothing to replay from them."""
+    _held.clear()
 
 
 class BackgroundLoad:
     """Generates sediment and per-interval market batches for a simulation.
 
-    Loads of one market key draw the same values, so they share the held
-    ``_Tape``: a load still funds every coin through ``fund_fn``, in the same
-    order, and builds a transaction only when the tape has none for that coin
-    and tag.  What it returns is what a fresh draw would return, bit for bit.
+    Loads of one market key draw the same values, so they share that key's
+    held ``_Tape``: a load still funds every coin through ``fund_fn``, in the
+    same order, and builds a transaction only when the tape has none for that
+    coin and tag.  What it returns is what a fresh draw would return, bit for
+    bit.
     """
 
     def __init__(self, profile: CongestionProfile, normal_count: int, block_capacity: int):

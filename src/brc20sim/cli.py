@@ -5,8 +5,9 @@ Subcommands: ``sim`` (one scenario), ``sweep`` (full parameter grid),
 calculator) and ``replay`` (verify an exported event log).  ``replay``
 re-runs the log through a ``Simulation``, the same block step that wrote it
 (``grant`` and ``fund`` events re-create the genesis coins in order), checks
-every submission's time and decision and each block's height, time and
-txids, and at the end that the replayed token state conserves supply.
+every grant's, fund's and submission's time, each submission's decision and
+each block's height, time and txids, and at the end that the replayed token
+state conserves supply.
 
 Exit codes: 0 success, 1 usage error, 2 assertion/model divergence.
 """
@@ -146,8 +147,8 @@ def cmd_tolerance(args) -> int:
 # the fields replay reads from each kind of event, with the exact types JSON
 # gives them (so a bool is no count); other kinds are skipped
 REPLAY_FIELDS = {
-    "grant": {"owner": (str,), "value": (int,)},
-    "fund": {"value": (int,)},
+    "grant": {"t": (int, float), "owner": (str,), "value": (int,)},
+    "fund": {"t": (int, float), "value": (int,)},
     "submit": {"t": (int, float), "tx": (dict,), "accepted": (bool,), "reason": (str, type(None))},
     "mine": {"t": (int, float), "height": (int,), "txids": (list,)},
 }
@@ -168,8 +169,8 @@ def _replay_kind(event, number: int) -> str:
 
 def cmd_replay_log(args) -> int:
     """Re-run a recorded event log through a Simulation and verify every
-    submission's time and decision, every block's height, time and txids,
-    and the token supply at the end."""
+    grant's, fund's and submission's time, every decision, every block's
+    height, time and txids, and the token supply at the end."""
     with open(args.log, encoding="utf-8") as fh:
         events = [json.loads(line) for line in fh if line.strip()]
     header = events[0] if events else None
@@ -184,20 +185,21 @@ def cmd_replay_log(args) -> int:
         raise ValueError(f"log header lacks config keys: {missing}")
     sim = Simulation(_sim_config(header["config"]))
     blocks = submits = 0
-    clock = sim.now  # the time of the last submit or mine event
+    clock = sim.now  # the time of the last event
     for number, event in enumerate(events[1:], start=2):
         kind = _replay_kind(event, number)
+        if kind in ("grant", "fund", "submit"):
+            # a grant, fund or send falls between the previous event and the next block
+            if not clock <= event["t"] <= sim.next_block_time:
+                print(f"divergence at t={event['t']}: a {kind} here must fall in "
+                      f"[{clock}, {sim.next_block_time}]", file=sys.stderr)
+                return MODEL_ERROR
+            clock = event["t"]
         if kind == "grant":
             sim.grant(event["owner"], event["value"])
         elif kind == "fund":
             sim.fund(event["value"])
         elif kind == "submit":
-            # a send falls between the previous event and the next block
-            if not clock <= event["t"] <= sim.next_block_time:
-                print(f"divergence at t={event['t']}: a send here must fall in "
-                      f"[{clock}, {sim.next_block_time}]", file=sys.stderr)
-                return MODEL_ERROR
-            clock = event["t"]
             try:
                 tx = Transaction.from_dict(event["tx"])
             except (KeyError, TypeError, ValueError) as exc:

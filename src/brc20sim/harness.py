@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .attack import ATTEMPT_SPACING_S, TARGET, TICK, execute
-from .background import CongestionProfile, market_key
+from .background import CongestionProfile
 from .chain import DUST, Transaction, TxInput, TxOutput, make_txid
 from .indexer import deploy_inscription, mint_inscription
 from .sim import SimConfig, Simulation
@@ -173,16 +173,15 @@ def _percentile_95(samples: list[float]) -> float:
     return ordered[rank]
 
 
-def _run_group(task: tuple[tuple[ScenarioConfig, ...], int]) -> list[tuple]:
-    """One seed's cells of one market key, back to back so that they replay one
-    market tape; per cell, only what its sweep row reads."""
-    cells, seed = task
-    results = [run_scenario(cell, seed) for cell in cells]
-    return [(r.success, r.delays, r.pinned_pct, r.outage_s) for r in results]
+def _run_cell(task: tuple[ScenarioConfig, int]) -> tuple:
+    """One cell at one seed: only what its sweep row reads."""
+    config, seed = task
+    r = run_scenario(config, seed)
+    return r.success, r.delays, r.pinned_pct, r.outage_s
 
 
 def _row(config: ScenarioConfig, results: list[tuple]) -> SweepRow:
-    """One cell's row from its per-seed ``_run_group`` results, in seed order."""
+    """One cell's row from its per-seed ``_run_cell`` results, in seed order."""
     successes, seed_delays, pinned, outages = zip(*results)
     delays = [d for per_seed in seed_delays for d in per_seed]
     per_seed_mean = [sum(per_seed) / len(per_seed) for per_seed in seed_delays]
@@ -205,33 +204,25 @@ def run_sweep(
     seeds: tuple[int, ...] = tuple(range(50)),
     workers: int = 1,
 ) -> list[SweepRow]:
-    """One row per cell over ``seeds``.  The work is split into (market key, seed)
-    groups, so cells that draw the same background market run back to back."""
+    """One row per cell over ``seeds``.  The work is one task per (cell, seed),
+    seed by seed, so that a seed's cells replay its held market tapes."""
     grid = default_grid() if grid is None else grid
     if not seeds:
         raise ValueError("the sweep needs at least one seed")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    groups: dict[tuple, list[int]] = {}  # market key (its profile holds the seed) -> cells
-    for seed in dict.fromkeys(seeds):
-        for i, config in enumerate(grid):
-            profile = CongestionProfile.for_level(config.congestion, seed)
-            key = market_key(profile, config.sim.congestion_normal_count,
-                             config.sim.block_capacity_vbytes)
-            groups.setdefault(key, []).append(i)
-    tasks = [(tuple(grid[i] for i in cells), key[0].seed) for key, cells in groups.items()]
-    workers = min(workers, len(tasks))  # no idle processes beyond one per group
+    unique = tuple(dict.fromkeys(seeds))
+    tasks = [(config, seed) for seed in unique for config in grid]
+    workers = min(workers, len(tasks))  # no idle processes beyond one per task
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            done = pool.map(_run_group, tasks)
+            done = pool.map(_run_cell, tasks)
     else:
-        done = [_run_group(task) for task in tasks]
-    results: dict[tuple[int, int], tuple] = {}  # (cell index, seed) -> result
-    for (key, cells), group in zip(groups.items(), done):
-        results.update(((i, key[0].seed), result) for i, result in zip(cells, group))
-    rows = [_row(config, [results[i, seed] for seed in seeds]) for i, config in enumerate(grid)]
+        done = [_run_cell(task) for task in tasks]
+    per_seed = {seed: done[k * len(grid):(k + 1) * len(grid)] for k, seed in enumerate(unique)}
+    rows = [_row(config, [per_seed[seed][i] for seed in seeds]) for i, config in enumerate(grid)]
     rows.sort(key=lambda r: (r.fraction, r.fee, r.congestion, r.attempts))
     return rows
 

@@ -17,7 +17,6 @@ stays reconstructable from its grants and funds plus the block list alone
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, fields
@@ -66,8 +65,8 @@ class Simulation:
         self.indexer = Indexer()
         self.now = 0.0
         self.next_block_time = config.block_interval
-        self._scheduled: list[tuple[float, int, Transaction]] = []
-        self._seq = 0
+        self._arrivals: list[tuple[float, Transaction]] = []  # this window's market, by time
+        self._next_arrival = 0  # index of the first arrival not yet submitted
         self._window_generated = -1
         self.congestion_samples: list[float] = []
         self._watch: tuple[str, str] | None = None
@@ -131,20 +130,21 @@ class Simulation:
             return
         self._window_generated = window
         start = self.next_block_time - self.config.block_interval
-        for at, tx in self.background.market_batch(
-            self.fund, start, self.config.block_interval
-        ):
-            self._seq += 1
-            heapq.heappush(self._scheduled, (max(at, self.now), self._seq, tx))
+        # the last window's arrivals were all submitted before its block was mined
+        self._arrivals = self.background.market_batch(self.fund, start, self.config.block_interval)
+        self._next_arrival = 0
 
     def run_until(self, target: float) -> None:
         while True:
             self._ensure_window()
             horizon = min(target, self.next_block_time)
-            while self._scheduled and self._scheduled[0][0] <= horizon:
-                at, _, tx = heapq.heappop(self._scheduled)
+            arrivals, i = self._arrivals, self._next_arrival
+            while i < len(arrivals) and arrivals[i][0] <= horizon:
+                at, tx = arrivals[i]
+                i += 1
                 self.now = max(self.now, at)
                 self.submit(tx)
+            self._next_arrival = i
             self.now = max(self.now, horizon)
             if self.next_block_time > target:
                 return

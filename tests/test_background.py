@@ -14,7 +14,13 @@ from brc20sim.background import (
     CongestionProfile,
 )
 from brc20sim.chain import make_txid
-from brc20sim.harness import ScenarioConfig, inscription_tx, run_scenario
+from brc20sim.harness import (
+    CONGESTION_LEVELS,
+    ScenarioConfig,
+    default_grid,
+    inscription_tx,
+    run_scenario,
+)
 from brc20sim.indexer import deploy_inscription, mint_inscription
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import InsufficientFunds, TransferRequest
@@ -64,13 +70,14 @@ def test_background_txids_hash_their_content():
 
 
 class TestSharedMarket:
-    """Loads of one market key replay one tape; what they return is what a cold load returns."""
+    """Loads of one market key replay one tape, whatever keys were loaded in between;
+    what they return is what a cold load returns."""
 
     SEED = 2
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Counts the market transactions built rather than replayed from the tape."""
+        """Counts the market transactions built rather than replayed from a tape."""
         made = []
         build = background.txid_with_tail
 
@@ -81,35 +88,52 @@ class TestSharedMarket:
         monkeypatch.setattr(background, "txid_with_tail", counting)
         return made
 
-    def run(self, congestion, attempts, tmp_path):
-        config = ScenarioConfig(fraction=1.0, fee_rate=100, congestion=congestion,
-                                attempts=attempts)
+    def run(self, config, tmp_path):
         log = tmp_path / "events.jsonl"
         result = run_scenario(config, self.SEED, log_path=str(log))
         return log.read_bytes(), repr(result)
 
-    def test_warm_runs_equal_cold_runs(self, builds, monkeypatch, tmp_path):
+    def run_cell(self, congestion, attempts, tmp_path):
+        config = ScenarioConfig(fraction=1.0, fee_rate=100, congestion=congestion,
+                                attempts=attempts)
+        return self.run(config, tmp_path)
+
+    def test_warm_runs_equal_cold_runs(self, builds, tmp_path):
         cells = [(0.75, 2), (0.75, 2), (0.75, 10), (0.75, 2), (0.5, 5), (0.75, 5)]
         cold, cold_builds = {}, {}
         for cell in dict.fromkeys(cells):
-            monkeypatch.setattr(background, "_held", None)
+            background.drop_tape()
             builds.clear()
-            cold[cell] = self.run(*cell, tmp_path)
+            cold[cell] = self.run_cell(*cell, tmp_path)
             cold_builds[cell] = len(builds)
-        monkeypatch.setattr(background, "_held", None)
+        background.drop_tape()
         made = []
         for cell in cells:
             builds.clear()
-            assert self.run(*cell, tmp_path) == cold[cell], cell
+            assert self.run_cell(*cell, tmp_path) == cold[cell], cell
             made.append(len(builds))
-        # cold, hit, extension (2 then 10), shorter (10 then 2), eviction, cold after eviction
+        # cold, hit, extension (2 then 10), shorter (10 then 2), a second key,
+        # and a hit on the first key after the second
         assert made[0] == cold_builds[0.75, 2] and made[1] == 0
         assert 0 < made[2] < cold_builds[0.75, 10] and made[3] == 0
-        assert made[4] == cold_builds[0.5, 5] and made[5] == cold_builds[0.75, 5]
+        assert made[4] == cold_builds[0.5, 5] and made[5] == 0
 
-    def test_other_coins_rebuild_their_transactions(self, monkeypatch):
+    def test_a_seeds_grid_cells_replay_its_held_markets(self, builds, tmp_path):
+        cells = default_grid()[::7]  # 12 cells, congestion levels interleaved
+        cold = []
+        for config in cells:
+            background.drop_tape()
+            cold.append(self.run(config, tmp_path))
+        background.drop_tape()
+        assert [self.run(config, tmp_path) for config in cells] == cold
+        assert len(background._held) == len(CONGESTION_LEVELS)
+        builds.clear()
+        assert [self.run(config, tmp_path) for config in cells] == cold
+        assert builds == []
+
+    def test_other_coins_rebuild_their_transactions(self):
         # a sim, a load fed other coins, then a sim again, all of one market key
-        monkeypatch.setattr(background, "_held", None)
+        background.drop_tape()
         profile = CongestionProfile.for_level(0.75, seed=3)
 
         def sim_market():
@@ -119,7 +143,8 @@ class TestSharedMarket:
 
         first = sim_market()
         load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-        assert load._tape is background._held and len(load._tape.txs) > len(first)
+        assert list(background._held.values()) == [load._tape]
+        assert len(load._tape.txs) > len(first)
         coins = itertools.count(1)
         fund = lambda value: (f"c{next(coins)}", 0)  # noqa: E731
         made = load.sediment(fund)
@@ -132,12 +157,20 @@ class TestSharedMarket:
             assert tx.txid == make_txid(tx.inputs, tx.outputs, tx.vsize, tag=f"bg{k}")
         assert [tx.txid for tx in sim_market()] == [tx.txid for tx in first]
 
+    def test_another_seed_drops_the_held_tapes(self):
+        background.drop_tape()
+        for level in CONGESTION_LEVELS:
+            Simulation(SimConfig(), CongestionProfile.for_level(level, seed=1))
+        assert len(background._held) == len(CONGESTION_LEVELS)
+        Simulation(SimConfig(), CongestionProfile.for_level(0.5, seed=2))
+        assert [profile.seed for profile, _, _ in background._held] == [2]
 
     def test_a_simulation_without_a_market_drops_the_tape(self):
-        Simulation(SimConfig(), CongestionProfile.for_level(0.25, seed=1))
-        assert background._held is not None
+        for level in CONGESTION_LEVELS:
+            Simulation(SimConfig(), CongestionProfile.for_level(level, seed=1))
+        assert background._held
         Simulation(SimConfig())  # as `brc20sim replay` builds one
-        assert background._held is None
+        assert background._held == {}
 
 
 def test_band_profile_floor_confined():

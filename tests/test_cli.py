@@ -158,6 +158,20 @@ class TestSimCommand:
         code, out, err = run_cli(capsys, "replay", str(log))
         assert code == 2 and "divergence" in err and "replay OK" not in out
 
+    # a grant or fund at a time the simulation never reached, or before the
+    # event that precedes it, once replayed as OK
+    @pytest.mark.parametrize("kind, moved_to", [("grant", 1e9), ("fund", -7.0)])
+    def test_impossible_genesis_time_detected(self, capsys, tmp_path, kind, moved_to):
+        log = tmp_path / "events.jsonl"
+        run_cli(capsys, "sim", "--seed", "4", "--attempts", "3", "--log", str(log))
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        last = [e for e in events if e["event"] == kind][-1]
+        assert last["t"] == {"grant": 600.0, "fund": 13_200.0}[kind]
+        last["t"] = moved_to
+        log.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
+        code, out, err = run_cli(capsys, "replay", str(log))
+        assert code == 2 and "divergence" in err and "replay OK" not in out
+
 
 class TestSweepCommand:
     def test_restricted_grid_csv(self, capsys, tmp_path):
@@ -233,8 +247,8 @@ class TestBadInput:
             ("sim", [{"sim": {"seed": 5}}]),
             ("replay", [HEADER, {"event": [1]}]),
             ("replay", [HEADER, {"event": "mine", "t": "x", "height": 0, "txids": []}]),
-            ("replay", [HEADER, {"event": "grant", "owner": "a", "value": "x"}]),
-            ("replay", [HEADER, {"event": "grant", "owner": "a", "value": 1_000},
+            ("replay", [HEADER, {"event": "grant", "t": 0.0, "owner": "a", "value": "x"}]),
+            ("replay", [HEADER, {"event": "grant", "t": 0.0, "owner": "a", "value": 1_000},
                         {"event": "submit", "t": "x", "tx": FUNDED_TX,
                          "accepted": True, "reason": None}]),
             ("replay", [HEADER, {"event": "submit", "t": 0.0, "accepted": True, "reason": None,

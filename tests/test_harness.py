@@ -61,6 +61,15 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0].sample_count == 2 * 2
 
+    def test_a_repeated_seed_counts_twice(self):
+        grid = [
+            ScenarioConfig(fraction=1.0, fee_rate=100, congestion=c, attempts=2)
+            for c in (0.25, 0.75)
+        ]
+        once, twice = run_sweep(grid, seeds=(1,)), run_sweep(grid, seeds=(1, 1))
+        assert [r.sample_count for r in twice] == [2 * r.sample_count for r in once]
+        assert sweep_csv(twice) == sweep_csv(once)  # the same results, averaged
+
     def test_csv_deterministic(self):
         grid = [
             ScenarioConfig(fraction=1.0, fee_rate=fee, congestion=0.75, attempts=2)
@@ -107,8 +116,9 @@ class TestSweep:
                 run_sweep([cell], seeds=(0,), workers=workers)
 
     def test_grouped_sweep_equals_one_call_per_cell(self):
-        # two congestion levels, two attempt counts, and a cell whose market
-        # key differs from its neighbour's only by its SimConfig
+        # the grid in one call equals one call per cell: two congestion levels,
+        # two attempt counts, and a cell whose market key differs from its
+        # neighbour's only by its SimConfig
         grid = [
             ScenarioConfig(fraction=1.0, fee_rate=100, congestion=c, attempts=n)
             for c in (0.25, 0.75)

@@ -36,10 +36,14 @@ The draws depend only on the *market key* (``market_key``: the profile, the
 transactions per window and the sediment count), not on the foreground, so
 loads of one key share them.  The module holds a tape for each key of the
 current seed: its draws, extended as later windows are needed, and the
-transactions last built from them.  A load of a held key replays its tape,
-reusing a transaction where its coin matches, whatever keys were loaded in
-between; a load of another seed's key drops them all.  Either way a load
-returns the same bytes as a fresh draw.
+market transactions last built from them.  A load of a held key replays its
+tape, reusing a transaction where its coin matches, whatever keys were loaded
+in between; a load of another seed's key drops them all, and nothing else
+does.  The sediment transactions are held apart, for the whole process: a
+simulation funds its sediment first, so ``bg{k}`` spends its k-th coin
+whatever the seed or key, and one list, as long as the largest sediment count
+loaded, serves every load.  Either way a load returns the same bytes as a
+fresh draw.
 """
 
 from __future__ import annotations
@@ -136,13 +140,28 @@ def market_key(
     return profile, flight, max(0, target_count - flight)
 
 
+def _draw_sediment(rng: random.Random, count: int) -> array:
+    """``count`` sediment coin values at ``randint(1, SEDIMENT_RATE_HI)`` sat/vB each, drawn as
+    CPython's ``randint`` draws (rejection over ``getrandbits``) without its call overhead."""
+    bits = SEDIMENT_RATE_HI.bit_length()
+    getrandbits = rng.getrandbits
+    values = array("q")
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= SEDIMENT_RATE_HI:
+            r = getrandbits(bits)
+        values.append((r + 1) * MARKET_TX_VSIZE + DUST)
+    return values
+
+
 class _Tape:
-    """One market key's draws, extended on demand, and the transactions last built from them.
+    """A market key's draws, extended on demand, and the market transactions last built from them.
 
     The draws are the floor of each window and, per market transaction, its
     coin value and its arrival fraction ``u`` in [0, 1); per sediment
-    transaction, its coin value.  ``txs[k - 1]`` is the last transaction built
-    with the tag ``bg{k}``; a load reuses it only for the same coin.
+    transaction, its coin value.  ``txs[j]`` is the last transaction built
+    with the tag ``bg{sediment count + j + 1}``; a load reuses it only for the
+    same coin.
     """
 
     __slots__ = ("key", "flight", "floors", "values", "fractions", "sediment", "txs",
@@ -153,11 +172,7 @@ class _Tape:
         self._rng_floor = stream(profile.seed, "floor")
         self._rng_rates = stream(profile.seed, "rates")
         self._rng_times = stream(profile.seed, "times")
-        rng_sediment = stream(profile.seed, "sediment")
-        self.sediment = array("q", (  # sediment coin values
-            rng_sediment.randint(1, SEDIMENT_RATE_HI) * MARKET_TX_VSIZE + DUST
-            for _ in range(sediment_count)
-        ))
+        self.sediment = _draw_sediment(stream(profile.seed, "sediment"), sediment_count)
         sigma_stat = profile.sigma / math.sqrt(1.0 - FLOOR_RHO**2)
         self._g = self._rng_floor.gauss(0.0, sigma_stat)
         self.floors = array("d", [self._floor() if profile.target_level else 0.0])
@@ -187,6 +202,10 @@ class _Tape:
 # key replays its tape, whatever keys were loaded in between.
 _held: dict[tuple[CongestionProfile, int, int], _Tape] = {}
 
+# Every load's sediment: ``_sediment_txs[k - 1]`` is the last transaction built with
+# the tag ``bg{k}``, which in a simulation spends its k-th coin whatever the seed or key.
+_sediment_txs: list[Transaction] = []
+
 
 def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
     tape = _held.get(key)
@@ -197,19 +216,14 @@ def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
     return tape
 
 
-def drop_tape() -> None:
-    """Let every held tape go: for a simulation without a market, which has
-    nothing to replay from them."""
-    _held.clear()
-
-
 class BackgroundLoad:
     """Generates sediment and per-interval market batches for a simulation.
 
     Loads of one market key draw the same values, so they share that key's
-    held ``_Tape``: a load still funds every coin through ``fund_fn``, in the
-    same order, and builds a transaction only when the tape has none for that
-    coin and tag.  What it returns is what a fresh draw would return, bit for
+    held ``_Tape``, and every load shares ``_sediment_txs``: a load still funds
+    every coin through ``fund_fn``, in the same order, and builds a
+    transaction only when the tape or the sediment list has none for that coin
+    and tag.  What it returns is what a fresh draw would return, bit for
     bit.
     """
 
@@ -222,11 +236,13 @@ class BackgroundLoad:
         self.floor = self._tape.floors[0]
 
     def _market_tx(self, coin: tuple[str, int]) -> Transaction:
-        """The next transaction, ``bg{k}`` spending ``coin``: the tape's if it spends that coin."""
-        self._counter += 1
-        k, txs = self._counter, self._tape.txs
-        if k <= len(txs) and txs[k - 1].inputs[0].outpoint == coin:
-            return txs[k - 1]
+        """The next transaction, ``bg{k}`` spending ``coin``: the held one when its coin matches."""
+        k = self._counter = self._counter + 1
+        i, txs = k - 1 - self.sediment_count, self._tape.txs
+        if i < 0:  # a sediment tag
+            i, txs = k - 1, _sediment_txs
+        if i < len(txs) and txs[i].inputs[0].outpoint == coin:
+            return txs[i]
         inputs = (TxInput(coin),)
         tx = Transaction(
             txid=txid_with_tail(inputs, MARKET_TXID_TAIL, tag=f"bg{k}"),
@@ -234,8 +250,8 @@ class BackgroundLoad:
             outputs=MARKET_OUTPUTS,
             vsize=MARKET_TX_VSIZE,
         )
-        if k <= len(txs):
-            txs[k - 1] = tx
+        if i < len(txs):
+            txs[i] = tx
         else:
             txs.append(tx)
         return tx

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, fields
 
 from . import wallet
-from .background import BackgroundLoad, CongestionProfile, drop_tape
+from .background import BackgroundLoad, CongestionProfile
 from .chain import Chain, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
 from .mempool import DAY, Mempool, SubmitResult
@@ -81,8 +81,6 @@ class Simulation:
             )
             for tx in self.background.sediment(self.fund):
                 self.submit(tx)
-        else:
-            drop_tape()
 
     # -- funding -------------------------------------------------------------
 

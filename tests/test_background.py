@@ -10,10 +10,12 @@ from brc20sim.background import (
     MARKET_ADDRESS,
     MARKET_TX_VSIZE,
     RATE_SPREAD,
+    SEDIMENT_RATE_HI,
     BackgroundLoad,
     CongestionProfile,
+    stream,
 )
-from brc20sim.chain import make_txid
+from brc20sim.chain import DUST, make_txid
 from brc20sim.harness import (
     CONGESTION_LEVELS,
     ScenarioConfig,
@@ -70,8 +72,9 @@ def test_background_txids_hash_their_content():
 
 
 class TestSharedMarket:
-    """Loads of one market key replay one tape, whatever keys were loaded in between;
-    what they return is what a cold load returns."""
+    """Loads of one market key replay one tape, and every load shares the sediment
+    transactions, whatever was loaded in between; what they return is what a cold
+    load returns."""
 
     SEED = 2
 
@@ -88,9 +91,20 @@ class TestSharedMarket:
         monkeypatch.setattr(background, "txid_with_tail", counting)
         return made
 
-    def run(self, config, tmp_path):
+    @pytest.fixture
+    def cold(self):
+        """Lets every held tape and sediment transaction go, as a new process has
+        none; call it again for another cold start."""
+        def reset():
+            background._held.clear()
+            background._sediment_txs.clear()
+
+        reset()
+        return reset
+
+    def run(self, config, tmp_path, seed=SEED):
         log = tmp_path / "events.jsonl"
-        result = run_scenario(config, self.SEED, log_path=str(log))
+        result = run_scenario(config, seed, log_path=str(log))
         return log.read_bytes(), repr(result)
 
     def run_cell(self, congestion, attempts, tmp_path):
@@ -98,53 +112,90 @@ class TestSharedMarket:
                                 attempts=attempts)
         return self.run(config, tmp_path)
 
-    def test_warm_runs_equal_cold_runs(self, builds, tmp_path):
+    @staticmethod
+    def sediment_count(congestion, seed=SEED, sim=SimConfig()):
+        profile = CongestionProfile.for_level(congestion, seed)
+        return background.market_key(
+            profile, sim.congestion_normal_count, sim.block_capacity_vbytes
+        )[2]
+
+    def test_warm_runs_equal_cold_runs(self, builds, cold, tmp_path):
         cells = [(0.75, 2), (0.75, 2), (0.75, 10), (0.75, 2), (0.5, 5), (0.75, 5)]
-        cold, cold_builds = {}, {}
+        cold_runs, cold_builds = {}, {}
         for cell in dict.fromkeys(cells):
-            background.drop_tape()
+            cold()
             builds.clear()
-            cold[cell] = self.run_cell(*cell, tmp_path)
+            cold_runs[cell] = self.run_cell(*cell, tmp_path)
             cold_builds[cell] = len(builds)
-        background.drop_tape()
+        cold()
         made = []
         for cell in cells:
             builds.clear()
-            assert self.run_cell(*cell, tmp_path) == cold[cell], cell
+            assert self.run_cell(*cell, tmp_path) == cold_runs[cell], cell
             made.append(len(builds))
-        # cold, hit, extension (2 then 10), shorter (10 then 2), a second key,
-        # and a hit on the first key after the second
+        # cold, hit, extension (2 then 10), shorter (10 then 2), a second key
+        # whose smaller sediment the first key built, and a hit on the first key
+        # after the second
         assert made[0] == cold_builds[0.75, 2] and made[1] == 0
         assert 0 < made[2] < cold_builds[0.75, 10] and made[3] == 0
-        assert made[4] == cold_builds[0.5, 5] and made[5] == 0
+        assert 0 < self.sediment_count(0.5) < self.sediment_count(0.75)
+        assert made[4] == cold_builds[0.5, 5] - self.sediment_count(0.5) and made[5] == 0
 
-    def test_a_seeds_grid_cells_replay_its_held_markets(self, builds, tmp_path):
+    def test_a_seeds_grid_cells_replay_its_held_markets(self, builds, cold, tmp_path):
         cells = default_grid()[::7]  # 12 cells, congestion levels interleaved
-        cold = []
+        cold_runs = []
         for config in cells:
-            background.drop_tape()
-            cold.append(self.run(config, tmp_path))
-        background.drop_tape()
-        assert [self.run(config, tmp_path) for config in cells] == cold
+            cold()
+            cold_runs.append(self.run(config, tmp_path))
+        cold()
+        assert [self.run(config, tmp_path) for config in cells] == cold_runs
         assert len(background._held) == len(CONGESTION_LEVELS)
         builds.clear()
-        assert [self.run(config, tmp_path) for config in cells] == cold
+        assert [self.run(config, tmp_path) for config in cells] == cold_runs
         assert builds == []
 
-    def test_other_coins_rebuild_their_transactions(self):
+    def test_sediment_transactions_are_shared_across_seeds_and_levels(self, cold):
+        def sediment(congestion, seed):
+            sim = Simulation(SimConfig(), CongestionProfile.for_level(congestion, seed))
+            txs = [event[2] for event in sim.event_log if event[0] == "submit"]
+            assert len(txs) == self.sediment_count(congestion, seed)
+            return txs
+
+        loads = [sediment(level, seed) for seed in (1, 2) for level in (0.5, 0.75)]
+        assert len(background._sediment_txs) == self.sediment_count(0.75)
+        for a, b in itertools.combinations(loads, 2):
+            assert all(x is y for x, y in zip(a, b))
+
+    def test_a_binding_capacity_replays_across_seeds(self, cold, tmp_path):
+        # a sediment larger than the pool: eviction picks among shared transactions
+        config = ScenarioConfig(
+            fraction=1.0, fee_rate=100, congestion=0.75, attempts=2,
+            sim=SimConfig(congestion_normal_count=2000, mempool_capacity_vbytes=400_000),
+        )
+        sediment = self.sediment_count(0.75, sim=config.sim)
+        assert sediment * MARKET_TX_VSIZE > config.sim.mempool_capacity_vbytes
+        cold_runs = {}
+        for seed in (4, 5):
+            cold()
+            cold_runs[seed] = self.run(config, tmp_path, seed)
+        cold()
+        for seed in (4, 5, 4):
+            assert self.run(config, tmp_path, seed) == cold_runs[seed], seed
+
+    def test_other_coins_rebuild_their_transactions(self, cold):
         # a sim, a load fed other coins, then a sim again, all of one market key
-        background.drop_tape()
         profile = CongestionProfile.for_level(0.75, seed=3)
 
-        def sim_market():
+        def sim_submitted():
             sim = Simulation(SimConfig(), profile)
             sim.run_blocks(3)
-            return [tx for block in sim.chain.blocks for tx in block.transactions]
+            return [event[2] for event in sim.event_log if event[0] == "submit"]
 
-        first = sim_market()
+        first = sim_submitted()
         load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
         assert list(background._held.values()) == [load._tape]
-        assert len(load._tape.txs) > len(first)
+        assert len(background._sediment_txs) == load.sediment_count
+        assert len(load._tape.txs) >= len(first) - load.sediment_count
         coins = itertools.count(1)
         fund = lambda value: (f"c{next(coins)}", 0)  # noqa: E731
         made = load.sediment(fund)
@@ -155,22 +206,35 @@ class TestSharedMarket:
         for tx in made:
             k = int(tx.inputs[0].outpoint[0][1:])
             assert tx.txid == make_txid(tx.inputs, tx.outputs, tx.vsize, tag=f"bg{k}")
-        assert [tx.txid for tx in sim_market()] == [tx.txid for tx in first]
+        assert background._sediment_txs == made[:load.sediment_count]
+        assert sim_submitted() == first
 
-    def test_another_seed_drops_the_held_tapes(self):
-        background.drop_tape()
+    def test_another_seed_drops_the_held_tapes(self, cold):
         for level in CONGESTION_LEVELS:
             Simulation(SimConfig(), CongestionProfile.for_level(level, seed=1))
         assert len(background._held) == len(CONGESTION_LEVELS)
+        sediment = list(background._sediment_txs)
         Simulation(SimConfig(), CongestionProfile.for_level(0.5, seed=2))
         assert [profile.seed for profile, _, _ in background._held] == [2]
+        assert all(a is b for a, b in zip(background._sediment_txs, sediment, strict=True))
 
-    def test_a_simulation_without_a_market_drops_the_tape(self):
+    def test_a_simulation_without_a_market_keeps_the_tapes(self, cold):
         for level in CONGESTION_LEVELS:
             Simulation(SimConfig(), CongestionProfile.for_level(level, seed=1))
-        assert background._held
+        held, sediment = dict(background._held), list(background._sediment_txs)
+        assert held and sediment
         Simulation(SimConfig())  # as `brc20sim replay` builds one
-        assert background._held == {}
+        assert background._held == held and background._sediment_txs == sediment
+
+
+def test_sediment_draw_equals_randint():
+    count = 300
+    for seed in range(100):
+        fast, slow = stream(seed, "sediment"), stream(seed, "sediment")
+        expected = [slow.randint(1, SEDIMENT_RATE_HI) * MARKET_TX_VSIZE + DUST
+                    for _ in range(count)]
+        assert list(background._draw_sediment(fast, count)) == expected, seed
+        assert fast.getstate() == slow.getstate()
 
 
 def test_band_profile_floor_confined():

@@ -125,12 +125,13 @@ def test_the_log_writer_and_replay_share_one_vocabulary(tmp_path):
 
 def test_only_the_background_names_its_market_key_and_tapes():
     # which loads share a market is one module's decision: no other module
-    # keys work by market, or reaches into the held tapes
+    # keys work by market, or reaches into the held tapes and sediment
+    private = {"market_key", "_held", "_sediment_txs"}
     named = {
         path.name
         for path in SRC.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-        and {"market_key", "_held"} & {getattr(node, a, None) for a in ("id", "attr", "name")}
+        and private & {getattr(node, a, None) for a in ("id", "attr", "name")}
     }
     assert named == {"background.py"}

@@ -27,6 +27,7 @@ from .harness import (
     FRACTION_LEVELS,
     ReplayDivergence,
     ScenarioConfig,
+    default_grid,
     run_binance_replay,
     run_scenario,
     run_sweep,
@@ -74,9 +75,6 @@ def _sim_config(overrides: dict) -> SimConfig:
     unknown = set(overrides) - set(SETTINGS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in overrides.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config key {key!r} must be a number, got {value!r}")
     return SimConfig(**overrides)
 
 
@@ -107,13 +105,7 @@ def cmd_sim(args) -> int:
 
 def cmd_sweep(args) -> int:
     sim_cfg = _sim_config(_load_sim_overrides(args.config))
-    grid = [
-        ScenarioConfig(fraction=f, fee_rate=fee, congestion=c, attempts=n, sim=sim_cfg)
-        for f in (args.fractions or FRACTION_LEVELS)
-        for fee in (args.fees or FEE_LEVELS)
-        for c in (args.congestion or CONGESTION_LEVELS)
-        for n in (args.attempts or ATTEMPT_LEVELS)
-    ]
+    grid = default_grid(args.fractions, args.fees, args.congestion, args.attempts, sim_cfg)
     seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
     rows = run_sweep(grid, seeds=seeds, workers=args.workers)
     args.out.write(sweep_csv(rows))
@@ -259,10 +251,10 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--seed-base", type=int, default=0)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--config", default=None, help="JSON config file")
-    p_sweep.add_argument("--fractions", type=lambda s: _levels(s, float), default=None)
-    p_sweep.add_argument("--fees", type=lambda s: _levels(s, int), default=None)
-    p_sweep.add_argument("--congestion", type=lambda s: _levels(s, float), default=None)
-    p_sweep.add_argument("--attempts", type=lambda s: _levels(s, int), default=None)
+    p_sweep.add_argument("--fractions", type=lambda s: _levels(s, float), default=FRACTION_LEVELS)
+    p_sweep.add_argument("--fees", type=lambda s: _levels(s, int), default=FEE_LEVELS)
+    p_sweep.add_argument("--congestion", type=lambda s: _levels(s, float), default=CONGESTION_LEVELS)
+    p_sweep.add_argument("--attempts", type=lambda s: _levels(s, int), default=ATTEMPT_LEVELS)
     p_sweep.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -17,7 +17,8 @@ from .attack import ATTEMPT_SPACING_S, TARGET, TICK, execute
 from .background import CongestionProfile
 from .chain import DUST, Transaction, TxInput, TxOutput, make_txid
 from .indexer import deploy_inscription, mint_inscription
-from .sim import SimConfig, Simulation
+from .mempool import MIN_RELAY_FEE_RATE
+from .sim import BLOCK_INTERVAL, SimConfig, Simulation
 # unused here, but bench/tracing.py wraps the build_transfer name in this module
 from .wallet import TX1_VSIZE, TransferRequest, build_recovery, build_transfer
 
@@ -56,8 +57,11 @@ class ScenarioConfig:
             raise ValueError("fraction must be in [0, 1]")
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if self.fee_rate < self.sim.min_relay_fee_rate:
+        if self.fee_rate < MIN_RELAY_FEE_RATE:
             raise ValueError("fee below the relay floor")
+        # CongestionProfile.for_level reads any level <= 0 as no market
+        if not 0 <= self.congestion < math.inf:
+            raise ValueError(f"congestion must be >= 0 and finite, got {self.congestion!r}")
         if not 0 <= self.tolerance_s < math.inf:
             raise ValueError(f"tolerance must be >= 0 and finite, got {self.tolerance_s!r}")
 
@@ -141,8 +145,7 @@ def run_scenario(
     if log_path is not None:
         sim.export_event_log(log_path)
 
-    interval = config.sim.block_interval
-    outage = interval * sum(1 for _, _, trans in sim.balance_samples if trans > 0)
+    outage = BLOCK_INTERVAL * sum(1 for _, _, trans in sim.balance_samples if trans > 0)
     return ScenarioResult(
         seed=seed,
         success=outcome.success,
@@ -155,13 +158,15 @@ def run_scenario(
     )
 
 
-def default_grid() -> list[ScenarioConfig]:
+def default_grid(fractions=FRACTION_LEVELS, fees=FEE_LEVELS, congestion=CONGESTION_LEVELS,
+                 attempts=ATTEMPT_LEVELS, sim: SimConfig = SimConfig()) -> list[ScenarioConfig]:
+    """Every combination of the level tuples, in this order, each on ``sim``."""
     return [
-        ScenarioConfig(fraction=f, fee_rate=fee, congestion=c, attempts=n)
-        for f in FRACTION_LEVELS
-        for fee in FEE_LEVELS
-        for c in CONGESTION_LEVELS
-        for n in ATTEMPT_LEVELS
+        ScenarioConfig(fraction=f, fee_rate=fee, congestion=c, attempts=n, sim=sim)
+        for f in fractions
+        for fee in fees
+        for c in congestion
+        for n in attempts
     ]
 
 

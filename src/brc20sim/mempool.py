@@ -63,6 +63,8 @@ if TYPE_CHECKING:
     from .sim import SimConfig
 
 DAY = 86_400.0
+EXPIRY = 14 * DAY  # an entry older than this leaves the pool
+MIN_RELAY_FEE_RATE = 1  # sat/vB: the relay floor
 
 
 # submit() reject reasons
@@ -250,7 +252,7 @@ class Mempool:
         fee = input_total - tx.output_total
         if fee < 0:
             return SubmitResult(False, NEGATIVE_FEE)
-        if fee < self.config.min_relay_fee_rate * tx.vsize:
+        if fee < MIN_RELAY_FEE_RATE * tx.vsize:
             return SubmitResult(False, BELOW_MIN_RELAY_FEE)
 
         replaced: list[str] = []
@@ -297,12 +299,12 @@ class Mempool:
 
     def tick_expiry(self, now: float) -> list[Transaction]:
         """Drop entries older than the expiry window (strictly older)."""
-        if now - self._oldest <= self.config.expiry:
+        if now - self._oldest <= EXPIRY:
             return []
         stale = [
             txid
             for txid, entry in self.entries.items()
-            if now - entry.arrival > self.config.expiry
+            if now - entry.arrival > EXPIRY
         ]
         dropped: list[Transaction] = []
         for txid in stale:

@@ -2,7 +2,7 @@
 
 Owns the chain, the mempool, the indexer and (optionally) a background load,
 and advances them in lockstep: foreground submissions and background arrivals
-are processed in timestamp order, a block is mined every ``block_interval``
+are processed in timestamp order, a block is mined every ``BLOCK_INTERVAL``
 simulated seconds, and every mined block is fed to the indexer together with
 the receipts its chain append returned.
 
@@ -18,39 +18,35 @@ stays reconstructable from its grants and funds plus the block list alone
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 
 from . import wallet
 from .background import BackgroundLoad, CongestionProfile
 from .chain import Chain, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
-from .mempool import DAY, Mempool, SubmitResult
+from .mempool import Mempool, SubmitResult
 from .wallet import BUNDLE_GAP, TransferBundle, TransferRequest
+
+BLOCK_INTERVAL = 600.0  # simulated seconds between blocks
 
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
-    """Every simulation setting; the pool reads its policy from here too."""
+    """Every simulation setting; the pool reads its own from here too."""
 
-    block_interval: float = 600.0
     block_capacity_vbytes: int = 10_150
     mempool_capacity_vbytes: int = 50_000_000
-    min_relay_fee_rate: int = 1
-    expiry: float = 14 * DAY
     congestion_normal_count: int = 400
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if not 0 < value < math.inf:
-                raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
 
 
-# The numeric settings, as written to the event-log header, accepted as CLI
-# config keys and required by replay.
+# The settings, as written to the event-log header, accepted as CLI config
+# keys and required by replay.
 SETTINGS = tuple(f.name for f in fields(SimConfig))
 
 # one encoder for every event-log line: json.dumps(sort_keys=True) builds a new one per call
@@ -64,7 +60,7 @@ class Simulation:
         self.pool = Mempool(config, self.chain)
         self.indexer = Indexer()
         self.now = 0.0
-        self.next_block_time = config.block_interval
+        self.next_block_time = BLOCK_INTERVAL
         self._arrivals: list[tuple[float, Transaction]] = []  # this window's market, by time
         self._next_arrival = 0  # index of the first arrival not yet submitted
         self._window_generated = -1
@@ -123,13 +119,13 @@ class Simulation:
     def _ensure_window(self) -> None:
         if self.background is None:
             return
-        window = int(self.next_block_time / self.config.block_interval)
+        window = int(self.next_block_time / BLOCK_INTERVAL)
         if window <= self._window_generated:
             return
         self._window_generated = window
-        start = self.next_block_time - self.config.block_interval
+        start = self.next_block_time - BLOCK_INTERVAL
         # the last window's arrivals were all submitted before its block was mined
-        self._arrivals = self.background.market_batch(self.fund, start, self.config.block_interval)
+        self._arrivals = self.background.market_batch(self.fund, start, BLOCK_INTERVAL)
         self._next_arrival = 0
 
     def run_until(self, target: float) -> None:
@@ -154,10 +150,10 @@ class Simulation:
                 avail, trans, _ = self.indexer.balance(*self._watch)
                 self.balance_samples.append((self.now, avail, trans))
             self.event_log.append(("mine", self.now, block))
-            self.next_block_time += self.config.block_interval
+            self.next_block_time += BLOCK_INTERVAL
 
     def run_blocks(self, count: int) -> None:
-        self.run_until(self.next_block_time + (count - 1) * self.config.block_interval)
+        self.run_until(self.next_block_time + (count - 1) * BLOCK_INTERVAL)
 
     # -- queries -----------------------------------------------------------------
 

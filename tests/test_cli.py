@@ -218,7 +218,7 @@ class TestPinnedOutputs:
         log, out = tmp_path / "events.jsonl", tmp_path / "report.json"
         argv = ["sim", "--seed", "4", "--attempts", "3", "--log", str(log), "--out", str(out)]
         assert main(argv) == 0
-        assert self.sha(log) == "03988115f024c21523888c95234925beb24769fe7b3db91f8e8aa10907ce3b75"
+        assert self.sha(log) == "5182f6e68d284f3ad28da50e55c67664022f840abdcdb5ad5894108a79da0893"
         assert self.sha(out) == "88fcf2c45b0b643e48223f7cdce131469fc62d08741131fd845fc5ede2a8c246"
 
     def test_replay_binance_transcript(self, tmp_path):
@@ -231,9 +231,9 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "command, content",
         [
-            ("sim", [{"sim": {"expiry": "x"}}]),
+            ("sim", [{"sim": {"mempool_capacity_vbytes": "x"}}]),
             ("sim", [{"sim": {"block_capacity_vbytes": "10"}}]),
-            ("sim", [{"sim": {"expiry": True}}]),
+            ("sim", [{"sim": {"congestion_normal_count": True}}]),
             ("sim", [{"sim": [1]}]),
             ("sim", [[1]]),
             ("replay", [[1]]),
@@ -243,7 +243,7 @@ class TestBadInput:
             ("replay", [HEADER, {"event": "submit", "t": 0.0}]),
             ("replay", [HEADER, {"event": "submit", "t": 0.0, "tx": {},
                                  "accepted": True, "reason": None}]),
-            ("sim", [{"sim": {"block_interval": 0}}]),
+            ("sim", [{"sim": {"block_capacity_vbytes": 0}}]),
             ("sim", [{"sim": {"seed": 5}}]),
             ("replay", [HEADER, {"event": [1]}]),
             ("replay", [HEADER, {"event": "mine", "t": "x", "height": 0, "txids": []}]),
@@ -255,9 +255,9 @@ class TestBadInput:
                                  "tx": {**FUNDED_TX,
                                         "inputs": [{"outpoint": [["a"], 0], "sequence": 0}]}}]),
             ("replay", [HEADER, {"event": "fund", "t": 0.0, "value": 1.5}]),
-            ("sim", [{"sim": {"expiry": float("nan")}}]),
+            ("sim", [{"sim": {"mempool_capacity_vbytes": float("nan")}}]),
             ("sim", [{"sim": {"block_capacity_vbytes": 10150.5}}]),
-            ("sim", [{"sim": {"min_relay_fee_rate": float("nan")}}]),
+            ("sim", [{"sim": {"congestion_normal_count": float("nan")}}]),
         ],
     )
     def test_bad_config_or_log_exits_one_without_traceback(self, tmp_path, command, content):
@@ -265,6 +265,22 @@ class TestBadInput:
         path.write_text("".join(json.dumps(line) + "\n" for line in content))
         argv = ["sim", "--config", str(path)] if command == "sim" else ["replay", str(path)]
         self.assert_usage_error(argv)
+
+    @pytest.mark.parametrize("value", ["x", True, 0, -5, 10150.5, float("nan")])
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_each_setting_must_be_a_positive_integer(self, capsys, tmp_path, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sim": {key: value}}))
+        code, _, err = run_cli(capsys, "sim", "--config", str(path))
+        assert code == 1 and f"{key} must be a positive integer" in err
+
+    def test_a_log_header_with_a_removed_setting_is_refused(self, capsys, tmp_path):
+        # a log written while the block interval was a setting names it in its header
+        path = tmp_path / "old.jsonl"
+        header = {**HEADER, "config": {**HEADER["config"], "block_interval": 600.0}}
+        path.write_text(json.dumps(header) + "\n")
+        code, _, err = run_cli(capsys, "replay", str(path))
+        assert code == 1 and "unknown config keys: ['block_interval']" in err
 
     # a NaN or infinite tolerance once made the scenario's horizon unreachable
     # (a hang), and a negative one reported success
@@ -283,6 +299,12 @@ class TestBadInput:
             ["sweep", "--seeds", "1", "--fractions", ""],
             ["sweep", "--seeds", "1", "--congestion", ",,"],
             ["sweep", "--seeds", "1", "--attempts", ""],
+            # a negative congestion once ran with no market, under its own label
+            ["sim", "--congestion", "-1"],
+            ["sim", "--congestion", "nan"],
+            ["sim", "--congestion", "inf"],
+            ["sweep", "--seeds", "1", "--congestion=-0.5", "--fees", "100", "--fractions", "1.0",
+             "--attempts", "2"],
         ],
     )
     def test_bad_number_on_the_command_line_exits_one(self, argv):

@@ -1,5 +1,6 @@
 """Scenario runner, sweep aggregation, scripted incident replay."""
 
+import math
 import multiprocessing
 from dataclasses import replace
 
@@ -43,6 +44,10 @@ class TestScenario:
             ScenarioConfig(fraction=0.5, fee_rate=0, congestion=0.5, attempts=2)
         with pytest.raises(ValueError):
             ScenarioConfig(fraction=0.5, fee_rate=100, congestion=0.5, attempts=0)
+        # 0 is the no-market control; a negative, NaN or infinite level is refused
+        for congestion in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="congestion"):
+                ScenarioConfig(fraction=0.5, fee_rate=100, congestion=congestion, attempts=2)
 
     def test_control_condition_no_success(self):
         # no congestion and a market-beating fee: the attack cannot stick
@@ -54,6 +59,11 @@ class TestScenario:
 class TestSweep:
     def test_default_grid_is_81(self):
         assert len(default_grid()) == 81
+
+    def test_grid_of_given_levels_and_settings(self):
+        sim = SimConfig(block_capacity_vbytes=10_400)
+        grid = default_grid((1.0,), (100, 200), (0.5,), (2,), sim)
+        assert [(c.fee_rate, c.sim) for c in grid] == [(100, sim), (200, sim)]
 
     def test_single_cell_grid(self):
         grid = [ScenarioConfig(fraction=1.0, fee_rate=100, congestion=0.25, attempts=2)]

@@ -9,6 +9,8 @@ import pytest
 from brc20sim.chain import Chain, Transaction, TxInput, TxOutput, make_txid
 from brc20sim.mempool import (
     BELOW_MIN_RELAY_FEE,
+    DAY,
+    EXPIRY,
     CONFLICT_NOT_REPLACEABLE,
     DUPLICATE_INPUT,
     MEMPOOL_FULL,
@@ -29,7 +31,6 @@ def make_pool(**overrides) -> tuple[Mempool, Chain]:
     defaults = dict(
         mempool_capacity_vbytes=1_000_000,
         block_capacity_vbytes=2_000,
-        min_relay_fee_rate=1,
         congestion_normal_count=1000,
     )
     defaults.update(overrides)
@@ -59,9 +60,10 @@ class TestSubmit:
         assert pool.total_vsize == 100
 
     def test_below_min_relay(self):
-        pool, chain = make_pool(min_relay_fee_rate=10)
-        result = pool.submit(spend(chain, 500, fee=500, vsize=100, tag="low"), 0.0)
+        pool, chain = make_pool()  # 0.99 sat/vB, under the 1 sat/vB floor
+        result = pool.submit(spend(chain, 500, fee=99, vsize=100, tag="low"), 0.0)
         assert not result.accepted and result.reason == BELOW_MIN_RELAY_FEE
+        assert pool.submit(spend(chain, 500, fee=100, vsize=100, tag="floor"), 0.0).accepted
 
     def test_orphan_input(self):
         pool, _ = make_pool()
@@ -414,16 +416,19 @@ class TestEviction:
         assert [t.txid for t in pool.mine_block(2400.0).transactions] == [a.txid]
 
 
+HUNDREDTH = EXPIRY / 100  # 12,096 s: whole multiples of it are exact floats
+
+
 class TestExpiry:
     def test_expiry_boundaries(self):
-        pool, chain = make_pool(expiry=14 * 86400.0)
+        pool, chain = make_pool()
         old = spend(chain, 500, fee=10_000, tag="old")
         fresh = spend(chain, 500, fee=10_000, tag="fresh")
         boundary = spend(chain, 500, fee=10_000, tag="edge")
         pool.submit(old, 0.0)
-        pool.submit(boundary, 86400.0)
-        pool.submit(fresh, 15 * 86400.0 - 1.0)
-        dropped = pool.tick_expiry(15 * 86400.0)
+        pool.submit(boundary, DAY)
+        pool.submit(fresh, EXPIRY + DAY - 1.0)
+        dropped = pool.tick_expiry(EXPIRY + DAY)
         assert [t.txid for t in dropped] == [old.txid]
         assert boundary.txid in pool  # aged exactly 14 days: retained (strict >)
         assert fresh.txid in pool
@@ -433,38 +438,36 @@ class TestExpiry:
         parent = spend(chain, 1000, fee=5_000, tag="p")
         pool.submit(parent, 0.0)
         child = child_of(parent, 0, 1000, fee=400)
-        pool.submit(child, 13 * 86400.0)
-        dropped = pool.tick_expiry(14 * 86400.0 + 1.0)
+        pool.submit(child, EXPIRY - DAY)
+        dropped = pool.tick_expiry(EXPIRY + 1.0)
         assert {t.txid for t in dropped} == {parent.txid, child.txid}
 
     def test_out_of_order_arrivals_expire_in_pool_order(self):
-        pool, chain = make_pool(expiry=100.0)
+        pool, chain = make_pool()
         txs = {at: spend(chain, 500, fee=10_000, tag=f"e{at}") for at in (50, 10, 40, 5, 60)}
         for at, tx in txs.items():
-            pool.submit(tx, float(at))
-        assert pool.tick_expiry(105.0) == []  # the oldest is aged exactly 100
-        dropped = pool.tick_expiry(145.0)
+            pool.submit(tx, at * HUNDREDTH)
+        assert pool.tick_expiry(105 * HUNDREDTH) == []  # the oldest is aged exactly EXPIRY
+        dropped = pool.tick_expiry(145 * HUNDREDTH)
         assert [t.txid for t in dropped] == [txs[10].txid, txs[40].txid, txs[5].txid]
         assert list(pool.entries) == [txs[50].txid, txs[60].txid]
 
     def test_expiry_after_oldest_entry_left(self):
-        pool, chain = make_pool(
-            expiry=100.0, block_capacity_vbytes=100, mempool_capacity_vbytes=200
-        )
+        pool, chain = make_pool(block_capacity_vbytes=100, mempool_capacity_vbytes=200)
         mined = spend(chain, 500, fee=90 * 100, tag="mined")
         evicted = spend(chain, 500, fee=1 * 100, tag="evicted")
         young = spend(chain, 500, fee=5 * 100, tag="young")
         pool.submit(mined, 0.0)
-        pool.submit(evicted, 1.0)
-        pool.mine_block(2.0)
-        assert pool.submit(young, 20.0).accepted
+        pool.submit(evicted, 1 * HUNDREDTH)
+        pool.mine_block(2 * HUNDREDTH)
+        assert pool.submit(young, 20 * HUNDREDTH).accepted
         later = spend(chain, 500, fee=9 * 100, tag="later")
-        assert pool.submit(later, 30.0).accepted
+        assert pool.submit(later, 30 * HUNDREDTH).accepted
         assert evicted.txid not in pool
-        assert pool.tick_expiry(115.0) == []
-        assert [t.txid for t in pool.tick_expiry(121.0)] == [young.txid]
-        assert pool.tick_expiry(125.0) == []
-        assert [t.txid for t in pool.tick_expiry(131.0)] == [later.txid]
+        assert pool.tick_expiry(115 * HUNDREDTH) == []
+        assert [t.txid for t in pool.tick_expiry(121 * HUNDREDTH)] == [young.txid]
+        assert pool.tick_expiry(125 * HUNDREDTH) == []
+        assert [t.txid for t in pool.tick_expiry(131 * HUNDREDTH)] == [later.txid]
         assert len(pool) == 0
 
 
@@ -548,6 +551,10 @@ def oracle_evictions(entries, capacity):
     return evicted
 
 
+# 672 s: the histories' 600-unit blocks come three to an EXPIRY window
+HISTORY_SECOND = EXPIRY / 1_800
+
+
 def random_pool_history(seed, blocks=12, capacity=(1_500, 3_000)):
     """Submit, bump, resubmit and mine at random; each block must match the oracle.
 
@@ -562,7 +569,6 @@ def random_pool_history(seed, blocks=12, capacity=(1_500, 3_000)):
     pool, chain = make_pool(
         mempool_capacity_vbytes=mempool_capacity,
         block_capacity_vbytes=block_capacity,
-        expiry=1_800.0,
     )
     seen = dict(evicted=0, replaced=0, expired=0, resubmitted=0, children_mined=0)
     bound_at = None
@@ -579,7 +585,7 @@ def random_pool_history(seed, blocks=12, capacity=(1_500, 3_000)):
 
     for height in range(1, blocks + 1):
         for _ in range(rng.randint(4, 14)):
-            now += rng.uniform(0.0, 40.0)
+            now += rng.uniform(0.0, 40.0) * HISTORY_SECOND
             vsize = rng.choice((100, 150, 250, 400))
             rate = rng.randint(1, 60)
             roll = rng.random()
@@ -626,7 +632,7 @@ def random_pool_history(seed, blocks=12, capacity=(1_500, 3_000)):
                 assert sorted(actual) == sorted(expected), (seed, height)
                 if expected and bound_at is None:
                     bound_at = height
-        now = 600.0 * height
+        now = 600.0 * HISTORY_SECOND * height
         dropped = pool.tick_expiry(now)
         check_pool_invariants(pool)
         gone.extend(dropped)

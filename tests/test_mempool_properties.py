@@ -8,11 +8,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from brc20sim.chain import Transaction, TxInput, TxOutput, make_txid  # noqa: E402
+from brc20sim.mempool import EXPIRY  # noqa: E402
 from test_mempool import RBF_OFF, RBF_ON, check_pool_invariants, make_pool  # noqa: E402
 
 VSIZES = (100, 150, 250, 400)
 PICK = st.integers(0, 10**6)  # an index into whatever the step picks from
 RATE = st.integers(1, 60)
+# 600 s: the steps' clock, in these units, expires an entry 2,016 units after it arrived
+UNIT = EXPIRY / 2_016
 
 STEPS = st.lists(
     st.one_of(
@@ -46,8 +49,7 @@ def check(pool, coins):
     capacity=st.integers(500, 3_000), block=st.integers(300, 1_200), steps=STEPS
 )
 def test_pool_invariants_hold_after_every_step(capacity, block, steps):
-    pool, chain = make_pool(mempool_capacity_vbytes=capacity, block_capacity_vbytes=block,
-                            expiry=2_000.0)
+    pool, chain = make_pool(mempool_capacity_vbytes=capacity, block_capacity_vbytes=block)
     coins: dict[tuple[str, int], tuple[int, bool]] = {}  # outpoint -> (value, value-only)
     gone: list[Transaction] = []  # left the pool unmined
     now = 0.0
@@ -69,7 +71,7 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
     for step in steps:
         kind = step[0]
         before = dict(pool.entries)
-        now += 10.0
+        now += 10 * UNIT
         tx = None
         if kind == "submit":
             _, plain, rate, vsize, rbf, outputs = step
@@ -94,10 +96,10 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
         elif kind == "resubmit" and gone:
             tx = gone.pop(step[1] % len(gone))
         elif kind == "expire":
-            now += step[1]
+            now += step[1] * UNIT
             gone.extend(pool.tick_expiry(now))
         elif kind == "mine":
-            now += 600.0
+            now += 600 * UNIT
             pool.mine_block(now)
         if tx is not None:
             result = pool.submit(tx, now)

@@ -7,17 +7,15 @@ st = hypothesis.strategies
 
 from scenario_tools import send_times  # noqa: E402
 
-from brc20sim.sim import SimConfig, Simulation  # noqa: E402
+from brc20sim.sim import BLOCK_INTERVAL, SimConfig, Simulation  # noqa: E402
 from brc20sim.wallet import BUNDLE_GAP, TransferRequest  # noqa: E402
-
-INTERVAL = SimConfig().block_interval
 
 # each send: blocks to let pass, then how long before the next block to send;
 # half the leads fall within BUNDLE_GAP of a block
 SENDS = st.lists(
     st.tuples(
         st.integers(0, 2),
-        st.one_of(st.floats(0.0, BUNDLE_GAP), st.floats(0.0, INTERVAL, exclude_max=True)),
+        st.one_of(st.floats(0.0, BUNDLE_GAP), st.floats(0.0, BLOCK_INTERVAL, exclude_max=True)),
     ),
     min_size=1,
     max_size=6,
@@ -29,7 +27,7 @@ SENDS = st.lists(
 def test_no_confirmed_tx_was_sent_after_its_block(sends):
     sim = Simulation(SimConfig())
     for skip, lead in sends:
-        sim.run_until(max(sim.now, sim.next_block_time + skip * INTERVAL - lead))
+        sim.run_until(max(sim.now, sim.next_block_time + skip * BLOCK_INTERVAL - lead))
         sim.grant("alice", 1_000_000)
         _, r1, r2 = sim.send_transfer(TransferRequest("ordi", 1, "alice", "bob", fee_rate=10))
         assert r1.accepted and r2.accepted

@@ -59,7 +59,8 @@ def test_background_traffic_stays_off_the_ordinal_ledger():
 
 
 def test_dust_and_transaction_sizes_are_each_set_once():
-    facts = {"DUST": 546, "TX1_VSIZE": 150, "TX2_VSIZE": 600, "MARKET_TX_VSIZE": 400}
+    facts = {"DUST": 546, "TX1_VSIZE": 150, "TX2_VSIZE": 600, "MARKET_TX_VSIZE": 400,
+             "BLOCK_INTERVAL": 600.0, "EXPIRY": None, "MIN_RELAY_FEE_RATE": 1}  # EXPIRY = 14 * DAY
     assigned, literals = Counter(), Counter()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -87,7 +88,7 @@ def test_settable_values_are_counted():
     assert {name for name in classes if name.endswith("Config")} == {"SimConfig", "ScenarioConfig"}
     configs = ("SimConfig", "ScenarioConfig", "CongestionProfile", "TransferRequest")
     counts = {name: len(dataclasses.fields(classes[name])) for name in configs}
-    assert sum(counts.values()) == 23, counts
+    assert sum(counts.values()) == 20, counts
 
 
 def test_no_module_reads_the_environment():

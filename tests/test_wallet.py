@@ -134,8 +134,8 @@ class TestSubmitBundle:
         assert confirmed_at(bundle.tx2.txid) - sent[bundle.tx2.txid] == 599.5
 
     def test_tx2_below_min_relay_is_retriable(self):
-        sim = fresh_sim(min_relay_fee_rate=100)
-        bundle, r1, r2 = sim.send_transfer(request(fee_rate=50))
+        sim = fresh_sim()
+        bundle, r1, r2 = sim.send_transfer(request(fee_rate=0))  # under the 1 sat/vB floor
         assert not r1.accepted and not r2.accepted
 
     def test_skips_coins_the_pool_already_spends(self):

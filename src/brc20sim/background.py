@@ -98,6 +98,9 @@ class CongestionProfile:
     ANCHOR_SCALE = 210.0
     SCALE_EXPONENT = 1.7
     HARD_CAP = 430.0
+    FLOOR_LO_SHARE = 0.15  # of the scale
+    # the highest level whose floor_lo stays at or under HARD_CAP (about 3.49)
+    MAX_LEVEL = ANCHOR_LEVEL * (HARD_CAP / (FLOOR_LO_SHARE * ANCHOR_SCALE)) ** (1 / SCALE_EXPONENT)
 
     @classmethod
     def for_level(cls, level: float, seed: int) -> CongestionProfile:
@@ -108,7 +111,7 @@ class CongestionProfile:
             target_level=level,
             seed=seed,
             floor_base=scale,
-            floor_lo=max(6.0, scale * 0.15),
+            floor_lo=max(6.0, scale * cls.FLOOR_LO_SHARE),
             floor_cap=min(scale * math.e, cls.HARD_CAP),
         )
 

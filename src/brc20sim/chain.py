@@ -120,23 +120,10 @@ class Transaction:
         object.__setattr__(self, "output_total", total)
         object.__setattr__(self, "rbf_enabled", rbf)
 
-    def to_dict(self) -> dict:
-        return {
-            "txid": self.txid,
-            "inputs": [
-                {"outpoint": list(i.outpoint), "sequence": i.sequence}
-                for i in self.inputs
-            ],
-            "outputs": [
-                {"value": o.value, "owner": o.owner, "inscription": o.inscription}
-                for o in self.outputs
-            ],
-            "vsize": self.vsize,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> Transaction:
-        """Inverse of ``to_dict``; a field without its JSON type raises TypeError.
+        """The transaction a ``submit`` line of the event log holds under ``"tx"``
+        (see ``sim.log_line``); a field without its JSON type raises TypeError.
 
         Types are exact (a bool is no count), so an outpoint decoded from
         untrusted JSON is always a hashable ``(str, int)``.

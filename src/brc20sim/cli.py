@@ -33,7 +33,7 @@ from .harness import (
     run_sweep,
     sweep_csv,
 )
-from .sim import SETTINGS, SimConfig, Simulation
+from .sim import SETTINGS, SimConfig, Simulation, collector_paused
 
 USAGE_ERROR = 1
 MODEL_ERROR = 2
@@ -136,6 +136,8 @@ def cmd_tolerance(args) -> int:
     return 0
 
 
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
+
 # the fields replay reads from each kind of event, with the exact types JSON
 # gives them (so a bool is no count); other kinds are skipped
 REPLAY_FIELDS = {
@@ -159,13 +161,34 @@ def _replay_kind(event, number: int) -> str:
     return kind
 
 
+def _read_log(path: str) -> list[tuple[int, object]]:
+    """Each non-blank line of an event log as (its line number in the file, its value)."""
+    decode = json.JSONDecoder().raw_decode  # json.loads adds per-line checks and two regex scans
+    events = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            start = len(line) - len(line.lstrip(_JSON_SPACE))
+            try:
+                value, end = decode(line, start)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"log line {number}: {exc.msg} at column {exc.colno}") from None
+            after = line[end:].lstrip(_JSON_SPACE)
+            if after:
+                raise ValueError(f"log line {number}: more than one JSON value, "
+                                 f"the next at column {len(line) - len(after) + 1}")
+            events.append((number, value))
+    return events
+
+
+@collector_paused()
 def cmd_replay_log(args) -> int:
     """Re-run a recorded event log through a Simulation and verify every
     grant's, fund's and submission's time, every decision, every block's
     height, time and txids, and the token supply at the end."""
-    with open(args.log, encoding="utf-8") as fh:
-        events = [json.loads(line) for line in fh if line.strip()]
-    header = events[0] if events else None
+    events = _read_log(args.log)
+    header = events[0][1] if events else None
     if (
         not isinstance(header, dict)
         or header.get("event") != "header"
@@ -178,7 +201,7 @@ def cmd_replay_log(args) -> int:
     sim = Simulation(_sim_config(header["config"]))
     blocks = submits = 0
     clock = sim.now  # the time of the last event
-    for number, event in enumerate(events[1:], start=2):
+    for number, event in events[1:]:
         kind = _replay_kind(event, number)
         if kind in ("grant", "fund", "submit"):
             # a grant, fund or send falls between the previous event and the next block

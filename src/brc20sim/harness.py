@@ -18,7 +18,7 @@ from .background import CongestionProfile
 from .chain import DUST, Transaction, TxInput, TxOutput, make_txid
 from .indexer import deploy_inscription, mint_inscription
 from .mempool import MIN_RELAY_FEE_RATE
-from .sim import BLOCK_INTERVAL, SimConfig, Simulation
+from .sim import BLOCK_INTERVAL, SimConfig, Simulation, collector_paused
 # unused here, but bench/tracing.py wraps the build_transfer name in this module
 from .wallet import TX1_VSIZE, TransferRequest, build_recovery, build_transfer
 
@@ -60,8 +60,9 @@ class ScenarioConfig:
         if self.fee_rate < MIN_RELAY_FEE_RATE:
             raise ValueError("fee below the relay floor")
         # CongestionProfile.for_level reads any level <= 0 as no market
-        if not 0 <= self.congestion < math.inf:
-            raise ValueError(f"congestion must be >= 0 and finite, got {self.congestion!r}")
+        if not 0 <= self.congestion <= CongestionProfile.MAX_LEVEL:
+            raise ValueError(f"congestion must be in [0, {CongestionProfile.MAX_LEVEL!r}], "
+                             f"got {self.congestion!r}")
         if not 0 <= self.tolerance_s < math.inf:
             raise ValueError(f"tolerance must be >= 0 and finite, got {self.tolerance_s!r}")
 
@@ -129,6 +130,7 @@ def _fund_and_mint(sim: Simulation, holdings: dict[str, int], max_supply: int) -
             raise ReplayDivergence(f"setup mint failed for {addr}")
 
 
+@collector_paused()
 def run_scenario(
     config: ScenarioConfig, seed: int, log_path: str | None = None
 ) -> ScenarioResult:
@@ -297,6 +299,7 @@ def _bundle(sim: Simulation, sender: str, recipient: str, amount: int, fee_rate:
     return bundle
 
 
+@collector_paused()
 def run_binance_replay(seed: int = 0) -> list[dict]:
     """Replay the four-attack / three-recovery incident and assert each step.
 

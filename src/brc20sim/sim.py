@@ -8,17 +8,26 @@ the receipts its chain append returned.
 
 Every grant, fund, submission and mined block is recorded once, in order, in
 ``event_log``: the run's one record, which ``export_event_log`` writes as JSON
-lines for ``brc20sim replay``.  Genesis satoshis enter through ``grant``;
-background traffic is funded through ``fund`` instead, with value-only coins
-that have no owner and no ordinals.  Both are in the record, so token state
-stays reconstructable from its grants and funds plus the block list alone
-(see ``replay_state``), and replay re-creates every serial in order.
+lines for ``brc20sim replay``.  ``log_line`` formats each line itself, with
+the bytes ``json.dumps(..., sort_keys=True)`` would give at a fraction of its
+cost; a test holds it to ``json.dumps``.  Genesis satoshis enter through
+``grant``; background traffic is funded through ``fund`` instead, with
+value-only coins that have no owner and no ordinals.  Both are in the
+record, so token state stays reconstructable from its grants and funds plus
+the block list alone (see ``replay_state``), and replay re-creates every
+serial in order.
+
+Scenarios and replays run with the cyclic garbage collector paused
+(``collector_paused``), since a simulation makes no reference cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from . import wallet
 from .background import BackgroundLoad, CongestionProfile
@@ -49,8 +58,23 @@ class SimConfig:
 # keys and required by replay.
 SETTINGS = tuple(f.name for f in fields(SimConfig))
 
-# one encoder for every event-log line: json.dumps(sort_keys=True) builds a new one per call
-_LOG_ENCODER = json.JSONEncoder(sort_keys=True)
+
+@contextmanager
+def collector_paused():
+    """Run a block, or a function it decorates, with the cyclic garbage collector off.
+
+    A simulation makes no reference cycles, so reference counting frees all
+    it discards and a collection would find nothing; with the collector on it
+    still rescans the live pool and ledger over and over as they grow.  The
+    caller's setting comes back on return or raise.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Simulation:
@@ -184,23 +208,56 @@ class Simulation:
 
     def export_event_log(self, path: str) -> None:
         """The event log as JSON lines: a config header, then one object per event."""
+        config = {name: getattr(self.config, name) for name in SETTINGS}
+        lines = [json.dumps({"event": "header", "config": config}, sort_keys=True)]
+        lines += [log_line(event) for event in self.event_log]
         with open(path, "w", encoding="utf-8") as fh:
-            config = {name: getattr(self.config, name) for name in SETTINGS}
-            fh.write(_LOG_ENCODER.encode({"event": "header", "config": config}) + "\n")
-            for event in self.event_log:
-                fh.write(_LOG_ENCODER.encode(_log_object(event)) + "\n")
+            fh.write("\n".join(lines) + "\n")
 
 
-def _log_object(event: tuple) -> dict:
-    """One recorded event as the JSON object its log line holds."""
-    match event:
-        case ("grant", t, owner, value):
-            return {"event": "grant", "t": t, "owner": owner, "value": value}
-        case ("fund", t, value):
-            return {"event": "fund", "t": t, "value": value}
-        case ("submit", t, tx, result):
-            return {"event": "submit", "t": t, "tx": tx.to_dict(),
-                    "accepted": result.accepted, "reason": result.reason}
-        case ("mine", t, block):
-            return {"event": "mine", "t": t, "height": block.height,
-                    "txids": [tx.txid for tx in block.transactions]}
+# What json.dumps(sort_keys=True) writes, by hand: keys in sorted order, ", "
+# and ": " separators, strings through json's own ASCII escaper, and
+# non-finite floats as Infinity, -Infinity and NaN, which repr spells inf and nan.
+_string = encode_basestring_ascii  # what json.dumps escapes strings with
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _number(x: float) -> str:
+    text = repr(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _nullable(text: str | None) -> str:
+    return "null" if text is None else _string(text)
+
+
+def log_line(event: tuple) -> str:
+    """One recorded event as its event-log line, without the newline."""
+    kind = event[0]
+    if kind == "submit":
+        _, t, tx, result = event
+        inputs = ", ".join([
+            f'{{"outpoint": [{_string(i.outpoint[0])}, {i.outpoint[1]}], "sequence": {i.sequence}}}'
+            for i in tx.inputs
+        ])
+        outputs = ", ".join([
+            f'{{"inscription": {_nullable(o.inscription)}, "owner": {_string(o.owner)}, '
+            f'"value": {o.value}}}'
+            for o in tx.outputs
+        ])
+        return (
+            f'{{"accepted": {"true" if result.accepted else "false"}, "event": "submit", '
+            f'"reason": {_nullable(result.reason)}, "t": {_number(t)}, '
+            f'"tx": {{"inputs": [{inputs}], "outputs": [{outputs}], '
+            f'"txid": {_string(tx.txid)}, "vsize": {tx.vsize}}}}}'
+        )
+    if kind == "mine":
+        _, t, block = event
+        txids = ", ".join([_string(tx.txid) for tx in block.transactions])
+        return (f'{{"event": "mine", "height": {block.height}, "t": {_number(t)}, '
+                f'"txids": [{txids}]}}')
+    if kind == "fund":
+        _, t, value = event
+        return f'{{"event": "fund", "t": {_number(t)}, "value": {value}}}'
+    _, t, owner, value = event  # grant
+    return f'{{"event": "grant", "owner": {_string(owner)}, "t": {_number(t)}, "value": {value}}}'

@@ -1,5 +1,6 @@
 """UTXO ledger and ordinal FIFO tests."""
 
+import json
 import random
 from collections import Counter
 from dataclasses import fields, replace
@@ -26,6 +27,8 @@ from brc20sim.chain import (
     assign_ordinals,
     make_txid,
 )
+from brc20sim.mempool import ACCEPTED
+from brc20sim.sim import log_line
 from brc20sim.wallet import TransferRequest, build_transfer
 
 
@@ -326,11 +329,16 @@ class TestValueOnly:
         assert dup.fund(1) == state.fund(1) == ("genesis-1", 0)
 
 
+def logged_tx(t: Transaction) -> dict:
+    """The "tx" object of the event-log line that records a submission of ``t``."""
+    return json.loads(log_line(("submit", 0.0, t, ACCEPTED)))["tx"]
+
+
 class TestSerialization:
     def test_transaction_round_trip(self):
         t = tx("t9", [TxInput(("g", 0), 0xFFFFFFFD)],
                [TxOutput(1, "a", inscription="x")], vsize=150)
-        assert Transaction.from_dict(t.to_dict()) == t
+        assert Transaction.from_dict(logged_tx(t)) == t
 
     @pytest.mark.parametrize(
         "path, bad",
@@ -346,7 +354,7 @@ class TestSerialization:
         ],
     )
     def test_from_dict_rejects_wrong_types(self, path, bad):
-        data = tx("t9", [TxInput(("g", 0))], [TxOutput(1, "a", inscription="x")]).to_dict()
+        data = logged_tx(tx("t9", [TxInput(("g", 0))], [TxOutput(1, "a", inscription="x")]))
         target = data
         for key in path[:-1]:
             target = target[key]
@@ -411,8 +419,8 @@ class TestIdentity:
             " outputs=(TxOutput(value=5, owner='a', inscription=None),"
             " TxOutput(value=6, owner='b', inscription=None)), vsize=100)"
         )
-        assert set(t.to_dict()) == {"txid", "inputs", "outputs", "vsize"}
-        back = Transaction.from_dict(t.to_dict())
+        assert set(logged_tx(t)) == {"txid", "inputs", "outputs", "vsize"}
+        back = Transaction.from_dict(logged_tx(t))
         assert back == t and hash(back) == hash(t)
         assert (back.output_total, back.rbf_enabled) == (11, True)
         # replace() builds a new transaction, so the derived fields follow the content

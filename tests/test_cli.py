@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exit codes, artifacts."""
 
+import argparse
+import gc
 import hashlib
 import json
 import os
@@ -10,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import brc20sim
-from brc20sim.cli import main
+from brc20sim.cli import cmd_replay_log, main
+from brc20sim.harness import ScenarioConfig, run_binance_replay, run_scenario
 from brc20sim.indexer import Brc20State
-from brc20sim.sim import SETTINGS, SimConfig
+from brc20sim.sim import SETTINGS, SimConfig, collector_paused
 from brc20sim.wallet import TX1_VSIZE
 
 HEADER = {"event": "header", "config": {name: getattr(SimConfig(), name) for name in SETTINGS}}
@@ -310,7 +313,39 @@ class TestBadInput:
     def test_bad_number_on_the_command_line_exits_one(self, argv):
         self.assert_usage_error(argv)
 
-    def assert_usage_error(self, argv):
+    # past about 3.49 the market's floor_lo passes its hard cap: 50 once failed
+    # with "floor_lo above floor_cap", 1e300 with an OverflowError traceback
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "--congestion", "50"],
+            ["sim", "--congestion", "1e300", "--attempts", "2"],
+            ["sweep", "--seeds", "1", "--congestion", "1e300", "--fees", "100",
+             "--fractions", "1.0", "--attempts", "2"],
+        ],
+    )
+    def test_congestion_above_the_ceiling_exits_one(self, argv):
+        err = self.assert_usage_error(argv)
+        assert "congestion must be in [0, 3.4898" in err
+
+    # json's own message once gave the line within the string ("line 1 column
+    # 5"), not the line in the file
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"event": "fund", "t": 0.0, "value"', "log line 3: Expecting ':' delimiter"),
+            ('{"event": "fund", "t": 0.0, "value": 1} {"event": "fund"}',
+             "log line 3: more than one JSON value"),
+            ("  [1] 2", "log line 3: more than one JSON value, the next at column 7"),
+        ],
+    )
+    def test_a_line_that_is_not_one_json_value_names_its_file_line(self, tmp_path, bad, message):
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(HEADER) + "\n\n" + bad + "\n")
+        assert message in self.assert_usage_error(["replay", str(path)])
+
+    def assert_usage_error(self, argv) -> str:
+        """Run the CLI; it must exit 1 with an error and no traceback. Returns stderr."""
         src = str(Path(brc20sim.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
@@ -320,3 +355,43 @@ class TestBadInput:
         assert proc.returncode == 1
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+        return proc.stderr
+
+
+class TestCollectorPause:
+    """Scenarios and replays run with the cyclic collector paused."""
+
+    # the `brc20sim sim` defaults
+    LOGGED = ScenarioConfig(fraction=1.0, fee_rate=100, congestion=0.75, attempts=5)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_setting_comes_back(self, capsys, tmp_path, enabled):
+        log, bad, diverging = (tmp_path / name for name in ("log", "bad", "diverging"))
+        bad.write_text("[1]\n")
+        diverging.write_text(f"{json.dumps(HEADER)}\n"
+                             '{"event": "mine", "t": 1.0, "height": 0, "txids": []}\n')
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_scenario(self.LOGGED, 3, log_path=str(log))
+            assert gc.isenabled() is enabled
+            assert [main(["replay", str(path)]) for path in (log, bad, diverging)] == [0, 1, 2]
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError), collector_paused():
+                assert not gc.isenabled()
+                raise RuntimeError
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_scenarios_and_replays_make_no_reference_cycles(self, capsys, tmp_path):
+        # the pause is safe only because reference counting frees all they discard
+        log = tmp_path / "events.jsonl"
+        gc.collect()
+        with collector_paused():  # no automatic collection between the checks
+            run_scenario(self.LOGGED, 3, log_path=str(log))
+            assert gc.collect() == 0
+            assert cmd_replay_log(argparse.Namespace(log=str(log))) == 0
+            assert gc.collect() == 0
+            run_binance_replay()
+            assert gc.collect() == 0

@@ -136,3 +136,27 @@ def test_only_the_background_names_its_market_key_and_tapes():
         and private & {getattr(node, a, None) for a in ("id", "attr", "name")}
     }
     assert named == {"background.py"}
+
+
+def test_every_name_the_benchmark_traces_exists():
+    # bench/tracing.py wraps these names by lookup; a rename in src/ should
+    # fail here, not only in the benchmark's traced run
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    patches = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "patches")
+    wrapped = [
+        (ast.unparse(call.args[0]), call.args[1].value)
+        for call in ast.walk(patches)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Patch"
+    ]
+    assert {("harness", "run_scenario"), ("sim.Simulation", "export_event_log"),
+            ("cli", "cmd_replay_log")} <= set(wrapped)
+    missing = []
+    for owner_path, attr in wrapped:
+        module, *rest = owner_path.split(".")
+        owner = importlib.import_module(f"brc20sim.{module}")
+        for name in rest:
+            owner = getattr(owner, name)
+        if attr not in vars(owner):  # tracing.traced() reads vars(owner)[attr]
+            missing.append(f"{owner_path}.{attr}")
+    assert missing == []

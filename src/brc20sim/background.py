@@ -32,18 +32,22 @@ ordinals or leaves an ordinal-tracked UTXO on the chain.  They all pay
 (``chain.txid_tail``) is formatted once, as ``MARKET_TXID_TAIL``, and each
 txid is one sha256 call over its tag, its input and that tail.
 
+The unit of work is the batch: the sediment, or one window's market.  Each
+is funded with one ``Simulation.fund`` call, which gives its coins
+consecutive serials, so a batch's first coin names all of its coins.
+
 The draws depend only on the *market key* (``market_key``: the profile, the
 transactions per window and the sediment count), not on the foreground, so
 loads of one key share them.  The module holds a tape for each key of the
-current seed: its draws, extended as later windows are needed, and the
-market transactions last built from them.  A load of a held key replays its
-tape, reusing a transaction where its coin matches, whatever keys were loaded
-in between; a load of another seed's key drops them all, and nothing else
-does.  The sediment transactions are held apart, for the whole process: a
-simulation funds its sediment first, so ``bg{k}`` spends its k-th coin
-whatever the seed or key, and one list, as long as the largest sediment count
-loaded, serves every load.  Either way a load returns the same bytes as a
-fresh draw.
+current seed: its draws, extended as later windows are needed, and each
+window's time-sorted arrivals as last built.  A load of a held key replays a
+held window whose first coin matches, whatever keys were loaded in between,
+and rebuilds it otherwise; a load of another seed's key drops every tape,
+and nothing else does.  The sediment transactions are held apart, for the
+whole process: a simulation funds its sediment first, so ``bg{k}`` spends its
+k-th coin whatever the seed or key, and one list, as long as the largest
+sediment count loaded, serves every load whose first coin matches.  Either
+way a load returns the same bytes as a fresh draw.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .chain import DUST, Transaction, TxInput, TxOutput, txid_tail, txid_with_tail
 
@@ -158,16 +163,17 @@ def _draw_sediment(rng: random.Random, count: int) -> array:
 
 
 class _Tape:
-    """A market key's draws, extended on demand, and the market transactions last built from them.
+    """A market key's draws, extended on demand, and the market windows last built from them.
 
     The draws are the floor of each window and, per market transaction, its
     coin value and its arrival fraction ``u`` in [0, 1); per sediment
-    transaction, its coin value.  ``txs[j]`` is the last transaction built
-    with the tag ``bg{sediment count + j + 1}``; a load reuses it only for the
-    same coin.
+    transaction, its coin value.  ``windows[w]`` is ``(key, arrivals)`` for
+    the last build of window ``w``: its time-sorted ``(t, tx)`` pairs and the
+    ``(first coin, start, interval)`` they were built for.  The window's coins
+    are consecutive serials, so its first coin names them all.
     """
 
-    __slots__ = ("key", "flight", "floors", "values", "fractions", "sediment", "txs",
+    __slots__ = ("key", "flight", "floors", "values", "fractions", "sediment", "windows",
                  "_g", "_rng_floor", "_rng_rates", "_rng_times")
 
     def __init__(self, key: tuple[CongestionProfile, int, int]):
@@ -181,7 +187,7 @@ class _Tape:
         self.floors = array("d", [self._floor() if profile.target_level else 0.0])
         self.values = array("q")  # market coin values, window after window
         self.fractions = array("d")
-        self.txs: list[Transaction] = []
+        self.windows: dict[int, tuple[tuple, tuple[tuple[float, Transaction], ...]]] = {}
 
     def _floor(self) -> float:
         p = self.key[0]
@@ -205,9 +211,24 @@ class _Tape:
 # key replays its tape, whatever keys were loaded in between.
 _held: dict[tuple[CongestionProfile, int, int], _Tape] = {}
 
-# Every load's sediment: ``_sediment_txs[k - 1]`` is the last transaction built with
-# the tag ``bg{k}``, which in a simulation spends its k-th coin whatever the seed or key.
+# Every load's sediment: ``_sediment_txs[k - 1]`` is the transaction tagged ``bg{k}``
+# of the last sediment built, which in a simulation spends its k-th coin whatever
+# the seed or key.
 _sediment_txs: list[Transaction] = []
+
+
+def _market_txs(coins: list[tuple[str, int]], first_tag: int) -> list[Transaction]:
+    """One market transaction per coin, tagged ``bg{first_tag}``, ``bg{first_tag + 1}``, ..."""
+    txs = []
+    for k, coin in enumerate(coins, first_tag):
+        inputs = (TxInput(coin),)
+        txs.append(Transaction(
+            txid=txid_with_tail(inputs, MARKET_TXID_TAIL, tag=f"bg{k}"),
+            inputs=inputs,
+            outputs=MARKET_OUTPUTS,
+            vsize=MARKET_TX_VSIZE,
+        ))
+    return txs
 
 
 def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
@@ -222,12 +243,14 @@ def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
 class BackgroundLoad:
     """Generates sediment and per-interval market batches for a simulation.
 
-    Loads of one market key draw the same values, so they share that key's
-    held ``_Tape``, and every load shares ``_sediment_txs``: a load still funds
-    every coin through ``fund_fn``, in the same order, and builds a
-    transaction only when the tape or the sediment list has none for that coin
-    and tag.  What it returns is what a fresh draw would return, bit for
-    bit.
+    Each batch, the sediment or one window's market, is funded with one
+    ``fund_fn(values)`` call, which must return a serial per value, each
+    serial the one after the last (as ``Simulation.fund`` does).  So a batch
+    is what was last built for it exactly when its first coin is: loads of
+    one market key share that key's held ``_Tape`` and replay its windows,
+    every load shares ``_sediment_txs``, and a batch is built only when its
+    first coin differs.  What a load returns is what a fresh draw would
+    return, bit for bit.
     """
 
     def __init__(self, profile: CongestionProfile, normal_count: int, block_capacity: int):
@@ -235,47 +258,36 @@ class BackgroundLoad:
         self.profile, self.flight, self.sediment_count = key
         self._tape = _tape(key)
         self._windows = 0  # market batches drawn
-        self._counter = 0  # transactions made: the next one is tagged bg{_counter + 1}
         self.floor = self._tape.floors[0]
-
-    def _market_tx(self, coin: tuple[str, int]) -> Transaction:
-        """The next transaction, ``bg{k}`` spending ``coin``: the held one when its coin matches."""
-        k = self._counter = self._counter + 1
-        i, txs = k - 1 - self.sediment_count, self._tape.txs
-        if i < 0:  # a sediment tag
-            i, txs = k - 1, _sediment_txs
-        if i < len(txs) and txs[i].inputs[0].outpoint == coin:
-            return txs[i]
-        inputs = (TxInput(coin),)
-        tx = Transaction(
-            txid=txid_with_tail(inputs, MARKET_TXID_TAIL, tag=f"bg{k}"),
-            inputs=inputs,
-            outputs=MARKET_OUTPUTS,
-            vsize=MARKET_TX_VSIZE,
-        )
-        if i < len(txs):
-            txs[i] = tx
-        else:
-            txs.append(tx)
-        return tx
 
     def sediment(self, fund_fn) -> list[Transaction]:
         """One-shot low-fee padding; rates far below any realistic foreground."""
-        return [self._market_tx(fund_fn(value)) for value in self._tape.sediment]
+        coins = fund_fn(self._tape.sediment)
+        held = _sediment_txs
+        if held and coins and held[0].inputs[0].outpoint != coins[0]:
+            held.clear()
+        held += _market_txs(coins[len(held):], len(held) + 1)
+        return held[:len(coins)]
 
-    def market_batch(self, fund_fn, start: float, interval: float) -> list[tuple[float, Transaction]]:
-        """Fee-bearing arrivals for one block interval, floor advanced once."""
+    def market_batch(
+        self, fund_fn, start: float, interval: float
+    ) -> tuple[tuple[float, Transaction], ...]:
+        """Fee-bearing arrivals for one block interval, by time; floor advanced once."""
         if not self.flight:
-            return []
+            return ()
         tape = self._tape
-        self._windows += 1
-        tape.draw_windows(self._windows)
-        self.floor = tape.floors[self._windows]
+        w = self._windows = self._windows + 1
+        tape.draw_windows(w)
+        self.floor = tape.floors[w]
+        first = (w - 1) * self.flight
+        coins = fund_fn(tape.values[first:first + self.flight])
+        key = (coins[0], start, interval)
+        held = tape.windows.get(w)
+        if held is not None and held[0] == key:
+            return held[1]
         end = start + interval  # each arrival is random.uniform(start, end) of its fraction
-        first = (self._windows - 1) * self.flight
-        batch: list[tuple[float, Transaction]] = []
-        for i in range(first, first + self.flight):
-            tx = self._market_tx(fund_fn(tape.values[i]))
-            batch.append((start + (end - start) * tape.fractions[i], tx))
-        batch.sort(key=lambda item: item[0])
-        return batch
+        times = [start + (end - start) * u for u in tape.fractions[first:first + self.flight]]
+        txs = _market_txs(coins, self.sediment_count + first + 1)
+        arrivals = tuple(sorted(zip(times, txs), key=itemgetter(0)))
+        tape.windows[w] = (key, arrivals)
+        return arrivals

@@ -14,6 +14,8 @@ instead of ordinal-tracked UTXOs.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 MAX_SEQUENCE = 0xFFFFFFFF
@@ -254,15 +256,16 @@ class UtxoSet:
 
     One set is owned by one thread at a time; ``copy()`` gives an independent
     snapshot for replay.  Genesis satoshis enter via ``grant`` since there is
-    no coinbase in this model; ``fund`` creates a value-only coin under the
-    next serial of the same count, so serials, and the txids built on them,
-    do not depend on which kind of coin a serial names.
+    no coinbase in this model; ``fund`` creates a batch of value-only coins
+    under the next serials of the same count, so serials, and the txids built
+    on them, do not depend on which kind of coin a serial names.
     """
 
     def __init__(self) -> None:
         self.utxos: dict[tuple[str, int], Utxo] = {}
         self.plain: dict[tuple[str, int], int] = {}  # value-only coins: serial -> value
         self.inscribed: dict[int, str] = {}  # bound ordinal -> raw payload
+        self._inscribed_sorted: list[int] = []  # the keys of inscribed, ascending
         self._next_ordinal = 0
         self._grant_count = 0
 
@@ -271,38 +274,44 @@ class UtxoSet:
         dup.utxos = dict(self.utxos)
         dup.plain = dict(self.plain)
         dup.inscribed = dict(self.inscribed)
+        dup._inscribed_sorted = list(self._inscribed_sorted)
         dup._next_ordinal = self._next_ordinal
         dup._grant_count = self._grant_count
         return dup
-
-    def _next_serial(self) -> tuple[str, int]:
-        serial = (f"genesis-{self._grant_count}", 0)
-        self._grant_count += 1
-        return serial
 
     def grant(self, owner: str, value: int) -> Utxo:
         """Allocate fresh satoshis to an address (genesis funding)."""
         if value < 1:
             raise ValueError("grant value must be >= 1")
-        serial = self._next_serial()
+        serial = (f"genesis-{self._grant_count}", 0)
+        self._grant_count += 1
         utxo = Utxo(serial, value, owner, (OrdinalRange(self._next_ordinal, value),))
         self._next_ordinal += value
         self.utxos[serial] = utxo
         return utxo
 
-    def fund(self, value: int) -> tuple[str, int]:
-        """Create a value-only genesis coin and return its serial; no ordinal is allocated."""
-        if value < 1:
+    def fund(self, values: Sequence[int]) -> list[tuple[str, int]]:
+        """Create one value-only genesis coin per value, under consecutive serials,
+        and return the serials; no ordinal is allocated.  Every value is checked
+        before any coin is made."""
+        if values and min(values) < 1:
             raise ValueError("fund value must be >= 1")
-        serial = self._next_serial()
-        self.plain[serial] = value
-        return serial
+        first = self._grant_count
+        self._grant_count += len(values)
+        serials = [(f"genesis-{n}", 0) for n in range(first, self._grant_count)]
+        self.plain.update(zip(serials, values))
+        return serials
 
     def owned_by(self, owner: str) -> list[Utxo]:
         return [u for u in self.utxos.values() if u.owner == owner]
 
     def carries_inscription(self, utxo: Utxo) -> bool:
-        return any(utxo.holds(ordinal) for ordinal in self.inscribed)
+        inscribed = self._inscribed_sorted
+        for rng in utxo.ordinals:
+            i = bisect_left(inscribed, rng.start)
+            if i < len(inscribed) and inscribed[i] < rng.start + rng.length:
+                return True
+        return False
 
     def apply_transaction(self, tx: Transaction) -> Receipt:
         """Spend the inputs, create the outputs, burn the fee slice.
@@ -351,6 +360,8 @@ class UtxoSet:
         if tx.outputs and tx.outputs[0].inscription is not None:
             # Transaction guarantees an envelope sits on a funded output 0
             envelope = InscriptionEnvelope(tx.outputs[0].inscription, created[0].first_ordinal())
+            if envelope.bound_ordinal not in self.inscribed:
+                insort(self._inscribed_sorted, envelope.bound_ordinal)
             self.inscribed[envelope.bound_ordinal] = envelope.raw
         return Receipt(tuple(spent), tuple(created), envelope)
 

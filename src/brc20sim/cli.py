@@ -4,7 +4,8 @@ Subcommands: ``sim`` (one scenario), ``sweep`` (full parameter grid),
 ``replay-binance`` (scripted incident), ``tolerance`` (operational-tolerance
 calculator) and ``replay`` (verify an exported event log).  ``replay``
 re-runs the log through a ``Simulation``, the same block step that wrote it
-(``grant`` and ``fund`` events re-create the genesis coins in order), checks
+(``grant`` and ``fund`` events re-create the genesis coins in order, each run
+of consecutive ``fund`` lines with one batch ``Simulation.fund`` call), checks
 every grant's, fund's and submission's time, each submission's decision and
 each block's height, time and txids, and at the end that the replayed token
 state conserves supply.
@@ -15,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 assertion/model divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -201,8 +203,14 @@ def cmd_replay_log(args) -> int:
     sim = Simulation(_sim_config(header["config"]))
     blocks = submits = 0
     clock = sim.now  # the time of the last event
+    funds: list[int] = []  # the values of the run of fund lines not yet funded
     for number, event in events[1:]:
         kind = _replay_kind(event, number)
+        if kind == "fund":
+            funds.append(event["value"])
+        elif funds:
+            sim.fund(funds)
+            funds = []
         if kind in ("grant", "fund", "submit"):
             # a grant, fund or send falls between the previous event and the next block
             if not clock <= event["t"] <= sim.next_block_time:
@@ -212,8 +220,6 @@ def cmd_replay_log(args) -> int:
             clock = event["t"]
         if kind == "grant":
             sim.grant(event["owner"], event["value"])
-        elif kind == "fund":
-            sim.fund(event["value"])
         elif kind == "submit":
             try:
                 tx = Transaction.from_dict(event["tx"])
@@ -245,6 +251,7 @@ def cmd_replay_log(args) -> int:
                 print(f"divergence in block {event['height']}: replay mined block {tip.height}",
                       file=sys.stderr)
                 return MODEL_ERROR
+    sim.fund(funds)
     # the indexer followed every replayed block; its token state must balance
     if not sim.indexer.state.supply_is_conserved():
         print("divergence: replayed token state does not conserve supply", file=sys.stderr)
@@ -253,6 +260,7 @@ def cmd_replay_log(args) -> int:
     return 0
 
 
+@functools.cache  # once per process
 def build_parser() -> _Parser:
     parser = _Parser(prog="brc20sim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,7 +274,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--t-bar", type=float, default=3600.0)
     p_sim.add_argument("--config", default=None, help="JSON config file")
     p_sim.add_argument("--log", default=None, help="write the event log here")
-    p_sim.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
+    p_sim.add_argument("--out", type=argparse.FileType("w"), default=None)
     p_sim.set_defaults(func=cmd_sim)
 
     p_sweep = sub.add_parser("sweep", help="run the parameter grid")
@@ -278,11 +286,11 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--fees", type=lambda s: _levels(s, int), default=FEE_LEVELS)
     p_sweep.add_argument("--congestion", type=lambda s: _levels(s, float), default=CONGESTION_LEVELS)
     p_sweep.add_argument("--attempts", type=lambda s: _levels(s, int), default=ATTEMPT_LEVELS)
-    p_sweep.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
+    p_sweep.add_argument("--out", type=argparse.FileType("w"), default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_replay = sub.add_parser("replay-binance", help="scripted incident replay")
-    p_replay.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
+    p_replay.add_argument("--out", type=argparse.FileType("w"), default=None)
     p_replay.set_defaults(func=cmd_replay_binance)
 
     p_tol = sub.add_parser("tolerance", help="operational tolerance calculator")
@@ -299,10 +307,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if "out" in args and args.out is None:
+        args.out = sys.stdout  # this call's: the parser is built once and binds no stream
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            if getattr(args, "out", sys.stdout) is not sys.stdout:  # "--out -" is stdout
+                args.out.close()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

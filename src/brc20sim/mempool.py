@@ -18,7 +18,8 @@ and k distinct vsizes among the ready entries:
 - ``spends`` maps every outpoint an entry spends to that entry, so an
   entry's in-pool children are the spenders of its outputs, and
   ``depends_on`` holds each entry's in-pool parents (a mined parent is
-  pruned from its children only).
+  pruned from its children only).  Every entry admitted with no in-pool
+  parent shares the empty ``NO_PARENTS``.
 - The ready entries, those with no in-pool parent, sit in one best-rate-first
   heap per vsize; each entry carries its own heap item, ``MempoolEntry.key``.
   ``mine_block`` repeatedly takes the best top among the heaps whose vsize
@@ -41,8 +42,10 @@ Admission takes one pass over the inputs: one lookup per input gives its
 value, whether it is value-only and its in-pool parent, and the same pass
 collects the parents and the conflicts (a confirmed value-only coin is one
 dict probe).  A plain accept does no more work: the duplicate-input set is
-built only for several inputs, the descendant walk only for a replacement,
-eviction only over capacity, and the accepted result is one shared object.
+built only for several inputs, the parent set only for an in-pool parent,
+the conflict set only for an input that already has a spender, the
+descendant walk only for a replacement, eviction only over capacity, and the
+accepted result is one shared object.
 
 An entry spending value-only coins (the chain's ``UtxoSet.plain``) or
 outputs of an in-pool value-only entry is itself value-only.  A transaction
@@ -78,13 +81,15 @@ DUPLICATE_INPUT = "duplicate-input"
 SPENDS_CONFLICTING_TX = "spends-conflicting-tx"
 MIXED_FUNDING = "mixed-funding"
 
+NO_PARENTS: frozenset[str] = frozenset()  # depends_on of every entry admitted without one
+
 
 @dataclass(slots=True)
 class MempoolEntry:
     tx: Transaction
     arrival: float
     fee: int
-    depends_on: set[str]
+    depends_on: set[str] | frozenset[str]  # in-pool parents; NO_PARENTS when none
     plain: bool = False  # spends value-only coins, so its outputs are value-only too
     # fee / vsize, the sort key.  The float orders entries exactly: with
     # vsizes at most V and rates below 10**4 sat/vB, distinct ratios a/b and
@@ -162,7 +167,10 @@ class Mempool:
         return entry is not None and entry.arrival == arrival
 
     def _push_ready(self, entry: MempoolEntry) -> None:
-        heapq.heappush(self._ready.setdefault(entry.tx.vsize, []), entry.key)
+        heap = self._ready.get(entry.tx.vsize)
+        if heap is None:
+            heap = self._ready[entry.tx.vsize] = []
+        heapq.heappush(heap, entry.key)
 
     def _forget(self, count: int) -> None:
         """Count removals; rebuild the indexes once stale items may dominate."""
@@ -225,8 +233,8 @@ class Mempool:
 
         input_total = 0
         plain_inputs = 0
-        depends_on: set[str] = set()
-        conflicts: set[str] = set()
+        depends_on: set[str] | frozenset[str] = NO_PARENTS
+        conflicts: set[str] | None = None
         plain_coins = self.chain.utxo_set.plain
         for inp in inputs:
             value, plain, parent = plain_coins.get(inp.outpoint), True, None
@@ -238,9 +246,13 @@ class Mempool:
             input_total += value
             plain_inputs += plain
             if parent is not None:
+                if depends_on is NO_PARENTS:
+                    depends_on = set()
                 depends_on.add(parent.tx.txid)
             spender = self.spends.get(inp.outpoint)
             if spender is not None:
+                if conflicts is None:
+                    conflicts = set()
                 conflicts.add(spender)
         # value-only coins carry no ordinals, so they neither mix with
         # ordinal-tracked ones nor take an inscription

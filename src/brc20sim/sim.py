@@ -11,11 +11,12 @@ Every grant, fund, submission and mined block is recorded once, in order, in
 lines for ``brc20sim replay``.  ``log_line`` formats each line itself, with
 the bytes ``json.dumps(..., sort_keys=True)`` would give at a fraction of its
 cost; a test holds it to ``json.dumps``.  Genesis satoshis enter through
-``grant``; background traffic is funded through ``fund`` instead, with
-value-only coins that have no owner and no ordinals.  Both are in the
-record, so token state stays reconstructable from its grants and funds plus
-the block list alone (see ``replay_state``), and replay re-creates every
-serial in order.
+``grant``; background traffic is funded through ``fund`` instead, a batch
+at a time (the sediment, or one window's market), with value-only coins
+that have no owner and no ordinals under consecutive serials.  Both are in
+the record, one event per coin, so token state stays reconstructable from
+its grants and funds plus the block list alone (see ``replay_state``), and
+replay re-creates every serial in order.
 
 Scenarios and replays run with the cyclic garbage collector paused
 (``collector_paused``), since a simulation makes no reference cycles.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import gc
 import json
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -85,7 +87,7 @@ class Simulation:
         self.indexer = Indexer()
         self.now = 0.0
         self.next_block_time = BLOCK_INTERVAL
-        self._arrivals: list[tuple[float, Transaction]] = []  # this window's market, by time
+        self._arrivals: tuple[tuple[float, Transaction], ...] = ()  # this window's market, by time
         self._next_arrival = 0  # index of the first arrival not yet submitted
         self._window_generated = -1
         self.congestion_samples: list[float] = []
@@ -110,11 +112,12 @@ class Simulation:
         self.event_log.append(("grant", self.now, owner, value))
         return utxo
 
-    def fund(self, value: int) -> tuple[str, int]:
-        """Value-only coin for background traffic, recorded for replay."""
-        serial = self.chain.utxo_set.fund(value)
-        self.event_log.append(("fund", self.now, value))
-        return serial
+    def fund(self, values: Sequence[int]) -> list[tuple[str, int]]:
+        """A batch of value-only coins for background traffic, under consecutive
+        serials; each coin is recorded for replay."""
+        serials = self.chain.utxo_set.fund(values)
+        self.event_log += [("fund", self.now, value) for value in values]
+        return serials
 
     # -- submissions -----------------------------------------------------------
 
@@ -131,7 +134,7 @@ class Simulation:
         """Build a bundle from coins no pool entry spends; send Tx1 now and Tx2
         ``BUNDLE_GAP`` later, after mining any block that falls in between."""
         bundle = wallet.build_transfer(  # looked up per call: bench/tracing.py wraps it
-            request, self.chain.utxo_set, exclude=set(self.pool.spends)
+            request, self.chain.utxo_set, exclude=self.pool.spends
         )
         r1 = self.submit(bundle.tx1)
         self.run_until(self.now + BUNDLE_GAP)
@@ -203,7 +206,7 @@ class Simulation:
                 case ("grant", _, owner, value):
                     genesis.grant(owner, value)
                 case ("fund", _, value):
-                    genesis.fund(value)
+                    genesis.fund((value,))
         return replay(self.chain.blocks, genesis)
 
     def export_event_log(self, path: str) -> None:

@@ -18,6 +18,7 @@ the attack engine built on top.  This module only builds transactions;
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .chain import (
@@ -75,14 +76,15 @@ def _select_funding(
     utxo_set: UtxoSet,
     owner: str,
     needed: int,
-    exclude: set[tuple[str, int]] | None = None,
+    exclude: Container[tuple[str, int]] | None = None,
 ) -> list[Utxo]:
-    """Largest-first coin selection over plain-sat UTXOs.
+    """Largest-first coin selection over plain-sat UTXOs not in ``exclude``,
+    which is only tested for membership (a pool's ``spends`` serves as is).
 
     Inscription-bearing UTXOs are never spent as funding: using one would
     silently move (or burn) the tokens riding on it.
     """
-    exclude = exclude or set()
+    exclude = exclude or ()
     candidates = [
         u
         for u in utxo_set.owned_by(owner)
@@ -102,7 +104,7 @@ def _select_funding(
 def build_transfer(
     req: TransferRequest,
     utxo_set: UtxoSet,
-    exclude: set[tuple[str, int]] | None = None,
+    exclude: Container[tuple[str, int]] | None = None,
 ) -> TransferBundle:
     """Construct the inscription/execution pair for a transfer request."""
     tx1_fee = req.fee_rate * TX1_VSIZE

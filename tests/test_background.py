@@ -60,7 +60,7 @@ def test_background_txids_hash_their_content():
     load = BackgroundLoad(CongestionProfile.for_level(0.75, seed=3), normal_count=400,
                           block_capacity=10_150)
     coins = itertools.count(1)  # coin k funds the k-th transaction, tagged bg{k}
-    fund = lambda value: (f"c{next(coins)}", 0)  # noqa: E731
+    fund = lambda values: [(f"c{next(coins)}", 0) for _ in values]  # noqa: E731
     made = load.sediment(fund)
     for block in range(3):
         made += [tx for _, tx in load.market_batch(fund, 600.0 * block, 600.0)]
@@ -195,9 +195,10 @@ class TestSharedMarket:
         load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
         assert list(background._held.values()) == [load._tape]
         assert len(background._sediment_txs) == load.sediment_count
-        assert len(load._tape.txs) >= len(first) - load.sediment_count
+        held = sum(len(arrivals) for _, arrivals in load._tape.windows.values())
+        assert held >= len(first) - load.sediment_count
         coins = itertools.count(1)
-        fund = lambda value: (f"c{next(coins)}", 0)  # noqa: E731
+        fund = lambda values: [(f"c{next(coins)}", 0) for _ in values]  # noqa: E731
         made = load.sediment(fund)
         for block in range(3):
             made += [tx for _, tx in load.market_batch(fund, 600.0 * block, 600.0)]
@@ -208,6 +209,27 @@ class TestSharedMarket:
             assert tx.txid == make_txid(tx.inputs, tx.outputs, tx.vsize, tag=f"bg{k}")
         assert background._sediment_txs == made[:load.sediment_count]
         assert sim_submitted() == first
+
+    def test_batches_whose_first_coin_differs_are_rebuilt(self, builds, cold):
+        # one extra grant ahead of the sediment shifts every batch's serials by one
+        profile = CongestionProfile.for_level(0.75, seed=3)
+
+        def shifted_load():
+            sim = Simulation(SimConfig())
+            sim.grant("x", 1)
+            load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
+            made = [(None, tx) for tx in load.sediment(sim.fund)]
+            for block in range(3):
+                made += load.market_batch(sim.fund, 600.0 * block, 600.0)
+            return made
+
+        cold_made = shifted_load()
+        assert cold_made[0][1].inputs[0].outpoint == ("genesis-1", 0)
+        cold()
+        Simulation(SimConfig(), profile).run_blocks(3)  # holds the unshifted batches
+        builds.clear()
+        assert shifted_load() == cold_made
+        assert len(builds) == len(cold_made)
 
     def test_another_seed_drops_the_held_tapes(self, cold):
         for level in CONGESTION_LEVELS:
@@ -241,7 +263,7 @@ def test_band_profile_floor_confined():
     profile = CongestionProfile.for_band(10, 22.5, 0.75, seed=4)
     load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
     for _ in range(200):
-        load.market_batch(lambda value: ("stub", 0), 0.0, 600.0)
+        load.market_batch(lambda values: [("stub", 0)] * len(values), 0.0, 600.0)
         assert 1.15 * 22.5 <= load.floor <= 1.55 * 22.5
 
 
@@ -250,7 +272,7 @@ def test_level_profile_respects_hard_cap():
     assert profile.floor_cap <= CongestionProfile.HARD_CAP
     load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
     for block in range(500):
-        load.market_batch(lambda value: ("stub", 0), 600.0 * block, 600.0)
+        load.market_batch(lambda values: [("stub", 0)] * len(values), 600.0 * block, 600.0)
         assert profile.floor_lo <= load.floor <= profile.floor_cap
     # market never outbids the top sweep fee level
     assert profile.floor_cap * RATE_SPREAD < 500
@@ -376,6 +398,16 @@ def test_conservation_after_every_block_of_a_congested_run():
         sim = congested_run(seed, blocks=25, after_block=check)
         assert check.plain_txs > 500 and check.burned > 0
         assert sim.indexer.state.supply_is_conserved()
+
+
+def test_carries_inscription_agrees_with_a_scan_of_every_inscribed_ordinal():
+    ledger = congested_run(6, blocks=25, after_block=lambda sim: None).chain.utxo_set
+    assert sorted(ledger.inscribed) == ledger._inscribed_sorted
+    utxos = list(ledger.utxos.values())
+    verdicts = [ledger.carries_inscription(u) for u in utxos]
+    assert verdicts == [any(u.holds(o) for o in ledger.inscribed) for u in utxos]
+    assert any(verdicts) and not all(verdicts)
+    assert [ledger.copy().carries_inscription(u) for u in utxos] == verdicts
 
 
 def test_market_coins_stay_off_the_ordinal_ledger():

@@ -246,6 +246,22 @@ class TestInscriptions:
         with pytest.raises(OrdinalUnknown):
             UtxoSet().locate_ordinal(5)
 
+    def test_carries_inscription_per_range(self):
+        state = UtxoSet()
+        a, b, c = (state.grant("a", 10) for _ in range(3))  # [0, 10), [10, 20), [20, 30)
+        state.apply_transaction(tx("i", [TxInput(b.serial)], [TxOutput(10, "a", inscription="{}")]))
+        state.apply_transaction(tx("m", [TxInput(a.serial), TxInput(c.serial)], [TxOutput(20, "a")]))
+        merged, inscribed = state.utxos[("m", 0)], state.utxos[("i", 0)]
+        assert [(r.start, r.end) for r in merged.ordinals] == [(0, 10), (20, 30)]
+        # ordinal 10 sits just past the first range and before the second
+        assert not state.carries_inscription(merged) and state.carries_inscription(inscribed)
+        state.apply_transaction(tx("j", [TxInput(merged.serial)], [TxOutput(20, "a", inscription="{}")]))
+        assert state._inscribed_sorted == [0, 10]
+        assert state.carries_inscription(state.utxos[("j", 0)])
+        # an ordinal inscribed twice is listed once
+        state.apply_transaction(tx("k", [TxInput(("j", 0))], [TxOutput(20, "a", inscription="{}")]))
+        assert state._inscribed_sorted == sorted(state.inscribed) == [0, 10]
+
 
 class TestValueOnly:
     """Value-only coins: funded, spent and checked without ordinals."""
@@ -260,18 +276,33 @@ class TestValueOnly:
     def test_fund_shares_the_grant_serials_and_allocates_no_ordinal(self):
         state = UtxoSet()
         first = state.grant("a", 10)
-        assert state.fund(7) == ("genesis-1", 0)
+        assert state.fund([7])[0] == ("genesis-1", 0)
         assert state.grant("a", 5).serial == ("genesis-2", 0)
         assert first.serial == ("genesis-0", 0)
         assert state.plain == {("genesis-1", 0): 7}
         assert state._next_ordinal == 15
         assert ("genesis-1", 0) not in state.utxos
         with pytest.raises(ValueError):
-            state.fund(0)
+            state.fund([0])
+
+    def test_a_batch_takes_consecutive_serials_or_none(self):
+        state = UtxoSet()
+        state.grant("a", 10)
+        assert state.fund([7, 8, 9]) == [("genesis-1", 0), ("genesis-2", 0), ("genesis-3", 0)]
+        assert state.grant("a", 5).serial == ("genesis-4", 0)
+        assert state.fund([]) == []
+        for bad in ([5, 0, 6], [-1], [3, 4, -2]):
+            with pytest.raises(ValueError):
+                state.fund(bad)
+        # nothing was funded by an empty or refused batch
+        assert state.fund([1]) == [("genesis-5", 0)]
+        assert state.plain == {("genesis-1", 0): 7, ("genesis-2", 0): 8, ("genesis-3", 0): 9,
+                               ("genesis-5", 0): 1}
+        assert state._next_ordinal == 15
 
     def test_outputs_become_value_only_coins(self):
         state = UtxoSet()
-        coin = state.fund(1_000)
+        coin = state.fund([1_000])[0]
         outputs = [TxOutput(600, "mkt"), TxOutput(0, "x"), TxOutput(300, "y")]
         spend = tx("p", [TxInput(coin)], outputs)
         assert state.apply_transaction(spend) is VALUE_ONLY_RECEIPT
@@ -284,7 +315,7 @@ class TestValueOnly:
 
     def test_unknown_input(self):
         state = UtxoSet()
-        coin = state.fund(100)
+        coin = state.fund([100])[0]
         with pytest.raises(MissingInput):
             state.apply_transaction(
                 tx("t", [TxInput(coin), TxInput(("nope", 0))], [TxOutput(1, "a")])
@@ -293,7 +324,7 @@ class TestValueOnly:
 
     def test_spent_twice(self):
         state = UtxoSet()
-        coin = state.fund(100)
+        coin = state.fund([100])[0]
         with pytest.raises(MissingInput):
             state.apply_transaction(tx("t", [TxInput(coin), TxInput(coin)], [TxOutput(1, "a")]))
         state.apply_transaction(tx("t1", [TxInput(coin)], [TxOutput(50, "a")]))
@@ -302,14 +333,14 @@ class TestValueOnly:
 
     def test_overspent(self):
         state = UtxoSet()
-        coin = state.fund(100)
+        coin = state.fund([100])[0]
         with pytest.raises(NegativeFee):
             state.apply_transaction(tx("t", [TxInput(coin)], [TxOutput(101, "a")]))
         assert state.plain == {coin: 100}
 
     def test_mixed_funding_and_inscriptions_raise(self):
         state = UtxoSet()
-        coin = state.fund(1_000)
+        coin = state.fund([1_000])[0]
         utxo = state.grant("a", 1_000)
         for inputs in ([coin, utxo.serial], [utxo.serial, coin]):
             with pytest.raises(MixedFunding):
@@ -322,11 +353,11 @@ class TestValueOnly:
 
     def test_copy_is_independent(self):
         state = UtxoSet()
-        coin = state.fund(100)
+        coin = state.fund([100])[0]
         dup = state.copy()
         state.apply_transaction(tx("t", [TxInput(coin)], [TxOutput(50, "a")]))
         assert dup.plain == {coin: 100}
-        assert dup.fund(1) == state.fund(1) == ("genesis-1", 0)
+        assert dup.fund([1])[0] == state.fund([1])[0] == ("genesis-1", 0)
 
 
 def logged_tx(t: Transaction) -> dict:

@@ -1,12 +1,15 @@
 """CLI surface: subcommands, exit codes, artifacts."""
 
 import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,24 @@ class TestSimCommand:
 
         code, out, _ = run_cli(capsys, "replay", str(log))
         assert code == 0 and "replay OK" in out
+
+    def test_a_grant_between_funds_keeps_its_serial(self, capsys, tmp_path):
+        # replay funds each run of fund lines as one batch: the grant must still
+        # take genesis-1, and the second fund genesis-2
+        spend = {"txid": "s", "inputs": [{"outpoint": ["genesis-2", 0], "sequence": 0}],
+                 "outputs": [{"value": 6_000, "owner": "mkt"}], "vsize": 100}
+        log = tmp_path / "events.jsonl"
+        log.write_text("".join(json.dumps(line) + "\n" for line in [
+            HEADER,
+            {"event": "fund", "t": 0.0, "value": 5_000},
+            {"event": "grant", "t": 0.0, "owner": "a", "value": 1_000},
+            {"event": "fund", "t": 0.0, "value": 7_000},
+            {"event": "fund", "t": 10.0, "value": 9_000},
+            {"event": "submit", "t": 10.0, "tx": spend, "accepted": True, "reason": None},
+            {"event": "mine", "t": 600.0, "height": 0, "txids": ["s"]},
+        ]))
+        code, out, err = run_cli(capsys, "replay", str(log))
+        assert (code, err) == (0, "") and "replay OK: 1 submissions, 1 blocks verified" in out
 
     def test_replay_checks_token_supply(self, capsys, tmp_path, monkeypatch):
         log = tmp_path / "events.jsonl"
@@ -204,6 +225,41 @@ class TestSweepCommand:
     def test_no_seeds_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--seeds", "0", "--fees", "100")
         assert code == 1 and "at least one seed" in err
+
+
+class TestOutFiles:
+    """main closes every --out file it opened, and writes to the sys.stdout of the call."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "--attempts", "1"],
+            ["sweep", "--seeds", "1", "--fractions", "1.0", "--fees", "100",
+             "--congestion", "0.25", "--attempts", "2"],
+            ["replay-binance"],
+        ],
+    )
+    def test_an_out_file_is_closed_by_the_time_main_returns(self, tmp_path, monkeypatch, argv):
+        # an unclosed file warns when it is freed, where a raised warning is unraisable
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert main(argv + ["--out", str(out)]) == 0
+            gc.collect()
+        assert unraisable == []
+        assert out.read_text()
+
+    def test_stdout_is_the_callers_and_stays_open(self, capsys):
+        assert main(["replay-binance"]) == 0  # the parser now exists
+        capsys.readouterr()
+        for argv in (["replay-binance"], ["replay-binance", "--out", "-"]):
+            with contextlib.redirect_stdout(io.StringIO()) as buffer:
+                assert main(argv) == 0
+            assert not buffer.closed and '"ok": true' in buffer.getvalue()
+        assert main(["replay-binance"]) == 0
+        assert '"ok": true' in capsys.readouterr().out
 
 
 class TestPinnedOutputs:

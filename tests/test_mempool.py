@@ -16,6 +16,7 @@ from brc20sim.mempool import (
     MEMPOOL_FULL,
     MIXED_FUNDING,
     NEGATIVE_FEE,
+    NO_PARENTS,
     ORPHAN_INPUT,
     SPENDS_CONFLICTING_TX,
     Mempool,
@@ -121,7 +122,7 @@ class TestSubmit:
 
     def test_orphan_after_value_only_coin_is_orphan(self):
         pool, chain = make_pool()
-        coin = chain.utxo_set.fund(5_000)
+        coin = chain.utxo_set.fund([5_000])[0]
         inputs = (TxInput(coin), TxInput(("missing", 0)))
         tx = Transaction("o", inputs, (TxOutput(10, "a"),), 100)
         assert pool.submit(tx, 0.0).reason == ORPHAN_INPUT
@@ -154,11 +155,24 @@ class TestSubmit:
         assert result.accepted
         assert pool.entries[child.txid].depends_on == {parent.txid}
 
+    def test_parentless_entries_share_one_empty_parent_set(self):
+        pool, chain = make_pool()
+        parent, other = spend(chain, 1000, fee=5_000, tag="p"), spend(chain, 1000, fee=5_000)
+        assert pool.submit(parent, 0.0).accepted and pool.submit(other, 0.0).accepted
+        child = child_of(parent, 0, 1000, fee=400)
+        assert pool.submit(child, 1.0).accepted
+        assert pool.entries[parent.txid].depends_on is NO_PARENTS
+        assert pool.entries[other.txid].depends_on is NO_PARENTS
+        assert pool.entries[child.txid].depends_on == {parent.txid}
+        block = pool.mine_block(600.0)
+        assert [tx.txid for tx in block.transactions][-1] == child.txid
+        assert len(block.transactions) == 3 and NO_PARENTS == frozenset()
+
 
 class TestValueOnly:
     def test_mixed_inputs_rejected(self):
         pool, chain = make_pool()
-        coin = chain.utxo_set.fund(5_000)
+        coin = chain.utxo_set.fund([5_000])[0]
         utxo = chain.utxo_set.grant("funder", 5_000)
         parent = spend(chain, 1_000, fee=5_000, tag="p")
         assert pool.submit(parent, 0.0).accepted
@@ -171,14 +185,14 @@ class TestValueOnly:
 
     def test_inscription_on_value_only_coins_rejected(self):
         pool, chain = make_pool()
-        coin = chain.utxo_set.fund(5_000)
+        coin = chain.utxo_set.fund([5_000])[0]
         tx = Transaction("i", (TxInput(coin),), (TxOutput(546, "a", inscription="{}"),), 100)
         assert pool.submit(tx, 0.0).reason == MIXED_FUNDING
         assert len(pool) == 0
 
     def test_child_of_value_only_parent(self):
         pool, chain = make_pool()
-        coin = chain.utxo_set.fund(10_000)
+        coin = chain.utxo_set.fund([10_000])[0]
         outputs = (TxOutput(6_000, "mkt"), TxOutput(1_000, "mkt"))
         parent = Transaction("p", (TxInput(coin),), outputs, 100)
         assert pool.submit(parent, 0.0).accepted

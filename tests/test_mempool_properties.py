@@ -75,7 +75,7 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
         tx = None
         if kind == "submit":
             _, plain, rate, vsize, rbf, outputs = step
-            coin = (chain.utxo_set.fund(100_000) if plain
+            coin = (chain.utxo_set.fund([100_000])[0] if plain
                     else chain.utxo_set.grant("funder", 100_000).serial)
             coins[coin] = (100_000, plain)
             tx = build([coin], vsize, rate * vsize, RBF_ON if rbf else RBF_OFF, outputs)

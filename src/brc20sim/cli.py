@@ -207,6 +207,8 @@ def cmd_replay_log(args) -> int:
     for number, event in events[1:]:
         kind = _replay_kind(event, number)
         if kind == "fund":
+            if event["value"] < 1:  # refused on its own line, before a later line's checks
+                raise ValueError(f"log line {number}: fund value must be >= 1")
             funds.append(event["value"])
         elif funds:
             sim.fund(funds)
@@ -275,7 +277,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--config", default=None, help="JSON config file")
     p_sim.add_argument("--log", default=None, help="write the event log here")
     p_sim.add_argument("--out", type=argparse.FileType("w"), default=None)
-    p_sim.set_defaults(func=cmd_sim)
+    p_sim.set_defaults(func="cmd_sim")
 
     p_sweep = sub.add_parser("sweep", help="run the parameter grid")
     p_sweep.add_argument("--seeds", type=int, default=50)
@@ -287,22 +289,22 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--congestion", type=lambda s: _levels(s, float), default=CONGESTION_LEVELS)
     p_sweep.add_argument("--attempts", type=lambda s: _levels(s, int), default=ATTEMPT_LEVELS)
     p_sweep.add_argument("--out", type=argparse.FileType("w"), default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func="cmd_sweep")
 
     p_replay = sub.add_parser("replay-binance", help="scripted incident replay")
     p_replay.add_argument("--out", type=argparse.FileType("w"), default=None)
-    p_replay.set_defaults(func=cmd_replay_binance)
+    p_replay.set_defaults(func="cmd_replay_binance")
 
     p_tol = sub.add_parser("tolerance", help="operational tolerance calculator")
     p_tol.add_argument("--avail", type=int, required=True)
     p_tol.add_argument("--req", type=int, required=True)
     p_tol.add_argument("--vol", type=int, required=True)
     p_tol.add_argument("--period", default="1h")
-    p_tol.set_defaults(func=cmd_tolerance)
+    p_tol.set_defaults(func="cmd_tolerance")
 
     p_log = sub.add_parser("replay", help="verify an exported event log")
     p_log.add_argument("log")
-    p_log.set_defaults(func=cmd_replay_log)
+    p_log.set_defaults(func="cmd_replay_log")
     return parser
 
 
@@ -312,7 +314,9 @@ def main(argv: list[str] | None = None) -> int:
         args.out = sys.stdout  # this call's: the parser is built once and binds no stream
     try:
         try:
-            return args.func(args)
+            # looked up per call, not bound when the cached parser was built:
+            # bench/tracing.py wraps cmd_replay_log after the first main()
+            return globals()[args.func](args)
         finally:
             if getattr(args, "out", sys.stdout) is not sys.stdout:  # "--out -" is stdout
                 args.out.close()

@@ -100,8 +100,8 @@ class TestSimCommand:
         assert code == 0 and "replay OK" in out
 
     def test_a_grant_between_funds_keeps_its_serial(self, capsys, tmp_path):
-        # replay funds each run of fund lines as one batch: the grant must still
-        # take genesis-1, and the second fund genesis-2
+        # the grant between two fund lines must take genesis-1, and the second
+        # fund genesis-2
         spend = {"txid": "s", "inputs": [{"outpoint": ["genesis-2", 0], "sequence": 0}],
                  "outputs": [{"value": 6_000, "owner": "mkt"}], "vsize": 100}
         log = tmp_path / "events.jsonl"
@@ -116,6 +116,29 @@ class TestSimCommand:
         ]))
         code, out, err = run_cli(capsys, "replay", str(log))
         assert (code, err) == (0, "") and "replay OK: 1 submissions, 1 blocks verified" in out
+
+    def test_a_bad_fund_value_is_reported_before_a_later_line(self, capsys, tmp_path):
+        # replay funds a run of fund lines at its end, but a bad value is refused
+        # on its own line (exit 1), before the later line's time (exit 2)
+        log = tmp_path / "events.jsonl"
+        log.write_text("".join(json.dumps(line) + "\n" for line in [
+            HEADER,
+            {"event": "fund", "t": 0.0, "value": 0},
+            {"event": "fund", "t": 9_999.0, "value": 5_000},
+        ]))
+        code, _, err = run_cli(capsys, "replay", str(log))
+        assert code == 1 and "log line 2: fund value must be >= 1" in err
+
+    def test_main_looks_the_command_up_per_call(self, capsys, tmp_path, monkeypatch):
+        # the parser is built once; a command wrapped after that (as the
+        # benchmark's tracer wraps replay) must still be the one main runs
+        log = tmp_path / "events.jsonl"
+        log.write_text(json.dumps(HEADER) + "\n")
+        assert run_cli(capsys, "replay", str(log))[0] == 0
+        calls = []
+        monkeypatch.setattr(brc20sim.cli, "cmd_replay_log", lambda args: calls.append(args.log) or 0)
+        assert run_cli(capsys, "replay", str(log)) == (0, "", "")
+        assert calls == [str(log)]
 
     def test_replay_checks_token_supply(self, capsys, tmp_path, monkeypatch):
         log = tmp_path / "events.jsonl"

@@ -148,17 +148,25 @@ def market_key(
     return profile, flight, max(0, target_count - flight)
 
 
-def _draw_sediment(rng: random.Random, count: int) -> array:
+# A sediment draw is randint(1, SEDIMENT_RATE_HI) - 1, which CPython takes as the top
+# SEDIMENT_RATE_HI.bit_length() bits of one 32-bit word, redrawn while >= SEDIMENT_RATE_HI,
+# so it is decided by each word's top byte: a table keeps its top bits, and the top
+# bytes of rejected words are deleted.
+_TOP_BITS = bytes(b >> (8 - SEDIMENT_RATE_HI.bit_length()) for b in range(256))
+_REJECTED = bytes(b for b in range(256) if _TOP_BITS[b] >= SEDIMENT_RATE_HI)
+_SEDIMENT_VALUES = [(r + 1) * MARKET_TX_VSIZE + DUST for r in range(SEDIMENT_RATE_HI)]
+
+
+def _draw_sediment(rng: random.Random, count: int) -> list[int]:
     """``count`` sediment coin values at ``randint(1, SEDIMENT_RATE_HI)`` sat/vB each, drawn as
-    CPython's ``randint`` draws (rejection over ``getrandbits``) without its call overhead."""
-    bits = SEDIMENT_RATE_HI.bit_length()
-    getrandbits = rng.getrandbits
-    values = array("q")
-    for _ in range(count):
-        r = getrandbits(bits)
-        while r >= SEDIMENT_RATE_HI:
-            r = getrandbits(bits)
-        values.append((r + 1) * MARKET_TX_VSIZE + DUST)
+    CPython's ``randint`` draws them, words and generator state included, but in bulk:
+    ``getrandbits(32 * n)`` lays n words out little-endian, and each pass draws only as
+    many words as values are still missing, so no word is drawn that ``randint`` would not.
+    The list shares one int object per value."""
+    values: list[int] = []
+    while (need := count - len(values)) > 0:
+        tops = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+        values += [_SEDIMENT_VALUES[r] for r in tops.translate(_TOP_BITS, _REJECTED)]
     return values
 
 

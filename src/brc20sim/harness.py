@@ -17,7 +17,7 @@ from .attack import ATTEMPT_SPACING_S, TARGET, TICK, execute
 from .background import CongestionProfile
 from .chain import DUST, Transaction, TxInput, TxOutput, make_txid
 from .indexer import deploy_inscription, mint_inscription
-from .mempool import MIN_RELAY_FEE_RATE
+from .mempool import EXPIRY, MIN_RELAY_FEE_RATE
 from .sim import BLOCK_INTERVAL, SimConfig, Simulation, collector_paused
 # unused here, but bench/tracing.py wraps the build_transfer name in this module
 from .wallet import TX1_VSIZE, TransferRequest, build_recovery, build_transfer
@@ -65,6 +65,12 @@ class ScenarioConfig:
                              f"got {self.congestion!r}")
         if not 0 <= self.tolerance_s < math.inf:
             raise ValueError(f"tolerance must be >= 0 and finite, got {self.tolerance_s!r}")
+        # past EXPIRY the sediment, all sent at time 0, would have left the pool, and
+        # a horizon of 1e12 s would mine 1.7e9 blocks.  The attempts are bounded
+        # first, so that a huge count cannot overflow the float horizon.
+        if self.attempts > EXPIRY // ATTEMPT_SPACING_S or self.horizon_s() > EXPIRY:
+            raise ValueError(f"horizon must be at most {EXPIRY!r} s, got {self.attempts} "
+                             f"attempts and a {self.tolerance_s!r} s tolerance")
 
     def horizon_s(self) -> float:
         return self.attempts * ATTEMPT_SPACING_S + self.tolerance_s + HORIZON_MARGIN_S

@@ -47,6 +47,26 @@ the conflict set only for an input that already has a spender, the
 descendant walk only for a replacement, eviction only over capacity, and the
 accepted result is one shared object.
 
+Background traffic arrives in batches (``submit_batch``): the sediment, or a
+run of market arrivals.  A batch gives the results, and leaves the pool,
+that one ``submit`` per transaction in order would, lazily deleted heap
+items included.  A transaction that spends exactly one confirmed value-only
+coin with no spender, is neither pooled nor confirmed, carries no
+inscription and clears the relay floor is one that ``submit`` accepts with
+no parent, conflict or replacement, so it takes a fast pass: its entry, its
+``spends`` item and its eviction-heap item (once that heap is built) go in at
+once, while its ready-heap key waits with the batch's other pending keys.
+Any other transaction goes through ``submit``, and one that takes the pool
+over capacity goes through ``_enforce_capacity``, reporting ``mempool-full``
+if it was the one evicted.  Both first flush the pending keys, because either
+may remove entries and so rebuild the ready heaps from ``entries``, which
+would then hold a pending key twice.  A flush pushes a vsize's keys one by
+one or, when they outnumber its heap, extends the heap and heapifies it
+once, so a sediment of m entries enters the ready heaps in O(m), not
+O(m log m).  Per transaction the fast pass costs four dict probes (coin,
+spender, pool, chain), two dict writes and one entry, without ``submit``'s
+call, input loop and result checks.
+
 An entry spending value-only coins (the chain's ``UtxoSet.plain``) or
 outputs of an in-pool value-only entry is itself value-only.  A transaction
 that mixes those inputs with ordinal-tracked ones, or puts an inscription on
@@ -57,6 +77,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -116,6 +137,7 @@ class SubmitResult:
 
 
 ACCEPTED = SubmitResult(True)  # every plain accept shares it: results are immutable
+FULL = SubmitResult(False, MEMPOOL_FULL)  # a batch's fast-pass newcomer that was evicted
 
 
 class Mempool:
@@ -296,6 +318,70 @@ class Mempool:
             if txid not in self.entries:
                 return SubmitResult(False, MEMPOOL_FULL, replaced=tuple(replaced))
         return SubmitResult(True, replaced=tuple(replaced)) if replaced else ACCEPTED
+
+    def submit_batch(
+        self, txs: Sequence[Transaction], times: Sequence[float]
+    ) -> list[SubmitResult]:
+        """``submit(txs[i], times[i])`` for each i in order: the same results and
+        the same pool, with fresh value-only spends on a fast pass (see the
+        module docstring)."""
+        results: list[SubmitResult] = []
+        pending: dict[int, list[tuple]] = {}  # vsize -> ready keys not yet in _ready
+        entries, spends = self.entries, self.spends
+        plain_coins = self.chain.utxo_set.plain
+        confirmed = self.chain.confirmed
+        capacity = self.config.mempool_capacity_vbytes
+        for tx, now in zip(txs, times):
+            txid, inputs, outputs = tx.txid, tx.inputs, tx.outputs
+            outpoint = inputs[0].outpoint if len(inputs) == 1 else None
+            value = plain_coins.get(outpoint)
+            if (
+                value is None
+                or outpoint in spends
+                or txid in entries
+                or confirmed(txid)
+                or (outputs and outputs[0].inscription is not None)
+                or value - tx.output_total < MIN_RELAY_FEE_RATE * tx.vsize
+            ):
+                if pending:
+                    self._flush_ready(pending)
+                results.append(self.submit(tx, now))
+                continue
+            entry = MempoolEntry(tx, now, value - tx.output_total, NO_PARENTS, True)
+            entries[txid] = entry
+            self.total_vsize += tx.vsize
+            spends[outpoint] = txid
+            if self._by_rate is not None:
+                heapq.heappush(self._by_rate, (entry.rate_key, -now, txid))
+            keys = pending.get(tx.vsize)
+            if keys is None:
+                pending[tx.vsize] = [entry.key]
+            else:
+                keys.append(entry.key)
+            if now < self._oldest:
+                self._oldest = now
+            if self.total_vsize > capacity:
+                self._flush_ready(pending)
+                self._enforce_capacity()
+                if txid not in entries:
+                    results.append(FULL)
+                    continue
+            results.append(ACCEPTED)
+        if pending:
+            self._flush_ready(pending)
+        return results
+
+    def _flush_ready(self, pending: dict[int, list[tuple]]) -> None:
+        """Move a batch's pending ready keys into the ready heaps, and empty ``pending``."""
+        for vsize, keys in pending.items():
+            heap = self._ready.setdefault(vsize, [])
+            if len(keys) > len(heap):
+                heap += keys
+                heapq.heapify(heap)
+            else:
+                for key in keys:
+                    heapq.heappush(heap, key)
+        pending.clear()
 
     def _enforce_capacity(self) -> list[str]:
         """Evict lowest-rate entries, latest arrival first, until the pool fits."""

@@ -18,6 +18,12 @@ the record, one event per coin, so token state stays reconstructable from
 its grants and funds plus the block list alone (see ``replay_state``), and
 replay re-creates every serial in order.
 
+Background traffic enters the pool through ``submit_batch``, the sediment
+as one batch and each run of market arrivals up to a horizon as another,
+each arrival at ``max(now, its time)``; the foreground and ``brc20sim
+replay`` enter through ``submit``, one transaction at a time.  Either way
+each submission is recorded once, as one ``submit`` event.
+
 Scenarios and replays run with the cyclic garbage collector paused
 (``collector_paused``), since a simulation makes no reference cycles.
 """
@@ -26,10 +32,12 @@ from __future__ import annotations
 
 import gc
 import json
+from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import wallet
 from .background import BackgroundLoad, CongestionProfile
@@ -101,8 +109,8 @@ class Simulation:
             self.background = BackgroundLoad(
                 profile, config.congestion_normal_count, config.block_capacity_vbytes
             )
-            for tx in self.background.sediment(self.fund):
-                self.submit(tx)
+            txs = self.background.sediment(self.fund)
+            self.submit_batch(txs, [self.now] * len(txs))
 
     # -- funding -------------------------------------------------------------
 
@@ -122,11 +130,20 @@ class Simulation:
     # -- submissions -----------------------------------------------------------
 
     def submit(self, tx: Transaction, at: float | None = None) -> SubmitResult:
-        """Pool submission at ``at`` (default now), recorded; the only path to the pool."""
+        """Pool submission at ``at`` (default now), recorded: the foreground's path to the pool."""
         at = self.now if at is None else at
         result = self.pool.submit(tx, at)
         self.event_log.append(("submit", at, tx, result))
         return result
+
+    def submit_batch(
+        self, txs: Sequence[Transaction], times: Sequence[float]
+    ) -> list[SubmitResult]:
+        """``txs[i]`` submitted at ``times[i]`` in order, each recorded as ``submit``
+        records it: the background's path to the pool."""
+        results = self.pool.submit_batch(txs, times)
+        self.event_log += [("submit", t, tx, r) for tx, t, r in zip(txs, times, results)]
+        return results
 
     def send_transfer(
         self, request: TransferRequest
@@ -159,13 +176,13 @@ class Simulation:
         while True:
             self._ensure_window()
             horizon = min(target, self.next_block_time)
+            # the arrivals up to the horizon, each submitted at max(now, its time)
             arrivals, i = self._arrivals, self._next_arrival
-            while i < len(arrivals) and arrivals[i][0] <= horizon:
-                at, tx = arrivals[i]
-                i += 1
-                self.now = max(self.now, at)
-                self.submit(tx)
-            self._next_arrival = i
+            j = bisect_right(arrivals, horizon, lo=i, key=itemgetter(0))
+            if j > i:
+                now, run = self.now, arrivals[i:j]
+                self.submit_batch([tx for _, tx in run], [max(now, at) for at, _ in run])
+                self._next_arrival = j
             self.now = max(self.now, horizon)
             if self.next_block_time > target:
                 return

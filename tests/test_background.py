@@ -250,13 +250,14 @@ class TestSharedMarket:
 
 
 def test_sediment_draw_equals_randint():
-    count = 300
-    for seed in range(100):
-        fast, slow = stream(seed, "sediment"), stream(seed, "sediment")
-        expected = [slow.randint(1, SEDIMENT_RATE_HI) * MARKET_TX_VSIZE + DUST
-                    for _ in range(count)]
-        assert list(background._draw_sediment(fast, count)) == expected, seed
-        assert fast.getstate() == slow.getstate()
+    # 5,975 is the deep-pool sediment; the bulk draw must neither over- nor under-draw
+    for count, seeds in ((0, 10), (1, 100), (300, 100), (5_975, 10)):
+        for seed in range(seeds):
+            fast, slow = stream(seed, "sediment"), stream(seed, "sediment")
+            expected = [slow.randint(1, SEDIMENT_RATE_HI) * MARKET_TX_VSIZE + DUST
+                        for _ in range(count)]
+            assert list(background._draw_sediment(fast, count)) == expected, (count, seed)
+            assert fast.getstate() == slow.getstate()
 
 
 def test_band_profile_floor_confined():

@@ -387,6 +387,10 @@ class TestBadInput:
             ["sim", "--congestion", "inf"],
             ["sweep", "--seeds", "1", "--congestion=-0.5", "--fees", "100", "--fractions", "1.0",
              "--attempts", "2"],
+            # a horizon past mempool.EXPIRY: each once ran until killed
+            ["sim", "--attempts", "2", "--t-bar", "1e12"],
+            ["sim", "--attempts", "2", "--t-bar", "1e300"],
+            ["sim", "--attempts", "1000000000"],
         ],
     )
     def test_bad_number_on_the_command_line_exits_one(self, argv):

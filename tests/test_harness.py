@@ -17,6 +17,7 @@ from brc20sim.harness import (
     run_sweep,
     sweep_csv,
 )
+from brc20sim.mempool import EXPIRY
 from brc20sim.sim import SimConfig
 from brc20sim.wallet import TX1_VSIZE, TX2_VSIZE
 
@@ -48,6 +49,13 @@ class TestScenario:
         for congestion in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="congestion"):
                 ScenarioConfig(fraction=0.5, fee_rate=100, congestion=congestion, attempts=2)
+        # a horizon past mempool.EXPIRY is refused before anything runs
+        for attempts, tolerance_s in ((2, 1e12), (10**9, 3600.0), (672, 0.0), (10**400, 0.0)):
+            with pytest.raises(ValueError, match="horizon must be at most"):
+                ScenarioConfig(fraction=0.5, fee_rate=100, congestion=0.5, attempts=attempts,
+                               tolerance_s=tolerance_s)
+        edge = ScenarioConfig(fraction=0.5, fee_rate=100, congestion=0.5, attempts=668)
+        assert edge.horizon_s() <= EXPIRY
 
     def test_control_condition_no_success(self):
         # no congestion and a market-beating fee: the attack cannot stick

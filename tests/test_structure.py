@@ -35,7 +35,8 @@ def callers(*names: str) -> set[str]:
 
 
 def test_only_the_simulation_runs_the_pool():
-    assert callers("mine_block", "tick_expiry", "Mempool") <= {"sim.py", "mempool.py"}
+    runs = callers("mine_block", "tick_expiry", "Mempool", "submit_batch")
+    assert runs <= {"sim.py", "mempool.py"}
 
 
 def test_only_the_simulation_and_replay_feed_the_indexer():

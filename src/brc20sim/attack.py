@@ -9,8 +9,6 @@ scenario's fee rate, and every attempt is measured at the scenario's horizon.
 The attack succeeds when some attempt's tokens stay locked longer than the
 victim's operational tolerance.  ``execute`` reads all of this from the one
 ``harness.ScenarioConfig``.
-
-``FeeBand`` and ``pick_fee`` describe the band a caller picks that rate from.
 """
 
 from __future__ import annotations
@@ -33,39 +31,6 @@ ATTEMPT_SPACING_S = 1800.0  # seconds between the starts of two attempts
 
 class TargetEmpty(Exception):
     """Target had no available balance when the first attempt started."""
-
-
-@dataclass(frozen=True, slots=True)
-class FeeBand:
-    """Rates above the relay floor but below prompt mining."""
-
-    f_min: float
-    f_sf: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.f_min <= self.f_sf:
-            raise ValueError(f"invalid fee band [{self.f_min}, {self.f_sf}]")
-
-    DEFAULT_SF_RATIO = 2.25  # midpoint of the observed 2x..2.5x span
-
-    @classmethod
-    def from_floor(cls, f_min: float) -> FeeBand:
-        return cls(f_min, f_min * cls.DEFAULT_SF_RATIO)
-
-
-def pick_fee(
-    band: FeeBand,
-    congestion: float,
-    step: int = 1,
-    high_congestion: float = 0.5,
-) -> int:
-    """A rate inside the band: just above the floor, deeper when congested."""
-    if band.f_min == band.f_sf:
-        return int(band.f_min)
-    bump = step
-    if congestion >= high_congestion:
-        bump = max(step, math.ceil(0.25 * (band.f_sf - band.f_min)))
-    return int(min(band.f_min + bump, band.f_sf))
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,22 +32,22 @@ ordinals or leaves an ordinal-tracked UTXO on the chain.  They all pay
 (``chain.txid_tail``) is formatted once, as ``MARKET_TXID_TAIL``, and each
 txid is one sha256 call over its tag, its input and that tail.
 
-The unit of work is the batch: the sediment, or one window's market.  Each
-is funded with one ``Simulation.fund`` call, which gives its coins
-consecutive serials, so a batch's first coin names all of its coins.
+Funded coins are counted apart from grants (``chain.fund_serial``), and a
+simulation funds only its background: the sediment, then each window's
+market, each batch with one ``fund_fn`` call.  So ``bg{k}`` spends the k-th
+funded coin in every simulation, whatever the seed, market key or
+foreground, and its bytes are fixed (the coin's value lives in the UTXO set).
+One process-wide list holds them, ``bg{k}`` at entry ``k - 1``, each built
+once; a batch funded from another first coin raises ``ValueError``.
 
 The draws depend only on the *market key* (``market_key``: the profile, the
 transactions per window and the sediment count), not on the foreground, so
 loads of one key share them.  The module holds a tape for each key of the
-current seed: its draws, extended as later windows are needed, and each
-window's time-sorted arrivals as last built.  A load of a held key replays a
-held window whose first coin matches, whatever keys were loaded in between,
-and rebuilds it otherwise; a load of another seed's key drops every tape,
-and nothing else does.  The sediment transactions are held apart, for the
-whole process: a simulation funds its sediment first, so ``bg{k}`` spends its
-k-th coin whatever the seed or key, and one list, as long as the largest
-sediment count loaded, serves every load whose first coin matches.  Either
-way a load returns the same bytes as a fresh draw.
+current seed: its draws and each window's time-sorted arrivals, built when
+the window is first drawn.  A load of a held key replays its windows,
+whatever keys were loaded in between; a load of another seed's key drops
+every tape, and nothing else does.  Either way a load returns the same bytes
+as a fresh draw.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .chain import DUST, Transaction, TxInput, TxOutput, txid_tail, txid_with_tail
+from .chain import (BLOCK_INTERVAL, DUST, Transaction, TxInput, TxOutput, fund_serial, txid_tail,
+                    txid_with_tail)
 
 MARKET_ADDRESS = "mkt"
 MARKET_OUTPUTS = (TxOutput(DUST, MARKET_ADDRESS),)  # every market and sediment tx pays this
@@ -120,22 +121,6 @@ class CongestionProfile:
             floor_cap=min(scale * math.e, cls.HARD_CAP),
         )
 
-    @classmethod
-    def for_band(cls, f_min: float, f_sf: float, level: float, seed: int) -> CongestionProfile:
-        """Profile whose market sits strictly between f_sf and 2*f_sf.
-
-        Fees inside (f_min, f_sf) are then pinned for as long as the load
-        runs, while anything at or above 2*f_sf clears immediately.
-        """
-        return cls(
-            target_level=level,
-            seed=seed,
-            floor_base=1.30 * f_sf,
-            floor_lo=1.15 * f_sf,
-            floor_cap=1.55 * f_sf,
-            sigma=0.10,
-        )
-
 
 def market_key(
     profile: CongestionProfile, normal_count: int, block_capacity: int
@@ -171,17 +156,15 @@ def _draw_sediment(rng: random.Random, count: int) -> list[int]:
 
 
 class _Tape:
-    """A market key's draws, extended on demand, and the market windows last built from them.
+    """A market key's draws and its market windows, extended on demand.
 
     The draws are the floor of each window and, per market transaction, its
-    coin value and its arrival fraction ``u`` in [0, 1); per sediment
-    transaction, its coin value.  ``windows[w]`` is ``(key, arrivals)`` for
-    the last build of window ``w``: its time-sorted ``(t, tx)`` pairs and the
-    ``(first coin, start, interval)`` they were built for.  The window's coins
-    are consecutive serials, so its first coin names them all.
+    coin value; per sediment transaction, its coin value.  ``windows[w - 1]``
+    holds window ``w``'s arrivals: its market transactions paired with their
+    times in ``[(w - 1) * BLOCK_INTERVAL, w * BLOCK_INTERVAL)``, sorted by time.
     """
 
-    __slots__ = ("key", "flight", "floors", "values", "fractions", "sediment", "windows",
+    __slots__ = ("key", "flight", "floors", "values", "sediment", "windows",
                  "_g", "_rng_floor", "_rng_rates", "_rng_times")
 
     def __init__(self, key: tuple[CongestionProfile, int, int]):
@@ -194,8 +177,7 @@ class _Tape:
         self._g = self._rng_floor.gauss(0.0, sigma_stat)
         self.floors = array("d", [self._floor() if profile.target_level else 0.0])
         self.values = array("q")  # market coin values, window after window
-        self.fractions = array("d")
-        self.windows: dict[int, tuple[tuple, tuple[tuple[float, Transaction], ...]]] = {}
+        self.windows: list[tuple[tuple[float, Transaction], ...]] = []
 
     def _floor(self) -> float:
         p = self.key[0]
@@ -205,38 +187,41 @@ class _Tape:
         """Draw the market up to window ``count``, advancing the AR(1) floor once per window."""
         sigma = self.key[0].sigma
         ln_spread = math.log(RATE_SPREAD)
-        while len(self.floors) <= count:
+        while (w := len(self.floors)) <= count:  # w: the window being drawn
             self._g = FLOOR_RHO * self._g + self._rng_floor.gauss(0.0, sigma)
             floor = self._floor()
             self.floors.append(floor)
+            start = (w - 1) * BLOCK_INTERVAL
+            arrivals = []
             for _ in range(self.flight):
                 rate = floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
                 self.values.append(math.ceil(rate * MARKET_TX_VSIZE) + DUST)
-                self.fractions.append(self._rng_times.random())
+                arrivals.append(start + BLOCK_INTERVAL * self._rng_times.random())
+            end = self.key[2] + w * self.flight  # the sediment and windows 1..w
+            txs = _build_market(end)[end - self.flight:end]
+            self.windows.append(tuple(sorted(zip(arrivals, txs), key=itemgetter(0))))
 
 
 # The tapes of the current seed, one per market key: a later load of a held
 # key replays its tape, whatever keys were loaded in between.
 _held: dict[tuple[CongestionProfile, int, int], _Tape] = {}
 
-# Every load's sediment: ``_sediment_txs[k - 1]`` is the transaction tagged ``bg{k}``
-# of the last sediment built, which in a simulation spends its k-th coin whatever
-# the seed or key.
-_sediment_txs: list[Transaction] = []
+# Every load's market and sediment transactions: ``_market_txs[k - 1]`` is ``bg{k}``,
+# which spends the k-th coin a simulation funds.
+_market_txs: list[Transaction] = []
 
 
-def _market_txs(coins: list[tuple[str, int]], first_tag: int) -> list[Transaction]:
-    """One market transaction per coin, tagged ``bg{first_tag}``, ``bg{first_tag + 1}``, ..."""
-    txs = []
-    for k, coin in enumerate(coins, first_tag):
-        inputs = (TxInput(coin),)
-        txs.append(Transaction(
+def _build_market(count: int) -> list[Transaction]:
+    """``_market_txs``, built up to at least ``bg{count}``."""
+    for k in range(len(_market_txs) + 1, count + 1):
+        inputs = (TxInput(fund_serial(k - 1)),)
+        _market_txs.append(Transaction(
             txid=txid_with_tail(inputs, MARKET_TXID_TAIL, tag=f"bg{k}"),
             inputs=inputs,
             outputs=MARKET_OUTPUTS,
             vsize=MARKET_TX_VSIZE,
         ))
-    return txs
+    return _market_txs
 
 
 def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
@@ -248,17 +233,23 @@ def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
     return tape
 
 
+def _check_funded(coins: list[tuple[str, int]], first: int) -> None:
+    """A batch's coins must start at the one its first transaction spends."""
+    if coins and coins[0] != fund_serial(first):
+        raise ValueError(f"batch funded from {coins[0]}, but its first transaction "
+                         f"spends {fund_serial(first)}: fund the sediment, then each window")
+
+
 class BackgroundLoad:
     """Generates sediment and per-interval market batches for a simulation.
 
     Each batch, the sediment or one window's market, is funded with one
-    ``fund_fn(values)`` call, which must return a serial per value, each
-    serial the one after the last (as ``Simulation.fund`` does).  So a batch
-    is what was last built for it exactly when its first coin is: loads of
-    one market key share that key's held ``_Tape`` and replay its windows,
-    every load shares ``_sediment_txs``, and a batch is built only when its
-    first coin differs.  What a load returns is what a fresh draw would
-    return, bit for bit.
+    ``fund_fn(values)`` call, which must return a serial per value, each the
+    next funded coin's (as ``Simulation.fund`` does): the sediment first, from
+    the first coin, then each window's market in turn.  A batch whose first
+    coin is another raises ``ValueError``.  Loads of one market key share
+    that key's held ``_Tape``, and every load shares ``_market_txs``; what a
+    load returns is what a fresh draw would return, bit for bit.
     """
 
     def __init__(self, profile: CongestionProfile, normal_count: int, block_capacity: int):
@@ -270,17 +261,11 @@ class BackgroundLoad:
 
     def sediment(self, fund_fn) -> list[Transaction]:
         """One-shot low-fee padding; rates far below any realistic foreground."""
-        coins = fund_fn(self._tape.sediment)
-        held = _sediment_txs
-        if held and coins and held[0].inputs[0].outpoint != coins[0]:
-            held.clear()
-        held += _market_txs(coins[len(held):], len(held) + 1)
-        return held[:len(coins)]
+        _check_funded(fund_fn(self._tape.sediment), 0)
+        return _build_market(self.sediment_count)[:self.sediment_count]
 
-    def market_batch(
-        self, fund_fn, start: float, interval: float
-    ) -> tuple[tuple[float, Transaction], ...]:
-        """Fee-bearing arrivals for one block interval, by time; floor advanced once."""
+    def market_batch(self, fund_fn) -> tuple[tuple[float, Transaction], ...]:
+        """Fee-bearing arrivals for the next block interval, by time; floor advanced once."""
         if not self.flight:
             return ()
         tape = self._tape
@@ -288,14 +273,5 @@ class BackgroundLoad:
         tape.draw_windows(w)
         self.floor = tape.floors[w]
         first = (w - 1) * self.flight
-        coins = fund_fn(tape.values[first:first + self.flight])
-        key = (coins[0], start, interval)
-        held = tape.windows.get(w)
-        if held is not None and held[0] == key:
-            return held[1]
-        end = start + interval  # each arrival is random.uniform(start, end) of its fraction
-        times = [start + (end - start) * u for u in tape.fractions[first:first + self.flight]]
-        txs = _market_txs(coins, self.sediment_count + first + 1)
-        arrivals = tuple(sorted(zip(times, txs), key=itemgetter(0)))
-        tape.windows[w] = (key, arrivals)
-        return arrivals
+        _check_funded(fund_fn(tape.values[first:first + self.flight]), self.sediment_count + first)
+        return tape.windows[w - 1]

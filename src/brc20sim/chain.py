@@ -6,9 +6,9 @@ trailing slice burned as the miner fee.  Ownership is an opaque address label;
 scripts and signatures are out of scope.
 
 Background traffic never carries or moves an inscription, so its coins are
-value-only: ``UtxoSet.fund`` creates them without ordinals, and a transaction
-spending them is checked like any other but leaves value-only coins behind
-instead of ordinal-tracked UTXOs.
+value-only: ``UtxoSet.fund`` creates them without ordinals, under serials of
+their own (``fund_serial``), and a transaction spending them is checked like
+any other but leaves value-only coins behind instead of ordinal-tracked UTXOs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 MAX_SEQUENCE = 0xFFFFFFFF
 RBF_SEQUENCE = 0xFFFFFFFD  # highest sequence value that still signals replaceability
 DUST = 546  # value of every inscription, execution and market output
+BLOCK_INTERVAL = 600.0  # simulated seconds between blocks
 
 
 class ChainError(Exception):
@@ -149,6 +150,11 @@ class Transaction:
         return cls(txid, tuple(inputs), tuple(outputs), vsize)
 
 
+def fund_serial(n: int) -> tuple[str, int]:
+    """The serial of the value-only coin a ``UtxoSet`` funds n-th, counting from 0."""
+    return (f"fund-{n}", 0)
+
+
 def make_txid(inputs, outputs, vsize: int, tag: str = "") -> str:
     """Deterministic transaction id derived from content."""
     return txid_with_tail(inputs, txid_tail(outputs, vsize), tag)
@@ -256,9 +262,10 @@ class UtxoSet:
 
     One set is owned by one thread at a time; ``copy()`` gives an independent
     snapshot for replay.  Genesis satoshis enter via ``grant`` since there is
-    no coinbase in this model; ``fund`` creates a batch of value-only coins
-    under the next serials of the same count, so serials, and the txids built
-    on them, do not depend on which kind of coin a serial names.
+    no coinbase in this model, under ``genesis-{n}`` serials counting grants
+    only; ``fund`` creates a batch of value-only coins under the next
+    ``fund_serial`` serials, from a count of its own, so neither kind of
+    serial depends on how many coins of the other kind came first.
     """
 
     def __init__(self) -> None:
@@ -268,6 +275,7 @@ class UtxoSet:
         self._inscribed_sorted: list[int] = []  # the keys of inscribed, ascending
         self._next_ordinal = 0
         self._grant_count = 0
+        self._fund_count = 0
 
     def copy(self) -> UtxoSet:
         dup = UtxoSet()
@@ -277,6 +285,7 @@ class UtxoSet:
         dup._inscribed_sorted = list(self._inscribed_sorted)
         dup._next_ordinal = self._next_ordinal
         dup._grant_count = self._grant_count
+        dup._fund_count = self._fund_count
         return dup
 
     def grant(self, owner: str, value: int) -> Utxo:
@@ -291,14 +300,14 @@ class UtxoSet:
         return utxo
 
     def fund(self, values: Sequence[int]) -> list[tuple[str, int]]:
-        """Create one value-only genesis coin per value, under consecutive serials,
-        and return the serials; no ordinal is allocated.  Every value is checked
-        before any coin is made."""
+        """Create one value-only coin per value, under the next consecutive fund
+        serials, and return the serials; no ordinal is allocated.  Every value
+        is checked before any coin is made."""
         if values and min(values) < 1:
             raise ValueError("fund value must be >= 1")
-        first = self._grant_count
-        self._grant_count += len(values)
-        serials = [(f"genesis-{n}", 0) for n in range(first, self._grant_count)]
+        first = self._fund_count
+        self._fund_count += len(values)
+        serials = [fund_serial(n) for n in range(first, self._fund_count)]
         self.plain.update(zip(serials, values))
         return serials
 

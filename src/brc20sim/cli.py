@@ -4,11 +4,12 @@ Subcommands: ``sim`` (one scenario), ``sweep`` (full parameter grid),
 ``replay-binance`` (scripted incident), ``tolerance`` (operational-tolerance
 calculator) and ``replay`` (verify an exported event log).  ``replay``
 re-runs the log through a ``Simulation``, the same block step that wrote it
-(``grant`` and ``fund`` events re-create the genesis coins in order, each run
-of consecutive ``fund`` lines with one batch ``Simulation.fund`` call), checks
-every grant's, fund's and submission's time, each submission's decision and
-each block's height, time and txids, and at the end that the replayed token
-state conserves supply.
+(``grant`` events re-create the foreground's coins and ``fund`` events the
+market's value-only coins, each kind under its own serials in log order, each
+run of consecutive ``fund`` lines with one batch ``Simulation.fund`` call),
+checks every grant's, fund's and submission's time, each submission's
+decision and each block's height, time and txids, and at the end that the
+replayed token state conserves supply.
 
 Exit codes: 0 success, 1 usage error, 2 assertion/model divergence.
 """

@@ -12,10 +12,12 @@ lines for ``brc20sim replay``.  ``log_line`` formats each line itself, with
 the bytes ``json.dumps(..., sort_keys=True)`` would give at a fraction of its
 cost; a test holds it to ``json.dumps``.  Genesis satoshis enter through
 ``grant``; background traffic is funded through ``fund`` instead, a batch
-at a time (the sediment, or one window's market), with value-only coins
-that have no owner and no ordinals under consecutive serials.  Both are in
-the record, one event per coin, so token state stays reconstructable from
-its grants and funds plus the block list alone (see ``replay_state``), and
+at a time (the sediment, then one window's market at a time), with
+value-only coins that have no owner and no ordinals, under serials counted
+apart from the grants'.  So the k-th funded coin, which market transaction
+``bg{k}`` spends, is the same in every simulation.  Both kinds are in the
+record, one event per coin, so token state stays reconstructable from its
+grants and funds plus the block list alone (see ``replay_state``), and
 replay re-creates every serial in order.
 
 Background traffic enters the pool through ``submit_batch``, the sediment
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -41,12 +44,10 @@ from operator import itemgetter
 
 from . import wallet
 from .background import BackgroundLoad, CongestionProfile
-from .chain import Chain, Transaction, Utxo, UtxoSet
+from .chain import BLOCK_INTERVAL, Chain, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
 from .mempool import Mempool, SubmitResult
 from .wallet import BUNDLE_GAP, TransferBundle, TransferRequest
-
-BLOCK_INTERVAL = 600.0  # simulated seconds between blocks
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +122,8 @@ class Simulation:
         return utxo
 
     def fund(self, values: Sequence[int]) -> list[tuple[str, int]]:
-        """A batch of value-only coins for background traffic, under consecutive
-        serials; each coin is recorded for replay."""
+        """A batch of value-only coins for background traffic, under the next
+        consecutive fund serials; each coin is recorded for replay."""
         serials = self.chain.utxo_set.fund(values)
         self.event_log += [("fund", self.now, value) for value in values]
         return serials
@@ -161,18 +162,17 @@ class Simulation:
     # -- time ------------------------------------------------------------------
 
     def _ensure_window(self) -> None:
-        if self.background is None:
-            return
         window = int(self.next_block_time / BLOCK_INTERVAL)
-        if window <= self._window_generated:
-            return
-        self._window_generated = window
-        start = self.next_block_time - BLOCK_INTERVAL
-        # the last window's arrivals were all submitted before its block was mined
-        self._arrivals = self.background.market_batch(self.fund, start, BLOCK_INTERVAL)
-        self._next_arrival = 0
+        if self.background is not None and window > self._window_generated:
+            self._window_generated = window
+            # the last window's arrivals were all submitted before its block was mined
+            self._arrivals = self.background.market_batch(self.fund)
+            self._next_arrival = 0
 
     def run_until(self, target: float) -> None:
+        """Submit arrivals and mine every block due up to ``target``, then stand at it."""
+        if not target < math.inf:  # NaN or +inf: no block would ever pass it
+            raise ValueError(f"run_until needs a finite target, got {target!r}")
         while True:
             self._ensure_window()
             horizon = min(target, self.next_block_time)

@@ -1,9 +1,11 @@
 """Shared builders for indexer-level scenarios and pinned simulations (used by
-unit, structure and acceptance tests)."""
+unit, structure and acceptance tests), and the fee band those simulations
+price from."""
 
+import math
 import random
+from dataclasses import dataclass
 
-from brc20sim.attack import FeeBand
 from brc20sim.background import CongestionProfile
 from brc20sim.chain import Block, Transaction, TxInput, TxOutput, UtxoSet, make_txid
 from brc20sim.indexer import (
@@ -15,6 +17,55 @@ from brc20sim.indexer import (
 )
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import TransferRequest
+
+
+@dataclass(frozen=True, slots=True)
+class FeeBand:
+    """Rates above the relay floor but below prompt mining."""
+
+    f_min: float
+    f_sf: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.f_min <= self.f_sf:
+            raise ValueError(f"invalid fee band [{self.f_min}, {self.f_sf}]")
+
+    DEFAULT_SF_RATIO = 2.25  # midpoint of the observed 2x..2.5x span
+
+    @classmethod
+    def from_floor(cls, f_min: float) -> "FeeBand":
+        return cls(f_min, f_min * cls.DEFAULT_SF_RATIO)
+
+
+def pick_fee(
+    band: FeeBand,
+    congestion: float,
+    step: int = 1,
+    high_congestion: float = 0.5,
+) -> int:
+    """A rate inside the band: just above the floor, deeper when congested."""
+    if band.f_min == band.f_sf:
+        return int(band.f_min)
+    bump = step
+    if congestion >= high_congestion:
+        bump = max(step, math.ceil(0.25 * (band.f_sf - band.f_min)))
+    return int(min(band.f_min + bump, band.f_sf))
+
+
+def band_profile(f_min: float, f_sf: float, level: float, seed: int) -> CongestionProfile:
+    """Profile whose market sits strictly between f_sf and 2*f_sf.
+
+    Fees inside (f_min, f_sf) are then pinned for as long as the load
+    runs, while anything at or above 2*f_sf clears immediately.
+    """
+    return CongestionProfile(
+        target_level=level,
+        seed=seed,
+        floor_base=1.30 * f_sf,
+        floor_lo=1.15 * f_sf,
+        floor_cap=1.55 * f_sf,
+        sigma=0.10,
+    )
 
 
 def send_times(sim: Simulation) -> dict[str, float]:
@@ -33,7 +84,7 @@ def pinned_transfer():
     pending transfer a recovery re-spends.
     """
     band = FeeBand.from_floor(100)  # (100, 225)
-    profile = CongestionProfile.for_band(band.f_min, band.f_sf, 0.75, seed=3)
+    profile = band_profile(band.f_min, band.f_sf, 0.75, seed=3)
     sim = Simulation(SimConfig(), profile)
     for _ in range(4):
         sim.grant("alice", 10_000_000)

@@ -14,12 +14,19 @@ from contextlib import contextmanager
 
 import pytest
 
-from scenario_tools import Scenario, inscribed_tx, move_tx, random_scenario
+from scenario_tools import (
+    FeeBand,
+    Scenario,
+    band_profile,
+    inscribed_tx,
+    move_tx,
+    pick_fee,
+    random_scenario,
+)
 from test_chain import flatten, oracle_assign
 from test_mempool import child_of, make_pool, oracle_greedy, spend
 
-from brc20sim.attack import FeeBand, ToleranceInputs, pick_fee, tolerance
-from brc20sim.background import CongestionProfile
+from brc20sim.attack import ToleranceInputs, tolerance
 from brc20sim.chain import OrdinalBurned, OrdinalRange, Transaction, TxInput, TxOutput, UtxoSet, assign_ordinals, make_txid
 from brc20sim.harness import (
     TARGET,
@@ -141,7 +148,7 @@ def test_criterion_5_exchange_incident_replay():
 
 
 def _pinning_sim(seed: int, band: FeeBand) -> Simulation:
-    profile = CongestionProfile.for_band(band.f_min, band.f_sf, 0.75, seed=seed)
+    profile = band_profile(band.f_min, band.f_sf, 0.75, seed=seed)
     sim = Simulation(SimConfig(), profile)
     for _ in range(4):
         sim.grant(TARGET, 50_000_000)

@@ -2,18 +2,17 @@
 
 import pytest
 
+from scenario_tools import FeeBand, band_profile, pick_fee
+
 from brc20sim.attack import (
     TARGET,
     TICK,
-    FeeBand,
     TargetEmpty,
     ToleranceInputs,
     evaluate_success,
     execute,
-    pick_fee,
     tolerance,
 )
-from brc20sim.background import CongestionProfile
 from brc20sim.harness import ScenarioConfig, inscription_tx, run_scenario
 from brc20sim.indexer import deploy_inscription, mint_inscription
 from brc20sim.sim import SimConfig, Simulation
@@ -104,7 +103,7 @@ class TestEvaluateSuccess:
 def pinned_sim(seed=0, minted=1_000_000):
     """Simulation under a band-aligned congested market, token funded."""
     band = FeeBand.from_floor(10)
-    profile = CongestionProfile.for_band(band.f_min, band.f_sf, 0.75, seed=seed)
+    profile = band_profile(band.f_min, band.f_sf, 0.75, seed=seed)
     sim = Simulation(SimConfig(), profile)
     for _ in range(10):
         sim.grant(TARGET, 100_000_000)

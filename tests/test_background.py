@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import re
 
 import pytest
+from scenario_tools import band_profile
 
 from brc20sim import background
 from brc20sim.background import (
@@ -15,7 +17,7 @@ from brc20sim.background import (
     CongestionProfile,
     stream,
 )
-from brc20sim.chain import DUST, make_txid
+from brc20sim.chain import DUST, UtxoSet, fund_serial, make_txid
 from brc20sim.harness import (
     CONGESTION_LEVELS,
     ScenarioConfig,
@@ -42,6 +44,16 @@ def test_zero_target_leaves_pool_to_foreground():
     assert sim.mean_congestion() == 0.0
 
 
+@pytest.mark.parametrize("target", [float("nan"), float("inf")])
+def test_a_target_no_block_passes_raises_before_the_loop(target):
+    sim = Simulation(SimConfig(), CongestionProfile.for_level(0.75, seed=1))
+    logged = len(sim.event_log)
+    with pytest.raises(ValueError, match="finite target"):
+        sim.run_until(target)
+    # the loop never started: no window was funded and no block mined
+    assert len(sim.event_log) == logged and sim.chain.blocks == [] and sim.now == 0.0
+
+
 def test_same_seed_identical_trajectories():
     def trace(seed):
         sim = Simulation(SimConfig(), CongestionProfile.for_level(0.5, seed))
@@ -59,22 +71,23 @@ def test_background_txids_hash_their_content():
     # must still be the hash of its whole content
     load = BackgroundLoad(CongestionProfile.for_level(0.75, seed=3), normal_count=400,
                           block_capacity=10_150)
-    coins = itertools.count(1)  # coin k funds the k-th transaction, tagged bg{k}
-    fund = lambda values: [(f"c{next(coins)}", 0) for _ in values]  # noqa: E731
+    fund = UtxoSet().fund
     made = load.sediment(fund)
-    for block in range(3):
-        made += [tx for _, tx in load.market_batch(fund, 600.0 * block, 600.0)]
+    for _ in range(3):
+        made += [tx for _, tx in load.market_batch(fund)]
     assert load.sediment_count and len(made) == load.sediment_count + 3 * load.flight
+    tags = {fund_serial(k - 1): k for k in range(1, len(made) + 1)}  # bg{k} spends coin k
+    assert sorted(tags[tx.inputs[0].outpoint] for tx in made) == sorted(tags.values())
     for tx in made:
-        k = int(tx.inputs[0].outpoint[0][1:])
+        k = tags[tx.inputs[0].outpoint]
         assert tx.vsize == MARKET_TX_VSIZE
         assert tx.txid == make_txid(tx.inputs, tx.outputs, tx.vsize, tag=f"bg{k}")
 
 
 class TestSharedMarket:
-    """Loads of one market key replay one tape, and every load shares the sediment
-    transactions, whatever was loaded in between; what they return is what a cold
-    load returns."""
+    """Loads of one market key replay one tape, and every load shares the market and
+    sediment transactions, whatever was loaded in between; what they return is what
+    a cold load returns."""
 
     SEED = 2
 
@@ -93,11 +106,11 @@ class TestSharedMarket:
 
     @pytest.fixture
     def cold(self):
-        """Lets every held tape and sediment transaction go, as a new process has
+        """Lets every held tape and market transaction go, as a new process has
         none; call it again for another cold start."""
         def reset():
             background._held.clear()
-            background._sediment_txs.clear()
+            background._market_txs.clear()
 
         reset()
         return reset
@@ -113,11 +126,14 @@ class TestSharedMarket:
         return self.run(config, tmp_path)
 
     @staticmethod
-    def sediment_count(congestion, seed=SEED, sim=SimConfig()):
+    def market_key(congestion, seed=SEED, sim=SimConfig()):
         profile = CongestionProfile.for_level(congestion, seed)
         return background.market_key(
             profile, sim.congestion_normal_count, sim.block_capacity_vbytes
-        )[2]
+        )
+
+    def sediment_count(self, congestion, seed=SEED, sim=SimConfig()):
+        return self.market_key(congestion, seed, sim)[2]
 
     def test_warm_runs_equal_cold_runs(self, builds, cold, tmp_path):
         cells = [(0.75, 2), (0.75, 2), (0.75, 10), (0.75, 2), (0.5, 5), (0.75, 5)]
@@ -133,13 +149,18 @@ class TestSharedMarket:
             builds.clear()
             assert self.run_cell(*cell, tmp_path) == cold_runs[cell], cell
             made.append(len(builds))
-        # cold, hit, extension (2 then 10), shorter (10 then 2), a second key
-        # whose smaller sediment the first key built, and a hit on the first key
-        # after the second
+        # a cold load builds each of its transactions once: the sediment, then
+        # whole windows
+        for (congestion, _), built in cold_builds.items():
+            assert built > self.sediment_count(congestion)
+            assert (built - self.sediment_count(congestion)) % self.market_key(congestion)[1] == 0
+        # cold, hit, extension (2 then 10) building only the longer run's new
+        # windows, shorter (10 then 2), a second key whose every transaction the
+        # first key built, and a hit on the first key after the second
         assert made[0] == cold_builds[0.75, 2] and made[1] == 0
-        assert 0 < made[2] < cold_builds[0.75, 10] and made[3] == 0
-        assert 0 < self.sediment_count(0.5) < self.sediment_count(0.75)
-        assert made[4] == cold_builds[0.5, 5] - self.sediment_count(0.5) and made[5] == 0
+        assert made[2] == cold_builds[0.75, 10] - cold_builds[0.75, 2] > 0 and made[3] == 0
+        assert cold_builds[0.5, 5] < cold_builds[0.75, 10]
+        assert made[4] == 0 and made[5] == 0
 
     def test_a_seeds_grid_cells_replay_its_held_markets(self, builds, cold, tmp_path):
         cells = default_grid()[::7]  # 12 cells, congestion levels interleaved
@@ -162,7 +183,7 @@ class TestSharedMarket:
             return txs
 
         loads = [sediment(level, seed) for seed in (1, 2) for level in (0.5, 0.75)]
-        assert len(background._sediment_txs) == self.sediment_count(0.75)
+        assert len(background._market_txs) == self.sediment_count(0.75)
         for a, b in itertools.combinations(loads, 2):
             assert all(x is y for x, y in zip(a, b))
 
@@ -182,71 +203,72 @@ class TestSharedMarket:
         for seed in (4, 5, 4):
             assert self.run(config, tmp_path, seed) == cold_runs[seed], seed
 
-    def test_other_coins_rebuild_their_transactions(self, cold):
-        # a sim, a load fed other coins, then a sim again, all of one market key
+    def test_grants_leave_every_market_txid_unchanged(self, cold):
+        # bg{k} spends the k-th funded coin, however many grants came first
         profile = CongestionProfile.for_level(0.75, seed=3)
 
-        def sim_submitted():
-            sim = Simulation(SimConfig(), profile)
-            sim.run_blocks(3)
-            return [event[2] for event in sim.event_log if event[0] == "submit"]
-
-        first = sim_submitted()
-        load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-        assert list(background._held.values()) == [load._tape]
-        assert len(background._sediment_txs) == load.sediment_count
-        held = sum(len(arrivals) for _, arrivals in load._tape.windows.values())
-        assert held >= len(first) - load.sediment_count
-        coins = itertools.count(1)
-        fund = lambda values: [(f"c{next(coins)}", 0) for _ in values]  # noqa: E731
-        made = load.sediment(fund)
-        for block in range(3):
-            made += [tx for _, tx in load.market_batch(fund, 600.0 * block, 600.0)]
-        funded = [(f"c{k}", 0) for k in range(1, len(made) + 1)]
-        assert sorted(tx.inputs[0].outpoint for tx in made) == sorted(funded)
-        for tx in made:
-            k = int(tx.inputs[0].outpoint[0][1:])
-            assert tx.txid == make_txid(tx.inputs, tx.outputs, tx.vsize, tag=f"bg{k}")
-        assert background._sediment_txs == made[:load.sediment_count]
-        assert sim_submitted() == first
-
-    def test_batches_whose_first_coin_differs_are_rebuilt(self, builds, cold):
-        # one extra grant ahead of the sediment shifts every batch's serials by one
-        profile = CongestionProfile.for_level(0.75, seed=3)
-
-        def shifted_load():
+        def market_txids(grant_before):
             sim = Simulation(SimConfig())
-            sim.grant("x", 1)
             load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-            made = [(None, tx) for tx in load.sediment(sim.fund)]
-            for block in range(3):
-                made += load.market_batch(sim.fund, 600.0 * block, 600.0)
-            return made
+            txids = []
+            for batch in range(4):  # the sediment, then three windows
+                if batch in grant_before:
+                    sim.grant("x", 1)
+                txs = (load.sediment(sim.fund) if batch == 0
+                       else [tx for _, tx in load.market_batch(sim.fund)])
+                txids += [tx.txid for tx in txs]
+            return txids
 
-        cold_made = shifted_load()
-        assert cold_made[0][1].inputs[0].outpoint == ("genesis-1", 0)
+        plain = market_txids(())
+        _, flight, sediment = background.market_key(profile, 400, 10_150)
+        assert len(set(plain)) == sediment + 3 * flight
         cold()
-        Simulation(SimConfig(), profile).run_blocks(3)  # holds the unshifted batches
-        builds.clear()
-        assert shifted_load() == cold_made
-        assert len(builds) == len(cold_made)
+        assert market_txids((0, 2)) == plain  # a grant before the sediment, one between windows
+
+    def test_market_transactions_are_shared_objects_across_seeds_and_keys(self, cold):
+        def submitted(congestion, seed):
+            sim = Simulation(SimConfig(), CongestionProfile.for_level(congestion, seed))
+            sim.run_blocks(3)
+            return {event[2].txid: event[2] for event in sim.event_log if event[0] == "submit"}
+
+        runs = [submitted(level, seed) for seed in (1, 2) for level in (0.5, 0.75)]
+        assert len({len(run) for run in runs}) == 2  # the two keys load different counts
+        for a, b in itertools.combinations(runs, 2):
+            small, large = sorted((a, b), key=len)
+            assert small.keys() <= large.keys()
+            assert all(small[txid] is large[txid] for txid in small)
+
+    def test_a_batch_funded_out_of_order_raises(self, cold):
+        profile = CongestionProfile.for_level(0.75, seed=3)
+        load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
+        window = re.escape(f"spends {fund_serial(load.sediment_count)}")
+        with pytest.raises(ValueError, match=window):
+            load.market_batch(UtxoSet().fund)  # a window before the sediment
+        coins = UtxoSet()
+        coins.fund([1])  # a coin no batch asked for
+        with pytest.raises(ValueError, match=re.escape(f"spends {fund_serial(0)}")):
+            load.sediment(coins.fund)
+        sim = Simulation(SimConfig(), profile)
+        sim.fund([1])  # the first window would be funded from this coin on
+        with pytest.raises(ValueError, match=window):
+            sim.run_blocks(1)
 
     def test_another_seed_drops_the_held_tapes(self, cold):
         for level in CONGESTION_LEVELS:
             Simulation(SimConfig(), CongestionProfile.for_level(level, seed=1))
         assert len(background._held) == len(CONGESTION_LEVELS)
-        sediment = list(background._sediment_txs)
+        market = list(background._market_txs)
         Simulation(SimConfig(), CongestionProfile.for_level(0.5, seed=2))
         assert [profile.seed for profile, _, _ in background._held] == [2]
-        assert all(a is b for a, b in zip(background._sediment_txs, sediment, strict=True))
+        assert all(a is b for a, b in zip(background._market_txs, market, strict=True))
 
     def test_a_simulation_without_a_market_keeps_the_tapes(self, cold):
         for level in CONGESTION_LEVELS:
             Simulation(SimConfig(), CongestionProfile.for_level(level, seed=1))
-        held, sediment = dict(background._held), list(background._sediment_txs)
-        assert held and sediment
+        held, market = dict(background._held), list(background._market_txs)
+        assert held and market
         Simulation(SimConfig())  # as `brc20sim replay` builds one
-        assert background._held == held and background._sediment_txs == sediment
+        assert background._held == held and background._market_txs == market
 
 
 def test_sediment_draw_equals_randint():
@@ -261,10 +283,12 @@ def test_sediment_draw_equals_randint():
 
 
 def test_band_profile_floor_confined():
-    profile = CongestionProfile.for_band(10, 22.5, 0.75, seed=4)
+    profile = band_profile(10, 22.5, 0.75, seed=4)
     load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
+    fund = UtxoSet().fund
+    load.sediment(fund)
     for _ in range(200):
-        load.market_batch(lambda values: [("stub", 0)] * len(values), 0.0, 600.0)
+        load.market_batch(fund)
         assert 1.15 * 22.5 <= load.floor <= 1.55 * 22.5
 
 
@@ -272,8 +296,10 @@ def test_level_profile_respects_hard_cap():
     profile = CongestionProfile.for_level(0.75, seed=2)
     assert profile.floor_cap <= CongestionProfile.HARD_CAP
     load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-    for block in range(500):
-        load.market_batch(lambda values: [("stub", 0)] * len(values), 600.0 * block, 600.0)
+    fund = UtxoSet().fund
+    load.sediment(fund)
+    for _ in range(500):
+        load.market_batch(fund)
         assert profile.floor_lo <= load.floor <= profile.floor_cap
     # market never outbids the top sweep fee level
     assert profile.floor_cap * RATE_SPREAD < 500
@@ -351,7 +377,7 @@ class LedgerCheck:
     def __init__(self) -> None:
         self.coins: dict[tuple[str, int], tuple[int, bool]] = {}  # serial -> (value, plain)
         self.seen_events = 0
-        self.genesis_coins = 0
+        self.grants = self.funds = 0  # grants and funds are counted apart
         self.funded = 0
         self.seen_blocks = 0
         self.burned = 0
@@ -360,11 +386,13 @@ class LedgerCheck:
 
     def __call__(self, sim: Simulation) -> None:
         for kind, _, *payload in sim.event_log[self.seen_events:]:
-            if kind in ("grant", "fund"):
-                value, plain = payload[-1], kind == "fund"
-                self.coins[(f"genesis-{self.genesis_coins}", 0)] = (value, plain)
-                self.genesis_coins += 1
-                self.funded += value if plain else 0
+            if kind == "grant":
+                self.coins[(f"genesis-{self.grants}", 0)] = (payload[-1], False)
+                self.grants += 1
+            elif kind == "fund":
+                self.coins[(f"fund-{self.funds}", 0)] = (payload[-1], True)
+                self.funds += 1
+                self.funded += payload[-1]
         self.seen_events = len(sim.event_log)
         for block in sim.chain.blocks[self.seen_blocks:]:
             for tx in block.transactions:

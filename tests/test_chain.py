@@ -273,31 +273,31 @@ class TestValueOnly:
 
         monkeypatch.setattr(chain_module, "assign_ordinals", refuse)
 
-    def test_fund_shares_the_grant_serials_and_allocates_no_ordinal(self):
+    def test_fund_counts_its_own_serials_and_allocates_no_ordinal(self):
         state = UtxoSet()
         first = state.grant("a", 10)
-        assert state.fund([7])[0] == ("genesis-1", 0)
-        assert state.grant("a", 5).serial == ("genesis-2", 0)
+        assert state.fund([7])[0] == ("fund-0", 0)
+        assert state.grant("a", 5).serial == ("genesis-1", 0)
         assert first.serial == ("genesis-0", 0)
-        assert state.plain == {("genesis-1", 0): 7}
+        assert state.plain == {("fund-0", 0): 7}
         assert state._next_ordinal == 15
-        assert ("genesis-1", 0) not in state.utxos
+        assert ("fund-0", 0) not in state.utxos
         with pytest.raises(ValueError):
             state.fund([0])
 
     def test_a_batch_takes_consecutive_serials_or_none(self):
         state = UtxoSet()
         state.grant("a", 10)
-        assert state.fund([7, 8, 9]) == [("genesis-1", 0), ("genesis-2", 0), ("genesis-3", 0)]
-        assert state.grant("a", 5).serial == ("genesis-4", 0)
+        assert state.fund([7, 8, 9]) == [("fund-0", 0), ("fund-1", 0), ("fund-2", 0)]
+        assert state.grant("a", 5).serial == ("genesis-1", 0)
         assert state.fund([]) == []
         for bad in ([5, 0, 6], [-1], [3, 4, -2]):
             with pytest.raises(ValueError):
                 state.fund(bad)
         # nothing was funded by an empty or refused batch
-        assert state.fund([1]) == [("genesis-5", 0)]
-        assert state.plain == {("genesis-1", 0): 7, ("genesis-2", 0): 8, ("genesis-3", 0): 9,
-                               ("genesis-5", 0): 1}
+        assert state.fund([1]) == [("fund-3", 0)]
+        assert state.plain == {("fund-0", 0): 7, ("fund-1", 0): 8, ("fund-2", 0): 9,
+                               ("fund-3", 0): 1}
         assert state._next_ordinal == 15
 
     def test_outputs_become_value_only_coins(self):
@@ -353,11 +353,14 @@ class TestValueOnly:
 
     def test_copy_is_independent(self):
         state = UtxoSet()
+        state.grant("a", 10)
         coin = state.fund([100])[0]
         dup = state.copy()
         state.apply_transaction(tx("t", [TxInput(coin)], [TxOutput(50, "a")]))
         assert dup.plain == {coin: 100}
-        assert dup.fund([1])[0] == state.fund([1])[0] == ("genesis-1", 0)
+        # the copy carries both counts
+        assert dup.fund([1])[0] == state.fund([1])[0] == ("fund-1", 0)
+        assert dup.grant("b", 1).serial == state.grant("b", 1).serial == ("genesis-1", 0)
 
 
 def logged_tx(t: Transaction) -> dict:
@@ -418,12 +421,17 @@ class TestIdentity:
         coins = UtxoSet()
         load = BackgroundLoad(CongestionProfile.for_level(0.5, seed=1), 10, 800)
         market = load.sediment(coins.fund)
-        assert [t.txid for t in market] == ["8d1fb23787c9d8a5", "11a5faeea2912329",
-                                            "9719468ee43503eb"]
+        assert [t.txid for t in market] == ["86bc14281c5f9565", "48184ba5752356a8",
+                                            "aaa9dc9010ec7fa0"]
         coins.grant("alice", 100_000)
-        bundle = build_transfer(TransferRequest("ordi", 10, "alice", "bob", fee_rate=20), coins)
-        assert bundle.tx1.txid == "dbabd4390acf8618"
-        assert bundle.tx2.txid == "643d2f085105352e"
+        request = TransferRequest("ordi", 10, "alice", "bob", fee_rate=20)
+        bundle = build_transfer(request, coins)
+        assert bundle.tx1.txid == "61e78e2e5ffabc62"
+        assert bundle.tx2.txid == "9a3748c5c2b63609"
+        # the funded coins took no grant serial, so the bundle is the one without them
+        unfunded = UtxoSet()
+        unfunded.grant("alice", 100_000)
+        assert build_transfer(request, unfunded) == bundle
         # the txid is the hash of the content, so the pins also pin make_txid
         for t, tag in ((market[0], "bg1"), (bundle.tx1, "tx1")):
             assert make_txid(t.inputs, t.outputs, t.vsize, tag=tag) == t.txid

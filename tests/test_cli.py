@@ -100,10 +100,13 @@ class TestSimCommand:
         assert code == 0 and "replay OK" in out
 
     def test_a_grant_between_funds_keeps_its_serial(self, capsys, tmp_path):
-        # the grant between two fund lines must take genesis-1, and the second
-        # fund genesis-2
-        spend = {"txid": "s", "inputs": [{"outpoint": ["genesis-2", 0], "sequence": 0}],
-                 "outputs": [{"value": 6_000, "owner": "mkt"}], "vsize": 100}
+        # the grant between fund lines takes genesis-0 and shifts no fund
+        # serial: fund-1 is the 7,000 coin and fund-2 the 9,000 one
+        def spend(txid, outpoint, value, owner="mkt"):
+            return {"event": "submit", "t": 10.0, "accepted": True, "reason": None,
+                    "tx": {"txid": txid, "inputs": [{"outpoint": outpoint, "sequence": 0}],
+                           "outputs": [{"value": value, "owner": owner}], "vsize": 100}}
+
         log = tmp_path / "events.jsonl"
         log.write_text("".join(json.dumps(line) + "\n" for line in [
             HEADER,
@@ -111,11 +114,13 @@ class TestSimCommand:
             {"event": "grant", "t": 0.0, "owner": "a", "value": 1_000},
             {"event": "fund", "t": 0.0, "value": 7_000},
             {"event": "fund", "t": 10.0, "value": 9_000},
-            {"event": "submit", "t": 10.0, "tx": spend, "accepted": True, "reason": None},
-            {"event": "mine", "t": 600.0, "height": 0, "txids": ["s"]},
+            spend("s1", ["fund-1", 0], 6_000),
+            spend("s2", ["fund-2", 0], 8_500),
+            spend("g", ["genesis-0", 0], 800, owner="b"),
+            {"event": "mine", "t": 600.0, "height": 0, "txids": ["s1", "s2", "g"]},
         ]))
         code, out, err = run_cli(capsys, "replay", str(log))
-        assert (code, err) == (0, "") and "replay OK: 1 submissions, 1 blocks verified" in out
+        assert (code, err) == (0, "") and "replay OK: 3 submissions, 1 blocks verified" in out
 
     def test_a_bad_fund_value_is_reported_before_a_later_line(self, capsys, tmp_path):
         # replay funds a run of fund lines at its end, but a bad value is refused
@@ -300,13 +305,13 @@ class TestPinnedOutputs:
         log, out = tmp_path / "events.jsonl", tmp_path / "report.json"
         argv = ["sim", "--seed", "4", "--attempts", "3", "--log", str(log), "--out", str(out)]
         assert main(argv) == 0
-        assert self.sha(log) == "5182f6e68d284f3ad28da50e55c67664022f840abdcdb5ad5894108a79da0893"
+        assert self.sha(log) == "1cf1200cbc2af64317f4fb98d682056c6ab63d4657cacce6f4b0f6b92d521f06"
         assert self.sha(out) == "88fcf2c45b0b643e48223f7cdce131469fc62d08741131fd845fc5ede2a8c246"
 
     def test_replay_binance_transcript(self, tmp_path):
         out = tmp_path / "transcript.jsonl"
         assert main(["replay-binance", "--out", str(out)]) == 0
-        assert self.sha(out) == "4a7b98bf164664da771669e9ee8b64471b7a41d2ccb4dc9b1ad49c09d6ed613b"
+        assert self.sha(out) == "e8e7ab068ee69110293ab3eef35620102d77408b4984709b26dc21e2a003fad0"
 
 
 class TestBadInput:

@@ -78,6 +78,19 @@ def test_dust_and_transaction_sizes_are_each_set_once():
     assert [literals[v] for v in (546, 150, 600)] == [1, 1, 1]
 
 
+def test_the_fund_serial_format_is_written_once():
+    # market transaction bg{k} spends the k-th funded coin by name, so the
+    # name's format is written in one place, apart from the grants'
+    written = [
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("fund-")
+    ]
+    assert written == ["chain.py"]
+
+
 def test_settable_values_are_counted():
     # a new knob has to change this count on purpose
     classes = {
@@ -128,7 +141,7 @@ def test_the_log_writer_and_replay_share_one_vocabulary(tmp_path):
 def test_only_the_background_names_its_market_key_and_tapes():
     # which loads share a market is one module's decision: no other module
     # keys work by market, or reaches into the held tapes and sediment
-    private = {"market_key", "_held", "_sediment_txs"}
+    private = {"market_key", "_held", "_market_txs"}
     named = {
         path.name
         for path in SRC.glob("*.py")

@@ -1,6 +1,6 @@
 """Pinning attack engine and operational-tolerance calculator.
 
-An attack attempt inscribes a falsified transfer of ``TICK`` against the
+An attack attempt inscribes a falsified transfer of ``wallet.TICK`` against the
 ``TARGET`` wallet: the inscription lands at the target's address (debiting
 available into transferable when it confirms) while the follow-up execution
 transaction is fee-priced inside the pinning band and lingers in the mempool.
@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .sim import Simulation
-# unused here, but bench/tracing.py wraps the build_transfer name in this module
-from .wallet import TransferRequest, build_transfer
+# build_transfer is unused here, but bench/tracing.py wraps the name in this module
+from .wallet import TICK, TransferRequest, build_transfer
 
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
 
-TICK = "ordi"  # the attacked token
 TARGET = "hot-wallet"  # the attacked wallet
 ATTEMPT_SPACING_S = 1800.0  # seconds between the starts of two attempts
 
@@ -88,7 +87,6 @@ class AttemptRecord:
 @dataclass(slots=True)
 class AttackOutcome:
     per_attempt: list[AttemptRecord] = field(default_factory=list)
-    peak_pinned: int = 0
     success: bool = False
 
     def transcript(self) -> list[dict]:
@@ -137,15 +135,11 @@ def execute(config: ScenarioConfig, sim: Simulation) -> AttackOutcome:
     outcome.success = evaluate_success(
         [r.effective_delay for r in outcome.per_attempt], config.tolerance_s
     )
-
-    _, trans, _ = sim.balance(TICK, TARGET)
-    outcome.peak_pinned = max((s[2] for s in sim.balance_samples), default=trans)
     return outcome
 
 
 def _launch_attempt(sim: Simulation, index: int, amount: int, fee: int) -> AttemptRecord:
     req = TransferRequest(
-        tick=TICK,
         amount=amount,
         sender=TARGET,  # falsified: inscription lands at the target
         recipient=TARGET,

@@ -27,18 +27,17 @@ fixed here as module constants: the floor's AR(1) persistence
 
 Background transactions spend value-only coins (``Simulation.fund``): the
 model needs only each one's fee, vsize and arrival, so none of them allocates
-ordinals or leaves an ordinal-tracked UTXO on the chain.  They all pay
-``MARKET_OUTPUTS`` at ``MARKET_TX_VSIZE``, so the end of their txid hash text
-(``chain.txid_tail``) is formatted once, as ``MARKET_TXID_TAIL``, and each
-txid is one sha256 call over its tag, its input and that tail.
+ordinals or leaves a coin on the chain.  They all pay ``MARKET_OUTPUTS`` at
+``MARKET_TX_VSIZE``, so the end of their txid hash text (``chain.txid_tail``)
+is formatted once, as ``MARKET_TXID_TAIL``, and each txid is one sha256 call
+over its tag, its input and that tail.
 
-Funded coins are counted apart from grants (``chain.fund_serial``), and a
-simulation funds only its background: the sediment, then each window's
-market, each batch with one ``fund_fn`` call.  So ``bg{k}`` spends the k-th
-funded coin in every simulation, whatever the seed, market key or
-foreground, and its bytes are fixed (the coin's value lives in the UTXO set).
-One process-wide list holds them, ``bg{k}`` at entry ``k - 1``, each built
-once; a batch funded from another first coin raises ``ValueError``.
+``bg{k}`` spends coin ``chain.fund_serial(k - 1)`` in every simulation,
+whatever the seed, market key or foreground, so its bytes are fixed (the
+coin's value lives in the UTXO set).  One process-wide list holds them,
+``bg{k}`` at entry ``k - 1``, each built once.  A batch, the sediment or one
+window's market, is funded with one ``fund_fn`` call whose coins are named by
+the very outpoint objects of the transactions that spend them.
 
 The draws depend only on the *market key* (``market_key``: the profile, the
 transactions per window and the sediment count), not on the foreground, so
@@ -207,7 +206,7 @@ class _Tape:
 _held: dict[tuple[CongestionProfile, int, int], _Tape] = {}
 
 # Every load's market and sediment transactions: ``_market_txs[k - 1]`` is ``bg{k}``,
-# which spends the k-th coin a simulation funds.
+# which spends coin ``fund_serial(k - 1)``.
 _market_txs: list[Transaction] = []
 
 
@@ -233,23 +232,20 @@ def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
     return tape
 
 
-def _check_funded(coins: list[tuple[str, int]], first: int) -> None:
-    """A batch's coins must start at the one its first transaction spends."""
-    if coins and coins[0] != fund_serial(first):
-        raise ValueError(f"batch funded from {coins[0]}, but its first transaction "
-                         f"spends {fund_serial(first)}: fund the sediment, then each window")
+def _coins(txs: list[Transaction], values) -> list[tuple[tuple[str, int], int]]:
+    """The coins that fund ``txs``: each one's input outpoint, with its value."""
+    return [(tx.inputs[0].outpoint, value) for tx, value in zip(txs, values)]
 
 
 class BackgroundLoad:
     """Generates sediment and per-interval market batches for a simulation.
 
     Each batch, the sediment or one window's market, is funded with one
-    ``fund_fn(values)`` call, which must return a serial per value, each the
-    next funded coin's (as ``Simulation.fund`` does): the sediment first, from
-    the first coin, then each window's market in turn.  A batch whose first
-    coin is another raises ``ValueError``.  Loads of one market key share
-    that key's held ``_Tape``, and every load shares ``_market_txs``; what a
-    load returns is what a fresh draw would return, bit for bit.
+    ``fund_fn(coins)`` call (``Simulation.fund``), whose ``(serial, value)``
+    pairs follow ``bg`` order, each serial the outpoint its transaction
+    spends.  Loads of one market key share that key's held ``_Tape``, and
+    every load shares ``_market_txs``; what a load returns is what a fresh
+    draw would return, bit for bit.
     """
 
     def __init__(self, profile: CongestionProfile, normal_count: int, block_capacity: int):
@@ -261,8 +257,9 @@ class BackgroundLoad:
 
     def sediment(self, fund_fn) -> list[Transaction]:
         """One-shot low-fee padding; rates far below any realistic foreground."""
-        _check_funded(fund_fn(self._tape.sediment), 0)
-        return _build_market(self.sediment_count)[:self.sediment_count]
+        txs = _build_market(self.sediment_count)[:self.sediment_count]
+        fund_fn(_coins(txs, self._tape.sediment))
+        return txs
 
     def market_batch(self, fund_fn) -> tuple[tuple[float, Transaction], ...]:
         """Fee-bearing arrivals for the next block interval, by time; floor advanced once."""
@@ -272,6 +269,7 @@ class BackgroundLoad:
         w = self._windows = self._windows + 1
         tape.draw_windows(w)
         self.floor = tape.floors[w]
-        first = (w - 1) * self.flight
-        _check_funded(fund_fn(tape.values[first:first + self.flight]), self.sediment_count + first)
+        start, end = (w - 1) * self.flight, w * self.flight  # this window's market values
+        txs = _market_txs[self.sediment_count + start:self.sediment_count + end]
+        fund_fn(_coins(txs, tape.values[start:end]))
         return tape.windows[w - 1]

@@ -6,9 +6,10 @@ trailing slice burned as the miner fee.  Ownership is an opaque address label;
 scripts and signatures are out of scope.
 
 Background traffic never carries or moves an inscription, so its coins are
-value-only: ``UtxoSet.fund`` creates them without ordinals, under serials of
-their own (``fund_serial``), and a transaction spending them is checked like
-any other but leaves value-only coins behind instead of ordinal-tracked UTXOs.
+value-only: ``UtxoSet.fund`` creates them without ordinals, each under the
+serial its spending transaction names (``fund_serial``), and a transaction
+spending them is checked like any other but leaves no coin behind: its
+outputs leave the model.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ class Transaction:
 
 
 def fund_serial(n: int) -> tuple[str, int]:
-    """The serial of the value-only coin a ``UtxoSet`` funds n-th, counting from 0."""
+    """The serial of the value-only coin that market transaction ``bg{n + 1}`` spends,
+    which an event log's n-th ``fund`` line funds, counting from 0."""
     return (f"fund-{n}", 0)
 
 
@@ -263,9 +265,8 @@ class UtxoSet:
     One set is owned by one thread at a time; ``copy()`` gives an independent
     snapshot for replay.  Genesis satoshis enter via ``grant`` since there is
     no coinbase in this model, under ``genesis-{n}`` serials counting grants
-    only; ``fund`` creates a batch of value-only coins under the next
-    ``fund_serial`` serials, from a count of its own, so neither kind of
-    serial depends on how many coins of the other kind came first.
+    only.  ``fund`` creates value-only coins under the serials their spending
+    transactions name, so ``plain`` holds only funded coins not yet spent.
     """
 
     def __init__(self) -> None:
@@ -275,7 +276,6 @@ class UtxoSet:
         self._inscribed_sorted: list[int] = []  # the keys of inscribed, ascending
         self._next_ordinal = 0
         self._grant_count = 0
-        self._fund_count = 0
 
     def copy(self) -> UtxoSet:
         dup = UtxoSet()
@@ -285,7 +285,6 @@ class UtxoSet:
         dup._inscribed_sorted = list(self._inscribed_sorted)
         dup._next_ordinal = self._next_ordinal
         dup._grant_count = self._grant_count
-        dup._fund_count = self._fund_count
         return dup
 
     def grant(self, owner: str, value: int) -> Utxo:
@@ -299,17 +298,12 @@ class UtxoSet:
         self.utxos[serial] = utxo
         return utxo
 
-    def fund(self, values: Sequence[int]) -> list[tuple[str, int]]:
-        """Create one value-only coin per value, under the next consecutive fund
-        serials, and return the serials; no ordinal is allocated.  Every value
-        is checked before any coin is made."""
-        if values and min(values) < 1:
+    def fund(self, coins: Sequence[tuple[tuple[str, int], int]]) -> None:
+        """Create one value-only coin per ``(serial, value)`` pair; no ordinal is
+        allocated.  Every value is checked before any coin is made."""
+        if coins and min(value for _, value in coins) < 1:
             raise ValueError("fund value must be >= 1")
-        first = self._fund_count
-        self._fund_count += len(values)
-        serials = [fund_serial(n) for n in range(first, self._fund_count)]
-        self.plain.update(zip(serials, values))
-        return serials
+        self.plain.update(coins)
 
     def owned_by(self, owner: str) -> list[Utxo]:
         return [u for u in self.utxos.values() if u.owner == owner]
@@ -375,10 +369,10 @@ class UtxoSet:
         return Receipt(tuple(spent), tuple(created), envelope)
 
     def _apply_value_only(self, tx: Transaction) -> Receipt:
-        """Spend value-only coins into value-only coins, with the same checks as above.
+        """Spend value-only coins, with the same checks as above, and create no coin.
 
         No ordinal moves, so nothing is allocated, sliced or burned; the fee is
-        the value the outputs leave.
+        the value the outputs leave, and the outputs' value leaves the model.
         """
         total_in = 0
         for inp in tx.inputs:
@@ -396,9 +390,6 @@ class UtxoSet:
             raise MixedFunding(f"tx {tx.txid} inscribes on value-only coins")
         for inp in tx.inputs:
             del self.plain[inp.outpoint]
-        for index, out in enumerate(tx.outputs):
-            if out.value:
-                self.plain[(tx.txid, index)] = out.value
         return VALUE_ONLY_RECEIPT
 
     def locate_ordinal(self, ordinal: int) -> Utxo:

@@ -5,13 +5,15 @@ Subcommands: ``sim`` (one scenario), ``sweep`` (full parameter grid),
 calculator) and ``replay`` (verify an exported event log).  ``replay``
 re-runs the log through a ``Simulation``, the same block step that wrote it
 (``grant`` events re-create the foreground's coins and ``fund`` events the
-market's value-only coins, each kind under its own serials in log order, each
-run of consecutive ``fund`` lines with one batch ``Simulation.fund`` call),
-checks every grant's, fund's and submission's time, each submission's
-decision and each block's height, time and txids, and at the end that the
-replayed token state conserves supply.
+market's value-only coins, each run of consecutive ``fund`` lines with one
+batch ``Simulation.fund`` call; a ``fund`` line holds a value alone, so the
+n-th one is named ``chain.fund_serial(n)``, the coin market transaction
+``bg{n + 1}`` spends), checks every grant's, fund's and submission's time,
+each submission's decision and each block's height, time and txids, and at
+the end that the replayed token state conserves supply.
 
-Exit codes: 0 success, 1 usage error, 2 assertion/model divergence.
+Exit codes: 0 success, 1 usage error (a bad value, or a fee the wallet cannot
+pay), 2 assertion/model divergence.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import sys
 
 from .attack import ToleranceInputs, tolerance
-from .chain import Transaction
+from .chain import Transaction, fund_serial
 from .harness import (
     ATTEMPT_LEVELS,
     CONGESTION_LEVELS,
@@ -37,6 +39,7 @@ from .harness import (
     sweep_csv,
 )
 from .sim import SETTINGS, SimConfig, Simulation, collector_paused
+from .wallet import WalletError
 
 USAGE_ERROR = 1
 MODEL_ERROR = 2
@@ -204,16 +207,18 @@ def cmd_replay_log(args) -> int:
     sim = Simulation(_sim_config(header["config"]))
     blocks = submits = 0
     clock = sim.now  # the time of the last event
-    funds: list[int] = []  # the values of the run of fund lines not yet funded
+    coins: list[tuple[tuple[str, int], int]] = []  # the run of fund lines not yet funded
+    fund_lines = 0
     for number, event in events[1:]:
         kind = _replay_kind(event, number)
         if kind == "fund":
             if event["value"] < 1:  # refused on its own line, before a later line's checks
                 raise ValueError(f"log line {number}: fund value must be >= 1")
-            funds.append(event["value"])
-        elif funds:
-            sim.fund(funds)
-            funds = []
+            coins.append((fund_serial(fund_lines), event["value"]))
+            fund_lines += 1
+        elif coins:
+            sim.fund(coins)
+            coins = []
         if kind in ("grant", "fund", "submit"):
             # a grant, fund or send falls between the previous event and the next block
             if not clock <= event["t"] <= sim.next_block_time:
@@ -254,7 +259,7 @@ def cmd_replay_log(args) -> int:
                 print(f"divergence in block {event['height']}: replay mined block {tip.height}",
                       file=sys.stderr)
                 return MODEL_ERROR
-    sim.fund(funds)
+    sim.fund(coins)
     # the indexer followed every replayed block; its token state must balance
     if not sim.indexer.state.supply_is_conserved():
         print("divergence: replayed token state does not conserve supply", file=sys.stderr)
@@ -321,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if getattr(args, "out", sys.stdout) is not sys.stdout:  # "--out -" is stdout
                 args.out.close()
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, WalletError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -13,14 +13,14 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .attack import ATTEMPT_SPACING_S, TARGET, TICK, execute
+from .attack import ATTEMPT_SPACING_S, TARGET, execute
 from .background import CongestionProfile
 from .chain import DUST, Transaction, TxInput, TxOutput, make_txid
 from .indexer import deploy_inscription, mint_inscription
 from .mempool import EXPIRY, MIN_RELAY_FEE_RATE
 from .sim import BLOCK_INTERVAL, SimConfig, Simulation, collector_paused
 # unused here, but bench/tracing.py wraps the build_transfer name in this module
-from .wallet import TX1_VSIZE, TransferRequest, build_recovery, build_transfer
+from .wallet import TICK, TX1_VSIZE, TransferRequest, build_recovery, build_transfer
 
 FRACTION_LEVELS = (0.10, 0.50, 1.00)
 FEE_LEVELS = (100, 200, 500)
@@ -153,13 +153,15 @@ def run_scenario(
     if log_path is not None:
         sim.export_event_log(log_path)
 
-    outage = BLOCK_INTERVAL * sum(1 for _, _, trans in sim.balance_samples if trans > 0)
+    samples = sim.balance_samples
+    outage = BLOCK_INTERVAL * sum(1 for _, _, trans in samples if trans > 0)
+    peak_pinned = max((trans for _, _, trans in samples), default=sim.balance(TICK, TARGET)[1])
     return ScenarioResult(
         seed=seed,
         success=outcome.success,
         delays=[r.effective_delay for r in outcome.per_attempt],
-        peak_pinned=outcome.peak_pinned,
-        pinned_pct=100.0 * outcome.peak_pinned / TARGET_INITIAL,
+        peak_pinned=peak_pinned,
+        pinned_pct=100.0 * peak_pinned / TARGET_INITIAL,
         outage_s=outage,
         congestion_measured=sim.mean_congestion(),
         transcript=outcome.transcript(),
@@ -296,7 +298,7 @@ def _expect(check: bool, label: str, transcript: list[dict], **details) -> None:
 
 def _bundle(sim: Simulation, sender: str, recipient: str, amount: int, fee_rate: int):
     """Build and submit one transfer bundle; both halves must be accepted."""
-    req = TransferRequest(TICK, amount, sender=sender, recipient=recipient, fee_rate=fee_rate)
+    req = TransferRequest(amount, sender=sender, recipient=recipient, fee_rate=fee_rate)
     bundle, r1, r2 = sim.send_transfer(req)
     if not (r1.accepted and r2.accepted):
         raise ReplayDivergence(

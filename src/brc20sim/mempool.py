@@ -39,19 +39,18 @@ and k distinct vsizes among the ready entries:
   expire; only then does it scan the pool in insertion order.
 
 Admission takes one pass over the inputs: one lookup per input gives its
-value, whether it is value-only and its in-pool parent, and the same pass
-collects the parents and the conflicts (a confirmed value-only coin is one
-dict probe).  A plain accept does no more work: the duplicate-input set is
-built only for several inputs, the parent set only for an in-pool parent,
-the conflict set only for an input that already has a spender, the
-descendant walk only for a replacement, eviction only over capacity, and the
-accepted result is one shared object.
+value and its in-pool parent, and the same pass collects the parents and the
+conflicts (a value-only coin is one dict probe).  A plain accept does no
+more work: the duplicate-input set is built only for several inputs, the
+parent set only for an in-pool parent, the conflict set only for an input
+that already has a spender, the descendant walk only for a replacement,
+eviction only over capacity, and the accepted result is one shared object.
 
 Background traffic arrives in batches (``submit_batch``): the sediment, or a
 run of market arrivals.  A batch gives the results, and leaves the pool,
 that one ``submit`` per transaction in order would, lazily deleted heap
-items included.  A transaction that spends exactly one confirmed value-only
-coin with no spender, is neither pooled nor confirmed, carries no
+items included.  A transaction that spends exactly one value-only coin
+with no spender, is neither pooled nor confirmed, carries no
 inscription and clears the relay floor is one that ``submit`` accepts with
 no parent, conflict or replacement, so it takes a fast pass: its entry, its
 ``spends`` item and its eviction-heap item (once that heap is built) go in at
@@ -67,10 +66,13 @@ O(m log m).  Per transaction the fast pass costs four dict probes (coin,
 spender, pool, chain), two dict writes and one entry, without ``submit``'s
 call, input loop and result checks.
 
-An entry spending value-only coins (the chain's ``UtxoSet.plain``) or
-outputs of an in-pool value-only entry is itself value-only.  A transaction
-that mixes those inputs with ordinal-tracked ones, or puts an inscription on
-them, is rejected as ``mixed-funding`` and so never reaches the chain.
+An entry spending value-only coins (the chain's ``UtxoSet.plain``) is
+value-only, and its outputs leave the model: an input naming one of them,
+whether its transaction is pooled or mined, is refused as ``orphan-input``.
+So a value-only entry spends only confirmed coins, which stay in
+``UtxoSet.plain`` while it is pooled.  A transaction that mixes value-only
+coins with ordinal-tracked ones, or puts an inscription on them, is rejected
+as ``mixed-funding``; neither ever reaches the chain.
 """
 
 from __future__ import annotations
@@ -111,7 +113,6 @@ class MempoolEntry:
     arrival: float
     fee: int
     depends_on: set[str] | frozenset[str]  # in-pool parents; NO_PARENTS when none
-    plain: bool = False  # spends value-only coins, so its outputs are value-only too
     # fee / vsize, the sort key.  The float orders entries exactly: with
     # vsizes at most V and rates below 10**4 sat/vB, distinct ratios a/b and
     # c/d differ by |ad - bc| / bd >= 1 / V**2, at least 1 / (V * 10**4 * V)
@@ -167,20 +168,21 @@ class Mempool:
         """Unconfirmed count over the configured normal level, uncapped."""
         return len(self.entries) / self.config.congestion_normal_count
 
-    def _lookup(self, outpoint: tuple[str, int]) -> tuple[int, bool, MempoolEntry | None] | None:
-        """An input's value, whether it is value-only, and its in-pool parent; None if orphaned.
+    def _lookup(self, outpoint: tuple[str, int]) -> tuple[int, MempoolEntry | None] | None:
+        """An ordinal-tracked input's value and its in-pool parent; None if orphaned.
 
-        Confirmed value-only coins are not looked up here: ``submit`` probes
+        Value-only coins are not looked up here: ``submit`` probes
         ``UtxoSet.plain`` first, inline, because most inputs are such coins.
         """
         utxo = self.chain.utxo_set.utxos.get(outpoint)
         if utxo is not None:
-            return utxo.value, False, None
+            return utxo.value, None
         parent = self.entries.get(outpoint[0])
         if parent is not None and outpoint[1] < len(parent.tx.outputs):
             value = parent.tx.outputs[outpoint[1]].value
-            if value > 0:  # zero outputs never materialize
-                return value, parent.plain, parent
+            # zero outputs never materialize, nor do a value-only entry's
+            if value > 0 and parent.tx.inputs[0].outpoint not in self.chain.utxo_set.plain:
+                return value, parent
         return None
 
     def _live(self, txid: str, arrival: float) -> bool:
@@ -259,14 +261,15 @@ class Mempool:
         conflicts: set[str] | None = None
         plain_coins = self.chain.utxo_set.plain
         for inp in inputs:
-            value, plain, parent = plain_coins.get(inp.outpoint), True, None
-            if value is None:
+            value, parent = plain_coins.get(inp.outpoint), None
+            if value is not None:
+                plain_inputs += 1
+            else:
                 found = self._lookup(inp.outpoint)
                 if found is None:
                     return SubmitResult(False, ORPHAN_INPUT)
-                value, plain, parent = found
+                value, parent = found
             input_total += value
-            plain_inputs += plain
             if parent is not None:
                 if depends_on is NO_PARENTS:
                     depends_on = set()
@@ -301,7 +304,7 @@ class Mempool:
                 return SubmitResult(False, SPENDS_CONFLICTING_TX)
             for conflict in sorted(conflicts):
                 replaced.extend(e.tx.txid for e in self._remove(conflict))
-        entry = MempoolEntry(tx, now, fee, depends_on, plain_inputs > 0)
+        entry = MempoolEntry(tx, now, fee, depends_on)
         self.entries[txid] = entry
         self.total_vsize += tx.vsize
         for inp in inputs:
@@ -347,7 +350,7 @@ class Mempool:
                     self._flush_ready(pending)
                 results.append(self.submit(tx, now))
                 continue
-            entry = MempoolEntry(tx, now, value - tx.output_total, NO_PARENTS, True)
+            entry = MempoolEntry(tx, now, value - tx.output_total, NO_PARENTS)
             entries[txid] = entry
             self.total_vsize += tx.vsize
             spends[outpoint] = txid

@@ -13,12 +13,13 @@ the bytes ``json.dumps(..., sort_keys=True)`` would give at a fraction of its
 cost; a test holds it to ``json.dumps``.  Genesis satoshis enter through
 ``grant``; background traffic is funded through ``fund`` instead, a batch
 at a time (the sediment, then one window's market at a time), with
-value-only coins that have no owner and no ordinals, under serials counted
-apart from the grants'.  So the k-th funded coin, which market transaction
-``bg{k}`` spends, is the same in every simulation.  Both kinds are in the
-record, one event per coin, so token state stays reconstructable from its
-grants and funds plus the block list alone (see ``replay_state``), and
-replay re-creates every serial in order.
+value-only coins that have no owner and no ordinals, each named by the
+market transaction that spends it.  Both kinds are in the record, one event
+per coin, so token state stays reconstructable from its grants and funds
+plus the block list alone (see ``replay_state``).  A ``fund`` line holds
+only the coin's value: ``brc20sim replay`` names the n-th one
+``chain.fund_serial(n)``, which is the coin ``bg{n + 1}`` spends, since a
+simulation funds its coins in ``bg`` order.
 
 Background traffic enters the pool through ``submit_batch``, the sediment
 as one batch and each run of market arrivals up to a horizon as another,
@@ -102,7 +103,7 @@ class Simulation:
         self.congestion_samples: list[float] = []
         self._watch: tuple[str, str] | None = None
         self.balance_samples: list[tuple[float, int, int]] = []
-        # ("grant", t, owner, value), ("fund", t, value), ("submit", t, tx, result)
+        # ("grant", t, owner, value), ("fund", t, serial, value), ("submit", t, tx, result)
         # and ("mine", t, block), in the order they happened
         self.event_log: list[tuple] = []
         self.background: BackgroundLoad | None = None
@@ -121,12 +122,11 @@ class Simulation:
         self.event_log.append(("grant", self.now, owner, value))
         return utxo
 
-    def fund(self, values: Sequence[int]) -> list[tuple[str, int]]:
-        """A batch of value-only coins for background traffic, under the next
-        consecutive fund serials; each coin is recorded for replay."""
-        serials = self.chain.utxo_set.fund(values)
-        self.event_log += [("fund", self.now, value) for value in values]
-        return serials
+    def fund(self, coins: Sequence[tuple[tuple[str, int], int]]) -> None:
+        """A batch of value-only coins for background traffic, as ``(serial, value)``
+        pairs; each coin is recorded for replay."""
+        self.chain.utxo_set.fund(coins)
+        self.event_log += [("fund", self.now, serial, value) for serial, value in coins]
 
     # -- submissions -----------------------------------------------------------
 
@@ -222,8 +222,8 @@ class Simulation:
             match event:
                 case ("grant", _, owner, value):
                     genesis.grant(owner, value)
-                case ("fund", _, value):
-                    genesis.fund((value,))
+                case ("fund", _, serial, value):
+                    genesis.fund(((serial, value),))
         return replay(self.chain.blocks, genesis)
 
     def export_event_log(self, path: str) -> None:
@@ -277,7 +277,7 @@ def log_line(event: tuple) -> str:
         return (f'{{"event": "mine", "height": {block.height}, "t": {_number(t)}, '
                 f'"txids": [{txids}]}}')
     if kind == "fund":
-        _, t, value = event
+        _, t, _, value = event
         return f'{{"event": "fund", "t": {_number(t)}, "value": {value}}}'
     _, t, owner, value = event  # grant
     return f'{{"event": "grant", "owner": {_string(owner)}, "t": {_number(t)}, "value": {value}}}'

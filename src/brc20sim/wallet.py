@@ -4,7 +4,8 @@ A transfer is a pair of chained transactions sharing one user-facing fee rate:
 a small inscription transaction whose first output carries the transfer
 payload back to the sender, and a larger execution transaction that spends
 that output to the recipient.  The model fixes the bundle's shape as module
-constants: ``TX1_VSIZE`` (150 vB) and ``TX2_VSIZE`` (600 vB), so the second
+constants: every transfer moves the one token ``TICK`` ("ordi", the attacked
+token); ``TX1_VSIZE`` (150 vB) and ``TX2_VSIZE`` (600 vB), so the second
 transaction pays 4x the absolute fee of the first; one ``DUST`` output
 (``chain.DUST``) carries the inscription; and Tx2 is sent ``BUNDLE_GAP``
 seconds after Tx1.  Every input signals BIP125 replaceability, so a victim's
@@ -33,6 +34,7 @@ from .chain import (
 )
 from .indexer import PendingTransfer, transfer_inscription
 
+TICK = "ordi"  # the token every transfer moves
 TX1_VSIZE = 150  # inscription transaction, vB
 TX2_VSIZE = 600  # execution (and recovery) transaction, vB
 BUNDLE_GAP = 1.0  # seconds between sending Tx1 and Tx2
@@ -52,7 +54,6 @@ class NotOwner(WalletError):
 
 @dataclass(frozen=True, slots=True)
 class TransferRequest:
-    tick: str
     amount: int
     sender: str
     recipient: str
@@ -114,7 +115,7 @@ def build_transfer(
     funded = sum(u.value for u in funding)
     change = funded - DUST - tx1_fee  # >= tx2_fee by selection
 
-    payload = transfer_inscription(req.tick, req.amount)
+    payload = transfer_inscription(TICK, req.amount)
     tx1_inputs = tuple(TxInput(u.serial, RBF_SEQUENCE) for u in funding)
     tx1_outputs = [TxOutput(DUST, req.sender, inscription=payload)]
     if change > 0:

@@ -88,7 +88,7 @@ def pinned_transfer():
     sim = Simulation(SimConfig(), profile)
     for _ in range(4):
         sim.grant("alice", 10_000_000)
-    bundle, r1, r2 = sim.send_transfer(TransferRequest("ordi", 100, "alice", "bob", fee_rate=201))
+    bundle, r1, r2 = sim.send_transfer(TransferRequest(100, "alice", "bob", fee_rate=201))
     assert r1.accepted and r2.accepted
     sim.run_blocks(3)
     assert sim.chain.confirmed(bundle.tx1.txid)

@@ -160,7 +160,7 @@ def _pinning_sim(seed: int, band: FeeBand) -> Simulation:
 
 
 def _bundle_at(sim: Simulation, fee: int):
-    req = TransferRequest(TICK, 100_000, sender=TARGET, recipient=TARGET, fee_rate=fee)
+    req = TransferRequest(100_000, sender=TARGET, recipient=TARGET, fee_rate=fee)
     bundle, r1, r2 = sim.send_transfer(req)
     assert r1.accepted and r2.accepted
     return bundle

@@ -160,7 +160,7 @@ class TestExecute:
     def test_concurrent_withdrawal_voids_attempt(self):
         sim, _ = pinned_sim()
         # a user withdrawal lands in the same block as the attack inscription
-        wd = TransferRequest(TICK, 600_000, sender=TARGET, recipient="user", fee_rate=500)
+        wd = TransferRequest(600_000, sender=TARGET, recipient="user", fee_rate=500)
         sim.send_transfer(wd)
         outcome = execute(attack_config(fee=14, attempts=1), sim)
         record = outcome.per_attempt[0]

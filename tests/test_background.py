@@ -2,12 +2,11 @@
 
 import itertools
 import random
-import re
 
 import pytest
 from scenario_tools import band_profile
 
-from brc20sim import background
+from brc20sim import background, harness
 from brc20sim.background import (
     MARKET_ADDRESS,
     MARKET_TX_VSIZE,
@@ -17,7 +16,8 @@ from brc20sim.background import (
     CongestionProfile,
     stream,
 )
-from brc20sim.chain import DUST, UtxoSet, fund_serial, make_txid
+from brc20sim.chain import DUST, Transaction, TxInput, UtxoSet, fund_serial, make_txid
+from brc20sim.cli import main
 from brc20sim.harness import (
     CONGESTION_LEVELS,
     ScenarioConfig,
@@ -26,8 +26,9 @@ from brc20sim.harness import (
     run_scenario,
 )
 from brc20sim.indexer import deploy_inscription, mint_inscription
+from brc20sim.mempool import ORPHAN_INPUT
 from brc20sim.sim import SimConfig, Simulation
-from brc20sim.wallet import InsufficientFunds, TransferRequest
+from brc20sim.wallet import TICK, InsufficientFunds, TransferRequest
 
 
 def test_steady_state_congestion_tracks_target():
@@ -238,21 +239,6 @@ class TestSharedMarket:
             assert small.keys() <= large.keys()
             assert all(small[txid] is large[txid] for txid in small)
 
-    def test_a_batch_funded_out_of_order_raises(self, cold):
-        profile = CongestionProfile.for_level(0.75, seed=3)
-        load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-        window = re.escape(f"spends {fund_serial(load.sediment_count)}")
-        with pytest.raises(ValueError, match=window):
-            load.market_batch(UtxoSet().fund)  # a window before the sediment
-        coins = UtxoSet()
-        coins.fund([1])  # a coin no batch asked for
-        with pytest.raises(ValueError, match=re.escape(f"spends {fund_serial(0)}")):
-            load.sediment(coins.fund)
-        sim = Simulation(SimConfig(), profile)
-        sim.fund([1])  # the first window would be funded from this coin on
-        with pytest.raises(ValueError, match=window):
-            sim.run_blocks(1)
-
     def test_another_seed_drops_the_held_tapes(self, cold):
         for level in CONGESTION_LEVELS:
             Simulation(SimConfig(), CongestionProfile.for_level(level, seed=1))
@@ -305,6 +291,25 @@ def test_level_profile_respects_hard_cap():
     assert profile.floor_cap * RATE_SPREAD < 500
 
 
+def test_a_market_output_cannot_be_spent_and_mining_goes_on(tmp_path):
+    # a market transaction's outputs leave the model, whether it is pooled or mined
+    sim = Simulation(SimConfig(), CongestionProfile.for_level(0.75, seed=3))
+    sim.run_blocks(1)
+    mined = sim.chain.blocks[-1].transactions[0]
+    pooled = next(iter(sim.pool.entries.values())).tx
+    for market_tx in (mined, pooled):
+        assert market_tx.outputs[0].owner == MARKET_ADDRESS
+        inputs = (TxInput((market_tx.txid, 0)),)
+        spend = Transaction(make_txid(inputs, (), 100, tag="spend"), inputs, (), 100)
+        assert sim.submit(spend).reason == ORPHAN_INPUT
+    sim.run_blocks(2)
+    assert sim.chain.height == 2 and all(block.transactions for block in sim.chain.blocks)
+    assert sim.chain.utxo_set.plain == unspent_funds(sim)
+    log = tmp_path / "events.jsonl"
+    sim.export_event_log(str(log))
+    assert main(["replay", str(log)]) == 0
+
+
 def test_level_scale_monotone_in_congestion():
     scales = [CongestionProfile.for_level(c, seed=0).floor_base for c in (0.25, 0.5, 0.75)]
     assert scales[0] < scales[1] < scales[2]
@@ -345,15 +350,15 @@ def congested_run(seed: int, blocks: int, after_block) -> Simulation:
     users = ("alice", "bob", "carol")
     for user in users:
         sim.grant(user, 50_000_000)
-    sim.submit(inscription_tx(sim, "alice", deploy_inscription("tk", 10**6, 10**6), 600, "d"))
+    sim.submit(inscription_tx(sim, "alice", deploy_inscription(TICK, 10**6, 10**6), 600, "d"))
     sim.run_blocks(1)
     after_block(sim)
     for user in users:
-        sim.submit(inscription_tx(sim, user, mint_inscription("tk", 1_000), 600, f"m-{user}"))
+        sim.submit(inscription_tx(sim, user, mint_inscription(TICK, 1_000), 600, f"m-{user}"))
     for _ in range(blocks):
         if rng.random() < 0.6:
             sender, recipient = rng.sample(users, 2)
-            request = TransferRequest("tk", rng.randint(1, 400), sender, recipient,
+            request = TransferRequest(rng.randint(1, 400), sender, recipient,
                                       fee_rate=rng.choice((2, 40, 150, 600)))
             try:
                 sim.send_transfer(request)
@@ -364,24 +369,36 @@ def congested_run(seed: int, blocks: int, after_block) -> Simulation:
     return sim
 
 
+def unspent_funds(sim: Simulation) -> dict[tuple[str, int], int]:
+    """The funded coins, by the simulation's event log, that no mined transaction spent."""
+    funded = {event[2]: event[3] for event in sim.event_log if event[0] == "fund"}
+    for block in sim.chain.blocks:
+        for tx in block.transactions:
+            for inp in tx.inputs:
+                funded.pop(inp.outpoint, None)
+    return funded
+
+
 class LedgerCheck:
     """Walks the mined blocks, keeping its own record of every coin's value and kind.
 
     After every block it checks the two conservation identities:
     - ordinal ledger: UTXO values plus burned satoshis equal the allocated
       ordinals, and no ordinal sits in two UTXOs;
-    - value-only coins: the value funded equals the value-only value still
-      unspent plus the fees of mined value-only transactions.
+    - value-only coins: the value funded equals the funded coins still
+      unspent, plus the fees of mined value-only transactions, plus the
+      value their outputs paid out of the model.
     """
 
     def __init__(self) -> None:
         self.coins: dict[tuple[str, int], tuple[int, bool]] = {}  # serial -> (value, plain)
         self.seen_events = 0
-        self.grants = self.funds = 0  # grants and funds are counted apart
+        self.grants = 0
         self.funded = 0
         self.seen_blocks = 0
         self.burned = 0
         self.plain_fees = 0
+        self.paid_out = 0  # by value-only transactions' outputs, which make no coin
         self.plain_txs = 0
 
     def __call__(self, sim: Simulation) -> None:
@@ -390,9 +407,9 @@ class LedgerCheck:
                 self.coins[(f"genesis-{self.grants}", 0)] = (payload[-1], False)
                 self.grants += 1
             elif kind == "fund":
-                self.coins[(f"fund-{self.funds}", 0)] = (payload[-1], True)
-                self.funds += 1
-                self.funded += payload[-1]
+                serial, value = payload
+                self.coins[serial] = (value, True)
+                self.funded += value
         self.seen_events = len(sim.event_log)
         for block in sim.chain.blocks[self.seen_blocks:]:
             for tx in block.transactions:
@@ -401,12 +418,15 @@ class LedgerCheck:
                 assert all(kind == plain for _, kind in spent)
                 fee = sum(value for value, _ in spent) - tx.output_total
                 assert fee >= 0
-                self.plain_fees += fee if plain else 0
-                self.burned += 0 if plain else fee
-                self.plain_txs += plain
+                if plain:
+                    self.plain_fees += fee
+                    self.paid_out += tx.output_total
+                    self.plain_txs += 1
+                    continue
+                self.burned += fee
                 for index, out in enumerate(tx.outputs):
                     if out.value:
-                        self.coins[(tx.txid, index)] = (out.value, plain)
+                        self.coins[(tx.txid, index)] = (out.value, False)
         self.seen_blocks = len(sim.chain.blocks)
 
         ledger = sim.chain.utxo_set
@@ -418,7 +438,7 @@ class LedgerCheck:
         assert held + self.burned == ledger._next_ordinal
         ranges = sorted((r.start, r.end) for u in ledger.utxos.values() for r in u.ordinals)
         assert all(a_end <= b_start for (_, a_end), (b_start, _) in zip(ranges, ranges[1:]))
-        assert self.funded == sum(ledger.plain.values()) + self.plain_fees
+        assert self.funded == sum(ledger.plain.values()) + self.plain_fees + self.paid_out
 
 
 def test_conservation_after_every_block_of_a_congested_run():
@@ -445,3 +465,22 @@ def test_market_coins_stay_off_the_ordinal_ledger():
     assert ledger.plain and ledger.utxos
     assert not [u for u in ledger.utxos.values() if u.owner == MARKET_ADDRESS]
     assert sim.replay_state() == sim.indexer.state
+
+
+def test_the_ledger_holds_only_funded_unspent_coins(monkeypatch):
+    sims = [congested_run(2, blocks=10, after_block=lambda sim: None)]
+    execute = harness.execute
+
+    def keep(config, sim):
+        sims.append(sim)
+        return execute(config, sim)
+
+    monkeypatch.setattr(harness, "execute", keep)
+    run_scenario(ScenarioConfig(fraction=1.0, fee_rate=100, congestion=0.75, attempts=5), 7)
+    for sim in sims:
+        plain = sim.chain.utxo_set.plain
+        funded = [event[2] for event in sim.event_log if event[0] == "fund"]
+        assert plain == unspent_funds(sim) and 0 < len(plain) < len(funded)
+        # each coin is named by the very outpoint its market transaction spends
+        spent = {id(tx.inputs[0].outpoint) for tx in background._market_txs}
+        assert all(id(serial) in spent for serial in funded)

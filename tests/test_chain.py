@@ -25,6 +25,7 @@ from brc20sim.chain import (
     TxOutput,
     UtxoSet,
     assign_ordinals,
+    fund_serial,
     make_txid,
 )
 from brc20sim.mempool import ACCEPTED
@@ -263,6 +264,12 @@ class TestInscriptions:
         assert state._inscribed_sorted == sorted(state.inscribed) == [0, 10]
 
 
+def funded(state: UtxoSet, value: int, serial=fund_serial(0)) -> tuple[str, int]:
+    """A value-only coin of ``value`` on ``state``, under ``serial``."""
+    state.fund([(serial, value)])
+    return serial
+
+
 class TestValueOnly:
     """Value-only coins: funded, spent and checked without ordinals."""
 
@@ -273,49 +280,36 @@ class TestValueOnly:
 
         monkeypatch.setattr(chain_module, "assign_ordinals", refuse)
 
-    def test_fund_counts_its_own_serials_and_allocates_no_ordinal(self):
-        state = UtxoSet()
-        first = state.grant("a", 10)
-        assert state.fund([7])[0] == ("fund-0", 0)
-        assert state.grant("a", 5).serial == ("genesis-1", 0)
-        assert first.serial == ("genesis-0", 0)
-        assert state.plain == {("fund-0", 0): 7}
-        assert state._next_ordinal == 15
-        assert ("fund-0", 0) not in state.utxos
-        with pytest.raises(ValueError):
-            state.fund([0])
-
-    def test_a_batch_takes_consecutive_serials_or_none(self):
+    def test_a_batch_funds_its_named_coins_or_none(self):
         state = UtxoSet()
         state.grant("a", 10)
-        assert state.fund([7, 8, 9]) == [("fund-0", 0), ("fund-1", 0), ("fund-2", 0)]
+        coins = [(("bg-input", 0), 7), (fund_serial(4), 8), (fund_serial(0), 9)]
+        state.fund(coins)
+        assert state.plain == dict(coins)
         assert state.grant("a", 5).serial == ("genesis-1", 0)
-        assert state.fund([]) == []
+        assert state._next_ordinal == 15 and not state.plain.keys() & state.utxos.keys()
+        state.fund([])
         for bad in ([5, 0, 6], [-1], [3, 4, -2]):
             with pytest.raises(ValueError):
-                state.fund(bad)
+                state.fund([(("bad", i), value) for i, value in enumerate(bad)])
         # nothing was funded by an empty or refused batch
-        assert state.fund([1]) == [("fund-3", 0)]
-        assert state.plain == {("fund-0", 0): 7, ("fund-1", 0): 8, ("fund-2", 0): 9,
-                               ("fund-3", 0): 1}
-        assert state._next_ordinal == 15
+        assert state.plain == dict(coins)
 
-    def test_outputs_become_value_only_coins(self):
+    def test_outputs_leave_the_model(self):
         state = UtxoSet()
-        coin = state.fund([1_000])[0]
+        coin = funded(state, 1_000)
         outputs = [TxOutput(600, "mkt"), TxOutput(0, "x"), TxOutput(300, "y")]
         spend = tx("p", [TxInput(coin)], outputs)
         assert state.apply_transaction(spend) is VALUE_ONLY_RECEIPT
-        assert state.plain == {("p", 0): 600, ("p", 2): 300}
-        assert state.utxos == {} and state._next_ordinal == 0
-        # and a child spends them the same way
-        child = tx("c", [TxInput(("p", 2)), TxInput(("p", 0))], [TxOutput(850, "z")])
-        assert state.apply_transaction(child) is VALUE_ONLY_RECEIPT
-        assert state.plain == {("c", 0): 850}
+        assert state.plain == {} and state.utxos == {} and state._next_ordinal == 0
+        # so nothing can spend them
+        for index in (0, 2):
+            with pytest.raises(MissingInput):
+                state.apply_transaction(tx("c", [TxInput(("p", index))], [TxOutput(1, "z")]))
 
     def test_unknown_input(self):
         state = UtxoSet()
-        coin = state.fund([100])[0]
+        coin = funded(state, 100)
         with pytest.raises(MissingInput):
             state.apply_transaction(
                 tx("t", [TxInput(coin), TxInput(("nope", 0))], [TxOutput(1, "a")])
@@ -324,7 +318,7 @@ class TestValueOnly:
 
     def test_spent_twice(self):
         state = UtxoSet()
-        coin = state.fund([100])[0]
+        coin = funded(state, 100)
         with pytest.raises(MissingInput):
             state.apply_transaction(tx("t", [TxInput(coin), TxInput(coin)], [TxOutput(1, "a")]))
         state.apply_transaction(tx("t1", [TxInput(coin)], [TxOutput(50, "a")]))
@@ -333,14 +327,14 @@ class TestValueOnly:
 
     def test_overspent(self):
         state = UtxoSet()
-        coin = state.fund([100])[0]
+        coin = funded(state, 100)
         with pytest.raises(NegativeFee):
             state.apply_transaction(tx("t", [TxInput(coin)], [TxOutput(101, "a")]))
         assert state.plain == {coin: 100}
 
     def test_mixed_funding_and_inscriptions_raise(self):
         state = UtxoSet()
-        coin = state.fund([1_000])[0]
+        coin = funded(state, 1_000)
         utxo = state.grant("a", 1_000)
         for inputs in ([coin, utxo.serial], [utxo.serial, coin]):
             with pytest.raises(MixedFunding):
@@ -354,12 +348,11 @@ class TestValueOnly:
     def test_copy_is_independent(self):
         state = UtxoSet()
         state.grant("a", 10)
-        coin = state.fund([100])[0]
+        coin = funded(state, 100)
         dup = state.copy()
         state.apply_transaction(tx("t", [TxInput(coin)], [TxOutput(50, "a")]))
-        assert dup.plain == {coin: 100}
-        # the copy carries both counts
-        assert dup.fund([1])[0] == state.fund([1])[0] == ("fund-1", 0)
+        assert dup.plain == {coin: 100} and state.plain == {}
+        # the copy carries the grant count
         assert dup.grant("b", 1).serial == state.grant("b", 1).serial == ("genesis-1", 0)
 
 
@@ -424,7 +417,7 @@ class TestIdentity:
         assert [t.txid for t in market] == ["86bc14281c5f9565", "48184ba5752356a8",
                                             "aaa9dc9010ec7fa0"]
         coins.grant("alice", 100_000)
-        request = TransferRequest("ordi", 10, "alice", "bob", fee_rate=20)
+        request = TransferRequest(10, "alice", "bob", fee_rate=20)
         bundle = build_transfer(request, coins)
         assert bundle.tx1.txid == "61e78e2e5ffabc62"
         assert bundle.tx2.txid == "9a3748c5c2b63609"

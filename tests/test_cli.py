@@ -396,6 +396,10 @@ class TestBadInput:
             ["sim", "--attempts", "2", "--t-bar", "1e12"],
             ["sim", "--attempts", "2", "--t-bar", "1e300"],
             ["sim", "--attempts", "1000000000"],
+            # a fee the hot wallet cannot pay once ended in an InsufficientFunds traceback
+            ["sim", "--fee", "2000000"],
+            ["sweep", "--seeds", "1", "--fractions", "1", "--fees", "2000000",
+             "--congestion", "0.75", "--attempts", "2"],
         ],
     )
     def test_bad_number_on_the_command_line_exits_one(self, argv):

@@ -30,7 +30,7 @@ def log_object(event: tuple) -> dict:
     match event:
         case ("grant", t, owner, value):
             return {"event": "grant", "t": t, "owner": owner, "value": value}
-        case ("fund", t, value):
+        case ("fund", t, _, value):  # the coin's serial is not written
             return {"event": "fund", "t": t, "value": value}
         case ("submit", t, tx, result):
             return {"event": "submit", "t": t, "tx": tx_object(tx),
@@ -65,7 +65,7 @@ RESULT = st.builds(SubmitResult, st.booleans(), st.none() | TEXT)
 
 EVENTS = st.one_of(
     st.tuples(st.just("grant"), TIME, TEXT, st.integers()),
-    st.tuples(st.just("fund"), TIME, st.integers()),
+    st.tuples(st.just("fund"), TIME, st.tuples(TEXT, st.integers()), st.integers()),
     st.tuples(st.just("submit"), TIME, TX, RESULT),
     st.tuples(st.just("mine"), TIME,
               st.builds(Block, st.integers(0, 10**6), st.floats(), st.lists(TX, max_size=3))),

@@ -1,5 +1,6 @@
 """Mempool behavior: priority mining, RBF, eviction, expiry, congestion."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -37,6 +38,16 @@ def make_pool(**overrides) -> tuple[Mempool, Chain]:
     defaults.update(overrides)
     chain = Chain()
     return Mempool(SimConfig(**defaults), chain), chain
+
+
+_coins = itertools.count()
+
+
+def fund(chain: Chain, value: int) -> tuple[str, int]:
+    """A fresh value-only coin of ``value`` on the chain."""
+    coin = (f"coin-{next(_coins)}", 0)
+    chain.utxo_set.fund([(coin, value)])
+    return coin
 
 
 def spend(chain, owner_value, fee, vsize=100, sequence=RBF_ON, tag="", to="dest"):
@@ -122,7 +133,7 @@ class TestSubmit:
 
     def test_orphan_after_value_only_coin_is_orphan(self):
         pool, chain = make_pool()
-        coin = chain.utxo_set.fund([5_000])[0]
+        coin = fund(chain, 5_000)
         inputs = (TxInput(coin), TxInput(("missing", 0)))
         tx = Transaction("o", inputs, (TxOutput(10, "a"),), 100)
         assert pool.submit(tx, 0.0).reason == ORPHAN_INPUT
@@ -172,7 +183,7 @@ class TestSubmit:
 class TestValueOnly:
     def test_mixed_inputs_rejected(self):
         pool, chain = make_pool()
-        coin = chain.utxo_set.fund([5_000])[0]
+        coin = fund(chain, 5_000)
         utxo = chain.utxo_set.grant("funder", 5_000)
         parent = spend(chain, 1_000, fee=5_000, tag="p")
         assert pool.submit(parent, 0.0).accepted
@@ -185,30 +196,28 @@ class TestValueOnly:
 
     def test_inscription_on_value_only_coins_rejected(self):
         pool, chain = make_pool()
-        coin = chain.utxo_set.fund([5_000])[0]
+        coin = fund(chain, 5_000)
         tx = Transaction("i", (TxInput(coin),), (TxOutput(546, "a", inscription="{}"),), 100)
         assert pool.submit(tx, 0.0).reason == MIXED_FUNDING
         assert len(pool) == 0
 
-    def test_child_of_value_only_parent(self):
+    def test_outputs_of_a_value_only_entry_are_orphans_pooled_or_mined(self):
         pool, chain = make_pool()
-        coin = chain.utxo_set.fund([10_000])[0]
+        coin = fund(chain, 10_000)
         outputs = (TxOutput(6_000, "mkt"), TxOutput(1_000, "mkt"))
         parent = Transaction("p", (TxInput(coin),), outputs, 100)
         assert pool.submit(parent, 0.0).accepted
-        assert pool._lookup(("p", 0)) == (6_000, True, pool.entries["p"])
-        child = child_of(parent, 0, 6_000, fee=2_500)
-        assert pool.submit(child, 1.0).accepted
-        assert pool.entries["p"].plain and pool.entries[child.txid].plain
-        assert pool.entries[child.txid].fee == 2_500
-        # an ordinal-funded child of a value-only parent mixes funding
+        assert pool._lookup(("p", 0)) is None
         utxo = chain.utxo_set.grant("funder", 5_000)
-        inputs = (TxInput(("p", 1)), TxInput(utxo.serial))
-        mixed = Transaction("m", inputs, (TxOutput(10, "a"),), 100)
-        assert pool.submit(mixed, 2.0).reason == MIXED_FUNDING
-        block = pool.mine_block(600.0)
-        assert [t.txid for t in block.transactions] == ["p", child.txid]
-        assert chain.utxo_set.plain == {("p", 1): 1_000, (child.txid, 0): 3_500}
+        children = [child_of(parent, 0, 6_000, fee=2_500),
+                    Transaction("m", (TxInput(("p", 1)), TxInput(utxo.serial)),
+                                (TxOutput(10, "a"),), 100)]
+        assert [pool.submit(child, 1.0).reason for child in children] == [ORPHAN_INPUT] * 2
+        assert [t.txid for t in pool.mine_block(600.0).transactions] == ["p"]
+        assert [pool.submit(child, 601.0).reason for child in children] == [ORPHAN_INPUT] * 2
+        assert list(pool.entries) == [] and chain.utxo_set.plain == {}
+        assert pool.submit(spend(chain, 1_000, fee=5_000, tag="next"), 602.0).accepted
+        assert len(pool.mine_block(1_200.0).transactions) == 1
 
 
 class TestRbf:

@@ -11,7 +11,7 @@ st = hypothesis.strategies
 
 from brc20sim.chain import Transaction, TxInput, TxOutput, make_txid  # noqa: E402
 from brc20sim.mempool import EXPIRY  # noqa: E402
-from test_mempool import RBF_OFF, RBF_ON, check_pool_invariants, make_pool  # noqa: E402
+from test_mempool import RBF_OFF, RBF_ON, check_pool_invariants, fund, make_pool  # noqa: E402
 
 VSIZES = (100, 150, 250, 400)
 PICK = st.integers(0, 10**6)  # an index into whatever the step picks from
@@ -42,8 +42,12 @@ def check(pool, coins):
     for entry in pool.entries.values():
         paid_in = sum(coins[inp.outpoint][0] for inp in entry.tx.inputs)
         assert entry.fee == paid_in - entry.tx.output_total
-        # value-only and ordinal-tracked coins never mix in one entry
-        assert {coins[inp.outpoint][1] for inp in entry.tx.inputs} == {entry.plain}
+        # value-only and ordinal-tracked coins never mix in one entry, and a
+        # value-only entry spends funded coins alone: its parents' outputs left the model
+        kinds = {coins[inp.outpoint][1] for inp in entry.tx.inputs}
+        assert len(kinds) == 1
+        if kinds == {True}:
+            assert all(inp.outpoint in pool.chain.utxo_set.plain for inp in entry.tx.inputs)
 
 
 @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -77,8 +81,7 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
         tx = None
         if kind == "submit":
             _, plain, rate, vsize, rbf, outputs = step
-            coin = (chain.utxo_set.fund([100_000])[0] if plain
-                    else chain.utxo_set.grant("funder", 100_000).serial)
+            coin = fund(chain, 100_000) if plain else chain.utxo_set.grant("funder", 100_000).serial
             coins[coin] = (100_000, plain)
             tx = build([coin], vsize, rate * vsize, RBF_ON if rbf else RBF_OFF, outputs)
         elif kind == "bump" and pool.entries:
@@ -145,11 +148,12 @@ class Twins:
         self.sent: list[Transaction] = []  # every transaction built, in order
 
     def coin(self, plain: bool, value: int = COIN) -> tuple[str, int]:
-        (serial,) = {
-            pool.chain.utxo_set.fund([value])[0] if plain
-            else pool.chain.utxo_set.grant("funder", value).serial
-            for pool in self.pools
-        }
+        if plain:
+            serial = (f"coin-{len(self.values)}", 0)  # each coin, orphan and output adds a value
+            for pool in self.pools:
+                pool.chain.utxo_set.fund([(serial, value)])
+        else:
+            (serial,) = {pool.chain.utxo_set.grant("funder", value).serial for pool in self.pools}
         self.values[serial] = value
         return serial
 
@@ -212,7 +216,7 @@ class Twins:
 def pool_state(pool):
     """Everything a pool holds, lazily deleted heap items included."""
     return (
-        [(t, e.arrival, e.fee, set(e.depends_on), e.plain) for t, e in pool.entries.items()],
+        [(t, e.arrival, e.fee, set(e.depends_on)) for t, e in pool.entries.items()],
         pool.spends,
         pool.total_vsize,
         {vsize: sorted(heap) for vsize, heap in pool._ready.items()},

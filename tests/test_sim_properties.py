@@ -29,7 +29,7 @@ def test_no_confirmed_tx_was_sent_after_its_block(sends):
     for skip, lead in sends:
         sim.run_until(max(sim.now, sim.next_block_time + skip * BLOCK_INTERVAL - lead))
         sim.grant("alice", 1_000_000)
-        _, r1, r2 = sim.send_transfer(TransferRequest("ordi", 1, "alice", "bob", fee_rate=10))
+        _, r1, r2 = sim.send_transfer(TransferRequest(1, "alice", "bob", fee_rate=10))
         assert r1.accepted and r2.accepted
     sim.run_blocks(2)
     mined = [(tx.txid, block.timestamp) for block in sim.chain.blocks for tx in block.transactions]

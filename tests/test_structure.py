@@ -45,9 +45,20 @@ def test_only_the_simulation_and_replay_feed_the_indexer():
 
 def test_background_traffic_stays_off_the_ordinal_ledger():
     # market and sediment coins are value-only: the load calls no grant
-    # function, the simulation hands it ``fund``, and only the chain runs
-    # the ordinal pass
+    # function, the simulation hands it ``fund``, only the simulation funds
+    # coins in the ledger, and only the chain runs the ordinal pass
     assert not {name for name in called_names(SRC / "background.py") if name and "grant" in name}
+    funded_on = {
+        path.name: {
+            ast.unparse(node.func.value)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "fund"
+        }
+        for path in SRC.glob("*.py")
+    }
+    # UtxoSet.fund is called in sim.py alone; `brc20sim replay` funds through its Simulation
+    assert {name: on for name, on in funded_on.items() if on} == {
+        "sim.py": {"self.chain.utxo_set", "genesis"}, "cli.py": {"sim"}}
     tree = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
     handed = [
         node.args[0].attr
@@ -102,7 +113,7 @@ def test_settable_values_are_counted():
     assert {name for name in classes if name.endswith("Config")} == {"SimConfig", "ScenarioConfig"}
     configs = ("SimConfig", "ScenarioConfig", "CongestionProfile", "TransferRequest")
     counts = {name: len(dataclasses.fields(classes[name])) for name in configs}
-    assert sum(counts.values()) == 20, counts
+    assert sum(counts.values()) == 19, counts
 
 
 def test_no_module_reads_the_environment():

@@ -27,7 +27,7 @@ def fresh_sim(balance=10_000_000, owner="alice", **settings):
 
 
 def request(**overrides):
-    base = dict(tick="ordi", amount=100, sender="alice", recipient="bob", fee_rate=200)
+    base = dict(amount=100, sender="alice", recipient="bob", fee_rate=200)
     base.update(overrides)
     return TransferRequest(**base)
 

@@ -280,20 +280,39 @@ class TestValueOnly:
 
         monkeypatch.setattr(chain_module, "assign_ordinals", refuse)
 
-    def test_a_batch_funds_its_named_coins_or_none(self):
+    def test_fund_counts_its_own_serials_and_allocates_no_ordinal(self):
+        # fund serials are a sequence of their own, apart from the grant count
+        serials = [fund_serial(n) for n in range(3)]
+        assert serials == [("fund-0", 0), ("fund-1", 0), ("fund-2", 0)]
+        state = UtxoSet()
+        first = state.grant("a", 10)
+        assert funded(state, 7) == fund_serial(0)
+        assert state.grant("a", 5).serial == ("genesis-1", 0)
+        assert first.serial == ("genesis-0", 0)
+        assert state.plain == {("fund-0", 0): 7}
+        assert state._next_ordinal == 15
+        assert ("fund-0", 0) not in state.utxos
+        with pytest.raises(ValueError):
+            state.fund([(fund_serial(1), 0)])
+        assert state.plain == {("fund-0", 0): 7}
+
+    def test_a_batch_takes_consecutive_serials_or_none(self):
         state = UtxoSet()
         state.grant("a", 10)
-        coins = [(("bg-input", 0), 7), (fund_serial(4), 8), (fund_serial(0), 9)]
+        coins = [(fund_serial(n), value) for n, value in enumerate([7, 8, 9])]
         state.fund(coins)
-        assert state.plain == dict(coins)
+        assert state.plain == {("fund-0", 0): 7, ("fund-1", 0): 8, ("fund-2", 0): 9}
         assert state.grant("a", 5).serial == ("genesis-1", 0)
-        assert state._next_ordinal == 15 and not state.plain.keys() & state.utxos.keys()
         state.fund([])
         for bad in ([5, 0, 6], [-1], [3, 4, -2]):
             with pytest.raises(ValueError):
-                state.fund([(("bad", i), value) for i, value in enumerate(bad)])
+                state.fund([(fund_serial(3 + n), value) for n, value in enumerate(bad)])
         # nothing was funded by an empty or refused batch
         assert state.plain == dict(coins)
+        # a batch may name any coin its spending transaction holds
+        state.fund([(("bg-input", 0), 1)])
+        assert state.plain == {**dict(coins), ("bg-input", 0): 1}
+        assert state._next_ordinal == 15 and not state.plain.keys() & state.utxos.keys()
 
     def test_outputs_leave_the_model(self):
         state = UtxoSet()

@@ -9,12 +9,21 @@ scenario's fee rate, and every attempt is measured at the scenario's horizon.
 The attack succeeds when some attempt's tokens stay locked longer than the
 victim's operational tolerance.  ``execute`` reads all of this from the one
 ``harness.ScenarioConfig``.
+
+Attempt ``i`` launches at ``start + (i - 1) * ATTEMPT_SPACING_S`` whatever
+the attempt count, and its amount reads only the state then, so a run of
+``n`` attempts is, up to the time attempt ``n + 1`` would launch, the same
+history as every longer run of the same fraction and fee.  ``execute`` can
+hand that point over (``on_launched``) and resume a longer run from it
+(``resume``): the attempts launched so far, as frozen ``AttemptRecord``s
+that scoring replaces rather than fills in, and the start time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .sim import Simulation
@@ -58,7 +67,7 @@ def tolerance(inputs: ToleranceInputs) -> float:
     return surplus * inputs.period_seconds / inputs.volume_per_period
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class AttemptRecord:
     index: int
     amount: int
@@ -93,6 +102,15 @@ class AttackOutcome:
         return [r.row() for r in self.per_attempt]
 
 
+@dataclass(frozen=True, slots=True)
+class Launches:
+    """An attack at the launch time of its next attempt: when it started, and the
+    attempts launched so far, unscored."""
+
+    start: float
+    records: tuple[AttemptRecord, ...]
+
+
 def evaluate_success(delays: list[float], t_bar: float) -> bool:
     """True iff any attempt's effective delay strictly exceeds the tolerance."""
     return any(delay > t_bar for delay in delays)
@@ -102,21 +120,29 @@ def _zero_attempt(index: int, fee: int, now: float) -> AttemptRecord:
     return AttemptRecord(index=index, amount=0, fee_rate=fee, submit_time=now)
 
 
-def execute(config: ScenarioConfig, sim: Simulation) -> AttackOutcome:
+def execute(
+    config: ScenarioConfig,
+    sim: Simulation,
+    resume: Launches | None = None,
+    on_launched: Callable[[Launches], None] | None = None,
+) -> AttackOutcome:
     """Run the scenario's attack against a live simulation.
 
     Attempts are fired every ``ATTEMPT_SPACING_S`` seconds until the horizon,
-    and all of them are scored once the horizon is reached.
+    and all of them are scored once the horizon is reached.  With ``resume``,
+    ``sim`` stands where a shorter run of the same fraction and fee handed
+    over, and the attack goes on from its launches.  ``on_launched`` is called
+    with this run's launches at the time its next attempt would have launched,
+    before the run goes on to its horizon.
     """
     fee = config.fee_rate
-    outcome = AttackOutcome()
-    horizon_time = sim.now + config.horizon_s()
-    start = sim.now
+    start, records = (sim.now, []) if resume is None else (resume.start, list(resume.records))
+    horizon_time = start + config.horizon_s()
 
-    for index in range(1, config.attempts + 1):
+    for index in range(len(records) + 1, config.attempts + 1):
         sim.run_until(min(start + (index - 1) * ATTEMPT_SPACING_S, horizon_time))
         if sim.now >= horizon_time:
-            outcome.per_attempt.append(_zero_attempt(index, fee, sim.now))
+            records.append(_zero_attempt(index, fee, sim.now))
             continue
 
         available = sim.balance(TICK, TARGET)[0]
@@ -124,18 +150,17 @@ def execute(config: ScenarioConfig, sim: Simulation) -> AttackOutcome:
             raise TargetEmpty(f"{TARGET} has no available {TICK}")
         amount = math.floor(config.fraction * available)
         if amount == 0:
-            outcome.per_attempt.append(_zero_attempt(index, fee, sim.now))
+            records.append(_zero_attempt(index, fee, sim.now))
             continue
-        outcome.per_attempt.append(_launch_attempt(sim, index, amount, fee))
+        records.append(_launch_attempt(sim, index, amount, fee))
 
+    if on_launched is not None:
+        sim.run_until(start + config.attempts * ATTEMPT_SPACING_S)
+        on_launched(Launches(start, tuple(records)))
     sim.run_until(horizon_time)
-    for record in outcome.per_attempt:
-        if record.tx2 is not None:
-            _finalize_record(sim, record)
-    outcome.success = evaluate_success(
-        [r.effective_delay for r in outcome.per_attempt], config.tolerance_s
-    )
-    return outcome
+    per_attempt = [r if r.tx2 is None else _scored(sim, r) for r in records]
+    success = evaluate_success([r.effective_delay for r in per_attempt], config.tolerance_s)
+    return AttackOutcome(per_attempt, success)
 
 
 def _launch_attempt(sim: Simulation, index: int, amount: int, fee: int) -> AttemptRecord:
@@ -156,19 +181,20 @@ def _launch_attempt(sim: Simulation, index: int, amount: int, fee: int) -> Attem
     )
 
 
-def _finalize_record(sim: Simulation, record: AttemptRecord) -> None:
-    """Score an attempt: the delay counts only if tokens were really locked."""
-    record.confirm_time = sim.chain.confirmation_time(record.tx2)
+def _scored(sim: Simulation, record: AttemptRecord) -> AttemptRecord:
+    """An attempt as scored now: the delay counts only if tokens were really locked."""
+    confirm_time = sim.chain.confirmation_time(record.tx2)
     ordinal = sim.indexer.inscription_of(record.tx1)
     if ordinal is None:
         # inscription never confirmed, so no tokens were locked
-        record.voided = False
-        record.pinned = False
-        record.effective_delay = 0.0
-        return
-    record.voided = ordinal not in sim.indexer.pending_created
-    record.pinned = ordinal in sim.indexer.state.pending
+        return replace(record, confirm_time=confirm_time)
+    voided = ordinal not in sim.indexer.pending_created
     # Tx2's delay runs from its send time to its confirmation, or to now while pending
-    end = sim.now if record.confirm_time is None else record.confirm_time
-    record.effective_delay = 0.0 if record.voided else end - record.submit_time
-
+    end = sim.now if confirm_time is None else confirm_time
+    return replace(
+        record,
+        confirm_time=confirm_time,
+        effective_delay=0.0 if voided else end - record.submit_time,
+        pinned=ordinal in sim.indexer.state.pending,
+        voided=voided,
+    )

@@ -51,6 +51,7 @@ as a fresh draw.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import random
@@ -254,6 +255,11 @@ class BackgroundLoad:
         self._tape = _tape(key)
         self._windows = 0  # market batches drawn
         self.floor = self._tape.floors[0]
+
+    def copy(self) -> BackgroundLoad:
+        """This load at its current window, on the same tape: each later batch
+        of either is the one this load would return."""
+        return copy.copy(self)
 
     def sediment(self, fund_fn) -> list[Transaction]:
         """One-shot low-fee padding; rates far below any realistic foreground."""

@@ -213,11 +213,11 @@ class Receipt:
 VALUE_ONLY_RECEIPT = Receipt((), (), None)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     timestamp: float
-    transactions: list[Transaction] = field(default_factory=list)
+    transactions: tuple[Transaction, ...] = ()
 
 
 def assign_ordinals(
@@ -414,6 +414,16 @@ class Chain:
         self.utxo_set = UtxoSet()
         self._tx_index: dict[str, float] = {}  # txid -> confirmation time
         self.tip_receipts: list[Receipt] = []  # the last appended block's, in tx order
+
+    def copy(self) -> Chain:
+        """An independent chain in this one's state: its own containers and UTXO
+        set, over the same blocks and receipts, which are immutable."""
+        dup = Chain()
+        dup.blocks = list(self.blocks)
+        dup.utxo_set = self.utxo_set.copy()
+        dup._tx_index = dict(self._tx_index)
+        dup.tip_receipts = list(self.tip_receipts)
+        return dup
 
     @property
     def height(self) -> int:

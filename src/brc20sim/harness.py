@@ -5,19 +5,40 @@ The sweep crosses transfer fraction, fee rate, congestion level and attempt
 count (three levels each, 81 scenarios) and aggregates per-seed results into
 one CSV row per scenario.  All randomness is seed-derived, so a (grid, seeds)
 pair fully determines every emitted byte.
+
+Held histories.  ``run_scenario``, the one per-cell entry of the sweep, starts
+each scenario from the longest history it holds that the scenario shares:
+
+* a *set-up*, the simulation at the end of ``_set_up``, which depends only on
+  the ``SimConfig``, the congestion level and the seed;
+* a *checkpoint*, a run of ``n`` attempts at the time its attempt ``n + 1``
+  would have launched, which every longer run of the same set-up, fraction
+  and fee passes through (see ``attack``); the longer run resumes from it.
+
+A scenario forks what it starts from (``Simulation.fork``), so what is held
+never changes.  Only the current seed's histories are held, and a scenario
+of another seed drops them first.  At most one set-up per congestion level
+is held, plus the latest checkpoint.  A set-up is snapshotted only when it is
+requested a second time, and a checkpoint is taken only in a scenario that
+started from a held history.  So a caller that never repeats a set-up (one
+``brc20sim sim``, a scenario per seed) copies and holds nothing.  A resumed
+scenario gives what a fresh one gives, byte for byte, because running to
+``a`` and then to ``b`` is running to ``b``: the arrivals run to ``a`` and
+then the rest enter the pool as one batch of them would.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .attack import ATTEMPT_SPACING_S, TARGET, execute
+from .attack import ATTEMPT_SPACING_S, TARGET, Launches, execute
 from .background import CongestionProfile
 from .chain import DUST, Transaction, TxInput, TxOutput, make_txid
 from .indexer import deploy_inscription, mint_inscription
-from .mempool import EXPIRY, MIN_RELAY_FEE_RATE
+from .mempool import EXPIRY, MIN_RELAY_FEE_RATE, SubmitResult
 from .sim import BLOCK_INTERVAL, SimConfig, Simulation, collector_paused
 # unused here, but bench/tracing.py wraps the build_transfer name in this module
 from .wallet import TICK, TX1_VSIZE, TransferRequest, build_recovery, build_transfer
@@ -39,6 +60,10 @@ CSV_HEADER = (
 
 class ReplayDivergence(AssertionError):
     """A scripted replay assertion failed: the model diverged."""
+
+
+class SetupFailed(ValueError):
+    """A set-up transaction did not confirm: the settings leave it no room."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,37 +144,108 @@ def inscription_tx(
     return Transaction(make_txid(inputs, outputs, TX1_VSIZE, tag=tag), inputs, outputs, TX1_VSIZE)
 
 
+def _require_confirmed(
+    sim: Simulation, step: str, tx: Transaction, result: SubmitResult
+) -> None:
+    if not sim.chain.confirmed(tx.txid):
+        why = "no block took it" if result.accepted else f"the pool refused it ({result.reason})"
+        raise SetupFailed(f"set-up step {step!r} did not confirm: {why}")
+
+
 def _fund_and_mint(sim: Simulation, holdings: dict[str, int], max_supply: int) -> None:
     """Deploy the tick and mint each address its opening balance."""
     deploy = inscription_tx(
         sim, TARGET, deploy_inscription(TICK, max_supply, max_supply), SETUP_FEE_RATE, "deploy"
     )
-    sim.submit(deploy)
+    deployed = sim.submit(deploy)
     sim.run_blocks(1)
+    _require_confirmed(sim, "deploy", deploy, deployed)
+    mints = []
     for addr, amount in holdings.items():
-        sim.submit(
-            inscription_tx(sim, addr, mint_inscription(TICK, amount), SETUP_FEE_RATE, f"mint-{addr}")
-        )
+        mint = inscription_tx(sim, addr, mint_inscription(TICK, amount), SETUP_FEE_RATE,
+                              f"mint-{addr}")
+        mints.append((f"mint for {addr}", mint, sim.submit(mint)))
     sim.run_blocks(2)
+    for step, mint, minted in mints:
+        _require_confirmed(sim, step, mint, minted)
     for addr, amount in holdings.items():
         if sim.balance(TICK, addr)[0] != amount:
             raise ReplayDivergence(f"setup mint failed for {addr}")
+
+
+def _set_up(config: ScenarioConfig, seed: int) -> Simulation:
+    """A fresh simulation of the scenario's market, at the end of its set-up: the
+    target funded, the tick deployed and the target's opening balance minted."""
+    sim = Simulation(config.sim, CongestionProfile.for_level(config.congestion, seed))
+    for _ in range(10):
+        sim.grant(TARGET, 100_000_000)
+    _fund_and_mint(sim, {TARGET: TARGET_INITIAL}, max_supply=21_000_000)
+    sim.watch_balance(TICK, TARGET)
+    return sim
+
+
+@dataclass(frozen=True, slots=True)
+class _Checkpoint:
+    """A scenario's history up to the launch time of the attempt after its last."""
+
+    cell: tuple  # (SimConfig, congestion, fraction, fee_rate): what the history depends on
+    sim: Simulation
+    launches: Launches
+
+
+class _Histories:
+    """The current seed's held histories (see the module docstring)."""
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self, seed: int | None = None) -> None:
+        self.seed = seed
+        # congestion -> (the SimConfig last requested there, its set-up once requested twice)
+        self.setups: dict[float, tuple[SimConfig, Simulation | None]] = {}
+        self.checkpoint: _Checkpoint | None = None
+
+    def start(
+        self, config: ScenarioConfig, seed: int
+    ) -> tuple[Simulation, Launches | None, Callable[[Launches], None] | None]:
+        """A scenario's simulation, started from the longest held prefix of its
+        history; the launches it resumes; and, when that prefix was held, the hook
+        that holds the scenario's own checkpoint."""
+        if seed != self.seed:
+            self.clear(seed)
+        cell = (config.sim, config.congestion, config.fraction, config.fee_rate)
+        checkpoint = self.checkpoint
+        if (checkpoint is not None and checkpoint.cell == cell
+                and len(checkpoint.launches.records) < config.attempts):
+            sim, resume = checkpoint.sim.fork(), checkpoint.launches
+        else:
+            requested, held = self.setups.get(config.congestion, (None, None))
+            if requested != config.sim:  # a first request: run it, hold nothing
+                sim = _set_up(config, seed)
+                self.setups[config.congestion] = (config.sim, None)
+                return sim, None, None
+            if held is None:
+                held = _set_up(config, seed)
+                self.setups[config.congestion] = (config.sim, held)
+            sim, resume = held.fork(), None
+
+        def hold(launches: Launches) -> None:
+            self.checkpoint = _Checkpoint(cell, sim.fork(), launches)
+
+        return sim, resume, hold
+
+
+_histories = _Histories()
 
 
 @collector_paused()
 def run_scenario(
     config: ScenarioConfig, seed: int, log_path: str | None = None
 ) -> ScenarioResult:
-    """One seeded trial of the attack under the scenario's conditions."""
-    profile = CongestionProfile.for_level(config.congestion, seed)
-    sim = Simulation(config.sim, profile)
-
-    for _ in range(10):
-        sim.grant(TARGET, 100_000_000)
-    _fund_and_mint(sim, {TARGET: TARGET_INITIAL}, max_supply=21_000_000)
-    sim.watch_balance(TICK, TARGET)
-
-    outcome = execute(config, sim)
+    """One seeded trial of the attack under the scenario's conditions, started from
+    the longest held prefix of its history (see the module docstring)."""
+    sim, resume, hold = _histories.start(config, seed)
+    outcome = execute(config, sim, resume, hold)
     if log_path is not None:
         sim.export_event_log(log_path)
 
@@ -220,7 +316,8 @@ def run_sweep(
     workers: int = 1,
 ) -> list[SweepRow]:
     """One row per cell over ``seeds``.  The work is one task per (cell, seed),
-    seed by seed, so that a seed's cells replay its held market tapes."""
+    seed by seed, so that a seed's cells replay its held market tapes and
+    start from its held histories."""
     grid = default_grid() if grid is None else grid
     if not seeds:
         raise ValueError("the sweep needs at least one seed")

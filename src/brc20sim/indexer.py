@@ -16,7 +16,7 @@ by re-appending them to a fresh chain on the genesis grants.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .chain import Block, Chain, Receipt, UtxoSet
 
@@ -146,6 +146,15 @@ class Brc20State:
         self.balances: dict[tuple[str, str], BalanceEntry] = {}
         self.pending: dict[int, PendingTransfer] = {}
 
+    def copy(self) -> Brc20State:
+        """An independent state: its own registry and balance entries, over the
+        same pending transfers, which are immutable."""
+        dup = Brc20State()
+        dup.ticks = {tick: replace(info) for tick, info in self.ticks.items()}
+        dup.balances = {key: replace(entry) for key, entry in self.balances.items()}
+        dup.pending = dict(self.pending)
+        return dup
+
     def entry(self, tick: str, addr: str) -> BalanceEntry:
         key = (tick, addr)
         entry = self.balances.get(key)
@@ -192,6 +201,14 @@ class Indexer:
         # carried a pending transfer (consumed ones included).
         self.bound_by_tx: dict[str, int] = {}
         self.pending_created: set[int] = set()
+
+    def copy(self) -> Indexer:
+        """An independent indexer in this one's state."""
+        dup = Indexer()
+        dup.state = self.state.copy()
+        dup.bound_by_tx = dict(self.bound_by_tx)
+        dup.pending_created = set(self.pending_created)
+        return dup
 
     def apply_block(self, block: Block, receipts: list[Receipt]) -> None:
         """Consume a confirmed block with the receipts its chain append returned."""

@@ -19,7 +19,9 @@ and k distinct vsizes among the ready entries:
   entry's in-pool children are the spenders of its outputs, and
   ``depends_on`` holds each entry's in-pool parents (a mined parent is
   pruned from its children only).  Every entry admitted with no in-pool
-  parent shares the empty ``NO_PARENTS``.
+  parent shares the empty ``NO_PARENTS``, and an entry whose last parent is
+  mined takes it, so only an entry with a parent in the pool changes after
+  admission (which is what ``copy`` copies).
 - The ready entries, those with no in-pool parent, sit in one best-rate-first
   heap per vsize; each entry carries its own heap item, ``MempoolEntry.key``.
   ``mine_block`` repeatedly takes the best top among the heaps whose vsize
@@ -80,7 +82,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .chain import Block, Chain, Transaction
@@ -155,6 +157,23 @@ class Mempool:
         self._by_rate: list[tuple] | None = None  # heap of (rate_key, -arrival, txid)
         self._removed = 0  # entries removed or mined since the last rebuild
         self._oldest = math.inf  # at most the earliest arrival in the pool
+
+    def copy(self, chain: Chain) -> Mempool:
+        """An independent pool in this one's state, bound to ``chain``, a copy of its
+        chain.  The containers and heaps are copied; entries are shared, apart from
+        those with an in-pool parent, whose ``depends_on`` mining prunes."""
+        dup = Mempool(self.config, chain)
+        dup.entries = {
+            txid: replace(entry, depends_on=set(entry.depends_on)) if entry.depends_on else entry
+            for txid, entry in self.entries.items()
+        }
+        dup.spends = dict(self.spends)
+        dup.total_vsize = self.total_vsize
+        dup._ready = {vsize: list(heap) for vsize, heap in self._ready.items()}
+        dup._by_rate = None if self._by_rate is None else list(self._by_rate)
+        dup._removed = self._removed
+        dup._oldest = self._oldest
+        return dup
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -415,7 +434,7 @@ class Mempool:
 
     def mine_block(self, now: float) -> Block:
         """Greedy fee-rate block template; selected entries leave the pool."""
-        block = Block(height=self.chain.height + 1, timestamp=now)
+        selected: list[Transaction] = []
         remaining = self.config.block_capacity_vbytes
         while True:
             # the best ready entry that fits tops one of the fitting heaps
@@ -444,8 +463,10 @@ class Mempool:
                 if child is not None and txid in child.depends_on:
                     child.depends_on.remove(txid)
                     if not child.depends_on:
+                        child.depends_on = NO_PARENTS  # so that nothing mutates it again
                         self._push_ready(child)
-            block.transactions.append(entry.tx)
+            selected.append(entry.tx)
+        block = Block(self.chain.height + 1, now, tuple(selected))
         self.chain.append_block(block)
-        self._forget(len(block.transactions))
+        self._forget(len(selected))
         return block

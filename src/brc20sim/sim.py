@@ -27,12 +27,18 @@ each arrival at ``max(now, its time)``; the foreground and ``brc20sim
 replay`` enter through ``submit``, one transaction at a time.  Either way
 each submission is recorded once, as one ``submit`` event.
 
+``fork`` gives an independent simulation in the same state, from per-layer
+copies: the harness holds a scenario's set-up and the checkpoint a shorter
+attack leaves, and starts later scenarios from forks of them.  What a fork
+then does is what the original would have done, byte for byte.
+
 Scenarios and replays run with the cyclic garbage collector paused
 (``collector_paused``), since a simulation makes no reference cycles.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import math
@@ -113,6 +119,27 @@ class Simulation:
             )
             txs = self.background.sediment(self.fund)
             self.submit_batch(txs, [self.now] * len(txs))
+
+    def fork(self) -> Simulation:
+        """An independent simulation in this one's state: run apart, each goes on as
+        this one would have.
+
+        Each layer copies itself (``Chain.copy``, ``Mempool.copy``,
+        ``Indexer.copy``, ``BackgroundLoad.copy``): a fork gets its own copy of
+        every container and of every object a later step mutates, and shares
+        what is frozen, such as transactions, mined blocks, receipts, submit
+        results, event tuples and the market tape.
+        """
+        dup = copy.copy(self)  # settings, clock, watch and this window's arrivals
+        dup.chain = self.chain.copy()
+        dup.pool = self.pool.copy(dup.chain)
+        dup.indexer = self.indexer.copy()
+        dup.congestion_samples = list(self.congestion_samples)
+        dup.balance_samples = list(self.balance_samples)
+        dup.event_log = list(self.event_log)
+        if self.background is not None:
+            dup.background = self.background.copy()
+        return dup
 
     # -- funding -------------------------------------------------------------
 

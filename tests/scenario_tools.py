@@ -124,7 +124,7 @@ class Scenario:
 
     def apply(self, *txs: Transaction) -> Block:
         height = len(self.blocks)
-        block = Block(height=height, timestamp=600.0 * (height + 1), transactions=list(txs))
+        block = Block(height=height, timestamp=600.0 * (height + 1), transactions=txs)
         receipts = [self.work.apply_transaction(tx) for tx in txs]
         self.blocks.append(block)
         self.indexer.apply_block(block, receipts)

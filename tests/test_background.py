@@ -107,9 +107,10 @@ class TestSharedMarket:
 
     @pytest.fixture
     def cold(self):
-        """Lets every held tape and market transaction go, as a new process has
-        none; call it again for another cold start."""
+        """Lets every held history, tape and market transaction go, as a new process
+        has none; call it again for another cold start."""
         def reset():
+            harness._histories.clear()
             background._held.clear()
             background._market_txs.clear()
 
@@ -471,9 +472,9 @@ def test_the_ledger_holds_only_funded_unspent_coins(monkeypatch):
     sims = [congested_run(2, blocks=10, after_block=lambda sim: None)]
     execute = harness.execute
 
-    def keep(config, sim):
+    def keep(config, sim, *resumed):
         sims.append(sim)
-        return execute(config, sim)
+        return execute(config, sim, *resumed)
 
     monkeypatch.setattr(harness, "execute", keep)
     run_scenario(ScenarioConfig(fraction=1.0, fee_rate=100, congestion=0.75, attempts=5), 7)

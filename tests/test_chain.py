@@ -414,7 +414,7 @@ class TestChain:
         chain = Chain()
         funding = chain.utxo_set.grant("a", 5)
         spend = tx("t1", [TxInput(funding.serial)], [TxOutput(5, "b")])
-        chain.append_block(Block(height=0, timestamp=600.0, transactions=[spend]))
+        chain.append_block(Block(height=0, timestamp=600.0, transactions=(spend,)))
         assert chain.confirmed("t1")
         assert chain.confirmation_time("t1") == 600.0
         assert not chain.confirmed("t2")

@@ -405,6 +405,23 @@ class TestBadInput:
     def test_bad_number_on_the_command_line_exits_one(self, argv):
         self.assert_usage_error(argv)
 
+    # a set-up that no block or pool has room for once ended in a traceback,
+    # "ReplayDivergence: setup mint failed for hot-wallet"
+    @pytest.mark.parametrize(
+        "argv, settings",
+        [
+            (["sim"], {"block_capacity_vbytes": TX1_VSIZE - 1}),
+            (["sim", "--congestion", "0"], {"mempool_capacity_vbytes": TX1_VSIZE - 1}),
+            (["sweep", "--seeds", "1", "--fractions", "1", "--fees", "100", "--congestion", "0.75",
+              "--attempts", "2"], {"block_capacity_vbytes": TX1_VSIZE - 1}),
+        ],
+    )
+    def test_a_set_up_that_cannot_confirm_exits_one(self, tmp_path, argv, settings):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sim": settings}))
+        err = self.assert_usage_error([*argv, "--config", str(path)])
+        assert "set-up step 'deploy' did not confirm" in err
+
     # past about 3.49 the market's floor_lo passes its hard cap: 50 once failed
     # with "floor_lo above floor_cap", 1e300 with an OverflowError traceback
     @pytest.mark.parametrize(

@@ -198,8 +198,8 @@ class TestLeftoverGap:
         runs = []
         execute = harness.execute
 
-        def recording_execute(config, sim):
-            outcome = execute(config, sim)
+        def recording_execute(config, sim, *resumed):
+            outcome = execute(config, sim, *resumed)
             runs.append((sim, outcome))
             return outcome
 

@@ -42,8 +42,10 @@ the very outpoint objects of the transactions that spend them.
 The draws depend only on the *market key* (``market_key``: the profile, the
 transactions per window and the sediment count), not on the foreground, so
 loads of one key share them.  The module holds a tape for each key of the
-current seed: its draws and each window's time-sorted arrivals, built when
-the window is first drawn.  A load of a held key replays its windows,
+current seed: its draws, and per window one ``Window``, built when the
+window is first drawn, which holds what a simulation reads of it: the
+arrival times in ascending order, the transactions in that order, and their
+coins in ``bg`` order, ready to fund.  A load of a held key replays its windows,
 whatever keys were loaded in between; a load of another seed's key drops
 every tape, and nothing else does.  Either way a load returns the same bytes
 as a fresh draw.
@@ -57,7 +59,6 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .chain import (BLOCK_INTERVAL, DUST, Transaction, TxInput, TxOutput, fund_serial, txid_tail,
                     txid_with_tail)
@@ -155,16 +156,39 @@ def _draw_sediment(rng: random.Random, count: int) -> list[int]:
     return values
 
 
-class _Tape:
-    """A market key's draws and its market windows, extended on demand.
+@dataclass(frozen=True, slots=True)
+class Window:
+    """One block interval's market, built once per tape: the arrival times in
+    ascending order, the transactions arriving at them, and the coins that fund
+    those transactions as ``(serial, value)`` pairs in ``bg`` order.
 
-    The draws are the floor of each window and, per market transaction, its
-    coin value; per sediment transaction, its coin value.  ``windows[w - 1]``
-    holds window ``w``'s arrivals: its market transactions paired with their
-    times in ``[(w - 1) * BLOCK_INTERVAL, w * BLOCK_INTERVAL)``, sorted by time.
+    It iterates as ``(time, tx)`` pairs and its length is its transaction count.
     """
 
-    __slots__ = ("key", "flight", "floors", "values", "sediment", "windows",
+    times: tuple[float, ...]
+    txs: tuple[Transaction, ...]
+    coins: tuple[tuple[tuple[str, int], int], ...]
+
+    def __len__(self) -> int:
+        return len(self.txs)
+
+    def __iter__(self):
+        return zip(self.times, self.txs)
+
+
+NO_MARKET = Window((), (), ())  # what a load with no market returns for every window
+
+
+class _Tape:
+    """A market key's draws, built into coins and windows as they are drawn.
+
+    The draws are the floor of each window, and the coin value of each market
+    and each sediment transaction; ``sediment`` holds the sediment's values.
+    ``windows[w - 1]`` is window ``w``'s ``Window``, its times in
+    ``[(w - 1) * BLOCK_INTERVAL, w * BLOCK_INTERVAL)``.
+    """
+
+    __slots__ = ("key", "flight", "floors", "sediment", "windows",
                  "_g", "_rng_floor", "_rng_rates", "_rng_times")
 
     def __init__(self, key: tuple[CongestionProfile, int, int]):
@@ -176,8 +200,7 @@ class _Tape:
         sigma_stat = profile.sigma / math.sqrt(1.0 - FLOOR_RHO**2)
         self._g = self._rng_floor.gauss(0.0, sigma_stat)
         self.floors = array("d", [self._floor() if profile.target_level else 0.0])
-        self.values = array("q")  # market coin values, window after window
-        self.windows: list[tuple[tuple[float, Transaction], ...]] = []
+        self.windows: list[Window] = []
 
     def _floor(self) -> float:
         p = self.key[0]
@@ -192,14 +215,17 @@ class _Tape:
             floor = self._floor()
             self.floors.append(floor)
             start = (w - 1) * BLOCK_INTERVAL
-            arrivals = []
+            values, arrivals = [], []
             for _ in range(self.flight):
                 rate = floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
-                self.values.append(math.ceil(rate * MARKET_TX_VSIZE) + DUST)
+                values.append(math.ceil(rate * MARKET_TX_VSIZE) + DUST)
                 arrivals.append(start + BLOCK_INTERVAL * self._rng_times.random())
             end = self.key[2] + w * self.flight  # the sediment and windows 1..w
             txs = _build_market(end)[end - self.flight:end]
-            self.windows.append(tuple(sorted(zip(arrivals, txs), key=itemgetter(0))))
+            # a stable sort, so tied times keep bg order
+            order = sorted(range(self.flight), key=arrivals.__getitem__)
+            self.windows.append(Window(tuple([arrivals[i] for i in order]),
+                                       tuple([txs[i] for i in order]), _coins(txs, values)))
 
 
 # The tapes of the current seed, one per market key: a later load of a held
@@ -233,9 +259,9 @@ def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
     return tape
 
 
-def _coins(txs: list[Transaction], values) -> list[tuple[tuple[str, int], int]]:
+def _coins(txs: list[Transaction], values) -> tuple[tuple[tuple[str, int], int], ...]:
     """The coins that fund ``txs``: each one's input outpoint, with its value."""
-    return [(tx.inputs[0].outpoint, value) for tx, value in zip(txs, values)]
+    return tuple((tx.inputs[0].outpoint, value) for tx, value in zip(txs, values))
 
 
 class BackgroundLoad:
@@ -267,15 +293,14 @@ class BackgroundLoad:
         fund_fn(_coins(txs, self._tape.sediment))
         return txs
 
-    def market_batch(self, fund_fn) -> tuple[tuple[float, Transaction], ...]:
-        """Fee-bearing arrivals for the next block interval, by time; floor advanced once."""
+    def market_batch(self, fund_fn) -> Window:
+        """Fee-bearing arrivals for the next block interval, funded; floor advanced once."""
         if not self.flight:
-            return ()
+            return NO_MARKET
         tape = self._tape
         w = self._windows = self._windows + 1
         tape.draw_windows(w)
         self.floor = tape.floors[w]
-        start, end = (w - 1) * self.flight, w * self.flight  # this window's market values
-        txs = _market_txs[self.sediment_count + start:self.sediment_count + end]
-        fund_fn(_coins(txs, tape.values[start:end]))
-        return tape.windows[w - 1]
+        window = tape.windows[w - 1]
+        fund_fn(window.coins)
+        return window

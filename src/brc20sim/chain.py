@@ -9,7 +9,10 @@ Background traffic never carries or moves an inscription, so its coins are
 value-only: ``UtxoSet.fund`` creates them without ordinals, each under the
 serial its spending transaction names (``fund_serial``), and a transaction
 spending them is checked like any other but leaves no coin behind: its
-outputs leave the model.
+outputs leave the model.  Nearly every transaction a block holds is such a
+spend, with one input, so ``Chain.append_block`` spends those in its own
+loop, with no call per transaction, when the spend cannot fail; any other
+transaction, or one that would fail, takes ``UtxoSet.apply_transaction``.
 """
 
 from __future__ import annotations
@@ -430,11 +433,28 @@ class Chain:
         return len(self.blocks) - 1
 
     def append_block(self, block: Block) -> list[Receipt]:
-        """Apply the block's transactions in order and return their receipts."""
+        """Apply the block's transactions in order and return their receipts.
+
+        A one-input spend of a value-only coin worth at least its outputs,
+        with no inscription, is spent here, inline: that precondition is
+        exactly the case in which ``apply_transaction`` takes
+        ``_apply_value_only`` and raises nothing, so the coin leaves ``plain``
+        and the receipt is ``VALUE_ONLY_RECEIPT`` either way.  Every other
+        transaction goes through ``apply_transaction``, which raises as ever.
+        """
         receipts = []
+        plain, apply = self.utxo_set.plain, self.utxo_set.apply_transaction
+        tx_index, timestamp = self._tx_index, block.timestamp
         for tx in block.transactions:
-            receipts.append(self.utxo_set.apply_transaction(tx))
-            self._tx_index[tx.txid] = block.timestamp
+            inputs, outputs = tx.inputs, tx.outputs
+            value = plain.get(inputs[0].outpoint) if len(inputs) == 1 else None
+            if (value is not None and value >= tx.output_total
+                    and (not outputs or outputs[0].inscription is None)):
+                del plain[inputs[0].outpoint]
+                receipts.append(VALUE_ONLY_RECEIPT)
+            else:
+                receipts.append(apply(tx))
+            tx_index[tx.txid] = timestamp
         self.blocks.append(block)
         self.tip_receipts = receipts
         return receipts

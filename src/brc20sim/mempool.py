@@ -5,7 +5,8 @@ a dependency-respecting greedy: repeatedly take the highest-rate entry whose
 in-pool parents are all already selected and which still fits the remaining
 block capacity.  Replace-by-fee, capacity eviction and 14-day expiry follow
 the usual node behavior.  A replacement must pay more than the fees of
-everything it evicts, its conflicts' descendants included (BIP125 rule 3).
+everything it evicts, its conflicts' descendants included (BIP125 rule 3),
+and may evict at most 100 transactions, descendants included (rule 5).
 It first removes its conflicts and then faces capacity eviction like any
 newcomer, which is Bitcoin Core's order before cluster mempool (replace,
 then trim); when the replacement itself is trimmed, the rejection still
@@ -31,12 +32,19 @@ and k distinct vsizes among the ready entries:
   so each capacity eviction costs O(log n) instead of an O(n) scan.  The
   heap is built from ``entries`` when the pool first exceeds its capacity,
   so a pool that never fills (the sweep's) never pays for it.
-- Both heaps delete lazily.  A removal leaves the entry's items behind; an
-  item counts only while its txid is in the pool with the item's arrival
-  time, so a txid evicted and resubmitted is not mistaken for its old item.
-  Once removals since the last rebuild outnumber the entries, the ready
+- Both heaps delete lazily.  A replacement, eviction or expiry leaves the
+  entry's items behind; an item counts only while its txid is in the pool
+  with the item's arrival time, so a txid evicted and resubmitted is not
+  mistaken for its old item.  Mining pops each selected entry's own item
+  from its ready heap, so a mined entry leaves a stale item only in the
+  eviction heap, and counts as a removal only while that heap exists.  Once
+  removals counted since the last rebuild outnumber the entries, the ready
   heaps are rebuilt from ``entries`` in O(n), O(1) per removal amortized,
   and the eviction heap is dropped, to be rebuilt when capacity next binds.
+  So a pool that never fills rebuilds only after replacements and expiry,
+  never because blocks were mined.
+- An entry is built in one call: ``MempoolEntry.__init__`` sets its fee
+  rate and its ready-heap item beside its fields.
 - ``tick_expiry`` is O(1) while a lower bound on the oldest arrival cannot
   expire; only then does it scan the pool in insertion order.
 
@@ -105,12 +113,19 @@ DUPLICATE = "duplicate"
 DUPLICATE_INPUT = "duplicate-input"
 SPENDS_CONFLICTING_TX = "spends-conflicting-tx"
 MIXED_FUNDING = "mixed-funding"
+TOO_MANY_REPLACEMENTS = "too-many-replacements"
+
+MAX_REPLACEMENT_EVICTIONS = 100  # BIP125 rule 5: conflicts plus their descendants
 
 NO_PARENTS: frozenset[str] = frozenset()  # depends_on of every entry admitted without one
 
 
 @dataclass(slots=True)
 class MempoolEntry:
+    """One pooled transaction.  ``__init__`` is written out, not generated, so that
+    the derived keys are set in the one call that builds the entry; it takes the
+    four fields by name, as ``dataclasses.replace`` passes them."""
+
     tx: Transaction
     arrival: float
     fee: int
@@ -124,9 +139,14 @@ class MempoolEntry:
     rate_key: float = field(init=False)
     key: tuple = field(init=False)  # (-rate_key, arrival, txid), its ready-heap item
 
-    def __post_init__(self) -> None:
-        self.rate_key = self.fee / self.tx.vsize
-        self.key = (-self.rate_key, self.arrival, self.tx.txid)
+    def __init__(self, tx: Transaction, arrival: float, fee: int,
+                 depends_on: set[str] | frozenset[str]) -> None:
+        self.tx = tx
+        self.arrival = arrival
+        self.fee = fee
+        self.depends_on = depends_on
+        self.rate_key = rate_key = fee / tx.vsize
+        self.key = (-rate_key, arrival, tx.txid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,10 +333,14 @@ class Mempool:
 
         replaced: list[str] = []
         if conflicts:
-            # BIP125 rule 3: outbid everything that leaves, descendants included
             evicted = self._descendants(conflicts)
-            replaceable = all(self.entries[c].tx.rbf_enabled for c in conflicts)
-            if not replaceable or fee <= sum(self.entries[t].fee for t in evicted):
+            if not all(self.entries[c].tx.rbf_enabled for c in conflicts):
+                return SubmitResult(False, CONFLICT_NOT_REPLACEABLE)
+            # BIP125 rule 5: evict at most 100 transactions, descendants included
+            if len(evicted) > MAX_REPLACEMENT_EVICTIONS:
+                return SubmitResult(False, TOO_MANY_REPLACEMENTS)
+            # BIP125 rule 3: outbid everything that leaves, descendants included
+            if fee <= sum(self.entries[t].fee for t in evicted):
                 return SubmitResult(False, CONFLICT_NOT_REPLACEABLE)
             # an input from a conflict or its descendant would leave the pool with it
             if not depends_on.isdisjoint(evicted):
@@ -433,40 +457,64 @@ class Mempool:
         return dropped
 
     def mine_block(self, now: float) -> Block:
-        """Greedy fee-rate block template; selected entries leave the pool."""
+        """Greedy fee-rate block template; selected entries leave the pool.
+
+        Each scan of the fitting heaps finds the best live top and ``bound``, the
+        best top among the others.  The best heap then gives up a run of entries
+        while its top beats ``bound``, skipping stale items, until its vsize no
+        longer fits or a mined entry frees a child, which may beat ``bound``.
+        """
+        entries, spends, ready = self.entries, self.spends, self._ready
         selected: list[Transaction] = []
         remaining = self.config.block_capacity_vbytes
         while True:
             # the best ready entry that fits tops one of the fitting heaps
             best: list[tuple] | None = None
-            for vsize, heap in self._ready.items():
+            bound: tuple | None = None
+            for vsize, heap in ready.items():
                 if vsize > remaining:
                     continue
                 while heap:  # drop stale tops, as _live would
-                    live = self.entries.get(heap[0][2])
+                    live = entries.get(heap[0][2])
                     if live is not None and live.arrival == heap[0][1]:
                         break
                     heapq.heappop(heap)
-                if heap and (best is None or heap[0] < best[0]):
-                    best = heap
+                if not heap:
+                    continue
+                if best is None or heap[0] < best[0]:
+                    if best is not None:
+                        bound = best[0]
+                    best, best_vsize = heap, vsize
+                elif bound is None or heap[0] < bound:
+                    bound = heap[0]
             if best is None:
                 break
-            txid = heapq.heappop(best)[2]
-            entry = self.entries.pop(txid)
-            remaining -= entry.tx.vsize
-            self.total_vsize -= entry.tx.vsize
-            for inp in entry.tx.inputs:
-                if self.spends.get(inp.outpoint) == txid:
-                    del self.spends[inp.outpoint]
-            for i in range(len(entry.tx.outputs)):
-                child = self.entries.get(self.spends.get((txid, i)))
-                if child is not None and txid in child.depends_on:
-                    child.depends_on.remove(txid)
-                    if not child.depends_on:
-                        child.depends_on = NO_PARENTS  # so that nothing mutates it again
-                        self._push_ready(child)
-            selected.append(entry.tx)
+            while True:  # the scan left a live top; later tops may be stale
+                _, arrival, txid = heapq.heappop(best)
+                entry = entries.get(txid)
+                if entry is not None and entry.arrival == arrival:
+                    del entries[txid]
+                    remaining -= best_vsize
+                    self.total_vsize -= best_vsize
+                    for inp in entry.tx.inputs:
+                        if spends.get(inp.outpoint) == txid:
+                            del spends[inp.outpoint]
+                    freed = False
+                    for i in range(len(entry.tx.outputs)):
+                        child = entries.get(spends.get((txid, i)))
+                        if child is not None and txid in child.depends_on:
+                            child.depends_on.remove(txid)
+                            if not child.depends_on:
+                                child.depends_on = NO_PARENTS  # so that nothing mutates it again
+                                self._push_ready(child)
+                                freed = True
+                    selected.append(entry.tx)
+                    if freed or best_vsize > remaining:
+                        break
+                if not best or (bound is not None and best[0] > bound):
+                    break
         block = Block(self.chain.height + 1, now, tuple(selected))
         self.chain.append_block(block)
-        self._forget(len(selected))
+        if self._by_rate is not None:  # each mined entry left its eviction-heap item
+            self._forget(len(selected))
         return block

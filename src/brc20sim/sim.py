@@ -24,7 +24,11 @@ simulation funds its coins in ``bg`` order.
 Background traffic enters the pool through ``submit_batch``, the sediment
 as one batch and each run of market arrivals up to a horizon as another,
 each arrival at ``max(now, its time)``; the foreground and ``brc20sim
-replay`` enter through ``submit``, one transaction at a time.  Either way
+replay`` enter through ``submit``, one transaction at a time.  A window's
+market (``background.Window``) holds its arrival times in ascending order
+beside its transactions, so ``run_until`` bisects the times for the run up
+to the horizon and slices both; since the times ascend, the clamp to ``now``
+is needed only when the run's first time is earlier.  Either way
 each submission is recorded once, as one ``submit`` event.
 
 ``fork`` gives an independent simulation in the same state, from per-layer
@@ -47,10 +51,9 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from . import wallet
-from .background import BackgroundLoad, CongestionProfile
+from .background import NO_MARKET, BackgroundLoad, CongestionProfile
 from .chain import BLOCK_INTERVAL, Chain, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
 from .mempool import Mempool, SubmitResult
@@ -103,7 +106,7 @@ class Simulation:
         self.indexer = Indexer()
         self.now = 0.0
         self.next_block_time = BLOCK_INTERVAL
-        self._arrivals: tuple[tuple[float, Transaction], ...] = ()  # this window's market, by time
+        self._arrivals = NO_MARKET  # this window's market
         self._next_arrival = 0  # index of the first arrival not yet submitted
         self._window_generated = -1
         self.congestion_samples: list[float] = []
@@ -204,11 +207,13 @@ class Simulation:
             self._ensure_window()
             horizon = min(target, self.next_block_time)
             # the arrivals up to the horizon, each submitted at max(now, its time)
-            arrivals, i = self._arrivals, self._next_arrival
-            j = bisect_right(arrivals, horizon, lo=i, key=itemgetter(0))
+            times, i = self._arrivals.times, self._next_arrival
+            j = bisect_right(times, horizon, lo=i)
             if j > i:
-                now, run = self.now, arrivals[i:j]
-                self.submit_batch([tx for _, tx in run], [max(now, at) for at, _ in run])
+                now, at = self.now, times[i:j]
+                if at[0] < now:
+                    at = [max(now, t) for t in at]
+                self.submit_batch(self._arrivals.txs[i:j], at)
                 self._next_arrival = j
             self.now = max(self.now, horizon)
             if self.next_block_time > target:

@@ -375,6 +375,70 @@ class TestValueOnly:
         assert dup.grant("b", 1).serial == state.grant("b", 1).serial == ("genesis-1", 0)
 
 
+# The value-only cases above, each as (inputs, outputs, error); "coin" is a funded
+# coin of 1,000 sat and "utxo" a granted one.
+BAD_VALUE_ONLY_SPENDS = {
+    "unknown-beside": (["coin", ("nope", 0)], [TxOutput(1, "a")], MissingInput),
+    "unknown-alone": ([("nope", 0)], [TxOutput(1, "a")], MissingInput),
+    "spent-twice": (["coin", "coin"], [TxOutput(1, "a")], MissingInput),
+    "overspent": (["coin"], [TxOutput(1_001, "a")], NegativeFee),
+    "coin-then-utxo": (["coin", "utxo"], [TxOutput(5, "a")], MixedFunding),
+    "utxo-then-coin": (["utxo", "coin"], [TxOutput(5, "a")], MixedFunding),
+    "inscribed": (["coin"], [TxOutput(546, "a", inscription="{}")], MixedFunding),
+}
+
+
+class TestValueOnlyInABlock:
+    """``Chain.append_block`` spends value-only coins in its own loop: it must raise,
+    and leave the ledger, exactly as ``UtxoSet.apply_transaction`` does."""
+
+    @staticmethod
+    def ledger() -> tuple[Chain, dict[str, tuple[str, int]]]:
+        chain = Chain()
+        coin = funded(chain.utxo_set, 1_000)
+        return chain, {"coin": coin, "utxo": chain.utxo_set.grant("a", 1_000).serial}
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUE_ONLY_SPENDS))
+    def test_a_block_raises_as_the_ledger_does(self, case):
+        inputs, outputs, error = BAD_VALUE_ONLY_SPENDS[case]
+        for through_block in (False, True):
+            chain, named = self.ledger()
+            state = chain.utxo_set
+            before = (dict(state.plain), dict(state.utxos))
+            bad = tx("bad", [TxInput(named.get(o, o)) for o in inputs], outputs)
+            with pytest.raises(error):
+                if through_block:
+                    chain.append_block(Block(0, 600.0, (bad,)))
+                else:
+                    state.apply_transaction(bad)
+            assert (state.plain, state.utxos) == before, (case, through_block)
+            assert chain.blocks == [] and not chain.confirmed("bad")
+
+    def test_a_block_spending_one_coin_twice_raises(self):
+        chain, named = self.ledger()
+        first, second = (tx(t, [TxInput(named["coin"])], [TxOutput(50, "a")]) for t in "xy")
+        with pytest.raises(MissingInput):
+            chain.append_block(Block(0, 600.0, (first, second)))
+        assert chain.blocks == []
+
+    def test_value_only_spends_take_no_ledger_call(self, monkeypatch):
+        chain, named = self.ledger()
+        other = funded(chain.utxo_set, 700, serial=fund_serial(1))
+        calls = []
+        apply = UtxoSet.apply_transaction
+        monkeypatch.setattr(UtxoSet, "apply_transaction",
+                            lambda state, t: calls.append(t.txid) or apply(state, t))
+        spends = (tx("p", [TxInput(named["coin"])], [TxOutput(1_000, "m")]),
+                  tx("q", [TxInput(other)], [TxOutput(600, "m"), TxOutput(0, "z")]),
+                  tx("g", [TxInput(named["utxo"])], [TxOutput(900, "b")]))
+        receipts = chain.append_block(Block(0, 600.0, spends))
+        # the two value-only spends stayed in the block loop; the granted coin did not
+        assert calls == ["g"]
+        assert receipts[:2] == [VALUE_ONLY_RECEIPT] * 2 and receipts == chain.tip_receipts
+        assert chain.utxo_set.plain == {} and list(chain.utxo_set.utxos) == [("g", 0)]
+        assert all(chain.confirmation_time(t.txid) == 600.0 for t in spends)
+
+
 def logged_tx(t: Transaction) -> dict:
     """The "tx" object of the event-log line that records a submission of ``t``."""
     return json.loads(log_line(("submit", 0.0, t, ACCEPTED)))["tx"]

@@ -20,6 +20,7 @@ from brc20sim.mempool import (
     NO_PARENTS,
     ORPHAN_INPUT,
     SPENDS_CONFLICTING_TX,
+    TOO_MANY_REPLACEMENTS,
     Mempool,
     MempoolEntry,
 )
@@ -297,6 +298,34 @@ class TestRbf:
         result = pool.submit(r, 3.0)
         assert result.accepted and result.replaced == ("p", "c")
         assert list(pool.entries) == ["r"]
+        check_pool_invariants(pool)
+
+    @pytest.mark.parametrize("children", [99, 100])
+    def test_a_replacement_evicts_at_most_100_transactions(self, children):
+        # BIP125 rule 5 (Bitcoin Core's "too many potential replacements"): the
+        # conflicts and their descendants count, and the bid is high enough that
+        # only the count can refuse it
+        pool, chain = make_pool()
+        coin = chain.utxo_set.grant("funder", 10_000 * (children + 1))  # the parent pays 10,000
+        outputs = tuple(TxOutput(10_000, "a") for _ in range(children))
+        parent = Transaction("p", (TxInput(coin.serial, RBF_ON),), outputs, 100)
+        assert pool.submit(parent, 0.0).accepted
+        for i in range(children):
+            assert pool.submit(child_of(parent, i, 10_000, fee=1_000, tag=f"c{i}"), 1.0).accepted
+        def state():
+            ready = {vsize: list(heap) for vsize, heap in pool._ready.items()}
+            return dict(pool.entries), dict(pool.spends), pool.total_vsize, ready, pool._removed
+
+        before = state()
+        bid = Transaction("r", (TxInput(coin.serial, RBF_ON),),  # pays 200,000
+                          (TxOutput(coin.value - 200_000, "a"),), 100)
+        result = pool.submit(bid, 2.0)
+        if children == 100:  # 101 would leave
+            assert not result.accepted and result.reason == TOO_MANY_REPLACEMENTS
+            assert state() == before
+        else:
+            assert result.accepted and len(result.replaced) == 100
+            assert list(pool.entries) == ["r"]
         check_pool_invariants(pool)
 
     @pytest.mark.parametrize("through_child", [False, True])
@@ -584,7 +613,9 @@ def random_pool_history(seed, blocks=12, capacity=(1_500, 3_000)):
     Every capacity eviction must evict what ``oracle_evictions`` does.
     Returns how often each path was taken, so callers can check coverage,
     and the height whose submissions first evicted for capacity (None if
-    capacity never bound).
+    capacity never bound).  Besides the paths, ``stale_mined`` counts blocks
+    mined while a ready heap held a stale item, and ``built_from_entries`` the
+    evicting submissions that found no eviction heap and so built it.
     """
     rng = random.Random(seed)
     block_capacity = rng.randint(400, 1_200)
@@ -593,7 +624,8 @@ def random_pool_history(seed, blocks=12, capacity=(1_500, 3_000)):
         mempool_capacity_vbytes=mempool_capacity,
         block_capacity_vbytes=block_capacity,
     )
-    seen = dict(evicted=0, replaced=0, expired=0, resubmitted=0, children_mined=0)
+    seen = dict(evicted=0, replaced=0, expired=0, resubmitted=0, children_mined=0,
+                stale_mined=0, built_from_entries=0)
     bound_at = None
     gone: list[Transaction] = []  # left the pool unmined
     now = 0.0
@@ -636,6 +668,7 @@ def random_pool_history(seed, blocks=12, capacity=(1_500, 3_000)):
                           rng.choice((RBF_ON, RBF_ON, RBF_OFF)))
             before = dict(pool.entries)
             found = [pool._lookup(inp.outpoint) for inp in tx.inputs]
+            unbuilt = pool._by_rate is None
             result = pool.submit(tx, now)
             check_pool_invariants(pool)
             removed = [e.tx for txid, e in before.items() if txid not in pool.entries]
@@ -653,6 +686,7 @@ def random_pool_history(seed, blocks=12, capacity=(1_500, 3_000)):
                 if result.reason == MEMPOOL_FULL:
                     actual.append(tx.txid)
                 assert sorted(actual) == sorted(expected), (seed, height)
+                seen["built_from_entries"] += bool(expected) and unbuilt
                 if expected and bound_at is None:
                     bound_at = height
         now = 600.0 * HISTORY_SECOND * height
@@ -662,6 +696,10 @@ def random_pool_history(seed, blocks=12, capacity=(1_500, 3_000)):
         seen["expired"] += len(dropped)
         with_parents = {txid for txid, e in pool.entries.items() if e.depends_on}
         expected = oracle_greedy(dict(pool.entries), chain, block_capacity)
+        seen["stale_mined"] += any(
+            not pool._live(txid, arrival)
+            for heap in pool._ready.values() for _, arrival, txid in heap
+        )
         block = pool.mine_block(now)
         assert [t.txid for t in block.transactions] == expected, (seed, height)
         check_pool_invariants(pool)
@@ -740,9 +778,24 @@ class TestMining:
         # from a pool that blocks and expiry have already thinned
         late = []
         for seed in range(40):
-            _, bound_at = random_pool_history(seed, blocks=16, capacity=(3_000, 4_500))
+            seen, bound_at = random_pool_history(seed, blocks=16, capacity=(3_000, 4_500))
             late.append(bound_at is not None and bound_at >= 3)
+            if late[-1]:  # built from entries, it evicted what the oracle evicts
+                assert seen["built_from_entries"] >= 1 and seen["evicted"] >= 1
         assert sum(late) >= 20, late
+
+    def test_a_pool_that_never_fills_matches_greedy_oracle(self):
+        # with no eviction heap, mining leaves no stale item and triggers no
+        # rebuild; replacements and expiry still leave stale ready items, and
+        # every block must still be the oracle's
+        totals: dict[str, int] = {}
+        for seed in range(40):
+            seen, bound_at = random_pool_history(seed, capacity=(10**9, 10**9))
+            assert bound_at is None
+            for key, count in seen.items():
+                totals[key] = totals.get(key, 0) + count
+        assert totals["evicted"] == totals["built_from_entries"] == 0, totals
+        assert totals["replaced"] and totals["expired"] and totals["stale_mined"], totals
 
     def test_deterministic_block_sequence(self):
         def build():

@@ -11,8 +11,11 @@ from pathlib import Path
 from scenario_tools import pinned_transfer
 
 import brc20sim
+from brc20sim.background import BackgroundLoad, CongestionProfile
+from brc20sim.chain import Block
 from brc20sim.cli import REPLAY_FIELDS
-from brc20sim.sim import SETTINGS
+from brc20sim.mempool import Mempool
+from brc20sim.sim import SETTINGS, SimConfig, Simulation
 from brc20sim.wallet import build_recovery
 
 SRC = Path(brc20sim.__file__).resolve().parent
@@ -185,3 +188,39 @@ def test_every_name_the_benchmark_traces_exists():
         if attr not in vars(owner):  # tracing.traced() reads vars(owner)[attr]
             missing.append(f"{owner_path}.{attr}")
     assert missing == []
+
+
+def test_the_shapes_the_benchmark_counts_hold(monkeypatch):
+    # bench/tracing.py's post hooks count what these calls return: a change of
+    # return shape should fail here, not skew the traced counts unseen
+    returned = {}
+
+    def recording(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            returned.setdefault(name, []).append((args[0], result))
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((BackgroundLoad, "market_batch"), (BackgroundLoad, "sediment"),
+                        (Mempool, "mine_block"), (Mempool, "_enforce_capacity")):
+        recording(owner, name)
+    # a sediment of 275 market transactions, 110,000 vB, overfills the pool
+    config = SimConfig(mempool_capacity_vbytes=100_000)
+    sim = Simulation(config, CongestionProfile.for_level(0.75, seed=1))
+    sim.run_blocks(3)
+    assert [len(txs) == load.sediment_count > 0 for load, txs in returned["sediment"]] == [True]
+    windows = [len(window) == load.flight > 0 for load, window in returned["market_batch"]]
+    assert len(windows) >= 3 and all(windows)
+    assert [type(block) for _, block in returned["mine_block"]] == [Block] * 3
+    evicted = [txids for _, txids in returned["_enforce_capacity"]]
+    assert evicted and all(type(txids) is list for txids in evicted)
+    # with no replacement or expiry, every submission that is neither pooled nor
+    # mined was evicted, whether accepted first or refused as mempool-full
+    mined = {tx.txid for block in sim.chain.blocks for tx in block.transactions}
+    gone = {event[2].txid for event in sim.event_log if event[0] == "submit"} - mined
+    gone -= sim.pool.entries.keys()
+    assert sorted(t for txids in evicted for t in txids) == sorted(gone) and gone

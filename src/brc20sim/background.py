@@ -33,27 +33,24 @@ is formatted once, as ``MARKET_TXID_TAIL``, and each txid is one sha256 call
 over its tag, its input and that tail.
 
 ``bg{k}`` spends coin ``chain.fund_serial(k - 1)`` in every simulation,
-whatever the seed, market key or foreground, so its bytes are fixed (the
-coin's value lives in the UTXO set).  One process-wide list holds them,
-``bg{k}`` at entry ``k - 1``, each built once.  A batch, the sediment or one
-window's market, is funded with one ``fund_fn`` call whose coins are named by
-the very outpoint objects of the transactions that spend them.
+whatever the seed, profile or foreground, so its bytes are fixed (the coin's
+value lives in the UTXO set).  One process-wide list holds them, ``bg{k}`` at
+entry ``k - 1``, each built once.
 
-The draws depend only on the *market key* (``market_key``: the profile, the
-transactions per window and the sediment count), not on the foreground, so
-loads of one key share them.  The module holds a tape for each key of the
-current seed: its draws, and per window one ``Window``, built when the
-window is first drawn, which holds what a simulation reads of it: the
-arrival times in ascending order, the transactions in that order, and their
-coins in ``bg`` order, ready to fund.  A load of a held key replays its windows,
-whatever keys were loaded in between; a load of another seed's key drops
-every tape, and nothing else does.  Either way a load returns the same bytes
-as a fresh draw.
+A ``BackgroundLoad`` is one simulation's market: its RNG streams, its floors,
+and its batches, the sediment and then one ``Window`` per block interval,
+each built when first requested.  A batch holds what a simulation reads of
+it: the arrival times in ascending order, the transactions in that order,
+and the coins that fund them as ``(serial, value)`` pairs in ``bg`` order,
+each serial the very outpoint object its transaction spends.  The load
+never touches the ledger: the simulation funds and submits each batch.  A
+simulation's forks share its load (``Simulation.fork``), and ask it for
+windows by number, so a window is drawn once however many forks read it,
+and each gets the bytes a fresh draw would give.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 import random
@@ -123,24 +120,13 @@ class CongestionProfile:
         )
 
 
-def market_key(
-    profile: CongestionProfile, normal_count: int, block_capacity: int
-) -> tuple[CongestionProfile, int, int]:
-    """What a load's draws depend on: the profile, the market transactions per
-    window (``flight``) and the one-shot sediment count."""
-    batch_size = block_capacity // MARKET_TX_VSIZE if profile.target_level else 0
-    target_count = round(profile.target_level * normal_count)
-    flight = min(batch_size, target_count)
-    return profile, flight, max(0, target_count - flight)
-
-
 # A sediment draw is randint(1, SEDIMENT_RATE_HI) - 1, which CPython takes as the top
 # SEDIMENT_RATE_HI.bit_length() bits of one 32-bit word, redrawn while >= SEDIMENT_RATE_HI,
 # so it is decided by each word's top byte: a table keeps its top bits, and the top
 # bytes of rejected words are deleted.
 _TOP_BITS = bytes(b >> (8 - SEDIMENT_RATE_HI.bit_length()) for b in range(256))
 _REJECTED = bytes(b for b in range(256) if _TOP_BITS[b] >= SEDIMENT_RATE_HI)
-_SEDIMENT_VALUES = [(r + 1) * MARKET_TX_VSIZE + DUST for r in range(SEDIMENT_RATE_HI)]
+_SEDIMENT_VALUES = tuple((r + 1) * MARKET_TX_VSIZE + DUST for r in range(SEDIMENT_RATE_HI))
 
 
 def _draw_sediment(rng: random.Random, count: int) -> list[int]:
@@ -158,9 +144,9 @@ def _draw_sediment(rng: random.Random, count: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class Window:
-    """One block interval's market, built once per tape: the arrival times in
-    ascending order, the transactions arriving at them, and the coins that fund
-    those transactions as ``(serial, value)`` pairs in ``bg`` order.
+    """One batch of market transactions, built once per load: the arrival times
+    in ascending order, the transactions arriving at them, and the coins that
+    fund those transactions as ``(serial, value)`` pairs in ``bg`` order.
 
     It iterates as ``(time, tx)`` pairs and its length is its transaction count.
     """
@@ -177,60 +163,6 @@ class Window:
 
 
 NO_MARKET = Window((), (), ())  # what a load with no market returns for every window
-
-
-class _Tape:
-    """A market key's draws, built into coins and windows as they are drawn.
-
-    The draws are the floor of each window, and the coin value of each market
-    and each sediment transaction; ``sediment`` holds the sediment's values.
-    ``windows[w - 1]`` is window ``w``'s ``Window``, its times in
-    ``[(w - 1) * BLOCK_INTERVAL, w * BLOCK_INTERVAL)``.
-    """
-
-    __slots__ = ("key", "flight", "floors", "sediment", "windows",
-                 "_g", "_rng_floor", "_rng_rates", "_rng_times")
-
-    def __init__(self, key: tuple[CongestionProfile, int, int]):
-        profile, self.flight, sediment_count = self.key = key
-        self._rng_floor = stream(profile.seed, "floor")
-        self._rng_rates = stream(profile.seed, "rates")
-        self._rng_times = stream(profile.seed, "times")
-        self.sediment = _draw_sediment(stream(profile.seed, "sediment"), sediment_count)
-        sigma_stat = profile.sigma / math.sqrt(1.0 - FLOOR_RHO**2)
-        self._g = self._rng_floor.gauss(0.0, sigma_stat)
-        self.floors = array("d", [self._floor() if profile.target_level else 0.0])
-        self.windows: list[Window] = []
-
-    def _floor(self) -> float:
-        p = self.key[0]
-        return min(max(p.floor_base * math.exp(self._g), p.floor_lo), p.floor_cap)
-
-    def draw_windows(self, count: int) -> None:
-        """Draw the market up to window ``count``, advancing the AR(1) floor once per window."""
-        sigma = self.key[0].sigma
-        ln_spread = math.log(RATE_SPREAD)
-        while (w := len(self.floors)) <= count:  # w: the window being drawn
-            self._g = FLOOR_RHO * self._g + self._rng_floor.gauss(0.0, sigma)
-            floor = self._floor()
-            self.floors.append(floor)
-            start = (w - 1) * BLOCK_INTERVAL
-            values, arrivals = [], []
-            for _ in range(self.flight):
-                rate = floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
-                values.append(math.ceil(rate * MARKET_TX_VSIZE) + DUST)
-                arrivals.append(start + BLOCK_INTERVAL * self._rng_times.random())
-            end = self.key[2] + w * self.flight  # the sediment and windows 1..w
-            txs = _build_market(end)[end - self.flight:end]
-            # a stable sort, so tied times keep bg order
-            order = sorted(range(self.flight), key=arrivals.__getitem__)
-            self.windows.append(Window(tuple([arrivals[i] for i in order]),
-                                       tuple([txs[i] for i in order]), _coins(txs, values)))
-
-
-# The tapes of the current seed, one per market key: a later load of a held
-# key replays its tape, whatever keys were loaded in between.
-_held: dict[tuple[CongestionProfile, int, int], _Tape] = {}
 
 # Every load's market and sediment transactions: ``_market_txs[k - 1]`` is ``bg{k}``,
 # which spends coin ``fund_serial(k - 1)``.
@@ -250,57 +182,68 @@ def _build_market(count: int) -> list[Transaction]:
     return _market_txs
 
 
-def _tape(key: tuple[CongestionProfile, int, int]) -> _Tape:
-    tape = _held.get(key)
-    if tape is None:
-        if any(held[0].seed != key[0].seed for held in _held):
-            _held.clear()  # let the old seed's tapes go before the new one allocates
-        tape = _held[key] = _Tape(key)
-    return tape
-
-
 def _coins(txs: list[Transaction], values) -> tuple[tuple[tuple[str, int], int], ...]:
     """The coins that fund ``txs``: each one's input outpoint, with its value."""
     return tuple((tx.inputs[0].outpoint, value) for tx, value in zip(txs, values))
 
 
 class BackgroundLoad:
-    """Generates sediment and per-interval market batches for a simulation.
+    """One simulation's market, shared by its forks (see the module docstring).
 
-    Each batch, the sediment or one window's market, is funded with one
-    ``fund_fn(coins)`` call (``Simulation.fund``), whose ``(serial, value)``
-    pairs follow ``bg`` order, each serial the outpoint its transaction
-    spends.  Loads of one market key share that key's held ``_Tape``, and
-    every load shares ``_market_txs``; what a load returns is what a fresh
-    draw would return, bit for bit.
+    ``flight`` market transactions arrive per window, after a one-shot sediment
+    of ``sediment_count``.  ``windows[0]`` is the sediment, all arriving at time 0,
+    and ``windows[w]`` is window ``w``'s market, its times in
+    ``[(w - 1) * BLOCK_INTERVAL, w * BLOCK_INTERVAL)``, drawn at floor ``floors[w]``.
     """
 
+    __slots__ = ("profile", "flight", "sediment_count", "floors", "windows",
+                 "_g", "_rng_floor", "_rng_rates", "_rng_times")
+
     def __init__(self, profile: CongestionProfile, normal_count: int, block_capacity: int):
-        key = market_key(profile, normal_count, block_capacity)
-        self.profile, self.flight, self.sediment_count = key
-        self._tape = _tape(key)
-        self._windows = 0  # market batches drawn
-        self.floor = self._tape.floors[0]
+        batch_size = block_capacity // MARKET_TX_VSIZE if profile.target_level else 0
+        target_count = round(profile.target_level * normal_count)
+        self.profile = profile
+        self.flight = min(batch_size, target_count)
+        self.sediment_count = count = max(0, target_count - self.flight)
+        self._rng_floor = stream(profile.seed, "floor")
+        self._rng_rates = stream(profile.seed, "rates")
+        self._rng_times = stream(profile.seed, "times")
+        sigma_stat = profile.sigma / math.sqrt(1.0 - FLOOR_RHO**2)
+        self._g = self._rng_floor.gauss(0.0, sigma_stat)
+        self.floors = array("d", [self._floor() if profile.target_level else 0.0])
+        txs = _build_market(count)[:count]
+        values = _draw_sediment(stream(profile.seed, "sediment"), count)
+        self.windows = [Window((0.0,) * count, tuple(txs), _coins(txs, values))]
 
-    def copy(self) -> BackgroundLoad:
-        """This load at its current window, on the same tape: each later batch
-        of either is the one this load would return."""
-        return copy.copy(self)
+    def _floor(self) -> float:
+        p = self.profile
+        return min(max(p.floor_base * math.exp(self._g), p.floor_lo), p.floor_cap)
 
-    def sediment(self, fund_fn) -> list[Transaction]:
+    def sediment(self) -> Window:
         """One-shot low-fee padding; rates far below any realistic foreground."""
-        txs = _build_market(self.sediment_count)[:self.sediment_count]
-        fund_fn(_coins(txs, self._tape.sediment))
-        return txs
+        return self.windows[0]
 
-    def market_batch(self, fund_fn) -> Window:
-        """Fee-bearing arrivals for the next block interval, funded; floor advanced once."""
+    def market_batch(self, w: int) -> Window:
+        """Window ``w``'s fee-bearing arrivals (``w >= 1``), drawing every window up
+        to it not yet drawn, each advancing the AR(1) floor once."""
         if not self.flight:
             return NO_MARKET
-        tape = self._tape
-        w = self._windows = self._windows + 1
-        tape.draw_windows(w)
-        self.floor = tape.floors[w]
-        window = tape.windows[w - 1]
-        fund_fn(window.coins)
-        return window
+        sigma, flight = self.profile.sigma, self.flight
+        ln_spread = math.log(RATE_SPREAD)
+        while (drawn := len(self.windows)) <= w:  # drawn: the window being drawn
+            self._g = FLOOR_RHO * self._g + self._rng_floor.gauss(0.0, sigma)
+            floor = self._floor()
+            self.floors.append(floor)
+            start = (drawn - 1) * BLOCK_INTERVAL
+            values, arrivals = [], []
+            for _ in range(flight):
+                rate = floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
+                values.append(math.ceil(rate * MARKET_TX_VSIZE) + DUST)
+                arrivals.append(start + BLOCK_INTERVAL * self._rng_times.random())
+            end = self.sediment_count + drawn * flight  # the sediment and windows 1..drawn
+            txs = _build_market(end)[end - flight:end]
+            # a stable sort, so tied times keep bg order
+            order = sorted(range(flight), key=arrivals.__getitem__)
+            self.windows.append(Window(tuple([arrivals[i] for i in order]),
+                                       tuple([txs[i] for i in order]), _coins(txs, values)))
+        return self.windows[w]

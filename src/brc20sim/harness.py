@@ -16,9 +16,11 @@ each scenario from the longest history it holds that the scenario shares:
   and fee passes through (see ``attack``); the longer run resumes from it.
 
 A scenario forks what it starts from (``Simulation.fork``), so what is held
-never changes.  Only the current seed's histories are held, and a scenario
-of another seed drops them first.  At most one set-up per congestion level
-is held, plus the latest checkpoint.  A set-up is snapshotted only when it is
+never changes; the fork shares the held simulation's background load, so a
+set-up's market is drawn once for all the cells that start from it.  Only
+the current seed's histories are held, and a scenario of another seed drops
+them, and so their loads, first.  At most one set-up per congestion level is
+held, plus the latest checkpoint.  A set-up is snapshotted only when it is
 requested a second time, and a checkpoint is taken only in a scenario that
 started from a held history.  So a caller that never repeats a set-up (one
 ``brc20sim sim``, a scenario per seed) copies and holds nothing.  A resumed
@@ -316,8 +318,8 @@ def run_sweep(
     workers: int = 1,
 ) -> list[SweepRow]:
     """One row per cell over ``seeds``.  The work is one task per (cell, seed),
-    seed by seed, so that a seed's cells replay its held market tapes and
-    start from its held histories."""
+    seed by seed, so that a seed's cells start from its held histories and
+    share their markets."""
     grid = default_grid() if grid is None else grid
     if not seeds:
         raise ValueError("the sweep needs at least one seed")

@@ -4,9 +4,12 @@ Entries are prioritized by fee rate (sat/vB).  Block template construction is
 a dependency-respecting greedy: repeatedly take the highest-rate entry whose
 in-pool parents are all already selected and which still fits the remaining
 block capacity.  Replace-by-fee, capacity eviction and 14-day expiry follow
-the usual node behavior.  A replacement must pay more than the fees of
-everything it evicts, its conflicts' descendants included (BIP125 rule 3),
-and may evict at most 100 transactions, descendants included (rule 5).
+the usual node behavior.  A replacement may spend an unconfirmed output
+only of a transaction its conflicts already spend from (BIP125 rule 2); must
+pay more than the fees of everything it evicts, its conflicts' descendants
+included (rule 3), and above them at least ``MIN_RELAY_FEE_RATE`` times its
+own vsize (rule 4); and may evict at most 100 transactions, descendants
+included (rule 5).
 It first removes its conflicts and then faces capacity eviction like any
 newcomer, which is Bitcoin Core's order before cluster mempool (replace,
 then trim); when the replacement itself is trimmed, the rejection still
@@ -114,6 +117,8 @@ DUPLICATE_INPUT = "duplicate-input"
 SPENDS_CONFLICTING_TX = "spends-conflicting-tx"
 MIXED_FUNDING = "mixed-funding"
 TOO_MANY_REPLACEMENTS = "too-many-replacements"
+REPLACEMENT_ADDS_UNCONFIRMED = "replacement-adds-unconfirmed"
+REPLACEMENT_UNDERPAYS_RELAY = "replacement-underpays-relay"
 
 MAX_REPLACEMENT_EVICTIONS = 100  # BIP125 rule 5: conflicts plus their descendants
 
@@ -340,11 +345,20 @@ class Mempool:
             if len(evicted) > MAX_REPLACEMENT_EVICTIONS:
                 return SubmitResult(False, TOO_MANY_REPLACEMENTS)
             # BIP125 rule 3: outbid everything that leaves, descendants included
-            if fee <= sum(self.entries[t].fee for t in evicted):
+            evicted_fees = sum(self.entries[t].fee for t in evicted)
+            if fee <= evicted_fees:
                 return SubmitResult(False, CONFLICT_NOT_REPLACEABLE)
+            # BIP125 rule 4: and pay for its own relay on top
+            if fee - evicted_fees < MIN_RELAY_FEE_RATE * tx.vsize:
+                return SubmitResult(False, REPLACEMENT_UNDERPAYS_RELAY)
             # an input from a conflict or its descendant would leave the pool with it
             if not depends_on.isdisjoint(evicted):
                 return SubmitResult(False, SPENDS_CONFLICTING_TX)
+            # BIP125 rule 2: an in-pool parent must be one a conflict spends from
+            if depends_on and not depends_on <= {
+                inp.outpoint[0] for c in conflicts for inp in self.entries[c].tx.inputs
+            }:
+                return SubmitResult(False, REPLACEMENT_ADDS_UNCONFIRMED)
             for conflict in sorted(conflicts):
                 replaced.extend(e.tx.txid for e in self._remove(conflict))
         entry = MempoolEntry(tx, now, fee, depends_on)

@@ -1,10 +1,10 @@
 """Single-threaded discrete-event simulation loop.
 
 Owns the chain, the mempool, the indexer and (optionally) a background load,
-and advances them in lockstep: foreground submissions and background arrivals
-are processed in timestamp order, a block is mined every ``BLOCK_INTERVAL``
-simulated seconds, and every mined block is fed to the indexer together with
-the receipts its chain append returned.
+which its forks share, and advances them in lockstep: foreground submissions
+and background arrivals are processed in timestamp order, a block is mined
+every ``BLOCK_INTERVAL`` simulated seconds, and every mined block is fed to
+the indexer together with the receipts its chain append returned.
 
 Every grant, fund, submission and mined block is recorded once, in order, in
 ``event_log``: the run's one record, which ``export_event_log`` writes as JSON
@@ -12,11 +12,12 @@ lines for ``brc20sim replay``.  ``log_line`` formats each line itself, with
 the bytes ``json.dumps(..., sort_keys=True)`` would give at a fraction of its
 cost; a test holds it to ``json.dumps``.  Genesis satoshis enter through
 ``grant``; background traffic is funded through ``fund`` instead, a batch
-at a time (the sediment, then one window's market at a time), with
-value-only coins that have no owner and no ordinals, each named by the
-market transaction that spends it.  Both kinds are in the record, one event
-per coin, so token state stays reconstructable from its grants and funds
-plus the block list alone (see ``replay_state``).  A ``fund`` line holds
+at a time (the sediment, then one window's market at a time, each with the
+coins the load returns beside its transactions), with value-only coins
+that have no owner and no ordinals, each named by the market transaction
+that spends it.  Both kinds are in the record, one event per coin, so token
+state stays reconstructable from its grants and funds plus the block list
+alone (see ``replay_state``).  A ``fund`` line holds
 only the coin's value: ``brc20sim replay`` names the n-th one
 ``chain.fund_serial(n)``, which is the coin ``bg{n + 1}`` spends, since a
 simulation funds its coins in ``bg`` order.
@@ -33,8 +34,10 @@ each submission is recorded once, as one ``submit`` event.
 
 ``fork`` gives an independent simulation in the same state, from per-layer
 copies: the harness holds a scenario's set-up and the checkpoint a shorter
-attack leaves, and starts later scenarios from forks of them.  What a fork
-then does is what the original would have done, byte for byte.
+attack leaves, and starts later scenarios from forks of them.  A fork
+shares its source's background load, which keeps no per-simulation state:
+each simulation asks it for a window by number.  What a fork then does is
+what the original would have done, byte for byte.
 
 Scenarios and replays run with the cyclic garbage collector paused
 (``collector_paused``), since a simulation makes no reference cycles.
@@ -120,28 +123,27 @@ class Simulation:
             self.background = BackgroundLoad(
                 profile, config.congestion_normal_count, config.block_capacity_vbytes
             )
-            txs = self.background.sediment(self.fund)
-            self.submit_batch(txs, [self.now] * len(txs))
+            sediment = self.background.sediment()
+            self.fund(sediment.coins)
+            self.submit_batch(sediment.txs, sediment.times)
 
     def fork(self) -> Simulation:
         """An independent simulation in this one's state: run apart, each goes on as
         this one would have.
 
         Each layer copies itself (``Chain.copy``, ``Mempool.copy``,
-        ``Indexer.copy``, ``BackgroundLoad.copy``): a fork gets its own copy of
-        every container and of every object a later step mutates, and shares
-        what is frozen, such as transactions, mined blocks, receipts, submit
-        results, event tuples and the market tape.
+        ``Indexer.copy``): a fork gets its own copy of every container and of
+        every object a later step mutates, and shares what is frozen, such as
+        transactions, mined blocks, receipts, submit results and event tuples,
+        and the background load, whose windows are the same for every reader.
         """
-        dup = copy.copy(self)  # settings, clock, watch and this window's arrivals
+        dup = copy.copy(self)  # settings, clock, watch, the load and this window's arrivals
         dup.chain = self.chain.copy()
         dup.pool = self.pool.copy(dup.chain)
         dup.indexer = self.indexer.copy()
         dup.congestion_samples = list(self.congestion_samples)
         dup.balance_samples = list(self.balance_samples)
         dup.event_log = list(self.event_log)
-        if self.background is not None:
-            dup.background = self.background.copy()
         return dup
 
     # -- funding -------------------------------------------------------------
@@ -196,7 +198,8 @@ class Simulation:
         if self.background is not None and window > self._window_generated:
             self._window_generated = window
             # the last window's arrivals were all submitted before its block was mined
-            self._arrivals = self.background.market_batch(self.fund)
+            self._arrivals = self.background.market_batch(window)
+            self.fund(self._arrivals.coins)
             self._next_arrival = 0
 
     def run_until(self, target: float) -> None:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from scenario_tools import band_profile
@@ -16,7 +17,7 @@ from brc20sim.background import (
     CongestionProfile,
     stream,
 )
-from brc20sim.chain import DUST, Transaction, TxInput, UtxoSet, fund_serial, make_txid
+from brc20sim.chain import DUST, Transaction, TxInput, fund_serial, make_txid
 from brc20sim.cli import main
 from brc20sim.harness import (
     CONGESTION_LEVELS,
@@ -24,6 +25,7 @@ from brc20sim.harness import (
     default_grid,
     inscription_tx,
     run_scenario,
+    run_sweep,
 )
 from brc20sim.indexer import deploy_inscription, mint_inscription
 from brc20sim.mempool import ORPHAN_INPUT
@@ -72,10 +74,9 @@ def test_background_txids_hash_their_content():
     # must still be the hash of its whole content
     load = BackgroundLoad(CongestionProfile.for_level(0.75, seed=3), normal_count=400,
                           block_capacity=10_150)
-    fund = UtxoSet().fund
-    made = load.sediment(fund)
-    for _ in range(3):
-        made += [tx for _, tx in load.market_batch(fund)]
+    made = list(load.sediment().txs)
+    for w in range(1, 4):
+        made += load.market_batch(w).txs
     assert load.sediment_count and len(made) == load.sediment_count + 3 * load.flight
     tags = {fund_serial(k - 1): k for k in range(1, len(made) + 1)}  # bg{k} spends coin k
     assert sorted(tags[tx.inputs[0].outpoint] for tx in made) == sorted(tags.values())
@@ -86,15 +87,15 @@ def test_background_txids_hash_their_content():
 
 
 class TestSharedMarket:
-    """Loads of one market key replay one tape, and every load shares the market and
-    sediment transactions, whatever was loaded in between; what they return is what
-    a cold load returns."""
+    """Every load shares the market and sediment transactions, and a simulation's
+    forks share its load, whatever ran in between; what they return is what a cold
+    load returns."""
 
     SEED = 2
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Counts the market transactions built rather than replayed from a tape."""
+        """Counts the market transactions built rather than taken from the shared list."""
         made = []
         build = background.txid_with_tail
 
@@ -107,11 +108,10 @@ class TestSharedMarket:
 
     @pytest.fixture
     def cold(self):
-        """Lets every held history, tape and market transaction go, as a new process
-        has none; call it again for another cold start."""
+        """Lets every held history and market transaction go, as a new process has
+        none; call it again for another cold start."""
         def reset():
             harness._histories.clear()
-            background._held.clear()
             background._market_txs.clear()
 
         reset()
@@ -128,14 +128,12 @@ class TestSharedMarket:
         return self.run(config, tmp_path)
 
     @staticmethod
-    def market_key(congestion, seed=SEED, sim=SimConfig()):
+    def load(congestion, seed=SEED, sim=SimConfig()):
         profile = CongestionProfile.for_level(congestion, seed)
-        return background.market_key(
-            profile, sim.congestion_normal_count, sim.block_capacity_vbytes
-        )
+        return BackgroundLoad(profile, sim.congestion_normal_count, sim.block_capacity_vbytes)
 
     def sediment_count(self, congestion, seed=SEED, sim=SimConfig()):
-        return self.market_key(congestion, seed, sim)[2]
+        return self.load(congestion, seed, sim).sediment_count
 
     def test_warm_runs_equal_cold_runs(self, builds, cold, tmp_path):
         cells = [(0.75, 2), (0.75, 2), (0.75, 10), (0.75, 2), (0.5, 5), (0.75, 5)]
@@ -155,10 +153,10 @@ class TestSharedMarket:
         # whole windows
         for (congestion, _), built in cold_builds.items():
             assert built > self.sediment_count(congestion)
-            assert (built - self.sediment_count(congestion)) % self.market_key(congestion)[1] == 0
+            assert (built - self.sediment_count(congestion)) % self.load(congestion).flight == 0
         # cold, hit, extension (2 then 10) building only the longer run's new
-        # windows, shorter (10 then 2), a second key whose every transaction the
-        # first key built, and a hit on the first key after the second
+        # windows, shorter (10 then 2), a second level whose every transaction the
+        # first level built, and a hit on the first level after the second
         assert made[0] == cold_builds[0.75, 2] and made[1] == 0
         assert made[2] == cold_builds[0.75, 10] - cold_builds[0.75, 2] > 0 and made[3] == 0
         assert cold_builds[0.5, 5] < cold_builds[0.75, 10]
@@ -172,7 +170,6 @@ class TestSharedMarket:
             cold_runs.append(self.run(config, tmp_path))
         cold()
         assert [self.run(config, tmp_path) for config in cells] == cold_runs
-        assert len(background._held) == len(CONGESTION_LEVELS)
         builds.clear()
         assert [self.run(config, tmp_path) for config in cells] == cold_runs
         assert builds == []
@@ -213,17 +210,17 @@ class TestSharedMarket:
             sim = Simulation(SimConfig())
             load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
             txids = []
-            for batch in range(4):  # the sediment, then three windows
-                if batch in grant_before:
+            for w in range(4):  # the sediment, then three windows
+                if w in grant_before:
                     sim.grant("x", 1)
-                txs = (load.sediment(sim.fund) if batch == 0
-                       else [tx for _, tx in load.market_batch(sim.fund)])
-                txids += [tx.txid for tx in txs]
+                batch = load.sediment() if w == 0 else load.market_batch(w)
+                sim.fund(batch.coins)
+                txids += [tx.txid for tx in batch.txs]
             return txids
 
         plain = market_txids(())
-        _, flight, sediment = background.market_key(profile, 400, 10_150)
-        assert len(set(plain)) == sediment + 3 * flight
+        load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
+        assert len(set(plain)) == load.sediment_count + 3 * load.flight
         cold()
         assert market_txids((0, 2)) == plain  # a grant before the sediment, one between windows
 
@@ -240,22 +237,38 @@ class TestSharedMarket:
             assert small.keys() <= large.keys()
             assert all(small[txid] is large[txid] for txid in small)
 
-    def test_another_seed_drops_the_held_tapes(self, cold):
-        for level in CONGESTION_LEVELS:
-            Simulation(SimConfig(), CongestionProfile.for_level(level, seed=1))
-        assert len(background._held) == len(CONGESTION_LEVELS)
-        market = list(background._market_txs)
-        Simulation(SimConfig(), CongestionProfile.for_level(0.5, seed=2))
-        assert [profile.seed for profile, _, _ in background._held] == [2]
-        assert all(a is b for a, b in zip(background._market_txs, market, strict=True))
+    def test_a_fork_shares_its_sources_load(self, cold, tmp_path):
+        # the fork draws windows 3 to 6 into the shared load, and its source then
+        # reads them: both give a fresh simulation's bytes
+        profile = CongestionProfile.for_level(0.75, self.SEED)
+        sim = Simulation(SimConfig(), profile)
+        sim.run_blocks(2)
+        fork = sim.fork()
+        assert fork.background is sim.background
+        fresh = Simulation(SimConfig(), profile)
+        logs = []
+        for run, blocks in ((fork, 4), (sim, 4), (fresh, 6)):
+            run.run_blocks(blocks)
+            run.export_event_log(str(tmp_path / "events.jsonl"))
+            logs.append((tmp_path / "events.jsonl").read_bytes())
+        assert logs[0] == logs[1] == logs[2]
+        # each window drawn once: the sediment and windows 1 to 7, as the fresh one drew
+        assert len(sim.background.windows) == len(fresh.background.windows) == 8
 
-    def test_a_simulation_without_a_market_keeps_the_tapes(self, cold):
-        for level in CONGESTION_LEVELS:
-            Simulation(SimConfig(), CongestionProfile.for_level(level, seed=1))
-        held, market = dict(background._held), list(background._market_txs)
-        assert held and market
-        Simulation(SimConfig())  # as `brc20sim replay` builds one
-        assert background._held == held and background._market_txs == market
+    def test_one_default_grid_seed_constructs_6_loads(self, cold, monkeypatch):
+        # a congestion level's first request runs a simulation it does not hold,
+        # and its second the set-up it holds, which every later cell forks
+        loads = []
+        init = BackgroundLoad.__init__
+
+        def counted(load, *args):
+            loads.append(load)
+            init(load, *args)
+
+        monkeypatch.setattr(BackgroundLoad, "__init__", counted)
+        run_sweep(default_grid(), seeds=(self.SEED,))
+        assert Counter(load.profile.target_level for load in loads) == dict.fromkeys(
+            CONGESTION_LEVELS, 2)
 
 
 def test_sediment_draw_equals_randint():
@@ -272,22 +285,18 @@ def test_sediment_draw_equals_randint():
 def test_band_profile_floor_confined():
     profile = band_profile(10, 22.5, 0.75, seed=4)
     load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-    fund = UtxoSet().fund
-    load.sediment(fund)
-    for _ in range(200):
-        load.market_batch(fund)
-        assert 1.15 * 22.5 <= load.floor <= 1.55 * 22.5
+    for w in range(1, 201):
+        load.market_batch(w)
+        assert 1.15 * 22.5 <= load.floors[w] <= 1.55 * 22.5
 
 
 def test_level_profile_respects_hard_cap():
     profile = CongestionProfile.for_level(0.75, seed=2)
     assert profile.floor_cap <= CongestionProfile.HARD_CAP
     load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-    fund = UtxoSet().fund
-    load.sediment(fund)
-    for _ in range(500):
-        load.market_batch(fund)
-        assert profile.floor_lo <= load.floor <= profile.floor_cap
+    for w in range(1, 501):
+        load.market_batch(w)
+        assert profile.floor_lo <= load.floors[w] <= profile.floor_cap
     # market never outbids the top sweep fee level
     assert profile.floor_cap * RATE_SPREAD < 500
 

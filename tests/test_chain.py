@@ -496,7 +496,7 @@ class TestIdentity:
     def test_txids_pinned(self):
         coins = UtxoSet()
         load = BackgroundLoad(CongestionProfile.for_level(0.5, seed=1), 10, 800)
-        market = load.sediment(coins.fund)
+        market = load.sediment().txs
         assert [t.txid for t in market] == ["86bc14281c5f9565", "48184ba5752356a8",
                                             "aaa9dc9010ec7fa0"]
         coins.grant("alice", 100_000)

@@ -9,7 +9,7 @@ import pytest
 
 from brc20sim import attack, background, harness
 from brc20sim.attack import TARGET
-from brc20sim.background import CongestionProfile
+from brc20sim.background import BackgroundLoad, CongestionProfile
 from brc20sim.harness import ATTEMPT_LEVELS, ScenarioConfig, default_grid, run_scenario, run_sweep
 from brc20sim.mempool import NO_PARENTS, Mempool, MempoolEntry
 from brc20sim.sim import SimConfig, Simulation
@@ -21,9 +21,8 @@ IMMUTABLE = (str, bytes, int, float, bool, type(None))
 
 
 def cold_run(config, seed, log_path=None):
-    """A scenario run as in a new process: no held history, tape or market transaction."""
+    """A scenario run as in a new process: no held history or market transaction."""
     harness._histories.clear()
-    background._held.clear()
     background._market_txs.clear()
     return run_scenario(config, seed, log_path)
 
@@ -45,7 +44,6 @@ def may_share(obj) -> bool:
     return (
         isinstance(obj, (*IMMUTABLE, tuple, frozenset))
         or frozen(obj)  # transactions, blocks, receipts, submit results, attempt records
-        or isinstance(obj, background._Tape)  # the market tape, replayed by every load
         # an entry with no in-pool parent: only mining a parent changes an entry
         or (type(obj) is MempoolEntry and obj.depends_on is NO_PARENTS)
     )
@@ -57,8 +55,8 @@ def attributes(obj) -> dict:
 
 
 def reachable(root) -> dict[int, tuple[object, str]]:
-    """Every object reachable from ``root`` by id, with a path to it; the tape is
-    not entered."""
+    """Every object reachable from ``root`` by id, with a path to it; a background
+    load is not entered."""
     found: dict[int, tuple[object, str]] = {}
     stack = [(root, "sim")]
     while stack:
@@ -66,7 +64,7 @@ def reachable(root) -> dict[int, tuple[object, str]]:
         if id(obj) in found:
             continue
         found[id(obj)] = (obj, path)
-        if isinstance(obj, IMMUTABLE) or isinstance(obj, background._Tape):
+        if isinstance(obj, (*IMMUTABLE, BackgroundLoad)):
             continue
         if isinstance(obj, dict):
             stack += [(key, f"{path} key {key!r}") for key in obj]
@@ -78,10 +76,15 @@ def reachable(root) -> dict[int, tuple[object, str]]:
     return found
 
 
-def shared_mutables(source: Simulation, fork: Simulation) -> list[str]:
-    """Paths to the objects both reach that something could still mutate."""
+def shared_mutables(source: Simulation, fork: Simulation, load_exempt: bool = True) -> list[str]:
+    """Paths to the objects both reach that something could still mutate, but for
+    the one object shared on purpose: the source's background load, which asks
+    every reader for a window by number (unless ``load_exempt`` is false)."""
     mine, theirs = reachable(source), reachable(fork)
-    return sorted(mine[i][1] for i in mine.keys() & theirs.keys() if not may_share(mine[i][0]))
+    return sorted(
+        mine[i][1] for i in mine.keys() & theirs.keys()
+        if not may_share(mine[i][0]) and not (load_exempt and mine[i][0] is source.background)
+    )
 
 
 def drive(sim: Simulation) -> None:
@@ -136,6 +139,7 @@ class TestFork:
         sim = Simulation(GRID[0].sim, CongestionProfile.for_level(0.75, self.SEED))
         sim.run_blocks(2)
         fork = sim.fork()
+        assert shared_mutables(sim, fork, load_exempt=False) == ["sim.background"]
         fork.congestion_samples = sim.congestion_samples
         assert shared_mutables(sim, fork) == ["sim.congestion_samples"]
 

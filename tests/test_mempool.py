@@ -19,6 +19,8 @@ from brc20sim.mempool import (
     NEGATIVE_FEE,
     NO_PARENTS,
     ORPHAN_INPUT,
+    REPLACEMENT_ADDS_UNCONFIRMED,
+    REPLACEMENT_UNDERPAYS_RELAY,
     SPENDS_CONFLICTING_TX,
     TOO_MANY_REPLACEMENTS,
     Mempool,
@@ -294,10 +296,51 @@ class TestRbf:
             result = pool.submit(r, 2.0)
             assert not result.accepted and result.reason == CONFLICT_NOT_REPLACEABLE
             assert list(pool.entries) == ["p", "c"]
-        r = Transaction("r", (TxInput(coin.serial, RBF_ON),), (TxOutput(98_999, "a"),), 100)
+        # rule 4 asks 100 sat more, a sat per vB of the replacement
+        r = Transaction("r", (TxInput(coin.serial, RBF_ON),), (TxOutput(98_900, "a"),), 100)
         result = pool.submit(r, 3.0)
         assert result.accepted and result.replaced == ("p", "c")
         assert list(pool.entries) == ["r"]
+        check_pool_invariants(pool)
+
+    def test_a_replacement_pays_for_its_own_relay(self):
+        # BIP125 rule 4: above the fees it evicts, MIN_RELAY_FEE_RATE per vB of
+        # its own size, here 150 vB against the original's 100
+        pool, chain = make_pool()
+        coin = chain.utxo_set.grant("funder", 100_000)
+        orig = Transaction("orig", (TxInput(coin.serial, RBF_ON),), (TxOutput(90_000, "a"),), 100)
+        assert pool.submit(orig, 0.0).accepted
+        for extra, accepted in ((1, False), (149, False), (150, True)):
+            bid = Transaction(f"r{extra}", (TxInput(coin.serial, RBF_ON),),
+                              (TxOutput(90_000 - extra, "a"),), 150)
+            result = pool.submit(bid, 1.0)
+            if accepted:
+                assert result.accepted and result.replaced == ("orig",)
+            else:
+                assert not result.accepted and result.reason == REPLACEMENT_UNDERPAYS_RELAY
+                assert list(pool.entries) == ["orig"]
+        check_pool_invariants(pool)
+
+    def test_a_replacement_adds_no_unconfirmed_input(self):
+        # BIP125 rule 2: a replacement may spend an in-pool output only of a
+        # transaction its conflicts already spend from
+        pool, chain = make_pool()
+        coin, other = (chain.utxo_set.grant("funder", 100_000) for _ in range(2))
+        parent = Transaction("p", (TxInput(other.serial, RBF_ON),),
+                             (TxOutput(90_000, "a"), TxOutput(5_000, "a")), 100)
+        orig = Transaction("orig", (TxInput(coin.serial, RBF_ON),), (TxOutput(99_000, "a"),), 100)
+        assert pool.submit(parent, 0.0).accepted and pool.submit(orig, 0.0).accepted
+        inputs = (TxInput(coin.serial, RBF_ON), TxInput(("p", 0), RBF_ON))
+        result = pool.submit(Transaction("r", inputs, (TxOutput(150_000, "a"),), 100), 1.0)
+        assert not result.accepted and result.reason == REPLACEMENT_ADDS_UNCONFIRMED
+        assert list(pool.entries) == ["p", "orig"]
+        # a conflict spending from p lets its replacement spend p's other output
+        child = child_of(parent, 1, 5_000, fee=1_000, tag="c")
+        assert pool.submit(child, 2.0).accepted
+        inputs = (TxInput(("p", 1), RBF_ON), TxInput(("p", 0), RBF_ON))
+        result = pool.submit(Transaction("r2", inputs, (TxOutput(93_000, "a"),), 100), 3.0)
+        assert result.accepted and result.replaced == (child.txid,)
+        assert pool.entries["r2"].depends_on == {"p"}
         check_pool_invariants(pool)
 
     @pytest.mark.parametrize("children", [99, 100])

@@ -47,10 +47,12 @@ def test_only_the_simulation_and_replay_feed_the_indexer():
 
 
 def test_background_traffic_stays_off_the_ordinal_ledger():
-    # market and sediment coins are value-only: the load calls no grant
-    # function, the simulation hands it ``fund``, only the simulation funds
-    # coins in the ledger, and only the chain runs the ordinal pass
-    assert not {name for name in called_names(SRC / "background.py") if name and "grant" in name}
+    # market and sediment coins are value-only: the load calls into no ledger,
+    # neither ``fund`` nor a grant function (it only names coins, with
+    # ``fund_serial``), only the simulation funds coins in the ledger, and only
+    # the chain runs the ordinal pass
+    assert not {name for name in called_names(SRC / "background.py")
+                if name and (name == "fund" or "grant" in name)}
     funded_on = {
         path.name: {
             ast.unparse(node.func.value)
@@ -59,17 +61,10 @@ def test_background_traffic_stays_off_the_ordinal_ledger():
         }
         for path in SRC.glob("*.py")
     }
-    # UtxoSet.fund is called in sim.py alone; `brc20sim replay` funds through its Simulation
+    # UtxoSet.fund is called in sim.py alone, which funds each batch the load
+    # returns; `brc20sim replay` funds through its Simulation
     assert {name: on for name, on in funded_on.items() if on} == {
-        "sim.py": {"self.chain.utxo_set", "genesis"}, "cli.py": {"sim"}}
-    tree = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
-    handed = [
-        node.args[0].attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", None) in ("sediment", "market_batch")
-    ]
-    assert handed == ["fund", "fund"]
+        "sim.py": {"self.chain.utxo_set", "genesis", "self"}, "cli.py": {"sim"}}
     assert callers("assign_ordinals") == {"chain.py"}
 
 
@@ -152,10 +147,31 @@ def test_the_log_writer_and_replay_share_one_vocabulary(tmp_path):
             assert type(event[key]) in types, (event, key)
 
 
-def test_only_the_background_names_its_market_key_and_tapes():
-    # which loads share a market is one module's decision: no other module
-    # keys work by market, or reaches into the held tapes and sediment
-    private = {"market_key", "_held", "_market_txs"}
+def test_the_background_holds_no_state_but_the_market_transactions():
+    # a load owns its draws and windows, and a simulation owns its load: the
+    # one module-level container is the memo of bg{k}, the same in every run
+    tree = ast.parse((SRC / "background.py").read_text(encoding="utf-8"))
+    assigned = {
+        target.id
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    }
+    module = vars(importlib.import_module("brc20sim.background"))
+    frozen = (int, float, str, bytes, tuple, frozenset)
+    mutable = {
+        name for name in assigned
+        if not isinstance(module[name], frozen)
+        and not (dataclasses.is_dataclass(module[name])
+                 and type(module[name]).__dataclass_params__.frozen)
+    }
+    assert mutable == {"_market_txs"}
+
+
+def test_only_the_background_names_its_private_names():
+    # the market's internals are one module's: no other module reaches into them
+    module = importlib.import_module("brc20sim.background")
+    private = {name for name in vars(module) if name.startswith("_") and not name.startswith("__")}
+    assert {"_market_txs", "_build_market", "_draw_sediment"} <= private
     named = {
         path.name
         for path in SRC.glob("*.py")

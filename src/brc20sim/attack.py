@@ -10,6 +10,14 @@ The attack succeeds when some attempt's tokens stay locked longer than the
 victim's operational tolerance.  ``execute`` reads all of this from the one
 ``harness.ScenarioConfig``.
 
+``execute`` returns once no later block can change that measure.  Only
+foreground transactions move tokens, so past the attempt window it mines a
+block at a time and stops when none of them is left in the pool and the
+target holds no transferable tokens, or else at the horizon.  A caller that
+wants the whole run, for its event log or congestion samples, runs on to
+``AttackOutcome.horizon``; the blocks in between change no score, and the
+balance samples they add hold no transferable tokens.
+
 Attempt ``i`` launches at ``start + (i - 1) * ATTEMPT_SPACING_S`` whatever
 the attempt count, and its amount reads only the state then, so a run of
 ``n`` attempts is, up to the time attempt ``n + 1`` would launch, the same
@@ -95,6 +103,7 @@ class AttemptRecord:
 
 @dataclass(slots=True)
 class AttackOutcome:
+    horizon: float  # the time the scenario is measured to; ``execute`` may return earlier
     per_attempt: list[AttemptRecord] = field(default_factory=list)
     success: bool = False
 
@@ -128,23 +137,21 @@ def execute(
 ) -> AttackOutcome:
     """Run the scenario's attack against a live simulation.
 
-    Attempts are fired every ``ATTEMPT_SPACING_S`` seconds until the horizon,
-    and all of them are scored once the horizon is reached.  With ``resume``,
-    ``sim`` stands where a shorter run of the same fraction and fee handed
-    over, and the attack goes on from its launches.  ``on_launched`` is called
-    with this run's launches at the time its next attempt would have launched,
-    before the run goes on to its horizon.
+    Attempts are fired every ``ATTEMPT_SPACING_S`` seconds, and all of them are
+    scored as they stand at the horizon.  Past the attempt window the
+    simulation is mined a block at a time, and ``execute`` returns before the
+    horizon once no later block can change the score (see ``_settled``); the
+    outcome names the horizon.  With ``resume``, ``sim`` stands where a shorter
+    run of the same fraction and fee handed over, and the attack goes on from
+    its launches.  ``on_launched`` is called with this run's launches at the
+    end of its attempt window, the time its next attempt would have launched.
     """
     fee = config.fee_rate
     start, records = (sim.now, []) if resume is None else (resume.start, list(resume.records))
-    horizon_time = start + config.horizon_s()
+    horizon = start + config.horizon_s()
 
     for index in range(len(records) + 1, config.attempts + 1):
-        sim.run_until(min(start + (index - 1) * ATTEMPT_SPACING_S, horizon_time))
-        if sim.now >= horizon_time:
-            records.append(_zero_attempt(index, fee, sim.now))
-            continue
-
+        sim.run_until(start + (index - 1) * ATTEMPT_SPACING_S)
         available = sim.balance(TICK, TARGET)[0]
         if available == 0 and index == 1:
             raise TargetEmpty(f"{TARGET} has no available {TICK}")
@@ -154,13 +161,25 @@ def execute(
             continue
         records.append(_launch_attempt(sim, index, amount, fee))
 
+    sim.run_until(start + config.attempts * ATTEMPT_SPACING_S)
     if on_launched is not None:
-        sim.run_until(start + config.attempts * ATTEMPT_SPACING_S)
         on_launched(Launches(start, tuple(records)))
-    sim.run_until(horizon_time)
-    per_attempt = [r if r.tx2 is None else _scored(sim, r) for r in records]
+    while sim.now < horizon and not _settled(sim):
+        sim.run_until(min(sim.next_block_time, horizon))
+    per_attempt = [r if r.tx2 is None else _scored(sim, r, horizon) for r in records]
     success = evaluate_success([r.effective_delay for r in per_attempt], config.tolerance_s)
-    return AttackOutcome(per_attempt, success)
+    return AttackOutcome(horizon, per_attempt, success)
+
+
+def _settled(sim: Simulation) -> bool:
+    """Whether no later block can change the score or the target's balance samples.
+
+    Only foreground transactions move tokens, so once none is left in the pool
+    every attempt's record is final (``_scored`` counts a Tx2 that never
+    confirms to the horizon), and so is the target's balance: each later
+    sample repeats it, and adds to the outage while tokens are transferable.
+    """
+    return not sim.foreground_pooled() and sim.balance(TICK, TARGET)[1] == 0
 
 
 def _launch_attempt(sim: Simulation, index: int, amount: int, fee: int) -> AttemptRecord:
@@ -181,16 +200,17 @@ def _launch_attempt(sim: Simulation, index: int, amount: int, fee: int) -> Attem
     )
 
 
-def _scored(sim: Simulation, record: AttemptRecord) -> AttemptRecord:
-    """An attempt as scored now: the delay counts only if tokens were really locked."""
+def _scored(sim: Simulation, record: AttemptRecord, horizon: float) -> AttemptRecord:
+    """An attempt as scored at the horizon: the delay counts only if tokens were
+    really locked."""
     confirm_time = sim.chain.confirmation_time(record.tx2)
     ordinal = sim.indexer.inscription_of(record.tx1)
     if ordinal is None:
         # inscription never confirmed, so no tokens were locked
         return replace(record, confirm_time=confirm_time)
     voided = ordinal not in sim.indexer.pending_created
-    # Tx2's delay runs from its send time to its confirmation, or to now while pending
-    end = sim.now if confirm_time is None else confirm_time
+    # Tx2's delay runs from its send time to its confirmation, or to the horizon
+    end = horizon if confirm_time is None else confirm_time
     return replace(
         record,
         confirm_time=confirm_time,

@@ -27,6 +27,13 @@ started from a held history.  So a caller that never repeats a set-up (one
 scenario gives what a fresh one gives, byte for byte, because running to
 ``a`` and then to ``b`` is running to ``b``: the arrivals run to ``a`` and
 then the rest enter the pool as one batch of them would.
+
+Where a cell stops.  ``attack.execute`` returns once no later block can
+change the score (see ``attack``).  ``run_scenario`` then mines on to the
+horizon, so its result, the ``sim`` report and every event log are those of
+the whole run.  The sweep's ``_run_cell`` reads its four numbers where
+``execute`` returns, through the helper ``run_scenario`` uses (``_lockup``),
+since the blocks after it change none of them.
 """
 
 from __future__ import annotations
@@ -245,25 +252,34 @@ def run_scenario(
     config: ScenarioConfig, seed: int, log_path: str | None = None
 ) -> ScenarioResult:
     """One seeded trial of the attack under the scenario's conditions, started from
-    the longest held prefix of its history (see the module docstring)."""
+    the longest held prefix of its history (see the module docstring) and run
+    to its horizon."""
     sim, resume, hold = _histories.start(config, seed)
     outcome = execute(config, sim, resume, hold)
+    sim.run_until(outcome.horizon)
     if log_path is not None:
         sim.export_event_log(log_path)
-
-    samples = sim.balance_samples
-    outage = BLOCK_INTERVAL * sum(1 for _, _, trans in samples if trans > 0)
-    peak_pinned = max((trans for _, _, trans in samples), default=sim.balance(TICK, TARGET)[1])
+    peak_pinned, pinned_pct, outage_s = _lockup(sim)
     return ScenarioResult(
         seed=seed,
         success=outcome.success,
         delays=[r.effective_delay for r in outcome.per_attempt],
         peak_pinned=peak_pinned,
-        pinned_pct=100.0 * peak_pinned / TARGET_INITIAL,
-        outage_s=outage,
+        pinned_pct=pinned_pct,
+        outage_s=outage_s,
         congestion_measured=sim.mean_congestion(),
         transcript=outcome.transcript(),
     )
+
+
+def _lockup(sim: Simulation) -> tuple[int, float, float]:
+    """The target's peak transferable balance, as that and as a percentage of its
+    opening balance, and its outage: a block interval per block that left
+    tokens transferable."""
+    samples = sim.balance_samples
+    outage_s = BLOCK_INTERVAL * sum(1 for _, _, trans in samples if trans > 0)
+    peak_pinned = max((trans for _, _, trans in samples), default=sim.balance(TICK, TARGET)[1])
+    return peak_pinned, 100.0 * peak_pinned / TARGET_INITIAL, outage_s
 
 
 def default_grid(fractions=FRACTION_LEVELS, fees=FEE_LEVELS, congestion=CONGESTION_LEVELS,
@@ -286,11 +302,15 @@ def _percentile_95(samples: list[float]) -> float:
     return ordered[rank]
 
 
+@collector_paused()
 def _run_cell(task: tuple[ScenarioConfig, int]) -> tuple:
-    """One cell at one seed: only what its sweep row reads."""
+    """One cell at one seed: only what its sweep row reads, taken where ``execute``
+    stops, since no later block changes it."""
     config, seed = task
-    r = run_scenario(config, seed)
-    return r.success, r.delays, r.pinned_pct, r.outage_s
+    sim, resume, hold = _histories.start(config, seed)
+    outcome = execute(config, sim, resume, hold)
+    _, pinned_pct, outage_s = _lockup(sim)
+    return outcome.success, [r.effective_delay for r in outcome.per_attempt], pinned_pct, outage_s
 
 
 def _row(config: ScenarioConfig, results: list[tuple]) -> SweepRow:

@@ -8,8 +8,9 @@ the usual node behavior.  A replacement may spend an unconfirmed output
 only of a transaction its conflicts already spend from (BIP125 rule 2); must
 pay more than the fees of everything it evicts, its conflicts' descendants
 included (rule 3), and above them at least ``MIN_RELAY_FEE_RATE`` times its
-own vsize (rule 4); and may evict at most 100 transactions, descendants
-included (rule 5).
+own vsize (rule 4); may evict at most 100 transactions, descendants
+included (rule 5); and must pay a higher fee rate than each transaction it
+directly conflicts with (Bitcoin Core's feerate rule, checked last).
 It first removes its conflicts and then faces capacity eviction like any
 newcomer, which is Bitcoin Core's order before cluster mempool (replace,
 then trim); when the replacement itself is trimmed, the rejection still
@@ -119,6 +120,7 @@ MIXED_FUNDING = "mixed-funding"
 TOO_MANY_REPLACEMENTS = "too-many-replacements"
 REPLACEMENT_ADDS_UNCONFIRMED = "replacement-adds-unconfirmed"
 REPLACEMENT_UNDERPAYS_RELAY = "replacement-underpays-relay"
+REPLACEMENT_UNDERPAYS_FEERATE = "replacement-underpays-feerate"
 
 MAX_REPLACEMENT_EVICTIONS = 100  # BIP125 rule 5: conflicts plus their descendants
 
@@ -359,6 +361,10 @@ class Mempool:
                 inp.outpoint[0] for c in conflicts for inp in self.entries[c].tx.inputs
             }:
                 return SubmitResult(False, REPLACEMENT_ADDS_UNCONFIRMED)
+            # Bitcoin Core: and beat the fee rate of each direct conflict
+            if any(fee * self.entries[c].tx.vsize <= self.entries[c].fee * tx.vsize
+                   for c in conflicts):
+                return SubmitResult(False, REPLACEMENT_UNDERPAYS_FEERATE)
             for conflict in sorted(conflicts):
                 replaced.extend(e.tx.txid for e in self._remove(conflict))
         entry = MempoolEntry(tx, now, fee, depends_on)

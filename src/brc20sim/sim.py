@@ -25,11 +25,12 @@ simulation funds its coins in ``bg`` order.
 Background traffic enters the pool through ``submit_batch``, the sediment
 as one batch and each run of market arrivals up to a horizon as another,
 each arrival at ``max(now, its time)``; the foreground and ``brc20sim
-replay`` enter through ``submit``, one transaction at a time.  A window's
-market (``background.Window``) holds its arrival times in ascending order
-beside its transactions, so ``run_until`` bisects the times for the run up
-to the horizon and slices both; since the times ascend, the clamp to ``now``
-is needed only when the run's first time is earlier.  Either way
+replay`` enter through ``submit``, one transaction at a time, and
+``foreground_pooled`` tells whether one sent that way is still pooled.  A
+window's market (``background.Window``) holds its arrival times in ascending
+order beside its transactions, so ``run_until`` bisects the times for the run
+up to the horizon and slices both; since the times ascend, the clamp to
+``now`` is needed only when the run's first time is earlier.  Either way
 each submission is recorded once, as one ``submit`` event.
 
 ``fork`` gives an independent simulation in the same state, from per-layer
@@ -118,6 +119,7 @@ class Simulation:
         # ("grant", t, owner, value), ("fund", t, serial, value), ("submit", t, tx, result)
         # and ("mine", t, block), in the order they happened
         self.event_log: list[tuple] = []
+        self._sent: list[str] = []  # accepted ``submit`` txids, pruned by ``foreground_pooled``
         self.background: BackgroundLoad | None = None
         if profile is not None and profile.target_level > 0:
             self.background = BackgroundLoad(
@@ -144,6 +146,7 @@ class Simulation:
         dup.congestion_samples = list(self.congestion_samples)
         dup.balance_samples = list(self.balance_samples)
         dup.event_log = list(self.event_log)
+        dup._sent = list(self._sent)
         return dup
 
     # -- funding -------------------------------------------------------------
@@ -167,6 +170,8 @@ class Simulation:
         at = self.now if at is None else at
         result = self.pool.submit(tx, at)
         self.event_log.append(("submit", at, tx, result))
+        if result.accepted:
+            self._sent.append(tx.txid)
         return result
 
     def submit_batch(
@@ -247,6 +252,11 @@ class Simulation:
 
     def balance(self, tick: str, addr: str) -> tuple[int, int, int]:
         return self.indexer.balance(tick, addr)
+
+    def foreground_pooled(self) -> bool:
+        """Whether a transaction sent through ``submit`` is still in the pool."""
+        self._sent = [txid for txid in self._sent if txid in self.pool]
+        return bool(self._sent)
 
     # -- replay -------------------------------------------------------------------
 

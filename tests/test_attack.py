@@ -13,10 +13,10 @@ from brc20sim.attack import (
     execute,
     tolerance,
 )
-from brc20sim.harness import ScenarioConfig, inscription_tx, run_scenario
+from brc20sim.harness import ScenarioConfig, _set_up, inscription_tx, run_scenario
 from brc20sim.indexer import deploy_inscription, mint_inscription
 from brc20sim.sim import SimConfig, Simulation
-from brc20sim.wallet import TransferRequest
+from brc20sim.wallet import TransferRequest, build_transfer
 
 HOUR = 3600.0
 
@@ -168,6 +168,44 @@ class TestExecute:
         assert record.effective_delay == 0.0
         assert not outcome.success
         assert sim.balance(TICK, "user")[0] == 600_000
+
+    def test_a_pooled_transfer_outside_the_attack_keeps_it_running(self):
+        # at fee 500 both attempts confirm in the next block, and alone the attack
+        # stops there; another holder's 1 sat/vB transfer, sent first, stays
+        # pinned in this market, so the attack runs to its horizon
+        config = ScenarioConfig(fraction=0.5, fee_rate=500, congestion=0.75, attempts=2)
+        sims = []
+        for _ in range(2):
+            sim = _set_up(config, seed=3)
+            sim.grant("user", 10_000_000)
+            sim.send_transfer(TransferRequest(1_000, sender=TARGET, recipient="user", fee_rate=500))
+            sim.run_blocks(2)
+            assert sim.balance(TICK, "user")[0] == 1_000
+            sims.append(sim)
+        alone, sim = sims
+        assert alone.now < execute(config, alone).horizon
+        transfer, _, _ = sim.send_transfer(
+            TransferRequest(1_000, sender="user", recipient="elsewhere", fee_rate=1)
+        )
+        outcome = execute(config, sim)
+        assert all(sim.chain.confirmed(r.tx1) and sim.chain.confirmed(r.tx2)
+                   for r in outcome.per_attempt)
+        assert sim.balance(TICK, TARGET)[1] == 0
+        assert transfer.tx2.txid in sim.pool
+        assert sim.now == outcome.horizon
+
+    def test_a_lone_inscription_keeps_it_running(self):
+        # a transfer inscription whose Tx2 is never sent leaves tokens transferable
+        # with nothing pooled, and every block adds to the target's outage
+        config = ScenarioConfig(fraction=0.5, fee_rate=500, congestion=0.75, attempts=2)
+        sim = _set_up(config, seed=3)
+        request = TransferRequest(1_000, sender=TARGET, recipient="user", fee_rate=500)
+        sim.submit(build_transfer(request, sim.chain.utxo_set, exclude=sim.pool.spends).tx1)
+        sim.run_blocks(1)
+        assert sim.balance(TICK, TARGET)[1] == 1_000
+        outcome = execute(config, sim)
+        assert not sim.foreground_pooled()
+        assert sim.now == outcome.horizon
 
     def test_survey_mode_runs_every_attempt(self):
         sim, _ = pinned_sim()

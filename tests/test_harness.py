@@ -57,6 +57,26 @@ class TestScenario:
         edge = ScenarioConfig(fraction=0.5, fee_rate=100, congestion=0.5, attempts=668)
         assert edge.horizon_s() <= EXPIRY
 
+    def test_a_settled_cell_stops_before_its_horizon(self, monkeypatch):
+        # at fee 500 every attempt confirms in the next block: the sweep's cell
+        # reads its numbers there, and run_scenario mines on to the horizon
+        config = ScenarioConfig(fraction=0.5, fee_rate=500, congestion=0.75, attempts=2)
+        runs, original = [], harness.execute
+
+        def execute(config, sim, *rest):
+            outcome = original(config, sim, *rest)
+            runs.append((sim, sim.now, outcome.horizon))
+            return outcome
+
+        monkeypatch.setattr(harness, "execute", execute)
+        harness._histories.clear()
+        cell = harness._run_cell((config, 3))
+        result = run_scenario(config, 3)
+        assert [stop < horizon for _, stop, horizon in runs] == [True, True]
+        sim, _, horizon = runs[1]
+        assert sim.now == horizon and sim.chain.blocks[-1].timestamp == horizon
+        assert cell == (result.success, result.delays, result.pinned_pct, result.outage_s)
+
     def test_control_condition_no_success(self):
         # no congestion and a market-beating fee: the attack cannot stick
         config = ScenarioConfig(fraction=1.0, fee_rate=500, congestion=0.0, attempts=2)
@@ -65,6 +85,16 @@ class TestScenario:
 
 
 class TestSweep:
+    def test_fractions_010_and_050_differ_only_in_pinned_pct(self):
+        # an attempt's amount changes its inscription payload, and through it the
+        # txids, but not which blocks take which transactions
+        rows = run_sweep(default_grid(fractions=(0.10, 0.50)), seeds=tuple(range(5)))
+        low, high = rows[:27], rows[27:]
+        assert {r.fraction for r in low} == {0.10} and {r.fraction for r in high} == {0.50}
+        for a, b in zip(low, high):
+            assert replace(a, fraction=b.fraction, pinned_pct=b.pinned_pct) == b
+        assert any(a.pinned_pct != b.pinned_pct for a, b in zip(low, high))
+
     def test_default_grid_is_81(self):
         assert len(default_grid()) == 81
 

@@ -20,6 +20,7 @@ from brc20sim.mempool import (
     NO_PARENTS,
     ORPHAN_INPUT,
     REPLACEMENT_ADDS_UNCONFIRMED,
+    REPLACEMENT_UNDERPAYS_FEERATE,
     REPLACEMENT_UNDERPAYS_RELAY,
     SPENDS_CONFLICTING_TX,
     TOO_MANY_REPLACEMENTS,
@@ -305,19 +306,39 @@ class TestRbf:
 
     def test_a_replacement_pays_for_its_own_relay(self):
         # BIP125 rule 4: above the fees it evicts, MIN_RELAY_FEE_RATE per vB of
-        # its own size, here 150 vB against the original's 100
+        # its own size, here 100 vB against the original's 200, so that every bid
+        # beats the original's 50 sat/vB
         pool, chain = make_pool()
         coin = chain.utxo_set.grant("funder", 100_000)
-        orig = Transaction("orig", (TxInput(coin.serial, RBF_ON),), (TxOutput(90_000, "a"),), 100)
+        orig = Transaction("orig", (TxInput(coin.serial, RBF_ON),), (TxOutput(90_000, "a"),), 200)
         assert pool.submit(orig, 0.0).accepted
-        for extra, accepted in ((1, False), (149, False), (150, True)):
+        for extra, accepted in ((1, False), (99, False), (100, True)):
             bid = Transaction(f"r{extra}", (TxInput(coin.serial, RBF_ON),),
-                              (TxOutput(90_000 - extra, "a"),), 150)
+                              (TxOutput(90_000 - extra, "a"),), 100)
             result = pool.submit(bid, 1.0)
             if accepted:
                 assert result.accepted and result.replaced == ("orig",)
             else:
                 assert not result.accepted and result.reason == REPLACEMENT_UNDERPAYS_RELAY
+                assert list(pool.entries) == ["orig"]
+        check_pool_invariants(pool)
+
+    def test_a_replacement_beats_each_conflicts_fee_rate(self):
+        # Bitcoin Core's feerate rule: a 150 vB bid against a 100 vB original at
+        # 100 sat/vB pays for rules 3 and 4 from 10,151 sat, but must pay more
+        # than 15,000 to beat the original's rate
+        pool, chain = make_pool()
+        coin = chain.utxo_set.grant("funder", 100_000)
+        orig = Transaction("orig", (TxInput(coin.serial, RBF_ON),), (TxOutput(90_000, "a"),), 100)
+        assert pool.submit(orig, 0.0).accepted
+        for fee, accepted in ((10_151, False), (15_000, False), (15_001, True)):
+            bid = Transaction(f"r{fee}", (TxInput(coin.serial, RBF_ON),),
+                              (TxOutput(100_000 - fee, "a"),), 150)
+            result = pool.submit(bid, 1.0)
+            if accepted:
+                assert result.accepted and result.replaced == ("orig",)
+            else:
+                assert not result.accepted and result.reason == REPLACEMENT_UNDERPAYS_FEERATE
                 assert list(pool.entries) == ["orig"]
         check_pool_invariants(pool)
 

@@ -128,13 +128,16 @@ class Transaction:
         object.__setattr__(self, "rbf_enabled", rbf)
 
     @classmethod
-    def from_dict(cls, data: dict) -> Transaction:
+    def from_dict(cls, data: dict, shared: dict | None = None) -> Transaction:
         """The transaction a ``submit`` line of the event log holds under ``"tx"``
         (see ``sim.log_line``); a field without its JSON type raises TypeError.
 
         Types are exact (a bool is no count), so an outpoint decoded from
-        untrusted JSON is always a hashable ``(str, int)``.
+        untrusted JSON is always a hashable ``(str, int)``.  ``shared``, a
+        caller's memo, maps each output's checked ``(value, owner,
+        inscription)`` to one ``TxOutput`` that its transactions share.
         """
+        shared = {} if shared is None else shared
         inputs = []
         for i in data["inputs"]:
             (txid, index), sequence = i["outpoint"], i["sequence"]
@@ -143,11 +146,14 @@ class Transaction:
             inputs.append(TxInput((txid, index), sequence))
         outputs = []
         for o in data["outputs"]:
-            value, owner, inscription = o["value"], o["owner"], o.get("inscription")
+            key = value, owner, inscription = o["value"], o["owner"], o.get("inscription")
             if (type(value) is not int or type(owner) is not str
                     or (inscription is not None and type(inscription) is not str)):
                 raise TypeError(f"malformed output {o!r}")
-            outputs.append(TxOutput(value, owner, inscription))
+            output = shared.get(key)
+            if output is None:
+                output = shared[key] = TxOutput(value, owner, inscription)
+            outputs.append(output)
         txid, vsize = data["txid"], data["vsize"]
         if type(txid) is not str or type(vsize) is not int:
             raise TypeError(f"malformed txid or vsize ({txid!r}, {vsize!r})")
@@ -415,7 +421,7 @@ class Chain:
     def __init__(self) -> None:
         self.blocks: list[Block] = []
         self.utxo_set = UtxoSet()
-        self._tx_index: dict[str, float] = {}  # txid -> confirmation time
+        self.tx_index: dict[str, float] = {}  # txid -> confirmation time
         self.tip_receipts: list[Receipt] = []  # the last appended block's, in tx order
 
     def copy(self) -> Chain:
@@ -424,7 +430,7 @@ class Chain:
         dup = Chain()
         dup.blocks = list(self.blocks)
         dup.utxo_set = self.utxo_set.copy()
-        dup._tx_index = dict(self._tx_index)
+        dup.tx_index = dict(self.tx_index)
         dup.tip_receipts = list(self.tip_receipts)
         return dup
 
@@ -444,7 +450,7 @@ class Chain:
         """
         receipts = []
         plain, apply = self.utxo_set.plain, self.utxo_set.apply_transaction
-        tx_index, timestamp = self._tx_index, block.timestamp
+        tx_index, timestamp = self.tx_index, block.timestamp
         for tx in block.transactions:
             inputs, outputs = tx.inputs, tx.outputs
             value = plain.get(inputs[0].outpoint) if len(inputs) == 1 else None
@@ -460,7 +466,7 @@ class Chain:
         return receipts
 
     def confirmed(self, txid: str) -> bool:
-        return txid in self._tx_index
+        return txid in self.tx_index
 
     def confirmation_time(self, txid: str) -> float | None:
-        return self._tx_index.get(txid)
+        return self.tx_index.get(txid)

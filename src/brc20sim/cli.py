@@ -3,14 +3,18 @@
 Subcommands: ``sim`` (one scenario), ``sweep`` (full parameter grid),
 ``replay-binance`` (scripted incident), ``tolerance`` (operational-tolerance
 calculator) and ``replay`` (verify an exported event log).  ``replay``
-re-runs the log through a ``Simulation``, the same block step that wrote it
-(``grant`` events re-create the foreground's coins and ``fund`` events the
-market's value-only coins, each run of consecutive ``fund`` lines with one
-batch ``Simulation.fund`` call; a ``fund`` line holds a value alone, so the
-n-th one is named ``chain.fund_serial(n)``, the coin market transaction
-``bg{n + 1}`` spends), checks every grant's, fund's and submission's time,
-each submission's decision and each block's height, time and txids, and at
-the end that the replayed token state conserves supply.
+re-runs the log through a ``Simulation``, the same block step that wrote it,
+in one pass that applies each line as it is read (``grant`` events re-create
+the foreground's coins and ``fund`` events the market's value-only coins,
+each run of consecutive ``fund`` lines with one batch ``Simulation.fund``
+call; a ``fund`` line holds a value alone, so the n-th one is named
+``chain.fund_serial(n)``, the coin market transaction ``bg{n + 1}`` spends).
+Each run of consecutive ``submit`` lines enters the pool as one
+``Simulation.submit_batch``, the door the simulation's market used.  Replay
+checks every grant's, fund's and submission's time, each submission's
+decision and each block's height, time and txids, and at the end that the
+replayed token state conserves supply.  Of a broken log's faults, the one
+on the first bad line in the file is reported.
 
 Exit codes: 0 success, 1 usage error (a bad value, or a fee the wallet cannot
 pay), 2 assertion/model divergence.
@@ -22,6 +26,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterator
 
 from .attack import ToleranceInputs, tolerance
 from .chain import Transaction, fund_serial
@@ -144,126 +149,167 @@ def cmd_tolerance(args) -> int:
 
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
 
-# the fields replay reads from each kind of event, with the exact types JSON
-# gives them (so a bool is no count); other kinds are skipped
+# the fields replay reads from each kind of event, in the order _replay_fields
+# gives their values, with the exact types JSON gives them (so a bool is no
+# count); other kinds are skipped
 REPLAY_FIELDS = {
     "grant": {"t": (int, float), "owner": (str,), "value": (int,)},
     "fund": {"t": (int, float), "value": (int,)},
     "submit": {"t": (int, float), "tx": (dict,), "accepted": (bool,), "reason": (str, type(None))},
     "mine": {"t": (int, float), "height": (int,), "txids": (list,)},
 }
+_ABSENT = object()  # a field the line lacks; its type is in no REPLAY_FIELDS entry
 
 
-def _replay_kind(event, number: int) -> str:
-    """The event's kind, once every field replay reads is there with its type."""
-    if not isinstance(event, dict) or not isinstance(event.get("event"), str):
+def _replay_fields(event, number: int) -> tuple[str, list]:
+    """The event's kind and the values of the fields replay reads from it, in
+    ``REPLAY_FIELDS`` order, once each is there with its type (one lookup per field)."""
+    kind = event.get("event") if isinstance(event, dict) else None
+    if not isinstance(kind, str):
         raise ValueError(f"log line {number} is not an event object")
-    kind = event["event"]
+    values = []
     for key, types in REPLAY_FIELDS.get(kind, {}).items():
-        if key not in event:
-            raise ValueError(f"log line {number}: {kind} event lacks {key!r}")
-        if type(event[key]) not in types:
-            raise ValueError(f"log line {number}: {kind} {key} has the wrong type: {event[key]!r}")
-    return kind
+        value = event.get(key, _ABSENT)
+        if type(value) not in types:
+            if value is _ABSENT:
+                raise ValueError(f"log line {number}: {kind} event lacks {key!r}")
+            raise ValueError(f"log line {number}: {kind} {key} has the wrong type: {value!r}")
+        values.append(value)
+    return kind, values
 
 
-def _read_log(path: str) -> list[tuple[int, object]]:
-    """Each non-blank line of an event log as (its line number in the file, its value)."""
-    decode = json.JSONDecoder().raw_decode  # json.loads adds per-line checks and two regex scans
-    events = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
+def _log_lines(fh) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of an open event log, decoded as it is read, with its
+    line number in the file."""
+    decoder = json.JSONDecoder()
+    scan = decoder.scan_once  # raw_decode's scanner, without raw_decode's frame around it
+    for number, line in enumerate(fh, start=1):
+        try:  # a line the simulator wrote starts with its value
+            value, end = scan(line, 0)
+        except (StopIteration, json.JSONDecodeError):  # any other line takes the careful path
             if line.isspace():
                 continue
             start = len(line) - len(line.lstrip(_JSON_SPACE))
             try:
-                value, end = decode(line, start)
+                value, end = decoder.raw_decode(line, start)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"log line {number}: {exc.msg} at column {exc.colno}") from None
-            after = line[end:].lstrip(_JSON_SPACE)
-            if after:
-                raise ValueError(f"log line {number}: more than one JSON value, "
-                                 f"the next at column {len(line) - len(after) + 1}")
-            events.append((number, value))
-    return events
+        after = line[end:].lstrip(_JSON_SPACE)
+        if after:
+            raise ValueError(f"log line {number}: more than one JSON value, "
+                             f"the next at column {len(line) - len(after) + 1}")
+        yield number, value
 
 
 @collector_paused()
 def cmd_replay_log(args) -> int:
     """Re-run a recorded event log through a Simulation and verify every
     grant's, fund's and submission's time, every decision, every block's
-    height, time and txids, and the token supply at the end."""
-    events = _read_log(args.log)
-    header = events[0][1] if events else None
-    if (
-        not isinstance(header, dict)
-        or header.get("event") != "header"
-        or not isinstance(header.get("config"), dict)
-    ):
-        raise ValueError("log has no header line with a config object")
-    missing = [name for name in SETTINGS if name not in header["config"]]
-    if missing:
-        raise ValueError(f"log header lacks config keys: {missing}")
-    sim = Simulation(_sim_config(header["config"]))
+    height, time and txids, and the token supply at the end.
+
+    One pass: each line is applied as it is read.  Each run of consecutive
+    ``fund`` lines is funded as one batch, and each run of consecutive
+    ``submit`` lines is submitted as one ``Simulation.submit_batch``, which
+    decides as one ``submit`` per line would; a run ends at a ``grant``,
+    ``fund`` or ``mine`` line, or at the end of the file.  Before a fault on a
+    later line is reported, the pending run is submitted and its decisions
+    checked, so the first bad line in the file is the one reported.
+    """
+    with open(args.log, encoding="utf-8") as fh:
+        lines = _log_lines(fh)
+        header = next(lines, (1, None))[1]
+        if (
+            not isinstance(header, dict)
+            or header.get("event") != "header"
+            or not isinstance(header.get("config"), dict)
+        ):
+            raise ValueError("log has no header line with a config object")
+        missing = [name for name in SETTINGS if name not in header["config"]]
+        if missing:
+            raise ValueError(f"log header lacks config keys: {missing}")
+        try:
+            return _replay(Simulation(_sim_config(header["config"])), lines)
+        except ReplayDivergence as exc:
+            print(exc, file=sys.stderr)
+            return MODEL_ERROR
+
+
+def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
+    """``cmd_replay_log``'s pass over the lines after the header; raises
+    ReplayDivergence at the first divergence."""
     blocks = submits = 0
     clock = sim.now  # the time of the last event
     coins: list[tuple[tuple[str, int], int]] = []  # the run of fund lines not yet funded
     fund_lines = 0
-    for number, event in events[1:]:
-        kind = _replay_kind(event, number)
-        if kind == "fund":
-            if event["value"] < 1:  # refused on its own line, before a later line's checks
+    run: list[tuple] = []  # the submit lines not yet submitted: (tx, t, accepted, reason)
+    outputs: dict = {}  # one TxOutput per distinct output, for this replay only
+
+    def submit_run() -> None:
+        """Submit the run as one batch, then check each decision in line order."""
+        if not run:
+            return
+        batch = run.copy()
+        run.clear()
+        results = sim.submit_batch([line[0] for line in batch], [line[1] for line in batch])
+        for (tx, t, accepted, reason), result in zip(batch, results):
+            if (result.accepted, result.reason) != (accepted, reason):
+                raise ReplayDivergence(f"divergence at t={t}: tx {tx.txid} got {result}, "
+                                       f"log has accepted={accepted} reason={reason}")
+
+    try:
+        for number, event in lines:
+            kind, values = _replay_fields(event, number)
+            if not values:  # a kind replay skips
+                continue
+            if kind == "fund" and values[1] < 1:  # refused before this line's time is checked
                 raise ValueError(f"log line {number}: fund value must be >= 1")
-            coins.append((fund_serial(fund_lines), event["value"]))
-            fund_lines += 1
-        elif coins:
-            sim.fund(coins)
-            coins = []
-        if kind in ("grant", "fund", "submit"):
+            if coins and kind != "fund":
+                sim.fund(coins)
+                coins = []
+            if kind != "submit":
+                submit_run()
+            t = values[0]
+            if kind == "mine":
+                _, height, txids = values
+                # only the next block time can come next; a later log time would
+                # have replay mine every block up to it
+                if t != sim.next_block_time:
+                    raise ReplayDivergence(
+                        f"divergence at t={t}: the next block is at t={sim.next_block_time}")
+                sim.run_until(t)
+                clock = t
+                blocks += 1
+                tip = sim.chain.blocks[-1]
+                if (tip.height, [tx.txid for tx in tip.transactions]) != (height, txids):
+                    raise ReplayDivergence(
+                        f"divergence in block {height}: replay mined block {tip.height}")
+                continue
             # a grant, fund or send falls between the previous event and the next block
-            if not clock <= event["t"] <= sim.next_block_time:
-                print(f"divergence at t={event['t']}: a {kind} here must fall in "
-                      f"[{clock}, {sim.next_block_time}]", file=sys.stderr)
-                return MODEL_ERROR
-            clock = event["t"]
-        if kind == "grant":
-            sim.grant(event["owner"], event["value"])
-        elif kind == "submit":
-            try:
-                tx = Transaction.from_dict(event["tx"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"log line {number}: malformed tx ({exc!r})") from None
-            result = sim.submit(tx, event["t"])
-            submits += 1
-            if result.accepted != event["accepted"] or result.reason != event["reason"]:
-                print(
-                    f"divergence at t={event['t']}: tx {tx.txid} "
-                    f"got {result}, log has accepted={event['accepted']} "
-                    f"reason={event['reason']}",
-                    file=sys.stderr,
-                )
-                return MODEL_ERROR
-        elif kind == "mine":
-            # only the next block time can come next; a later log time would
-            # have replay mine every block up to it
-            if event["t"] != sim.next_block_time:
-                print(f"divergence at t={event['t']}: the next block is at t={sim.next_block_time}",
-                      file=sys.stderr)
-                return MODEL_ERROR
-            sim.run_until(event["t"])
-            clock = event["t"]
-            blocks += 1
-            tip = sim.chain.blocks[-1]
-            got = (tip.height, [tx.txid for tx in tip.transactions])
-            if got != (event["height"], event["txids"]):
-                print(f"divergence in block {event['height']}: replay mined block {tip.height}",
-                      file=sys.stderr)
-                return MODEL_ERROR
+            if not clock <= t <= sim.next_block_time:
+                raise ReplayDivergence(f"divergence at t={t}: a {kind} here must fall in "
+                                       f"[{clock}, {sim.next_block_time}]")
+            clock = t
+            if kind == "submit":
+                _, data, accepted, reason = values
+                try:
+                    tx = Transaction.from_dict(data, outputs)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"log line {number}: malformed tx ({exc!r})") from None
+                run.append((tx, t, accepted, reason))
+                submits += 1
+            elif kind == "fund":
+                coins.append((fund_serial(fund_lines), values[1]))
+                fund_lines += 1
+            else:  # grant
+                sim.grant(values[1], values[2])
+        submit_run()
+    except (ValueError, ReplayDivergence):
+        submit_run()  # an earlier line's divergence outranks this fault
+        raise
     sim.fund(coins)
     # the indexer followed every replayed block; its token state must balance
     if not sim.indexer.state.supply_is_conserved():
-        print("divergence: replayed token state does not conserve supply", file=sys.stderr)
-        return MODEL_ERROR
+        raise ReplayDivergence("divergence: replayed token state does not conserve supply")
     print(f"replay OK: {submits} submissions, {blocks} blocks verified")
     return 0
 

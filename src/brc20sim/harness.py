@@ -68,7 +68,7 @@ CSV_HEADER = (
 
 
 class ReplayDivergence(AssertionError):
-    """A scripted replay assertion failed: the model diverged."""
+    """A replay assertion failed: the model diverged from the script or event log it replays."""
 
 
 class SetupFailed(ValueError):

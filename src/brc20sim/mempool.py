@@ -395,7 +395,7 @@ class Mempool:
         pending: dict[int, list[tuple]] = {}  # vsize -> ready keys not yet in _ready
         entries, spends = self.entries, self.spends
         plain_coins = self.chain.utxo_set.plain
-        confirmed = self.chain.confirmed
+        confirmed = self.chain.tx_index  # probed directly, not through Chain.confirmed
         capacity = self.config.mempool_capacity_vbytes
         for tx, now in zip(txs, times):
             txid, inputs, outputs = tx.txid, tx.inputs, tx.outputs
@@ -405,7 +405,7 @@ class Mempool:
                 value is None
                 or outpoint in spends
                 or txid in entries
-                or confirmed(txid)
+                or txid in confirmed
                 or (outputs and outputs[0].inscription is not None)
                 or value - tx.output_total < MIN_RELAY_FEE_RATE * tx.vsize
             ):

@@ -24,8 +24,9 @@ simulation funds its coins in ``bg`` order.
 
 Background traffic enters the pool through ``submit_batch``, the sediment
 as one batch and each run of market arrivals up to a horizon as another,
-each arrival at ``max(now, its time)``; the foreground and ``brc20sim
-replay`` enter through ``submit``, one transaction at a time, and
+each arrival at ``max(now, its time)``; ``brc20sim replay`` enters through
+it too, with each run of consecutive ``submit`` lines of a log as one batch.
+The foreground enters through ``submit``, one transaction at a time, and
 ``foreground_pooled`` tells whether one sent that way is still pooled.  A
 window's market (``background.Window``) holds its arrival times in ascending
 order beside its transactions, so ``run_until`` bisects the times for the run
@@ -178,7 +179,8 @@ class Simulation:
         self, txs: Sequence[Transaction], times: Sequence[float]
     ) -> list[SubmitResult]:
         """``txs[i]`` submitted at ``times[i]`` in order, each recorded as ``submit``
-        records it: the background's path to the pool."""
+        records it, with the results one ``submit`` per transaction would give:
+        the background's path to the pool, and replay's for a run of submit lines."""
         results = self.pool.submit_batch(txs, times)
         self.event_log += [("submit", t, tx, r) for tx, t, r in zip(txs, times, results)]
         return results

@@ -450,6 +450,19 @@ class TestSerialization:
                [TxOutput(1, "a", inscription="x")], vsize=150)
         assert Transaction.from_dict(logged_tx(t)) == t
 
+    def test_a_shared_memo_gives_one_output_object_per_distinct_output(self):
+        shared = {}
+        a = tx("a", [TxInput(("g", 0))], [TxOutput(1, "m"), TxOutput(2, "m")])
+        b = tx("b", [TxInput(("g", 1))], [TxOutput(1, "m")])
+        got_a, got_b = (Transaction.from_dict(logged_tx(t), shared) for t in (a, b))
+        assert (got_a, got_b) == (a, b)
+        assert got_b.outputs[0] is got_a.outputs[0] and len(shared) == 2
+        # types are checked before the memo is read: a bool value is no 1
+        bad = logged_tx(b)
+        bad["outputs"][0]["value"] = True
+        with pytest.raises(TypeError):
+            Transaction.from_dict(bad, shared)
+
     @pytest.mark.parametrize(
         "path, bad",
         [

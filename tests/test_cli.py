@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import brc20sim
 from brc20sim.cli import cmd_replay_log, main
 from brc20sim.harness import ScenarioConfig, run_binance_replay, run_scenario
 from brc20sim.indexer import Brc20State
+from brc20sim.mempool import Mempool
 from brc20sim.sim import SETTINGS, SimConfig, collector_paused
 from brc20sim.wallet import TX1_VSIZE
 
@@ -25,6 +27,13 @@ HEADER = {"event": "header", "config": {name: getattr(SimConfig(), name) for nam
 # spends the first grant's coin at a fee the pool accepts
 FUNDED_TX = {"txid": "t", "inputs": [{"outpoint": ["genesis-0", 0], "sequence": 0}],
              "outputs": [{"value": 500, "owner": "b"}], "vsize": 100}
+
+
+def submit_line(txid, outpoint, value, owner="mkt", reason=None):
+    """A submit event at t=10 of a one-input, one-output transaction of 100 vB."""
+    return {"event": "submit", "t": 10.0, "accepted": reason is None, "reason": reason,
+            "tx": {"txid": txid, "inputs": [{"outpoint": outpoint, "sequence": 0}],
+                   "outputs": [{"value": value, "owner": owner}], "vsize": 100}}
 
 
 def run_cli(capsys, *argv):
@@ -102,11 +111,6 @@ class TestSimCommand:
     def test_a_grant_between_funds_keeps_its_serial(self, capsys, tmp_path):
         # the grant between fund lines takes genesis-0 and shifts no fund
         # serial: fund-1 is the 7,000 coin and fund-2 the 9,000 one
-        def spend(txid, outpoint, value, owner="mkt"):
-            return {"event": "submit", "t": 10.0, "accepted": True, "reason": None,
-                    "tx": {"txid": txid, "inputs": [{"outpoint": outpoint, "sequence": 0}],
-                           "outputs": [{"value": value, "owner": owner}], "vsize": 100}}
-
         log = tmp_path / "events.jsonl"
         log.write_text("".join(json.dumps(line) + "\n" for line in [
             HEADER,
@@ -114,9 +118,9 @@ class TestSimCommand:
             {"event": "grant", "t": 0.0, "owner": "a", "value": 1_000},
             {"event": "fund", "t": 0.0, "value": 7_000},
             {"event": "fund", "t": 10.0, "value": 9_000},
-            spend("s1", ["fund-1", 0], 6_000),
-            spend("s2", ["fund-2", 0], 8_500),
-            spend("g", ["genesis-0", 0], 800, owner="b"),
+            submit_line("s1", ["fund-1", 0], 6_000),
+            submit_line("s2", ["fund-2", 0], 8_500),
+            submit_line("g", ["genesis-0", 0], 800, owner="b"),
             {"event": "mine", "t": 600.0, "height": 0, "txids": ["s1", "s2", "g"]},
         ]))
         code, out, err = run_cli(capsys, "replay", str(log))
@@ -223,6 +227,133 @@ class TestSimCommand:
         log.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
         code, out, err = run_cli(capsys, "replay", str(log))
         assert code == 2 and "divergence" in err and "replay OK" not in out
+
+
+class TestReplayRuns:
+    """Replay reads a log in one pass and submits each run of consecutive submit
+    lines as one batch; the first bad line in the file is the one reported."""
+
+    @pytest.fixture(scope="class")
+    def seed7(self, tmp_path_factory):
+        """The README's example log: `brc20sim sim --seed 7 --log events.jsonl`."""
+        log = tmp_path_factory.mktemp("seed7") / "events.jsonl"
+        assert main(["sim", "--seed", "7", "--log", str(log), "--out", os.devnull]) == 0
+        return log.read_text().splitlines(keepends=True)
+
+    @staticmethod
+    def mid_run_market_line(lines) -> int:
+        """The index of a market submit line with a submit line on either side."""
+        kinds = [json.loads(line)["event"] for line in lines]
+        return next(i for i in range(len(lines) // 2, len(lines) - 1)
+                    if kinds[i - 1] == kinds[i] == kinds[i + 1] == "submit"
+                    and '"owner": "mkt"' in lines[i])
+
+    def replay(self, capsys, tmp_path, lines):
+        log = tmp_path / "events.jsonl"
+        log.write_text("".join(lines))
+        return run_cli(capsys, "replay", str(log))
+
+    def test_a_flipped_decision_inside_a_run_names_its_txid(self, capsys, tmp_path, seed7):
+        lines, i = list(seed7), self.mid_run_market_line(seed7)
+        event = json.loads(lines[i])
+        assert event["accepted"]
+        lines[i] = json.dumps({**event, "accepted": False}) + "\n"
+        code, out, err = self.replay(capsys, tmp_path, lines)
+        assert code == 2 and "replay OK" not in out
+        assert f"tx {event['tx']['txid']} got " in err and "log has accepted=False" in err
+
+    @pytest.mark.parametrize("bad_at, code", [(1, 2), (0, 1)])  # after, or before, the flip
+    def test_the_first_bad_line_in_the_file_is_reported(
+        self, capsys, tmp_path, seed7, bad_at, code
+    ):
+        lines, i = list(seed7), self.mid_run_market_line(seed7)
+        lines[i] = lines[i].replace('"accepted": true', '"accepted": false')
+        lines.insert(i + bad_at, "not json\n")
+        got, _, err = self.replay(capsys, tmp_path, lines)
+        assert got == code
+        assert ("divergence at" in err) == (code == 2)
+        assert (f"log line {i + bad_at + 1}: Expecting value" in err) == (code == 1)
+
+    def test_a_pool_that_binds_its_capacity_replays(self, capsys, tmp_path):
+        config = ScenarioConfig(
+            fraction=1.0, fee_rate=100, congestion=0.75, attempts=2,
+            sim=SimConfig(congestion_normal_count=2000, mempool_capacity_vbytes=400_000),
+        )
+        log = tmp_path / "events.jsonl"
+        run_scenario(config, 4, log_path=str(log))
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        kinds = [e["event"] for e in events]
+        full_inside_runs = [
+            i for i in range(1, len(events) - 1)
+            if events[i].get("reason") == "mempool-full"
+            and kinds[i - 1] == kinds[i + 1] == "submit"
+        ]
+        assert full_inside_runs
+        code, out, err = run_cli(capsys, "replay", str(log))
+        assert (code, err) == (0, "")
+        counts = f"{kinds.count('submit')} submissions, {kinds.count('mine')} blocks"
+        assert f"replay OK: {counts} verified" in out
+
+    def test_a_grant_between_submits_comes_after_the_one_and_before_the_other(
+        self, capsys, tmp_path
+    ):
+        code, out, err = self.replay(capsys, tmp_path, [json.dumps(line) + "\n" for line in [
+            HEADER,
+            {"event": "grant", "t": 0.0, "owner": "a", "value": 1_000},
+            submit_line("s1", ["genesis-0", 0], 500),
+            submit_line("early", ["genesis-1", 0], 1_000, reason="orphan-input"),  # not granted yet
+            {"event": "grant", "t": 10.0, "owner": "a", "value": 2_000},
+            submit_line("s2", ["genesis-1", 0], 1_000),  # spends the grant just before it
+            {"event": "mine", "t": 600.0, "height": 0, "txids": ["s2", "s1"]},
+        ]])
+        assert (code, err) == (0, "") and "replay OK: 3 submissions, 1 blocks verified" in out
+
+    def test_the_readme_log_takes_one_pool_submit_per_foreground_transaction(
+        self, capsys, tmp_path, seed7, monkeypatch
+    ):
+        # 979 submissions, 975 of them market transactions on the batch's fast
+        # pass: the 4 foreground ones (deploy, mint, Tx1, Tx2) go through
+        # Mempool.submit, and each run of submit lines is one batch
+        calls = Counter()
+        submit, submit_batch = Mempool.submit, Mempool.submit_batch
+
+        def counted_submit(self, *args):
+            calls["submit"] += 1
+            return submit(self, *args)
+
+        def counted_batch(self, *args):
+            calls["submit_batch"] += 1
+            return submit_batch(self, *args)
+
+        monkeypatch.setattr(Mempool, "submit", counted_submit)
+        monkeypatch.setattr(Mempool, "submit_batch", counted_batch)
+        kinds = [json.loads(line)["event"] for line in seed7]
+        runs = sum(1 for i, kind in enumerate(kinds) if kind == "submit" and kinds[i - 1] != kind)
+        assert (len(seed7), kinds.count("submit"), kinds.count("mine")) == (2_020, 979, 28)
+        code, out, _ = self.replay(capsys, tmp_path, seed7)
+        assert code == 0 and "replay OK: 979 submissions, 28 blocks verified" in out
+        assert calls == {"submit": 4, "submit_batch": runs}
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # forked sweep workers share their parent's hash seed, so only separate
+        # processes show that no output depends on set or dict iteration order
+        src = str(Path(brc20sim.__file__).resolve().parents[1])
+        seen = set()
+        for hash_seed in ("0", "12345"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+            log, report = tmp_path / f"log-{hash_seed}", tmp_path / f"report-{hash_seed}"
+
+            def cli(*argv):
+                return subprocess.run([sys.executable, "-m", "brc20sim.cli", *argv],
+                                      capture_output=True, text=True, env=env, timeout=60)
+
+            sim = cli("sim", "--seed", "7", "--log", str(log), "--out", str(report))
+            replayed = cli("replay", str(log))
+            assert sim.returncode == replayed.returncode == 0
+            assert replayed.stdout == "replay OK: 979 submissions, 28 blocks verified\n"
+            seen.add((hashlib.sha256(log.read_bytes()).hexdigest(),
+                      hashlib.sha256(report.read_bytes()).hexdigest()))
+        assert len(seen) == 1
 
 
 class TestSweepCommand:

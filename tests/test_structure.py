@@ -8,6 +8,7 @@ import pkgutil
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from scenario_tools import pinned_transfer
 
 import brc20sim
@@ -37,9 +38,48 @@ def callers(*names: str) -> set[str]:
     }
 
 
+def runs_the_pool(source: str) -> bool:
+    """Whether code calls ``mine_block``, ``tick_expiry`` or ``Mempool(...)``, or
+    ``submit``/``submit_batch`` on a pool: a receiver whose last name says pool, as
+    ``self.pool``, ``sim.pool``, ``pool`` or ``Mempool`` do and ``sim`` does not."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "Mempool":
+            return True
+        if isinstance(func, ast.Attribute):
+            if func.attr in ("mine_block", "tick_expiry", "Mempool"):
+                return True
+            receiver = getattr(func.value, "attr", getattr(func.value, "id", ""))
+            if func.attr in ("submit", "submit_batch") and "pool" in receiver.lower():
+                return True
+    return False
+
+
+@pytest.mark.parametrize("call, runs", [
+    ("sim.pool.submit(tx, 0.0)", True),
+    ("self.pool.submit_batch(txs, times)", True),
+    ("pool.submit_batch(txs, times)", True),
+    ("Mempool.submit(pool, tx, 0.0)", True),
+    ("mempool.Mempool(config, chain)", True),
+    ("Mempool(config, chain)", True),
+    ("sim.pool.mine_block(600.0)", True),
+    ("sim.pool.tick_expiry(600.0)", True),
+    ("sim.submit(tx, 0.0)", False),
+    ("sim.submit_batch(txs, times)", False),
+    ("self.submit_batch(txs, times)", False),
+])
+def test_the_pool_check_tells_the_simulations_door_from_the_pools(call, runs):
+    assert runs_the_pool(call) is runs
+
+
 def test_only_the_simulation_runs_the_pool():
-    runs = callers("mine_block", "tick_expiry", "Mempool", "submit_batch")
-    assert runs <= {"sim.py", "mempool.py"}
+    # the simulation's submit and submit_batch are the doors (replay uses both);
+    # the pool's own are called in sim.py and mempool.py alone
+    runs = {path.name for path in SRC.glob("*.py")
+            if runs_the_pool(path.read_text(encoding="utf-8"))}
+    assert runs == {"sim.py", "mempool.py"}
 
 
 def test_only_the_simulation_and_replay_feed_the_indexer():

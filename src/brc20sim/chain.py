@@ -128,16 +128,16 @@ class Transaction:
         object.__setattr__(self, "rbf_enabled", rbf)
 
     @classmethod
-    def from_dict(cls, data: dict, shared: dict | None = None) -> Transaction:
+    def from_dict(cls, data: dict, shared: dict) -> Transaction:
         """The transaction a ``submit`` line of the event log holds under ``"tx"``
         (see ``sim.log_line``); a field without its JSON type raises TypeError.
 
         Types are exact (a bool is no count), so an outpoint decoded from
         untrusted JSON is always a hashable ``(str, int)``.  ``shared``, a
-        caller's memo, maps each output's checked ``(value, owner,
-        inscription)`` to one ``TxOutput`` that its transactions share.
+        caller's memo (``{}`` for none to share), maps each output's checked
+        ``(value, owner, inscription)`` to one ``TxOutput`` that its
+        transactions share.
         """
-        shared = {} if shared is None else shared
         inputs = []
         for i in data["inputs"]:
             (txid, index), sequence = i["outpoint"], i["sequence"]

@@ -149,9 +149,9 @@ def cmd_tolerance(args) -> int:
 
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
 
-# the fields replay reads from each kind of event, in the order _replay_fields
-# gives their values, with the exact types JSON gives them (so a bool is no
-# count); other kinds are skipped
+# the fields replay reads from each kind of event, with the exact types JSON
+# gives them (so a bool is no count); other kinds are skipped.  _replay
+# unpacks _replay_fields' values in this order, which a structure test pins
 REPLAY_FIELDS = {
     "grant": {"t": (int, float), "owner": (str,), "value": (int,)},
     "fund": {"t": (int, float), "value": (int,)},
@@ -181,19 +181,15 @@ def _replay_fields(event, number: int) -> tuple[str, list]:
 def _log_lines(fh) -> Iterator[tuple[int, object]]:
     """Each non-blank line of an open event log, decoded as it is read, with its
     line number in the file."""
-    decoder = json.JSONDecoder()
-    scan = decoder.scan_once  # raw_decode's scanner, without raw_decode's frame around it
+    decode = json.JSONDecoder().raw_decode  # json.loads adds per-line checks and two regex scans
     for number, line in enumerate(fh, start=1):
-        try:  # a line the simulator wrote starts with its value
-            value, end = scan(line, 0)
-        except (StopIteration, json.JSONDecodeError):  # any other line takes the careful path
-            if line.isspace():
-                continue
-            start = len(line) - len(line.lstrip(_JSON_SPACE))
-            try:
-                value, end = decoder.raw_decode(line, start)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"log line {number}: {exc.msg} at column {exc.colno}") from None
+        if line.isspace():
+            continue
+        start = len(line) - len(line.lstrip(_JSON_SPACE))
+        try:
+            value, end = decode(line, start)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"log line {number}: {exc.msg} at column {exc.colno}") from None
         after = line[end:].lstrip(_JSON_SPACE)
         if after:
             raise ValueError(f"log line {number}: more than one JSON value, "
@@ -261,14 +257,16 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
             kind, values = _replay_fields(event, number)
             if not values:  # a kind replay skips
                 continue
-            if kind == "fund" and values[1] < 1:  # refused before this line's time is checked
-                raise ValueError(f"log line {number}: fund value must be >= 1")
+            t = values[0]  # each kind's first field
+            if kind == "fund":
+                _, value = values
+                if value < 1:  # refused before this line's time is checked
+                    raise ValueError(f"log line {number}: fund value must be >= 1")
             if coins and kind != "fund":
                 sim.fund(coins)
                 coins = []
             if kind != "submit":
                 submit_run()
-            t = values[0]
             if kind == "mine":
                 _, height, txids = values
                 # only the next block time can come next; a later log time would
@@ -298,10 +296,11 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
                 run.append((tx, t, accepted, reason))
                 submits += 1
             elif kind == "fund":
-                coins.append((fund_serial(fund_lines), values[1]))
+                coins.append((fund_serial(fund_lines), value))
                 fund_lines += 1
             else:  # grant
-                sim.grant(values[1], values[2])
+                _, owner, value = values
+                sim.grant(owner, value)
         submit_run()
     except (ValueError, ReplayDivergence):
         submit_run()  # an earlier line's divergence outranks this fault

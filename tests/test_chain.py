@@ -448,7 +448,7 @@ class TestSerialization:
     def test_transaction_round_trip(self):
         t = tx("t9", [TxInput(("g", 0), 0xFFFFFFFD)],
                [TxOutput(1, "a", inscription="x")], vsize=150)
-        assert Transaction.from_dict(logged_tx(t)) == t
+        assert Transaction.from_dict(logged_tx(t), {}) == t
 
     def test_a_shared_memo_gives_one_output_object_per_distinct_output(self):
         shared = {}
@@ -483,7 +483,7 @@ class TestSerialization:
             target = target[key]
         target[path[-1]] = bad
         with pytest.raises(TypeError):
-            Transaction.from_dict(data)
+            Transaction.from_dict(data, {})
 
 
 class TestChain:
@@ -548,7 +548,7 @@ class TestIdentity:
             " TxOutput(value=6, owner='b', inscription=None)), vsize=100)"
         )
         assert set(logged_tx(t)) == {"txid", "inputs", "outputs", "vsize"}
-        back = Transaction.from_dict(logged_tx(t))
+        back = Transaction.from_dict(logged_tx(t), {})
         assert back == t and hash(back) == hash(t)
         assert (back.output_total, back.rbf_enabled) == (11, True)
         # replace() builds a new transaction, so the derived fields follow the content

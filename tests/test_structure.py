@@ -187,6 +187,17 @@ def test_the_log_writer_and_replay_share_one_vocabulary(tmp_path):
             assert type(event[key]) in types, (event, key)
 
 
+def test_replay_reads_each_kinds_fields_in_a_fixed_order():
+    # cli._replay unpacks each line's values by position: reordering a kind's
+    # fields would have it read one field as another with every type check passed
+    assert {kind: tuple(fields) for kind, fields in REPLAY_FIELDS.items()} == {
+        "grant": ("t", "owner", "value"),
+        "fund": ("t", "value"),
+        "submit": ("t", "tx", "accepted", "reason"),
+        "mine": ("t", "height", "txids"),
+    }
+
+
 def test_the_background_holds_no_state_but_the_market_transactions():
     # a load owns its draws and windows, and a simulation owns its load: the
     # one module-level container is the memo of bg{k}, the same in every run

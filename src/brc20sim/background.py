@@ -25,28 +25,24 @@ fixed here as module constants: the floor's AR(1) persistence
 ``FLOOR_RHO``, the per-transaction rate spread ``RATE_SPREAD``, the one
 ``MARKET_TX_VSIZE`` and the sediment's top rate ``SEDIMENT_RATE_HI``.
 
-Background transactions spend value-only coins (``Simulation.fund``): the
-model needs only each one's fee, vsize and arrival, so none of them allocates
-ordinals or leaves a coin on the chain.  They all pay ``MARKET_OUTPUTS`` at
-``MARKET_TX_VSIZE``, so the end of their txid hash text (``chain.txid_tail``)
-is formatted once, as ``MARKET_TXID_TAIL``, and each txid is one sha256 call
-over its tag, its input and that tail.
-
-``bg{k}`` spends coin ``chain.fund_serial(k - 1)`` in every simulation,
-whatever the seed, profile or foreground, so its bytes are fixed (the coin's
-value lives in the UTXO set).  One process-wide list holds them, ``bg{k}`` at
-entry ``k - 1``, each built once.
+Background transactions are market entries (``chain.MarketTx``): the model
+needs only each one's fee, vsize and arrival, so none of them has a coin,
+allocates ordinals or touches the ledger.  Each keeps the txid it had when
+``bg{k}`` spent a coin named ``fund-{k - 1}`` and paid ``DUST`` to
+``MARKET_ADDRESS`` at ``MARKET_TX_VSIZE``, since the pool breaks rate and
+arrival ties by txid.  Those txids depend on ``k`` alone, whatever the seed,
+profile or foreground, so one process-wide list holds them, ``bg{k}``'s at
+entry ``k - 1``, each hashed once.
 
 A ``BackgroundLoad`` is one simulation's market: its RNG streams, its floors,
 and its batches, the sediment and then one ``Window`` per block interval,
 each built when first requested.  A batch holds what a simulation reads of
-it: the arrival times in ascending order, the transactions in that order,
-and the coins that fund them as ``(serial, value)`` pairs in ``bg`` order,
-each serial the very outpoint object its transaction spends.  The load
-never touches the ledger: the simulation funds and submits each batch.  A
-simulation's forks share its load (``Simulation.fork``), and ask it for
-windows by number, so a window is drawn once however many forks read it,
-and each gets the bytes a fresh draw would give.
+it: the arrival times in ascending order and the market entries arriving at
+them, one entry per transaction per load.  The load never touches the pool
+or the ledger: the simulation submits each batch.  A simulation's forks
+share its load (``Simulation.fork``), and ask it for windows by number, so a
+window is drawn once however many forks read it, and each gets the bytes a
+fresh draw would give.
 """
 
 from __future__ import annotations
@@ -57,13 +53,12 @@ import random
 from array import array
 from dataclasses import dataclass
 
-from .chain import (BLOCK_INTERVAL, DUST, Transaction, TxInput, TxOutput, fund_serial, txid_tail,
-                    txid_with_tail)
+from .chain import BLOCK_INTERVAL, DUST, MAX_SEQUENCE, MarketTx
 
-MARKET_ADDRESS = "mkt"
-MARKET_OUTPUTS = (TxOutput(DUST, MARKET_ADDRESS),)  # every market and sediment tx pays this
+MARKET_ADDRESS = "mkt"  # named in each market txid's hash text
 MARKET_TX_VSIZE = 400  # vsize of every market and sediment tx
-MARKET_TXID_TAIL = txid_tail(MARKET_OUTPUTS, MARKET_TX_VSIZE)
+# the end of each market txid's hash text (chain.make_txid's), after "bg{k}fund-{k - 1}"
+MARKET_TXID_TAIL = f":0:{MAX_SEQUENCE}{DUST}:{MARKET_ADDRESS}:None{MARKET_TX_VSIZE}".encode()
 FLOOR_RHO = 0.9  # AR(1) persistence of the mining floor per block
 RATE_SPREAD = 1.15  # per-tx rate multiplier in [1, RATE_SPREAD]
 SEDIMENT_RATE_HI = 5  # sediment rates are uniform in 1..SEDIMENT_RATE_HI sat/vB
@@ -126,11 +121,11 @@ class CongestionProfile:
 # bytes of rejected words are deleted.
 _TOP_BITS = bytes(b >> (8 - SEDIMENT_RATE_HI.bit_length()) for b in range(256))
 _REJECTED = bytes(b for b in range(256) if _TOP_BITS[b] >= SEDIMENT_RATE_HI)
-_SEDIMENT_VALUES = tuple((r + 1) * MARKET_TX_VSIZE + DUST for r in range(SEDIMENT_RATE_HI))
+_SEDIMENT_FEES = tuple((r + 1) * MARKET_TX_VSIZE for r in range(SEDIMENT_RATE_HI))
 
 
 def _draw_sediment(rng: random.Random, count: int) -> list[int]:
-    """``count`` sediment coin values at ``randint(1, SEDIMENT_RATE_HI)`` sat/vB each, drawn as
+    """``count`` sediment fees at ``randint(1, SEDIMENT_RATE_HI)`` sat/vB each, drawn as
     CPython's ``randint`` draws them, words and generator state included, but in bulk:
     ``getrandbits(32 * n)`` lays n words out little-endian, and each pass draws only as
     many words as values are still missing, so no word is drawn that ``randint`` would not.
@@ -138,22 +133,20 @@ def _draw_sediment(rng: random.Random, count: int) -> list[int]:
     values: list[int] = []
     while (need := count - len(values)) > 0:
         tops = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
-        values += [_SEDIMENT_VALUES[r] for r in tops.translate(_TOP_BITS, _REJECTED)]
+        values += [_SEDIMENT_FEES[r] for r in tops.translate(_TOP_BITS, _REJECTED)]
     return values
 
 
 @dataclass(frozen=True, slots=True)
 class Window:
-    """One batch of market transactions, built once per load: the arrival times
-    in ascending order, the transactions arriving at them, and the coins that
-    fund those transactions as ``(serial, value)`` pairs in ``bg`` order.
+    """One batch of market entries, built once per load: the arrival times in
+    ascending order, and the entries arriving at them.
 
-    It iterates as ``(time, tx)`` pairs and its length is its transaction count.
+    It iterates as ``(time, entry)`` pairs and its length is its entry count.
     """
 
     times: tuple[float, ...]
-    txs: tuple[Transaction, ...]
-    coins: tuple[tuple[tuple[str, int], int], ...]
+    txs: tuple[MarketTx, ...]
 
     def __len__(self) -> int:
         return len(self.txs)
@@ -162,29 +155,23 @@ class Window:
         return zip(self.times, self.txs)
 
 
-NO_MARKET = Window((), (), ())  # what a load with no market returns for every window
+NO_MARKET = Window((), ())  # what a load with no market returns for every window
 
-# Every load's market and sediment transactions: ``_market_txs[k - 1]`` is ``bg{k}``,
-# which spends coin ``fund_serial(k - 1)``.
-_market_txs: list[Transaction] = []
-
-
-def _build_market(count: int) -> list[Transaction]:
-    """``_market_txs``, built up to at least ``bg{count}``."""
-    for k in range(len(_market_txs) + 1, count + 1):
-        inputs = (TxInput(fund_serial(k - 1)),)
-        _market_txs.append(Transaction(
-            txid=txid_with_tail(inputs, MARKET_TXID_TAIL, tag=f"bg{k}"),
-            inputs=inputs,
-            outputs=MARKET_OUTPUTS,
-            vsize=MARKET_TX_VSIZE,
-        ))
-    return _market_txs
+# Every load's market and sediment txids: ``_market_txids[k - 1]`` is ``bg{k}``'s.
+_market_txids: list[str] = []
 
 
-def _coins(txs: list[Transaction], values) -> tuple[tuple[tuple[str, int], int], ...]:
-    """The coins that fund ``txs``: each one's input outpoint, with its value."""
-    return tuple((tx.inputs[0].outpoint, value) for tx, value in zip(txs, values))
+def _txids(count: int) -> list[str]:
+    """``_market_txids``, hashed up to at least ``bg{count}``."""
+    for k in range(len(_market_txids) + 1, count + 1):
+        text = f"bg{k}fund-{k - 1}".encode() + MARKET_TXID_TAIL
+        _market_txids.append(hashlib.sha256(text).hexdigest()[:16])
+    return _market_txids
+
+
+def _entries(txids: list[str], fees: list[int]) -> tuple[MarketTx, ...]:
+    """One load's market entries: each txid at its fee, at the one market vsize."""
+    return tuple([MarketTx(txid, fee, MARKET_TX_VSIZE) for txid, fee in zip(txids, fees)])
 
 
 class BackgroundLoad:
@@ -211,9 +198,8 @@ class BackgroundLoad:
         sigma_stat = profile.sigma / math.sqrt(1.0 - FLOOR_RHO**2)
         self._g = self._rng_floor.gauss(0.0, sigma_stat)
         self.floors = array("d", [self._floor() if profile.target_level else 0.0])
-        txs = _build_market(count)[:count]
-        values = _draw_sediment(stream(profile.seed, "sediment"), count)
-        self.windows = [Window((0.0,) * count, tuple(txs), _coins(txs, values))]
+        fees = _draw_sediment(stream(profile.seed, "sediment"), count)
+        self.windows = [Window((0.0,) * count, _entries(_txids(count)[:count], fees))]
 
     def _floor(self) -> float:
         p = self.profile
@@ -235,15 +221,15 @@ class BackgroundLoad:
             floor = self._floor()
             self.floors.append(floor)
             start = (drawn - 1) * BLOCK_INTERVAL
-            values, arrivals = [], []
+            fees, arrivals = [], []
             for _ in range(flight):
                 rate = floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
-                values.append(math.ceil(rate * MARKET_TX_VSIZE) + DUST)
+                fees.append(math.ceil(rate * MARKET_TX_VSIZE))
                 arrivals.append(start + BLOCK_INTERVAL * self._rng_times.random())
             end = self.sediment_count + drawn * flight  # the sediment and windows 1..drawn
-            txs = _build_market(end)[end - flight:end]
+            txs = _entries(_txids(end)[end - flight:end], fees)
             # a stable sort, so tied times keep bg order
             order = sorted(range(flight), key=arrivals.__getitem__)
             self.windows.append(Window(tuple([arrivals[i] for i in order]),
-                                       tuple([txs[i] for i in order]), _coins(txs, values)))
+                                       tuple([txs[i] for i in order])))
         return self.windows[w]

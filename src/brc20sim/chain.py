@@ -5,22 +5,20 @@ concatenated in input order and sliced into outputs in output order, with the
 trailing slice burned as the miner fee.  Ownership is an opaque address label;
 scripts and signatures are out of scope.
 
-Background traffic never carries or moves an inscription, so its coins are
-value-only: ``UtxoSet.fund`` creates them without ordinals, each under the
-serial its spending transaction names (``fund_serial``), and a transaction
-spending them is checked like any other but leaves no coin behind: its
-outputs leave the model.  Nearly every transaction a block holds is such a
-spend, with one input, so ``Chain.append_block`` spends those in its own
-loop, with no call per transaction, when the spend cannot fail; any other
-transaction, or one that would fail, takes ``UtxoSet.apply_transaction``.
+Background traffic never carries or moves an inscription, and the model
+needs only each market transaction's fee, vsize and arrival, so a market
+entry (``MarketTx``) is just those, with no coin: it spends nothing, creates
+nothing and touches no UTXO.  ``Chain.append_block`` lists it in its block
+and gives it the one shared ``EMPTY_RECEIPT``; every other transaction takes
+``UtxoSet.apply_transaction``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left, insort
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 MAX_SEQUENCE = 0xFFFFFFFF
 RBF_SEQUENCE = 0xFFFFFFFD  # highest sequence value that still signals replaceability
@@ -50,10 +48,6 @@ class OrdinalBurned(ChainError):
 
 class OrdinalUnknown(ChainError):
     """Ordinal was never allocated in this simulation."""
-
-
-class MixedFunding(ChainError):
-    """Value-only coins spent beside ordinal-tracked ones, or under an inscription."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,27 +154,37 @@ class Transaction:
         return cls(txid, tuple(inputs), tuple(outputs), vsize)
 
 
-def fund_serial(n: int) -> tuple[str, int]:
-    """The serial of the value-only coin that market transaction ``bg{n + 1}`` spends,
-    which an event log's n-th ``fund`` line funds, counting from 0."""
-    return (f"fund-{n}", 0)
+class _MarketFields(NamedTuple):
+    txid: str
+    fee: int
+    vsize: int
+
+
+class MarketTx(_MarketFields):
+    """A market transaction: its fee and vsize, and no coin.
+
+    Its empty ``inputs`` and ``outputs`` let the pool index, mine and remove
+    it as it does a ``Transaction``, with no parent, child or spend.  It is a
+    named tuple, frozen like a transaction, because a load builds one per
+    market transaction and a tuple takes a third of a frozen dataclass's time.
+    """
+
+    __slots__ = ()
+    inputs = ()
+    outputs = ()
+
+    def __new__(cls, txid: str, fee: int, vsize: int) -> MarketTx:
+        if vsize < 1 or fee < 0:
+            raise ValueError(f"market entry needs vsize >= 1 and fee >= 0, got "
+                             f"({vsize!r}, {fee!r})")
+        return tuple.__new__(cls, (txid, fee, vsize))
 
 
 def make_txid(inputs, outputs, vsize: int, tag: str = "") -> str:
     """Deterministic transaction id derived from content."""
-    return txid_with_tail(inputs, txid_tail(outputs, vsize), tag)
-
-
-def txid_tail(outputs, vsize: int) -> bytes:
-    """The end of a txid's hash text, fixed by the outputs and vsize, so shareable."""
-    return ("".join(f"{o.value}:{o.owner}:{o.inscription}" for o in outputs) + str(vsize)).encode()
-
-
-def txid_with_tail(inputs, tail: bytes, tag: str = "") -> str:
-    """``make_txid`` over a ``txid_tail`` computed once: the tag and inputs lead the hash text."""
-    for inp in inputs:
-        tag += f"{inp.outpoint[0]}:{inp.outpoint[1]}:{inp.sequence}"
-    return hashlib.sha256(tag.encode() + tail).hexdigest()[:16]
+    text = tag + "".join(f"{i.outpoint[0]}:{i.outpoint[1]}:{i.sequence}" for i in inputs)
+    text += "".join(f"{o.value}:{o.owner}:{o.inscription}" for o in outputs) + str(vsize)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,15 +222,15 @@ class Receipt:
     envelope: InscriptionEnvelope | None  # bound to created[0]'s first satoshi
 
 
-# every transaction spending value-only coins gets this one: no ordinal moved
-VALUE_ONLY_RECEIPT = Receipt((), (), None)
+# every mined market entry gets this one: no coin spent or created, no ordinal moved
+EMPTY_RECEIPT = Receipt((), (), None)
 
 
 @dataclass(frozen=True, slots=True)
 class Block:
     height: int
     timestamp: float
-    transactions: tuple[Transaction, ...] = ()
+    transactions: tuple[Transaction | MarketTx, ...] = ()
 
 
 def assign_ordinals(
@@ -269,18 +273,15 @@ def assign_ordinals(
 
 
 class UtxoSet:
-    """Mutable UTXO set with ordinal bookkeeping, plus value-only coins.
+    """Mutable UTXO set with ordinal bookkeeping.
 
     One set is owned by one thread at a time; ``copy()`` gives an independent
     snapshot for replay.  Genesis satoshis enter via ``grant`` since there is
-    no coinbase in this model, under ``genesis-{n}`` serials counting grants
-    only.  ``fund`` creates value-only coins under the serials their spending
-    transactions name, so ``plain`` holds only funded coins not yet spent.
+    no coinbase in this model, under ``genesis-{n}`` serials counting grants.
     """
 
     def __init__(self) -> None:
         self.utxos: dict[tuple[str, int], Utxo] = {}
-        self.plain: dict[tuple[str, int], int] = {}  # value-only coins: serial -> value
         self.inscribed: dict[int, str] = {}  # bound ordinal -> raw payload
         self._inscribed_sorted: list[int] = []  # the keys of inscribed, ascending
         self._next_ordinal = 0
@@ -289,7 +290,6 @@ class UtxoSet:
     def copy(self) -> UtxoSet:
         dup = UtxoSet()
         dup.utxos = dict(self.utxos)
-        dup.plain = dict(self.plain)
         dup.inscribed = dict(self.inscribed)
         dup._inscribed_sorted = list(self._inscribed_sorted)
         dup._next_ordinal = self._next_ordinal
@@ -307,13 +307,6 @@ class UtxoSet:
         self.utxos[serial] = utxo
         return utxo
 
-    def fund(self, coins: Sequence[tuple[tuple[str, int], int]]) -> None:
-        """Create one value-only coin per ``(serial, value)`` pair; no ordinal is
-        allocated.  Every value is checked before any coin is made."""
-        if coins and min(value for _, value in coins) < 1:
-            raise ValueError("fund value must be >= 1")
-        self.plain.update(coins)
-
     def owned_by(self, owner: str) -> list[Utxo]:
         return [u for u in self.utxos.values() if u.owner == owner]
 
@@ -330,11 +323,8 @@ class UtxoSet:
 
         The fee slice is whatever the outputs leave of the spent satoshis; it
         sits in no UTXO afterwards, which is how ``locate_ordinal`` knows it
-        was burned.  A transaction whose first input is a value-only coin
-        takes ``_apply_value_only`` instead.
+        was burned.
         """
-        if tx.inputs and tx.inputs[0].outpoint in self.plain:
-            return self._apply_value_only(tx)
         spent: list[Utxo] = []
         seen: set[tuple[str, int]] = set()
         total_in = 0
@@ -344,8 +334,6 @@ class UtxoSet:
             seen.add(inp.outpoint)
             utxo = self.utxos.get(inp.outpoint)
             if utxo is None:
-                if inp.outpoint in self.plain:
-                    raise MixedFunding(f"tx {tx.txid} spends a value-only coin {inp.outpoint}")
                 raise MissingInput(f"{inp.outpoint} unknown or spent")
             spent.append(utxo)
             total_in += utxo.value
@@ -376,30 +364,6 @@ class UtxoSet:
                 insort(self._inscribed_sorted, envelope.bound_ordinal)
             self.inscribed[envelope.bound_ordinal] = envelope.raw
         return Receipt(tuple(spent), tuple(created), envelope)
-
-    def _apply_value_only(self, tx: Transaction) -> Receipt:
-        """Spend value-only coins, with the same checks as above, and create no coin.
-
-        No ordinal moves, so nothing is allocated, sliced or burned; the fee is
-        the value the outputs leave, and the outputs' value leaves the model.
-        """
-        total_in = 0
-        for inp in tx.inputs:
-            value = self.plain.get(inp.outpoint)
-            if value is None:
-                if inp.outpoint in self.utxos:
-                    raise MixedFunding(f"tx {tx.txid} spends an ordinal UTXO {inp.outpoint}")
-                raise MissingInput(f"{inp.outpoint} unknown or spent")
-            total_in += value
-        if len(tx.inputs) > 1 and len({inp.outpoint for inp in tx.inputs}) < len(tx.inputs):
-            raise MissingInput(f"tx {tx.txid} spends one outpoint twice")
-        if total_in < tx.output_total:
-            raise NegativeFee(f"tx {tx.txid} outputs exceed inputs")
-        if tx.outputs and tx.outputs[0].inscription is not None:
-            raise MixedFunding(f"tx {tx.txid} inscribes on value-only coins")
-        for inp in tx.inputs:
-            del self.plain[inp.outpoint]
-        return VALUE_ONLY_RECEIPT
 
     def locate_ordinal(self, ordinal: int) -> Utxo:
         """Find the unspent UTXO holding an ordinal.
@@ -439,27 +403,13 @@ class Chain:
         return len(self.blocks) - 1
 
     def append_block(self, block: Block) -> list[Receipt]:
-        """Apply the block's transactions in order and return their receipts.
-
-        A one-input spend of a value-only coin worth at least its outputs,
-        with no inscription, is spent here, inline: that precondition is
-        exactly the case in which ``apply_transaction`` takes
-        ``_apply_value_only`` and raises nothing, so the coin leaves ``plain``
-        and the receipt is ``VALUE_ONLY_RECEIPT`` either way.  Every other
-        transaction goes through ``apply_transaction``, which raises as ever.
-        """
+        """Apply the block's transactions in order and return their receipts: a
+        market entry's is ``EMPTY_RECEIPT``, and any other transaction goes
+        through ``apply_transaction``, which raises as ever."""
         receipts = []
-        plain, apply = self.utxo_set.plain, self.utxo_set.apply_transaction
-        tx_index, timestamp = self.tx_index, block.timestamp
+        apply, tx_index, timestamp = self.utxo_set.apply_transaction, self.tx_index, block.timestamp
         for tx in block.transactions:
-            inputs, outputs = tx.inputs, tx.outputs
-            value = plain.get(inputs[0].outpoint) if len(inputs) == 1 else None
-            if (value is not None and value >= tx.output_total
-                    and (not outputs or outputs[0].inscription is None)):
-                del plain[inputs[0].outpoint]
-                receipts.append(VALUE_ONLY_RECEIPT)
-            else:
-                receipts.append(apply(tx))
+            receipts.append(EMPTY_RECEIPT if tx.__class__ is MarketTx else apply(tx))
             tx_index[tx.txid] = timestamp
         self.blocks.append(block)
         self.tip_receipts = receipts

@@ -4,17 +4,16 @@ Subcommands: ``sim`` (one scenario), ``sweep`` (full parameter grid),
 ``replay-binance`` (scripted incident), ``tolerance`` (operational-tolerance
 calculator) and ``replay`` (verify an exported event log).  ``replay``
 re-runs the log through a ``Simulation``, the same block step that wrote it,
-in one pass that applies each line as it is read (``grant`` events re-create
-the foreground's coins and ``fund`` events the market's value-only coins,
-each run of consecutive ``fund`` lines with one batch ``Simulation.fund``
-call; a ``fund`` line holds a value alone, so the n-th one is named
-``chain.fund_serial(n)``, the coin market transaction ``bg{n + 1}`` spends).
-Each run of consecutive ``submit`` lines enters the pool as one
-``Simulation.submit_batch``, the door the simulation's market used.  Replay
-checks every grant's, fund's and submission's time, each submission's
-decision and each block's height, time and txids, and at the end that the
-replayed token state conserves supply.  Of a broken log's faults, the one
-on the first bad line in the file is reported.
+in one pass that applies each line as it is read: ``grant`` events re-create
+the foreground's coins, a ``submit`` line with a ``"tx"`` goes through
+``Simulation.submit``, and each run of consecutive market ``submit`` lines
+(a txid, fee and vsize, no ``"tx"``) enters the pool as one
+``Simulation.submit_batch``, the doors the simulation used.  Replay checks
+every grant's and submission's time, each submission's decision and each
+block's height, time and txids, and at the end that the replayed token
+state conserves supply.  Of a broken log's faults, the one on the first bad
+line in the file is reported.  A ``fund`` line comes from the old log
+format, whose market transactions spent coins, and is refused.
 
 Exit codes: 0 success, 1 usage error (a bad value, or a fee the wallet cannot
 pay), 2 assertion/model divergence.
@@ -29,7 +28,7 @@ import sys
 from collections.abc import Iterator
 
 from .attack import ToleranceInputs, tolerance
-from .chain import Transaction, fund_serial
+from .chain import MarketTx, Transaction
 from .harness import (
     ATTEMPT_LEVELS,
     CONGESTION_LEVELS,
@@ -150,32 +149,42 @@ def cmd_tolerance(args) -> int:
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
 
 # the fields replay reads from each kind of event, with the exact types JSON
-# gives them (so a bool is no count); other kinds are skipped.  _replay
-# unpacks _replay_fields' values in this order, which a structure test pins
+# gives them (so a bool is no count); other kinds are skipped.  A submit line
+# with no "tx" is a market entry's, read with MARKET_FIELDS.  _replay unpacks
+# _replay_fields' values in this order, which a structure test pins
 REPLAY_FIELDS = {
     "grant": {"t": (int, float), "owner": (str,), "value": (int,)},
-    "fund": {"t": (int, float), "value": (int,)},
     "submit": {"t": (int, float), "tx": (dict,), "accepted": (bool,), "reason": (str, type(None))},
     "mine": {"t": (int, float), "height": (int,), "txids": (list,)},
 }
+MARKET_FIELDS = {"t": (int, float), "txid": (str,), "fee": (int,), "vsize": (int,),
+                 "accepted": (bool,), "reason": (str, type(None))}
 _ABSENT = object()  # a field the line lacks; its type is in no REPLAY_FIELDS entry
 
 
 def _replay_fields(event, number: int) -> tuple[str, list]:
-    """The event's kind and the values of the fields replay reads from it, in
-    ``REPLAY_FIELDS`` order, once each is there with its type (one lookup per field)."""
+    """The event's kind (``"market"`` for a market entry's submit line) and the
+    values of the fields replay reads from it, in ``REPLAY_FIELDS`` or
+    ``MARKET_FIELDS`` order, once each is there with its type (one lookup per field)."""
     kind = event.get("event") if isinstance(event, dict) else None
     if not isinstance(kind, str):
         raise ValueError(f"log line {number} is not an event object")
+    if kind == "submit" and "tx" not in event:
+        shape, fields = "market", MARKET_FIELDS
+    elif kind == "fund":
+        raise ValueError(f"log line {number}: a fund line comes from the old log format, "
+                         "in which market transactions spent coins; write the log again")
+    else:
+        shape, fields = kind, REPLAY_FIELDS.get(kind, {})
     values = []
-    for key, types in REPLAY_FIELDS.get(kind, {}).items():
+    for key, types in fields.items():
         value = event.get(key, _ABSENT)
         if type(value) not in types:
             if value is _ABSENT:
                 raise ValueError(f"log line {number}: {kind} event lacks {key!r}")
             raise ValueError(f"log line {number}: {kind} {key} has the wrong type: {value!r}")
         values.append(value)
-    return kind, values
+    return shape, values
 
 
 def _log_lines(fh) -> Iterator[tuple[int, object]]:
@@ -200,16 +209,15 @@ def _log_lines(fh) -> Iterator[tuple[int, object]]:
 @collector_paused()
 def cmd_replay_log(args) -> int:
     """Re-run a recorded event log through a Simulation and verify every
-    grant's, fund's and submission's time, every decision, every block's
-    height, time and txids, and the token supply at the end.
+    grant's and submission's time, every decision, every block's height,
+    time and txids, and the token supply at the end.
 
     One pass: each line is applied as it is read.  Each run of consecutive
-    ``fund`` lines is funded as one batch, and each run of consecutive
-    ``submit`` lines is submitted as one ``Simulation.submit_batch``, which
-    decides as one ``submit`` per line would; a run ends at a ``grant``,
-    ``fund`` or ``mine`` line, or at the end of the file.  Before a fault on a
-    later line is reported, the pending run is submitted and its decisions
-    checked, so the first bad line in the file is the one reported.
+    market lines is submitted as one ``Simulation.submit_batch``, which
+    decides as the simulation's did; a run ends at any other line, or at the
+    end of the file.  Before a fault on a later line is reported, the pending
+    run is submitted and its decisions checked, so the first bad line in the
+    file is the one reported.
     """
     with open(args.log, encoding="utf-8") as fh:
         lines = _log_lines(fh)
@@ -230,14 +238,19 @@ def cmd_replay_log(args) -> int:
             return MODEL_ERROR
 
 
+def _check_decision(tx, t, accepted: bool, reason: str | None, result) -> None:
+    """Raise ReplayDivergence unless ``result`` is the decision the log recorded."""
+    if (result.accepted, result.reason) != (accepted, reason):
+        raise ReplayDivergence(f"divergence at t={t}: tx {tx.txid} got {result}, "
+                               f"log has accepted={accepted} reason={reason}")
+
+
 def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
     """``cmd_replay_log``'s pass over the lines after the header; raises
     ReplayDivergence at the first divergence."""
     blocks = submits = 0
     clock = sim.now  # the time of the last event
-    coins: list[tuple[tuple[str, int], int]] = []  # the run of fund lines not yet funded
-    fund_lines = 0
-    run: list[tuple] = []  # the submit lines not yet submitted: (tx, t, accepted, reason)
+    run: list[tuple] = []  # the market lines not yet submitted: (entry, t, accepted, reason)
     outputs: dict = {}  # one TxOutput per distinct output, for this replay only
 
     def submit_run() -> None:
@@ -247,10 +260,8 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
         batch = run.copy()
         run.clear()
         results = sim.submit_batch([line[0] for line in batch], [line[1] for line in batch])
-        for (tx, t, accepted, reason), result in zip(batch, results):
-            if (result.accepted, result.reason) != (accepted, reason):
-                raise ReplayDivergence(f"divergence at t={t}: tx {tx.txid} got {result}, "
-                                       f"log has accepted={accepted} reason={reason}")
+        for line, result in zip(batch, results):
+            _check_decision(*line, result)
 
     try:
         for number, event in lines:
@@ -258,14 +269,7 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
             if not values:  # a kind replay skips
                 continue
             t = values[0]  # each kind's first field
-            if kind == "fund":
-                _, value = values
-                if value < 1:  # refused before this line's time is checked
-                    raise ValueError(f"log line {number}: fund value must be >= 1")
-            if coins and kind != "fund":
-                sim.fund(coins)
-                coins = []
-            if kind != "submit":
+            if kind != "market":
                 submit_run()
             if kind == "mine":
                 _, height, txids = values
@@ -282,22 +286,27 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
                     raise ReplayDivergence(
                         f"divergence in block {height}: replay mined block {tip.height}")
                 continue
-            # a grant, fund or send falls between the previous event and the next block
+            # a grant or send falls between the previous event and the next block
             if not clock <= t <= sim.next_block_time:
                 raise ReplayDivergence(f"divergence at t={t}: a {kind} here must fall in "
                                        f"[{clock}, {sim.next_block_time}]")
             clock = t
-            if kind == "submit":
+            if kind == "market":
+                _, txid, fee, vsize, accepted, reason = values
+                try:
+                    entry = MarketTx(txid, fee, vsize)
+                except ValueError as exc:
+                    raise ValueError(f"log line {number}: {exc}") from None
+                run.append((entry, t, accepted, reason))
+                submits += 1
+            elif kind == "submit":
                 _, data, accepted, reason = values
                 try:
                     tx = Transaction.from_dict(data, outputs)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"log line {number}: malformed tx ({exc!r})") from None
-                run.append((tx, t, accepted, reason))
+                _check_decision(tx, t, accepted, reason, sim.submit(tx, t))
                 submits += 1
-            elif kind == "fund":
-                coins.append((fund_serial(fund_lines), value))
-                fund_lines += 1
             else:  # grant
                 _, owner, value = values
                 sim.grant(owner, value)
@@ -305,7 +314,6 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
     except (ValueError, ReplayDivergence):
         submit_run()  # an earlier line's divergence outranks this fault
         raise
-    sim.fund(coins)
     # the indexer followed every replayed block; its token state must balance
     if not sim.indexer.state.supply_is_conserved():
         raise ReplayDivergence("divergence: replayed token state does not conserve supply")

@@ -214,7 +214,7 @@ class Indexer:
         """Consume a confirmed block with the receipts its chain append returned."""
         for tx, receipt in zip(block.transactions, receipts, strict=True):
             if not receipt.spent:
-                continue  # no ordinal moved and none bound: a value-only spend
+                continue  # no ordinal moved and none bound: a market entry
             for pending in self._pending_in_inputs(receipt):
                 self._consume_pending(pending, receipt)
             envelope = receipt.envelope

@@ -54,39 +54,30 @@ and k distinct vsizes among the ready entries:
 
 Admission takes one pass over the inputs: one lookup per input gives its
 value and its in-pool parent, and the same pass collects the parents and the
-conflicts (a value-only coin is one dict probe).  A plain accept does no
-more work: the duplicate-input set is built only for several inputs, the
-parent set only for an in-pool parent, the conflict set only for an input
-that already has a spender, the descendant walk only for a replacement,
-eviction only over capacity, and the accepted result is one shared object.
+conflicts.  A plain accept does no more work: the duplicate-input set is
+built only for several inputs, the parent set only for an in-pool parent,
+the conflict set only for an input that already has a spender, the
+descendant walk only for a replacement, eviction only over capacity, and the
+accepted result is one shared object.
 
-Background traffic arrives in batches (``submit_batch``): the sediment, or a
-run of market arrivals.  A batch gives the results, and leaves the pool,
-that one ``submit`` per transaction in order would, lazily deleted heap
-items included.  A transaction that spends exactly one value-only coin
-with no spender, is neither pooled nor confirmed, carries no
-inscription and clears the relay floor is one that ``submit`` accepts with
-no parent, conflict or replacement, so it takes a fast pass: its entry, its
-``spends`` item and its eviction-heap item (once that heap is built) go in at
-once, while its ready-heap key waits with the batch's other pending keys.
-Any other transaction goes through ``submit``, and one that takes the pool
-over capacity goes through ``_enforce_capacity``, reporting ``mempool-full``
-if it was the one evicted.  Both first flush the pending keys, because either
-may remove entries and so rebuild the ready heaps from ``entries``, which
-would then hold a pending key twice.  A flush pushes a vsize's keys one by
-one or, when they outnumber its heap, extends the heap and heapifies it
-once, so a sediment of m entries enters the ready heaps in O(m), not
-O(m log m).  Per transaction the fast pass costs four dict probes (coin,
-spender, pool, chain), two dict writes and one entry, without ``submit``'s
-call, input loop and result checks.
+Transactions with inputs enter through ``submit``; market entries
+(``chain.MarketTx``), which carry a fee and a vsize and spend nothing, enter
+through ``submit_batch`` alone, a batch at a time: the sediment, or a run of
+market arrivals.  An entry has no parent, conflict or replacement, so a
+batch refuses a txid already pooled or confirmed (``duplicate``), then a fee
+below the relay floor, and puts the rest in at once: the entry and its
+eviction-heap item (once that heap is built), while its ready-heap key waits
+with the batch's other pending keys.  Capacity is checked after each entry,
+as ``submit`` checks it, so an entry that a later entry of its batch evicts
+was still ``accepted``, and one evicted on arrival is ``mempool-full``.
+Eviction first flushes the pending keys, because it removes entries and so
+may rebuild the ready heaps from ``entries``, which would then hold a pending
+key twice.  A flush pushes a vsize's keys one by one or, when they outnumber
+its heap, extends the heap and heapifies it once, so a sediment of m entries
+enters the ready heaps in O(m), not O(m log m).
 
-An entry spending value-only coins (the chain's ``UtxoSet.plain``) is
-value-only, and its outputs leave the model: an input naming one of them,
-whether its transaction is pooled or mined, is refused as ``orphan-input``.
-So a value-only entry spends only confirmed coins, which stay in
-``UtxoSet.plain`` while it is pooled.  A transaction that mixes value-only
-coins with ordinal-tracked ones, or puts an inscription on them, is rejected
-as ``mixed-funding``; neither ever reaches the chain.
+A market entry has no outputs, so an input naming one, whether it is pooled
+or mined, is refused as ``orphan-input``.
 """
 
 from __future__ import annotations
@@ -97,7 +88,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .chain import Block, Chain, Transaction
+from .chain import Block, Chain, MarketTx, Transaction
 
 if TYPE_CHECKING:
     from .sim import SimConfig
@@ -116,7 +107,6 @@ MEMPOOL_FULL = "mempool-full"
 DUPLICATE = "duplicate"
 DUPLICATE_INPUT = "duplicate-input"
 SPENDS_CONFLICTING_TX = "spends-conflicting-tx"
-MIXED_FUNDING = "mixed-funding"
 TOO_MANY_REPLACEMENTS = "too-many-replacements"
 REPLACEMENT_ADDS_UNCONFIRMED = "replacement-adds-unconfirmed"
 REPLACEMENT_UNDERPAYS_RELAY = "replacement-underpays-relay"
@@ -133,7 +123,7 @@ class MempoolEntry:
     the derived keys are set in the one call that builds the entry; it takes the
     four fields by name, as ``dataclasses.replace`` passes them."""
 
-    tx: Transaction
+    tx: Transaction | MarketTx
     arrival: float
     fee: int
     depends_on: set[str] | frozenset[str]  # in-pool parents; NO_PARENTS when none
@@ -146,7 +136,7 @@ class MempoolEntry:
     rate_key: float = field(init=False)
     key: tuple = field(init=False)  # (-rate_key, arrival, txid), its ready-heap item
 
-    def __init__(self, tx: Transaction, arrival: float, fee: int,
+    def __init__(self, tx: Transaction | MarketTx, arrival: float, fee: int,
                  depends_on: set[str] | frozenset[str]) -> None:
         self.tx = tx
         self.arrival = arrival
@@ -167,7 +157,7 @@ class SubmitResult:
 
 
 ACCEPTED = SubmitResult(True)  # every plain accept shares it: results are immutable
-FULL = SubmitResult(False, MEMPOOL_FULL)  # a batch's fast-pass newcomer that was evicted
+FULL = SubmitResult(False, MEMPOOL_FULL)  # a batch's entry that was evicted on arrival
 
 
 class Mempool:
@@ -215,19 +205,14 @@ class Mempool:
         return len(self.entries) / self.config.congestion_normal_count
 
     def _lookup(self, outpoint: tuple[str, int]) -> tuple[int, MempoolEntry | None] | None:
-        """An ordinal-tracked input's value and its in-pool parent; None if orphaned.
-
-        Value-only coins are not looked up here: ``submit`` probes
-        ``UtxoSet.plain`` first, inline, because most inputs are such coins.
-        """
+        """An input's value and its in-pool parent (None if confirmed); None if orphaned."""
         utxo = self.chain.utxo_set.utxos.get(outpoint)
         if utxo is not None:
             return utxo.value, None
         parent = self.entries.get(outpoint[0])
         if parent is not None and outpoint[1] < len(parent.tx.outputs):
             value = parent.tx.outputs[outpoint[1]].value
-            # zero outputs never materialize, nor do a value-only entry's
-            if value > 0 and parent.tx.inputs[0].outpoint not in self.chain.utxo_set.plain:
+            if value > 0:  # zero outputs never materialize
                 return value, parent
         return None
 
@@ -302,19 +287,13 @@ class Mempool:
             return SubmitResult(False, DUPLICATE_INPUT)
 
         input_total = 0
-        plain_inputs = 0
         depends_on: set[str] | frozenset[str] = NO_PARENTS
         conflicts: set[str] | None = None
-        plain_coins = self.chain.utxo_set.plain
         for inp in inputs:
-            value, parent = plain_coins.get(inp.outpoint), None
-            if value is not None:
-                plain_inputs += 1
-            else:
-                found = self._lookup(inp.outpoint)
-                if found is None:
-                    return SubmitResult(False, ORPHAN_INPUT)
-                value, parent = found
+            found = self._lookup(inp.outpoint)
+            if found is None:
+                return SubmitResult(False, ORPHAN_INPUT)
+            value, parent = found
             input_total += value
             if parent is not None:
                 if depends_on is NO_PARENTS:
@@ -325,12 +304,6 @@ class Mempool:
                 if conflicts is None:
                     conflicts = set()
                 conflicts.add(spender)
-        # value-only coins carry no ordinals, so they neither mix with
-        # ordinal-tracked ones nor take an inscription
-        if plain_inputs and (
-            plain_inputs < len(inputs) or (tx.outputs and tx.outputs[0].inscription is not None)
-        ):
-            return SubmitResult(False, MIXED_FUNDING)
 
         fee = input_total - tx.output_total
         if fee < 0:
@@ -385,43 +358,29 @@ class Mempool:
                 return SubmitResult(False, MEMPOOL_FULL, replaced=tuple(replaced))
         return SubmitResult(True, replaced=tuple(replaced)) if replaced else ACCEPTED
 
-    def submit_batch(
-        self, txs: Sequence[Transaction], times: Sequence[float]
-    ) -> list[SubmitResult]:
-        """``submit(txs[i], times[i])`` for each i in order: the same results and
-        the same pool, with fresh value-only spends on a fast pass (see the
-        module docstring)."""
+    def submit_batch(self, txs: Sequence[MarketTx], times: Sequence[float]) -> list[SubmitResult]:
+        """Market entry ``txs[i]`` submitted at ``times[i]``, for each i in order,
+        with capacity checked after each (see the module docstring)."""
         results: list[SubmitResult] = []
         pending: dict[int, list[tuple]] = {}  # vsize -> ready keys not yet in _ready
-        entries, spends = self.entries, self.spends
-        plain_coins = self.chain.utxo_set.plain
-        confirmed = self.chain.tx_index  # probed directly, not through Chain.confirmed
+        entries, confirmed = self.entries, self.chain.tx_index
         capacity = self.config.mempool_capacity_vbytes
         for tx, now in zip(txs, times):
-            txid, inputs, outputs = tx.txid, tx.inputs, tx.outputs
-            outpoint = inputs[0].outpoint if len(inputs) == 1 else None
-            value = plain_coins.get(outpoint)
-            if (
-                value is None
-                or outpoint in spends
-                or txid in entries
-                or txid in confirmed
-                or (outputs and outputs[0].inscription is not None)
-                or value - tx.output_total < MIN_RELAY_FEE_RATE * tx.vsize
-            ):
-                if pending:
-                    self._flush_ready(pending)
-                results.append(self.submit(tx, now))
+            txid, fee, vsize = tx.txid, tx.fee, tx.vsize
+            if txid in entries or txid in confirmed:
+                results.append(SubmitResult(False, DUPLICATE))
                 continue
-            entry = MempoolEntry(tx, now, value - tx.output_total, NO_PARENTS)
+            if fee < MIN_RELAY_FEE_RATE * vsize:
+                results.append(SubmitResult(False, BELOW_MIN_RELAY_FEE))
+                continue
+            entry = MempoolEntry(tx, now, fee, NO_PARENTS)
             entries[txid] = entry
-            self.total_vsize += tx.vsize
-            spends[outpoint] = txid
+            self.total_vsize += vsize
             if self._by_rate is not None:
                 heapq.heappush(self._by_rate, (entry.rate_key, -now, txid))
-            keys = pending.get(tx.vsize)
+            keys = pending.get(vsize)
             if keys is None:
-                pending[tx.vsize] = [entry.key]
+                pending[vsize] = [entry.key]
             else:
                 keys.append(entry.key)
             if now < self._oldest:

@@ -6,33 +6,28 @@ and background arrivals are processed in timestamp order, a block is mined
 every ``BLOCK_INTERVAL`` simulated seconds, and every mined block is fed to
 the indexer together with the receipts its chain append returned.
 
-Every grant, fund, submission and mined block is recorded once, in order, in
+Every grant, submission and mined block is recorded once, in order, in
 ``event_log``: the run's one record, which ``export_event_log`` writes as JSON
 lines for ``brc20sim replay``.  ``log_line`` formats each line itself, with
 the bytes ``json.dumps(..., sort_keys=True)`` would give at a fraction of its
 cost; a test holds it to ``json.dumps``.  Genesis satoshis enter through
-``grant``; background traffic is funded through ``fund`` instead, a batch
-at a time (the sediment, then one window's market at a time, each with the
-coins the load returns beside its transactions), with value-only coins
-that have no owner and no ordinals, each named by the market transaction
-that spends it.  Both kinds are in the record, one event per coin, so token
-state stays reconstructable from its grants and funds plus the block list
-alone (see ``replay_state``).  A ``fund`` line holds
-only the coin's value: ``brc20sim replay`` names the n-th one
-``chain.fund_serial(n)``, which is the coin ``bg{n + 1}`` spends, since a
-simulation funds its coins in ``bg`` order.
+``grant``, so token state stays reconstructable from the grants plus the
+block list alone (see ``replay_state``).
 
-Background traffic enters the pool through ``submit_batch``, the sediment
-as one batch and each run of market arrivals up to a horizon as another,
-each arrival at ``max(now, its time)``; ``brc20sim replay`` enters through
-it too, with each run of consecutive ``submit`` lines of a log as one batch.
-The foreground enters through ``submit``, one transaction at a time, and
+Background traffic is market entries (``chain.MarketTx``), which carry a fee
+and a vsize and no coin.  They enter the pool through ``submit_batch``, the
+sediment as one batch and each run of market arrivals up to a horizon as
+another, each arrival at ``max(now, its time)``; ``brc20sim replay`` enters
+through it too, with each run of consecutive market lines of a log as one
+batch.  A market entry's ``submit`` line holds its txid, fee and vsize; a
+foreground one holds its whole transaction under ``"tx"``.  The foreground
+enters through ``submit``, one transaction at a time, and
 ``foreground_pooled`` tells whether one sent that way is still pooled.  A
 window's market (``background.Window``) holds its arrival times in ascending
-order beside its transactions, so ``run_until`` bisects the times for the run
-up to the horizon and slices both; since the times ascend, the clamp to
-``now`` is needed only when the run's first time is earlier.  Either way
-each submission is recorded once, as one ``submit`` event.
+order beside its entries, so ``run_until`` bisects the times for the run up
+to the horizon and slices both; since the times ascend, the clamp to ``now``
+is needed only when the run's first time is earlier.  Either way each
+submission is recorded once, as one ``submit`` event.
 
 ``fork`` gives an independent simulation in the same state, from per-layer
 copies: the harness holds a scenario's set-up and the checkpoint a shorter
@@ -59,7 +54,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import wallet
 from .background import NO_MARKET, BackgroundLoad, CongestionProfile
-from .chain import BLOCK_INTERVAL, Chain, Transaction, Utxo, UtxoSet
+from .chain import BLOCK_INTERVAL, Chain, MarketTx, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
 from .mempool import Mempool, SubmitResult
 from .wallet import BUNDLE_GAP, TransferBundle, TransferRequest
@@ -117,8 +112,8 @@ class Simulation:
         self.congestion_samples: list[float] = []
         self._watch: tuple[str, str] | None = None
         self.balance_samples: list[tuple[float, int, int]] = []
-        # ("grant", t, owner, value), ("fund", t, serial, value), ("submit", t, tx, result)
-        # and ("mine", t, block), in the order they happened
+        # ("grant", t, owner, value), ("submit", t, tx, result) and ("mine", t, block),
+        # in the order they happened
         self.event_log: list[tuple] = []
         self._sent: list[str] = []  # accepted ``submit`` txids, pruned by ``foreground_pooled``
         self.background: BackgroundLoad | None = None
@@ -127,7 +122,6 @@ class Simulation:
                 profile, config.congestion_normal_count, config.block_capacity_vbytes
             )
             sediment = self.background.sediment()
-            self.fund(sediment.coins)
             self.submit_batch(sediment.txs, sediment.times)
 
     def fork(self) -> Simulation:
@@ -158,12 +152,6 @@ class Simulation:
         self.event_log.append(("grant", self.now, owner, value))
         return utxo
 
-    def fund(self, coins: Sequence[tuple[tuple[str, int], int]]) -> None:
-        """A batch of value-only coins for background traffic, as ``(serial, value)``
-        pairs; each coin is recorded for replay."""
-        self.chain.utxo_set.fund(coins)
-        self.event_log += [("fund", self.now, serial, value) for serial, value in coins]
-
     # -- submissions -----------------------------------------------------------
 
     def submit(self, tx: Transaction, at: float | None = None) -> SubmitResult:
@@ -175,12 +163,10 @@ class Simulation:
             self._sent.append(tx.txid)
         return result
 
-    def submit_batch(
-        self, txs: Sequence[Transaction], times: Sequence[float]
-    ) -> list[SubmitResult]:
-        """``txs[i]`` submitted at ``times[i]`` in order, each recorded as ``submit``
-        records it, with the results one ``submit`` per transaction would give:
-        the background's path to the pool, and replay's for a run of submit lines."""
+    def submit_batch(self, txs: Sequence[MarketTx], times: Sequence[float]) -> list[SubmitResult]:
+        """Market entry ``txs[i]`` submitted at ``times[i]`` in order, each recorded
+        as one ``submit`` event: the background's path to the pool, and replay's
+        for a run of market lines."""
         results = self.pool.submit_batch(txs, times)
         self.event_log += [("submit", t, tx, r) for tx, t, r in zip(txs, times, results)]
         return results
@@ -206,7 +192,6 @@ class Simulation:
             self._window_generated = window
             # the last window's arrivals were all submitted before its block was mined
             self._arrivals = self.background.market_batch(window)
-            self.fund(self._arrivals.coins)
             self._next_arrival = 0
 
     def run_until(self, target: float) -> None:
@@ -263,14 +248,11 @@ class Simulation:
     # -- replay -------------------------------------------------------------------
 
     def replay_state(self) -> Brc20State:
-        """Token state rebuilt from the recorded grants and funds and the block list."""
+        """Token state rebuilt from the recorded grants and the block list."""
         genesis = UtxoSet()
         for event in self.event_log:
-            match event:
-                case ("grant", _, owner, value):
-                    genesis.grant(owner, value)
-                case ("fund", _, serial, value):
-                    genesis.fund(((serial, value),))
+            if event[0] == "grant":
+                genesis.grant(event[2], event[3])
         return replay(self.chain.blocks, genesis)
 
     def export_event_log(self, path: str) -> None:
@@ -303,6 +285,11 @@ def log_line(event: tuple) -> str:
     kind = event[0]
     if kind == "submit":
         _, t, tx, result = event
+        head = f'{{"accepted": {"true" if result.accepted else "false"}, "event": "submit", '
+        tail = f'"reason": {_nullable(result.reason)}, "t": {_number(t)}, '
+        if tx.__class__ is MarketTx:
+            return (f'{head}"fee": {tx.fee}, {tail}'
+                    f'"txid": {_string(tx.txid)}, "vsize": {tx.vsize}}}')
         inputs = ", ".join([
             f'{{"outpoint": [{_string(i.outpoint[0])}, {i.outpoint[1]}], "sequence": {i.sequence}}}'
             for i in tx.inputs
@@ -312,19 +299,12 @@ def log_line(event: tuple) -> str:
             f'"value": {o.value}}}'
             for o in tx.outputs
         ])
-        return (
-            f'{{"accepted": {"true" if result.accepted else "false"}, "event": "submit", '
-            f'"reason": {_nullable(result.reason)}, "t": {_number(t)}, '
-            f'"tx": {{"inputs": [{inputs}], "outputs": [{outputs}], '
-            f'"txid": {_string(tx.txid)}, "vsize": {tx.vsize}}}}}'
-        )
+        return (f'{head}{tail}"tx": {{"inputs": [{inputs}], "outputs": [{outputs}], '
+                f'"txid": {_string(tx.txid)}, "vsize": {tx.vsize}}}}}')
     if kind == "mine":
         _, t, block = event
         txids = ", ".join([_string(tx.txid) for tx in block.transactions])
         return (f'{{"event": "mine", "height": {block.height}, "t": {_number(t)}, '
                 f'"txids": [{txids}]}}')
-    if kind == "fund":
-        _, t, _, value = event
-        return f'{{"event": "fund", "t": {_number(t)}, "value": {value}}}'
     _, t, owner, value = event  # grant
     return f'{{"event": "grant", "owner": {_string(owner)}, "t": {_number(t)}, "value": {value}}}'

@@ -1,4 +1,4 @@
-"""Background load calibration and determinism, and its place off the ordinal ledger."""
+"""Background load calibration and determinism, and its place off the ledger."""
 
 import itertools
 import random
@@ -17,7 +17,7 @@ from brc20sim.background import (
     CongestionProfile,
     stream,
 )
-from brc20sim.chain import DUST, Transaction, TxInput, fund_serial, make_txid
+from brc20sim.chain import DUST, EMPTY_RECEIPT, MarketTx, Transaction, TxInput, TxOutput, make_txid
 from brc20sim.cli import main
 from brc20sim.harness import (
     CONGESTION_LEVELS,
@@ -27,7 +27,7 @@ from brc20sim.harness import (
     run_scenario,
     run_sweep,
 )
-from brc20sim.indexer import deploy_inscription, mint_inscription
+from brc20sim.indexer import Indexer, deploy_inscription, mint_inscription
 from brc20sim.mempool import ORPHAN_INPUT
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import TICK, InsufficientFunds, TransferRequest
@@ -70,20 +70,18 @@ def test_same_seed_identical_trajectories():
 
 
 def test_background_txids_hash_their_content():
-    # the txid tail is formatted once, for the one market vsize; each txid
-    # must still be the hash of its whole content
+    # each market txid is the hash of what bg{k} was when it spent coin fund-{k - 1}
+    # and paid DUST to the market, so ties in the pool break as they did then
     load = BackgroundLoad(CongestionProfile.for_level(0.75, seed=3), normal_count=400,
                           block_capacity=10_150)
     made = list(load.sediment().txs)
     for w in range(1, 4):
         made += load.market_batch(w).txs
     assert load.sediment_count and len(made) == load.sediment_count + 3 * load.flight
-    tags = {fund_serial(k - 1): k for k in range(1, len(made) + 1)}  # bg{k} spends coin k
-    assert sorted(tags[tx.inputs[0].outpoint] for tx in made) == sorted(tags.values())
-    for tx in made:
-        k = tags[tx.inputs[0].outpoint]
-        assert tx.vsize == MARKET_TX_VSIZE
-        assert tx.txid == make_txid(tx.inputs, tx.outputs, tx.vsize, tag=f"bg{k}")
+    old = {make_txid((TxInput((f"fund-{k - 1}", 0)),), (TxOutput(DUST, MARKET_ADDRESS),),
+                     MARKET_TX_VSIZE, tag=f"bg{k}"): k for k in range(1, len(made) + 1)}
+    assert sorted(old[tx.txid] for tx in made) == sorted(old.values())
+    assert all(type(tx) is MarketTx and tx.vsize == MARKET_TX_VSIZE for tx in made)
 
 
 class TestSharedMarket:
@@ -93,18 +91,22 @@ class TestSharedMarket:
 
     SEED = 2
 
+    class Hashed:
+        """How many market txids were hashed, rather than taken from the shared
+        list, since the last ``clear()``."""
+
+        def __init__(self):
+            self.clear()
+
+        def clear(self):
+            self.start = len(background._market_txids)
+
+        def __len__(self):
+            return len(background._market_txids) - self.start
+
     @pytest.fixture
-    def builds(self, monkeypatch):
-        """Counts the market transactions built rather than taken from the shared list."""
-        made = []
-        build = background.txid_with_tail
-
-        def counting(*args, **kwargs):
-            made.append(1)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(background, "txid_with_tail", counting)
-        return made
+    def builds(self):
+        return self.Hashed()
 
     @pytest.fixture
     def cold(self):
@@ -112,7 +114,7 @@ class TestSharedMarket:
         none; call it again for another cold start."""
         def reset():
             harness._histories.clear()
-            background._market_txs.clear()
+            background._market_txids.clear()
 
         reset()
         return reset
@@ -149,14 +151,13 @@ class TestSharedMarket:
             builds.clear()
             assert self.run_cell(*cell, tmp_path) == cold_runs[cell], cell
             made.append(len(builds))
-        # a cold load builds each of its transactions once: the sediment, then
-        # whole windows
+        # a cold load hashes each of its txids once: the sediment, then whole windows
         for (congestion, _), built in cold_builds.items():
             assert built > self.sediment_count(congestion)
             assert (built - self.sediment_count(congestion)) % self.load(congestion).flight == 0
-        # cold, hit, extension (2 then 10) building only the longer run's new
-        # windows, shorter (10 then 2), a second level whose every transaction the
-        # first level built, and a hit on the first level after the second
+        # cold, hit, extension (2 then 10) hashing only the longer run's new
+        # windows, shorter (10 then 2), a second level whose every txid the
+        # first level hashed, and a hit on the first level after the second
         assert made[0] == cold_builds[0.75, 2] and made[1] == 0
         assert made[2] == cold_builds[0.75, 10] - cold_builds[0.75, 2] > 0 and made[3] == 0
         assert cold_builds[0.5, 5] < cold_builds[0.75, 10]
@@ -172,9 +173,10 @@ class TestSharedMarket:
         assert [self.run(config, tmp_path) for config in cells] == cold_runs
         builds.clear()
         assert [self.run(config, tmp_path) for config in cells] == cold_runs
-        assert builds == []
+        assert len(builds) == 0
 
     def test_sediment_transactions_are_shared_across_seeds_and_levels(self, cold):
+        # their txids are: each entry carries its own load's fee
         def sediment(congestion, seed):
             sim = Simulation(SimConfig(), CongestionProfile.for_level(congestion, seed))
             txs = [event[2] for event in sim.event_log if event[0] == "submit"]
@@ -182,9 +184,10 @@ class TestSharedMarket:
             return txs
 
         loads = [sediment(level, seed) for seed in (1, 2) for level in (0.5, 0.75)]
-        assert len(background._market_txs) == self.sediment_count(0.75)
+        assert len(background._market_txids) == self.sediment_count(0.75)
         for a, b in itertools.combinations(loads, 2):
-            assert all(x is y for x, y in zip(a, b))
+            assert all(x.txid is y.txid for x, y in zip(a, b))
+        assert [tx.fee for tx in loads[0]] != [tx.fee for tx in loads[2]]
 
     def test_a_binding_capacity_replays_across_seeds(self, cold, tmp_path):
         # a sediment larger than the pool: eviction picks among shared transactions
@@ -203,7 +206,7 @@ class TestSharedMarket:
             assert self.run(config, tmp_path, seed) == cold_runs[seed], seed
 
     def test_grants_leave_every_market_txid_unchanged(self, cold):
-        # bg{k} spends the k-th funded coin, however many grants came first
+        # bg{k}'s txid depends on k alone, however many grants came first
         profile = CongestionProfile.for_level(0.75, seed=3)
 
         def market_txids(grant_before):
@@ -214,7 +217,7 @@ class TestSharedMarket:
                 if w in grant_before:
                     sim.grant("x", 1)
                 batch = load.sediment() if w == 0 else load.market_batch(w)
-                sim.fund(batch.coins)
+                sim.submit_batch(batch.txs, batch.times)
                 txids += [tx.txid for tx in batch.txs]
             return txids
 
@@ -225,10 +228,17 @@ class TestSharedMarket:
         assert market_txids((0, 2)) == plain  # a grant before the sediment, one between windows
 
     def test_market_transactions_are_shared_objects_across_seeds_and_keys(self, cold):
+        # the txids are shared across loads, and each load's entries across its forks
         def submitted(congestion, seed):
             sim = Simulation(SimConfig(), CongestionProfile.for_level(congestion, seed))
             sim.run_blocks(3)
-            return {event[2].txid: event[2] for event in sim.event_log if event[0] == "submit"}
+            fork = sim.fork()
+            sim.run_blocks(1)
+            fork.run_blocks(1)
+            entries = [event[2] for event in sim.event_log if event[0] == "submit"]
+            assert all(x is y for x, y in zip(entries, [e[2] for e in fork.event_log
+                                                         if e[0] == "submit"], strict=True))
+            return {entry.txid: entry.txid for entry in entries}
 
         runs = [submitted(level, seed) for seed in (1, 2) for level in (0.5, 0.75)]
         assert len({len(run) for run in runs}) == 2  # the two keys load different counts
@@ -276,7 +286,7 @@ def test_sediment_draw_equals_randint():
     for count, seeds in ((0, 10), (1, 100), (300, 100), (5_975, 10)):
         for seed in range(seeds):
             fast, slow = stream(seed, "sediment"), stream(seed, "sediment")
-            expected = [slow.randint(1, SEDIMENT_RATE_HI) * MARKET_TX_VSIZE + DUST
+            expected = [slow.randint(1, SEDIMENT_RATE_HI) * MARKET_TX_VSIZE
                         for _ in range(count)]
             assert list(background._draw_sediment(fast, count)) == expected, (count, seed)
             assert fast.getstate() == slow.getstate()
@@ -302,19 +312,19 @@ def test_level_profile_respects_hard_cap():
 
 
 def test_a_market_output_cannot_be_spent_and_mining_goes_on(tmp_path):
-    # a market transaction's outputs leave the model, whether it is pooled or mined
+    # a market entry has no outputs, whether it is pooled or mined
     sim = Simulation(SimConfig(), CongestionProfile.for_level(0.75, seed=3))
     sim.run_blocks(1)
     mined = sim.chain.blocks[-1].transactions[0]
     pooled = next(iter(sim.pool.entries.values())).tx
     for market_tx in (mined, pooled):
-        assert market_tx.outputs[0].owner == MARKET_ADDRESS
+        assert type(market_tx) is MarketTx and market_tx.outputs == ()
         inputs = (TxInput((market_tx.txid, 0)),)
         spend = Transaction(make_txid(inputs, (), 100, tag="spend"), inputs, (), 100)
         assert sim.submit(spend).reason == ORPHAN_INPUT
     sim.run_blocks(2)
     assert sim.chain.height == 2 and all(block.transactions for block in sim.chain.blocks)
-    assert sim.chain.utxo_set.plain == unspent_funds(sim)
+    assert sim.chain.utxo_set.utxos == {}
     log = tmp_path / "events.jsonl"
     sim.export_event_log(str(log))
     assert main(["replay", str(log)]) == 0
@@ -379,83 +389,58 @@ def congested_run(seed: int, blocks: int, after_block) -> Simulation:
     return sim
 
 
-def unspent_funds(sim: Simulation) -> dict[tuple[str, int], int]:
-    """The funded coins, by the simulation's event log, that no mined transaction spent."""
-    funded = {event[2]: event[3] for event in sim.event_log if event[0] == "fund"}
-    for block in sim.chain.blocks:
-        for tx in block.transactions:
-            for inp in tx.inputs:
-                funded.pop(inp.outpoint, None)
-    return funded
-
-
 class LedgerCheck:
-    """Walks the mined blocks, keeping its own record of every coin's value and kind.
+    """Walks the mined blocks, keeping its own record of every foreground coin's value.
 
-    After every block it checks the two conservation identities:
-    - ordinal ledger: UTXO values plus burned satoshis equal the allocated
-      ordinals, and no ordinal sits in two UTXOs;
-    - value-only coins: the value funded equals the funded coins still
-      unspent, plus the fees of mined value-only transactions, plus the
-      value their outputs paid out of the model.
+    After every block it checks the ledger against that record, and sat
+    conservation on the foreground ledger: the granted satoshis equal the
+    UTXO values plus the fees burned, the ordinals allocated equal the
+    granted satoshis, and no ordinal sits in two UTXOs.  Market entries
+    carry their fee and move no satoshi, so they are counted apart.
     """
 
     def __init__(self) -> None:
-        self.coins: dict[tuple[str, int], tuple[int, bool]] = {}  # serial -> (value, plain)
+        self.coins: dict[tuple[str, int], int] = {}  # serial -> value
         self.seen_events = 0
         self.grants = 0
-        self.funded = 0
+        self.granted = 0
         self.seen_blocks = 0
         self.burned = 0
-        self.plain_fees = 0
-        self.paid_out = 0  # by value-only transactions' outputs, which make no coin
-        self.plain_txs = 0
+        self.market_txs = 0
 
     def __call__(self, sim: Simulation) -> None:
         for kind, _, *payload in sim.event_log[self.seen_events:]:
             if kind == "grant":
-                self.coins[(f"genesis-{self.grants}", 0)] = (payload[-1], False)
+                self.coins[(f"genesis-{self.grants}", 0)] = payload[-1]
                 self.grants += 1
-            elif kind == "fund":
-                serial, value = payload
-                self.coins[serial] = (value, True)
-                self.funded += value
+                self.granted += payload[-1]
         self.seen_events = len(sim.event_log)
         for block in sim.chain.blocks[self.seen_blocks:]:
             for tx in block.transactions:
-                spent = [self.coins.pop(inp.outpoint) for inp in tx.inputs]
-                plain = spent[0][1]
-                assert all(kind == plain for _, kind in spent)
-                fee = sum(value for value, _ in spent) - tx.output_total
-                assert fee >= 0
-                if plain:
-                    self.plain_fees += fee
-                    self.paid_out += tx.output_total
-                    self.plain_txs += 1
+                if type(tx) is MarketTx:
+                    self.market_txs += 1
                     continue
+                fee = sum(self.coins.pop(inp.outpoint) for inp in tx.inputs) - tx.output_total
+                assert fee >= 0
                 self.burned += fee
                 for index, out in enumerate(tx.outputs):
                     if out.value:
-                        self.coins[(tx.txid, index)] = (out.value, False)
+                        self.coins[(tx.txid, index)] = out.value
         self.seen_blocks = len(sim.chain.blocks)
 
         ledger = sim.chain.utxo_set
-        assert ledger.plain == {s: v for s, (v, plain) in self.coins.items() if plain}
-        assert {s: u.value for s, u in ledger.utxos.items()} == {
-            s: v for s, (v, plain) in self.coins.items() if not plain
-        }
+        assert {s: u.value for s, u in ledger.utxos.items()} == self.coins
         held = sum(u.value for u in ledger.utxos.values())
-        assert held + self.burned == ledger._next_ordinal
+        assert held + self.burned == self.granted == ledger._next_ordinal
         ranges = sorted((r.start, r.end) for u in ledger.utxos.values() for r in u.ordinals)
         assert all(a_end <= b_start for (_, a_end), (b_start, _) in zip(ranges, ranges[1:]))
-        assert self.funded == sum(ledger.plain.values()) + self.plain_fees + self.paid_out
 
 
 def test_conservation_after_every_block_of_a_congested_run():
     for seed in range(3):
         check = LedgerCheck()
         sim = congested_run(seed, blocks=25, after_block=check)
-        assert check.plain_txs > 500 and check.burned > 0
+        assert check.market_txs > 500 and check.burned > 0
         assert sim.indexer.state.supply_is_conserved()
 
 
@@ -472,12 +457,38 @@ def test_carries_inscription_agrees_with_a_scan_of_every_inscribed_ordinal():
 def test_market_coins_stay_off_the_ordinal_ledger():
     sim = congested_run(5, blocks=25, after_block=lambda sim: None)
     ledger = sim.chain.utxo_set
-    assert ledger.plain and ledger.utxos
+    assert ledger.utxos and not hasattr(ledger, "plain")
     assert not [u for u in ledger.utxos.values() if u.owner == MARKET_ADDRESS]
     assert sim.replay_state() == sim.indexer.state
 
 
+def market_txids(sim: Simulation) -> set[str]:
+    return {event[2].txid for event in sim.event_log
+            if event[0] == "submit" and type(event[2]) is MarketTx}
+
+
+def test_market_entries_touch_no_utxo_and_share_the_empty_receipt(monkeypatch):
+    mined = []
+    apply_block = Indexer.apply_block
+
+    def keep(indexer, block, receipts):
+        mined.extend(zip(block.transactions, receipts, strict=True))
+        apply_block(indexer, block, receipts)
+
+    monkeypatch.setattr(Indexer, "apply_block", keep)
+    sim = congested_run(4, blocks=10, after_block=lambda sim: None)
+    txids = market_txids(sim)
+    assert len(txids) > 500
+    assert not {serial[0] for serial in sim.chain.utxo_set.utxos} & txids
+    assert [tx for tx, _ in mined] == [tx for b in sim.chain.blocks for tx in b.transactions]
+    market = [receipt for tx, receipt in mined if type(tx) is MarketTx]
+    assert len(market) > 250 and all(receipt is EMPTY_RECEIPT for receipt in market)
+    assert all(receipt.spent for tx, receipt in mined if type(tx) is not MarketTx)
+
+
 def test_the_ledger_holds_only_funded_unspent_coins(monkeypatch):
+    # the ledger holds the granted coins and foreground outputs no mined
+    # transaction spent, as the grants and blocks alone rebuild it; no market coin
     sims = [congested_run(2, blocks=10, after_block=lambda sim: None)]
     execute = harness.execute
 
@@ -488,9 +499,7 @@ def test_the_ledger_holds_only_funded_unspent_coins(monkeypatch):
     monkeypatch.setattr(harness, "execute", keep)
     run_scenario(ScenarioConfig(fraction=1.0, fee_rate=100, congestion=0.75, attempts=5), 7)
     for sim in sims:
-        plain = sim.chain.utxo_set.plain
-        funded = [event[2] for event in sim.event_log if event[0] == "fund"]
-        assert plain == unspent_funds(sim) and 0 < len(plain) < len(funded)
-        # each coin is named by the very outpoint its market transaction spends
-        spent = {id(tx.inputs[0].outpoint) for tx in background._market_txs}
-        assert all(id(serial) in spent for serial in funded)
+        check = LedgerCheck()
+        check(sim)
+        assert check.coins and check.market_txs > 0
+        assert not {serial[0] for serial in sim.chain.utxo_set.utxos} & market_txids(sim)

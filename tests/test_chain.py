@@ -10,12 +10,12 @@ import pytest
 from brc20sim import chain as chain_module
 from brc20sim.background import BackgroundLoad, CongestionProfile
 from brc20sim.chain import (
-    VALUE_ONLY_RECEIPT,
+    EMPTY_RECEIPT,
     Chain,
     Block,
     LengthMismatch,
+    MarketTx,
     MissingInput,
-    MixedFunding,
     NegativeFee,
     OrdinalBurned,
     OrdinalUnknown,
@@ -25,7 +25,6 @@ from brc20sim.chain import (
     TxOutput,
     UtxoSet,
     assign_ordinals,
-    fund_serial,
     make_txid,
 )
 from brc20sim.mempool import ACCEPTED
@@ -264,138 +263,85 @@ class TestInscriptions:
         assert state._inscribed_sorted == sorted(state.inscribed) == [0, 10]
 
 
-def funded(state: UtxoSet, value: int, serial=fund_serial(0)) -> tuple[str, int]:
-    """A value-only coin of ``value`` on ``state``, under ``serial``."""
-    state.fund([(serial, value)])
-    return serial
+def mined_market_entry(chain: Chain, txid: str = "p") -> tuple[str, int]:
+    """The outpoint a coin at output 0 of a market entry mined on ``chain`` would have."""
+    chain.append_block(Block(chain.height + 1, 600.0, (MarketTx(txid, 1_000, 100),)))
+    return (txid, 0)
 
 
 class TestValueOnly:
-    """Value-only coins: funded, spent and checked without ordinals."""
+    """Market entries are value-only: a fee and a vsize, with no coin; mined, they
+    spend nothing, create nothing and take no ordinal."""
 
     @pytest.fixture(autouse=True)
     def no_ordinal_pass(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a value-only spend reached assign_ordinals")
+            raise AssertionError("a market entry reached assign_ordinals")
 
         monkeypatch.setattr(chain_module, "assign_ordinals", refuse)
 
-    def test_fund_counts_its_own_serials_and_allocates_no_ordinal(self):
-        # fund serials are a sequence of their own, apart from the grant count
-        serials = [fund_serial(n) for n in range(3)]
-        assert serials == [("fund-0", 0), ("fund-1", 0), ("fund-2", 0)]
-        state = UtxoSet()
-        first = state.grant("a", 10)
-        assert funded(state, 7) == fund_serial(0)
-        assert state.grant("a", 5).serial == ("genesis-1", 0)
-        assert first.serial == ("genesis-0", 0)
-        assert state.plain == {("fund-0", 0): 7}
-        assert state._next_ordinal == 15
-        assert ("fund-0", 0) not in state.utxos
-        with pytest.raises(ValueError):
-            state.fund([(fund_serial(1), 0)])
-        assert state.plain == {("fund-0", 0): 7}
-
-    def test_a_batch_takes_consecutive_serials_or_none(self):
-        state = UtxoSet()
-        state.grant("a", 10)
-        coins = [(fund_serial(n), value) for n, value in enumerate([7, 8, 9])]
-        state.fund(coins)
-        assert state.plain == {("fund-0", 0): 7, ("fund-1", 0): 8, ("fund-2", 0): 9}
-        assert state.grant("a", 5).serial == ("genesis-1", 0)
-        state.fund([])
-        for bad in ([5, 0, 6], [-1], [3, 4, -2]):
-            with pytest.raises(ValueError):
-                state.fund([(fund_serial(3 + n), value) for n, value in enumerate(bad)])
-        # nothing was funded by an empty or refused batch
-        assert state.plain == dict(coins)
-        # a batch may name any coin its spending transaction holds
-        state.fund([(("bg-input", 0), 1)])
-        assert state.plain == {**dict(coins), ("bg-input", 0): 1}
-        assert state._next_ordinal == 15 and not state.plain.keys() & state.utxos.keys()
-
     def test_outputs_leave_the_model(self):
-        state = UtxoSet()
-        coin = funded(state, 1_000)
-        outputs = [TxOutput(600, "mkt"), TxOutput(0, "x"), TxOutput(300, "y")]
-        spend = tx("p", [TxInput(coin)], outputs)
-        assert state.apply_transaction(spend) is VALUE_ONLY_RECEIPT
-        assert state.plain == {} and state.utxos == {} and state._next_ordinal == 0
+        chain = Chain()
+        utxo = chain.utxo_set.grant("a", 10)
+        coin = mined_market_entry(chain)
+        assert chain.tip_receipts == [EMPTY_RECEIPT] and chain.confirmation_time("p") == 600.0
+        assert chain.utxo_set.utxos == {utxo.serial: utxo} and chain.utxo_set._next_ordinal == 10
         # so nothing can spend them
-        for index in (0, 2):
+        for index in (0, 1):
             with pytest.raises(MissingInput):
-                state.apply_transaction(tx("c", [TxInput(("p", index))], [TxOutput(1, "z")]))
+                chain.utxo_set.apply_transaction(tx("c", [TxInput((coin[0], index))],
+                                                    [TxOutput(1, "z")]))
 
     def test_unknown_input(self):
-        state = UtxoSet()
-        coin = funded(state, 100)
-        with pytest.raises(MissingInput):
-            state.apply_transaction(
-                tx("t", [TxInput(coin), TxInput(("nope", 0))], [TxOutput(1, "a")])
-            )
-        assert state.plain == {coin: 100}
-
-    def test_spent_twice(self):
-        state = UtxoSet()
-        coin = funded(state, 100)
-        with pytest.raises(MissingInput):
-            state.apply_transaction(tx("t", [TxInput(coin), TxInput(coin)], [TxOutput(1, "a")]))
-        state.apply_transaction(tx("t1", [TxInput(coin)], [TxOutput(50, "a")]))
-        with pytest.raises(MissingInput):
-            state.apply_transaction(tx("t2", [TxInput(coin)], [TxOutput(50, "a")]))
+        chain = Chain()
+        utxo = chain.utxo_set.grant("a", 100)
+        coin = mined_market_entry(chain)
+        for inputs in ([utxo.serial, coin], [coin, utxo.serial]):
+            with pytest.raises(MissingInput):
+                chain.utxo_set.apply_transaction(tx("t", [TxInput(o) for o in inputs],
+                                                    [TxOutput(1, "a")]))
+        assert chain.utxo_set.utxos == {utxo.serial: utxo}
 
     def test_overspent(self):
-        state = UtxoSet()
-        coin = funded(state, 100)
-        with pytest.raises(NegativeFee):
-            state.apply_transaction(tx("t", [TxInput(coin)], [TxOutput(101, "a")]))
-        assert state.plain == {coin: 100}
-
-    def test_mixed_funding_and_inscriptions_raise(self):
-        state = UtxoSet()
-        coin = funded(state, 1_000)
-        utxo = state.grant("a", 1_000)
-        for inputs in ([coin, utxo.serial], [utxo.serial, coin]):
-            with pytest.raises(MixedFunding):
-                state.apply_transaction(tx("m", [TxInput(o) for o in inputs], [TxOutput(5, "a")]))
-        with pytest.raises(MixedFunding):
-            state.apply_transaction(
-                tx("i", [TxInput(coin)], [TxOutput(546, "a", inscription="{}")])
-            )
-        assert state.plain == {coin: 1_000} and state.utxos == {utxo.serial: utxo}
+        # an entry's fee is all it pays: none is negative, and none has no size
+        for fee, vsize in ((-1, 100), (0, 0), (5, -1)):
+            with pytest.raises(ValueError, match="market entry needs"):
+                MarketTx("t", fee, vsize)
+        assert MarketTx("t", 0, 1).fee == 0
 
     def test_copy_is_independent(self):
-        state = UtxoSet()
-        state.grant("a", 10)
-        coin = funded(state, 100)
-        dup = state.copy()
-        state.apply_transaction(tx("t", [TxInput(coin)], [TxOutput(50, "a")]))
-        assert dup.plain == {coin: 100} and state.plain == {}
+        chain = Chain()
+        chain.utxo_set.grant("a", 10)
+        dup = chain.copy()
+        mined_market_entry(chain)
+        assert chain.confirmed("p") and not dup.confirmed("p")
+        assert dup.blocks == [] and dup.tip_receipts == []
         # the copy carries the grant count
-        assert dup.grant("b", 1).serial == state.grant("b", 1).serial == ("genesis-1", 0)
+        assert (dup.utxo_set.grant("b", 1).serial == chain.utxo_set.grant("b", 1).serial
+                == ("genesis-1", 0))
 
 
-# The value-only cases above, each as (inputs, outputs, error); "coin" is a funded
-# coin of 1,000 sat and "utxo" a granted one.
+# Bad spends, each as (inputs, outputs, error); "coin" is the outpoint output 0 of a
+# mined market entry would have, and "utxo" a granted coin of 1,000 sat.
 BAD_VALUE_ONLY_SPENDS = {
-    "unknown-beside": (["coin", ("nope", 0)], [TxOutput(1, "a")], MissingInput),
+    "unknown-beside": (["utxo", ("nope", 0)], [TxOutput(1, "a")], MissingInput),
     "unknown-alone": ([("nope", 0)], [TxOutput(1, "a")], MissingInput),
-    "spent-twice": (["coin", "coin"], [TxOutput(1, "a")], MissingInput),
-    "overspent": (["coin"], [TxOutput(1_001, "a")], NegativeFee),
-    "coin-then-utxo": (["coin", "utxo"], [TxOutput(5, "a")], MixedFunding),
-    "utxo-then-coin": (["utxo", "coin"], [TxOutput(5, "a")], MixedFunding),
-    "inscribed": (["coin"], [TxOutput(546, "a", inscription="{}")], MixedFunding),
+    "spent-twice": (["utxo", "utxo"], [TxOutput(1, "a")], MissingInput),
+    "overspent": (["utxo"], [TxOutput(1_001, "a")], NegativeFee),
+    "coin-then-utxo": (["coin", "utxo"], [TxOutput(5, "a")], MissingInput),
+    "utxo-then-coin": (["utxo", "coin"], [TxOutput(5, "a")], MissingInput),
+    "inscribed": (["coin"], [TxOutput(546, "a", inscription="{}")], MissingInput),
 }
 
 
 class TestValueOnlyInABlock:
-    """``Chain.append_block`` spends value-only coins in its own loop: it must raise,
-    and leave the ledger, exactly as ``UtxoSet.apply_transaction`` does."""
+    """``Chain.append_block`` takes market entries in its own loop: a block must
+    raise, and leave the ledger, exactly as ``UtxoSet.apply_transaction`` does."""
 
     @staticmethod
     def ledger() -> tuple[Chain, dict[str, tuple[str, int]]]:
         chain = Chain()
-        coin = funded(chain.utxo_set, 1_000)
+        coin = mined_market_entry(chain)
         return chain, {"coin": coin, "utxo": chain.utxo_set.grant("a", 1_000).serial}
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUE_ONLY_SPENDS))
@@ -404,39 +350,38 @@ class TestValueOnlyInABlock:
         for through_block in (False, True):
             chain, named = self.ledger()
             state = chain.utxo_set
-            before = (dict(state.plain), dict(state.utxos))
+            before = dict(state.utxos)
             bad = tx("bad", [TxInput(named.get(o, o)) for o in inputs], outputs)
             with pytest.raises(error):
                 if through_block:
-                    chain.append_block(Block(0, 600.0, (bad,)))
+                    chain.append_block(Block(1, 1_200.0, (MarketTx("q", 500, 100), bad)))
                 else:
                     state.apply_transaction(bad)
-            assert (state.plain, state.utxos) == before, (case, through_block)
-            assert chain.blocks == [] and not chain.confirmed("bad")
+            assert state.utxos == before, (case, through_block)
+            assert len(chain.blocks) == 1 and not chain.confirmed("bad")
 
     def test_a_block_spending_one_coin_twice_raises(self):
         chain, named = self.ledger()
-        first, second = (tx(t, [TxInput(named["coin"])], [TxOutput(50, "a")]) for t in "xy")
+        first, second = (tx(t, [TxInput(named["utxo"])], [TxOutput(50, "a")]) for t in "xy")
         with pytest.raises(MissingInput):
-            chain.append_block(Block(0, 600.0, (first, second)))
-        assert chain.blocks == []
+            chain.append_block(Block(1, 1_200.0, (first, second)))
+        assert len(chain.blocks) == 1
 
     def test_value_only_spends_take_no_ledger_call(self, monkeypatch):
         chain, named = self.ledger()
-        other = funded(chain.utxo_set, 700, serial=fund_serial(1))
         calls = []
         apply = UtxoSet.apply_transaction
         monkeypatch.setattr(UtxoSet, "apply_transaction",
                             lambda state, t: calls.append(t.txid) or apply(state, t))
-        spends = (tx("p", [TxInput(named["coin"])], [TxOutput(1_000, "m")]),
-                  tx("q", [TxInput(other)], [TxOutput(600, "m"), TxOutput(0, "z")]),
-                  tx("g", [TxInput(named["utxo"])], [TxOutput(900, "b")]))
-        receipts = chain.append_block(Block(0, 600.0, spends))
-        # the two value-only spends stayed in the block loop; the granted coin did not
+        block = (MarketTx("q", 1_000, 100), MarketTx("r", 600, 250),
+                 tx("g", [TxInput(named["utxo"])], [TxOutput(900, "b")]))
+        receipts = chain.append_block(Block(1, 1_200.0, block))
+        # the two market entries stayed in the block loop; the granted coin did not
         assert calls == ["g"]
-        assert receipts[:2] == [VALUE_ONLY_RECEIPT] * 2 and receipts == chain.tip_receipts
-        assert chain.utxo_set.plain == {} and list(chain.utxo_set.utxos) == [("g", 0)]
-        assert all(chain.confirmation_time(t.txid) == 600.0 for t in spends)
+        assert receipts[:2] == [EMPTY_RECEIPT] * 2 and receipts == chain.tip_receipts
+        assert all(receipt is EMPTY_RECEIPT for receipt in receipts[:2])
+        assert list(chain.utxo_set.utxos) == [("g", 0)]
+        assert all(chain.confirmation_time(t.txid) == 1_200.0 for t in block)
 
 
 def logged_tx(t: Transaction) -> dict:
@@ -517,13 +462,11 @@ class TestIdentity:
         bundle = build_transfer(request, coins)
         assert bundle.tx1.txid == "61e78e2e5ffabc62"
         assert bundle.tx2.txid == "9a3748c5c2b63609"
-        # the funded coins took no grant serial, so the bundle is the one without them
-        unfunded = UtxoSet()
-        unfunded.grant("alice", 100_000)
-        assert build_transfer(request, unfunded) == bundle
-        # the txid is the hash of the content, so the pins also pin make_txid
-        for t, tag in ((market[0], "bg1"), (bundle.tx1, "tx1")):
-            assert make_txid(t.inputs, t.outputs, t.vsize, tag=tag) == t.txid
+        # the txid is the hash of the content, so the pins also pin make_txid; a
+        # market txid hashes what bg{k} was when it spent coin fund-{k - 1} and paid DUST to mkt
+        assert bundle.tx1.txid == make_txid(bundle.tx1.inputs, bundle.tx1.outputs, 150, tag="tx1")
+        assert market[0].txid == make_txid((TxInput(("fund-0", 0)),), (TxOutput(546, "mkt"),), 400,
+                                           tag="bg1")
 
     @pytest.mark.parametrize("sequences, values", [
         ((), ()),

@@ -36,6 +36,12 @@ def submit_line(txid, outpoint, value, owner="mkt", reason=None):
                    "outputs": [{"value": value, "owner": owner}], "vsize": 100}}
 
 
+def market_line(txid, fee, t=10.0, reason=None):
+    """A submit event of a market entry of 400 vB."""
+    return {"event": "submit", "t": t, "accepted": reason is None, "reason": reason,
+            "txid": txid, "fee": fee, "vsize": 400}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -108,35 +114,52 @@ class TestSimCommand:
         code, out, _ = run_cli(capsys, "replay", str(log))
         assert code == 0 and "replay OK" in out
 
-    def test_a_grant_between_funds_keeps_its_serial(self, capsys, tmp_path):
-        # the grant between fund lines takes genesis-0 and shifts no fund
-        # serial: fund-1 is the 7,000 coin and fund-2 the 9,000 one
+    def test_a_grant_between_market_lines_keeps_its_serial(self, capsys, tmp_path):
+        # market entries take no serial: the grant is genesis-0 wherever it falls
         log = tmp_path / "events.jsonl"
         log.write_text("".join(json.dumps(line) + "\n" for line in [
             HEADER,
-            {"event": "fund", "t": 0.0, "value": 5_000},
+            market_line("s0", 2_000, t=0.0),
             {"event": "grant", "t": 0.0, "owner": "a", "value": 1_000},
-            {"event": "fund", "t": 0.0, "value": 7_000},
-            {"event": "fund", "t": 10.0, "value": 9_000},
-            submit_line("s1", ["fund-1", 0], 6_000),
-            submit_line("s2", ["fund-2", 0], 8_500),
+            market_line("s1", 6_000),
+            market_line("s2", 8_500),
             submit_line("g", ["genesis-0", 0], 800, owner="b"),
-            {"event": "mine", "t": 600.0, "height": 0, "txids": ["s1", "s2", "g"]},
+            {"event": "mine", "t": 600.0, "height": 0, "txids": ["s2", "s1", "s0", "g"]},
         ]))
         code, out, err = run_cli(capsys, "replay", str(log))
-        assert (code, err) == (0, "") and "replay OK: 3 submissions, 1 blocks verified" in out
+        assert (code, err) == (0, "") and "replay OK: 4 submissions, 1 blocks verified" in out
+
+    # a log of the old format, whose market transactions spent coins funded by
+    # fund lines, once replayed its fund lines as skipped and failed as a
+    # divergence (exit 2) at the first market transaction
+    OLD_FORMAT_LOG = [
+        HEADER,
+        {"event": "fund", "t": 0.0, "value": 5_000},
+        {"event": "grant", "t": 0.0, "owner": "a", "value": 1_000},
+        {"event": "fund", "t": 0.0, "value": 7_000},
+        submit_line("s1", ["fund-1", 0], 6_000),
+        submit_line("g", ["genesis-0", 0], 800, owner="b"),
+        {"event": "mine", "t": 600.0, "height": 0, "txids": ["s1", "g"]},
+    ]
+
+    def test_a_log_of_the_old_format_exits_one_at_its_first_fund_line(self, capsys, tmp_path):
+        log = tmp_path / "events.jsonl"
+        log.write_text("".join(json.dumps(line) + "\n" for line in self.OLD_FORMAT_LOG))
+        code, out, err = run_cli(capsys, "replay", str(log))
+        assert code == 1 and "replay OK" not in out
+        assert "error: log line 2: a fund line comes from the old log format" in err
 
     def test_a_bad_fund_value_is_reported_before_a_later_line(self, capsys, tmp_path):
-        # replay funds a run of fund lines at its end, but a bad value is refused
-        # on its own line (exit 1), before the later line's time (exit 2)
+        # a fund line, of any value, is refused on its own line (exit 1), before
+        # the later line's time (exit 2)
         log = tmp_path / "events.jsonl"
         log.write_text("".join(json.dumps(line) + "\n" for line in [
             HEADER,
             {"event": "fund", "t": 0.0, "value": 0},
-            {"event": "fund", "t": 9_999.0, "value": 5_000},
+            market_line("m", 5_000, t=9_999.0),
         ]))
         code, _, err = run_cli(capsys, "replay", str(log))
-        assert code == 1 and "log line 2: fund value must be >= 1" in err
+        assert code == 1 and "log line 2: a fund line comes from the old log format" in err
 
     def test_main_looks_the_command_up_per_call(self, capsys, tmp_path, monkeypatch):
         # the parser is built once; a command wrapped after that (as the
@@ -152,7 +175,7 @@ class TestSimCommand:
     def test_replay_checks_token_supply(self, capsys, tmp_path, monkeypatch):
         log = tmp_path / "events.jsonl"
         run_cli(capsys, "sim", "--attempts", "1", "--seed", "2", "--log", str(log))
-        assert '"event": "fund"' in log.read_text()
+        assert '"fee": ' in log.read_text() and '"event": "fund"' not in log.read_text()
         monkeypatch.setattr(Brc20State, "supply_is_conserved", lambda self: False)
         code, out, err = run_cli(capsys, "replay", str(log))
         assert code == 2 and "divergence" in err and "replay OK" not in out
@@ -214,15 +237,14 @@ class TestSimCommand:
         code, out, err = run_cli(capsys, "replay", str(log))
         assert code == 2 and "divergence" in err and "replay OK" not in out
 
-    # a grant or fund at a time the simulation never reached, or before the
-    # event that precedes it, once replayed as OK
-    @pytest.mark.parametrize("kind, moved_to", [("grant", 1e9), ("fund", -7.0)])
+    # a grant at a time the simulation never reached once replayed as OK
+    @pytest.mark.parametrize("kind, moved_to", [("grant", 1e9)])
     def test_impossible_genesis_time_detected(self, capsys, tmp_path, kind, moved_to):
         log = tmp_path / "events.jsonl"
         run_cli(capsys, "sim", "--seed", "4", "--attempts", "3", "--log", str(log))
         events = [json.loads(line) for line in log.read_text().splitlines()]
         last = [e for e in events if e["event"] == kind][-1]
-        assert last["t"] == {"grant": 600.0, "fund": 13_200.0}[kind]
+        assert last["t"] == 600.0
         last["t"] = moved_to
         log.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
         code, out, err = run_cli(capsys, "replay", str(log))
@@ -242,11 +264,10 @@ class TestReplayRuns:
 
     @staticmethod
     def mid_run_market_line(lines) -> int:
-        """The index of a market submit line with a submit line on either side."""
-        kinds = [json.loads(line)["event"] for line in lines]
+        """The index of a market submit line with a market submit line on either side."""
+        market = [json.loads(line)["event"] == "submit" and '"tx"' not in line for line in lines]
         return next(i for i in range(len(lines) // 2, len(lines) - 1)
-                    if kinds[i - 1] == kinds[i] == kinds[i + 1] == "submit"
-                    and '"owner": "mkt"' in lines[i])
+                    if market[i - 1] and market[i] and market[i + 1])
 
     def replay(self, capsys, tmp_path, lines):
         log = tmp_path / "events.jsonl"
@@ -260,7 +281,7 @@ class TestReplayRuns:
         lines[i] = json.dumps({**event, "accepted": False}) + "\n"
         code, out, err = self.replay(capsys, tmp_path, lines)
         assert code == 2 and "replay OK" not in out
-        assert f"tx {event['tx']['txid']} got " in err and "log has accepted=False" in err
+        assert f"tx {event['txid']} got " in err and "log has accepted=False" in err
 
     @pytest.mark.parametrize("bad_at, code", [(1, 2), (0, 1)])  # after, or before, the flip
     def test_the_first_bad_line_in_the_file_is_reported(
@@ -311,9 +332,9 @@ class TestReplayRuns:
     def test_the_readme_log_takes_one_pool_submit_per_foreground_transaction(
         self, capsys, tmp_path, seed7, monkeypatch
     ):
-        # 979 submissions, 975 of them market transactions on the batch's fast
-        # pass: the 4 foreground ones (deploy, mint, Tx1, Tx2) go through
-        # Mempool.submit, and each run of submit lines is one batch
+        # 979 submissions, 975 of them market entries: the 4 foreground ones
+        # (deploy, mint, Tx1, Tx2) go through Mempool.submit, and each run of
+        # market lines is one batch
         calls = Counter()
         submit, submit_batch = Mempool.submit, Mempool.submit_batch
 
@@ -328,8 +349,10 @@ class TestReplayRuns:
         monkeypatch.setattr(Mempool, "submit", counted_submit)
         monkeypatch.setattr(Mempool, "submit_batch", counted_batch)
         kinds = [json.loads(line)["event"] for line in seed7]
-        runs = sum(1 for i, kind in enumerate(kinds) if kind == "submit" and kinds[i - 1] != kind)
-        assert (len(seed7), kinds.count("submit"), kinds.count("mine")) == (2_020, 979, 28)
+        market = [kind == "submit" and '"tx"' not in line for kind, line in zip(kinds, seed7)]
+        runs = sum(1 for i, m in enumerate(market) if m and not market[i - 1])
+        assert (len(seed7), kinds.count("submit"), kinds.count("mine")) == (1_020, 979, 28)
+        assert (kinds.count("grant"), market.count(True)) == (12, 975)
         code, out, _ = self.replay(capsys, tmp_path, seed7)
         assert code == 0 and "replay OK: 979 submissions, 28 blocks verified" in out
         assert calls == {"submit": 4, "submit_batch": runs}
@@ -436,7 +459,7 @@ class TestPinnedOutputs:
         log, out = tmp_path / "events.jsonl", tmp_path / "report.json"
         argv = ["sim", "--seed", "4", "--attempts", "3", "--log", str(log), "--out", str(out)]
         assert main(argv) == 0
-        assert self.sha(log) == "1cf1200cbc2af64317f4fb98d682056c6ab63d4657cacce6f4b0f6b92d521f06"
+        assert self.sha(log) == "28acc9ad244833bed3b0287e5c8659782f7a084c26c4cac76daa2985e4e1fa7b"
         assert self.sha(out) == "88fcf2c45b0b643e48223f7cdce131469fc62d08741131fd845fc5ede2a8c246"
 
     def test_replay_binance_transcript(self, tmp_path):
@@ -476,6 +499,11 @@ class TestBadInput:
             ("sim", [{"sim": {"mempool_capacity_vbytes": float("nan")}}]),
             ("sim", [{"sim": {"block_capacity_vbytes": 10150.5}}]),
             ("sim", [{"sim": {"congestion_normal_count": float("nan")}}]),
+            # a market entry's line: no vsize below 1, no negative fee, exact types
+            ("replay", [HEADER, {**market_line("m", 400), "vsize": 0}]),
+            ("replay", [HEADER, {**market_line("m", 400), "fee": -1}]),
+            ("replay", [HEADER, {**market_line("m", 400), "fee": True}]),
+            ("replay", [HEADER, {**market_line("m", 400), "vsize": 400.0}]),
         ],
     )
     def test_bad_config_or_log_exits_one_without_traceback(self, tmp_path, command, content):

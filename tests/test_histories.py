@@ -21,9 +21,9 @@ IMMUTABLE = (str, bytes, int, float, bool, type(None))
 
 
 def cold_run(config, seed, log_path=None):
-    """A scenario run as in a new process: no held history or market transaction."""
+    """A scenario run as in a new process: no held history or market txid."""
     harness._histories.clear()
-    background._market_txs.clear()
+    background._market_txids.clear()
     return run_scenario(config, seed, log_path)
 
 

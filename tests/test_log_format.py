@@ -1,4 +1,5 @@
-"""The event-log writer against json.dumps, and its submit lines back to the transaction."""
+"""The event-log writer against json.dumps, and its submit lines back to the transaction
+or market entry."""
 
 import json
 
@@ -7,7 +8,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from brc20sim.chain import MAX_SEQUENCE, Block, Transaction, TxInput, TxOutput  # noqa: E402
+from brc20sim.chain import (  # noqa: E402
+    MAX_SEQUENCE, Block, MarketTx, Transaction, TxInput, TxOutput,
+)
 from brc20sim.mempool import SubmitResult  # noqa: E402
 from brc20sim.sim import log_line  # noqa: E402
 
@@ -30,8 +33,9 @@ def log_object(event: tuple) -> dict:
     match event:
         case ("grant", t, owner, value):
             return {"event": "grant", "t": t, "owner": owner, "value": value}
-        case ("fund", t, _, value):  # the coin's serial is not written
-            return {"event": "fund", "t": t, "value": value}
+        case ("submit", t, MarketTx() as entry, result):  # no "tx": the entry's own fields
+            return {"event": "submit", "t": t, "txid": entry.txid, "fee": entry.fee,
+                    "vsize": entry.vsize, "accepted": result.accepted, "reason": result.reason}
         case ("submit", t, tx, result):
             return {"event": "submit", "t": t, "tx": tx_object(tx),
                     "accepted": result.accepted, "reason": result.reason}
@@ -61,14 +65,14 @@ OUTPUTS = st.just(()) | st.builds(
 TX = st.builds(
     Transaction, TEXT, st.lists(INPUT, max_size=3).map(tuple), OUTPUTS, st.integers(1, 10**6)
 )
+MARKET = st.builds(MarketTx, TEXT, AMOUNT, st.integers(1, 10**6))
 RESULT = st.builds(SubmitResult, st.booleans(), st.none() | TEXT)
 
 EVENTS = st.one_of(
     st.tuples(st.just("grant"), TIME, TEXT, st.integers()),
-    st.tuples(st.just("fund"), TIME, st.tuples(TEXT, st.integers()), st.integers()),
-    st.tuples(st.just("submit"), TIME, TX, RESULT),
-    st.tuples(st.just("mine"), TIME,
-              st.builds(Block, st.integers(0, 10**6), st.floats(), st.lists(TX, max_size=3))),
+    st.tuples(st.just("submit"), TIME, TX | MARKET, RESULT),
+    st.tuples(st.just("mine"), TIME, st.builds(Block, st.integers(0, 10**6), st.floats(),
+                                               st.lists(TX | MARKET, max_size=3))),
 )
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -85,3 +89,10 @@ def test_each_line_is_json_dumps_of_its_object(event):
 def test_a_submit_line_gives_back_its_transaction(t, tx, result):
     line = log_line(("submit", t, tx, result))
     assert Transaction.from_dict(json.loads(line)["tx"], {}) == tx
+
+
+@SETTINGS
+@hypothesis.given(t=TIME, entry=MARKET, result=RESULT)
+def test_a_market_line_gives_back_its_entry(t, entry, result):
+    line = json.loads(log_line(("submit", t, entry, result)))
+    assert "tx" not in line and MarketTx(line["txid"], line["fee"], line["vsize"]) == entry

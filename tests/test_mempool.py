@@ -7,15 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from brc20sim.chain import Chain, Transaction, TxInput, TxOutput, make_txid
+from brc20sim.chain import Chain, MarketTx, Transaction, TxInput, TxOutput, make_txid
 from brc20sim.mempool import (
+    ACCEPTED,
     BELOW_MIN_RELAY_FEE,
     DAY,
     EXPIRY,
     CONFLICT_NOT_REPLACEABLE,
     DUPLICATE_INPUT,
     MEMPOOL_FULL,
-    MIXED_FUNDING,
     NEGATIVE_FEE,
     NO_PARENTS,
     ORPHAN_INPUT,
@@ -44,14 +44,12 @@ def make_pool(**overrides) -> tuple[Mempool, Chain]:
     return Mempool(SimConfig(**defaults), chain), chain
 
 
-_coins = itertools.count()
+_entries = itertools.count()
 
 
-def fund(chain: Chain, value: int) -> tuple[str, int]:
-    """A fresh value-only coin of ``value`` on the chain."""
-    coin = (f"coin-{next(_coins)}", 0)
-    chain.utxo_set.fund([(coin, value)])
-    return coin
+def market(fee: int, vsize: int = 400) -> MarketTx:
+    """A fresh market entry paying ``fee``."""
+    return MarketTx(f"mkt-{next(_entries)}", fee, vsize)
 
 
 def spend(chain, owner_value, fee, vsize=100, sequence=RBF_ON, tag="", to="dest"):
@@ -137,8 +135,8 @@ class TestSubmit:
 
     def test_orphan_after_value_only_coin_is_orphan(self):
         pool, chain = make_pool()
-        coin = fund(chain, 5_000)
-        inputs = (TxInput(coin), TxInput(("missing", 0)))
+        utxo = chain.utxo_set.grant("funder", 5_000)
+        inputs = (TxInput(utxo.serial), TxInput(("missing", 0)))
         tx = Transaction("o", inputs, (TxOutput(10, "a"),), 100)
         assert pool.submit(tx, 0.0).reason == ORPHAN_INPUT
 
@@ -185,32 +183,36 @@ class TestSubmit:
 
 
 class TestValueOnly:
+    """Market entries are value-only: a fee and a vsize, with no coin to spend."""
+
     def test_mixed_inputs_rejected(self):
+        # an input naming a market entry's output, beside a coin or an in-pool output
         pool, chain = make_pool()
-        coin = fund(chain, 5_000)
+        entry = market(5_000)
+        assert pool.submit_batch([entry], [0.0]) == [ACCEPTED]
         utxo = chain.utxo_set.grant("funder", 5_000)
         parent = spend(chain, 1_000, fee=5_000, tag="p")
         assert pool.submit(parent, 0.0).accepted
         for other in (utxo.serial, (parent.txid, 0)):
-            for inputs in ((coin, other), (other, coin)):
+            for inputs in (((entry.txid, 0), other), (other, (entry.txid, 0))):
                 tx = Transaction("mix", tuple(TxInput(o) for o in inputs),
                                  (TxOutput(1_000, "a"),), 100)
-                assert pool.submit(tx, 1.0).reason == MIXED_FUNDING
-        assert list(pool.entries) == [parent.txid]
+                assert pool.submit(tx, 1.0).reason == ORPHAN_INPUT
+        assert list(pool.entries) == [entry.txid, parent.txid]
 
     def test_inscription_on_value_only_coins_rejected(self):
-        pool, chain = make_pool()
-        coin = fund(chain, 5_000)
-        tx = Transaction("i", (TxInput(coin),), (TxOutput(546, "a", inscription="{}"),), 100)
-        assert pool.submit(tx, 0.0).reason == MIXED_FUNDING
-        assert len(pool) == 0
+        pool, _ = make_pool()
+        entry = market(5_000)
+        pool.submit_batch([entry], [0.0])
+        tx = Transaction("i", (TxInput((entry.txid, 0)),),
+                         (TxOutput(546, "a", inscription="{}"),), 100)
+        assert pool.submit(tx, 0.0).reason == ORPHAN_INPUT
+        assert list(pool.entries) == [entry.txid]
 
     def test_outputs_of_a_value_only_entry_are_orphans_pooled_or_mined(self):
         pool, chain = make_pool()
-        coin = fund(chain, 10_000)
-        outputs = (TxOutput(6_000, "mkt"), TxOutput(1_000, "mkt"))
-        parent = Transaction("p", (TxInput(coin),), outputs, 100)
-        assert pool.submit(parent, 0.0).accepted
+        parent = MarketTx("p", 3_000, 100)
+        assert pool.submit_batch([parent], [0.0]) == [ACCEPTED]
         assert pool._lookup(("p", 0)) is None
         utxo = chain.utxo_set.grant("funder", 5_000)
         children = [child_of(parent, 0, 6_000, fee=2_500),
@@ -219,7 +221,7 @@ class TestValueOnly:
         assert [pool.submit(child, 1.0).reason for child in children] == [ORPHAN_INPUT] * 2
         assert [t.txid for t in pool.mine_block(600.0).transactions] == ["p"]
         assert [pool.submit(child, 601.0).reason for child in children] == [ORPHAN_INPUT] * 2
-        assert list(pool.entries) == [] and chain.utxo_set.plain == {}
+        assert list(pool.entries) == [] and list(chain.utxo_set.utxos) == [utxo.serial]
         assert pool.submit(spend(chain, 1_000, fee=5_000, tag="next"), 602.0).accepted
         assert len(pool.mine_block(1_200.0).transactions) == 1
 

@@ -1,5 +1,5 @@
 """Pool invariants under random submit, bump, child, resubmit, expiry and mining sequences,
-and batch admission against one submit per transaction."""
+and batch admission of market entries against one single-entry batch per entry."""
 
 from collections import Counter
 from dataclasses import replace
@@ -9,9 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from brc20sim.chain import Transaction, TxInput, TxOutput, make_txid  # noqa: E402
-from brc20sim.mempool import EXPIRY  # noqa: E402
-from test_mempool import RBF_OFF, RBF_ON, check_pool_invariants, fund, make_pool  # noqa: E402
+from brc20sim.chain import MarketTx, Transaction, TxInput, TxOutput, make_txid  # noqa: E402
+from brc20sim.mempool import ACCEPTED, EXPIRY, FULL  # noqa: E402
+from test_mempool import RBF_OFF, RBF_ON, check_pool_invariants, make_pool, market  # noqa: E402
 
 VSIZES = (100, 150, 250, 400)
 PICK = st.integers(0, 10**6)  # an index into whatever the step picks from
@@ -35,19 +35,16 @@ STEPS = st.lists(
 
 
 def check(pool, coins):
-    """The structural invariants, one spender per outpoint, and each entry's fee and funding."""
+    """The structural invariants, one spender per outpoint, and each entry's fee."""
     check_pool_invariants(pool)
     spent = Counter(inp.outpoint for e in pool.entries.values() for inp in e.tx.inputs)
     assert all(count == 1 for count in spent.values())
     for entry in pool.entries.values():
-        paid_in = sum(coins[inp.outpoint][0] for inp in entry.tx.inputs)
+        if type(entry.tx) is MarketTx:  # no coin: it pays the fee it carries
+            assert entry.fee == entry.tx.fee and entry.depends_on == set()
+            continue
+        paid_in = sum(coins[inp.outpoint] for inp in entry.tx.inputs)
         assert entry.fee == paid_in - entry.tx.output_total
-        # value-only and ordinal-tracked coins never mix in one entry, and a
-        # value-only entry spends funded coins alone: its parents' outputs left the model
-        kinds = {coins[inp.outpoint][1] for inp in entry.tx.inputs}
-        assert len(kinds) == 1
-        if kinds == {True}:
-            assert all(inp.outpoint in pool.chain.utxo_set.plain for inp in entry.tx.inputs)
 
 
 @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -56,13 +53,12 @@ def check(pool, coins):
 )
 def test_pool_invariants_hold_after_every_step(capacity, block, steps):
     pool, chain = make_pool(mempool_capacity_vbytes=capacity, block_capacity_vbytes=block)
-    coins: dict[tuple[str, int], tuple[int, bool]] = {}  # outpoint -> (value, value-only)
-    gone: list[Transaction] = []  # left the pool unmined
+    coins: dict[tuple[str, int], int] = {}  # outpoint -> value
+    gone: list[Transaction | MarketTx] = []  # left the pool unmined
     now = 0.0
 
     def build(outpoints, vsize, fee, sequence, outputs=1):
-        total = sum(coins[op][0] for op in outpoints)
-        plain = all(coins[op][1] for op in outpoints)
+        total = sum(coins[op] for op in outpoints)
         fee = min(fee, total)
         share = (total - fee) // outputs
         values_out = [share] * (outputs - 1) + [total - fee - share * (outputs - 1)]
@@ -71,7 +67,7 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
         tx = Transaction(make_txid(inputs, outs, vsize, tag=f"{len(coins)}"), inputs, outs,
                          vsize)
         for i, v in enumerate(values_out):
-            coins[(tx.txid, i)] = (v, plain)
+            coins[(tx.txid, i)] = v
         return tx
 
     for step in steps:
@@ -81,11 +77,14 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
         tx = None
         if kind == "submit":
             _, plain, rate, vsize, rbf, outputs = step
-            coin = fund(chain, 100_000) if plain else chain.utxo_set.grant("funder", 100_000).serial
-            coins[coin] = (100_000, plain)
-            tx = build([coin], vsize, rate * vsize, RBF_ON if rbf else RBF_OFF, outputs)
-        elif kind == "bump" and pool.entries:
-            target = before[list(before)[step[1] % len(before)]]
+            if plain:  # a market entry
+                tx = market(rate * vsize, vsize)
+            else:
+                coin = chain.utxo_set.grant("funder", 100_000).serial
+                coins[coin] = 100_000
+                tx = build([coin], vsize, rate * vsize, RBF_ON if rbf else RBF_OFF, outputs)
+        elif kind == "bump" and (spenders := [t for t, e in before.items() if e.tx.inputs]):
+            target = before[spenders[step[1] % len(spenders)]]
             outpoints = [inp.outpoint for inp in target.tx.inputs]
             tx = build(outpoints, target.tx.vsize, target.fee + step[2] * 100, RBF_ON)
         elif kind == "child":
@@ -107,7 +106,10 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
             now += 600 * UNIT
             pool.mine_block(now)
         if tx is not None:
-            result = pool.submit(tx, now)
+            if type(tx) is MarketTx:
+                (result,) = pool.submit_batch([tx], [now])
+            else:
+                result = pool.submit(tx, now)
             gone.extend(e.tx for t, e in before.items() if t not in pool.entries)
             if result.accepted and result.replaced:
                 # BIP125 rule 3: more than the fees of everything evicted
@@ -117,7 +119,23 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
         check(pool, coins)
 
 
-# Batch admission: submit_batch against one submit per transaction, on twin pools.
+def test_an_entry_a_later_entry_of_its_batch_evicts_was_accepted():
+    # capacity is checked after each entry, as submit checks it: the first entry
+    # is accepted, then evicted by the third; the fourth is evicted on arrival
+    pool, _ = make_pool(mempool_capacity_vbytes=1_000)
+    fees = {"low": 800, "high": 4_000, "higher": 4_400, "lowest": 400}
+    low, high, higher, lowest = (MarketTx(txid, fee, 400) for txid, fee in fees.items())
+    assert pool.submit_batch([low, high, higher, lowest], [0.0] * 4) == [ACCEPTED] * 3 + [FULL]
+    assert list(pool.entries) == ["high", "higher"] and pool.total_vsize == 800
+    # so a single trim at the batch's end could not tell "low" from "lowest"
+    twin, _ = make_pool(mempool_capacity_vbytes=1_000)
+    assert [twin.submit_batch([e], [0.0])[0] for e in (low, high, higher, lowest)] == (
+        [ACCEPTED] * 3 + [FULL])
+    assert pool_state(twin) == pool_state(pool)
+
+
+# Batch admission: one submit_batch per run of market entries against one single-entry
+# batch per entry, with transactions that have inputs submitted between runs, on twin pools.
 BATCH_VSIZES = st.sampled_from((150, 400, 600))  # Tx1, the market's size, Tx2
 # in half sat/vB: 0 and 1 fall below the relay floor, a negative fee pays out more than in
 HALF_RATE = st.integers(-2, 60)
@@ -126,9 +144,9 @@ COIN = 100_000
 ITEM = st.one_of(
     st.tuples(st.just("fresh"), st.integers(1, 6), BATCH_VSIZES, HALF_RATE),
     st.tuples(st.just("granted"), BATCH_VSIZES, HALF_RATE, st.booleans()),
-    st.tuples(st.just("inscribed"), st.booleans(), BATCH_VSIZES, HALF_RATE),
+    st.tuples(st.just("inscribed"), BATCH_VSIZES, HALF_RATE),
     # a second coin of 1,000 sat leaves the first alone able to pay the outputs
-    st.tuples(st.just("pair"), st.sampled_from(("plain", "granted", "orphan", "same")),
+    st.tuples(st.just("pair"), st.sampled_from(("market", "granted", "orphan", "same")),
               st.sampled_from((1_000, COIN)), BATCH_VSIZES, HALF_RATE),
     st.tuples(st.just("child"), PICK, BATCH_VSIZES, HALF_RATE),
     st.tuples(st.just("conflict"), PICK, HALF_RATE, st.booleans()),
@@ -145,15 +163,10 @@ class Twins:
         self.pools = [make_pool(mempool_capacity_vbytes=capacity, block_capacity_vbytes=block)[0]
                       for _ in range(2)]
         self.values: dict[tuple[str, int], int] = {}  # every coin and output built, by outpoint
-        self.sent: list[Transaction] = []  # every transaction built, in order
+        self.sent: list[Transaction | MarketTx] = []  # every transaction and entry built, in order
 
-    def coin(self, plain: bool, value: int = COIN) -> tuple[str, int]:
-        if plain:
-            serial = (f"coin-{len(self.values)}", 0)  # each coin, orphan and output adds a value
-            for pool in self.pools:
-                pool.chain.utxo_set.fund([(serial, value)])
-        else:
-            (serial,) = {pool.chain.utxo_set.grant("funder", value).serial for pool in self.pools}
+    def coin(self, value: int = COIN) -> tuple[str, int]:
+        (serial,) = {pool.chain.utxo_set.grant("funder", value).serial for pool in self.pools}
         self.values[serial] = value
         return serial
 
@@ -162,38 +175,48 @@ class Twins:
         self.values[outpoint] = value
         return outpoint
 
-    def tx(self, outpoints, vsize, half_rate, sequence=RBF_ON, inscription=None, txid=None):
+    def entry(self, vsize, half_rate, txid=None) -> MarketTx:
+        """A market entry; a negative fee pays nothing."""
+        entry = MarketTx(txid or f"mkt-{len(self.sent)}", max(0, half_rate * vsize // 2), vsize)
+        self.values.setdefault((entry.txid, 0), COIN)  # an output it does not have
+        self.sent.append(entry)
+        return entry
+
+    def tx(self, outpoints, vsize, half_rate, sequence=RBF_ON, inscription=None):
         total = sum(self.values[op] for op in outpoints)
         fee = min(half_rate * vsize // 2, total - 1)
         inputs = tuple(TxInput(op, sequence) for op in outpoints)
         outputs = (TxOutput(total - fee, "x", inscription),)
-        tx = Transaction(txid or make_txid(inputs, outputs, vsize, tag=str(len(self.sent))),
+        tx = Transaction(make_txid(inputs, outputs, vsize, tag=str(len(self.sent))),
                          inputs, outputs, vsize)
         self.values[(tx.txid, 0)] = total - fee
         self.sent.append(tx)
         return tx
 
-    def build(self, item) -> list[Transaction]:
-        """The transactions one drawn item stands for, their coins funded on both chains."""
+    def build(self, item) -> list[Transaction | MarketTx]:
+        """The transactions and market entries one drawn item stands for, their coins
+        granted on both chains."""
         kind, sent = item[0], self.sent
-        if kind == "fresh":  # a run of fast-pass candidates
+        if kind == "fresh":  # a run of market entries
             _, count, vsize, rate = item
-            return [self.tx([self.coin(True)], vsize, rate) for _ in range(count)]
+            return [self.entry(vsize, rate) for _ in range(count)]
         if kind == "granted":
             _, vsize, rate, rbf = item
-            return [self.tx([self.coin(False)], vsize, rate, RBF_ON if rbf else RBF_OFF)]
+            return [self.tx([self.coin()], vsize, rate, RBF_ON if rbf else RBF_OFF)]
         if kind == "inscribed":
-            _, plain, vsize, rate = item
-            return [self.tx([self.coin(plain)], vsize, rate, inscription="ins")]
-        if kind == "pair":  # a fresh value-only coin first, then another input
+            _, vsize, rate = item
+            return [self.tx([self.coin()], vsize, rate, inscription="ins")]
+        if kind == "pair":  # a fresh granted coin first, then another input
             _, second, value, vsize, rate = item
-            first = self.coin(True)
+            first = self.coin()
             if second == "same":
                 other = first
             elif second == "orphan":
                 other = self.orphan(value)
+            elif second == "market":  # an output no market entry has
+                other = (self.entry(400, 10).txid, 0)
             else:
-                other = self.coin(second == "plain", value)
+                other = self.coin(value)
             return [self.tx([first, other], vsize, rate)]
         if kind == "orphan":
             return [self.tx([self.orphan()], item[1], 10)]
@@ -204,13 +227,15 @@ class Twins:
             return [self.tx([(earlier.txid, 0)], item[2], item[3])]
         if kind == "conflict":  # the same inputs at another fee
             _, _, rate, rbf = item
+            if not earlier.inputs:
+                return []
             return [self.tx([i.outpoint for i in earlier.inputs], earlier.vsize, rate,
                             RBF_ON if rbf else RBF_OFF)]
         if kind == "resend":
             return [earlier]
-        # clash: a fresh value-only spend under the txid of one already pooled or confirmed
+        # clash: a market entry under the txid of one already pooled or confirmed
         _, _, vsize, rate = item
-        return [self.tx([self.coin(True)], vsize, rate, txid=earlier.txid)]
+        return [self.entry(vsize, rate, txid=earlier.txid)]
 
 
 def pool_state(pool):
@@ -226,20 +251,36 @@ def pool_state(pool):
     )
 
 
+def submit_all(pool, txs, times, batched: bool):
+    """Each transaction with inputs through ``submit``, and the market entries between
+    them as one batch per run (``batched``) or one single-entry batch each."""
+    results, run = [], []
+    for tx, at in [*zip(txs, times), (None, None)]:
+        if type(tx) is MarketTx:
+            run.append((tx, at))
+            if batched:
+                continue
+        if run:
+            results += pool.submit_batch([e for e, _ in run], [t for _, t in run])
+            run = []
+        if tx is not None and type(tx) is not MarketTx:
+            results.append(pool.submit(tx, at))
+    return results
+
+
 @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
-# after one of two entries is mined, replacing the other removes enough to rebuild the
-# ready heaps (``_forget``) while the fresh spend before it waits in the batch: without
-# a flush first, its key would then be pushed twice
+# a run of market entries whose evictions rebuild the ready heaps (``_forget``) while two
+# of its keys are pending: without a flush first, they would then be pushed twice
 @hypothesis.example(
-    capacity=6_000, block=600,
-    history=[("granted", 400, 20, True), ("granted", 400, 20, True), ("mine",)],
-    batch=[(1, 150, 10, ("conflict", 1, 60, True), 0)],
+    capacity=800, block=600,
+    history=[("fresh", 4, 150, 20), ("fresh", 2, 150, 40), ("mine",)],
+    batch=[(3, 600, 40, ("fresh", 3, 400, 60), 0), (3, 400, 10, ("fresh", 1, 600, 10), 0)],
 )
 @hypothesis.given(
     capacity=st.integers(800, 6_000),
     block=st.integers(600, 2_500),
     history=st.lists(st.one_of(ITEM, st.tuples(st.just("mine"))), max_size=25),
-    # each step: a run of fast-pass candidates, then any item, all at one time
+    # each step: a run of market entries, then any item, all at one time
     batch=st.lists(st.tuples(st.integers(0, 4), BATCH_VSIZES, HALF_RATE, ITEM, st.integers(0, 3)),
                    min_size=1, max_size=20),
 )
@@ -252,8 +293,8 @@ def test_a_batch_equals_one_submit_per_transaction(capacity, block, history, bat
         if item[0] == "mine":
             assert len({tuple(p.mine_block(now).transactions) for p in pools}) == 1
             continue
-        for tx in twins.build(item):
-            assert len({p.submit(tx, now) for p in pools}) == 1
+        built = twins.build(item)
+        assert len({tuple(submit_all(p, built, [now] * len(built), False)) for p in pools}) == 1
     assert pool_state(pools[0]) == pool_state(pools[1])
 
     now += 10 * UNIT
@@ -263,8 +304,8 @@ def test_a_batch_equals_one_submit_per_transaction(capacity, block, history, bat
         txs += built
         times += [now + late * UNIT] * len(built)
     one_by_one, batched = pools
-    expected = [one_by_one.submit(tx, at) for tx, at in zip(txs, times)]
-    assert batched.submit_batch(txs, times) == expected
+    expected = submit_all(one_by_one, txs, times, batched=False)
+    assert submit_all(batched, txs, times, batched=True) == expected
     assert pool_state(batched) == pool_state(one_by_one)
 
     for _ in range(2):

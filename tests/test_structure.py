@@ -13,8 +13,8 @@ from scenario_tools import pinned_transfer
 
 import brc20sim
 from brc20sim.background import BackgroundLoad, CongestionProfile
-from brc20sim.chain import Block
-from brc20sim.cli import REPLAY_FIELDS
+from brc20sim.chain import Block, UtxoSet
+from brc20sim.cli import MARKET_FIELDS, REPLAY_FIELDS
 from brc20sim.mempool import Mempool
 from brc20sim.sim import SETTINGS, SimConfig, Simulation
 from brc20sim.wallet import build_recovery
@@ -87,24 +87,17 @@ def test_only_the_simulation_and_replay_feed_the_indexer():
 
 
 def test_background_traffic_stays_off_the_ordinal_ledger():
-    # market and sediment coins are value-only: the load calls into no ledger,
-    # neither ``fund`` nor a grant function (it only names coins, with
-    # ``fund_serial``), only the simulation funds coins in the ledger, and only
-    # the chain runs the ordinal pass
-    assert not {name for name in called_names(SRC / "background.py")
-                if name and (name == "fund" or "grant" in name)}
-    funded_on = {
-        path.name: {
-            ast.unparse(node.func.value)
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "fund"
-        }
-        for path in SRC.glob("*.py")
-    }
-    # UtxoSet.fund is called in sim.py alone, which funds each batch the load
-    # returns; `brc20sim replay` funds through its Simulation
-    assert {name: on for name, on in funded_on.items() if on} == {
-        "sim.py": {"self.chain.utxo_set", "genesis", "self"}, "cli.py": {"sim"}}
+    # market entries carry a fee and no coin: the chain, the pool and the
+    # simulation keep no value-only coin store and make no fund call, the load
+    # calls into no ledger, and only the chain runs the ordinal pass
+    for name in ("chain.py", "mempool.py", "sim.py", "background.py", "cli.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        named = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not {"plain", "fund", "fund_serial"} & (named | defined), name
+    assert set(vars(UtxoSet())) == {"utxos", "inscribed", "_inscribed_sorted", "_next_ordinal",
+                                    "_grant_count"}
+    assert not {name for name in called_names(SRC / "background.py") if name and "grant" in name}
     assert callers("assign_ordinals") == {"chain.py"}
 
 
@@ -128,8 +121,8 @@ def test_dust_and_transaction_sizes_are_each_set_once():
 
 
 def test_the_fund_serial_format_is_written_once():
-    # market transaction bg{k} spends the k-th funded coin by name, so the
-    # name's format is written in one place, apart from the grants'
+    # market txid bg{k} hashes the name of the coin bg{k} once spent,
+    # fund-{k - 1}, which is written in one place, apart from the grants'
     written = [
         path.name
         for path in SRC.glob("*.py")
@@ -137,7 +130,7 @@ def test_the_fund_serial_format_is_written_once():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
         and node.value.startswith("fund-")
     ]
-    assert written == ["chain.py"]
+    assert written == ["background.py"]
 
 
 def test_settable_values_are_counted():
@@ -169,7 +162,8 @@ def test_no_module_reads_the_environment():
 
 def test_the_log_writer_and_replay_share_one_vocabulary(tmp_path):
     # the simulation writes the event log and the CLI replays it: every line
-    # is the header or a kind replay reads, with each field it reads, typed
+    # is the header or a kind replay reads, with each field it reads, typed; a
+    # submit line is a foreground one, with "tx", or a market entry's
     sim, bundle, pending = pinned_transfer()
     recovery = build_recovery(
         pending, sim.chain.utxo_set, "alice", fee_rate=404, exclude=set(sim.pool.spends),
@@ -182,8 +176,12 @@ def test_the_log_writer_and_replay_share_one_vocabulary(tmp_path):
     assert header == {"event": "header", "config": {n: getattr(sim.config, n) for n in SETTINGS}}
     assert len(events) == len(sim.event_log)
     assert {event["event"] for event in events} == set(REPLAY_FIELDS)
-    for event in events:
-        for key, types in REPLAY_FIELDS[event["event"]].items():
+    market = [event["event"] == "submit" and "tx" not in event for event in events]
+    assert 0 < market.count(True) < sum(event["event"] == "submit" for event in events)
+    for event, is_market in zip(events, market):
+        fields = MARKET_FIELDS if is_market else REPLAY_FIELDS[event["event"]]
+        assert set(event) == {"event", *fields}, event
+        for key, types in fields.items():
             assert type(event[key]) in types, (event, key)
 
 
@@ -192,15 +190,15 @@ def test_replay_reads_each_kinds_fields_in_a_fixed_order():
     # fields would have it read one field as another with every type check passed
     assert {kind: tuple(fields) for kind, fields in REPLAY_FIELDS.items()} == {
         "grant": ("t", "owner", "value"),
-        "fund": ("t", "value"),
         "submit": ("t", "tx", "accepted", "reason"),
         "mine": ("t", "height", "txids"),
     }
+    assert tuple(MARKET_FIELDS) == ("t", "txid", "fee", "vsize", "accepted", "reason")
 
 
 def test_the_background_holds_no_state_but_the_market_transactions():
     # a load owns its draws and windows, and a simulation owns its load: the
-    # one module-level container is the memo of bg{k}, the same in every run
+    # one module-level container is the memo of bg{k}'s txid, the same in every run
     tree = ast.parse((SRC / "background.py").read_text(encoding="utf-8"))
     assigned = {
         target.id
@@ -215,14 +213,14 @@ def test_the_background_holds_no_state_but_the_market_transactions():
         and not (dataclasses.is_dataclass(module[name])
                  and type(module[name]).__dataclass_params__.frozen)
     }
-    assert mutable == {"_market_txs"}
+    assert mutable == {"_market_txids"}
 
 
 def test_only_the_background_names_its_private_names():
     # the market's internals are one module's: no other module reaches into them
     module = importlib.import_module("brc20sim.background")
     private = {name for name in vars(module) if name.startswith("_") and not name.startswith("__")}
-    assert {"_market_txs", "_build_market", "_draw_sediment"} <= private
+    assert {"_market_txids", "_txids", "_entries", "_draw_sediment"} <= private
     named = {
         path.name
         for path in SRC.glob("*.py")

@@ -37,12 +37,13 @@ entry ``k - 1``, each hashed once.
 A ``BackgroundLoad`` is one simulation's market: its RNG streams, its floors,
 and its batches, the sediment and then one ``Window`` per block interval,
 each built when first requested.  A batch holds what a simulation reads of
-it: the arrival times in ascending order and the market entries arriving at
-them, one entry per transaction per load.  The load never touches the pool
-or the ledger: the simulation submits each batch.  A simulation's forks
-share its load (``Simulation.fork``), and ask it for windows by number, so a
-window is drawn once however many forks read it, and each gets the bytes a
-fresh draw would give.
+it: its market entries in ascending order of arrival, one object per
+transaction per load, built with its arrival time (the sediment's is 0.0),
+and those times, for a bisect.  The load never touches the pool or the
+ledger: the simulation submits each batch, and the pool stores each entry as
+it is.  A simulation's forks share its load (``Simulation.fork``), and ask
+it for windows by number, so a window is drawn once however many forks read
+it, and each gets the bytes a fresh draw would give.
 """
 
 from __future__ import annotations
@@ -139,20 +140,14 @@ def _draw_sediment(rng: random.Random, count: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class Window:
-    """One batch of market entries, built once per load: the arrival times in
-    ascending order, and the entries arriving at them.
-
-    It iterates as ``(time, entry)`` pairs and its length is its entry count.
-    """
+    """One batch of market entries, built once per load: the entries in ascending
+    order of arrival, and their times, for a bisect.  Its length is its entry count."""
 
     times: tuple[float, ...]
     txs: tuple[MarketTx, ...]
 
     def __len__(self) -> int:
         return len(self.txs)
-
-    def __iter__(self):
-        return zip(self.times, self.txs)
 
 
 NO_MARKET = Window((), ())  # what a load with no market returns for every window
@@ -161,17 +156,18 @@ NO_MARKET = Window((), ())  # what a load with no market returns for every windo
 _market_txids: list[str] = []
 
 
+def _entries(txids: list[str], fees: list[int], times: tuple[float, ...]) -> tuple[MarketTx, ...]:
+    """One load's market entries: each txid at its fee and time, at the one market vsize."""
+    return tuple([MarketTx(txid, fee, MARKET_TX_VSIZE, t)
+                  for txid, fee, t in zip(txids, fees, times)])
+
+
 def _txids(count: int) -> list[str]:
     """``_market_txids``, hashed up to at least ``bg{count}``."""
     for k in range(len(_market_txids) + 1, count + 1):
         text = f"bg{k}fund-{k - 1}".encode() + MARKET_TXID_TAIL
         _market_txids.append(hashlib.sha256(text).hexdigest()[:16])
     return _market_txids
-
-
-def _entries(txids: list[str], fees: list[int]) -> tuple[MarketTx, ...]:
-    """One load's market entries: each txid at its fee, at the one market vsize."""
-    return tuple([MarketTx(txid, fee, MARKET_TX_VSIZE) for txid, fee in zip(txids, fees)])
 
 
 class BackgroundLoad:
@@ -199,7 +195,8 @@ class BackgroundLoad:
         self._g = self._rng_floor.gauss(0.0, sigma_stat)
         self.floors = array("d", [self._floor() if profile.target_level else 0.0])
         fees = _draw_sediment(stream(profile.seed, "sediment"), count)
-        self.windows = [Window((0.0,) * count, _entries(_txids(count)[:count], fees))]
+        times = (0.0,) * count
+        self.windows = [Window(times, _entries(_txids(count), fees, times))]
 
     def _floor(self) -> float:
         p = self.profile
@@ -227,9 +224,10 @@ class BackgroundLoad:
                 fees.append(math.ceil(rate * MARKET_TX_VSIZE))
                 arrivals.append(start + BLOCK_INTERVAL * self._rng_times.random())
             end = self.sediment_count + drawn * flight  # the sediment and windows 1..drawn
-            txs = _entries(_txids(end)[end - flight:end], fees)
+            txids = _txids(end)[end - flight:end]
             # a stable sort, so tied times keep bg order
             order = sorted(range(flight), key=arrivals.__getitem__)
-            self.windows.append(Window(tuple([arrivals[i] for i in order]),
-                                       tuple([txs[i] for i in order])))
+            times = tuple([arrivals[i] for i in order])
+            self.windows.append(Window(times, _entries([txids[i] for i in order],
+                                                       [fees[i] for i in order], times)))
         return self.windows[w]

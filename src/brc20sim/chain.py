@@ -7,10 +7,10 @@ scripts and signatures are out of scope.
 
 Background traffic never carries or moves an inscription, and the model
 needs only each market transaction's fee, vsize and arrival, so a market
-entry (``MarketTx``) is just those, with no coin: it spends nothing, creates
-nothing and touches no UTXO.  ``Chain.append_block`` lists it in its block
-and gives it the one shared ``EMPTY_RECEIPT``; every other transaction takes
-``UtxoSet.apply_transaction``.
+entry (``MarketTx``) is just those, built once per load and pooled as it is,
+with no coin: it spends nothing, creates nothing and touches no UTXO.
+``Chain.append_block`` lists it in its block and gives it the one shared
+``EMPTY_RECEIPT``; every other transaction takes ``UtxoSet.apply_transaction``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 MAX_SEQUENCE = 0xFFFFFFFF
 RBF_SEQUENCE = 0xFFFFFFFD  # highest sequence value that still signals replaceability
@@ -154,30 +153,35 @@ class Transaction:
         return cls(txid, tuple(inputs), tuple(outputs), vsize)
 
 
-class _MarketFields(NamedTuple):
-    txid: str
-    fee: int
-    vsize: int
+NO_PARENTS: frozenset[str] = frozenset()  # depends_on of every pool entry admitted without one
 
 
-class MarketTx(_MarketFields):
-    """A market transaction: its fee and vsize, and no coin.
+class MarketTx:
+    """A market transaction, with no coin, and its own pool entry: ``tx`` is
+    itself, and ``__init__`` sets ``mempool.MempoolEntry``'s keys beside the
+    fields.  Empty ``inputs`` and ``outputs`` let the pool mine and remove it
+    as a ``Transaction``.  Nothing writes to it after ``__init__``, so loads,
+    pools and forks share it."""
 
-    Its empty ``inputs`` and ``outputs`` let the pool index, mine and remove
-    it as it does a ``Transaction``, with no parent, child or spend.  It is a
-    named tuple, frozen like a transaction, because a load builds one per
-    market transaction and a tuple takes a third of a frozen dataclass's time.
-    """
-
-    __slots__ = ()
+    __slots__ = ("txid", "fee", "vsize", "arrival", "rate_key", "key")
     inputs = ()
     outputs = ()
+    depends_on = NO_PARENTS
 
-    def __new__(cls, txid: str, fee: int, vsize: int) -> MarketTx:
+    def __init__(self, txid: str, fee: int, vsize: int, arrival: float) -> None:
         if vsize < 1 or fee < 0:
-            raise ValueError(f"market entry needs vsize >= 1 and fee >= 0, got "
-                             f"({vsize!r}, {fee!r})")
-        return tuple.__new__(cls, (txid, fee, vsize))
+            raise ValueError(
+                f"market entry needs vsize >= 1 and fee >= 0, got ({vsize!r}, {fee!r})")
+        self.txid = txid
+        self.fee = fee
+        self.vsize = vsize
+        self.arrival = arrival
+        self.rate_key = rate_key = fee / vsize
+        self.key = (-rate_key, arrival, txid)
+
+    @property
+    def tx(self) -> MarketTx:
+        return self
 
 
 def make_txid(inputs, outputs, vsize: int, tag: str = "") -> str:

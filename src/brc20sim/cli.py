@@ -7,13 +7,13 @@ re-runs the log through a ``Simulation``, the same block step that wrote it,
 in one pass that applies each line as it is read: ``grant`` events re-create
 the foreground's coins, a ``submit`` line with a ``"tx"`` goes through
 ``Simulation.submit``, and each run of consecutive market ``submit`` lines
-(a txid, fee and vsize, no ``"tx"``) enters the pool as one
-``Simulation.submit_batch``, the doors the simulation used.  Replay checks
-every grant's and submission's time, each submission's decision and each
-block's height, time and txids, and at the end that the replayed token
-state conserves supply.  Of a broken log's faults, the one on the first bad
-line in the file is reported.  A ``fund`` line comes from the old log
-format, whose market transactions spent coins, and is refused.
+(a txid, fee and vsize, no ``"tx"``), each one ``MarketTx`` at its time,
+enters the pool as one ``Simulation.submit_batch``, the doors the simulation
+used.  Replay checks every grant's and submission's time, each submission's
+decision and each block's height, time and txids, and at the end that the
+replayed token state conserves supply.  Of a broken log's faults, the one on
+the first bad line in the file is reported.  A ``fund`` line comes from the
+old log format, whose market transactions spent coins, and is refused.
 
 Exit codes: 0 success, 1 usage error (a bad value, or a fee the wallet cannot
 pay), 2 assertion/model divergence.
@@ -259,7 +259,7 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
             return
         batch = run.copy()
         run.clear()
-        results = sim.submit_batch([line[0] for line in batch], [line[1] for line in batch])
+        results = sim.submit_batch([line[0] for line in batch])
         for line, result in zip(batch, results):
             _check_decision(*line, result)
 
@@ -294,7 +294,7 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
             if kind == "market":
                 _, txid, fee, vsize, accepted, reason = values
                 try:
-                    entry = MarketTx(txid, fee, vsize)
+                    entry = MarketTx(txid, fee, vsize, t)
                 except ValueError as exc:
                     raise ValueError(f"log line {number}: {exc}") from None
                 run.append((entry, t, accepted, reason))

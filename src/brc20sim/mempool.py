@@ -28,7 +28,7 @@ and k distinct vsizes among the ready entries:
   mined takes it, so only an entry with a parent in the pool changes after
   admission (which is what ``copy`` copies).
 - The ready entries, those with no in-pool parent, sit in one best-rate-first
-  heap per vsize; each entry carries its own heap item, ``MempoolEntry.key``.
+  heap per vsize; each entry carries its own heap item, its ``key``.
   ``mine_block`` repeatedly takes the best top among the heaps whose vsize
   still fits, in O(s * (k + log n)): it touches the selected entries and
   their children, never the unmined rest.
@@ -47,8 +47,8 @@ and k distinct vsizes among the ready entries:
   and the eviction heap is dropped, to be rebuilt when capacity next binds.
   So a pool that never fills rebuilds only after replacements and expiry,
   never because blocks were mined.
-- An entry is built in one call: ``MempoolEntry.__init__`` sets its fee
-  rate and its ready-heap item beside its fields.
+- An entry is built in one call that sets its fee rate and its ready-heap
+  item beside its fields: ``MempoolEntry`` in ``submit``, or a market entry.
 - ``tick_expiry`` is O(1) while a lower bound on the oldest arrival cannot
   expire; only then does it scan the pool in insertion order.
 
@@ -61,9 +61,10 @@ descendant walk only for a replacement, eviction only over capacity, and the
 accepted result is one shared object.
 
 Transactions with inputs enter through ``submit``; market entries
-(``chain.MarketTx``), which carry a fee and a vsize and spend nothing, enter
-through ``submit_batch`` alone, a batch at a time: the sediment, or a run of
-market arrivals.  An entry has no parent, conflict or replacement, so a
+(``chain.MarketTx``), which carry a fee, a vsize and an arrival and spend
+nothing, enter through ``submit_batch`` alone, a batch at a time (the
+sediment, or a run of market arrivals), and each is its own pool entry,
+which forks share.  An entry has no parent, conflict or replacement, so a
 batch refuses a txid already pooled or confirmed (``duplicate``), then a fee
 below the relay floor, and puts the rest in at once: the entry and its
 eviction-heap item (once that heap is built), while its ready-heap key waits
@@ -88,7 +89,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .chain import Block, Chain, MarketTx, Transaction
+from .chain import NO_PARENTS, Block, Chain, MarketTx, Transaction
 
 if TYPE_CHECKING:
     from .sim import SimConfig
@@ -114,29 +115,27 @@ REPLACEMENT_UNDERPAYS_FEERATE = "replacement-underpays-feerate"
 
 MAX_REPLACEMENT_EVICTIONS = 100  # BIP125 rule 5: conflicts plus their descendants
 
-NO_PARENTS: frozenset[str] = frozenset()  # depends_on of every entry admitted without one
-
 
 @dataclass(slots=True)
 class MempoolEntry:
-    """One pooled transaction.  ``__init__`` is written out, not generated, so that
-    the derived keys are set in the one call that builds the entry; it takes the
-    four fields by name, as ``dataclasses.replace`` passes them."""
+    """One pooled transaction with inputs (a ``chain.MarketTx`` is its own entry),
+    whose ``__init__`` sets the derived keys too; it takes the four fields by
+    name, as ``dataclasses.replace`` passes them."""
 
-    tx: Transaction | MarketTx
+    tx: Transaction
     arrival: float
     fee: int
     depends_on: set[str] | frozenset[str]  # in-pool parents; NO_PARENTS when none
-    # fee / vsize, the sort key.  The float orders entries exactly: with
-    # vsizes at most V and rates below 10**4 sat/vB, distinct ratios a/b and
-    # c/d differ by |ad - bc| / bd >= 1 / V**2, at least 1 / (V * 10**4 * V)
-    # relative, which is 1e-12 at V = 10**4 and far above the float
-    # resolution of 2**-52.  Correctly rounded division is monotone, so
-    # distinct ratios keep their order and equal ratios tie.
+    # fee / vsize, the sort key, for both kinds of entry.  The float orders
+    # entries exactly: with vsizes at most V and rates below 10**4 sat/vB,
+    # distinct ratios a/b and c/d differ by |ad - bc| / bd >= 1 / V**2, at
+    # least 1 / (V * 10**4 * V) relative, which is 1e-12 at V = 10**4 and far
+    # above the float resolution of 2**-52.  Correctly rounded division is
+    # monotone, so distinct ratios keep their order and equal ratios tie.
     rate_key: float = field(init=False)
     key: tuple = field(init=False)  # (-rate_key, arrival, txid), its ready-heap item
 
-    def __init__(self, tx: Transaction | MarketTx, arrival: float, fee: int,
+    def __init__(self, tx: Transaction, arrival: float, fee: int,
                  depends_on: set[str] | frozenset[str]) -> None:
         self.tx = tx
         self.arrival = arrival
@@ -166,11 +165,11 @@ class Mempool:
     def __init__(self, config: SimConfig, chain: Chain):
         self.config = config
         self.chain = chain
-        self.entries: dict[str, MempoolEntry] = {}
+        self.entries: dict[str, MempoolEntry | MarketTx] = {}
         self.spends: dict[tuple[str, int], str] = {}  # outpoint -> spender txid
         self.total_vsize = 0
         # lazily deleted indexes (see the module docstring)
-        self._ready: dict[int, list[tuple]] = {}  # vsize -> heap of MempoolEntry.key
+        self._ready: dict[int, list[tuple]] = {}  # vsize -> heap of entry keys
         self._by_rate: list[tuple] | None = None  # heap of (rate_key, -arrival, txid)
         self._removed = 0  # entries removed or mined since the last rebuild
         self._oldest = math.inf  # at most the earliest arrival in the pool
@@ -221,7 +220,7 @@ class Mempool:
         entry = self.entries.get(txid)
         return entry is not None and entry.arrival == arrival
 
-    def _push_ready(self, entry: MempoolEntry) -> None:
+    def _push_ready(self, entry: MempoolEntry | MarketTx) -> None:
         heap = self._ready.get(entry.tx.vsize)
         if heap is None:
             heap = self._ready[entry.tx.vsize] = []
@@ -254,7 +253,7 @@ class Mempool:
                         stack.append(child)
         return seen
 
-    def _remove(self, txid: str) -> list[MempoolEntry]:
+    def _remove(self, txid: str) -> list[MempoolEntry | MarketTx]:
         """Remove an entry and, recursively, any in-pool descendants."""
         entry = self.entries.pop(txid, None)
         if entry is None:
@@ -358,24 +357,24 @@ class Mempool:
                 return SubmitResult(False, MEMPOOL_FULL, replaced=tuple(replaced))
         return SubmitResult(True, replaced=tuple(replaced)) if replaced else ACCEPTED
 
-    def submit_batch(self, txs: Sequence[MarketTx], times: Sequence[float]) -> list[SubmitResult]:
-        """Market entry ``txs[i]`` submitted at ``times[i]``, for each i in order,
-        with capacity checked after each (see the module docstring)."""
+    def submit_batch(self, batch: Sequence[MarketTx]) -> list[SubmitResult]:
+        """Each market entry of ``batch`` submitted at its arrival, in order, with
+        capacity checked after each (see the module docstring)."""
         results: list[SubmitResult] = []
         pending: dict[int, list[tuple]] = {}  # vsize -> ready keys not yet in _ready
         entries, confirmed = self.entries, self.chain.tx_index
         capacity = self.config.mempool_capacity_vbytes
-        for tx, now in zip(txs, times):
-            txid, fee, vsize = tx.txid, tx.fee, tx.vsize
+        for entry in batch:
+            txid, vsize = entry.txid, entry.vsize
             if txid in entries or txid in confirmed:
                 results.append(SubmitResult(False, DUPLICATE))
                 continue
-            if fee < MIN_RELAY_FEE_RATE * vsize:
+            if entry.fee < MIN_RELAY_FEE_RATE * vsize:
                 results.append(SubmitResult(False, BELOW_MIN_RELAY_FEE))
                 continue
-            entry = MempoolEntry(tx, now, fee, NO_PARENTS)
             entries[txid] = entry
             self.total_vsize += vsize
+            now = entry.arrival
             if self._by_rate is not None:
                 heapq.heappush(self._by_rate, (entry.rate_key, -now, txid))
             keys = pending.get(vsize)

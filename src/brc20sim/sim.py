@@ -14,19 +14,21 @@ cost; a test holds it to ``json.dumps``.  Genesis satoshis enter through
 ``grant``, so token state stays reconstructable from the grants plus the
 block list alone (see ``replay_state``).
 
-Background traffic is market entries (``chain.MarketTx``), which carry a fee
-and a vsize and no coin.  They enter the pool through ``submit_batch``, the
+Background traffic is market entries (``chain.MarketTx``), which carry a fee,
+a vsize and their arrival time, and no coin.  They enter the pool through
+``submit_batch``, each at its arrival and as it is, the pool's own entry: the
 sediment as one batch and each run of market arrivals up to a horizon as
-another, each arrival at ``max(now, its time)``; ``brc20sim replay`` enters
-through it too, with each run of consecutive market lines of a log as one
-batch.  A market entry's ``submit`` line holds its txid, fee and vsize; a
-foreground one holds its whole transaction under ``"tx"``.  The foreground
-enters through ``submit``, one transaction at a time, and
-``foreground_pooled`` tells whether one sent that way is still pooled.  A
-window's market (``background.Window``) holds its arrival times in ascending
-order beside its entries, so ``run_until`` bisects the times for the run up
-to the horizon and slices both; since the times ascend, the clamp to ``now``
-is needed only when the run's first time is earlier.  Either way each
+another; ``brc20sim replay`` enters through it too, with each run of
+consecutive market lines of a log as one batch.  A market entry's ``submit``
+line holds its txid, fee and vsize (its time is its arrival); a foreground
+one holds its whole transaction under ``"tx"``.  The foreground enters
+through ``submit``, one transaction at a time, and ``foreground_pooled``
+tells whether one sent that way is still pooled.  A window's market
+(``background.Window``) holds its entries in ascending order of arrival
+beside their times, so ``run_until`` bisects the times for the run up to the
+horizon and slices the entries.  No arrival is earlier than ``now``: a
+window is drawn when the clock stands at its start, and ``now`` is the
+latest horizon passed, up to which every arrival was submitted.  Each
 submission is recorded once, as one ``submit`` event.
 
 ``fork`` gives an independent simulation in the same state, from per-layer
@@ -121,8 +123,7 @@ class Simulation:
             self.background = BackgroundLoad(
                 profile, config.congestion_normal_count, config.block_capacity_vbytes
             )
-            sediment = self.background.sediment()
-            self.submit_batch(sediment.txs, sediment.times)
+            self.submit_batch(self.background.sediment().txs)
 
     def fork(self) -> Simulation:
         """An independent simulation in this one's state: run apart, each goes on as
@@ -163,12 +164,12 @@ class Simulation:
             self._sent.append(tx.txid)
         return result
 
-    def submit_batch(self, txs: Sequence[MarketTx], times: Sequence[float]) -> list[SubmitResult]:
-        """Market entry ``txs[i]`` submitted at ``times[i]`` in order, each recorded
-        as one ``submit`` event: the background's path to the pool, and replay's
-        for a run of market lines."""
-        results = self.pool.submit_batch(txs, times)
-        self.event_log += [("submit", t, tx, r) for tx, t, r in zip(txs, times, results)]
+    def submit_batch(self, batch: Sequence[MarketTx]) -> list[SubmitResult]:
+        """Each market entry of ``batch`` submitted at its arrival, in order, and
+        recorded as one ``submit`` event: the background's path to the pool, and
+        replay's for a run of market lines."""
+        results = self.pool.submit_batch(batch)
+        self.event_log += [("submit", e.arrival, e, r) for e, r in zip(batch, results)]
         return results
 
     def send_transfer(
@@ -201,14 +202,11 @@ class Simulation:
         while True:
             self._ensure_window()
             horizon = min(target, self.next_block_time)
-            # the arrivals up to the horizon, each submitted at max(now, its time)
-            times, i = self._arrivals.times, self._next_arrival
-            j = bisect_right(times, horizon, lo=i)
+            # the arrivals up to the horizon, none earlier than now (see the module docstring)
+            i = self._next_arrival
+            j = bisect_right(self._arrivals.times, horizon, lo=i)
             if j > i:
-                now, at = self.now, times[i:j]
-                if at[0] < now:
-                    at = [max(now, t) for t in at]
-                self.submit_batch(self._arrivals.txs[i:j], at)
+                self.submit_batch(self._arrivals.txs[i:j])
                 self._next_arrival = j
             self.now = max(self.now, horizon)
             if self.next_block_time > target:

@@ -4,6 +4,7 @@ price from."""
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from brc20sim.background import CongestionProfile
@@ -66,6 +67,24 @@ def band_profile(f_min: float, f_sf: float, level: float, seed: int) -> Congesti
         floor_cap=1.55 * f_sf,
         sigma=0.10,
     )
+
+
+def count_builds(monkeypatch, *classes) -> Counter:
+    """A counter, by class name, of the objects of ``classes`` built from now on."""
+    built = Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+
+    for cls in classes:
+        counting(cls)
+    return built
 
 
 def send_times(sim: Simulation) -> dict[str, float]:

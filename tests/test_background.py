@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from scenario_tools import band_profile
+from scenario_tools import band_profile, count_builds
 
 from brc20sim import background, harness
 from brc20sim.background import (
@@ -28,7 +28,7 @@ from brc20sim.harness import (
     run_sweep,
 )
 from brc20sim.indexer import Indexer, deploy_inscription, mint_inscription
-from brc20sim.mempool import ORPHAN_INPUT
+from brc20sim.mempool import ORPHAN_INPUT, MempoolEntry
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import TICK, InsufficientFunds, TransferRequest
 
@@ -82,6 +82,21 @@ def test_background_txids_hash_their_content():
                      MARKET_TX_VSIZE, tag=f"bg{k}"): k for k in range(1, len(made) + 1)}
     assert sorted(old[tx.txid] for tx in made) == sorted(old.values())
     assert all(type(tx) is MarketTx and tx.vsize == MARKET_TX_VSIZE for tx in made)
+
+
+def test_a_deep_pool_set_up_builds_one_object_per_sediment_transaction(monkeypatch):
+    # the benchmark's deep pool, whose capacity binds within its sediment: each
+    # sediment transaction is one MarketTx, which the pool and the log hold as it is
+    built = count_builds(monkeypatch, MarketTx, MempoolEntry)
+    config = SimConfig(congestion_normal_count=8_000, mempool_capacity_vbytes=2_300_000)
+    sim = Simulation(config, CongestionProfile.for_level(0.75, seed=3))
+    sediment = sim.background.sediment().txs
+    assert len(sediment) == sim.background.sediment_count == 5_975
+    assert built == {"MarketTx": 5_975}
+    logged = [event[2] for event in sim.event_log]
+    assert all(x is y for x, y in zip(logged, sediment, strict=True))
+    pooled = [entry for entry in sediment if entry.txid in sim.pool]
+    assert len(pooled) == 5_750 and all(sim.pool.entries[e.txid] is e for e in pooled)
 
 
 class TestSharedMarket:
@@ -217,7 +232,7 @@ class TestSharedMarket:
                 if w in grant_before:
                     sim.grant("x", 1)
                 batch = load.sediment() if w == 0 else load.market_batch(w)
-                sim.submit_batch(batch.txs, batch.times)
+                sim.submit_batch(batch.txs)
                 txids += [tx.txid for tx in batch.txs]
             return txids
 

@@ -265,7 +265,7 @@ class TestInscriptions:
 
 def mined_market_entry(chain: Chain, txid: str = "p") -> tuple[str, int]:
     """The outpoint a coin at output 0 of a market entry mined on ``chain`` would have."""
-    chain.append_block(Block(chain.height + 1, 600.0, (MarketTx(txid, 1_000, 100),)))
+    chain.append_block(Block(chain.height + 1, 600.0, (MarketTx(txid, 1_000, 100, 0.0),)))
     return (txid, 0)
 
 
@@ -306,8 +306,8 @@ class TestValueOnly:
         # an entry's fee is all it pays: none is negative, and none has no size
         for fee, vsize in ((-1, 100), (0, 0), (5, -1)):
             with pytest.raises(ValueError, match="market entry needs"):
-                MarketTx("t", fee, vsize)
-        assert MarketTx("t", 0, 1).fee == 0
+                MarketTx("t", fee, vsize, 0.0)
+        assert MarketTx("t", 0, 1, 0.0).fee == 0
 
     def test_copy_is_independent(self):
         chain = Chain()
@@ -354,7 +354,7 @@ class TestValueOnlyInABlock:
             bad = tx("bad", [TxInput(named.get(o, o)) for o in inputs], outputs)
             with pytest.raises(error):
                 if through_block:
-                    chain.append_block(Block(1, 1_200.0, (MarketTx("q", 500, 100), bad)))
+                    chain.append_block(Block(1, 1_200.0, (MarketTx("q", 500, 100, 0.0), bad)))
                 else:
                     state.apply_transaction(bad)
             assert state.utxos == before, (case, through_block)
@@ -373,7 +373,7 @@ class TestValueOnlyInABlock:
         apply = UtxoSet.apply_transaction
         monkeypatch.setattr(UtxoSet, "apply_transaction",
                             lambda state, t: calls.append(t.txid) or apply(state, t))
-        block = (MarketTx("q", 1_000, 100), MarketTx("r", 600, 250),
+        block = (MarketTx("q", 1_000, 100, 0.0), MarketTx("r", 600, 250, 0.0),
                  tx("g", [TxInput(named["utxo"])], [TxOutput(900, "b")]))
         receipts = chain.append_block(Block(1, 1_200.0, block))
         # the two market entries stayed in the block loop; the granted coin did not

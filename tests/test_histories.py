@@ -6,10 +6,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from scenario_tools import count_builds
 
 from brc20sim import attack, background, harness
 from brc20sim.attack import TARGET
 from brc20sim.background import BackgroundLoad, CongestionProfile
+from brc20sim.chain import MarketTx
 from brc20sim.harness import ATTEMPT_LEVELS, ScenarioConfig, default_grid, run_scenario, run_sweep
 from brc20sim.mempool import NO_PARENTS, Mempool, MempoolEntry
 from brc20sim.sim import SimConfig, Simulation
@@ -44,8 +46,9 @@ def may_share(obj) -> bool:
     return (
         isinstance(obj, (*IMMUTABLE, tuple, frozenset))
         or frozen(obj)  # transactions, blocks, receipts, submit results, attempt records
-        # an entry with no in-pool parent: only mining a parent changes an entry
-        or (type(obj) is MempoolEntry and obj.depends_on is NO_PARENTS)
+        # an entry with no in-pool parent: only mining a parent changes an entry,
+        # and a market entry is written once, when its load builds it
+        or (type(obj) in (MempoolEntry, MarketTx) and obj.depends_on is NO_PARENTS)
     )
 
 
@@ -246,3 +249,45 @@ def test_a_set_up_that_cannot_confirm_is_never_held():
         with pytest.raises(harness.SetupFailed, match="set-up step 'deploy' did not confirm"):
             run_scenario(config, 7)
         assert harness._histories.setups == {} and held() == []
+
+
+def test_one_seed_of_the_grid_builds_538_pool_entries_and_4_800_market_entries(monkeypatch):
+    # a market entry is built once per load and pooled as it is: only a
+    # transaction with inputs gets a MempoolEntry (a fork's copy of one with a
+    # pooled parent counts too); the 6 loads build the market entries
+    counts = count_builds(monkeypatch, MempoolEntry, MarketTx)
+    harness._histories.clear()
+    for config in GRID:
+        run_sweep([config], seeds=(7,))
+    assert counts == {"MempoolEntry": 538, "MarketTx": 4_800}
+
+
+def fields(entry: MarketTx) -> tuple:
+    return (entry.txid, entry.fee, entry.vsize, entry.arrival, entry.rate_key, entry.key)
+
+
+def test_no_market_entry_changes_while_held_histories_share_it(monkeypatch):
+    # the premise on which may_share lets a fork share a market entry: nothing
+    # writes to one after its load builds it
+    built, forks = [], Counter()
+    init, fork = MarketTx.__init__, Simulation.fork
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        built.append((self, fields(self)))
+
+    def counted_fork(self):
+        forks["fork"] += 1
+        return fork(self)
+
+    monkeypatch.setattr(MarketTx, "__init__", recorded_init)
+    monkeypatch.setattr(Simulation, "fork", counted_fork)
+    harness._histories.clear()
+    # one fraction at one congestion level: each fee's set-up is held on its
+    # second request, and each longer attempt level resumes from a checkpoint
+    cells = [config for config in GRID[:27] if config.congestion == 0.75]
+    for seed in SEEDS[:2]:
+        for config in cells:
+            run_scenario(config, seed)
+    assert forks["fork"] >= len(cells) and len(built) > 1_000
+    assert [fields(entry) for entry, _ in built] == [snapshot for _, snapshot in built]

@@ -47,9 +47,9 @@ def make_pool(**overrides) -> tuple[Mempool, Chain]:
 _entries = itertools.count()
 
 
-def market(fee: int, vsize: int = 400) -> MarketTx:
-    """A fresh market entry paying ``fee``."""
-    return MarketTx(f"mkt-{next(_entries)}", fee, vsize)
+def market(fee: int, vsize: int = 400, arrival: float = 0.0) -> MarketTx:
+    """A fresh market entry paying ``fee``, arriving at ``arrival``."""
+    return MarketTx(f"mkt-{next(_entries)}", fee, vsize, arrival)
 
 
 def spend(chain, owner_value, fee, vsize=100, sequence=RBF_ON, tag="", to="dest"):
@@ -124,6 +124,10 @@ class TestSubmit:
             for fee, vsize in ((fee1, v), (fee2, v - 1))
         )
         assert low.rate_key < high.rate_key
+        # a market entry derives both keys as an entry with inputs does
+        for entry in (low, high):
+            twin = MarketTx(entry.tx.txid, entry.fee, entry.tx.vsize, entry.arrival)
+            assert (twin.rate_key, twin.key) == (entry.rate_key, entry.key)
 
     # one pass over the inputs must keep the order in which reasons are tested
     def test_duplicate_input_beats_orphan(self):
@@ -189,7 +193,7 @@ class TestValueOnly:
         # an input naming a market entry's output, beside a coin or an in-pool output
         pool, chain = make_pool()
         entry = market(5_000)
-        assert pool.submit_batch([entry], [0.0]) == [ACCEPTED]
+        assert pool.submit_batch([entry]) == [ACCEPTED]
         utxo = chain.utxo_set.grant("funder", 5_000)
         parent = spend(chain, 1_000, fee=5_000, tag="p")
         assert pool.submit(parent, 0.0).accepted
@@ -203,7 +207,7 @@ class TestValueOnly:
     def test_inscription_on_value_only_coins_rejected(self):
         pool, _ = make_pool()
         entry = market(5_000)
-        pool.submit_batch([entry], [0.0])
+        pool.submit_batch([entry])
         tx = Transaction("i", (TxInput((entry.txid, 0)),),
                          (TxOutput(546, "a", inscription="{}"),), 100)
         assert pool.submit(tx, 0.0).reason == ORPHAN_INPUT
@@ -211,8 +215,8 @@ class TestValueOnly:
 
     def test_outputs_of_a_value_only_entry_are_orphans_pooled_or_mined(self):
         pool, chain = make_pool()
-        parent = MarketTx("p", 3_000, 100)
-        assert pool.submit_batch([parent], [0.0]) == [ACCEPTED]
+        parent = MarketTx("p", 3_000, 100, 0.0)
+        assert pool.submit_batch([parent]) == [ACCEPTED]
         assert pool._lookup(("p", 0)) is None
         utxo = chain.utxo_set.grant("funder", 5_000)
         children = [child_of(parent, 0, 6_000, fee=2_500),

@@ -78,7 +78,7 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
         if kind == "submit":
             _, plain, rate, vsize, rbf, outputs = step
             if plain:  # a market entry
-                tx = market(rate * vsize, vsize)
+                tx = market(rate * vsize, vsize, now)
             else:
                 coin = chain.utxo_set.grant("funder", 100_000).serial
                 coins[coin] = 100_000
@@ -99,6 +99,8 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
                 tx = build(sorted(set(picks)), step[4], step[3] * step[4], RBF_ON)
         elif kind == "resubmit" and gone:
             tx = gone.pop(step[1] % len(gone))
+            if type(tx) is MarketTx:  # the same entry, arriving now
+                tx = MarketTx(tx.txid, tx.fee, tx.vsize, now)
         elif kind == "expire":
             now += step[1] * UNIT
             gone.extend(pool.tick_expiry(now))
@@ -107,7 +109,7 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
             pool.mine_block(now)
         if tx is not None:
             if type(tx) is MarketTx:
-                (result,) = pool.submit_batch([tx], [now])
+                (result,) = pool.submit_batch([tx])
             else:
                 result = pool.submit(tx, now)
             gone.extend(e.tx for t, e in before.items() if t not in pool.entries)
@@ -124,12 +126,12 @@ def test_an_entry_a_later_entry_of_its_batch_evicts_was_accepted():
     # is accepted, then evicted by the third; the fourth is evicted on arrival
     pool, _ = make_pool(mempool_capacity_vbytes=1_000)
     fees = {"low": 800, "high": 4_000, "higher": 4_400, "lowest": 400}
-    low, high, higher, lowest = (MarketTx(txid, fee, 400) for txid, fee in fees.items())
-    assert pool.submit_batch([low, high, higher, lowest], [0.0] * 4) == [ACCEPTED] * 3 + [FULL]
+    low, high, higher, lowest = (MarketTx(txid, fee, 400, 0.0) for txid, fee in fees.items())
+    assert pool.submit_batch([low, high, higher, lowest]) == [ACCEPTED] * 3 + [FULL]
     assert list(pool.entries) == ["high", "higher"] and pool.total_vsize == 800
     # so a single trim at the batch's end could not tell "low" from "lowest"
     twin, _ = make_pool(mempool_capacity_vbytes=1_000)
-    assert [twin.submit_batch([e], [0.0])[0] for e in (low, high, higher, lowest)] == (
+    assert [twin.submit_batch([e])[0] for e in (low, high, higher, lowest)] == (
         [ACCEPTED] * 3 + [FULL])
     assert pool_state(twin) == pool_state(pool)
 
@@ -175,9 +177,10 @@ class Twins:
         self.values[outpoint] = value
         return outpoint
 
-    def entry(self, vsize, half_rate, txid=None) -> MarketTx:
-        """A market entry; a negative fee pays nothing."""
-        entry = MarketTx(txid or f"mkt-{len(self.sent)}", max(0, half_rate * vsize // 2), vsize)
+    def entry(self, vsize, half_rate, at, txid=None) -> MarketTx:
+        """A market entry arriving at ``at``; a negative fee pays nothing."""
+        entry = MarketTx(txid or f"mkt-{len(self.sent)}", max(0, half_rate * vsize // 2), vsize,
+                         at)
         self.values.setdefault((entry.txid, 0), COIN)  # an output it does not have
         self.sent.append(entry)
         return entry
@@ -193,13 +196,13 @@ class Twins:
         self.sent.append(tx)
         return tx
 
-    def build(self, item) -> list[Transaction | MarketTx]:
-        """The transactions and market entries one drawn item stands for, their coins
-        granted on both chains."""
+    def build(self, item, at) -> list[Transaction | MarketTx]:
+        """The transactions and market entries one drawn item stands for, to be sent
+        at ``at``, their coins granted on both chains."""
         kind, sent = item[0], self.sent
         if kind == "fresh":  # a run of market entries
             _, count, vsize, rate = item
-            return [self.entry(vsize, rate) for _ in range(count)]
+            return [self.entry(vsize, rate, at) for _ in range(count)]
         if kind == "granted":
             _, vsize, rate, rbf = item
             return [self.tx([self.coin()], vsize, rate, RBF_ON if rbf else RBF_OFF)]
@@ -214,7 +217,7 @@ class Twins:
             elif second == "orphan":
                 other = self.orphan(value)
             elif second == "market":  # an output no market entry has
-                other = (self.entry(400, 10).txid, 0)
+                other = (self.entry(400, 10, at).txid, 0)
             else:
                 other = self.coin(value)
             return [self.tx([first, other], vsize, rate)]
@@ -231,11 +234,13 @@ class Twins:
                 return []
             return [self.tx([i.outpoint for i in earlier.inputs], earlier.vsize, rate,
                             RBF_ON if rbf else RBF_OFF)]
-        if kind == "resend":
+        if kind == "resend":  # a market entry arrives again at ``at``
+            if type(earlier) is MarketTx:
+                return [MarketTx(earlier.txid, earlier.fee, earlier.vsize, at)]
             return [earlier]
         # clash: a market entry under the txid of one already pooled or confirmed
         _, _, vsize, rate = item
-        return [self.entry(vsize, rate, txid=earlier.txid)]
+        return [self.entry(vsize, rate, at, txid=earlier.txid)]
 
 
 def pool_state(pool):
@@ -252,16 +257,18 @@ def pool_state(pool):
 
 
 def submit_all(pool, txs, times, batched: bool):
-    """Each transaction with inputs through ``submit``, and the market entries between
-    them as one batch per run (``batched``) or one single-entry batch each."""
+    """Each transaction with inputs through ``submit`` at its time, and the market
+    entries between them, which carry theirs, as one batch per run (``batched``) or
+    one single-entry batch each."""
     results, run = [], []
     for tx, at in [*zip(txs, times), (None, None)]:
         if type(tx) is MarketTx:
-            run.append((tx, at))
+            assert tx.arrival == at
+            run.append(tx)
             if batched:
                 continue
         if run:
-            results += pool.submit_batch([e for e, _ in run], [t for _, t in run])
+            results += pool.submit_batch(run)
             run = []
         if tx is not None and type(tx) is not MarketTx:
             results.append(pool.submit(tx, at))
@@ -293,16 +300,17 @@ def test_a_batch_equals_one_submit_per_transaction(capacity, block, history, bat
         if item[0] == "mine":
             assert len({tuple(p.mine_block(now).transactions) for p in pools}) == 1
             continue
-        built = twins.build(item)
+        built = twins.build(item, now)
         assert len({tuple(submit_all(p, built, [now] * len(built), False)) for p in pools}) == 1
     assert pool_state(pools[0]) == pool_state(pools[1])
 
     now += 10 * UNIT
     txs, times = [], []
     for run, vsize, rate, item, late in batch:
-        built = twins.build(("fresh", run, vsize, rate)) + twins.build(item)
+        at = now + late * UNIT
+        built = twins.build(("fresh", run, vsize, rate), at) + twins.build(item, at)
         txs += built
-        times += [now + late * UNIT] * len(built)
+        times += [at] * len(built)
     one_by_one, batched = pools
     expected = submit_all(one_by_one, txs, times, batched=False)
     assert submit_all(batched, txs, times, batched=True) == expected

@@ -101,6 +101,34 @@ def test_background_traffic_stays_off_the_ordinal_ledger():
     assert callers("assign_ordinals") == {"chain.py"}
 
 
+def calls_of(name: str) -> set[tuple[str, str]]:
+    """Where ``src/`` calls ``name(...)``: each call's module, and the innermost
+    class or function around it, as ``Class.method``."""
+    where = set()
+
+    def visit(node, scope: str, module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    where.add((module, scope))
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner, module)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "", path.name)
+    return where
+
+
+def test_each_kind_of_pool_entry_is_built_in_one_place():
+    # a transaction with inputs becomes a MempoolEntry on admission; a market
+    # entry is built by its load, or by replay from a log line, and pooled as it is
+    assert calls_of("MempoolEntry") == {("mempool.py", "Mempool.submit")}
+    assert calls_of("MarketTx") == {("background.py", "_entries"), ("cli.py", "_replay")}
+
+
 def test_dust_and_transaction_sizes_are_each_set_once():
     facts = {"DUST": 546, "TX1_VSIZE": 150, "TX2_VSIZE": 600, "MARKET_TX_VSIZE": 400,
              "BLOCK_INTERVAL": 600.0, "EXPIRY": None, "MIN_RELAY_FEE_RATE": 1}  # EXPIRY = 14 * DAY

@@ -35,15 +35,15 @@ profile or foreground, so one process-wide list holds them, ``bg{k}``'s at
 entry ``k - 1``, each hashed once.
 
 A ``BackgroundLoad`` is one simulation's market: its RNG streams, its floors,
-and its batches, the sediment and then one ``Window`` per block interval,
-each built when first requested.  A batch holds what a simulation reads of
-it: its market entries in ascending order of arrival, one object per
-transaction per load, built with its arrival time (the sediment's is 0.0),
-and those times, for a bisect.  The load never touches the pool or the
-ledger: the simulation submits each batch, and the pool stores each entry as
-it is.  A simulation's forks share its load (``Simulation.fork``), and ask
-it for windows by number, so a window is drawn once however many forks read
-it, and each gets the bytes a fresh draw would give.
+and its batches, the sediment and then one window per block interval,
+each built when first requested.  A batch is the tuple of its market
+entries in ascending order of arrival, one object per transaction per load,
+each built with its arrival time (the sediment's is 0.0).  The load never
+touches the pool or the ledger: the simulation submits each batch, and the
+pool stores each entry as it is.  A simulation's forks share its load
+(``Simulation.fork``), and ask it for windows by number, so a window is
+drawn once however many forks read it, and each gets the bytes a fresh draw
+would give.
 """
 
 from __future__ import annotations
@@ -138,25 +138,13 @@ def _draw_sediment(rng: random.Random, count: int) -> list[int]:
     return values
 
 
-@dataclass(frozen=True, slots=True)
-class Window:
-    """One batch of market entries, built once per load: the entries in ascending
-    order of arrival, and their times, for a bisect.  Its length is its entry count."""
-
-    times: tuple[float, ...]
-    txs: tuple[MarketTx, ...]
-
-    def __len__(self) -> int:
-        return len(self.txs)
-
-
-NO_MARKET = Window((), ())  # what a load with no market returns for every window
+NO_MARKET: tuple[MarketTx, ...] = ()  # what a load with no market returns for every window
 
 # Every load's market and sediment txids: ``_market_txids[k - 1]`` is ``bg{k}``'s.
 _market_txids: list[str] = []
 
 
-def _entries(txids: list[str], fees: list[int], times: tuple[float, ...]) -> tuple[MarketTx, ...]:
+def _entries(txids: list[str], fees: list[int], times: list[float]) -> tuple[MarketTx, ...]:
     """One load's market entries: each txid at its fee and time, at the one market vsize."""
     return tuple([MarketTx(txid, fee, MARKET_TX_VSIZE, t)
                   for txid, fee, t in zip(txids, fees, times)])
@@ -195,18 +183,17 @@ class BackgroundLoad:
         self._g = self._rng_floor.gauss(0.0, sigma_stat)
         self.floors = array("d", [self._floor() if profile.target_level else 0.0])
         fees = _draw_sediment(stream(profile.seed, "sediment"), count)
-        times = (0.0,) * count
-        self.windows = [Window(times, _entries(_txids(count), fees, times))]
+        self.windows = [_entries(_txids(count), fees, [0.0] * count)]
 
     def _floor(self) -> float:
         p = self.profile
         return min(max(p.floor_base * math.exp(self._g), p.floor_lo), p.floor_cap)
 
-    def sediment(self) -> Window:
+    def sediment(self) -> tuple[MarketTx, ...]:
         """One-shot low-fee padding; rates far below any realistic foreground."""
         return self.windows[0]
 
-    def market_batch(self, w: int) -> Window:
+    def market_batch(self, w: int) -> tuple[MarketTx, ...]:
         """Window ``w``'s fee-bearing arrivals (``w >= 1``), drawing every window up
         to it not yet drawn, each advancing the AR(1) floor once."""
         if not self.flight:
@@ -227,7 +214,6 @@ class BackgroundLoad:
             txids = _txids(end)[end - flight:end]
             # a stable sort, so tied times keep bg order
             order = sorted(range(flight), key=arrivals.__getitem__)
-            times = tuple([arrivals[i] for i in order])
-            self.windows.append(Window(times, _entries([txids[i] for i in order],
-                                                       [fees[i] for i in order], times)))
+            self.windows.append(_entries([txids[i] for i in order], [fees[i] for i in order],
+                                         [arrivals[i] for i in order]))
         return self.windows[w]

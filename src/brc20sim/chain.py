@@ -121,15 +121,12 @@ class Transaction:
         object.__setattr__(self, "rbf_enabled", rbf)
 
     @classmethod
-    def from_dict(cls, data: dict, shared: dict) -> Transaction:
+    def from_dict(cls, data: dict) -> Transaction:
         """The transaction a ``submit`` line of the event log holds under ``"tx"``
         (see ``sim.log_line``); a field without its JSON type raises TypeError.
 
         Types are exact (a bool is no count), so an outpoint decoded from
-        untrusted JSON is always a hashable ``(str, int)``.  ``shared``, a
-        caller's memo (``{}`` for none to share), maps each output's checked
-        ``(value, owner, inscription)`` to one ``TxOutput`` that its
-        transactions share.
+        untrusted JSON is always a hashable ``(str, int)``.
         """
         inputs = []
         for i in data["inputs"]:
@@ -139,14 +136,11 @@ class Transaction:
             inputs.append(TxInput((txid, index), sequence))
         outputs = []
         for o in data["outputs"]:
-            key = value, owner, inscription = o["value"], o["owner"], o.get("inscription")
+            value, owner, inscription = o["value"], o["owner"], o.get("inscription")
             if (type(value) is not int or type(owner) is not str
                     or (inscription is not None and type(inscription) is not str)):
                 raise TypeError(f"malformed output {o!r}")
-            output = shared.get(key)
-            if output is None:
-                output = shared[key] = TxOutput(value, owner, inscription)
-            outputs.append(output)
+            outputs.append(TxOutput(value, owner, inscription))
         txid, vsize = data["txid"], data["vsize"]
         if type(txid) is not str or type(vsize) is not int:
             raise TypeError(f"malformed txid or vsize ({txid!r}, {vsize!r})")

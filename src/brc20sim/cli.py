@@ -251,7 +251,6 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
     blocks = submits = 0
     clock = sim.now  # the time of the last event
     run: list[tuple] = []  # the market lines not yet submitted: (entry, t, accepted, reason)
-    outputs: dict = {}  # one TxOutput per distinct output, for this replay only
 
     def submit_run() -> None:
         """Submit the run as one batch, then check each decision in line order."""
@@ -302,7 +301,7 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
             elif kind == "submit":
                 _, data, accepted, reason = values
                 try:
-                    tx = Transaction.from_dict(data, outputs)
+                    tx = Transaction.from_dict(data)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"log line {number}: malformed tx ({exc!r})") from None
                 _check_decision(tx, t, accepted, reason, sim.submit(tx, t))

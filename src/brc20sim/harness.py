@@ -6,8 +6,10 @@ count (three levels each, 81 scenarios) and aggregates per-seed results into
 one CSV row per scenario.  All randomness is seed-derived, so a (grid, seeds)
 pair fully determines every emitted byte.
 
-Held histories.  ``run_scenario``, the one per-cell entry of the sweep, starts
-each scenario from the longest history it holds that the scenario shares:
+Held histories.  ``run_scenario`` runs one scenario from a fresh set-up and
+holds nothing.  The sweep, which repeats each set-up for every cell of a
+congestion level, starts each cell (``_run_cell``) from the longest history
+it holds that the cell shares:
 
 * a *set-up*, the simulation at the end of ``_set_up``, which depends only on
   the ``SimConfig``, the congestion level and the seed;
@@ -15,18 +17,15 @@ each scenario from the longest history it holds that the scenario shares:
   would have launched, which every longer run of the same set-up, fraction
   and fee passes through (see ``attack``); the longer run resumes from it.
 
-A scenario forks what it starts from (``Simulation.fork``), so what is held
+A cell forks what it starts from (``Simulation.fork``), so what is held
 never changes; the fork shares the held simulation's background load, so a
 set-up's market is drawn once for all the cells that start from it.  Only
-the current seed's histories are held, and a scenario of another seed drops
+the current seed's histories are held, and a cell of another seed drops
 them, and so their loads, first.  At most one set-up per congestion level is
-held, plus the latest checkpoint.  A set-up is snapshotted only when it is
-requested a second time, and a checkpoint is taken only in a scenario that
-started from a held history.  So a caller that never repeats a set-up (one
-``brc20sim sim``, a scenario per seed) copies and holds nothing.  A resumed
-scenario gives what a fresh one gives, byte for byte, because running to
-``a`` and then to ``b`` is running to ``b``: the arrivals run to ``a`` and
-then the rest enter the pool as one batch of them would.
+held, from its first request, plus the latest checkpoint, which every cell
+leaves.  A resumed cell gives what a fresh one gives, byte for byte, because
+running to ``a`` and then to ``b`` is running to ``b``: the arrivals run to
+``a`` and then the rest enter the pool as one batch of them would.
 
 Where a cell stops.  ``attack.execute`` returns once no later block can
 change the score (see ``attack``).  ``run_scenario`` then mines on to the
@@ -210,16 +209,14 @@ class _Histories:
 
     def clear(self, seed: int | None = None) -> None:
         self.seed = seed
-        # congestion -> (the SimConfig last requested there, its set-up once requested twice)
-        self.setups: dict[float, tuple[SimConfig, Simulation | None]] = {}
+        self.setups: dict[float, Simulation] = {}  # congestion -> its set-up, held
         self.checkpoint: _Checkpoint | None = None
 
     def start(
         self, config: ScenarioConfig, seed: int
-    ) -> tuple[Simulation, Launches | None, Callable[[Launches], None] | None]:
-        """A scenario's simulation, started from the longest held prefix of its
-        history; the launches it resumes; and, when that prefix was held, the hook
-        that holds the scenario's own checkpoint."""
+    ) -> tuple[Simulation, Launches | None, Callable[[Launches], None]]:
+        """A cell's simulation, forked from the longest held prefix of its history;
+        the launches it resumes; and the hook that holds the cell's own checkpoint."""
         if seed != self.seed:
             self.clear(seed)
         cell = (config.sim, config.congestion, config.fraction, config.fee_rate)
@@ -228,14 +225,9 @@ class _Histories:
                 and len(checkpoint.launches.records) < config.attempts):
             sim, resume = checkpoint.sim.fork(), checkpoint.launches
         else:
-            requested, held = self.setups.get(config.congestion, (None, None))
-            if requested != config.sim:  # a first request: run it, hold nothing
-                sim = _set_up(config, seed)
-                self.setups[config.congestion] = (config.sim, None)
-                return sim, None, None
-            if held is None:
-                held = _set_up(config, seed)
-                self.setups[config.congestion] = (config.sim, held)
+            held = self.setups.get(config.congestion)
+            if held is None or held.config != config.sim:
+                held = self.setups[config.congestion] = _set_up(config, seed)
             sim, resume = held.fork(), None
 
         def hold(launches: Launches) -> None:
@@ -251,11 +243,10 @@ _histories = _Histories()
 def run_scenario(
     config: ScenarioConfig, seed: int, log_path: str | None = None
 ) -> ScenarioResult:
-    """One seeded trial of the attack under the scenario's conditions, started from
-    the longest held prefix of its history (see the module docstring) and run
-    to its horizon."""
-    sim, resume, hold = _histories.start(config, seed)
-    outcome = execute(config, sim, resume, hold)
+    """One seeded trial of the attack under the scenario's conditions, from a fresh
+    set-up, run to its horizon; it holds no history (see the module docstring)."""
+    sim = _set_up(config, seed)
+    outcome = execute(config, sim)
     sim.run_until(outcome.horizon)
     if log_path is not None:
         sim.export_event_log(log_path)
@@ -436,7 +427,6 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
     q = REPLAY
     transcript: list[dict] = []
     sim = Simulation(SimConfig(), _replay_profile(seed))
-    sim.watch_balance(TICK, TARGET)
 
     for _ in range(12):
         sim.grant(TARGET, 100_000_000)

@@ -23,13 +23,12 @@ consecutive market lines of a log as one batch.  A market entry's ``submit``
 line holds its txid, fee and vsize (its time is its arrival); a foreground
 one holds its whole transaction under ``"tx"``.  The foreground enters
 through ``submit``, one transaction at a time, and ``foreground_pooled``
-tells whether one sent that way is still pooled.  A window's market
-(``background.Window``) holds its entries in ascending order of arrival
-beside their times, so ``run_until`` bisects the times for the run up to the
-horizon and slices the entries.  No arrival is earlier than ``now``: a
-window is drawn when the clock stands at its start, and ``now`` is the
-latest horizon passed, up to which every arrival was submitted.  Each
-submission is recorded once, as one ``submit`` event.
+tells whether one sent that way is still pooled.  A window's market is the
+tuple of its entries in ascending order of arrival, so ``run_until`` bisects
+it by arrival for the run up to the horizon and slices it.  No arrival is
+earlier than ``now``: a window is drawn when the clock stands at its start,
+and ``now`` is the latest horizon passed, up to which every arrival was
+submitted.  Each submission is recorded once, as one ``submit`` event.
 
 ``fork`` gives an independent simulation in the same state, from per-layer
 copies: the harness holds a scenario's set-up and the checkpoint a shorter
@@ -53,6 +52,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from . import wallet
 from .background import NO_MARKET, BackgroundLoad, CongestionProfile
@@ -100,6 +100,9 @@ def collector_paused():
             gc.enable()
 
 
+_ARRIVAL = attrgetter("arrival")  # a market entry's bisect key
+
+
 class Simulation:
     def __init__(self, config: SimConfig, profile: CongestionProfile | None = None):
         self.config = config
@@ -123,7 +126,7 @@ class Simulation:
             self.background = BackgroundLoad(
                 profile, config.congestion_normal_count, config.block_capacity_vbytes
             )
-            self.submit_batch(self.background.sediment().txs)
+            self.submit_batch(self.background.sediment())
 
     def fork(self) -> Simulation:
         """An independent simulation in this one's state: run apart, each goes on as
@@ -204,9 +207,9 @@ class Simulation:
             horizon = min(target, self.next_block_time)
             # the arrivals up to the horizon, none earlier than now (see the module docstring)
             i = self._next_arrival
-            j = bisect_right(self._arrivals.times, horizon, lo=i)
+            j = bisect_right(self._arrivals, horizon, lo=i, key=_ARRIVAL)
             if j > i:
-                self.submit_batch(self._arrivals.txs[i:j])
+                self.submit_batch(self._arrivals[i:j])
                 self._next_arrival = j
             self.now = max(self.now, horizon)
             if self.next_block_time > target:

@@ -1,12 +1,13 @@
 """Shared builders for indexer-level scenarios and pinned simulations (used by
-unit, structure and acceptance tests), and the fee band those simulations
-price from."""
+unit, structure and acceptance tests), the fee band those simulations price
+from, and a whole scenario run on the sweep's held histories."""
 
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 
+from brc20sim import harness
 from brc20sim.background import CongestionProfile
 from brc20sim.chain import Block, Transaction, TxInput, TxOutput, UtxoSet, make_txid
 from brc20sim.indexer import (
@@ -16,6 +17,7 @@ from brc20sim.indexer import (
     mint_inscription,
     transfer_inscription,
 )
+from brc20sim.harness import ScenarioConfig, ScenarioResult
 from brc20sim.sim import SimConfig, Simulation
 from brc20sim.wallet import TransferRequest
 
@@ -85,6 +87,28 @@ def count_builds(monkeypatch, *classes) -> Counter:
     for cls in classes:
         counting(cls)
     return built
+
+
+def warm_run(config: ScenarioConfig, seed: int, log_path: str | None = None) -> ScenarioResult:
+    """``run_scenario``'s result and log for a scenario started as the sweep starts a
+    cell, from ``harness._histories``, and then mined to its horizon, so that it
+    can be held to a cold ``run_scenario``."""
+    sim, resume, hold = harness._histories.start(config, seed)
+    outcome = harness.execute(config, sim, resume, hold)
+    sim.run_until(outcome.horizon)
+    if log_path is not None:
+        sim.export_event_log(log_path)
+    peak_pinned, pinned_pct, outage_s = harness._lockup(sim)
+    return ScenarioResult(
+        seed=seed,
+        success=outcome.success,
+        delays=[r.effective_delay for r in outcome.per_attempt],
+        peak_pinned=peak_pinned,
+        pinned_pct=pinned_pct,
+        outage_s=outage_s,
+        congestion_measured=sim.mean_congestion(),
+        transcript=outcome.transcript(),
+    )
 
 
 def send_times(sim: Simulation) -> dict[str, float]:

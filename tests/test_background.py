@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from scenario_tools import band_profile, count_builds
+from scenario_tools import band_profile, count_builds, warm_run
 
 from brc20sim import background, harness
 from brc20sim.background import (
@@ -74,9 +74,9 @@ def test_background_txids_hash_their_content():
     # and paid DUST to the market, so ties in the pool break as they did then
     load = BackgroundLoad(CongestionProfile.for_level(0.75, seed=3), normal_count=400,
                           block_capacity=10_150)
-    made = list(load.sediment().txs)
+    made = list(load.sediment())
     for w in range(1, 4):
-        made += load.market_batch(w).txs
+        made += load.market_batch(w)
     assert load.sediment_count and len(made) == load.sediment_count + 3 * load.flight
     old = {make_txid((TxInput((f"fund-{k - 1}", 0)),), (TxOutput(DUST, MARKET_ADDRESS),),
                      MARKET_TX_VSIZE, tag=f"bg{k}"): k for k in range(1, len(made) + 1)}
@@ -90,7 +90,7 @@ def test_a_deep_pool_set_up_builds_one_object_per_sediment_transaction(monkeypat
     built = count_builds(monkeypatch, MarketTx, MempoolEntry)
     config = SimConfig(congestion_normal_count=8_000, mempool_capacity_vbytes=2_300_000)
     sim = Simulation(config, CongestionProfile.for_level(0.75, seed=3))
-    sediment = sim.background.sediment().txs
+    sediment = sim.background.sediment()
     assert len(sediment) == sim.background.sediment_count == 5_975
     assert built == {"MarketTx": 5_975}
     logged = [event[2] for event in sim.event_log]
@@ -134,15 +134,17 @@ class TestSharedMarket:
         reset()
         return reset
 
-    def run(self, config, tmp_path, seed=SEED):
+    def run(self, config, tmp_path, seed=SEED, runner=run_scenario):
+        """The log and result of a scenario run cold (``run_scenario``) or from
+        the held histories (``warm_run``)."""
         log = tmp_path / "events.jsonl"
-        result = run_scenario(config, seed, log_path=str(log))
+        result = runner(config, seed, log_path=str(log))
         return log.read_bytes(), repr(result)
 
-    def run_cell(self, congestion, attempts, tmp_path):
+    def run_cell(self, congestion, attempts, tmp_path, runner=run_scenario):
         config = ScenarioConfig(fraction=1.0, fee_rate=100, congestion=congestion,
                                 attempts=attempts)
-        return self.run(config, tmp_path)
+        return self.run(config, tmp_path, runner=runner)
 
     @staticmethod
     def load(congestion, seed=SEED, sim=SimConfig()):
@@ -164,7 +166,7 @@ class TestSharedMarket:
         made = []
         for cell in cells:
             builds.clear()
-            assert self.run_cell(*cell, tmp_path) == cold_runs[cell], cell
+            assert self.run_cell(*cell, tmp_path, warm_run) == cold_runs[cell], cell
             made.append(len(builds))
         # a cold load hashes each of its txids once: the sediment, then whole windows
         for (congestion, _), built in cold_builds.items():
@@ -185,9 +187,9 @@ class TestSharedMarket:
             cold()
             cold_runs.append(self.run(config, tmp_path))
         cold()
-        assert [self.run(config, tmp_path) for config in cells] == cold_runs
+        assert [self.run(config, tmp_path, runner=warm_run) for config in cells] == cold_runs
         builds.clear()
-        assert [self.run(config, tmp_path) for config in cells] == cold_runs
+        assert [self.run(config, tmp_path, runner=warm_run) for config in cells] == cold_runs
         assert len(builds) == 0
 
     def test_sediment_transactions_are_shared_across_seeds_and_levels(self, cold):
@@ -218,7 +220,7 @@ class TestSharedMarket:
             cold_runs[seed] = self.run(config, tmp_path, seed)
         cold()
         for seed in (4, 5, 4):
-            assert self.run(config, tmp_path, seed) == cold_runs[seed], seed
+            assert self.run(config, tmp_path, seed, warm_run) == cold_runs[seed], seed
 
     def test_grants_leave_every_market_txid_unchanged(self, cold):
         # bg{k}'s txid depends on k alone, however many grants came first
@@ -232,8 +234,8 @@ class TestSharedMarket:
                 if w in grant_before:
                     sim.grant("x", 1)
                 batch = load.sediment() if w == 0 else load.market_batch(w)
-                sim.submit_batch(batch.txs)
-                txids += [tx.txid for tx in batch.txs]
+                sim.submit_batch(batch)
+                txids += [tx.txid for tx in batch]
             return txids
 
         plain = market_txids(())
@@ -280,9 +282,9 @@ class TestSharedMarket:
         # each window drawn once: the sediment and windows 1 to 7, as the fresh one drew
         assert len(sim.background.windows) == len(fresh.background.windows) == 8
 
-    def test_one_default_grid_seed_constructs_6_loads(self, cold, monkeypatch):
-        # a congestion level's first request runs a simulation it does not hold,
-        # and its second the set-up it holds, which every later cell forks
+    def test_one_default_grid_seed_constructs_3_loads(self, cold, monkeypatch):
+        # a congestion level's first request builds the set-up the sweep holds,
+        # which every cell of the level forks
         loads = []
         init = BackgroundLoad.__init__
 
@@ -293,7 +295,7 @@ class TestSharedMarket:
         monkeypatch.setattr(BackgroundLoad, "__init__", counted)
         run_sweep(default_grid(), seeds=(self.SEED,))
         assert Counter(load.profile.target_level for load in loads) == dict.fromkeys(
-            CONGESTION_LEVELS, 2)
+            CONGESTION_LEVELS, 1)
 
 
 def test_sediment_draw_equals_randint():

@@ -1,12 +1,13 @@
-"""Held histories: a fork runs apart from its source, and a scenario started from a
-held set-up or checkpoint gives what a cold one gives, in any order."""
+"""Held histories: a fork runs apart from its source, a scenario started from a
+held set-up or checkpoint gives what a cold one gives, in any order, and only
+the sweep holds them."""
 
 import dataclasses
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from scenario_tools import count_builds
+from scenario_tools import count_builds, warm_run
 
 from brc20sim import attack, background, harness
 from brc20sim.attack import TARGET
@@ -23,14 +24,13 @@ IMMUTABLE = (str, bytes, int, float, bool, type(None))
 
 
 def cold_run(config, seed, log_path=None):
-    """A scenario run as in a new process: no held history or market txid."""
-    harness._histories.clear()
+    """A scenario run as in a new process: no market txid hashed yet."""
     background._market_txids.clear()
     return run_scenario(config, seed, log_path)
 
 
 def held(histories=harness._histories) -> list[Simulation]:
-    sims = [sim for _, sim in histories.setups.values() if sim is not None]
+    sims = list(histories.setups.values())
     return sims + ([histories.checkpoint.sim] if histories.checkpoint is not None else [])
 
 
@@ -123,7 +123,7 @@ class TestFork:
 
         harness._histories.clear()
         monkeypatch.setattr(attack, "_launch_attempt", launch_and_fork)
-        warm = run_scenario(self.CONFIG, self.SEED, log_path=str(tmp_path / "warm.jsonl"))
+        warm = warm_run(self.CONFIG, self.SEED, log_path=str(tmp_path / "warm.jsonl"))
         monkeypatch.undo()
         assert len(forks) == self.CONFIG.attempts
         for source, fork in forks:
@@ -158,11 +158,12 @@ def cold_results():
 
 
 def warm_reprs(order, logs=None) -> list[str]:
-    """Each scenario of ``order`` in turn, from no held history; ``logs`` maps a
-    (config, seed) pair to the path its event log is written to."""
+    """Each scenario of ``order`` in turn, from no held history, on the sweep's
+    path; ``logs`` maps a (config, seed) pair to the path its event log is
+    written to."""
     harness._histories.clear()
     logs = logs or {}
-    return [repr(run_scenario(config, seed, logs.get((config, seed)))) for config, seed in order]
+    return [repr(warm_run(config, seed, logs.get((config, seed)))) for config, seed in order]
 
 
 def cold_reprs(cold_results, order) -> list[str]:
@@ -196,6 +197,20 @@ class TestWarmEqualsCold:
         order = [(config, seed) for chunk in chunks for seed in SEEDS for config in chunk]
         assert warm_reprs(order) == cold_reprs(cold_results, order)
 
+    def test_fees_innermost(self, cold_results):
+        # each longer attempt level follows a checkpoint of another fee
+        grid = sorted(GRID, key=lambda c: (c.fraction, c.congestion, c.attempts, c.fee_rate))
+        order = [(config, seed) for seed in SEEDS for config in grid]
+        assert warm_reprs(order) == cold_reprs(cold_results, order)
+
+    def test_another_sim_config_at_the_same_level(self, cold_results):
+        # its set-up replaces the level's held one, which the next cell replaces back
+        other = dataclasses.replace(GRID[0], sim=SimConfig(congestion_normal_count=600))
+        order = [(config, SEEDS[0]) for config in (GRID[0], other, GRID[1])]
+        expected = cold_reprs(cold_results, [order[0], order[2]])
+        expected.insert(1, repr(cold_run(*order[1])))
+        assert warm_reprs(order) == expected
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_sweep_at_workers(self, cold_results, workers):
         # each cell's row read where execute stops, against run_scenario at the horizon
@@ -211,14 +226,15 @@ class TestWarmEqualsCold:
         assert rows == expected
 
 
-def test_one_seed_of_the_grid_builds_6_simulations_and_mines_930_blocks(monkeypatch):
+def test_one_seed_of_the_grid_builds_3_simulations_and_mines_903_blocks(monkeypatch):
     # cell by cell, as the benchmark runs it: 81 set-ups and 2,430 blocks without
     # held histories, and 1,656 with them when every cell runs to its horizon.
-    # Two set-ups per congestion level (the second is held); the first row's
-    # 2-attempt cells leave no checkpoint, so their 5-attempt cells run from the
-    # set-up; and each cell stops once every attempt has settled.
+    # One set-up per congestion level, held from its first request; every cell
+    # forks where it starts and leaves a checkpoint, so each longer attempt
+    # level resumes from the shorter one; and each cell stops once every
+    # attempt has settled.
     counts = Counter()
-    init, mine = Simulation.__init__, Mempool.mine_block
+    init, mine, fork = Simulation.__init__, Mempool.mine_block, Simulation.fork
 
     def counted_init(self, *args, **kwargs):
         counts["fresh"] += 1
@@ -228,17 +244,23 @@ def test_one_seed_of_the_grid_builds_6_simulations_and_mines_930_blocks(monkeypa
         counts["mined"] += 1
         return mine(self, *args, **kwargs)
 
+    def counted_fork(self):
+        counts["forks"] += 1
+        return fork(self)
+
     monkeypatch.setattr(Simulation, "__init__", counted_init)
     monkeypatch.setattr(Mempool, "mine_block", counted_mine)
+    monkeypatch.setattr(Simulation, "fork", counted_fork)
     harness._histories.clear()
     for config in GRID:
         run_sweep([config], seeds=(7,))
-    assert counts == {"fresh": 6, "mined": 930}
-    assert len(held()) == len(harness.CONGESTION_LEVELS) + 1
-    # another seed drops them, and one scenario of an unseen seed holds nothing
-    run_scenario(GRID[0], 8)
-    assert harness._histories.seed == 8 and held() == []
-    assert harness._histories.checkpoint is None
+    assert counts == {"fresh": 3, "mined": 903, "forks": 2 * len(GRID)}
+    seed_7 = held()
+    assert len(seed_7) == len(harness.CONGESTION_LEVELS) + 1
+    # a cell of another seed drops them, and holds its own set-up and checkpoint
+    run_sweep([GRID[0]], seeds=(8,))
+    assert harness._histories.seed == 8 and len(held()) == 2
+    assert not {id(sim) for sim in held()} & {id(sim) for sim in seed_7}
 
 
 def test_a_set_up_that_cannot_confirm_is_never_held():
@@ -247,19 +269,45 @@ def test_a_set_up_that_cannot_confirm_is_never_held():
     harness._histories.clear()
     for _ in range(2):
         with pytest.raises(harness.SetupFailed, match="set-up step 'deploy' did not confirm"):
-            run_scenario(config, 7)
+            harness._run_cell((config, 7))
         assert harness._histories.setups == {} and held() == []
 
 
-def test_one_seed_of_the_grid_builds_538_pool_entries_and_4_800_market_entries(monkeypatch):
+def test_one_seed_of_the_grid_builds_520_pool_entries_and_3_275_market_entries(monkeypatch):
     # a market entry is built once per load and pooled as it is: only a
     # transaction with inputs gets a MempoolEntry (a fork's copy of one with a
-    # pooled parent counts too); the 6 loads build the market entries
+    # pooled parent counts too); the 3 loads, one per congestion level, build
+    # the market entries
     counts = count_builds(monkeypatch, MempoolEntry, MarketTx)
     harness._histories.clear()
     for config in GRID:
         run_sweep([config], seeds=(7,))
-    assert counts == {"MempoolEntry": 538, "MarketTx": 4_800}
+    assert counts == {"MempoolEntry": 520, "MarketTx": 3_275}
+
+
+def test_run_scenario_leaves_the_held_histories_as_it_found_them(monkeypatch):
+    # it runs from a fresh set-up and forks nothing, whether or not the sweep
+    # holds its seed, its set-up or a checkpoint it could resume from
+    harness._histories.clear()
+    for config in GRID[:4]:  # two congestion levels; the checkpoint is GRID[3]'s
+        run_sweep([config], seeds=(7,))
+
+    def state():
+        h = harness._histories
+        return h.seed, list(h.setups.items()), h.checkpoint, [len(s.event_log) for s in held()]
+
+    before = state()
+    forks = Counter()
+    fork = Simulation.fork
+
+    def counted_fork(self):
+        forks["forks"] += 1
+        return fork(self)
+
+    monkeypatch.setattr(Simulation, "fork", counted_fork)
+    for config, seed in ((GRID[0], 7), (GRID[4], 7), (GRID[0], 8)):
+        assert repr(run_scenario(config, seed)) == repr(cold_run(config, seed))
+    assert forks == {} and state() == before
 
 
 def fields(entry: MarketTx) -> tuple:
@@ -283,11 +331,12 @@ def test_no_market_entry_changes_while_held_histories_share_it(monkeypatch):
     monkeypatch.setattr(MarketTx, "__init__", recorded_init)
     monkeypatch.setattr(Simulation, "fork", counted_fork)
     harness._histories.clear()
-    # one fraction at one congestion level: each fee's set-up is held on its
-    # second request, and each longer attempt level resumes from a checkpoint
+    # one fraction at one congestion level, run by the sweep: the level's set-up
+    # is held from its first request, and each longer attempt level resumes from
+    # a checkpoint
     cells = [config for config in GRID[:27] if config.congestion == 0.75]
     for seed in SEEDS[:2]:
         for config in cells:
-            run_scenario(config, seed)
+            harness._run_cell((config, seed))
     assert forks["fork"] >= len(cells) and len(built) > 1_000
     assert [fields(entry) for entry, _ in built] == [snapshot for _, snapshot in built]

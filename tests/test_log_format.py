@@ -88,7 +88,7 @@ def test_each_line_is_json_dumps_of_its_object(event):
 @hypothesis.given(t=TIME, tx=TX, result=RESULT)
 def test_a_submit_line_gives_back_its_transaction(t, tx, result):
     line = log_line(("submit", t, tx, result))
-    assert Transaction.from_dict(json.loads(line)["tx"], {}) == tx
+    assert Transaction.from_dict(json.loads(line)["tx"]) == tx
 
 
 def entry_fields(entry: MarketTx) -> str:

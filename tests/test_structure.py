@@ -122,6 +122,14 @@ def calls_of(name: str) -> set[tuple[str, str]]:
     return where
 
 
+def test_only_the_sweep_starts_from_held_histories():
+    # run_scenario runs from a fresh set-up; a sweep cell alone reads and forks
+    # the held set-ups and checkpoints
+    assert calls_of("start") == {("harness.py", "_run_cell")}
+    assert calls_of("fork") == {("harness.py", "_Histories.start"),
+                                ("harness.py", "_Histories.start.hold")}
+
+
 def test_each_kind_of_pool_entry_is_built_in_one_place():
     # a transaction with inputs becomes a MempoolEntry on admission; a market
     # entry is built by its load, or by replay from a log line, and pooled as it is

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .sim import Simulation
@@ -205,16 +205,13 @@ def _scored(sim: Simulation, record: AttemptRecord, horizon: float) -> AttemptRe
     really locked."""
     confirm_time = sim.chain.confirmation_time(record.tx2)
     ordinal = sim.indexer.inscription_of(record.tx1)
+    launched = (record.index, record.amount, record.fee_rate, record.submit_time,
+                record.tx1, record.tx2, confirm_time)
     if ordinal is None:
         # inscription never confirmed, so no tokens were locked
-        return replace(record, confirm_time=confirm_time)
+        return AttemptRecord(*launched)
     voided = ordinal not in sim.indexer.pending_created
     # Tx2's delay runs from its send time to its confirmation, or to the horizon
     end = horizon if confirm_time is None else confirm_time
-    return replace(
-        record,
-        confirm_time=confirm_time,
-        effective_delay=0.0 if voided else end - record.submit_time,
-        pinned=ordinal in sim.indexer.state.pending,
-        voided=voided,
-    )
+    return AttemptRecord(*launched, effective_delay=0.0 if voided else end - record.submit_time,
+                         pinned=ordinal in sim.indexer.state.pending, voided=voided)

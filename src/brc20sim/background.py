@@ -207,7 +207,7 @@ class BackgroundLoad:
             start = (drawn - 1) * BLOCK_INTERVAL
             fees, arrivals = [], []
             for _ in range(flight):
-                rate = floor * math.exp(self._rng_rates.uniform(0.0, ln_spread))
+                rate = floor * math.exp(ln_spread * self._rng_rates.random())
                 fees.append(math.ceil(rate * MARKET_TX_VSIZE))
                 arrivals.append(start + BLOCK_INTERVAL * self._rng_times.random())
             end = self.sediment_count + drawn * flight  # the sediment and windows 1..drawn

@@ -58,16 +58,26 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_period(text: str) -> float:
     units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
-    if text and text[-1].lower() in units:
-        return float(text[:-1]) * units[text[-1].lower()]
-    return float(text)
+    scale = units.get(text[-1:].lower())
+    try:
+        return float(text[:-1]) * scale if scale else float(text)
+    except ValueError:
+        raise ValueError(f"period {text!r} is not a number with an optional "
+                         "s, m, h or d unit") from None
 
 
 def _levels(text: str, cast) -> tuple:
-    levels = tuple(cast(part) for part in text.split(",") if part)
+    levels: list = []
+    for part in filter(None, text.split(",")):
+        try:
+            levels.append(cast(part))
+        except ValueError:  # once reported as "invalid <lambda> value"
+            raise argparse.ArgumentTypeError(f"bad {cast.__name__} level {part!r}") from None
+        if levels[-1] in levels[:-1]:  # a repeated level once ran its cells twice
+            raise argparse.ArgumentTypeError(f"level {part!r} repeats in {text!r}")
     if not levels:  # an empty list once ran every default level without a word
         raise argparse.ArgumentTypeError(f"no levels in {text!r}")
-    return levels
+    return tuple(levels)
 
 
 def _load_sim_overrides(path: str | None) -> dict:

@@ -25,13 +25,14 @@ and k distinct vsizes among the ready entries:
   ``depends_on`` holds each entry's in-pool parents (a mined parent is
   pruned from its children only).  Every entry admitted with no in-pool
   parent shares the empty ``NO_PARENTS``, and an entry whose last parent is
-  mined takes it, so only an entry with a parent in the pool changes after
-  admission (which is what ``copy`` copies).
+  mined takes it, so only an entry with a parent in the pool, a spender,
+  changes after admission: ``copy`` copies only these, found among spenders.
 - The ready entries, those with no in-pool parent, sit in one best-rate-first
   heap per vsize; each entry carries its own heap item, its ``key``.
   ``mine_block`` repeatedly takes the best top among the heaps whose vsize
-  still fits, in O(s * (k + log n)): it touches the selected entries and
-  their children, never the unmined rest.
+  still fits, in O(s * (k + log n)): it touches the selected entries, the
+  inputs and children of those that are not market entries, and the pool's
+  total vsize once a block, never the unmined rest.
 - Once capacity binds, every entry sits in a low-rate-first eviction heap,
   so each capacity eviction costs O(log n) instead of an O(n) scan.  The
   heap is built from ``entries`` when the pool first exceeds its capacity,
@@ -177,12 +178,13 @@ class Mempool:
     def copy(self, chain: Chain) -> Mempool:
         """An independent pool in this one's state, bound to ``chain``, a copy of its
         chain.  The containers and heaps are copied; entries are shared, apart from
-        those with an in-pool parent, whose ``depends_on`` mining prunes."""
+        those with an in-pool parent, all spenders, whose ``depends_on`` mining prunes."""
         dup = Mempool(self.config, chain)
-        dup.entries = {
-            txid: replace(entry, depends_on=set(entry.depends_on)) if entry.depends_on else entry
-            for txid, entry in self.entries.items()
-        }
+        dup.entries = entries = dict(self.entries)
+        for txid in set(self.spends.values()):
+            entry = entries[txid]
+            if entry.depends_on:
+                entries[txid] = replace(entry, depends_on=set(entry.depends_on))
         dup.spends = dict(self.spends)
         dup.total_vsize = self.total_vsize
         dup._ready = {vsize: list(heap) for vsize, heap in self._ready.items()}
@@ -364,6 +366,7 @@ class Mempool:
         pending: dict[int, list[tuple]] = {}  # vsize -> ready keys not yet in _ready
         entries, confirmed = self.entries, self.chain.tx_index
         capacity = self.config.mempool_capacity_vbytes
+        total_vsize, oldest, by_rate = self.total_vsize, self._oldest, self._by_rate
         for entry in batch:
             txid, vsize = entry.txid, entry.vsize
             if txid in entries or txid in confirmed:
@@ -373,24 +376,27 @@ class Mempool:
                 results.append(SubmitResult(False, BELOW_MIN_RELAY_FEE))
                 continue
             entries[txid] = entry
-            self.total_vsize += vsize
+            total_vsize += vsize
             now = entry.arrival
-            if self._by_rate is not None:
-                heapq.heappush(self._by_rate, (entry.rate_key, -now, txid))
+            if by_rate is not None:
+                heapq.heappush(by_rate, (entry.rate_key, -now, txid))
             keys = pending.get(vsize)
             if keys is None:
                 pending[vsize] = [entry.key]
             else:
                 keys.append(entry.key)
-            if now < self._oldest:
-                self._oldest = now
-            if self.total_vsize > capacity:
+            if now < oldest:
+                oldest = now
+            if total_vsize > capacity:
+                self.total_vsize, self._oldest = total_vsize, oldest  # for eviction to read
                 self._flush_ready(pending)
-                self._enforce_capacity()
+                self._enforce_capacity()  # removes entries, and may build _by_rate
+                total_vsize, by_rate = self.total_vsize, self._by_rate
                 if txid not in entries:
                     results.append(FULL)
                     continue
             results.append(ACCEPTED)
+        self.total_vsize, self._oldest = total_vsize, oldest
         if pending:
             self._flush_ready(pending)
         return results
@@ -473,24 +479,26 @@ class Mempool:
                 if entry is not None and entry.arrival == arrival:
                     del entries[txid]
                     remaining -= best_vsize
-                    self.total_vsize -= best_vsize
-                    for inp in entry.tx.inputs:
-                        if spends.get(inp.outpoint) == txid:
-                            del spends[inp.outpoint]
+                    tx = entry.tx
+                    selected.append(tx)
                     freed = False
-                    for i in range(len(entry.tx.outputs)):
-                        child = entries.get(spends.get((txid, i)))
-                        if child is not None and txid in child.depends_on:
-                            child.depends_on.remove(txid)
-                            if not child.depends_on:
-                                child.depends_on = NO_PARENTS  # so that nothing mutates it again
-                                self._push_ready(child)
-                                freed = True
-                    selected.append(entry.tx)
+                    if tx.__class__ is not MarketTx:  # which has no input and no output
+                        for inp in tx.inputs:
+                            if spends.get(inp.outpoint) == txid:
+                                del spends[inp.outpoint]
+                        for i in range(len(tx.outputs)):
+                            child = entries.get(spends.get((txid, i)))
+                            if child is not None and txid in child.depends_on:
+                                child.depends_on.remove(txid)
+                                if not child.depends_on:
+                                    child.depends_on = NO_PARENTS  # so nothing mutates it again
+                                    self._push_ready(child)
+                                    freed = True
                     if freed or best_vsize > remaining:
                         break
                 if not best or (bound is not None and best[0] > bound):
                     break
+        self.total_vsize -= self.config.block_capacity_vbytes - remaining
         block = Block(self.chain.height + 1, now, tuple(selected))
         self.chain.append_block(block)
         if self._by_rate is not None:  # each mined entry left its eviction-heap item

@@ -1,6 +1,7 @@
 """Background load calibration and determinism, and its place off the ledger."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -17,7 +18,16 @@ from brc20sim.background import (
     CongestionProfile,
     stream,
 )
-from brc20sim.chain import DUST, EMPTY_RECEIPT, MarketTx, Transaction, TxInput, TxOutput, make_txid
+from brc20sim.chain import (
+    BLOCK_INTERVAL,
+    DUST,
+    EMPTY_RECEIPT,
+    MarketTx,
+    Transaction,
+    TxInput,
+    TxOutput,
+    make_txid,
+)
 from brc20sim.cli import main
 from brc20sim.harness import (
     CONGESTION_LEVELS,
@@ -307,6 +317,25 @@ def test_sediment_draw_equals_randint():
                         for _ in range(count)]
             assert list(background._draw_sediment(fast, count)) == expected, (count, seed)
             assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("level", CONGESTION_LEVELS)
+@pytest.mark.parametrize("seed", [0, 7, 401])
+def test_market_rates_equal_the_uniform_draw(level, seed):
+    # market_batch draws ln_spread * random(), which must give the fees and times
+    # that uniform(0.0, ln_spread) gave
+    load = BackgroundLoad(CongestionProfile.for_level(level, seed), normal_count=400,
+                          block_capacity=10_150)
+    rates, times = stream(seed, "rates"), stream(seed, "times")
+    for w in range(1, 41):
+        window = load.market_batch(w)
+        drawn = []
+        for _ in range(load.flight):
+            rate = load.floors[w] * math.exp(rates.uniform(0.0, math.log(RATE_SPREAD)))
+            drawn.append((BLOCK_INTERVAL * (w - 1) + BLOCK_INTERVAL * times.random(),
+                          math.ceil(rate * MARKET_TX_VSIZE)))
+        expected = sorted(drawn, key=lambda pair: pair[0])  # stable, as market_batch sorts
+        assert [(e.arrival, e.fee) for e in window] == expected, (level, seed, w)
 
 
 def test_band_profile_floor_confined():

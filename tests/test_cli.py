@@ -564,6 +564,22 @@ class TestBadInput:
     def test_bad_number_on_the_command_line_exits_one(self, argv):
         self.assert_usage_error(argv)
 
+    # a bad level once read "invalid <lambda> value: '100,abc'", a repeated level
+    # ran its cells twice, and a bad period gave float's "could not convert" message
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--seeds", "1", "--fees", "100,abc"],
+             "argument --fees: bad int level 'abc'"),
+            (["sweep", "--seeds", "1", "--congestion", "0.5,0.5"],
+             "argument --congestion: level '0.5' repeats in '0.5,0.5'"),
+            (["tolerance", "--avail", "2", "--req", "1", "--vol", "1", "--period", "1x"],
+             "period '1x' is not a number with an optional s, m, h or d unit"),
+        ],
+    )
+    def test_a_bad_level_or_period_is_named(self, argv, message):
+        assert message in self.assert_usage_error(argv)
+
     # a set-up that no block or pool has room for once ended in a traceback,
     # "ReplayDivergence: setup mint failed for hot-wallet"
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Mempool behavior: priority mining, RBF, eviction, expiry, congestion."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -648,6 +649,8 @@ def check_pool_invariants(pool):
     for entry in entries.values():
         parents = {inp.outpoint[0] for inp in entry.tx.inputs}
         assert entry.depends_on == parents & entries.keys()
+    # a lower bound on the oldest arrival, which tick_expiry trusts
+    assert pool._oldest <= min((e.arrival for e in entries.values()), default=math.inf)
 
 
 def oracle_evictions(entries, capacity):

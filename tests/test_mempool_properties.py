@@ -1,5 +1,6 @@
 """Pool invariants under random submit, bump, child, resubmit, expiry and mining sequences,
-and batch admission of market entries against one single-entry batch per entry."""
+a copy of the pool run on beside it, and batch admission of market entries against one
+single-entry batch per entry."""
 
 from collections import Counter
 from dataclasses import replace
@@ -11,7 +12,7 @@ st = hypothesis.strategies
 
 from brc20sim.chain import MarketTx, Transaction, TxInput, TxOutput, make_txid  # noqa: E402
 from brc20sim.mempool import ACCEPTED, EXPIRY, FULL  # noqa: E402
-from test_mempool import RBF_OFF, RBF_ON, check_pool_invariants, make_pool, market  # noqa: E402
+from test_mempool import RBF_OFF, RBF_ON, check_pool_invariants, make_pool  # noqa: E402
 
 VSIZES = (100, 150, 250, 400)
 PICK = st.integers(0, 10**6)  # an index into whatever the step picks from
@@ -47,17 +48,28 @@ def check(pool, coins):
         assert entry.fee == paid_in - entry.tx.output_total
 
 
-@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
-@hypothesis.given(
-    capacity=st.integers(500, 3_000), block=st.integers(300, 1_200), steps=STEPS
-)
-def test_pool_invariants_hold_after_every_step(capacity, block, steps):
-    pool, chain = make_pool(mempool_capacity_vbytes=capacity, block_capacity_vbytes=block)
-    coins: dict[tuple[str, int], int] = {}  # outpoint -> value
-    gone: list[Transaction | MarketTx] = []  # left the pool unmined
-    now = 0.0
+class Stepper:
+    """Runs steps on one pool: its coins, its clock, what left it unmined, and the
+    txids of each block it mined."""
 
-    def build(outpoints, vsize, fee, sequence, outputs=1):
+    def __init__(self, pool, chain):
+        self.pool, self.chain = pool, chain
+        self.coins: dict[tuple[str, int], int] = {}  # outpoint -> value
+        self.gone: list[Transaction | MarketTx] = []  # left the pool unmined
+        self.mined: list[list[str]] = []
+        self.now = 0.0
+        self.markets = 0  # market entries made, which number their txids
+
+    def fork(self) -> "Stepper":
+        """A stepper in this one's state, on a copy of its pool and chain."""
+        chain = self.chain.copy()
+        dup = Stepper(self.pool.copy(chain), chain)
+        dup.coins, dup.gone, dup.mined = dict(self.coins), list(self.gone), list(self.mined)
+        dup.now, dup.markets = self.now, self.markets
+        return dup
+
+    def build(self, outpoints, vsize, fee, sequence, outputs=1):
+        coins = self.coins
         total = sum(coins[op] for op in outpoints)
         fee = min(fee, total)
         share = (total - fee) // outputs
@@ -70,23 +82,26 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
             coins[(tx.txid, i)] = v
         return tx
 
-    for step in steps:
+    def run(self, step):
+        """Take one step, then check the pool."""
+        pool, gone = self.pool, self.gone
         kind = step[0]
         before = dict(pool.entries)
-        now += 10 * UNIT
+        self.now += 10 * UNIT
         tx = None
         if kind == "submit":
             _, plain, rate, vsize, rbf, outputs = step
             if plain:  # a market entry
-                tx = market(rate * vsize, vsize, now)
+                self.markets += 1
+                tx = MarketTx(f"mkt-{self.markets}", rate * vsize, vsize, self.now)
             else:
-                coin = chain.utxo_set.grant("funder", 100_000).serial
-                coins[coin] = 100_000
-                tx = build([coin], vsize, rate * vsize, RBF_ON if rbf else RBF_OFF, outputs)
+                coin = self.chain.utxo_set.grant("funder", 100_000).serial
+                self.coins[coin] = 100_000
+                tx = self.build([coin], vsize, rate * vsize, RBF_ON if rbf else RBF_OFF, outputs)
         elif kind == "bump" and (spenders := [t for t, e in before.items() if e.tx.inputs]):
             target = before[spenders[step[1] % len(spenders)]]
             outpoints = [inp.outpoint for inp in target.tx.inputs]
-            tx = build(outpoints, target.tx.vsize, target.fee + step[2] * 100, RBF_ON)
+            tx = self.build(outpoints, target.tx.vsize, target.fee + step[2] * 100, RBF_ON)
         elif kind == "child":
             free = [
                 (txid, i)
@@ -96,29 +111,70 @@ def test_pool_invariants_hold_after_every_step(capacity, block, steps):
             ]
             if free:
                 picks = [free[(step[1] + k) % len(free)] for k in range(step[2])]
-                tx = build(sorted(set(picks)), step[4], step[3] * step[4], RBF_ON)
+                tx = self.build(sorted(set(picks)), step[4], step[3] * step[4], RBF_ON)
         elif kind == "resubmit" and gone:
             tx = gone.pop(step[1] % len(gone))
             if type(tx) is MarketTx:  # the same entry, arriving now
-                tx = MarketTx(tx.txid, tx.fee, tx.vsize, now)
+                tx = MarketTx(tx.txid, tx.fee, tx.vsize, self.now)
         elif kind == "expire":
-            now += step[1] * UNIT
-            gone.extend(pool.tick_expiry(now))
+            self.now += step[1] * UNIT
+            gone.extend(pool.tick_expiry(self.now))
         elif kind == "mine":
-            now += 600 * UNIT
-            pool.mine_block(now)
+            self.now += 600 * UNIT
+            self.mined.append([tx.txid for tx in pool.mine_block(self.now).transactions])
         if tx is not None:
             if type(tx) is MarketTx:
                 (result,) = pool.submit_batch([tx])
             else:
-                result = pool.submit(tx, now)
+                result = pool.submit(tx, self.now)
             gone.extend(e.tx for t, e in before.items() if t not in pool.entries)
             if result.accepted and result.replaced:
                 # BIP125 rule 3: more than the fees of everything evicted
                 assert pool.entries[tx.txid].fee > sum(before[t].fee for t in result.replaced)
             if not result.accepted and tx.txid not in pool.entries:
                 gone.append(tx)
-        check(pool, coins)
+        check(pool, self.coins)
+
+    def state(self):
+        """Everything the pool holds, and the chain's height and coins."""
+        return pool_state(self.pool), self.chain.height, dict(self.chain.utxo_set.utxos)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@hypothesis.given(
+    capacity=st.integers(500, 3_000), block=st.integers(300, 1_200), steps=STEPS
+)
+def test_pool_invariants_hold_after_every_step(capacity, block, steps):
+    stepper = Stepper(*make_pool(mempool_capacity_vbytes=capacity, block_capacity_vbytes=block))
+    for step in steps:
+        stepper.run(step)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+# a child whose parent is mined after the copy: mining prunes the child's depends_on,
+# which the copy must not share
+@hypothesis.example(capacity=3_000, block=1_200, at=2,
+                    steps=[("submit", False, 10, 250, True, 1), ("child", 0, 1, 20, 150),
+                           ("mine",)])
+@hypothesis.given(
+    capacity=st.integers(500, 3_000), block=st.integers(300, 1_200), at=st.integers(0, 60),
+    steps=STEPS,
+)
+def test_a_copy_runs_on_as_its_source_does_and_apart_from_it(capacity, block, at, steps):
+    source = Stepper(*make_pool(mempool_capacity_vbytes=capacity, block_capacity_vbytes=block))
+    at %= len(steps) + 1
+    for step in steps[:at]:
+        source.run(step)
+    fork = source.fork()
+    forked = fork.state()
+    for step in steps[at:]:
+        source.run(step)
+    assert fork.state() == forked  # the source's steps left the copy alone
+    ran = source.state()
+    for step in steps[at:]:
+        fork.run(step)
+    assert source.state() == ran  # and the copy's steps left the source alone
+    assert fork.state() == ran and fork.mined == source.mined
 
 
 def test_an_entry_a_later_entry_of_its_batch_evicts_was_accepted():
@@ -247,7 +303,7 @@ def pool_state(pool):
     """Everything a pool holds, lazily deleted heap items included."""
     return (
         [(t, e.arrival, e.fee, set(e.depends_on)) for t, e in pool.entries.items()],
-        pool.spends,
+        dict(pool.spends),
         pool.total_vsize,
         {vsize: sorted(heap) for vsize, heap in pool._ready.items()},
         None if pool._by_rate is None else sorted(pool._by_rate),

@@ -9,10 +9,12 @@ the foreground's coins, a ``submit`` line with a ``"tx"`` goes through
 ``Simulation.submit``, and each run of consecutive market ``submit`` lines
 (a txid, fee and vsize, no ``"tx"``), each one ``MarketTx`` at its time,
 enters the pool as one ``Simulation.submit_batch``, the doors the simulation
-used.  Replay checks every grant's and submission's time, each submission's
-decision and each block's height, time and txids, and at the end that the
-replayed token state conserves supply.  Of a broken log's faults, the one on
-the first bad line in the file is reported.  A ``fund`` line comes from the
+used.  A market line as ``sim.log_line`` writes it is read by the strict
+pattern ``sim.MARKET_LINE``; any other line goes through the JSON decoder,
+to the same values.  Replay checks every grant's and submission's time, each
+submission's decision and each block's height, time and txids, and at the
+end that the replayed token state conserves supply.  Of a broken log's
+faults, the one on the first bad line in the file is reported.  A ``fund`` line comes from the
 old log format, whose market transactions spent coins, and is refused.
 
 Exit codes: 0 success, 1 usage error (a bad value, or a fee the wallet cannot
@@ -42,7 +44,7 @@ from .harness import (
     run_sweep,
     sweep_csv,
 )
-from .sim import SETTINGS, SimConfig, Simulation, collector_paused
+from .sim import MARKET_LINE, SETTINGS, SimConfig, Simulation, collector_paused
 from .wallet import WalletError
 
 USAGE_ERROR = 1
@@ -85,7 +87,11 @@ def _load_sim_overrides(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("config nests too deeply to decode; it must be a JSON "
+                             'object whose "sim" entry is an object') from None
     if not isinstance(data, dict) or not isinstance(data.get("sim", {}), dict):
         raise ValueError('config must be a JSON object whose "sim" entry is an object')
     return data.get("sim", {})
@@ -197,23 +203,45 @@ def _replay_fields(event, number: int) -> tuple[str, list]:
     return shape, values
 
 
-def _log_lines(fh) -> Iterator[tuple[int, object]]:
-    """Each non-blank line of an open event log, decoded as it is read, with its
-    line number in the file."""
-    decode = json.JSONDecoder().raw_decode  # json.loads adds per-line checks and two regex scans
+def _market_values(line: str) -> list | None:
+    """The values ``_replay_fields`` gives a market line that ``sim.MARKET_LINE``
+    matches, in ``MARKET_FIELDS`` order and with the decoder's types, read
+    without the decoder; None for any other line."""
+    match = MARKET_LINE.fullmatch(line)
+    if match is None:
+        return None
+    accepted, fee, reason, t_float, t_int, txid, vsize = match.groups()
+    t = float(t_float) if t_int is None else int(t_int)
+    return [t, txid, int(fee), int(vsize), accepted == "true", reason]
+
+
+_raw_decode = json.JSONDecoder().raw_decode  # json.loads adds per-line checks and two regex scans
+
+
+def _decoded(number: int, line: str):
+    """Log line ``number`` decoded as one JSON value; a ValueError names the line."""
+    start = len(line) - len(line.lstrip(_JSON_SPACE))
+    try:
+        value, end = _raw_decode(line, start)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"log line {number}: {exc.msg} at column {exc.colno}") from None
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise ValueError(f"log line {number}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"log line {number}: JSON nested too deeply to decode") from None
+    after = line[end:].lstrip(_JSON_SPACE)
+    if after:
+        raise ValueError(f"log line {number}: more than one JSON value, "
+                         f"the next at column {len(line) - len(after) + 1}")
+    return value
+
+
+def _log_lines(fh) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of an open event log, as it is read, with its line
+    number in the file."""
     for number, line in enumerate(fh, start=1):
-        if line.isspace():
-            continue
-        start = len(line) - len(line.lstrip(_JSON_SPACE))
-        try:
-            value, end = decode(line, start)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"log line {number}: {exc.msg} at column {exc.colno}") from None
-        after = line[end:].lstrip(_JSON_SPACE)
-        if after:
-            raise ValueError(f"log line {number}: more than one JSON value, "
-                             f"the next at column {len(line) - len(after) + 1}")
-        yield number, value
+        if not line.isspace():
+            yield number, line
 
 
 @collector_paused()
@@ -231,7 +259,8 @@ def cmd_replay_log(args) -> int:
     """
     with open(args.log, encoding="utf-8") as fh:
         lines = _log_lines(fh)
-        header = next(lines, (1, None))[1]
+        first = next(lines, None)
+        header = None if first is None else _decoded(*first)
         if (
             not isinstance(header, dict)
             or header.get("event") != "header"
@@ -255,9 +284,11 @@ def _check_decision(tx, t, accepted: bool, reason: str | None, result) -> None:
                                f"log has accepted={accepted} reason={reason}")
 
 
-def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
+def _replay(sim: Simulation, lines: Iterator[tuple[int, str]]) -> int:
     """``cmd_replay_log``'s pass over the lines after the header; raises
-    ReplayDivergence at the first divergence."""
+    ReplayDivergence at the first divergence.  A market line that
+    ``_market_values`` reads skips the decoder; it gives the values the
+    decoder and ``_replay_fields`` would, and every check after is the same."""
     blocks = submits = 0
     clock = sim.now  # the time of the last event
     run: list[tuple] = []  # the market lines not yet submitted: (entry, t, accepted, reason)
@@ -269,14 +300,19 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, object]]) -> int:
         batch = run.copy()
         run.clear()
         results = sim.submit_batch([line[0] for line in batch])
-        for line, result in zip(batch, results):
-            _check_decision(*line, result)
+        for (entry, t, accepted, reason), result in zip(batch, results):
+            if (result.accepted, result.reason) != (accepted, reason):  # no call per match
+                _check_decision(entry, t, accepted, reason, result)
 
     try:
-        for number, event in lines:
-            kind, values = _replay_fields(event, number)
-            if not values:  # a kind replay skips
-                continue
+        for number, line in lines:
+            values = _market_values(line)
+            if values is not None:
+                kind = "market"
+            else:
+                kind, values = _replay_fields(_decoded(number, line), number)
+                if not values:  # a kind replay skips
+                    continue
             t = values[0]  # each kind's first field
             if kind != "market":
                 submit_run()

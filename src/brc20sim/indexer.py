@@ -51,16 +51,20 @@ def _as_amount(value) -> int | None:
         return None
     if isinstance(value, int):
         return value if value >= 0 else None
-    if isinstance(value, str) and value.isdigit():
-        return int(value)
+    if isinstance(value, str) and value.isascii() and value.isdigit():  # "²" is a digit
+        try:
+            return int(value)
+        except ValueError:  # past int()'s 4,300-digit limit
+            return None
     return None
 
 
 def parse_envelope(raw: str) -> Brc20Op | None:
-    """Parse an inscription payload; anything non-conforming is not-brc20."""
+    """Parse an inscription payload; anything non-conforming is not-brc20,
+    a payload that cannot be decoded for any reason included."""
     try:
         data = json.loads(raw)
-    except (json.JSONDecodeError, TypeError):
+    except (ValueError, TypeError, RecursionError):  # ValueError: bad JSON or a huge integer
         return None
     if not isinstance(data, dict):
         return None

@@ -10,9 +10,11 @@ Every grant, submission and mined block is recorded once, in order, in
 ``event_log``: the run's one record, which ``export_event_log`` writes as JSON
 lines for ``brc20sim replay``.  ``log_line`` formats each line itself, with
 the bytes ``json.dumps(..., sort_keys=True)`` would give at a fraction of its
-cost; a test holds it to ``json.dumps``.  Genesis satoshis enter through
-``grant``, so token state stays reconstructable from the grants plus the
-block list alone (see ``replay_state``).
+cost; a test holds it to ``json.dumps``.  ``MARKET_LINE`` matches a market
+entry's line exactly as written, for replay to read back without the JSON
+decoder.  Genesis satoshis enter through ``grant``, so token state stays
+reconstructable from the grants plus the block list alone (see
+``replay_state``).
 
 Background traffic is market entries (``chain.MarketTx``), which carry a fee,
 a vsize and their arrival time, and no coin.  They enter the pool through
@@ -47,6 +49,7 @@ import copy
 import gc
 import json
 import math
+import re
 from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -281,6 +284,25 @@ def _nullable(text: str | None) -> str:
     return "null" if text is None else _string(text)
 
 
+# A market entry's submit line as log_line writes it, with an optional
+# newline, for replay to read without the JSON decoder.  It admits only text
+# whose decoding it gives exactly: true/false and null; integers of at most 18
+# digits, which int() converts (it refuses past 4,300); a time that is an int
+# without fraction or exponent and a float otherwise, as JSON types it; and
+# strings of printable ASCII with no '"' or '\', which need no unescaping.
+# Any other line, JSON-equal or not, goes through the decoder.  Its groups:
+# accepted, fee, reason (None for null), t as a float (float() reads NaN and
+# Infinity as JSON does) or else as an int, txid and vsize.
+_INT = r"(-?(?:0|[1-9][0-9]{0,17}))"
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)|NaN|-?Infinity)"
+_TEXT = r'"([ !#-\[\]-~]*)"'
+MARKET_LINE = re.compile(
+    rf'{{"accepted": (true|false), "event": "submit", "fee": {_INT}, '
+    rf'"reason": (?:null|{_TEXT}), "t": (?:{_FLOAT}|{_INT}), '
+    rf'"txid": {_TEXT}, "vsize": {_INT}}}\n?'
+)
+
+
 def log_line(event: tuple) -> str:
     """One recorded event as its event-log line, without the newline."""
     kind = event[0]
@@ -288,7 +310,7 @@ def log_line(event: tuple) -> str:
         _, t, tx, result = event
         head = f'{{"accepted": {"true" if result.accepted else "false"}, "event": "submit", '
         tail = f'"reason": {_nullable(result.reason)}, "t": {_number(t)}, '
-        if tx.__class__ is MarketTx:
+        if tx.__class__ is MarketTx:  # the line MARKET_LINE reads back
             return (f'{head}"fee": {tx.fee}, {tail}'
                     f'"txid": {_string(tx.txid)}, "vsize": {tx.vsize}}}')
         inputs = ", ".join([

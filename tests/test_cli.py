@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import brc20sim
+from brc20sim import cli
 from brc20sim.cli import cmd_replay_log, main
 from brc20sim.harness import ScenarioConfig, run_binance_replay, run_scenario
 from brc20sim.indexer import Brc20State
@@ -357,6 +358,25 @@ class TestReplayRuns:
         assert code == 0 and "replay OK: 979 submissions, 28 blocks verified" in out
         assert calls == {"submit": 4, "submit_batch": runs}
 
+    def test_only_the_non_market_lines_of_the_readme_log_are_decoded(
+        self, capsys, tmp_path, seed7, monkeypatch
+    ):
+        # the strict reader takes every market line log_line writes; a writer
+        # change that turned it off would cost replay its speed and fail here
+        decoded, decode = [], cli._decoded
+
+        def counted(number, line):
+            decoded.append(number)
+            return decode(number, line)
+
+        monkeypatch.setattr(cli, "_decoded", counted)
+        code, out, _ = self.replay(capsys, tmp_path, seed7)
+        assert code == 0 and "replay OK: 979 submissions, 28 blocks verified" in out
+        market = [n for n, line in enumerate(seed7, start=1)
+                  if json.loads(line)["event"] == "submit" and '"tx"' not in line]
+        assert len(market) == 975
+        assert decoded == [n for n in range(1, len(seed7) + 1) if n not in market]
+
     def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
         # forked sweep workers share their parent's hash seed, so only separate
         # processes show that no output depends on set or dict iteration order
@@ -627,6 +647,26 @@ class TestBadInput:
         path = tmp_path / "events.jsonl"
         path.write_text(json.dumps(HEADER) + "\n\n" + bad + "\n")
         assert message in self.assert_usage_error(["replay", str(path)])
+
+    # 100,000 brackets once raised RecursionError out of the JSON decoder, as a traceback
+    def test_a_log_line_nested_too_deeply_names_its_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(HEADER) + "\n" + "[" * 100_000 + "\n")
+        err = self.assert_usage_error(["replay", str(path)])
+        assert "error: log line 2: JSON nested too deeply to decode" in err
+
+    def test_a_config_nested_too_deeply_is_a_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000)
+        err = self.assert_usage_error(["sim", "--config", str(path)])
+        assert "error: config nests too deeply to decode" in err
+
+    def test_an_integer_past_the_digit_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        market = json.dumps({**market_line("m", 400), "fee": 1}, sort_keys=True)
+        path.write_text(json.dumps(HEADER) + "\n" + market.replace(": 1,", ": " + "1" * 4400 + ","))
+        err = self.assert_usage_error(["replay", str(path)])
+        assert "error: log line 2: Exceeds the limit (4300 digits)" in err
 
     def assert_usage_error(self, argv) -> str:
         """Run the CLI; it must exit 1 with an error and no traceback. Returns stderr."""

@@ -3,6 +3,7 @@
 import json
 import random
 
+import pytest
 from scenario_tools import Scenario, inscribed_tx, move_tx, random_scenario
 
 from brc20sim.chain import Transaction, TxInput, UtxoSet, make_txid
@@ -62,6 +63,16 @@ class TestParseEnvelope:
         assert parse_envelope(transfer_inscription("t", 5)) == InscribeTransfer("t", 5)
 
 
+@pytest.mark.parametrize("raw", [
+    "[" * 5000 + "]" * 5000,  # once RecursionError out of the decoder
+    '{"p":"brc20","op":"mint","tick":"t","amt":' + "1" * 5000 + "}",  # past int()'s digit limit
+    '{"p":"brc20","op":"mint","tick":"t","amt":"' + "1" * 5000 + '"}',
+    '{"p":"brc20","op":"mint","tick":"t","amt":"\u00b2"}',  # a digit to isdigit(), not to int()
+], ids=["nested", "huge-int", "huge-digit-string", "superscript-digit"])
+def test_a_payload_that_cannot_be_decoded_is_not_brc20(raw):
+    # each once raised out of parse_envelope, and so out of the indexer's block step
+    assert parse_envelope(raw) is None
+
 class TestStateMachine:
     def setup_scenario(self, minted=1000):
         sc = Scenario()
@@ -91,6 +102,16 @@ class TestStateMachine:
         sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 10), "m2"))
         assert sc.indexer.balance("t", "m") == (10, 0, 10)
         assert sc.indexer.state.ticks["t"].minted == 10
+
+    def test_a_mint_to_max_supply_exactly_is_credited(self):
+        sc = Scenario()
+        sc.apply(inscribed_tx(sc, "m", deploy_inscription("t", 15, 10), "d"))
+        sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 10), "m1"))
+        sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 6), "m2"))  # 1 past max: void whole
+        assert sc.indexer.state.ticks["t"].minted == 10
+        sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 5), "m3"))  # max exactly
+        assert sc.indexer.balance("t", "m") == (15, 0, 15)
+        assert sc.indexer.state.ticks["t"].minted == 15
 
     def test_two_step_transfer_balances(self):
         # inscribe: available -> transferable, totals unchanged; recipient untouched

@@ -1,5 +1,5 @@
-"""The event-log writer against json.dumps, and its submit lines back to the transaction
-or market entry."""
+"""The event-log writer against json.dumps, its submit lines back to the transaction
+or market entry, and replay's strict reader of market lines against the JSON decoder."""
 
 import json
 
@@ -8,6 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from brc20sim.cli import _market_values, _replay_fields  # noqa: E402
 from brc20sim.chain import (  # noqa: E402
     MAX_SEQUENCE, Block, MarketTx, Transaction, TxInput, TxOutput,
 )
@@ -103,3 +104,107 @@ def test_a_market_line_gives_back_its_entry(entry, result):
     line = json.loads(log_line(("submit", entry.arrival, entry, result)))
     back = MarketTx(line["txid"], line["fee"], line["vsize"], line["t"])
     assert "tx" not in line and entry_fields(back) == entry_fields(entry)
+
+
+# -- the strict reader of market lines (cli._market_values) -----------------------
+
+def decoded_values(line: str) -> list:
+    """What replay reads from a market line through the JSON decoder."""
+    shape, values = _replay_fields(json.loads(line), 2)
+    assert shape == "market"
+    return values
+
+
+def plain(text: str | None) -> bool:
+    """Printable ASCII with no quote or backslash: text the strict reader reads."""
+    return text is None or all(" " <= c <= "~" and c not in '"\\' for c in text)
+
+
+def within_bound(value) -> bool:
+    """An int of at most 18 digits, or no int at all (a float time)."""
+    return type(value) is not int or abs(value) < 10**18
+
+
+@SETTINGS
+@hypothesis.given(entry=MARKET, result=RESULT, newline=st.booleans())
+def test_the_strict_reader_reads_every_plain_market_line_as_the_decoder_does(
+    entry, result, newline
+):
+    line = log_line(("submit", entry.arrival, entry, result)) + "\n" * newline
+    values = _market_values(line)
+    fits = plain(entry.txid) and plain(result.reason) and all(
+        map(within_bound, (entry.arrival, entry.fee, entry.vsize)))
+    assert (values is not None) == fits
+    if values is not None:  # by repr: the same values of the same types, NaN included
+        assert repr(values) == repr(decoded_values(line))
+
+
+# what a one-character edit of a market line inserts or writes over: the
+# characters of its grammar, and others it must refuse
+EDIT_CHARS = st.sampled_from("0123456789-+.eE") | st.sampled_from(
+    '"\\{}[]:, \nntfrueals\x00\x7f\u00e9\u0661') | CHARS
+# beside MARKET and RESULT, entries and decisions of printable ASCII, whose lines
+# the strict reader reads before the edit
+PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E))
+PLAIN_MARKET = st.builds(MarketTx, PLAIN, AMOUNT, st.integers(1, 10**6), TIME)
+PLAIN_RESULT = st.builds(SubmitResult, st.booleans(), st.none() | PLAIN)
+
+
+def one_character_edits(line: str, char: str):
+    """``line`` with one character deleted, replaced by ``char`` or ``char`` inserted,
+    at every position."""
+    for i in range(len(line) + 1):
+        yield line[:i] + char + line[i:]
+        yield line[:i] + line[i + 1:]
+        yield line[:i] + char + line[i + 1:]
+
+
+@SETTINGS
+@hypothesis.given(entry=MARKET | PLAIN_MARKET, result=RESULT | PLAIN_RESULT, char=EDIT_CHARS)
+def test_every_line_the_strict_reader_reads_decodes_to_the_same_values(entry, result, char):
+    line = log_line(("submit", entry.arrival, entry, result))
+    for edited in one_character_edits(line, char):
+        values = _market_values(edited)
+        if values is not None:
+            assert repr(values) == repr(decoded_values(edited))
+
+
+@pytest.mark.parametrize("text, values", [
+    ('{"accepted": false, "event": "submit", "fee": -0, "reason": "", "t": -0, '
+     '"txid": " !#[]~", "vsize": 999999999999999999}\n',
+     [0, " !#[]~", 0, 999999999999999999, False, ""]),
+    ('{"accepted": true, "event": "submit", "fee": 1, "reason": null, "t": -1.5E+3, '
+     '"txid": "a", "vsize": 1}', [-1500.0, "a", 1, 1, True, None]),
+    ('{"accepted": true, "event": "submit", "fee": 1, "reason": null, "t": -Infinity, '
+     '"txid": "a", "vsize": 1}', [float("-inf"), "a", 1, 1, True, None]),
+])
+def test_the_strict_reader_types_numbers_as_json_does(text, values):
+    assert repr(_market_values(text)) == repr(values) == repr(decoded_values(text))
+
+
+@pytest.mark.parametrize("text", [
+    # 19 digits, an escape, non-ASCII text, other spacing or key order, a second
+    # newline, a leading zero, a point with no digits after it, a bare sign, -NaN
+    '{"accepted": true, "event": "submit", "fee": 1000000000000000000, "reason": null, '
+    '"t": 0.0, "txid": "a", "vsize": 1}',
+    '{"accepted": true, "event": "submit", "fee": 1, "reason": null, "t": 0.0, '
+    '"txid": "a\\u0041", "vsize": 1}',
+    '{"accepted": true, "event": "submit", "fee": 1, "reason": null, "t": 0.0, '
+    '"txid": "é", "vsize": 1}',
+    '{"accepted": true, "event": "submit", "fee": 1, "reason": null, "t": 0.0, '
+    '"txid": "a", "vsize":1}',
+    '{"event": "submit", "accepted": true, "fee": 1, "reason": null, "t": 0.0, '
+    '"txid": "a", "vsize": 1}',
+    '{"accepted": true, "event": "submit", "fee": 1, "reason": null, "t": 0.0, '
+    '"txid": "a", "vsize": 1}\n\n',
+    '{"accepted": true, "event": "submit", "fee": 01, "reason": null, "t": 0.0, '
+    '"txid": "a", "vsize": 1}',
+    '{"accepted": true, "event": "submit", "fee": 1, "reason": null, "t": 1.e5, '
+    '"txid": "a", "vsize": 1}',
+    '{"accepted": true, "event": "submit", "fee": -, "reason": null, "t": 0.0, '
+    '"txid": "a", "vsize": 1}',
+    '{"accepted": true, "event": "submit", "fee": 1, "reason": null, "t": -NaN, '
+    '"txid": "a", "vsize": 1}',
+])
+def test_any_other_line_is_left_to_the_decoder(text):
+    assert _market_values(text) is None

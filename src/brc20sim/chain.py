@@ -16,7 +16,7 @@ with no coin: it spends nothing, creates nothing and touches no UTXO.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 MAX_SEQUENCE = 0xFFFFFFFF
@@ -280,16 +280,14 @@ class UtxoSet:
 
     def __init__(self) -> None:
         self.utxos: dict[tuple[str, int], Utxo] = {}
-        self.inscribed: dict[int, str] = {}  # bound ordinal -> raw payload
-        self._inscribed_sorted: list[int] = []  # the keys of inscribed, ascending
+        self.inscribed: list[int] = []  # every bound ordinal, ascending
         self._next_ordinal = 0
         self._grant_count = 0
 
     def copy(self) -> UtxoSet:
         dup = UtxoSet()
         dup.utxos = dict(self.utxos)
-        dup.inscribed = dict(self.inscribed)
-        dup._inscribed_sorted = list(self._inscribed_sorted)
+        dup.inscribed = list(self.inscribed)
         dup._next_ordinal = self._next_ordinal
         dup._grant_count = self._grant_count
         return dup
@@ -309,7 +307,7 @@ class UtxoSet:
         return [u for u in self.utxos.values() if u.owner == owner]
 
     def carries_inscription(self, utxo: Utxo) -> bool:
-        inscribed = self._inscribed_sorted
+        inscribed = self.inscribed
         for rng in utxo.ordinals:
             i = bisect_left(inscribed, rng.start)
             if i < len(inscribed) and inscribed[i] < rng.start + rng.length:
@@ -357,10 +355,12 @@ class UtxoSet:
         envelope = None
         if tx.outputs and tx.outputs[0].inscription is not None:
             # Transaction guarantees an envelope sits on a funded output 0
-            envelope = InscriptionEnvelope(tx.outputs[0].inscription, created[0].first_ordinal())
-            if envelope.bound_ordinal not in self.inscribed:
-                insort(self._inscribed_sorted, envelope.bound_ordinal)
-            self.inscribed[envelope.bound_ordinal] = envelope.raw
+            ordinal = created[0].first_ordinal()
+            envelope = InscriptionEnvelope(tx.outputs[0].inscription, ordinal)
+            inscribed = self.inscribed
+            i = bisect_left(inscribed, ordinal)
+            if i == len(inscribed) or inscribed[i] != ordinal:  # listed once, if inscribed again
+                inscribed.insert(i, ordinal)
         return Receipt(tuple(spent), tuple(created), envelope)
 
     def locate_ordinal(self, ordinal: int) -> Utxo:

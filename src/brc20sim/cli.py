@@ -289,7 +289,6 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, str]]) -> int:
     ReplayDivergence at the first divergence.  A market line that
     ``_market_values`` reads skips the decoder; it gives the values the
     decoder and ``_replay_fields`` would, and every check after is the same."""
-    blocks = submits = 0
     clock = sim.now  # the time of the last event
     run: list[tuple] = []  # the market lines not yet submitted: (entry, t, accepted, reason)
 
@@ -325,7 +324,6 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, str]]) -> int:
                         f"divergence at t={t}: the next block is at t={sim.next_block_time}")
                 sim.run_until(t)
                 clock = t
-                blocks += 1
                 tip = sim.chain.blocks[-1]
                 if (tip.height, [tx.txid for tx in tip.transactions]) != (height, txids):
                     raise ReplayDivergence(
@@ -343,7 +341,6 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, str]]) -> int:
                 except ValueError as exc:
                     raise ValueError(f"log line {number}: {exc}") from None
                 run.append((entry, t, accepted, reason))
-                submits += 1
             elif kind == "submit":
                 _, data, accepted, reason = values
                 try:
@@ -351,7 +348,6 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, str]]) -> int:
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"log line {number}: malformed tx ({exc!r})") from None
                 _check_decision(tx, t, accepted, reason, sim.submit(tx, t))
-                submits += 1
             else:  # grant
                 _, owner, value = values
                 sim.grant(owner, value)
@@ -362,7 +358,9 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, str]]) -> int:
     # the indexer followed every replayed block; its token state must balance
     if not sim.indexer.state.supply_is_conserved():
         raise ReplayDivergence("divergence: replayed token state does not conserve supply")
-    print(f"replay OK: {submits} submissions, {blocks} blocks verified")
+    # each verified submit line is one submit event, and each mine line one block
+    submits = sum(1 for event in sim.event_log if event[0] == "submit")
+    print(f"replay OK: {submits} submissions, {len(sim.chain.blocks)} blocks verified")
     return 0
 
 

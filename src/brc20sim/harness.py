@@ -59,6 +59,7 @@ ATTEMPT_LEVELS = (2, 5, 10)
 SETUP_FEE_RATE = 500  # above every background rate: setup confirms next block
 TARGET_INITIAL = 1_000_000  # the target's opening token balance in a scenario
 HORIZON_MARGIN_S = 2400.0  # scored horizon: attempts, then tolerance, then this
+SETUP_S = 3 * BLOCK_INTERVAL  # _fund_and_mint's three blocks, after which the horizon starts
 
 CSV_HEADER = (
     "fraction,fee,congestion,attempts,success_rate,mean_delay,p95_delay,"
@@ -98,12 +99,12 @@ class ScenarioConfig:
                              f"got {self.congestion!r}")
         if not 0 <= self.tolerance_s < math.inf:
             raise ValueError(f"tolerance must be >= 0 and finite, got {self.tolerance_s!r}")
-        # past EXPIRY the sediment, all sent at time 0, would have left the pool, and
-        # a horizon of 1e12 s would mine 1.7e9 blocks.  The attempts are bounded
-        # first, so that a huge count cannot overflow the float horizon.
-        if self.attempts > EXPIRY // ATTEMPT_SPACING_S or self.horizon_s() > EXPIRY:
-            raise ValueError(f"horizon must be at most {EXPIRY!r} s, got {self.attempts} "
-                             f"attempts and a {self.tolerance_s!r} s tolerance")
+        # past EXPIRY, counted from the set-up's start, the sediment sent then would
+        # have left the pool, and a horizon of 1e12 s would mine 1.7e9 blocks.  The
+        # attempts are bounded first, so that a huge count cannot overflow the float horizon.
+        if self.attempts > EXPIRY // ATTEMPT_SPACING_S or SETUP_S + self.horizon_s() > EXPIRY:
+            raise ValueError(f"horizon must be at most {EXPIRY - SETUP_S!r} s after the set-up, "
+                             f"got {self.attempts} attempts and a {self.tolerance_s!r} s tolerance")
 
     def horizon_s(self) -> float:
         return self.attempts * ATTEMPT_SPACING_S + self.tolerance_s + HORIZON_MARGIN_S
@@ -114,7 +115,6 @@ class ScenarioResult:
     seed: int
     success: bool
     delays: list[float]
-    peak_pinned: int
     pinned_pct: float
     outage_s: float
     congestion_measured: float
@@ -161,7 +161,7 @@ def _require_confirmed(
 
 
 def _fund_and_mint(sim: Simulation, holdings: dict[str, int], max_supply: int) -> None:
-    """Deploy the tick and mint each address its opening balance."""
+    """Deploy the tick and mint each address its opening balance, by time ``SETUP_S``."""
     deploy = inscription_tx(
         sim, TARGET, deploy_inscription(TICK, max_supply, max_supply), SETUP_FEE_RATE, "deploy"
     )
@@ -173,7 +173,7 @@ def _fund_and_mint(sim: Simulation, holdings: dict[str, int], max_supply: int) -
         mint = inscription_tx(sim, addr, mint_inscription(TICK, amount), SETUP_FEE_RATE,
                               f"mint-{addr}")
         mints.append((f"mint for {addr}", mint, sim.submit(mint)))
-    sim.run_blocks(2)
+    sim.run_until(SETUP_S)
     for step, mint, minted in mints:
         _require_confirmed(sim, step, mint, minted)
     for addr, amount in holdings.items():
@@ -250,12 +250,11 @@ def run_scenario(
     sim.run_until(outcome.horizon)
     if log_path is not None:
         sim.export_event_log(log_path)
-    peak_pinned, pinned_pct, outage_s = _lockup(sim)
+    pinned_pct, outage_s = _lockup(sim)
     return ScenarioResult(
         seed=seed,
         success=outcome.success,
         delays=[r.effective_delay for r in outcome.per_attempt],
-        peak_pinned=peak_pinned,
         pinned_pct=pinned_pct,
         outage_s=outage_s,
         congestion_measured=sim.mean_congestion(),
@@ -263,14 +262,14 @@ def run_scenario(
     )
 
 
-def _lockup(sim: Simulation) -> tuple[int, float, float]:
-    """The target's peak transferable balance, as that and as a percentage of its
-    opening balance, and its outage: a block interval per block that left
-    tokens transferable."""
+def _lockup(sim: Simulation) -> tuple[float, float]:
+    """The target's peak transferable balance as a percentage of its opening
+    balance, and its outage: a block interval per block that left tokens
+    transferable."""
     samples = sim.balance_samples
-    outage_s = BLOCK_INTERVAL * sum(1 for _, _, trans in samples if trans > 0)
-    peak_pinned = max((trans for _, _, trans in samples), default=sim.balance(TICK, TARGET)[1])
-    return peak_pinned, 100.0 * peak_pinned / TARGET_INITIAL, outage_s
+    outage_s = BLOCK_INTERVAL * sum(1 for trans in samples if trans > 0)
+    peak_pinned = max(samples, default=sim.balance(TICK, TARGET)[1])
+    return 100.0 * peak_pinned / TARGET_INITIAL, outage_s
 
 
 def default_grid(fractions=FRACTION_LEVELS, fees=FEE_LEVELS, congestion=CONGESTION_LEVELS,
@@ -300,7 +299,7 @@ def _run_cell(task: tuple[ScenarioConfig, int]) -> tuple:
     config, seed = task
     sim, resume, hold = _histories.start(config, seed)
     outcome = execute(config, sim, resume, hold)
-    _, pinned_pct, outage_s = _lockup(sim)
+    pinned_pct, outage_s = _lockup(sim)
     return outcome.success, [r.effective_delay for r in outcome.per_attempt], pinned_pct, outage_s
 
 

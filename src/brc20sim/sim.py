@@ -27,10 +27,12 @@ one holds its whole transaction under ``"tx"``.  The foreground enters
 through ``submit``, one transaction at a time, and ``foreground_pooled``
 tells whether one sent that way is still pooled.  A window's market is the
 tuple of its entries in ascending order of arrival, so ``run_until`` bisects
-it by arrival for the run up to the horizon and slices it.  No arrival is
-earlier than ``now``: a window is drawn when the clock stands at its start,
-and ``now`` is the latest horizon passed, up to which every arrival was
-submitted.  Each submission is recorded once, as one ``submit`` event.
+it by arrival for the run up to the horizon and slices it: window 1 is drawn
+at construction and each next one once a block is mined, so it is always the
+window that ends at ``next_block_time``.  No arrival is earlier than ``now``:
+a window is drawn when the clock stands at its start, and ``now`` is the
+latest horizon passed, up to which every arrival was submitted.  Each
+submission is recorded once, as one ``submit`` event.
 
 ``fork`` gives an independent simulation in the same state, from per-layer
 copies: the harness holds a scenario's set-up and the checkpoint a shorter
@@ -116,20 +118,19 @@ class Simulation:
         self.next_block_time = BLOCK_INTERVAL
         self._arrivals = NO_MARKET  # this window's market
         self._next_arrival = 0  # index of the first arrival not yet submitted
-        self._window_generated = -1
         self.congestion_samples: list[float] = []
         self._watch: tuple[str, str] | None = None
-        self.balance_samples: list[tuple[float, int, int]] = []
+        self.balance_samples: list[int] = []  # the watched transferable balance, per block
         # ("grant", t, owner, value), ("submit", t, tx, result) and ("mine", t, block),
         # in the order they happened
         self.event_log: list[tuple] = []
-        self._sent: list[str] = []  # accepted ``submit`` txids, pruned by ``foreground_pooled``
         self.background: BackgroundLoad | None = None
         if profile is not None and profile.target_level > 0:
             self.background = BackgroundLoad(
                 profile, config.congestion_normal_count, config.block_capacity_vbytes
             )
             self.submit_batch(self.background.sediment())
+            self._arrivals = self.background.market_batch(1)
 
     def fork(self) -> Simulation:
         """An independent simulation in this one's state: run apart, each goes on as
@@ -148,7 +149,6 @@ class Simulation:
         dup.congestion_samples = list(self.congestion_samples)
         dup.balance_samples = list(self.balance_samples)
         dup.event_log = list(self.event_log)
-        dup._sent = list(self._sent)
         return dup
 
     # -- funding -------------------------------------------------------------
@@ -166,8 +166,6 @@ class Simulation:
         at = self.now if at is None else at
         result = self.pool.submit(tx, at)
         self.event_log.append(("submit", at, tx, result))
-        if result.accepted:
-            self._sent.append(tx.txid)
         return result
 
     def submit_batch(self, batch: Sequence[MarketTx]) -> list[SubmitResult]:
@@ -193,20 +191,11 @@ class Simulation:
 
     # -- time ------------------------------------------------------------------
 
-    def _ensure_window(self) -> None:
-        window = int(self.next_block_time / BLOCK_INTERVAL)
-        if self.background is not None and window > self._window_generated:
-            self._window_generated = window
-            # the last window's arrivals were all submitted before its block was mined
-            self._arrivals = self.background.market_batch(window)
-            self._next_arrival = 0
-
     def run_until(self, target: float) -> None:
         """Submit arrivals and mine every block due up to ``target``, then stand at it."""
         if not target < math.inf:  # NaN or +inf: no block would ever pass it
             raise ValueError(f"run_until needs a finite target, got {target!r}")
         while True:
-            self._ensure_window()
             horizon = min(target, self.next_block_time)
             # the arrivals up to the horizon, none earlier than now (see the module docstring)
             i = self._next_arrival
@@ -222,10 +211,14 @@ class Simulation:
             block = self.pool.mine_block(self.now)
             self.indexer.apply_block(block, self.chain.tip_receipts)
             if self._watch is not None:
-                avail, trans, _ = self.indexer.balance(*self._watch)
-                self.balance_samples.append((self.now, avail, trans))
+                self.balance_samples.append(self.indexer.balance(*self._watch)[1])
             self.event_log.append(("mine", self.now, block))
             self.next_block_time += BLOCK_INTERVAL
+            if self.background is not None:
+                # the last window's arrivals were all submitted before its block was mined
+                self._arrivals = self.background.market_batch(
+                    int(self.next_block_time / BLOCK_INTERVAL))
+                self._next_arrival = 0
 
     def run_blocks(self, count: int) -> None:
         self.run_until(self.next_block_time + (count - 1) * BLOCK_INTERVAL)
@@ -233,7 +226,7 @@ class Simulation:
     # -- queries -----------------------------------------------------------------
 
     def watch_balance(self, tick: str, addr: str) -> None:
-        """Sample (available, transferable) for one address at every block."""
+        """Sample one address's transferable balance at every block."""
         self._watch = (tick, addr)
 
     def mean_congestion(self) -> float:
@@ -245,9 +238,10 @@ class Simulation:
         return self.indexer.balance(tick, addr)
 
     def foreground_pooled(self) -> bool:
-        """Whether a transaction sent through ``submit`` is still in the pool."""
-        self._sent = [txid for txid in self._sent if txid in self.pool]
-        return bool(self._sent)
+        """Whether a transaction sent through ``submit`` is still in the pool: only those
+        spend, since a market entry spends nothing and a transaction with no input pays
+        a fee of at most 0, below the relay floor."""
+        return bool(self.pool.spends)
 
     # -- replay -------------------------------------------------------------------
 

@@ -98,12 +98,11 @@ def warm_run(config: ScenarioConfig, seed: int, log_path: str | None = None) -> 
     sim.run_until(outcome.horizon)
     if log_path is not None:
         sim.export_event_log(log_path)
-    peak_pinned, pinned_pct, outage_s = harness._lockup(sim)
+    pinned_pct, outage_s = harness._lockup(sim)
     return ScenarioResult(
         seed=seed,
         success=outcome.success,
         delays=[r.effective_delay for r in outcome.per_attempt],
-        peak_pinned=peak_pinned,
         pinned_pct=pinned_pct,
         outage_s=outage_s,
         congestion_measured=sim.mean_congestion(),

@@ -219,7 +219,7 @@ class TestExecute:
                 fraction=0.10, fee_rate=100, congestion=0.75, attempts=attempts
             )
             results.append(run_scenario(config, seed=5))
-        assert results[0].peak_pinned <= results[1].peak_pinned
+        assert results[0].pinned_pct <= results[1].pinned_pct
 
     def test_total_balance_invariant_during_pin(self):
         sim, _ = pinned_sim()

@@ -96,13 +96,14 @@ def test_background_txids_hash_their_content():
 
 def test_a_deep_pool_set_up_builds_one_object_per_sediment_transaction(monkeypatch):
     # the benchmark's deep pool, whose capacity binds within its sediment: each
-    # sediment transaction is one MarketTx, which the pool and the log hold as it is
+    # sediment transaction is one MarketTx, which the pool and the log hold as it is;
+    # the only others are window 1's, drawn at construction
     built = count_builds(monkeypatch, MarketTx, MempoolEntry)
     config = SimConfig(congestion_normal_count=8_000, mempool_capacity_vbytes=2_300_000)
     sim = Simulation(config, CongestionProfile.for_level(0.75, seed=3))
     sediment = sim.background.sediment()
     assert len(sediment) == sim.background.sediment_count == 5_975
-    assert built == {"MarketTx": 5_975}
+    assert built == {"MarketTx": 5_975 + sim.background.flight} == {"MarketTx": 6_000}
     logged = [event[2] for event in sim.event_log]
     assert all(x is y for x, y in zip(logged, sediment, strict=True))
     pooled = [entry for entry in sediment if entry.txid in sim.pool]
@@ -211,7 +212,8 @@ class TestSharedMarket:
             return txs
 
         loads = [sediment(level, seed) for seed in (1, 2) for level in (0.5, 0.75)]
-        assert len(background._market_txids) == self.sediment_count(0.75)
+        # and window 1's, drawn at construction
+        assert len(background._market_txids) == self.sediment_count(0.75) + self.load(0.75).flight
         for a, b in itertools.combinations(loads, 2):
             assert all(x.txid is y.txid for x, y in zip(a, b))
         assert [tx.fee for tx in loads[0]] != [tx.fee for tx in loads[2]]
@@ -492,7 +494,7 @@ def test_conservation_after_every_block_of_a_congested_run():
 
 def test_carries_inscription_agrees_with_a_scan_of_every_inscribed_ordinal():
     ledger = congested_run(6, blocks=25, after_block=lambda sim: None).chain.utxo_set
-    assert sorted(ledger.inscribed) == ledger._inscribed_sorted
+    assert sorted(set(ledger.inscribed)) == ledger.inscribed
     utxos = list(ledger.utxos.values())
     verdicts = [ledger.carries_inscription(u) for u in utxos]
     assert verdicts == [any(u.holds(o) for o in ledger.inscribed) for u in utxos]

@@ -256,11 +256,11 @@ class TestInscriptions:
         # ordinal 10 sits just past the first range and before the second
         assert not state.carries_inscription(merged) and state.carries_inscription(inscribed)
         state.apply_transaction(tx("j", [TxInput(merged.serial)], [TxOutput(20, "a", inscription="{}")]))
-        assert state._inscribed_sorted == [0, 10]
+        assert state.inscribed == [0, 10]
         assert state.carries_inscription(state.utxos[("j", 0)])
         # an ordinal inscribed twice is listed once
         state.apply_transaction(tx("k", [TxInput(("j", 0))], [TxOutput(20, "a", inscription="{}")]))
-        assert state._inscribed_sorted == sorted(state.inscribed) == [0, 10]
+        assert state.inscribed == [0, 10]
 
 
 def mined_market_entry(chain: Chain, txid: str = "p") -> tuple[str, int]:

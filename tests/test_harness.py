@@ -9,6 +9,7 @@ import pytest
 import brc20sim.harness as harness
 from brc20sim.background import MARKET_TX_VSIZE
 from brc20sim.harness import (
+    SETUP_S,
     ReplayDivergence,
     ScenarioConfig,
     default_grid,
@@ -17,7 +18,7 @@ from brc20sim.harness import (
     run_sweep,
     sweep_csv,
 )
-from brc20sim.mempool import EXPIRY
+from brc20sim.mempool import EXPIRY, Mempool
 from brc20sim.sim import SimConfig
 from brc20sim.wallet import TX1_VSIZE, TX2_VSIZE
 
@@ -49,13 +50,36 @@ class TestScenario:
         for congestion in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="congestion"):
                 ScenarioConfig(fraction=0.5, fee_rate=100, congestion=congestion, attempts=2)
-        # a horizon past mempool.EXPIRY is refused before anything runs
-        for attempts, tolerance_s in ((2, 1e12), (10**9, 3600.0), (672, 0.0), (10**400, 0.0)):
+        # a horizon that ends past mempool.EXPIRY, after the set-up, is refused
+        # before anything runs
+        for attempts, tolerance_s in ((2, 1e12), (10**9, 3600.0), (672, 0.0), (10**400, 0.0),
+                                      (668, 3600.0)):
             with pytest.raises(ValueError, match="horizon must be at most"):
                 ScenarioConfig(fraction=0.5, fee_rate=100, congestion=0.5, attempts=attempts,
                                tolerance_s=tolerance_s)
-        edge = ScenarioConfig(fraction=0.5, fee_rate=100, congestion=0.5, attempts=668)
-        assert edge.horizon_s() <= EXPIRY
+        edge = ScenarioConfig(fraction=0.5, fee_rate=100, congestion=0.5, attempts=667)
+        assert SETUP_S + edge.horizon_s() <= EXPIRY
+
+    def test_the_largest_horizon_expires_nothing(self, monkeypatch):
+        # the horizon starts after the set-up's blocks; counted from time 0, where
+        # the sediment is sent, it ends past EXPIRY in the first config
+        with pytest.raises(ValueError, match="horizon must be at most"):
+            ScenarioConfig(fraction=0.1, fee_rate=100, congestion=0.75, attempts=1,
+                           tolerance_s=EXPIRY - 4_200)
+        largest = ScenarioConfig(fraction=0.1, fee_rate=100, congestion=0.75, attempts=1,
+                                 tolerance_s=EXPIRY - 6_000)
+        expired, ticks, tick_expiry = [], [], Mempool.tick_expiry
+
+        def recorded(pool, now):
+            ticks.append(now)
+            dropped = tick_expiry(pool, now)
+            expired.extend(dropped)
+            return dropped
+
+        monkeypatch.setattr(Mempool, "tick_expiry", recorded)
+        run_scenario(largest, seed=0)
+        assert ticks[-1] == SETUP_S + largest.horizon_s() == EXPIRY
+        assert expired == []
 
     def test_a_settled_cell_stops_before_its_horizon(self, monkeypatch):
         # at fee 500 every attempt confirms in the next block: the sweep's cell
@@ -94,6 +118,12 @@ class TestSweep:
         for a, b in zip(low, high):
             assert replace(a, fraction=b.fraction, pinned_pct=b.pinned_pct) == b
         assert any(a.pinned_pct != b.pinned_pct for a, b in zip(low, high))
+
+    def test_p95_is_the_nearest_rank(self):
+        # the smallest delay that at least 95% of the delays do not exceed
+        for delays, p95 in (([], 0.0), ([7.0], 7.0), (list(range(1, 11)), 10),
+                            (list(range(1, 21)), 19), (list(range(100, 0, -1)), 95)):
+            assert harness._percentile_95(delays) == p95, delays
 
     def test_default_grid_is_81(self):
         assert len(default_grid()) == 81

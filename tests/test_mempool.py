@@ -80,6 +80,14 @@ class TestSubmit:
         assert not result.accepted and result.reason == BELOW_MIN_RELAY_FEE
         assert pool.submit(spend(chain, 500, fee=100, vsize=100, tag="floor"), 0.0).accepted
 
+    def test_a_batch_refuses_a_market_entry_below_the_relay_floor(self):
+        pool, _ = make_pool()
+        low, floor = MarketTx("low", 99, 100, 0.0), MarketTx("floor", 100, 100, 0.0)
+        results = pool.submit_batch([low, floor])
+        assert [(r.accepted, r.reason) for r in results] == [(False, BELOW_MIN_RELAY_FEE),
+                                                             (True, None)]
+        assert "low" not in pool and "floor" in pool
+
     def test_orphan_input(self):
         pool, _ = make_pool()
         orphan = Transaction(
@@ -645,6 +653,11 @@ def check_pool_invariants(pool):
     assert pool.total_vsize == sum(e.tx.vsize for e in entries.values())
     assert pool.spends == {
         inp.outpoint: txid for txid, e in entries.items() for inp in e.tx.inputs
+    }
+    # every entry but a market one owns a spend, and a market one none, so
+    # Simulation.foreground_pooled reads a pooled foreground entry from bool(spends)
+    assert set(pool.spends.values()) == {
+        txid for txid, e in entries.items() if e.__class__ is not MarketTx
     }
     for entry in entries.values():
         parents = {inp.outpoint[0] for inp in entry.tx.inputs}

@@ -95,10 +95,20 @@ def test_background_traffic_stays_off_the_ordinal_ledger():
         named = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert not {"plain", "fund", "fund_serial"} & (named | defined), name
-    assert set(vars(UtxoSet())) == {"utxos", "inscribed", "_inscribed_sorted", "_next_ordinal",
-                                    "_grant_count"}
+    assert set(vars(UtxoSet())) == {"utxos", "inscribed", "_next_ordinal", "_grant_count"}
     assert not {name for name in called_names(SRC / "background.py") if name and "grant" in name}
     assert callers("assign_ordinals") == {"chain.py"}
+
+
+def test_the_simulation_holds_no_fact_another_layer_holds():
+    # the sent foreground is pool.spends, the window is next_block_time's, and the
+    # watched balance is sampled as the one amount its reader reads
+    sim = Simulation(SimConfig(), CongestionProfile.for_level(0.75, 1))
+    assert set(vars(sim)) == {
+        "config", "chain", "pool", "indexer", "now", "next_block_time", "_arrivals",
+        "_next_arrival", "congestion_samples", "_watch", "balance_samples", "event_log",
+        "background",
+    }
 
 
 def calls_of(name: str) -> set[tuple[str, str]]:

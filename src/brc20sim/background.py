@@ -34,9 +34,9 @@ arrival ties by txid.  Those txids depend on ``k`` alone, whatever the seed,
 profile or foreground, so one process-wide list holds them, ``bg{k}``'s at
 entry ``k - 1``, each hashed once.
 
-A ``BackgroundLoad`` is one simulation's market: its RNG streams, its floors,
-and its batches, the sediment and then one window per block interval,
-each built when first requested.  A batch is the tuple of its market
+A ``BackgroundLoad`` is one simulation's market: its RNG streams, the floor's
+AR(1) state, and its batches, the sediment and then one window per block
+interval, each built when first requested.  A batch is the tuple of its market
 entries in ascending order of arrival, one object per transaction per load,
 each built with its arrival time (the sediment's is 0.0).  The load never
 touches the pool or the ledger: the simulation submits each batch, and the
@@ -51,7 +51,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from array import array
 from dataclasses import dataclass
 
 from .chain import BLOCK_INTERVAL, DUST, MAX_SEQUENCE, MarketTx
@@ -164,10 +163,10 @@ class BackgroundLoad:
     ``flight`` market transactions arrive per window, after a one-shot sediment
     of ``sediment_count``.  ``windows[0]`` is the sediment, all arriving at time 0,
     and ``windows[w]`` is window ``w``'s market, its times in
-    ``[(w - 1) * BLOCK_INTERVAL, w * BLOCK_INTERVAL)``, drawn at floor ``floors[w]``.
+    ``[(w - 1) * BLOCK_INTERVAL, w * BLOCK_INTERVAL)``, drawn at that window's floor.
     """
 
-    __slots__ = ("profile", "flight", "sediment_count", "floors", "windows",
+    __slots__ = ("profile", "flight", "sediment_count", "windows",
                  "_g", "_rng_floor", "_rng_rates", "_rng_times")
 
     def __init__(self, profile: CongestionProfile, normal_count: int, block_capacity: int):
@@ -181,7 +180,6 @@ class BackgroundLoad:
         self._rng_times = stream(profile.seed, "times")
         sigma_stat = profile.sigma / math.sqrt(1.0 - FLOOR_RHO**2)
         self._g = self._rng_floor.gauss(0.0, sigma_stat)
-        self.floors = array("d", [self._floor() if profile.target_level else 0.0])
         fees = _draw_sediment(stream(profile.seed, "sediment"), count)
         self.windows = [_entries(_txids(count), fees, [0.0] * count)]
 
@@ -203,7 +201,6 @@ class BackgroundLoad:
         while (drawn := len(self.windows)) <= w:  # drawn: the window being drawn
             self._g = FLOOR_RHO * self._g + self._rng_floor.gauss(0.0, sigma)
             floor = self._floor()
-            self.floors.append(floor)
             start = (drawn - 1) * BLOCK_INTERVAL
             fees, arrivals = [], []
             for _ in range(flight):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_SEQUENCE = 0xFFFFFFFF
 RBF_SEQUENCE = 0xFFFFFFFD  # highest sequence value that still signals replaceability
@@ -93,13 +93,13 @@ class TxOutput:
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
+    """A foreground transaction (the market's are ``MarketTx``), a few per scenario,
+    so ``output_total`` and ``rbf_enabled`` are read from its content per call."""
+
     txid: str
     inputs: tuple[TxInput, ...]
     outputs: tuple[TxOutput, ...]
     vsize: int
-    # derived once here, since pool admission and the ledger read them per spend
-    output_total: int = field(init=False, compare=False, repr=False)
-    rbf_enabled: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.vsize < 1:
@@ -107,18 +107,17 @@ class Transaction:
         # The indexer binds an inscription to the first satoshi of the first
         # output, so an envelope anywhere else (or on an empty output, which
         # never materializes) would be unreachable.
-        total = 0
         for i, out in enumerate(self.outputs):
             if out.inscription is not None and (i != 0 or out.value < 1):
                 raise ValueError("inscription envelope must sit on a funded output 0")
-            total += out.value
-        rbf = False
-        for inp in self.inputs:
-            if inp.sequence <= RBF_SEQUENCE:
-                rbf = True
-                break
-        object.__setattr__(self, "output_total", total)
-        object.__setattr__(self, "rbf_enabled", rbf)
+
+    @property
+    def output_total(self) -> int:
+        return sum(out.value for out in self.outputs)
+
+    @property
+    def rbf_enabled(self) -> bool:
+        return any(inp.sequence <= RBF_SEQUENCE for inp in self.inputs)
 
     @classmethod
     def from_dict(cls, data: dict) -> Transaction:

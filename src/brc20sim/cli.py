@@ -10,12 +10,14 @@ the foreground's coins, a ``submit`` line with a ``"tx"`` goes through
 (a txid, fee and vsize, no ``"tx"``), each one ``MarketTx`` at its time,
 enters the pool as one ``Simulation.submit_batch``, the doors the simulation
 used.  A market line as ``sim.log_line`` writes it is read by the strict
-pattern ``sim.MARKET_LINE``; any other line goes through the JSON decoder,
-to the same values.  Replay checks every grant's and submission's time, each
+pattern ``sim.MARKET_LINE``; any other line goes through ``json.loads``, to
+the same values.  Replay checks every grant's and submission's time, each
 submission's decision and each block's height, time and txids, and at the
-end that the replayed token state conserves supply.  Of a broken log's
-faults, the one on the first bad line in the file is reported.  A ``fund`` line comes from the
-old log format, whose market transactions spent coins, and is refused.
+end that it recorded as many events as the header's ``events`` counts (so a
+log cut short or missing a line fails) and that the replayed token state
+conserves supply.  Of a broken log's faults, the one on the first bad line in
+the file is reported.  A ``fund`` line comes from the old log format, whose
+market transactions spent coins, and is refused.
 
 Exit codes: 0 success, 1 usage error (a bad value, or a fee the wallet cannot
 pay), 2 assertion/model divergence.
@@ -162,8 +164,6 @@ def cmd_tolerance(args) -> int:
     return 0
 
 
-_JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
-
 # the fields replay reads from each kind of event, with the exact types JSON
 # gives them (so a bool is no count); other kinds are skipped.  A submit line
 # with no "tx" is a market entry's, read with MARKET_FIELDS.  _replay unpacks
@@ -215,25 +215,17 @@ def _market_values(line: str) -> list | None:
     return [t, txid, int(fee), int(vsize), accepted == "true", reason]
 
 
-_raw_decode = json.JSONDecoder().raw_decode  # json.loads adds per-line checks and two regex scans
-
-
 def _decoded(number: int, line: str):
     """Log line ``number`` decoded as one JSON value; a ValueError names the line."""
-    start = len(line) - len(line.lstrip(_JSON_SPACE))
     try:
-        value, end = _raw_decode(line, start)
+        return json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"log line {number}: {exc.msg} at column {exc.colno}") from None
+        msg = "more than one JSON value, the next" if exc.msg == "Extra data" else exc.msg
+        raise ValueError(f"log line {number}: {msg} at column {exc.colno}") from None
     except ValueError as exc:  # an integer past int()'s digit limit
         raise ValueError(f"log line {number}: {exc}") from None
     except RecursionError:
         raise ValueError(f"log line {number}: JSON nested too deeply to decode") from None
-    after = line[end:].lstrip(_JSON_SPACE)
-    if after:
-        raise ValueError(f"log line {number}: more than one JSON value, "
-                         f"the next at column {len(line) - len(after) + 1}")
-    return value
 
 
 def _log_lines(fh) -> Iterator[tuple[int, str]]:
@@ -270,8 +262,11 @@ def cmd_replay_log(args) -> int:
         missing = [name for name in SETTINGS if name not in header["config"]]
         if missing:
             raise ValueError(f"log header lacks config keys: {missing}")
+        events = header.get("events")
+        if type(events) is not int:  # a bool is no count
+            raise ValueError(f"log header lacks an integer 'events' count, got {events!r}")
         try:
-            return _replay(Simulation(_sim_config(header["config"])), lines)
+            return _replay(Simulation(_sim_config(header["config"])), lines, events)
         except ReplayDivergence as exc:
             print(exc, file=sys.stderr)
             return MODEL_ERROR
@@ -284,9 +279,10 @@ def _check_decision(tx, t, accepted: bool, reason: str | None, result) -> None:
                                f"log has accepted={accepted} reason={reason}")
 
 
-def _replay(sim: Simulation, lines: Iterator[tuple[int, str]]) -> int:
+def _replay(sim: Simulation, lines: Iterator[tuple[int, str]], events: int) -> int:
     """``cmd_replay_log``'s pass over the lines after the header; raises
-    ReplayDivergence at the first divergence.  A market line that
+    ReplayDivergence at the first divergence, or at the end when the replay
+    recorded other than the ``events`` the header counts.  A market line that
     ``_market_values`` reads skips the decoder; it gives the values the
     decoder and ``_replay_fields`` would, and every check after is the same."""
     clock = sim.now  # the time of the last event
@@ -355,6 +351,10 @@ def _replay(sim: Simulation, lines: Iterator[tuple[int, str]]) -> int:
     except (ValueError, ReplayDivergence):
         submit_run()  # an earlier line's divergence outranks this fault
         raise
+    # a log cut short, or with a line dropped, replays line by line
+    if len(sim.event_log) != events:
+        raise ReplayDivergence(f"divergence: replay recorded {len(sim.event_log)} events, "
+                               f"the log header counts {events}")
     # the indexer followed every replayed block; its token state must balance
     if not sim.indexer.state.supply_is_conserved():
         raise ReplayDivergence("divergence: replayed token state does not conserve supply")

@@ -48,8 +48,8 @@ and k distinct vsizes among the ready entries:
   and the eviction heap is dropped, to be rebuilt when capacity next binds.
   So a pool that never fills rebuilds only after replacements and expiry,
   never because blocks were mined.
-- An entry is built in one call that sets its fee rate and its ready-heap
-  item beside its fields: ``MempoolEntry`` in ``submit``, or a market entry.
+- An entry carries its fee rate and its ready-heap item beside its fields:
+  ``MempoolEntry.__post_init__`` sets them, or ``MarketTx.__init__``.
 - ``tick_expiry`` is O(1) while a lower bound on the oldest arrival cannot
   expire; only then does it scan the pool in insertion order.
 
@@ -119,9 +119,8 @@ MAX_REPLACEMENT_EVICTIONS = 100  # BIP125 rule 5: conflicts plus their descendan
 
 @dataclass(slots=True)
 class MempoolEntry:
-    """One pooled transaction with inputs (a ``chain.MarketTx`` is its own entry),
-    whose ``__init__`` sets the derived keys too; it takes the four fields by
-    name, as ``dataclasses.replace`` passes them."""
+    """One pooled transaction with inputs (a ``chain.MarketTx`` is its own entry);
+    ``__post_init__`` sets the derived keys, so ``dataclasses.replace`` rebuilds them."""
 
     tx: Transaction
     arrival: float
@@ -136,14 +135,9 @@ class MempoolEntry:
     rate_key: float = field(init=False)
     key: tuple = field(init=False)  # (-rate_key, arrival, txid), its ready-heap item
 
-    def __init__(self, tx: Transaction, arrival: float, fee: int,
-                 depends_on: set[str] | frozenset[str]) -> None:
-        self.tx = tx
-        self.arrival = arrival
-        self.fee = fee
-        self.depends_on = depends_on
-        self.rate_key = rate_key = fee / tx.vsize
-        self.key = (-rate_key, arrival, tx.txid)
+    def __post_init__(self) -> None:
+        self.rate_key = self.fee / self.tx.vsize
+        self.key = (-self.rate_key, self.arrival, self.tx.txid)
 
 
 @dataclass(frozen=True, slots=True)

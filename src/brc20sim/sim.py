@@ -8,9 +8,10 @@ the indexer together with the receipts its chain append returned.
 
 Every grant, submission and mined block is recorded once, in order, in
 ``event_log``: the run's one record, which ``export_event_log`` writes as JSON
-lines for ``brc20sim replay``.  ``log_line`` formats each line itself, with
-the bytes ``json.dumps(..., sort_keys=True)`` would give at a fraction of its
-cost; a test holds it to ``json.dumps``.  ``MARKET_LINE`` matches a market
+lines for ``brc20sim replay``, after a header of settings and event count.
+``log_line`` writes a foreground ``submit`` line, a few per scenario, with
+``json.dumps``, and the rest by hand, as ``json.dumps(..., sort_keys=True)``
+would at a fraction of its cost.  ``MARKET_LINE`` matches a market
 entry's line exactly as written, for replay to read back without the JSON
 decoder.  Genesis satoshis enter through ``grant``, so token state stays
 reconstructable from the grants plus the block list alone (see
@@ -55,7 +56,7 @@ import re
 from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -65,6 +66,12 @@ from .chain import BLOCK_INTERVAL, Chain, MarketTx, Transaction, Utxo, UtxoSet
 from .indexer import Brc20State, Indexer, replay
 from .mempool import Mempool, SubmitResult
 from .wallet import BUNDLE_GAP, TransferBundle, TransferRequest
+
+
+# The largest congestion_normal_count: the sediment holds about level * count
+# market entries, and at the highest congestion level (about 3.49) this count
+# sets up a simulation of 125,000 pooled entries that peaks at about 65 MB.
+MAX_NORMAL_COUNT = 40_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,6 +87,9 @@ class SimConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
                 raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
+        if self.congestion_normal_count > MAX_NORMAL_COUNT:
+            raise ValueError(f"congestion_normal_count must be at most {MAX_NORMAL_COUNT}, "
+                             f"got {self.congestion_normal_count!r}")
 
 
 # The settings, as written to the event-log header, accepted as CLI config
@@ -254,9 +264,10 @@ class Simulation:
         return replay(self.chain.blocks, genesis)
 
     def export_event_log(self, path: str) -> None:
-        """The event log as JSON lines: a config header, then one object per event."""
+        """The event log as JSON lines: a header, then one object per event."""
         config = {name: getattr(self.config, name) for name in SETTINGS}
-        lines = [json.dumps({"event": "header", "config": config}, sort_keys=True)]
+        lines = [json.dumps({"event": "header", "config": config, "events": len(self.event_log)},
+                            sort_keys=True)]
         lines += [log_line(event) for event in self.event_log]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -272,10 +283,6 @@ _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 def _number(x: float) -> str:
     text = repr(x)
     return _NON_FINITE.get(text, text)
-
-
-def _nullable(text: str | None) -> str:
-    return "null" if text is None else _string(text)
 
 
 # A market entry's submit line as log_line writes it, with an optional
@@ -302,22 +309,14 @@ def log_line(event: tuple) -> str:
     kind = event[0]
     if kind == "submit":
         _, t, tx, result = event
-        head = f'{{"accepted": {"true" if result.accepted else "false"}, "event": "submit", '
-        tail = f'"reason": {_nullable(result.reason)}, "t": {_number(t)}, '
-        if tx.__class__ is MarketTx:  # the line MARKET_LINE reads back
-            return (f'{head}"fee": {tx.fee}, {tail}'
-                    f'"txid": {_string(tx.txid)}, "vsize": {tx.vsize}}}')
-        inputs = ", ".join([
-            f'{{"outpoint": [{_string(i.outpoint[0])}, {i.outpoint[1]}], "sequence": {i.sequence}}}'
-            for i in tx.inputs
-        ])
-        outputs = ", ".join([
-            f'{{"inscription": {_nullable(o.inscription)}, "owner": {_string(o.owner)}, '
-            f'"value": {o.value}}}'
-            for o in tx.outputs
-        ])
-        return (f'{head}{tail}"tx": {{"inputs": [{inputs}], "outputs": [{outputs}], '
-                f'"txid": {_string(tx.txid)}, "vsize": {tx.vsize}}}}}')
+        if tx.__class__ is not MarketTx:  # a foreground transaction, whole
+            return json.dumps({"accepted": result.accepted, "event": "submit",
+                               "reason": result.reason, "t": t, "tx": asdict(tx)},
+                              sort_keys=True)
+        reason = "null" if result.reason is None else _string(result.reason)
+        return (f'{{"accepted": {"true" if result.accepted else "false"}, "event": "submit", '
+                f'"fee": {tx.fee}, "reason": {reason}, "t": {_number(t)}, '
+                f'"txid": {_string(tx.txid)}, "vsize": {tx.vsize}}}')
     if kind == "mine":
         _, t, block = event
         txids = ", ".join([_string(tx.txid) for tx in block.transactions])

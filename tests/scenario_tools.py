@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from brc20sim import harness
-from brc20sim.background import CongestionProfile
+from brc20sim.background import FLOOR_RHO, CongestionProfile, stream
 from brc20sim.chain import Block, Transaction, TxInput, TxOutput, UtxoSet, make_txid
 from brc20sim.indexer import (
     Indexer,
@@ -69,6 +69,20 @@ def band_profile(f_min: float, f_sf: float, level: float, seed: int) -> Congesti
         floor_cap=1.55 * f_sf,
         sigma=0.10,
     )
+
+
+def floor_path(profile: CongestionProfile, windows: int) -> list[float]:
+    """The market's floor in windows 1 to ``windows``, redrawn from the profile's
+    ``"floor"`` stream: a start from the AR(1)'s stationary spread, one step per
+    window, and each floor the scale times the exponential, clamped."""
+    rng = stream(profile.seed, "floor")
+    g = rng.gauss(0.0, profile.sigma / math.sqrt(1.0 - FLOOR_RHO**2))
+    floors = []
+    for _ in range(windows):
+        g = FLOOR_RHO * g + rng.gauss(0.0, profile.sigma)
+        floors.append(min(max(profile.floor_base * math.exp(g), profile.floor_lo),
+                          profile.floor_cap))
+    return floors
 
 
 def count_builds(monkeypatch, *classes) -> Counter:

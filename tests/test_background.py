@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from scenario_tools import band_profile, count_builds, warm_run
+from scenario_tools import band_profile, count_builds, floor_path, warm_run
 
 from brc20sim import background, harness
 from brc20sim.background import (
@@ -329,32 +329,38 @@ def test_market_rates_equal_the_uniform_draw(level, seed):
     load = BackgroundLoad(CongestionProfile.for_level(level, seed), normal_count=400,
                           block_capacity=10_150)
     rates, times = stream(seed, "rates"), stream(seed, "times")
-    for w in range(1, 41):
+    for w, floor in enumerate(floor_path(load.profile, 40), start=1):
         window = load.market_batch(w)
         drawn = []
         for _ in range(load.flight):
-            rate = load.floors[w] * math.exp(rates.uniform(0.0, math.log(RATE_SPREAD)))
+            rate = floor * math.exp(rates.uniform(0.0, math.log(RATE_SPREAD)))
             drawn.append((BLOCK_INTERVAL * (w - 1) + BLOCK_INTERVAL * times.random(),
                           math.ceil(rate * MARKET_TX_VSIZE)))
         expected = sorted(drawn, key=lambda pair: pair[0])  # stable, as market_batch sorts
         assert [(e.arrival, e.fee) for e in window] == expected, (level, seed, w)
 
 
+def assert_rates_clamped(profile: CongestionProfile, windows: int) -> None:
+    """Each window's market pays at least the floor's lower clamp, and below its cap
+    times the rate spread (plus the fee's rounding up to a whole satoshi)."""
+    load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
+    for w in range(1, windows + 1):
+        fees = [e.fee for e in load.market_batch(w)]
+        assert len(fees) == load.flight
+        assert profile.floor_lo * MARKET_TX_VSIZE <= min(fees), w
+        assert max(fees) <= profile.floor_cap * RATE_SPREAD * MARKET_TX_VSIZE + 1, w
+
+
 def test_band_profile_floor_confined():
     profile = band_profile(10, 22.5, 0.75, seed=4)
-    load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-    for w in range(1, 201):
-        load.market_batch(w)
-        assert 1.15 * 22.5 <= load.floors[w] <= 1.55 * 22.5
+    assert (profile.floor_lo, profile.floor_cap) == (1.15 * 22.5, 1.55 * 22.5)
+    assert_rates_clamped(profile, 200)
 
 
 def test_level_profile_respects_hard_cap():
     profile = CongestionProfile.for_level(0.75, seed=2)
     assert profile.floor_cap <= CongestionProfile.HARD_CAP
-    load = BackgroundLoad(profile, normal_count=400, block_capacity=10_150)
-    for w in range(1, 501):
-        load.market_batch(w)
-        assert profile.floor_lo <= load.floors[w] <= profile.floor_cap
+    assert_rates_clamped(profile, 500)
     # market never outbids the top sweep fee level
     assert profile.floor_cap * RATE_SPREAD < 500
 

@@ -485,5 +485,5 @@ class TestIdentity:
         # replace() builds a new transaction, so the derived fields follow the content
         bumped = replace(t, inputs=(TxInput(("g", 0)),), outputs=(TxOutput(2, "a"),))
         assert (bumped.output_total, bumped.rbf_enabled) == (2, False)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # computed, not a field
             replace(t, output_total=0)

@@ -21,10 +21,12 @@ from brc20sim.cli import cmd_replay_log, main
 from brc20sim.harness import ScenarioConfig, run_binance_replay, run_scenario
 from brc20sim.indexer import Brc20State
 from brc20sim.mempool import Mempool
-from brc20sim.sim import SETTINGS, SimConfig, collector_paused
+from brc20sim.sim import MAX_NORMAL_COUNT, SETTINGS, SimConfig, collector_paused
 from brc20sim.wallet import TX1_VSIZE
 
-HEADER = {"event": "header", "config": {name: getattr(SimConfig(), name) for name in SETTINGS}}
+# a log's header; a log that replays to its end counts its events in place of the 0
+HEADER = {"event": "header", "config": {name: getattr(SimConfig(), name) for name in SETTINGS},
+          "events": 0}
 # spends the first grant's coin at a fee the pool accepts
 FUNDED_TX = {"txid": "t", "inputs": [{"outpoint": ["genesis-0", 0], "sequence": 0}],
              "outputs": [{"value": 500, "owner": "b"}], "vsize": 100}
@@ -119,7 +121,7 @@ class TestSimCommand:
         # market entries take no serial: the grant is genesis-0 wherever it falls
         log = tmp_path / "events.jsonl"
         log.write_text("".join(json.dumps(line) + "\n" for line in [
-            HEADER,
+            {**HEADER, "events": 6},
             market_line("s0", 2_000, t=0.0),
             {"event": "grant", "t": 0.0, "owner": "a", "value": 1_000},
             market_line("s1", 6_000),
@@ -320,7 +322,7 @@ class TestReplayRuns:
         self, capsys, tmp_path
     ):
         code, out, err = self.replay(capsys, tmp_path, [json.dumps(line) + "\n" for line in [
-            HEADER,
+            {**HEADER, "events": 6},
             {"event": "grant", "t": 0.0, "owner": "a", "value": 1_000},
             submit_line("s1", ["genesis-0", 0], 500),
             submit_line("early", ["genesis-1", 0], 1_000, reason="orphan-input"),  # not granted yet
@@ -376,6 +378,23 @@ class TestReplayRuns:
                   if json.loads(line)["event"] == "submit" and '"tx"' not in line]
         assert len(market) == 975
         assert decoded == [n for n in range(1, len(seed7) + 1) if n not in market]
+
+    # a log cut short, or missing a market line that was never mined, once replayed
+    # as OK: each line it kept still verified, and nothing tied the log to its length
+    def test_a_log_cut_short_is_a_divergence(self, capsys, tmp_path, seed7):
+        assert json.loads(seed7[0])["events"] == len(seed7) - 1 == 1_019
+        code, out, err = self.replay(capsys, tmp_path, seed7[:500])
+        assert code == 2 and "replay OK" not in out
+        assert "divergence: replay recorded 499 events, the log header counts 1019" in err
+
+    def test_a_log_missing_a_never_mined_line_is_a_divergence(self, capsys, tmp_path, seed7):
+        mined = {txid for line in seed7 if '"mine"' in line for txid in json.loads(line)["txids"]}
+        i = next(i for i, line in enumerate(seed7)
+                 if '"fee"' in line and json.loads(line)["txid"] not in mined)
+        assert json.loads(seed7[i])["accepted"]
+        code, out, err = self.replay(capsys, tmp_path, seed7[:i] + seed7[i + 1:])
+        assert code == 2 and "replay OK" not in out
+        assert "divergence: replay recorded 1018 events, the log header counts 1019" in err
 
     def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
         # forked sweep workers share their parent's hash seed, so only separate
@@ -479,7 +498,7 @@ class TestPinnedOutputs:
         log, out = tmp_path / "events.jsonl", tmp_path / "report.json"
         argv = ["sim", "--seed", "4", "--attempts", "3", "--log", str(log), "--out", str(out)]
         assert main(argv) == 0
-        assert self.sha(log) == "28acc9ad244833bed3b0287e5c8659782f7a084c26c4cac76daa2985e4e1fa7b"
+        assert self.sha(log) == "45593ae99e92b975aadc06f085f51a8596d07d093d7503fb9db0b72c95db944e"
         assert self.sha(out) == "88fcf2c45b0b643e48223f7cdce131469fc62d08741131fd845fc5ede2a8c246"
 
     def test_replay_binance_transcript(self, tmp_path):
@@ -539,6 +558,27 @@ class TestBadInput:
         path.write_text(json.dumps({"sim": {key: value}}))
         code, _, err = run_cli(capsys, "sim", "--config", str(path))
         assert code == 1 and f"{key} must be a positive integer" in err
+
+    @pytest.mark.parametrize("events", [None, True, 0.0, "0", [0]])
+    def test_a_log_header_needs_an_integer_event_count(self, capsys, tmp_path, events):
+        path = tmp_path / "events.jsonl"
+        header = {"event": "header", "config": HEADER["config"]}
+        if events is not None:
+            header["events"] = events
+        path.write_text(json.dumps(header) + "\n")
+        code, _, err = run_cli(capsys, "replay", str(path))
+        assert code == 1 and "error: log header lacks an integer 'events' count" in err
+
+    # 10**30 once ended in an OverflowError traceback from the sediment draw, and
+    # counts from about 10**7 up tried to build tens of millions of market entries
+    def test_a_normal_count_above_the_ceiling_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sim": {"congestion_normal_count": 10**30}}))
+        code, _, err = run_cli(capsys, "sim", "--config", str(path))
+        assert code == 1 and "error: congestion_normal_count must be at most 40000" in err
+        assert SimConfig(congestion_normal_count=MAX_NORMAL_COUNT).congestion_normal_count == 40_000
+        with pytest.raises(ValueError, match="congestion_normal_count must be at most"):
+            SimConfig(congestion_normal_count=MAX_NORMAL_COUNT + 1)
 
     def test_a_log_header_with_a_removed_setting_is_refused(self, capsys, tmp_path):
         # a log written while the block interval was a setting names it in its header

@@ -219,7 +219,8 @@ def test_the_log_writer_and_replay_share_one_vocabulary(tmp_path):
     log = tmp_path / "recovery.jsonl"
     sim.export_event_log(str(log))
     header, *events = [json.loads(line) for line in log.read_text().splitlines()]
-    assert header == {"event": "header", "config": {n: getattr(sim.config, n) for n in SETTINGS}}
+    assert header == {"event": "header", "config": {n: getattr(sim.config, n) for n in SETTINGS},
+                      "events": len(sim.event_log)}
     assert len(events) == len(sim.event_log)
     assert {event["event"] for event in events} == set(REPLAY_FIELDS)
     market = [event["event"] == "submit" and "tx" not in event for event in events]

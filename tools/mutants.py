@@ -115,6 +115,16 @@ MUTANTS = (
     Mutant("replay-block-count", "cli.py",
            "{len(sim.chain.blocks)} blocks", "{len(sim.chain.blocks) + 1} blocks",
            ("test_cli.py",)),
+    Mutant("replay-event-count", "cli.py",
+           "if len(sim.event_log) != events:", "if len(sim.event_log) > events:",
+           ("test_cli.py",)),
+    # settings and transaction rules
+    Mutant("normal-count-ceiling", "sim.py",
+           "if self.congestion_normal_count > MAX_NORMAL_COUNT:",
+           "if self.congestion_normal_count > MAX_NORMAL_COUNT + 1:", ("test_cli.py",)),
+    Mutant("rbf-signal-boundary", "chain.py",
+           "inp.sequence <= RBF_SEQUENCE", "inp.sequence < RBF_SEQUENCE",
+           ("test_chain.py", "test_wallet.py")),
     # one place for each fact: what the simulation reads from the other layers
     Mutant("foreground-pooled-reads-spends", "sim.py",
            "return bool(self.pool.spends)", "return bool(self.pool.entries)",

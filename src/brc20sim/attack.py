@@ -167,7 +167,11 @@ def execute(
     while sim.now < horizon and not _settled(sim):
         sim.run_until(min(sim.next_block_time, horizon))
     per_attempt = [r if r.tx2 is None else _scored(sim, r, horizon) for r in records]
-    success = evaluate_success([r.effective_delay for r in per_attempt], config.tolerance_s)
+    # an attempt whose Tx1 and Tx2 confirm in one block locked no tokens: its
+    # delay stands, but it counts toward no success
+    locked = [r.effective_delay for r in per_attempt
+              if r.confirm_time is None or r.confirm_time != sim.chain.confirmation_time(r.tx1)]
+    success = evaluate_success(locked, config.tolerance_s)
     return AttackOutcome(horizon, per_attempt, success)
 
 

@@ -4,20 +4,21 @@ Subcommands: ``sim`` (one scenario), ``sweep`` (full parameter grid),
 ``replay-binance`` (scripted incident), ``tolerance`` (operational-tolerance
 calculator) and ``replay`` (verify an exported event log).  ``replay``
 re-runs the log through a ``Simulation``, the same block step that wrote it,
-in one pass that applies each line as it is read: ``grant`` events re-create
-the foreground's coins, a ``submit`` line with a ``"tx"`` goes through
-``Simulation.submit``, and each run of consecutive market ``submit`` lines
-(a txid, fee and vsize, no ``"tx"``), each one ``MarketTx`` at its time,
-enters the pool as one ``Simulation.submit_batch``, the doors the simulation
-used.  A market line as ``sim.log_line`` writes it is read by the strict
-pattern ``sim.MARKET_LINE``; any other line goes through ``json.loads``, to
-the same values.  Replay checks every grant's and submission's time, each
-submission's decision and each block's height, time and txids, and at the
-end that it recorded as many events as the header's ``events`` counts (so a
-log cut short or missing a line fails) and that the replayed token state
-conserves supply.  Of a broken log's faults, the one on the first bad line in
-the file is reported.  A ``fund`` line comes from the old log format, whose
-market transactions spent coins, and is refused.
+in one pass over the open file that applies each non-blank line as it is
+read: ``grant`` events re-create the foreground's coins, a ``submit`` line
+with a ``"tx"`` goes through ``Simulation.submit``, and each run of
+consecutive market ``submit`` lines (a txid, fee and vsize, no ``"tx"``) is
+kept as two lists, its ``MarketTx`` entries and the decisions they record,
+and enters the pool as one ``Simulation.submit_batch``, whose decisions one
+list comparison checks.  A market line as ``sim.log_line`` writes it is read
+by the strict pattern ``sim.MARKET_LINE``; any other line goes through
+``json.loads``, to the same values.  Replay checks every grant's and
+submission's time, each submission's decision and each block's height, time
+and txids, and at the end that it recorded as many events as the header's
+``events`` counts (so a log cut short or missing a line fails) and that the
+replayed token state conserves supply.  Of a broken log's faults, the first
+bad line's is reported, with its line number in the file.  A ``fund`` line
+(the old log format, whose market transactions spent coins) is refused.
 
 Exit codes: 0 success, 1 usage error (a bad value, or a fee the wallet cannot
 pay), 2 assertion/model divergence.
@@ -29,7 +30,7 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable
 
 from .attack import ToleranceInputs, tolerance
 from .chain import MarketTx, Transaction
@@ -46,6 +47,7 @@ from .harness import (
     run_sweep,
     sweep_csv,
 )
+from .mempool import ACCEPTED, SubmitResult
 from .sim import MARKET_LINE, SETTINGS, SimConfig, Simulation, collector_paused
 from .wallet import WalletError
 
@@ -178,7 +180,7 @@ MARKET_FIELDS = {"t": (int, float), "txid": (str,), "fee": (int,), "vsize": (int
 _ABSENT = object()  # a field the line lacks; its type is in no REPLAY_FIELDS entry
 
 
-def _replay_fields(event, number: int) -> tuple[str, list]:
+def _replay_fields(event, number: int) -> tuple[str, tuple]:
     """The event's kind (``"market"`` for a market entry's submit line) and the
     values of the fields replay reads from it, in ``REPLAY_FIELDS`` or
     ``MARKET_FIELDS`` order, once each is there with its type (one lookup per field)."""
@@ -200,10 +202,10 @@ def _replay_fields(event, number: int) -> tuple[str, list]:
                 raise ValueError(f"log line {number}: {kind} event lacks {key!r}")
             raise ValueError(f"log line {number}: {kind} {key} has the wrong type: {value!r}")
         values.append(value)
-    return shape, values
+    return shape, tuple(values)
 
 
-def _market_values(line: str) -> list | None:
+def _market_values(line: str) -> tuple | None:
     """The values ``_replay_fields`` gives a market line that ``sim.MARKET_LINE``
     matches, in ``MARKET_FIELDS`` order and with the decoder's types, read
     without the decoder; None for any other line."""
@@ -212,7 +214,7 @@ def _market_values(line: str) -> list | None:
         return None
     accepted, fee, reason, t_float, t_int, txid, vsize = match.groups()
     t = float(t_float) if t_int is None else int(t_int)
-    return [t, txid, int(fee), int(vsize), accepted == "true", reason]
+    return t, txid, int(fee), int(vsize), accepted == "true", reason
 
 
 def _decoded(number: int, line: str):
@@ -228,31 +230,22 @@ def _decoded(number: int, line: str):
         raise ValueError(f"log line {number}: JSON nested too deeply to decode") from None
 
 
-def _log_lines(fh) -> Iterator[tuple[int, str]]:
-    """Each non-blank line of an open event log, as it is read, with its line
-    number in the file."""
-    for number, line in enumerate(fh, start=1):
-        if not line.isspace():
-            yield number, line
-
-
 @collector_paused()
 def cmd_replay_log(args) -> int:
     """Re-run a recorded event log through a Simulation and verify every
     grant's and submission's time, every decision, every block's height,
     time and txids, and the token supply at the end.
 
-    One pass: each line is applied as it is read.  Each run of consecutive
-    market lines is submitted as one ``Simulation.submit_batch``, which
-    decides as the simulation's did; a run ends at any other line, or at the
-    end of the file.  Before a fault on a later line is reported, the pending
-    run is submitted and its decisions checked, so the first bad line in the
-    file is the one reported.
+    A run of market lines ends at any other line, or at the end of the file.
+    Before a fault on a later line is reported, the pending run is submitted
+    and checked, so the first bad line in the file is the one reported.
     """
     with open(args.log, encoding="utf-8") as fh:
-        lines = _log_lines(fh)
-        first = next(lines, None)
-        header = None if first is None else _decoded(*first)
+        number, header = 0, None
+        for number, line in enumerate(fh, start=1):  # the first non-blank line
+            if not line.isspace():
+                header = _decoded(number, line)
+                break
         if (
             not isinstance(header, dict)
             or header.get("event") != "header"
@@ -266,7 +259,7 @@ def cmd_replay_log(args) -> int:
         if type(events) is not int:  # a bool is no count
             raise ValueError(f"log header lacks an integer 'events' count, got {events!r}")
         try:
-            return _replay(Simulation(_sim_config(header["config"])), lines, events)
+            return _replay(Simulation(_sim_config(header["config"])), fh, number + 1, events)
         except ReplayDivergence as exc:
             print(exc, file=sys.stderr)
             return MODEL_ERROR
@@ -279,74 +272,81 @@ def _check_decision(tx, t, accepted: bool, reason: str | None, result) -> None:
                                f"log has accepted={accepted} reason={reason}")
 
 
-def _replay(sim: Simulation, lines: Iterator[tuple[int, str]], events: int) -> int:
-    """``cmd_replay_log``'s pass over the lines after the header; raises
-    ReplayDivergence at the first divergence, or at the end when the replay
-    recorded other than the ``events`` the header counts.  A market line that
-    ``_market_values`` reads skips the decoder; it gives the values the
-    decoder and ``_replay_fields`` would, and every check after is the same."""
+def _apply_event(sim: Simulation, clock, kind: str, values: tuple, number: int):
+    """Apply log line ``number``, a grant, send or block; return its time."""
+    t = values[0]  # each kind's first field
+    if kind == "mine":
+        _, height, txids = values
+        # only the next block time can come next: a later one would mine every block to it
+        if t != sim.next_block_time:
+            raise ReplayDivergence(
+                f"divergence at t={t}: the next block is at t={sim.next_block_time}")
+        sim.run_until(t)
+        tip = sim.chain.blocks[-1]
+        if (tip.height, [tx.txid for tx in tip.transactions]) != (height, txids):
+            raise ReplayDivergence(f"divergence in block {height}: replay mined block {tip.height}")
+        return t
+    # a grant or send falls between the previous event and the next block
+    if not clock <= t <= sim.next_block_time:
+        raise ReplayDivergence(f"divergence at t={t}: a {kind} here must fall in "
+                               f"[{clock}, {sim.next_block_time}]")
+    if kind == "submit":
+        _, data, accepted, reason = values
+        try:
+            tx = Transaction.from_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"log line {number}: malformed tx ({exc!r})") from None
+        _check_decision(tx, t, accepted, reason, sim.submit(tx, t))
+    else:  # grant
+        _, owner, value = values
+        sim.grant(owner, value)
+    return t
+
+
+def _replay(sim: Simulation, lines: Iterable[str], first: int, events: int) -> int:
+    """``cmd_replay_log``'s pass over the file's lines from line ``first``, after
+    the header; raises ReplayDivergence at the first divergence, or at the end
+    when the replay recorded other than the ``events`` the header counts."""
     clock = sim.now  # the time of the last event
-    run: list[tuple] = []  # the market lines not yet submitted: (entry, t, accepted, reason)
+    # the pending run of market lines: entries and the decisions they record
+    entries: list[MarketTx] = []
+    expected: list[SubmitResult] = []
 
     def submit_run() -> None:
-        """Submit the run as one batch, then check each decision in line order."""
-        if not run:
+        """Submit and empty the run; check it by one list comparison."""
+        if not entries:
             return
-        batch = run.copy()
-        run.clear()
-        results = sim.submit_batch([line[0] for line in batch])
-        for (entry, t, accepted, reason), result in zip(batch, results):
-            if (result.accepted, result.reason) != (accepted, reason):  # no call per match
-                _check_decision(entry, t, accepted, reason, result)
+        results = sim.submit_batch(entries)
+        walk = () if results == expected else list(zip(entries, expected, results))
+        entries.clear()
+        expected.clear()
+        for entry, want, result in walk:
+            _check_decision(entry, entry.arrival, want.accepted, want.reason, result)
 
     try:
-        for number, line in lines:
+        for number, line in enumerate(lines, first):
             values = _market_values(line)
-            if values is not None:
-                kind = "market"
-            else:
-                kind, values = _replay_fields(_decoded(number, line), number)
-                if not values:  # a kind replay skips
+            if values is None:
+                if line.isspace():
                     continue
-            t = values[0]  # each kind's first field
-            if kind != "market":
-                submit_run()
-            if kind == "mine":
-                _, height, txids = values
-                # only the next block time can come next; a later log time would
-                # have replay mine every block up to it
-                if t != sim.next_block_time:
-                    raise ReplayDivergence(
-                        f"divergence at t={t}: the next block is at t={sim.next_block_time}")
-                sim.run_until(t)
-                clock = t
-                tip = sim.chain.blocks[-1]
-                if (tip.height, [tx.txid for tx in tip.transactions]) != (height, txids):
-                    raise ReplayDivergence(
-                        f"divergence in block {height}: replay mined block {tip.height}")
-                continue
-            # a grant or send falls between the previous event and the next block
+                kind, values = _replay_fields(_decoded(number, line), number)
+                if kind != "market":
+                    if values:  # else a kind replay skips
+                        submit_run()
+                        clock = _apply_event(sim, clock, kind, values, number)
+                    continue
+            # a market line, from either reader, checked inline: it is most of a log
+            t, txid, fee, vsize, accepted, reason = values
             if not clock <= t <= sim.next_block_time:
-                raise ReplayDivergence(f"divergence at t={t}: a {kind} here must fall in "
+                raise ReplayDivergence(f"divergence at t={t}: a market here must fall in "
                                        f"[{clock}, {sim.next_block_time}]")
             clock = t
-            if kind == "market":
-                _, txid, fee, vsize, accepted, reason = values
-                try:
-                    entry = MarketTx(txid, fee, vsize, t)
-                except ValueError as exc:
-                    raise ValueError(f"log line {number}: {exc}") from None
-                run.append((entry, t, accepted, reason))
-            elif kind == "submit":
-                _, data, accepted, reason = values
-                try:
-                    tx = Transaction.from_dict(data)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"log line {number}: malformed tx ({exc!r})") from None
-                _check_decision(tx, t, accepted, reason, sim.submit(tx, t))
-            else:  # grant
-                _, owner, value = values
-                sim.grant(owner, value)
+            try:
+                entries.append(MarketTx(txid, fee, vsize, t))
+            except ValueError as exc:
+                raise ValueError(f"log line {number}: {exc}") from None
+            expected.append(ACCEPTED if accepted and reason is None
+                            else SubmitResult(accepted, reason))
         submit_run()
     except (ValueError, ReplayDivergence):
         submit_run()  # an earlier line's divergence outranks this fault

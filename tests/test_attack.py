@@ -207,6 +207,24 @@ class TestExecute:
         assert not sim.foreground_pooled()
         assert sim.now == outcome.horizon
 
+    def test_an_attempt_confirmed_in_its_tx1s_block_is_no_success(self):
+        # at 10,400 vB attempt 4's Tx1 and Tx2 confirm in one block after Tx2
+        # waited past the tolerance; no token was ever transferable, so the
+        # attempt keeps its delay and the cell is no success
+        config = ScenarioConfig(fraction=1.0, fee_rate=100, congestion=0.75, attempts=5,
+                                sim=SimConfig(block_capacity_vbytes=10_400))
+        sim = _set_up(config, seed=5)
+        outcome = execute(config, sim)
+        same_block = [r for r in outcome.per_attempt
+                      if r.confirm_time == sim.chain.confirmation_time(r.tx1)]
+        late = [r for r in outcome.per_attempt if r.effective_delay > config.tolerance_s]
+        assert [r.index for r in late] == [4] and late[0] in same_block
+        assert late[0].effective_delay == 5_399.0
+        assert not outcome.success
+        result = run_scenario(config, seed=5)
+        assert (result.success, result.pinned_pct, result.outage_s) == (False, 0.0, 0.0)
+        assert max(result.delays) == 5_399.0
+
     def test_survey_mode_runs_every_attempt(self):
         sim, _ = pinned_sim()
         outcome = execute(attack_config(fee=14, attempts=4, fraction=0.25), sim)

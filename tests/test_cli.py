@@ -286,6 +286,51 @@ class TestReplayRuns:
         assert code == 2 and "replay OK" not in out
         assert f"tx {event['txid']} got " in err and "log has accepted=False" in err
 
+    def test_two_flipped_decisions_in_one_run_name_the_earlier_line(
+        self, capsys, tmp_path, seed7
+    ):
+        # a run is checked by one comparison; a mismatch is walked in line order
+        lines, i = list(seed7), self.mid_run_market_line(seed7)
+        txids = [json.loads(lines[j])["txid"] for j in (i, i + 1)]
+        for j in (i, i + 1):
+            assert '"accepted": true' in lines[j]
+            lines[j] = lines[j].replace('"accepted": true', '"accepted": false')
+        code, out, err = self.replay(capsys, tmp_path, lines)
+        assert code == 2 and out == ""
+        assert f"tx {txids[0]} got " in err and txids[1] not in err
+
+    def test_crlf_line_ends_and_blank_lines_replay_alike(self, capsys, tmp_path, seed7):
+        plain = self.replay(capsys, tmp_path, seed7)
+        spaced = ["\r\n"] + [line.replace("\n", "\r\n") + "\r\n" for line in seed7]
+        assert self.replay(capsys, tmp_path, spaced) == plain
+        assert plain == (0, "replay OK: 979 submissions, 28 blocks verified\n", "")
+
+    def test_a_json_error_after_a_blank_line_names_its_line_in_the_file(
+        self, capsys, tmp_path, seed7
+    ):
+        lines = seed7[:3] + ["\n", "  \n", "{bad\n"] + seed7[3:]
+        code, out, err = self.replay(capsys, tmp_path, lines)
+        assert (code, out) == (1, "")
+        assert err == "error: log line 6: Expecting property name enclosed in double quotes " \
+                      "at column 2\n"
+
+    @pytest.mark.parametrize("sort_keys", [True, False])  # the strict reader, the decoder
+    def test_a_market_line_with_a_negative_fee_exits_one(self, capsys, tmp_path, sort_keys):
+        code, out, err = self.replay(capsys, tmp_path, [
+            json.dumps(HEADER) + "\n", "\n",
+            json.dumps(market_line("m", -1), sort_keys=sort_keys) + "\n",
+        ])
+        assert (code, out) == (1, "")
+        assert err == ("error: log line 3: market entry needs vsize >= 1 and fee >= 0, "
+                       "got (400, -1)\n")
+
+    def test_a_market_line_after_the_next_block_is_a_divergence(self, capsys, tmp_path):
+        code, out, err = self.replay(capsys, tmp_path, [json.dumps(line, sort_keys=True) + "\n"
+                                                        for line in [{**HEADER, "events": 1},
+                                                                     market_line("m", 5_000, t=600.5)]])
+        assert (code, out) == (2, "")
+        assert err == "divergence at t=600.5: a market here must fall in [0.0, 600.0]\n"
+
     @pytest.mark.parametrize("bad_at, code", [(1, 2), (0, 1)])  # after, or before, the flip
     def test_the_first_bad_line_in_the_file_is_reported(
         self, capsys, tmp_path, seed7, bad_at, code

@@ -108,7 +108,7 @@ def test_a_market_line_gives_back_its_entry(entry, result):
 
 # -- the strict reader of market lines (cli._market_values) -----------------------
 
-def decoded_values(line: str) -> list:
+def decoded_values(line: str) -> tuple:
     """What replay reads from a market line through the JSON decoder."""
     shape, values = _replay_fields(json.loads(line), 2)
     assert shape == "market"
@@ -172,11 +172,11 @@ def test_every_line_the_strict_reader_reads_decodes_to_the_same_values(entry, re
 @pytest.mark.parametrize("text, values", [
     ('{"accepted": false, "event": "submit", "fee": -0, "reason": "", "t": -0, '
      '"txid": " !#[]~", "vsize": 999999999999999999}\n',
-     [0, " !#[]~", 0, 999999999999999999, False, ""]),
+     (0, " !#[]~", 0, 999999999999999999, False, "")),
     ('{"accepted": true, "event": "submit", "fee": 1, "reason": null, "t": -1.5E+3, '
-     '"txid": "a", "vsize": 1}', [-1500.0, "a", 1, 1, True, None]),
+     '"txid": "a", "vsize": 1}', (-1500.0, "a", 1, 1, True, None)),
     ('{"accepted": true, "event": "submit", "fee": 1, "reason": null, "t": -Infinity, '
-     '"txid": "a", "vsize": 1}', [float("-inf"), "a", 1, 1, True, None]),
+     '"txid": "a", "vsize": 1}', (float("-inf"), "a", 1, 1, True, None)),
 ])
 def test_the_strict_reader_types_numbers_as_json_does(text, values):
     assert repr(_market_values(text)) == repr(values) == repr(decoded_values(text))

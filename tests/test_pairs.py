@@ -56,3 +56,13 @@ def test_a_failed_gate_shows_and_an_unpaired_run_is_not_compared():
     assert (sweep["pairs"], sweep["all_gates_passed"]) == (1, False)
     assert sweep["metrics"]["scenarios_per_s"]["n"] == 1
     assert sweep["metrics"]["scenarios_per_s"]["parent_quartiles"] == [400.0] * 3
+
+
+def test_the_claim_line_states_both_medians_the_ratio_the_wins_and_the_gates():
+    summary = pairs.summarize(RUNS, BETTER)
+    assert pairs.claim_line(summary, "replay_ms_p50", "log-replay") == (
+        "replay_ms_p50 on log-replay: 9.00 → 8.00 (parent → change medians), ratio 0.889, "
+        "lower is better, change won 2 of 3 pairs, all gates passed")
+    assert pairs.claim_line(summary, "scenarios_per_s", "sweep") == (
+        "scenarios_per_s on sweep: 400.00 → 500.00 (parent → change medians), ratio 1.250, "
+        "higher is better, change won 1 of 1 pairs, not all gates passed")

@@ -118,6 +118,18 @@ MUTANTS = (
     Mutant("replay-event-count", "cli.py",
            "if len(sim.event_log) != events:", "if len(sim.event_log) > events:",
            ("test_cli.py",)),
+    Mutant("replay-run-check", "cli.py",
+           "if results == expected else", "if len(results) == len(expected) else",
+           ("test_cli.py",)),
+    Mutant("replay-blank-line-skip", "cli.py",
+           "if line.isspace():", "if False:", ("test_cli.py",)),
+    Mutant("replay-line-number", "cli.py",
+           "fh, number + 1, events)", "fh, number, events)", ("test_cli.py",)),
+    Mutant("replay-market-clock-upper-bound", "cli.py",
+           "if not clock <= t <= sim.next_block_time:\n                raise "
+           "ReplayDivergence(f\"divergence at t={t}: a market",
+           "if not clock <= t:\n                raise "
+           "ReplayDivergence(f\"divergence at t={t}: a market", ("test_cli.py",)),
     # settings and transaction rules
     Mutant("normal-count-ceiling", "sim.py",
            "if self.congestion_normal_count > MAX_NORMAL_COUNT:",

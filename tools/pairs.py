@@ -4,6 +4,7 @@ Usage (from the checkout root)::
 
     python3 tools/pairs.py --parent HEAD~1 --out BENCH_31.json
     python3 tools/pairs.py --parent HEAD~1 --workloads log-replay --pairs 3 --seconds 10
+    python3 tools/pairs.py --from BENCH_31.json --claim replay_ms_p50 log-replay
 
 The parent's committed files are extracted with ``git archive`` into a
 temporary directory; the change is this checkout as it stands.  Both trees
@@ -20,6 +21,11 @@ ratio of the medians (change / parent) and how many of the n pairs the change
 won, by the metric's ``better`` direction in ``BENCHMARK.json``; and whether
 every correctness gate of every run passed.  ``summarize`` computes that from
 the runs alone.
+
+``--claim METRIC WORKLOAD`` also prints one line that states the change's
+claim on that metric (``claim_line``: both medians, their ratio, the pairs
+won and whether every gate passed), after the runs or, with ``--from``, from
+a file written before.
 """
 
 from __future__ import annotations
@@ -123,11 +129,28 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def claim_line(summary: dict, metric: str, workload: str) -> str:
+    """``metric`` on ``workload`` in one line, from ``summarize``'s output: the
+    parent's and the change's medians, their ratio, the pairs the change won,
+    and whether every gate of the workload's runs passed."""
+    stats = summary[workload]["metrics"][metric]
+    ratio = "n/a" if stats["ratio"] is None else f"{stats['ratio']:.3f}"
+    gates = "all" if summary[workload]["all_gates_passed"] else "not all"
+    return (f"{metric} on {workload}: {stats['parent_median']:.2f} → "
+            f"{stats['change_median']:.2f} (parent → change medians), ratio {ratio}, "
+            f"{stats['better']} is better, change won {stats['wins']} of {stats['n']} "
+            f"pairs, {gates} gates passed")
+
+
 def parse_args(argv):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="the revision to compare against")
+    parser.add_argument("--parent", help="the revision to compare against")
+    parser.add_argument("--from", dest="source", type=Path, default=None,
+                        help="read the runs' summary from this file instead of running")
+    parser.add_argument("--claim", nargs=2, metavar=("METRIC", "WORKLOAD"),
+                        help="print the claim line of METRIC on WORKLOAD")
     parser.add_argument("--workloads", default=",".join(names),
                         type=lambda text: [w for w in text.split(",") if w])
     parser.add_argument("--pairs", type=int, default=5)
@@ -135,6 +158,10 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, default=401, help="pair k runs seed + k - 1")
     parser.add_argument("--out", type=Path, default=None, help="write the JSON here")
     args = parser.parse_args(argv)
+    if (args.parent is None) == (args.source is None):
+        parser.error("give --parent, or --from with --claim")
+    if args.source is not None and args.claim is None:
+        parser.error("--from needs --claim")
     unknown = set(args.workloads) - set(names)
     if unknown or args.pairs < 1:
         parser.error(f"unknown workloads {sorted(unknown)}" if unknown else "--pairs must be >= 1")
@@ -143,6 +170,19 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args, spec = parse_args(argv)
+    result = (json.loads(args.source.read_text(encoding="utf-8")) if args.source is not None
+              else run_pairs(args, spec))
+    if args.claim is not None:
+        try:
+            print(claim_line(result["summary"], *args.claim))
+        except KeyError:
+            print(f"no {args.claim[0]} on {args.claim[1]} in the summary", file=sys.stderr)
+            return 2
+    return 0 if all(s["all_gates_passed"] for s in result["summary"].values()) else 1
+
+
+def run_pairs(args, spec) -> dict:
+    """The paired runs and their summary, written to ``--out`` (or stdout)."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parent_rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                                 capture_output=True, text=True).stdout.strip()
@@ -177,7 +217,7 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     else:
         args.out.write_text(text, encoding="utf-8")
-    return 0 if all(s["all_gates_passed"] for s in result["summary"].values()) else 1
+    return result
 
 
 if __name__ == "__main__":

@@ -208,14 +208,14 @@ def _scored(sim: Simulation, record: AttemptRecord, horizon: float) -> AttemptRe
     """An attempt as scored at the horizon: the delay counts only if tokens were
     really locked."""
     confirm_time = sim.chain.confirmation_time(record.tx2)
-    ordinal = sim.indexer.inscription_of(record.tx1)
     launched = (record.index, record.amount, record.fee_rate, record.submit_time,
                 record.tx1, record.tx2, confirm_time)
-    if ordinal is None:
+    if not sim.chain.confirmed(record.tx1):
         # inscription never confirmed, so no tokens were locked
         return AttemptRecord(*launched)
-    voided = ordinal not in sim.indexer.pending_created
+    ordinal = sim.indexer.transfers.get(record.tx1)
+    voided = ordinal is None
     # Tx2's delay runs from its send time to its confirmation, or to the horizon
     end = horizon if confirm_time is None else confirm_time
     return AttemptRecord(*launched, effective_delay=0.0 if voided else end - record.submit_time,
-                         pinned=ordinal in sim.indexer.state.pending, voided=voided)
+                         pinned=ordinal in sim.indexer.pending, voided=voided)

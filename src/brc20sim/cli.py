@@ -356,7 +356,7 @@ def _replay(sim: Simulation, lines: Iterable[str], first: int, events: int) -> i
         raise ReplayDivergence(f"divergence: replay recorded {len(sim.event_log)} events, "
                                f"the log header counts {events}")
     # the indexer followed every replayed block; its token state must balance
-    if not sim.indexer.state.supply_is_conserved():
+    if not sim.indexer.supply_is_conserved():
         raise ReplayDivergence("divergence: replayed token state does not conserve supply")
     # each verified submit line is one submit event, and each mine line one block
     submits = sum(1 for event in sim.event_log if event[0] == "submit")

@@ -458,7 +458,7 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
     sim.run_blocks(1)
     _expect(
         sim.chain.confirmed(attack1.tx1.txid)
-        and sim.indexer.inscription_of(attack1.tx1.txid) not in sim.indexer.pending_created,
+        and attack1.tx1.txid not in sim.indexer.transfers,
         "attempt-1-voided-by-withdrawal-race", transcript,
         balance=sim.balance(TICK, TARGET),
     )
@@ -529,8 +529,7 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
     # that outbids both the pins and the market.
     used: set[tuple[str, int]] = set(sim.pool.spends)
     for bundle in (attack2, attack3, attack4):
-        ordinal = sim.indexer.inscription_of(bundle.tx1.txid)
-        pending = sim.indexer.state.pending[ordinal]
+        pending = sim.indexer.pending[sim.indexer.transfers[bundle.tx1.txid]]
         recovery = build_recovery(
             pending, sim.chain.utxo_set, TARGET, q["recovery_fee"], exclude=used,
         )
@@ -547,9 +546,8 @@ def run_binance_replay(seed: int = 0) -> list[dict]:
         "recovery-restores-liquidity", transcript, balance=sim.balance(TICK, TARGET),
     )
 
-    state = sim.replay_state()
     _expect(
-        state == sim.indexer.state,
+        sim.replay_state() == sim.indexer,
         "replay-matches-incremental", transcript,
     )
     return transcript

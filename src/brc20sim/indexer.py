@@ -1,22 +1,25 @@
 """Off-chain BRC20 state machine.
 
-Replays confirmed blocks and maintains, per token tick, the registry
-(max supply, per-mint limit, running minted total) and per-address balances
-split into *available* (spendable) and *transferable* (inscribed for transfer
-but not yet moved).  Invalid operations are silently void; the chain never
-halts on bad token data.
+One object, ``Indexer``, replays confirmed blocks and keeps, per token tick,
+the registry (max supply, per-mint limit, running minted total) and
+per-address balances split into *available* (spendable) and *transferable*
+(inscribed for transfer but not yet moved); the pending transfers, by
+inscribed ordinal; and ``transfers``, the txid of every transfer inscription
+that opened one, with the ordinal it bound.  Invalid operations are silently
+void, a void transfer inscription included, which gets no ``transfers`` entry;
+the chain never halts on bad token data.
 
 The indexer holds no UTXO set.  It reads each confirmed transaction's
 ``Receipt`` from the chain: the spent UTXOs show which pending transfer
 satoshis moved, the created UTXOs where they went, and the envelope which
-operation was inscribed.  ``replay`` rebuilds token state from blocks alone
+operation was inscribed.  ``replay`` rebuilds an indexer from blocks alone
 by re-appending them to a fresh chain on the genesis grants.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .chain import Block, Chain, Receipt, UtxoSet
 
@@ -120,7 +123,6 @@ def mint_inscription(tick: str, amount: int) -> str:
 
 @dataclass(slots=True)
 class TickInfo:
-    tick: str
     max: int
     lim: int
     minted: int = 0
@@ -144,20 +146,24 @@ class PendingTransfer:
     inscriber: str
 
 
-class Brc20State:
-    def __init__(self) -> None:
-        self.ticks: dict[str, TickInfo] = {}
-        self.balances: dict[tuple[str, str], BalanceEntry] = {}
-        self.pending: dict[int, PendingTransfer] = {}
+@dataclass(slots=True)
+class Indexer:
+    """Single-writer block consumer deriving token balances."""
 
-    def copy(self) -> Brc20State:
-        """An independent state: its own registry and balance entries, over the
-        same pending transfers, which are immutable."""
-        dup = Brc20State()
-        dup.ticks = {tick: replace(info) for tick, info in self.ticks.items()}
-        dup.balances = {key: replace(entry) for key, entry in self.balances.items()}
-        dup.pending = dict(self.pending)
-        return dup
+    ticks: dict[str, TickInfo] = field(default_factory=dict)
+    balances: dict[tuple[str, str], BalanceEntry] = field(default_factory=dict)
+    pending: dict[int, PendingTransfer] = field(default_factory=dict)
+    transfers: dict[str, int] = field(default_factory=dict)
+
+    def copy(self) -> Indexer:
+        """An independent indexer: its own containers and entries, over the same
+        pending transfers, which are immutable."""
+        return Indexer(
+            {tick: replace(info) for tick, info in self.ticks.items()},
+            {key: replace(entry) for key, entry in self.balances.items()},
+            dict(self.pending),
+            dict(self.transfers),
+        )
 
     def entry(self, tick: str, addr: str) -> BalanceEntry:
         key = (tick, addr)
@@ -184,36 +190,6 @@ class Brc20State:
             for tick, info in self.ticks.items()
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Brc20State):
-            return NotImplemented
-        return (
-            self.ticks == other.ticks
-            and {k: (v.available, v.transferable) for k, v in self.balances.items()}
-            == {k: (v.available, v.transferable) for k, v in other.balances.items()}
-            and self.pending == other.pending
-        )
-
-
-class Indexer:
-    """Single-writer block consumer deriving token balances."""
-
-    def __init__(self) -> None:
-        self.state = Brc20State()
-        # Instrumentation (derived, not part of state equality): which ordinal
-        # a confirmed tx bound its envelope to, and every ordinal that ever
-        # carried a pending transfer (consumed ones included).
-        self.bound_by_tx: dict[str, int] = {}
-        self.pending_created: set[int] = set()
-
-    def copy(self) -> Indexer:
-        """An independent indexer in this one's state."""
-        dup = Indexer()
-        dup.state = self.state.copy()
-        dup.bound_by_tx = dict(self.bound_by_tx)
-        dup.pending_created = set(self.pending_created)
-        return dup
-
     def apply_block(self, block: Block, receipts: list[Receipt]) -> None:
         """Consume a confirmed block with the receipts its chain append returned."""
         for tx, receipt in zip(block.transactions, receipts, strict=True):
@@ -223,15 +199,14 @@ class Indexer:
                 self._consume_pending(pending, receipt)
             envelope = receipt.envelope
             if envelope is not None:
-                self.bound_by_tx[tx.txid] = envelope.bound_ordinal
                 op = parse_envelope(envelope.raw)
                 if op is not None:
-                    self._apply_op(op, receipt.created[0].owner, envelope.bound_ordinal)
+                    self._apply_op(op, receipt.created[0].owner, envelope.bound_ordinal, tx.txid)
 
     def _pending_in_inputs(self, receipt: Receipt) -> list[PendingTransfer]:
         return [
-            self.state.pending[ordinal]
-            for ordinal in sorted(self.state.pending)
+            self.pending[ordinal]
+            for ordinal in sorted(self.pending)
             if any(utxo.holds(ordinal) for utxo in receipt.spent)
         ]
 
@@ -247,48 +222,40 @@ class Indexer:
             (utxo.owner for utxo in receipt.created if utxo.holds(ordinal)),
             pending.inscriber,  # fee slice: return to sender
         )
-        self.state.entry(pending.tick, pending.inscriber).transferable -= pending.amount
-        self.state.entry(pending.tick, destination).available += pending.amount
-        del self.state.pending[ordinal]
+        self.entry(pending.tick, pending.inscriber).transferable -= pending.amount
+        self.entry(pending.tick, destination).available += pending.amount
+        del self.pending[ordinal]
 
-    def _apply_op(self, op: Brc20Op, owner: str, bound_ordinal: int) -> None:
-        state = self.state
+    def _apply_op(self, op: Brc20Op, owner: str, bound_ordinal: int, txid: str) -> None:
         if isinstance(op, Deploy):
-            if op.tick in state.ticks:
+            if op.tick in self.ticks:
                 return  # first deploy wins
             if op.max < 1 or op.lim < 1 or op.lim > op.max:
                 return
-            state.ticks[op.tick] = TickInfo(op.tick, op.max, op.lim)
+            self.ticks[op.tick] = TickInfo(op.max, op.lim)
             return
-        info = state.ticks.get(op.tick)
+        info = self.ticks.get(op.tick)
         if info is None or op.amt < 1:
             return
         if isinstance(op, Mint):
             if op.amt > info.lim or info.minted + op.amt > info.max:
                 return  # whole mint is void, no partial credit
             info.minted += op.amt
-            state.entry(op.tick, owner).available += op.amt
+            self.entry(op.tick, owner).available += op.amt
             return
         # InscribeTransfer: void when the inscriber cannot cover the amount,
         # which is exactly what voids falsified transfer inscriptions.
-        entry = state.entry(op.tick, owner)
-        if entry.available < op.amt or bound_ordinal in state.pending:
+        entry = self.entry(op.tick, owner)
+        if entry.available < op.amt or bound_ordinal in self.pending:
             return
         entry.available -= op.amt
         entry.transferable += op.amt
-        state.pending[bound_ordinal] = PendingTransfer(bound_ordinal, op.tick, op.amt, owner)
-        self.pending_created.add(bound_ordinal)
-
-    def balance(self, tick: str, addr: str) -> tuple[int, int, int]:
-        return self.state.balance(tick, addr)
-
-    def inscription_of(self, txid: str) -> int | None:
-        """Ordinal a confirmed tx bound its envelope to, if any."""
-        return self.bound_by_tx.get(txid)
+        self.pending[bound_ordinal] = PendingTransfer(bound_ordinal, op.tick, op.amt, owner)
+        self.transfers[txid] = bound_ordinal
 
 
-def replay(blocks: list[Block], genesis: UtxoSet) -> Brc20State:
-    """Reconstruct token state by re-appending blocks to a fresh chain.
+def replay(blocks: list[Block], genesis: UtxoSet) -> Indexer:
+    """Reconstruct the indexer by re-appending blocks to a fresh chain.
 
     The chain starts on a copy of ``genesis``, which is left unchanged.
     """
@@ -297,4 +264,4 @@ def replay(blocks: list[Block], genesis: UtxoSet) -> Brc20State:
     indexer = Indexer()
     for block in blocks:
         indexer.apply_block(block, chain.append_block(block))
-    return indexer.state
+    return indexer

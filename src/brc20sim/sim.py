@@ -63,7 +63,7 @@ from operator import attrgetter
 from . import wallet
 from .background import NO_MARKET, BackgroundLoad, CongestionProfile
 from .chain import BLOCK_INTERVAL, Chain, MarketTx, Transaction, Utxo, UtxoSet
-from .indexer import Brc20State, Indexer, replay
+from .indexer import Indexer, replay
 from .mempool import Mempool, SubmitResult
 from .wallet import BUNDLE_GAP, TransferBundle, TransferRequest
 
@@ -255,8 +255,8 @@ class Simulation:
 
     # -- replay -------------------------------------------------------------------
 
-    def replay_state(self) -> Brc20State:
-        """Token state rebuilt from the recorded grants and the block list."""
+    def replay_state(self) -> Indexer:
+        """The indexer rebuilt from the recorded grants and the block list."""
         genesis = UtxoSet()
         for event in self.event_log:
             if event[0] == "grant":

@@ -68,7 +68,6 @@ class TransferRequest:
 
 @dataclass(frozen=True, slots=True)
 class TransferBundle:
-    request: TransferRequest
     tx1: Transaction
     tx2: Transaction
 
@@ -141,7 +140,7 @@ def build_transfer(
         outputs=tuple(tx2_outputs),
         vsize=TX2_VSIZE,
     )
-    return TransferBundle(request=req, tx1=tx1, tx2=tx2)
+    return TransferBundle(tx1=tx1, tx2=tx2)
 
 
 def build_recovery(

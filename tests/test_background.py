@@ -495,7 +495,7 @@ def test_conservation_after_every_block_of_a_congested_run():
         check = LedgerCheck()
         sim = congested_run(seed, blocks=25, after_block=check)
         assert check.market_txs > 500 and check.burned > 0
-        assert sim.indexer.state.supply_is_conserved()
+        assert sim.indexer.supply_is_conserved()
 
 
 def test_carries_inscription_agrees_with_a_scan_of_every_inscribed_ordinal():
@@ -513,7 +513,7 @@ def test_market_coins_stay_off_the_ordinal_ledger():
     ledger = sim.chain.utxo_set
     assert ledger.utxos and not hasattr(ledger, "plain")
     assert not [u for u in ledger.utxos.values() if u.owner == MARKET_ADDRESS]
-    assert sim.replay_state() == sim.indexer.state
+    assert sim.replay_state() == sim.indexer
 
 
 def market_txids(sim: Simulation) -> set[str]:

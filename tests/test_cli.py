@@ -19,7 +19,7 @@ import brc20sim
 from brc20sim import cli
 from brc20sim.cli import cmd_replay_log, main
 from brc20sim.harness import ScenarioConfig, run_binance_replay, run_scenario
-from brc20sim.indexer import Brc20State
+from brc20sim.indexer import Indexer
 from brc20sim.mempool import Mempool
 from brc20sim.sim import MAX_NORMAL_COUNT, SETTINGS, SimConfig, collector_paused
 from brc20sim.wallet import TX1_VSIZE
@@ -179,7 +179,7 @@ class TestSimCommand:
         log = tmp_path / "events.jsonl"
         run_cli(capsys, "sim", "--attempts", "1", "--seed", "2", "--log", str(log))
         assert '"fee": ' in log.read_text() and '"event": "fund"' not in log.read_text()
-        monkeypatch.setattr(Brc20State, "supply_is_conserved", lambda self: False)
+        monkeypatch.setattr(Indexer, "supply_is_conserved", lambda self: False)
         code, out, err = run_cli(capsys, "replay", str(log))
         assert code == 2 and "divergence" in err and "replay OK" not in out
 

@@ -8,9 +8,9 @@ from scenario_tools import Scenario, inscribed_tx, move_tx, random_scenario
 
 from brc20sim.chain import Transaction, TxInput, UtxoSet, make_txid
 from brc20sim.indexer import (
-    Brc20State,
     Deploy,
     InscribeTransfer,
+    Indexer,
     Mint,
     deploy_inscription,
     mint_inscription,
@@ -87,7 +87,7 @@ class TestStateMachine:
     def test_first_deploy_wins(self):
         sc = self.setup_scenario()
         sc.apply(inscribed_tx(sc, "other", deploy_inscription("ordi", 5, 5), "dep2"))
-        assert sc.indexer.state.ticks["ordi"].max == 10_000
+        assert sc.indexer.ticks["ordi"].max == 10_000
 
     def test_mint_over_lim_void(self):
         sc = Scenario()
@@ -101,17 +101,17 @@ class TestStateMachine:
         sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 10), "m1"))
         sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 10), "m2"))
         assert sc.indexer.balance("t", "m") == (10, 0, 10)
-        assert sc.indexer.state.ticks["t"].minted == 10
+        assert sc.indexer.ticks["t"].minted == 10
 
     def test_a_mint_to_max_supply_exactly_is_credited(self):
         sc = Scenario()
         sc.apply(inscribed_tx(sc, "m", deploy_inscription("t", 15, 10), "d"))
         sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 10), "m1"))
         sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 6), "m2"))  # 1 past max: void whole
-        assert sc.indexer.state.ticks["t"].minted == 10
+        assert sc.indexer.ticks["t"].minted == 10
         sc.apply(inscribed_tx(sc, "m", mint_inscription("t", 5), "m3"))  # max exactly
         assert sc.indexer.balance("t", "m") == (15, 0, 15)
-        assert sc.indexer.state.ticks["t"].minted == 15
+        assert sc.indexer.ticks["t"].minted == 15
 
     def test_two_step_transfer_balances(self):
         # inscribe: available -> transferable, totals unchanged; recipient untouched
@@ -133,14 +133,14 @@ class TestStateMachine:
         utxo = sc.work.utxos[(tx1.txid, 0)]
         sc.apply(move_tx(sc, utxo, "minter", "tx2"))
         assert sc.indexer.balance("ordi", "minter") == (1000, 0, 1000)
-        assert not sc.indexer.state.pending
+        assert not sc.indexer.pending
 
     def test_insufficient_available_voids_inscription(self):
         sc = self.setup_scenario(minted=50)
         tx1 = inscribed_tx(sc, "minter", transfer_inscription("ordi", 100), "tx1")
         sc.apply(tx1)
         assert sc.indexer.balance("ordi", "minter") == (50, 0, 50)
-        assert not sc.indexer.state.pending
+        assert not sc.indexer.pending
 
     def test_unknown_tick_voids_inscription(self):
         sc = Scenario()
@@ -160,7 +160,7 @@ class TestStateMachine:
         )
         sc.apply(burn)
         assert sc.indexer.balance("ordi", "minter") == (1000, 0, 1000)
-        assert not sc.indexer.state.pending
+        assert not sc.indexer.pending
 
     def test_consumed_pending_stays_consumed(self):
         sc = self.setup_scenario()
@@ -175,29 +175,44 @@ class TestStateMachine:
         assert sc.indexer.balance("ordi", "recipient") == (100, 0, 100)
         assert sc.indexer.balance("ordi", "third") == (0, 0, 0)
 
+    def test_transfers_records_each_opened_transfer_by_txid(self):
+        # a covered inscription maps its txid to the ordinal it bound, and keeps
+        # it once consumed; a void one (amount above available) gets no entry
+        sc = self.setup_scenario()
+        valid = inscribed_tx(sc, "minter", transfer_inscription("ordi", 100), "valid")
+        void = inscribed_tx(sc, "minter", transfer_inscription("ordi", 5_000), "void")
+        sc.apply(valid, void)
+        utxo = sc.work.utxos[(valid.txid, 0)]
+        assert sc.indexer.transfers == {valid.txid: utxo.first_ordinal()}
+        assert list(sc.indexer.pending) == [utxo.first_ordinal()]
+        sc.apply(move_tx(sc, utxo, "recipient", "tx2"))
+        assert sc.indexer.transfers == {valid.txid: utxo.first_ordinal()}
+        assert not sc.indexer.pending
+        assert replay(sc.blocks, sc.genesis()).transfers == sc.indexer.transfers
+
     def test_balance_defaults_to_zero(self):
-        assert Brc20State().balance("none", "nobody") == (0, 0, 0)
+        assert Indexer().balance("none", "nobody") == (0, 0, 0)
 
 
 class TestReplay:
     def test_empty_chain(self):
-        assert replay([], UtxoSet()) == Brc20State()
+        assert replay([], UtxoSet()) == Indexer()
 
     def test_replay_leaves_genesis_unchanged(self):
         sc = random_scenario(3, blocks=10)
         genesis = sc.genesis()
         before = vars(genesis.copy())
-        assert replay(sc.blocks, genesis) == sc.indexer.state
+        assert replay(sc.blocks, genesis) == sc.indexer
         assert vars(genesis) == before
         # a second replay from the same genesis starts from the same set
-        assert replay(sc.blocks, genesis) == sc.indexer.state
+        assert replay(sc.blocks, genesis) == sc.indexer
 
     def test_replay_equals_incremental_and_conserves(self):
         for seed in range(20):
             sc = random_scenario(seed)
-            assert sc.indexer.state.supply_is_conserved()
+            assert sc.indexer.supply_is_conserved()
             rebuilt = replay(sc.blocks, sc.genesis())
-            assert rebuilt == sc.indexer.state
+            assert rebuilt == sc.indexer
 
     def test_conservation_after_every_block(self):
         sc = Scenario()
@@ -207,4 +222,4 @@ class TestReplay:
         for i in range(30):
             amt = rng.randint(1, 500)
             sc.apply(inscribed_tx(sc, addr, mint_inscription("t", amt), f"m{i}"))
-            assert sc.indexer.state.supply_is_conserved()
+            assert sc.indexer.supply_is_conserved()

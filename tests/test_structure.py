@@ -15,6 +15,7 @@ import brc20sim
 from brc20sim.background import BackgroundLoad, CongestionProfile
 from brc20sim.chain import Block, UtxoSet
 from brc20sim.cli import MARKET_FIELDS, REPLAY_FIELDS
+from brc20sim.indexer import Indexer, TickInfo
 from brc20sim.mempool import Mempool
 from brc20sim.sim import SETTINGS, SimConfig, Simulation
 from brc20sim.wallet import build_recovery
@@ -109,6 +110,16 @@ def test_the_simulation_holds_no_fact_another_layer_holds():
         "_next_arrival", "congestion_samples", "_watch", "balance_samples", "event_log",
         "background",
     }
+
+
+def test_the_indexer_holds_each_token_fact_once():
+    # one object keeps the token layer: the registry, the balances, the pending
+    # transfers, and which Tx1 opened one; a tick's entry does not repeat its key
+    assert [f.name for f in dataclasses.fields(Indexer)] == [
+        "ticks", "balances", "pending", "transfers",
+    ]
+    assert not hasattr(Indexer(), "__dict__")
+    assert "tick" not in {f.name for f in dataclasses.fields(TickInfo)}
 
 
 def calls_of(name: str) -> set[tuple[str, str]]:

@@ -77,7 +77,7 @@ MUTANTS = (
            ("test_mempool.py", "test_mempool_properties.py")),
     # the indexer's rules
     Mutant("first-deploy-wins", "indexer.py",
-           "if op.tick in state.ticks:", "if False:", ("test_indexer.py",)),
+           "if op.tick in self.ticks:", "if False:", ("test_indexer.py",)),
     Mutant("mint-limit", "indexer.py",
            "if op.amt > info.lim or info.minted", "if info.minted", ("test_indexer.py",)),
     Mutant("mint-to-max-supply", "indexer.py",
@@ -85,6 +85,10 @@ MUTANTS = (
            ("test_indexer.py",)),
     Mutant("transfer-cover", "indexer.py",
            "if entry.available < op.amt or bound_ordinal", "if bound_ordinal",
+           ("test_indexer.py",)),
+    Mutant("void-transfer-not-recorded", "indexer.py",
+           "entry = self.entry(op.tick, owner)\n",
+           "entry = self.entry(op.tick, owner)\n        self.transfers[txid] = bound_ordinal\n",
            ("test_indexer.py",)),
     Mutant("fee-slice-returns-to-inscriber", "indexer.py",
            "pending.inscriber,  # fee slice", "pending.tick,  # fee slice",
@@ -96,6 +100,8 @@ MUTANTS = (
            "except (ValueError, TypeError, RecursionError):", "except (ValueError, TypeError):",
            ("test_indexer_properties.py",)),
     # scoring
+    Mutant("voided-attempt-scores-no-delay", "attack.py",
+           "voided = ordinal is None", "voided = False", ("test_attack.py",)),
     Mutant("strict-tolerance", "attack.py",
            "return any(delay > t_bar for delay in delays)",
            "return any(delay >= t_bar for delay in delays)", ("test_attack.py",)),

@@ -14,7 +14,9 @@ new interpreter, which reads as a slower set-up and a larger peak RSS.
 
 Pair k runs ``bench/run.py --workload W --seed S --seconds T --trace 0`` once
 from each tree, the parent first when k is odd and the change first when it is
-even, for each workload in turn; both runs of a pair use the same seed.  Each
+even, for each workload in turn; both runs of a pair use the same seed.
+``--pairs`` defaults to 10: on a 2-vCPU host, 5 pairs could not resolve a 5%
+move on ``sweep``, and fewer than ten cannot back a claim.  Each
 run's manifest and final JSON line are kept.  The output holds every run,
 and per workload and metric the medians and quartiles of both trees, the
 ratio of the medians (change / parent) and how many of the n pairs the change
@@ -153,7 +155,7 @@ def parse_args(argv):
                         help="print the claim line of METRIC on WORKLOAD")
     parser.add_argument("--workloads", default=",".join(names),
                         type=lambda text: [w for w in text.split(",") if w])
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=401, help="pair k runs seed + k - 1")
     parser.add_argument("--out", type=Path, default=None, help="write the JSON here")

@@ -17,15 +17,19 @@ it holds that the cell shares:
   would have launched, which every longer run of the same set-up, fraction
   and fee passes through (see ``attack``); the longer run resumes from it.
 
-A cell forks what it starts from (``Simulation.fork``), so what is held
-never changes; the fork shares the held simulation's background load, so a
-set-up's market is drawn once for all the cells that start from it.  Only
-the current seed's histories are held, and a cell of another seed drops
-them, and so their loads, first.  At most one set-up per congestion level is
-held, from its first request, plus the latest checkpoint, which every cell
-leaves.  A resumed cell gives what a fresh one gives, byte for byte, because
-running to ``a`` and then to ``b`` is running to ``b``: the arrivals run to
-``a`` and then the rest enter the pool as one batch of them would.
+A cell forks the set-up it starts from (``Simulation.fork``), so a held
+set-up never changes; the fork shares the held simulation's background load,
+so a set-up's market is drawn once for all the cells that start from it.  A
+cell that resumes from the checkpoint takes its simulation instead of forking
+it, and the checkpoint is held no more; the cell's own hook, at the end of
+its attempt window, holds a fork of its simulation as the next one.  Only the
+current seed's histories are held, and a cell of another seed drops them,
+and so their loads, first.  At most one set-up per congestion level is held,
+from its first request, plus the latest checkpoint, which every cell leaves
+but one that raises before its hook.  A resumed cell gives what a fresh one
+gives, byte for byte, because running to ``a`` and then to ``b`` is running
+to ``b``: the arrivals run to ``a`` and then the rest enter the pool as one
+batch of them would.
 
 Where a cell stops.  ``attack.execute`` returns once no later block can
 change the score (see ``attack``).  ``run_scenario`` then mines on to the
@@ -215,15 +219,18 @@ class _Histories:
     def start(
         self, config: ScenarioConfig, seed: int
     ) -> tuple[Simulation, Launches | None, Callable[[Launches], None]]:
-        """A cell's simulation, forked from the longest held prefix of its history;
-        the launches it resumes; and the hook that holds the cell's own checkpoint."""
+        """A cell's simulation, from the longest held prefix of its history: the
+        checkpoint itself, which is then held no more, or else a fork of the
+        set-up; the launches it resumes; and the hook that holds the cell's own
+        checkpoint, a fork of its simulation."""
         if seed != self.seed:
             self.clear(seed)
         cell = (config.sim, config.congestion, config.fraction, config.fee_rate)
         checkpoint = self.checkpoint
         if (checkpoint is not None and checkpoint.cell == cell
                 and len(checkpoint.launches.records) < config.attempts):
-            sim, resume = checkpoint.sim.fork(), checkpoint.launches
+            sim, resume = checkpoint.sim, checkpoint.launches
+            self.checkpoint = None  # taken: the cell's own hold replaces it
         else:
             held = self.setups.get(config.congestion)
             if held is None or held.config != config.sim:

@@ -19,7 +19,9 @@ by re-appending them to a fresh chain on the genesis grants.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .chain import Block, Chain, Receipt, UtxoSet
 
@@ -101,11 +103,11 @@ def parse_envelope(raw: str) -> Brc20Op | None:
 
 
 def transfer_inscription(tick: str, amount: int) -> str:
-    """Canonical transfer payload for wallet-built inscriptions."""
-    return json.dumps(
-        {"p": "brc20", "op": "transfer", "tick": tick, "amt": str(amount)},
-        sort_keys=True,
-    )
+    """Canonical transfer payload for wallet-built inscriptions: the text
+    ``json.dumps`` gives of it with ``sort_keys=True``, written by hand, since
+    every bundle writes one (``sim.log_line`` writes its lines so too)."""
+    return (f'{{"amt": "{amount!s}", "op": "transfer", "p": "brc20", '
+            f'"tick": {encode_basestring_ascii(tick)}}}')
 
 
 def deploy_inscription(tick: str, maximum: int, lim: int) -> str:
@@ -159,8 +161,9 @@ class Indexer:
         """An independent indexer: its own containers and entries, over the same
         pending transfers, which are immutable."""
         return Indexer(
-            {tick: replace(info) for tick, info in self.ticks.items()},
-            {key: replace(entry) for key, entry in self.balances.items()},
+            {tick: TickInfo(info.max, info.lim, info.minted) for tick, info in self.ticks.items()},
+            {key: BalanceEntry(entry.available, entry.transferable)
+             for key, entry in self.balances.items()},
             dict(self.pending),
             dict(self.transfers),
         )
@@ -204,11 +207,23 @@ class Indexer:
                     self._apply_op(op, receipt.created[0].owner, envelope.bound_ordinal, tx.txid)
 
     def _pending_in_inputs(self, receipt: Receipt) -> list[PendingTransfer]:
-        return [
-            self.pending[ordinal]
-            for ordinal in sorted(self.pending)
-            if any(utxo.holds(ordinal) for utxo in receipt.spent)
-        ]
+        """The pending transfers whose inscribed satoshi the receipt spends, by
+        ascending ordinal: each spent range is bisected against the sorted
+        pending ordinals."""
+        pending = self.pending
+        if not pending:
+            return []
+        ordinals = sorted(pending)
+        hits = []
+        for utxo in receipt.spent:
+            for rng in utxo.ordinals:
+                end = rng.start + rng.length
+                i = bisect_left(ordinals, rng.start)
+                while i < len(ordinals) and ordinals[i] < end:
+                    hits.append(ordinals[i])
+                    i += 1
+        hits.sort()
+        return [pending[ordinal] for ordinal in hits]
 
     def _consume_pending(self, pending: PendingTransfer, receipt: Receipt) -> None:
         """The inscribed satoshi moved: settle the transfer to wherever it went.

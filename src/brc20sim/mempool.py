@@ -473,7 +473,7 @@ class Mempool:
                 if entry is not None and entry.arrival == arrival:
                     del entries[txid]
                     remaining -= best_vsize
-                    tx = entry.tx
+                    tx = entry if entry.__class__ is MarketTx else entry.tx
                     selected.append(tx)
                     freed = False
                     if tx.__class__ is not MarketTx:  # which has no input and no output

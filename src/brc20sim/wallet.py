@@ -82,18 +82,18 @@ def _select_funding(
     which is only tested for membership (a pool's ``spends`` serves as is).
 
     Inscription-bearing UTXOs are never spent as funding: using one would
-    silently move (or burn) the tokens riding on it.
+    silently move (or burn) the tokens riding on it.  The walk tests only the
+    coins it reaches, usually one or two of a wallet's twenty: inscribed coins
+    are dust, so they sort last.
     """
     exclude = exclude or ()
-    candidates = [
-        u
-        for u in utxo_set.owned_by(owner)
-        if u.serial not in exclude and not utxo_set.carries_inscription(u)
-    ]
+    candidates = [u for u in utxo_set.owned_by(owner) if u.serial not in exclude]
     candidates.sort(key=lambda u: (-u.value, u.serial))
     picked: list[Utxo] = []
     total = 0
     for utxo in candidates:
+        if utxo_set.carries_inscription(utxo):
+            continue
         picked.append(utxo)
         total += utxo.value
         if total >= needed:

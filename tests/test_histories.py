@@ -230,9 +230,9 @@ def test_one_seed_of_the_grid_builds_3_simulations_and_mines_903_blocks(monkeypa
     # cell by cell, as the benchmark runs it: 81 set-ups and 2,430 blocks without
     # held histories, and 1,656 with them when every cell runs to its horizon.
     # One set-up per congestion level, held from its first request; every cell
-    # forks where it starts and leaves a checkpoint, so each longer attempt
-    # level resumes from the shorter one; and each cell stops once every
-    # attempt has settled.
+    # leaves a checkpoint, a fork, so each longer attempt level resumes from the
+    # shorter one, taking the checkpoint as it is; the 27 cells that start from
+    # a set-up fork it; and each cell stops once every attempt has settled.
     counts = Counter()
     init, mine, fork = Simulation.__init__, Mempool.mine_block, Simulation.fork
 
@@ -254,7 +254,7 @@ def test_one_seed_of_the_grid_builds_3_simulations_and_mines_903_blocks(monkeypa
     harness._histories.clear()
     for config in GRID:
         run_sweep([config], seeds=(7,))
-    assert counts == {"fresh": 3, "mined": 903, "forks": 2 * len(GRID)}
+    assert counts == {"fresh": 3, "mined": 903, "forks": 108}  # 27 set-up starts, 81 holds
     seed_7 = held()
     assert len(seed_7) == len(harness.CONGESTION_LEVELS) + 1
     # a cell of another seed drops them, and holds its own set-up and checkpoint
@@ -271,6 +271,37 @@ def test_a_set_up_that_cannot_confirm_is_never_held():
         with pytest.raises(harness.SetupFailed, match="set-up step 'deploy' did not confirm"):
             harness._run_cell((config, 7))
         assert harness._histories.setups == {} and held() == []
+
+
+class Interrupted(Exception):
+    pass
+
+
+def test_a_resumed_cell_that_raises_leaves_no_checkpoint_held(monkeypatch, cold_results):
+    # the cell takes the checkpoint as it is and sends a bundle before it raises:
+    # nothing is held that it changed, so the cell run again starts from the
+    # set-up and gives its cold result
+    short, longer, seed = GRID[0], GRID[1], SEEDS[0]  # 2 and 5 attempts, one row
+    harness._histories.clear()
+    warm_run(short, seed)
+    assert harness._histories.checkpoint.launches.records
+    setups = list(harness._histories.setups.items())
+    launch, launched = attack._launch_attempt, []
+
+    def launch_then_raise_once(*args):
+        record = launch(*args)
+        launched.append(record)
+        if len(launched) == 1:
+            raise Interrupted
+        return record
+
+    monkeypatch.setattr(attack, "_launch_attempt", launch_then_raise_once)
+    with pytest.raises(Interrupted):
+        warm_run(longer, seed)
+    assert launched[0].index == short.attempts + 1
+    assert harness._histories.checkpoint is None
+    assert list(harness._histories.setups.items()) == setups
+    assert repr(warm_run(longer, seed)) == repr(cold_results[longer, seed])
 
 
 def test_one_seed_of_the_grid_builds_520_pool_entries_and_3_275_market_entries(monkeypatch):

@@ -6,12 +6,15 @@ import random
 import pytest
 from scenario_tools import Scenario, inscribed_tx, move_tx, random_scenario
 
-from brc20sim.chain import Transaction, TxInput, UtxoSet, make_txid
+from brc20sim.chain import (
+    OrdinalRange, Receipt, Transaction, TxInput, Utxo, UtxoSet, make_txid,
+)
 from brc20sim.indexer import (
     Deploy,
     InscribeTransfer,
     Indexer,
     Mint,
+    PendingTransfer,
     deploy_inscription,
     mint_inscription,
     parse_envelope,
@@ -192,6 +195,57 @@ class TestStateMachine:
 
     def test_balance_defaults_to_zero(self):
         assert Indexer().balance("none", "nobody") == (0, 0, 0)
+
+
+def spent_coins(rng: random.Random) -> tuple[Utxo, ...]:
+    """Coins of one to three ranges each, in no ordinal order, with gaps of zero
+    to three satoshis between ranges, so that one range may end where the next
+    begins."""
+    coins, ordinal = [], rng.randint(0, 3)
+    for n in range(rng.randint(0, 4)):
+        ranges = []
+        for _ in range(rng.randint(1, 3)):
+            length = rng.randint(1, 6)
+            ranges.append(OrdinalRange(ordinal, length))
+            ordinal += length + rng.randint(0, 3)
+        rng.shuffle(ranges)
+        coins.append(Utxo(("spent", n), sum(r.length for r in ranges), "owner", tuple(ranges)))
+    rng.shuffle(coins)
+    return tuple(coins)
+
+
+def pending_ordinals(rng: random.Random, coins: tuple[Utxo, ...]) -> set[int]:
+    """Ordinals at and next to each range's edges (its start, its last satoshi,
+    ``start - 1`` and ``start + length``), and a few others."""
+    edges = [o for u in coins for r in u.ordinals
+             for o in (r.start - 1, r.start, r.end - 1, r.end)]
+    picked = rng.sample(edges, rng.randint(0, len(edges))) if edges else []
+    return {o for o in picked if o >= 0} | {rng.randint(0, 60) for _ in range(rng.randint(0, 3))}
+
+
+class TestPendingInInputs:
+    def test_agrees_with_a_scan_of_every_pending_transfer(self):
+        rng, hits = random.Random(11), 0
+        for _ in range(500):
+            spent = spent_coins(rng)
+            indexer = Indexer()
+            for o in pending_ordinals(rng, spent):
+                indexer.pending[o] = PendingTransfer(o, "ordi", 1, "inscriber")
+            receipt = Receipt(spent, (), None)
+            expected = [indexer.pending[o] for o in sorted(indexer.pending)
+                        if any(u.holds(o) for u in spent)]
+            assert indexer._pending_in_inputs(receipt) == expected
+            hits += len(expected)
+        assert hits > 500
+
+    def test_a_range_holds_its_start_and_not_its_end(self):
+        coin = Utxo(("spent", 0), 8, "owner", (OrdinalRange(20, 3), OrdinalRange(10, 5)))
+        indexer = Indexer()
+        for o in (9, 10, 14, 15, 19, 20, 22, 23):
+            indexer.pending[o] = PendingTransfer(o, "ordi", 1, "inscriber")
+        found = indexer._pending_in_inputs(Receipt((coin,), (), None))
+        assert [p.inscription_ordinal for p in found] == [10, 14, 20, 22]
+        assert Indexer()._pending_in_inputs(Receipt((coin,), (), None)) == []
 
 
 class TestReplay:

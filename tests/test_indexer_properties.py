@@ -9,7 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from brc20sim.indexer import deploy_inscription, mint_inscription, replay  # noqa: E402
+from brc20sim.indexer import (  # noqa: E402
+    deploy_inscription, mint_inscription, replay, transfer_inscription,
+)
 from scenario_tools import Scenario, inscribed_tx, move_tx  # noqa: E402
 
 TICK = "ordi"
@@ -75,3 +77,18 @@ def test_any_inscribed_text_leaves_supply_conserved(payloads):
                for i, tx in enumerate(inscribed)])
     assert sc.indexer.supply_is_conserved()
     assert replay(sc.blocks, sc.genesis()) == sc.indexer
+
+
+# quotes, backslashes, control characters, line separators and non-ASCII text
+# (lone surrogates included) come up often, beside any other character
+TICK_CHARS = (st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9 \u2028\ud800\U0001f600')
+              | st.characters(exclude_categories=()))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(tick=st.text(TICK_CHARS), amount=st.integers())
+def test_the_transfer_payload_is_json_dumps_of_its_object(tick, amount):
+    # written by hand, since every bundle writes one; json.dumps is the reference
+    expected = json.dumps({"p": "brc20", "op": "transfer", "tick": tick, "amt": str(amount)},
+                          sort_keys=True)
+    assert transfer_inscription(tick, amount) == expected

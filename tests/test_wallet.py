@@ -1,9 +1,11 @@
 """Transfer bundle construction, sending, recovery."""
 
+import random
+
 import pytest
 from scenario_tools import pinned_transfer, send_times
 
-from brc20sim.chain import RBF_SEQUENCE
+from brc20sim.chain import DUST, RBF_SEQUENCE, OrdinalRange, Utxo, UtxoSet
 from brc20sim.cli import main
 from brc20sim.indexer import parse_envelope, InscribeTransfer
 from brc20sim.sim import SimConfig, Simulation
@@ -14,6 +16,7 @@ from brc20sim.wallet import (
     InsufficientFunds,
     NotOwner,
     TransferRequest,
+    _select_funding,
     build_recovery,
     build_transfer,
 )
@@ -106,6 +109,74 @@ class TestBuildTransfer:
         }
         assert inscribed
         assert all(i.outpoint not in inscribed for i in bundle.tx1.inputs)
+
+
+def random_coins(rng: random.Random) -> UtxoSet:
+    """Coins of two owners, some of one or more ranges, many of equal value, and
+    inscribed dust beside a few inscribed large coins."""
+    utxo_set, ordinal = UtxoSet(), 0
+    for n in range(rng.randint(0, 14)):
+        value = rng.choice([DUST, DUST, 1_000, 5_000, 5_000, rng.randint(1, 60_000)])
+        cuts = sorted(rng.sample(range(1, value), min(value - 1, rng.randint(0, 2))))
+        ranges = []
+        for length in (b - a for a, b in zip([0, *cuts], [*cuts, value])):
+            ordinal += rng.randint(0, 3)
+            ranges.append(OrdinalRange(ordinal, length))
+            ordinal += length
+        utxo = Utxo((f"tx{rng.randint(0, 4)}", n), value, rng.choice("aab"), tuple(ranges))
+        utxo_set.utxos[utxo.serial] = utxo
+        if rng.random() < (0.6 if value == DUST else 0.15):  # anywhere in the coin
+            where = rng.choice(ranges)
+            utxo_set.inscribed.append(rng.randrange(where.start, where.start + where.length))
+    utxo_set.inscribed.sort()
+    return utxo_set
+
+
+def filter_then_sort(utxo_set: UtxoSet, owner: str, needed: int, exclude) -> list[Utxo]:
+    """The reference selection: every clean coin, by a scan of its ordinals, then
+    largest first; raises as _select_funding does."""
+    clean = sorted(
+        (u for u in utxo_set.owned_by(owner) if u.serial not in exclude
+         and not any(u.holds(o) for o in utxo_set.inscribed)),
+        key=lambda u: (-u.value, u.serial),
+    )
+    total = 0
+    for i, utxo in enumerate(clean):
+        total += utxo.value
+        if total >= needed:
+            return clean[:i + 1]
+    raise InsufficientFunds(f"{owner} holds {total} clean sats, needs {needed}")
+
+
+def selection(select, *args) -> list[Utxo] | str:
+    try:
+        return select(*args)
+    except InsufficientFunds as exc:
+        return str(exc)
+
+
+class TestSelectFunding:
+    def test_agrees_with_filter_then_sort(self):
+        rng, outcomes = random.Random(5), set()
+        for _ in range(400):
+            utxo_set = random_coins(rng)
+            owned = [u.serial for u in utxo_set.owned_by("a")]
+            exclude = set(rng.sample(owned, rng.randint(0, len(owned))))
+            needed = rng.randint(1, sum(u.value for u in utxo_set.utxos.values()) + 1)
+            args = (utxo_set, "a", needed, exclude)
+            expected = selection(filter_then_sort, *args)
+            assert selection(_select_funding, *args) == expected
+            outcomes.add(type(expected))
+        assert outcomes == {list, str}
+
+    def test_an_inscribed_coin_that_sorts_first_is_skipped(self):
+        utxo_set = UtxoSet()
+        big = utxo_set.grant("a", 50_000)
+        small = utxo_set.grant("a", 10_000)
+        utxo_set.inscribed.append(big.first_ordinal() + 49_999)  # its last satoshi
+        assert _select_funding(utxo_set, "a", 10_000) == [small]
+        with pytest.raises(InsufficientFunds, match="a holds 10000 clean sats, needs 10001"):
+            _select_funding(utxo_set, "a", 10_001)
 
 
 class TestSubmitBundle:

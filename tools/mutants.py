@@ -99,6 +99,11 @@ MUTANTS = (
     Mutant("undecodable-payload-is-void", "indexer.py",
            "except (ValueError, TypeError, RecursionError):", "except (ValueError, TypeError):",
            ("test_indexer_properties.py",)),
+    Mutant("pending-range-end", "indexer.py",
+           "and ordinals[i] < end:", "and ordinals[i] <= end:", ("test_indexer.py",)),
+    # funding
+    Mutant("selection-skips-inscribed", "wallet.py",
+           "if utxo_set.carries_inscription(utxo):", "if False:", ("test_wallet.py",)),
     # scoring
     Mutant("voided-attempt-scores-no-delay", "attack.py",
            "voided = ordinal is None", "voided = False", ("test_attack.py",)),
@@ -115,6 +120,9 @@ MUTANTS = (
     Mutant("horizon-counts-the-set-up", "harness.py",
            "SETUP_S + self.horizon_s() > EXPIRY", "self.horizon_s() > EXPIRY",
            ("test_harness.py",)),
+    # held histories
+    Mutant("checkpoint-taken-once", "harness.py",
+           "self.checkpoint = None  # taken", "pass  # taken", ("test_histories.py",)),
     # replay
     Mutant("replay-block-time", "cli.py",
            "if t != sim.next_block_time:", "if t > sim.next_block_time:", ("test_cli.py",)),
